@@ -388,7 +388,8 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 def _emit(payload: dict, out: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # strict JSON: a non-finite float raises ValueError instead of printing NaN
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -406,10 +407,12 @@ def main(argv=None) -> int:
         return 2
     try:
         payload, status = args.handler(args)
+        payload["config"] = _config_echo(args)
+        _emit(payload, args.out)
     except UsageError as exc:
         _emit({"error": str(exc), "config": _config_echo(args), "exit": 2}, "")
         return 2
-    except (LocqError, ValueError, ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
+    except (LocqError, ValueError, ArithmeticError, json.JSONDecodeError, OSError) as exc:
         _emit(
             {
                 "error": f"{type(exc).__name__}: {exc}",
@@ -419,8 +422,6 @@ def main(argv=None) -> int:
             "",
         )
         return 2
-    payload["config"] = _config_echo(args)
-    _emit(payload, args.out)
     return status
 
 

@@ -376,10 +376,12 @@ def lattice_periodicity_scan(
     Tests every omega = 2 pi i (m tau + m') with |m|, |m'| <= trial_bound
     at the sample points and keeps those with max |f(x+omega) - f(x)| < tol.
     The kept translations must generate a sublattice of index exactly
-    `level` in 2 pi i (Z tau + Z); otherwise ScanInconclusive is raised
-    with the partial findings attached.
+    N / gcd(k, l, N) in 2 pi i (Z tau + Z), which is N for a primitive
+    twist; otherwise ScanInconclusive is raised with the partial findings
+    attached.
     """
     n = level.level
+    expected = n // math.gcd(level.k, level.l, n)
     bound = trial_bound if trial_bound is not None else n
     if bound < n:
         raise ValueError("trial_bound must be at least the level")
@@ -402,9 +404,9 @@ def lattice_periodicity_scan(
     report = PeriodScanReport(
         periods=tuple(sorted(periods)), index=index, level=n, max_deviation=worst_kept
     )
-    if index != n:
+    if index != expected:
         raise ScanInconclusiveError(
-            f"expected an index-{n} sublattice, found index {index}; "
+            f"expected an index-{expected} sublattice, found index {index}; "
             f"periods={report.periods}"
         )
     return report

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -40,6 +41,10 @@ class SphereFactor:
     weight: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.radius) and math.isfinite(self.weight)):
+            raise ValueError(
+                f"radius and weight must be finite, got {self.radius}, {self.weight}"
+            )
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.weight == 0:
@@ -89,15 +94,19 @@ def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
     differencing the ambient rotation field in an oriented tangent frame
     at each pole (cross-check path).
     """
+    # s * (mu * r) == (s * mu) * r exactly for s = +-1, so hoisting the
+    # per-factor products out of the 2^n loop leaves every value unchanged
+    heights = [f.weight * f.radius for f in space.factors]
+    rates = [f.rate for f in space.factors]
     points = []
     for signs in itertools.product((1, -1), repeat=space.half_dim):
-        h = sum(s * f.weight * f.radius for s, f in zip(signs, space.factors))
+        h = sum(map(operator.mul, signs, heights))
         if numerical:
             lams = tuple(
                 _numerical_rate(f, s) for s, f in zip(signs, space.factors)
             )
         else:
-            lams = tuple(s * f.rate for s, f in zip(signs, space.factors))
+            lams = tuple(map(operator.mul, signs, rates))
         points.append(FixedPoint(pole_signs=signs, h_value=h, lambdas=lams))
     return points
 
@@ -129,8 +138,21 @@ def _leggauss(n: int):
     return x, w
 
 
+def _check_c(c, allow_zero: bool = False) -> None:
+    """Reject non-finite c (and zero unless allowed) before any cache sees it."""
+    if not cmath.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    if c == 0 and not allow_zero:
+        raise ValueError("c must be nonzero")
+
+
+# Per-factor results are pure functions of (factor, c, ...) and a verify
+# pass sees few distinct pairs, so they are cached.  typed=True keeps
+# 1, 1.0 and 1+0j apart: equal keys, different result types.
+@lru_cache(maxsize=1024, typed=True)
 def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
     """2 pi r * integral_{-r}^{r} e^(c mu z) dz by Gauss-Legendre quadrature."""
+    _check_c(c, allow_zero=True)
     if quad_points < 2:
         raise ValueError("quad_points must be at least 2")
     x, w = _leggauss(quad_points)
@@ -154,8 +176,7 @@ def factor_integral_closed(factor: SphereFactor, c):
 
 def dh_lhs(space: SphereProductSpace, c, quad_points: int = 64):
     """Liouville integral of e^(c H): product of per-factor quadratures."""
-    if c == 0:
-        raise ValueError("c must be nonzero")
+    _check_c(c)
     out = 1.0 + 0.0j if isinstance(c, complex) else 1.0
     for f in space.factors:
         out *= factor_integral_quad(f, c, quad_points)
@@ -170,32 +191,41 @@ def dh_lhs_closed(space: SphereProductSpace, c):
     return out
 
 
-def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False):
+@lru_cache(maxsize=1024, typed=True)
+def _exp_pair(factor: SphereFactor, c) -> tuple[Decimal, Decimal]:
+    """(e^(c mu r), e^(-c mu r)) to 40 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(c) * Decimal(factor.weight) * Decimal(factor.radius)
+        return x.exp(), (-x).exp()
+
+
+def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None):
     """Fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j.
 
     For real c the alternating sum cancels down to ~prod_i tanh(c mu_i r_i)
     of its largest term, far beyond double precision at small c; the terms
     are therefore accumulated with 40-digit Decimal arithmetic, which keeps
     the result exact to ~1e-15 relative for every parameter combination.
-    Complex c takes the plain complex path (used by the oscillatory smoke
-    checks at looser tolerance).
+    The per-factor exponentials e^(+-c mu_i r_i) are cached per (factor, c),
+    so repeated factors cost one Decimal exp pair each.  Complex c takes
+    the plain complex path (used by the oscillatory smoke checks at looser
+    tolerance).
 
     With via_sqrt_det=True the denominator prod_j l_j is obtained from
     locq.pfaffian.sqrt_det on the assembled block-diagonal linearization
-    instead of multiplying the analytic rates.
+    instead of multiplying the analytic rates.  `points` takes the output of
+    enumerate_fixed_points(space) when the caller already has it.
     """
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    points = enumerate_fixed_points(space)
+    _check_c(c)
+    if points is None:
+        points = enumerate_fixed_points(space)
     n = space.half_dim
 
     def lam_product(p: FixedPoint) -> float:
         if via_sqrt_det:
             return _pf.sqrt_det(_pf.block_diagonal(p.lambdas))
-        out = 1.0
-        for lam in p.lambdas:
-            out *= lam
-        return out
+        return math.prod(p.lambdas)
 
     if isinstance(c, complex):
         total = 0.0 + 0.0j
@@ -203,17 +233,14 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False):
             total += cmath.exp(c * p.h_value) / lam_product(p)
         return (TWO_PI / c) ** n * total
 
+    exps = [_exp_pair(f, c) for f in space.factors]
     with localcontext() as ctx:
         ctx.prec = 40
-        exps = {}
-        for f in space.factors:
-            x = Decimal(c) * Decimal(f.weight) * Decimal(f.radius)
-            exps[f] = (x.exp(), (-x).exp())
         total = Decimal(0)
         for p in points:
             term = Decimal(1)
-            for s, f in zip(p.pole_signs, space.factors):
-                term *= exps[f][0 if s > 0 else 1]
+            for s, pair in zip(p.pole_signs, exps):
+                term *= pair[0 if s > 0 else 1]
             total += term / Decimal(lam_product(p))
         return (TWO_PI / c) ** n * float(total)
 
@@ -229,10 +256,10 @@ class DHReport:
 def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
     """Evaluate both sides of the localization identity and their mismatch."""
     lhs = dh_lhs(space, c, quad_points)
-    rhs = dh_rhs(space, c)
+    points = tuple(enumerate_fixed_points(space))
+    rhs = dh_rhs(space, c, points=points)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return DHReport(lhs=lhs, rhs=rhs, rel_err=rel,
-                    fixed_points=tuple(enumerate_fixed_points(space)))
+    return DHReport(lhs=lhs, rhs=rhs, rel_err=rel, fixed_points=points)
 
 
 @dataclass(frozen=True, slots=True)

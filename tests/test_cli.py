@@ -12,6 +12,15 @@ def parse(output: str) -> dict:
     return json.loads(output)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def parse_strict(output: str) -> dict:
+    """Parse output that must be strict JSON: no NaN, Infinity or -Infinity."""
+    return json.loads(output, parse_constant=_reject_constant)
+
+
 class TestDhVerify:
     def test_success(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "1"])
@@ -32,6 +41,33 @@ class TestDhVerify:
         code, out = run_cli(["dh-verify", "--factors", "nope", "--c", "1"])
         assert code == 2
         assert "error" in parse(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--factors", "1:1", "--c", "nan"],
+            ["--factors", "1:1", "--c", "inf"],
+            ["--factors", "1:1", "--c=-inf,1"],
+            ["--factors=inf:1", "--c", "1"],
+            ["--factors", "1:nan", "--c", "1"],
+        ],
+    )
+    def test_non_finite_input_is_exit_two(self, run_cli, argv):
+        code, out = run_cli(["dh-verify", *argv])
+        assert code == 2
+        assert "finite" in parse_strict(out)["error"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_result_is_exit_two(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "1000"])
+        assert code == 2
+        assert "error" in parse_strict(out)
+
+    def test_unwritable_out_file_is_exit_two(self, run_cli, tmp_path):
+        target = tmp_path / "missing-dir" / "result.json"
+        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "1", "--out", str(target)])
+        assert code == 2
+        assert parse_strict(out)["error"].startswith("FileNotFoundError")
 
     def test_config_round_trip(self, run_cli):
         code1, out1 = run_cli(["dh-verify", "--factors", "1:1,2:3", "--c", "0.5"])
@@ -173,6 +209,15 @@ class TestGenusCommands:
         assert code == 0
         assert payload["index"] == 2
         assert [0, 0] in payload["periods"]
+
+    def test_period_scan_non_primitive_twist(self, run_cli):
+        code, out = run_cli(
+            ["period-scan", "--tau", "0,1", "--N", "4", "--k", "2", "--l", "0"]
+        )
+        payload = parse_strict(out)
+        assert code == 0
+        assert payload["index"] == 2
+        assert payload["level"] == 4
 
     def test_period_scan_failure_is_exit_one(self, run_cli):
         code, out = run_cli(

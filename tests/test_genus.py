@@ -172,9 +172,25 @@ class TestGenus:
         assert genus_cpm(lvl, m).value == pytest.approx(cubed.coeffs[m], rel=1e-12)
 
 
-def test_composite_level_with_common_divisor_is_inconclusive():
+def test_composite_level_with_common_divisor_has_reduced_index():
     # the period sublattice has index N / gcd(k, l, N); for N = 4 and
-    # (k, l) = (2, 2) the true index is 2, so a level-4 scan must refuse
-    with pytest.raises(ScanInconclusiveError) as excinfo:
-        lattice_periodicity_scan(LevelData(4, 2, 2, GENERIC_TAU), trial_bound=4)
-    assert "found index 2" in str(excinfo.value)
+    # (k, l) = (2, 2) the true index is 2, and the scan accepts it
+    report = lattice_periodicity_scan(LevelData(4, 2, 2, GENERIC_TAU), trial_bound=4)
+    assert report.index == 2
+    assert report.level == 4
+
+
+@pytest.mark.parametrize("n,k,l", [(4, 2, 0), (6, 3, 0)])
+def test_non_primitive_twist_index(n, k, l):
+    report = lattice_periodicity_scan(LevelData(n, k, l, GENERIC_TAU), trial_bound=n)
+    assert report.index == 2
+    assert report.max_deviation < 1e-8
+    # the twist point is pi i tau, as at level 2 with (k, l) = (1, 0):
+    # the periods are (m, m') with m' even
+    assert all(mp % 2 == 0 for _, mp in report.periods)
+    assert (1, 0) in report.periods
+
+
+def test_non_primitive_twist_still_inconclusive_at_tiny_tolerance():
+    with pytest.raises(ScanInconclusiveError, match="expected an index-2 sublattice"):
+        lattice_periodicity_scan(LevelData(4, 2, 0, GENERIC_TAU), trial_bound=4, tol=1e-30)

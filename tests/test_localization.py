@@ -1,6 +1,8 @@
 """Fixed-point localization on sphere products: the identity is the oracle."""
 
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -16,6 +18,7 @@ from locq.localization import (
     factor_integral_closed,
     factor_integral_quad,
     flow_liouville_check,
+    _exp_pair,
 )
 
 
@@ -44,6 +47,14 @@ class TestFixedPoints:
     def test_zero_weight_rejected(self):
         with pytest.raises(DegenerateWeightError):
             SphereFactor(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "r,mu", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, -math.inf),
+                 (1.0, math.nan)]
+    )
+    def test_non_finite_factor_rejected(self, r, mu):
+        with pytest.raises(ValueError, match="finite"):
+            SphereFactor(r, mu)
 
 
 class TestLhs:
@@ -125,6 +136,87 @@ class TestIdentity:
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
         closed = dh_lhs_closed(space, 0.7j)
         assert abs(lhs - closed) / abs(closed) < 1e-10
+
+
+def _reference_rhs(space, c):
+    """The fixed-point sum written out per pole combination, with no cache:
+    every exponential is recomputed at 40 digits where it is used."""
+    n = space.half_dim
+    with localcontext() as ctx:
+        ctx.prec = 40
+        total = Decimal(0)
+        for signs in itertools.product((1, -1), repeat=n):
+            term = Decimal(1)
+            denom = 1.0
+            for s, f in zip(signs, space.factors):
+                x = Decimal(c) * Decimal(f.weight) * Decimal(f.radius)
+                term *= (x if s > 0 else -x).exp()
+                denom *= s * (f.weight / f.radius)
+            total += term / Decimal(denom)
+    return (2.0 * math.pi / c) ** n * float(total)
+
+
+CACHE_SPACES = [
+    SphereProductSpace.of((1.0, 2.0), (1.0, 2.0)),
+    SphereProductSpace.of((0.5, 3.0), (2.0, -0.5), (0.5, 3.0)),
+    SphereProductSpace.of((3.0, 0.5), (1.0, 1.0), (3.0, 0.5), (0.5, -2.0)),
+]
+
+
+def _clear_caches():
+    factor_integral_quad.cache_clear()
+    _exp_pair.cache_clear()
+
+
+class TestCaching:
+    @pytest.mark.parametrize("space", CACHE_SPACES)
+    @pytest.mark.parametrize("c", [1e-3, -1e-3, 0.05, -0.05, 1.3, -1.3])
+    def test_rhs_matches_uncached_reference_exactly(self, space, c):
+        _clear_caches()
+        assert dh_rhs(space, c) == _reference_rhs(space, c)
+        assert dh_rhs(space, c) == _reference_rhs(space, c)  # warm
+
+    @pytest.mark.parametrize("space", CACHE_SPACES)
+    def test_cold_cleared_and_warm_results_identical(self, space):
+        def key(report):
+            return report.lhs, report.rhs, report.rel_err, report.fixed_points
+
+        _clear_caches()
+        cold = key(dh_verify(space, 0.7))
+        factor_integral_quad.cache_clear()
+        assert key(dh_verify(space, 0.7)) == cold
+        _exp_pair.cache_clear()
+        assert key(dh_verify(space, 0.7)) == cold
+        hits = factor_integral_quad.cache_info().hits
+        assert key(dh_verify(space, 0.7)) == cold
+        assert factor_integral_quad.cache_info().hits == hits + space.half_dim
+
+    @pytest.mark.parametrize("space", CACHE_SPACES)
+    def test_report_fixed_points_match_enumeration(self, space):
+        assert dh_verify(space, 0.3).fixed_points == tuple(enumerate_fixed_points(space))
+
+    def test_errors_are_not_cached(self):
+        f = SphereFactor(1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="quad_points"):
+                factor_integral_quad(f, 0.5, 1)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0)])
+    def test_non_finite_c_rejected_before_caching(self, c):
+        space = CACHE_SPACES[1]
+        sizes = factor_integral_quad.cache_info().currsize, _exp_pair.cache_info().currsize
+        for fn in (dh_lhs, dh_rhs, dh_verify):
+            with pytest.raises(ValueError, match="finite"):
+                fn(space, c)
+        with pytest.raises(ValueError, match="finite"):
+            factor_integral_quad(space.factors[0], c)
+        assert (factor_integral_quad.cache_info().currsize,
+                _exp_pair.cache_info().currsize) == sizes
+
+    def test_cache_keeps_argument_types_apart(self):
+        f = SphereFactor(1.0, 1.0)
+        assert isinstance(factor_integral_quad(f, 1.0), float)
+        assert isinstance(factor_integral_quad(f, 1.0 + 0.0j), complex)
 
 
 class TestFlow:
