@@ -12,10 +12,13 @@ Subpackages by task:
   cli           one JSON-emitting subcommand per operation
 """
 
-from .kernel import BACKEND as KERNEL_BACKEND
 from .series import BivariateSeries, FormalSeries, IntegerProductSpec, expand_product
 
 __version__ = "0.1.0"
+
+# locq.kernel is the only series kernel; the name stays for callers that
+# record which kernel produced a result.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LocqError
-from .series import BivariateSeries, FormalSeries, IntegerProductSpec, expand_product
+from .series import (
+    BivariateSeries,
+    FormalSeries,
+    IntegerProductSpec,
+    _check_order,
+    expand_product,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +53,6 @@ class BettiData:
     @property
     def chi(self) -> int:
         return sum((-1) ** j * b for j, b in enumerate(self.betti))
-
-    def poincare_polynomial(self) -> dict[int, int]:
-        return {j: b for j, b in enumerate(self.betti) if b}
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,6 +103,7 @@ def macdonald_series(b: BettiData, q_order: int, y_bound: int | None = None) -> 
     Product form: prod_j (1 + q y^(2j+1))^(b_odd) / prod_j (1 - q y^(2j))^(b_even),
     expanded exactly to q_order.
     """
+    _check_order(q_order)
     out = BivariateSeries.one(q_order)
     for j, count in enumerate(b.betti):
         if count == 0:
@@ -159,6 +163,7 @@ def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
 
 def orbifold_series(b: BettiData, q_order: int, y_bound: int | None = None) -> BivariateSeries:
     """Orbifold Poincare series: prod_{n>=1} prod_j (1+q^n y^(2j+1))^b / (1-q^n y^(2j))^b."""
+    _check_order(q_order)
     out = BivariateSeries.one(q_order)
     for n in range(1, q_order + 1):
         for j, count in enumerate(b.betti):

@@ -27,8 +27,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BetaSingularityError, NonConvergentError, ScanInconclusiveError
-from .spectral import Tau, q_power
+from .errors import (
+    BetaSingularityError,
+    NonConvergentError,
+    ScanInconclusiveError,
+    ToleranceUnreachableError,
+)
+from .series import _check_order, _common, _int_pow
+from .spectral import Tau, factor_cap, q_power
 
 TWO_PI_I = 2j * math.pi
 
@@ -79,22 +85,18 @@ class XSeries:
     def norm1(self) -> float:
         return sum(abs(c) for c in self.coeffs)
 
-    def _common(self, other):
-        order = min(self.order, other.order)
-        return self.truncate(order), other.truncate(order)
-
     def truncate(self, order: int) -> "XSeries":
         if order >= self.order:
             return self
         return XSeries(order, self.coeffs[: order + 1], self.coeff_error)
 
     def __add__(self, other: "XSeries") -> "XSeries":
-        a, b = self._common(other)
+        a, b = _common(self, other)
         return XSeries._make([x + y for x, y in zip(a.coeffs, b.coeffs)],
                              a.coeff_error + b.coeff_error)
 
     def __sub__(self, other: "XSeries") -> "XSeries":
-        a, b = self._common(other)
+        a, b = _common(self, other)
         return XSeries._make([x - y for x, y in zip(a.coeffs, b.coeffs)],
                              a.coeff_error + b.coeff_error)
 
@@ -102,7 +104,7 @@ class XSeries:
         if isinstance(other, (int, float, complex)):
             return XSeries._make([c * other for c in self.coeffs],
                                  self.coeff_error * abs(other))
-        a, b = self._common(other)
+        a, b = _common(self, other)
         n = a.order + 1
         out = [0j] * n
         for i in range(n):
@@ -132,18 +134,8 @@ class XSeries:
         err = self.coeff_error * inv_norm * inv_norm
         return XSeries._make(out, err)
 
-    def int_pow(self, exponent: int) -> "XSeries":
-        if exponent == 0:
-            return XSeries.one(self.order)
-        base = self if exponent > 0 else self.invert()
-        e = abs(exponent)
-        result = XSeries.one(self.order)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+    int_pow = _int_pow
+    __pow__ = _int_pow
 
     def shift_down(self) -> "XSeries":
         """Divide by x: drops the constant coefficient (which must vanish)."""
@@ -171,14 +163,20 @@ def _product_factor_count(tau: Tau, q_tol: float, magnitude: float = 1.0) -> int
 
     `magnitude` bounds |e^x| and |e^-x| over the evaluation arguments: the
     dropped factor at index n differs from 1 by up to |q|^n * magnitude.
+    Raises ToleranceUnreachable when the count would exceed LOCQ_MAX_FACTORS.
     """
     absq = abs(q_power(tau, 1))
     if absq >= 1:
         raise NonConvergentError("|q| >= 1")
+    cap = factor_cap()
     m = 1
     threshold = q_tol / (8.0 * max(magnitude, 1.0))
-    while absq ** (m + 1) / (1 - absq) >= threshold and m < 10**6:
+    while absq ** (m + 1) / (1 - absq) >= threshold:
         m += 1
+        if m > cap:
+            raise ToleranceUnreachableError(
+                f"needed more than {cap} factors for q_tol={q_tol}"
+            )
     return m
 
 
@@ -195,6 +193,7 @@ def phi_series(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
     constant coefficient exactly 1, so the first two coefficients of the
     result carry no rounding at all.
     """
+    _check_order(x_order)
     m = _product_factor_count(tau, q_tol)
     # (1 - e^-x): coefficient k is -(-1)^k / k!
     lead = [0j]
@@ -237,6 +236,7 @@ def phi_product_part(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
 def phi_shifted_series(tau: Tau, shift: complex, x_order: int,
                        q_tol: float = 1e-12) -> XSeries:
     """Phi(x + shift) as an x-series."""
+    _check_order(x_order)
     e_shift = cmath.exp(-shift)
     m = _product_factor_count(tau, q_tol, max(abs(e_shift), 1.0 / abs(e_shift)))
     out = XSeries.one(x_order) - e_shift * _exp_series(-1.0, x_order)
@@ -278,6 +278,7 @@ def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
     series Phi(x-beta)/Phi(-beta), whose constant term is exactly 1 by
     construction, so no rounding enters the normalization.
     """
+    _check_order(x_order)
     tau = level.tau
     beta = level.beta
     shifted = phi_shifted_series(tau, -beta, x_order, q_tol)
@@ -288,18 +289,6 @@ def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
     ratio = XSeries._make(normalized, shifted.coeff_error / abs(z0)).invert()
     prefactor = _exp_series(level.k / level.level, x_order)
     return prefactor * phi_series(tau, x_order, q_tol) * ratio
-
-
-def chern_character_product(chern_roots, tau: Tau, q_tol: float = 1e-12) -> complex:
-    """prod_j prod_{n>=1} (1 - q^n e^(x_j))(1 - q^n e^(-x_j)), numerically."""
-    val = 1.0 + 0j
-    for x in chern_roots:
-        ex, emx = cmath.exp(complex(x)), cmath.exp(-complex(x))
-        m = _product_factor_count(tau, q_tol, max(abs(ex), abs(emx)))
-        for n in range(1, m + 1):
-            qn = q_power(tau, n)
-            val *= (1.0 - qn * ex) * (1.0 - qn * emx)
-    return val
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,9 +74,6 @@ class SphereProductSpace:
     def half_dim(self) -> int:
         return len(self.factors)
 
-    def liouville_volume(self) -> float:
-        return math.prod(4.0 * math.pi * f.radius**2 for f in self.factors)
-
 
 @dataclass(frozen=True, slots=True)
 class FixedPoint:
@@ -260,45 +257,3 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
     rhs = dh_rhs(space, c, points=points)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return DHReport(lhs=lhs, rhs=rhs, rel_err=rel, fixed_points=points)
-
-
-@dataclass(frozen=True, slots=True)
-class FlowReport:
-    max_abs_det_minus_one: float
-    samples: int
-    step: float
-
-
-def flow_liouville_check(
-    factor: SphereFactor,
-    t: float,
-    sample_count: int = 32,
-    step: float = 0.25,
-    seed: int = 0,
-) -> FlowReport:
-    """Jacobian-determinant check that the time-t flow preserves the area form.
-
-    The flow in the (z, phi) chart is (z, phi) -> (z, phi + t mu / r); its
-    Jacobian is measured by central differences at random sample points.
-    The map is affine, so any deviation of det J from 1 is pure rounding.
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    rng = np.random.default_rng(seed)
-    delta = t * factor.rate
-
-    def flow(z, phi):
-        return z, phi + delta
-
-    worst = 0.0
-    h = min(step, factor.radius / 2.0)
-    for _ in range(sample_count):
-        z = float(rng.uniform(-factor.radius + h, factor.radius - h))
-        phi = float(rng.uniform(0.0, TWO_PI))
-        j00 = (flow(z + h, phi)[0] - flow(z - h, phi)[0]) / (2 * h)
-        j01 = (flow(z, phi + h)[0] - flow(z, phi - h)[0]) / (2 * h)
-        j10 = (flow(z + h, phi)[1] - flow(z - h, phi)[1]) / (2 * h)
-        j11 = (flow(z, phi + h)[1] - flow(z, phi - h)[1]) / (2 * h)
-        det = j00 * j11 - j01 * j10
-        worst = max(worst, abs(det - 1.0))
-    return FlowReport(max_abs_det_minus_one=worst, samples=sample_count, step=step)

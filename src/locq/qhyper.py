@@ -10,7 +10,6 @@ namely (a;q)_{-m} = 1 / prod_{k=1..m} (1 - a q^{-k}).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -19,7 +18,9 @@ from .errors import (
     DegenerateParametersError,
     NonConvergentError,
     PochhammerZeroDivisionError,
+    ToleranceUnreachableError,
 )
+from .spectral import factor_cap
 
 Scalar = Fraction | complex
 
@@ -66,46 +67,18 @@ def pochhammer(a, q, n: int):
     return one / denom
 
 
-def _pochhammer_parts(a, q, n: int):
-    """(a;q)_n as a zero-safe (numerator, denominator) pair of finite products."""
-    one = _one_like(a * q)
-    if n >= 0:
-        out = one
-        apow = a
-        for _ in range(n):
-            out *= one - apow
-            apow *= q
-        return out, one
-    denom = one
-    apow = a
-    for _ in range(-n):
-        apow /= q
-        denom *= one - apow
-    return one, denom
-
-
-def rising_factorial(a, n: int):
-    """Ordinary rising factorial a (a+1) ... (a+n-1)."""
-    if n < 0:
-        raise ValueError("rising factorial needs a nonnegative index")
-    a = _coerce(a)
-    out = _one_like(a)
-    for k in range(n):
-        out *= a + k
-    return out
-
-
 def pochhammer_infinite(a, q, tol: float = 1e-12, max_terms: int | None = None):
     """(a;q)_infinity as a truncated product with tail bound below tol.
 
     The factor count is capped by LOCQ_MAX_FACTORS (default 10**6) unless
-    max_terms overrides it.
+    max_terms overrides it; a tolerance that needs more factors raises
+    ToleranceUnreachable.
     """
     a, q = _coerce(a), _coerce(q)
     if abs(complex(q)) >= 1:
         raise NonConvergentError(f"(a;q)_inf requires |q| < 1, got |q|={abs(complex(q))}")
     if max_terms is None:
-        max_terms = int(os.environ.get("LOCQ_MAX_FACTORS", 10**6))
+        max_terms = factor_cap()
     one = _one_like(a * q)
     out = one
     apow = a
@@ -118,7 +91,9 @@ def pochhammer_infinite(a, q, tol: float = 1e-12, max_terms: int | None = None):
         abs_apow *= absq
         m += 1
         if m > max_terms:
-            raise NonConvergentError("factor cap exceeded in (a;q)_inf")
+            raise ToleranceUnreachableError(
+                f"(a;q)_inf needed more than {max_terms} factors for tol={tol}"
+            )
     return out
 
 

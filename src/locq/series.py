@@ -47,6 +47,43 @@ def _as_fraction(value) -> Fraction:
     )
 
 
+# -- ring code shared by every truncated-series type ----------------------------
+# FormalSeries, BivariateSeries and locq.genus.XSeries bind the power methods
+# in their own class bodies (int_pow = _int_pow), so each method sits in its
+# class's namespace and the slotted dataclasses need no common base class.
+
+
+def _check_order(order: int) -> None:
+    """Reject a negative truncation order before any work is done."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
+def _common(a, b):
+    """Both operands truncated to the lower of their two orders."""
+    order = min(a.order, b.order)
+    return a.truncate(order), b.truncate(order)
+
+
+def _int_pow(x, exponent: int):
+    """Integer power by square-and-multiply.
+
+    A negative exponent inverts first, so it needs an invertible constant
+    term.
+    """
+    if exponent == 0:
+        return type(x).one(x.order)
+    base = x if exponent > 0 else x.invert()
+    e = abs(exponent)
+    result = type(x).one(x.order)
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
+
+
 @dataclass(frozen=True, slots=True)
 class FormalSeries:
     """Truncated power series in q with exact rational coefficients."""
@@ -114,21 +151,14 @@ class FormalSeries:
             return self
         return FormalSeries._make(order, list(self.nums[: order + 1]), self.den)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.nums)
-
     # -- ring operations ----------------------------------------------------
-
-    def _common(self, other: "FormalSeries") -> tuple["FormalSeries", "FormalSeries"]:
-        order = min(self.order, other.order)
-        return self.truncate(order), other.truncate(order)
 
     def __add__(self, other) -> "FormalSeries":
         if isinstance(other, (int, Fraction)):
             other = FormalSeries.monomial(other, 0, self.order)
         if not isinstance(other, FormalSeries):
             return NotImplemented
-        a, b = self._common(other)
+        a, b = _common(self, other)
         den = math.lcm(a.den, b.den)
         ma, mb = den // a.den, den // b.den
         nums = [x * ma + y * mb for x, y in zip(a.nums, b.nums)]
@@ -158,7 +188,7 @@ class FormalSeries:
             )
         if not isinstance(other, FormalSeries):
             return NotImplemented
-        a, b = self._common(other)
+        a, b = _common(self, other)
         nums = kernel.mul_trunc(list(a.nums), list(b.nums))
         return FormalSeries._make(a.order, nums, a.den * b.den)
 
@@ -173,22 +203,8 @@ class FormalSeries:
         # 1/(N/d) = d * (1/N)
         return FormalSeries._make(self.order, [v * self.den for v in inv_nums], inv_den)
 
-    def int_pow(self, exponent: int) -> "FormalSeries":
-        """Integer power; negative exponents require a unit constant term."""
-        if exponent == 0:
-            return FormalSeries.one(self.order)
-        base = self if exponent > 0 else self.invert()
-        e = abs(exponent)
-        result = FormalSeries.one(self.order)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def __pow__(self, exponent: int) -> "FormalSeries":
-        return self.int_pow(exponent)
+    int_pow = _int_pow
+    __pow__ = _int_pow
 
     # -- presentation ---------------------------------------------------------
 
@@ -225,8 +241,7 @@ def expand_product(spec: "IntegerProductSpec", order: int) -> FormalSeries:
     Only factors whose leading exponent a*n + epsilon is <= order differ
     from 1 modulo the truncation, so the loop is finite.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(order)
     spec.validate()
     sign = -1 if spec.sign == "minus" else 1
     nums = [0] * (order + 1)
@@ -353,14 +368,10 @@ class BivariateSeries:
         return BivariateSeries._make(order, [dict(d) for d in self.coeffs[: order + 1]],
                                      self.y_truncated)
 
-    def _common(self, other):
-        order = min(self.order, other.order)
-        return self.truncate(order), other.truncate(order)
-
     def __add__(self, other) -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        a, b = self._common(other)
+        a, b = _common(self, other)
         return BivariateSeries._make(
             a.order, [_lp_add(x, y) for x, y in zip(a.coeffs, b.coeffs)],
             a.y_truncated or b.y_truncated,
@@ -383,7 +394,7 @@ class BivariateSeries:
             )
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        a, b = self._common(other)
+        a, b = _common(self, other)
         out: list[dict] = [{} for _ in range(a.order + 1)]
         for i, p in enumerate(a.coeffs):
             if not p:
@@ -418,21 +429,8 @@ class BivariateSeries:
             out[n] = _lp_mul(_lp_scale(acc, -1), inv0)
         return BivariateSeries._make(self.order, out, self.y_truncated)
 
-    def int_pow(self, exponent: int) -> "BivariateSeries":
-        if exponent == 0:
-            return BivariateSeries.one(self.order)
-        base = self if exponent > 0 else self.invert()
-        e = abs(exponent)
-        result = BivariateSeries.one(self.order)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def __pow__(self, exponent: int) -> "BivariateSeries":
-        return self.int_pow(exponent)
+    int_pow = _int_pow
+    __pow__ = _int_pow
 
     def specialize_y(self, y: int) -> FormalSeries:
         """Substitute an integer for y, coefficient by coefficient."""

@@ -22,8 +22,22 @@ TWO_PI = 2.0 * math.pi
 Branch = Literal["minus", "plus"]
 
 
-def _factor_cap() -> int:
-    return int(os.environ.get("LOCQ_MAX_FACTORS", 10**6))
+def factor_cap() -> int:
+    """Cap on the factors of any truncated infinite product.
+
+    Read from LOCQ_MAX_FACTORS on every call (default 10**6); a value that
+    is not a positive integer raises ValueError.
+    """
+    text = os.environ.get("LOCQ_MAX_FACTORS")
+    if text is None:
+        return 10**6
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"LOCQ_MAX_FACTORS must be a positive integer, got {text!r}")
+    return cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,9 +93,6 @@ class SpectralParams:
     def with_sign(self, sign: Branch) -> "SpectralParams":
         return SpectralParams(self.a, self.epsilon, self.ell, sign, self.tau)
 
-    def with_ell(self, ell: int) -> "SpectralParams":
-        return SpectralParams(self.a, self.epsilon, ell, self.sign, self.tau)
-
 
 @dataclass(frozen=True, slots=True)
 class SValue:
@@ -124,7 +135,7 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     if ratio >= 1:
         raise NonConvergentError("|q|^a >= 1")
     abs_eps_part = abs(q_power(tau, p.epsilon))
-    cap = _factor_cap()
+    cap = factor_cap()
     sign = -1.0 if p.sign == "minus" else 1.0
 
     value = 1 + 0j

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,25 +29,9 @@ class SuiteResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
-    seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "seconds": round(self.seconds, 3),
-            "details": self.details,
-        }
-
-
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteResult:
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.seconds = time.perf_counter() - t0
-        return result
-
-    return wrapper
+        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 # -- 1. localization ---------------------------------------------------------
@@ -58,7 +41,6 @@ DH_CS = (0.01, 0.1, 1.0, 5.0)
 DH_TOL = 1e-8
 
 
-@_timed
 def suite_localization() -> SuiteResult:
     """Both sides of the fixed-point identity on every sphere product
     with radii and weights drawn from DH_VALUES, up to four factors."""
@@ -82,7 +64,6 @@ def suite_localization() -> SuiteResult:
 # -- 2. pfaffian --------------------------------------------------------------
 
 
-@_timed
 def suite_pfaffian() -> SuiteResult:
     rng = np.random.default_rng(20240915)
     worst_square = 0.0
@@ -136,7 +117,6 @@ def betti_family(max_total: int, max_degree: int):
     return family
 
 
-@_timed
 def suite_macdonald() -> SuiteResult:
     """Product formula vs graded-symmetric-power enumeration, n <= 8."""
     mismatches = 0
@@ -154,7 +134,6 @@ def suite_macdonald() -> SuiteResult:
     )
 
 
-@_timed
 def suite_euler() -> SuiteResult:
     """y = -1 specialization and the equivariant partition-number check."""
     failures = []
@@ -180,7 +159,6 @@ def suite_euler() -> SuiteResult:
     )
 
 
-@_timed
 def suite_orbifold() -> SuiteResult:
     """Orbifold product (q-index from 1, degree index from 0) vs the
     partition-sum oracle, coefficient by coefficient for n <= 8."""
@@ -201,7 +179,6 @@ def suite_orbifold() -> SuiteResult:
     )
 
 
-@_timed
 def suite_twisted() -> SuiteResult:
     constant_ok = True
     for order in (0, 1, 5, 12, 20):
@@ -230,7 +207,6 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-@_timed
 def suite_qidentities() -> SuiteResult:
     rng = random.Random(777)
     saal_pass = 0
@@ -279,7 +255,6 @@ def suite_qidentities() -> SuiteResult:
 # -- 8. spectral ----------------------------------------------------------------
 
 
-@_timed
 def suite_spectral() -> SuiteResult:
     tau_i = Tau(1j)
     product = spectral.evaluate_product(
@@ -335,7 +310,6 @@ def suite_spectral() -> SuiteResult:
 # -- 9. genus --------------------------------------------------------------------
 
 
-@_timed
 def suite_genus() -> SuiteResult:
     normalization_ok = True
     for tv in (1j, 2j, 0.5 + 1j):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from locq import spectral
+from locq import spectral, verify
 from locq.spectral import SpectralParams, Tau
 
 
@@ -252,9 +252,53 @@ class TestContract:
             assert code == 2, argv
             parse(out)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["macdonald", "--betti", "1,0,1", "--order", "-3"],
+            ["orbifold", "--betti", "1,0,1", "--order", "-2"],
+            ["euler-series", "--chi", "1", "--order", "-1"],
+            ["twisted-sym", "--chi", "1", "--order", "-1"],
+            ["phi", "--tau", "0,1", "--x-order", "-1"],
+        ],
+    )
+    def test_negative_order_is_exit_two(self, run_cli, argv):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert parse_strict(out)["error"] == "ValueError: order must be nonnegative"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phi", "--tau", "0,1"],
+            ["spectral-eval", "--a", "1", "--tau", "0,1"],
+            ["qhyper", "pochhammer", "--a", "0.5", "--q", "0.5", "--infinite"],
+        ],
+    )
+    def test_invalid_factor_cap_is_exit_two(self, run_cli, monkeypatch, argv):
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "1e3")
+        code, out = run_cli(argv)
+        assert code == 2
+        assert "LOCQ_MAX_FACTORS must be a positive integer" in parse_strict(out)["error"]
+
+    def test_factor_cap_exceeded_is_exit_two(self, run_cli, monkeypatch):
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "5")
+        code, out = run_cli(["phi", "--tau", "0,0.1"])
+        assert code == 2
+        assert parse_strict(out)["error"].startswith("ToleranceUnreachableError")
+
     def test_byte_identical_reruns(self, run_cli):
         argv = ["twisted-sym", "--chi", "3", "--order", "12"]
         assert run_cli(argv) == run_cli(argv)
+
+    def test_verify_all_byte_identical_reruns(self, run_cli, monkeypatch):
+        # a few fast suites keep this cheap; all suites share one JSON form
+        suites = (verify.suite_pfaffian, verify.suite_qidentities, verify.suite_genus)
+        monkeypatch.setattr(verify, "ALL_SUITES", suites)
+        first = run_cli(["verify-all"])
+        assert first[0] == 0
+        assert len(parse_strict(first[1])["suites"]) == 3
+        assert run_cli(["verify-all"]) == first
 
     def test_out_file(self, run_cli, tmp_path):
         target = tmp_path / "result.json"

@@ -2,15 +2,17 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from locq.errors import ScanInconclusiveError
+from locq.errors import ScanInconclusiveError, ToleranceUnreachableError
 from locq.genus import (
     LevelData,
     XSeries,
-    chern_character_product,
+    _product_factor_count,
     f_point,
     f_series,
     genus_cpm,
@@ -18,8 +20,9 @@ from locq.genus import (
     phi_point,
     phi_product_part,
     phi_series,
+    phi_shifted_series,
 )
-from locq.spectral import Tau, nome
+from locq.spectral import Tau
 
 GENERIC_TAU = Tau(0.3 + 1.1j)
 
@@ -118,31 +121,6 @@ class TestPeriodScan:
             )
 
 
-class TestChernCharacter:
-    def test_zero_roots_match_eta_square(self):
-        tau = Tau(1j)
-        value = chern_character_product([0.0, 0.0], tau)
-        q = math.exp(-2 * math.pi)
-        direct = 1.0
-        for n in range(1, 50):
-            direct *= (1 - q**n) ** 4
-        assert abs(value - direct) < 1e-12
-
-    def test_root_sign_symmetry(self):
-        tau = Tau(0.4 + 0.9j)
-        assert chern_character_product([0.3 + 0.1j], tau) == pytest.approx(
-            chern_character_product([-0.3 - 0.1j], tau), rel=1e-12
-        )
-
-    def test_first_order_in_q(self):
-        tau = Tau(3j)  # |q| ~ 6.5e-9, so O(q^2) is far below 1e-14
-        q = nome(tau)
-        x = 0.2 + 0.1j
-        value = chern_character_product([x], tau)
-        first_order = 1 - q * (cmath.exp(x) + cmath.exp(-x))
-        assert abs(value - first_order) < 1e-14
-
-
 class TestGenus:
     def test_point_is_exactly_one(self):
         for lvl in (LevelData(2, 1, 0, Tau(2j)), LevelData(3, 1, 2, GENERIC_TAU)):
@@ -194,3 +172,49 @@ def test_non_primitive_twist_index(n, k, l):
 def test_non_primitive_twist_still_inconclusive_at_tiny_tolerance():
     with pytest.raises(ScanInconclusiveError, match="expected an index-2 sublattice"):
         lattice_periodicity_scan(LevelData(4, 2, 0, GENERIC_TAU), trial_bound=4, tol=1e-30)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: phi_series(GENERIC_TAU, -1),
+    lambda: phi_shifted_series(GENERIC_TAU, 0.3j, -1),
+    lambda: f_series(LevelData(2, 1, 0, GENERIC_TAU), -1),
+])
+def test_negative_order_rejected(build):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        build()
+
+
+def test_factor_cap_is_honored(monkeypatch):
+    tau = Tau(0.1j)
+    needed = _product_factor_count(tau, 1e-12)
+    monkeypatch.setenv("LOCQ_MAX_FACTORS", str(needed))
+    assert phi_series(tau, 4).order == 4
+    monkeypatch.setenv("LOCQ_MAX_FACTORS", str(needed - 1))
+    with pytest.raises(ToleranceUnreachableError):
+        phi_series(tau, 4)
+    monkeypatch.setenv("LOCQ_MAX_FACTORS", "5")
+    with pytest.raises(ToleranceUnreachableError):
+        f_point(LevelData(2, 1, 0, tau), 0.2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-0.5, 0.5),
+    st.floats(0.3, 3.0),
+    st.integers(0, 7),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+)
+def test_xseries_power_laws(re_tau, im_tau, order, a, b):
+    # x/f-style unit series: Phi(x)/x has constant term exactly 1
+    x = phi_series(Tau(complex(re_tau, im_tau)), order + 1).shift_down()
+    one = XSeries.one(order)
+    # coeff_error covers the q-product truncation only; rounding in the
+    # products adds at most about (order+1) * eps per unit of operand norm
+    norm = max(x.norm1(), x.invert().norm1())
+    for lhs, rhs, k in ((x**a * x**b, x ** (a + b), abs(a) + abs(b)),
+                        (x**-1 * x, one, 2)):
+        rounding = (order + 1) * sys.float_info.epsilon * norm**k
+        tol = lhs.coeff_error + rhs.coeff_error + rounding
+        assert max(abs(u - v) for u, v in zip(lhs.coeffs, rhs.coeffs)) <= tol
+

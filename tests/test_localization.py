@@ -17,7 +17,6 @@ from locq.localization import (
     enumerate_fixed_points,
     factor_integral_closed,
     factor_integral_quad,
-    flow_liouville_check,
     _exp_pair,
 )
 
@@ -218,18 +217,3 @@ class TestCaching:
         assert isinstance(factor_integral_quad(f, 1.0), float)
         assert isinstance(factor_integral_quad(f, 1.0 + 0.0j), complex)
 
-
-class TestFlow:
-    def test_rotation_preserves_area(self):
-        report = flow_liouville_check(SphereFactor(1.0, 2.0), t=3.7, sample_count=64)
-        assert report.max_abs_det_minus_one < 1e-12
-
-    def test_zero_time(self):
-        report = flow_liouville_check(SphereFactor(2.0, 1.0), t=0.0, sample_count=16)
-        assert report.max_abs_det_minus_one < 1e-15
-
-    def test_full_period(self):
-        f = SphereFactor(0.5, 3.0)
-        period = 2 * math.pi * f.radius / f.weight
-        report = flow_liouville_check(f, t=period, sample_count=16)
-        assert report.max_abs_det_minus_one < 1e-12

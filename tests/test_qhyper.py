@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from locq import qhyper, spectral
-from locq.errors import PochhammerZeroDivisionError
+from locq.errors import PochhammerZeroDivisionError, ToleranceUnreachableError
 from locq.qhyper import (
     BilateralSeriesSpec,
     bilateral_psi,
@@ -52,6 +52,11 @@ class TestPochhammer:
 
     def test_infinite_at_zero(self):
         assert pochhammer_infinite(0, Fraction(1, 2)) == 1
+
+    def test_infinite_factor_cap(self, monkeypatch):
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "5")
+        with pytest.raises(ToleranceUnreachableError):
+            pochhammer_infinite(Fraction(1, 2), Fraction(1, 2))
 
     def test_infinite_ratio_is_finite_pochhammer(self):
         a, q, n = Fraction(1, 2), Fraction(1, 4), 3
@@ -149,14 +154,6 @@ class TestSaalschutz:
                 continue
             assert result.equal, (a, b, c, n, q)
             passed += 1
-
-
-def test_rising_factorial():
-    from locq.qhyper import rising_factorial
-
-    assert rising_factorial(Fraction(4), 7) == 604800  # 4*5*...*10
-    assert rising_factorial(Fraction(3, 2), 0) == 1
-    assert rising_factorial(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
 
 
 class TestConvergenceDiagnostics:

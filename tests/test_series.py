@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locq.errors import DegenerateFactorError, ZeroConstantTermError
 from locq.series import (
@@ -193,3 +194,46 @@ class TestBivariate:
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         FormalSeries.from_coefficients([1.5, 2])
+
+
+# -- power laws, shared by every series type through one int_pow ---------------
+
+EXPONENTS = st.integers(-4, 4)
+
+
+@st.composite
+def unit_formal_series(draw):
+    order = draw(st.integers(0, 8))
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    head = draw(rational.filter(bool))
+    tail = draw(st.lists(rational, min_size=order, max_size=order))
+    return FormalSeries.from_coefficients([head, *tail], order=order)
+
+
+@st.composite
+def unit_bivariate_series(draw):
+    """Constant term +-y^k (a unit), then small integer Laurent polynomials."""
+    order = draw(st.integers(0, 5))
+    laurent = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3)
+    head = {draw(st.integers(-3, 3)): draw(st.sampled_from([1, -1]))}
+    tail = draw(st.lists(laurent, min_size=order, max_size=order))
+    return BivariateSeries._make(order, [head, *tail])
+
+
+def check_power_laws(x, a, b):
+    one = type(x).one(x.order)
+    assert x**a * x**b == x ** (a + b)
+    assert x**-1 * x == one
+    assert x**0 == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_formal_series(), EXPONENTS, EXPONENTS)
+def test_formal_power_laws(x, a, b):
+    check_power_laws(x, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_bivariate_series(), EXPONENTS, EXPONENTS)
+def test_bivariate_power_laws(x, a, b):
+    check_power_laws(x, a, b)

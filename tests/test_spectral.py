@@ -12,6 +12,7 @@ from locq.spectral import (
     Tau,
     branch_shift_check,
     evaluate_product,
+    factor_cap,
     nome,
     q_power,
     rho,
@@ -139,6 +140,12 @@ class TestEvaluateProduct:
             evaluate_product(
                 SpectralParams(0.05, 0.0, 1, "minus", Tau(0.05j)), rel_tol=1e-12
             )
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "many", ""])
+    def test_invalid_factor_cap_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", value)
+        with pytest.raises(ValueError, match="LOCQ_MAX_FACTORS must be a positive integer"):
+            factor_cap()
 
     def test_factors_used_reported(self):
         result = evaluate_product(SpectralParams(1.0, 0.0, 1, "minus", Tau(1j)))
