@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -65,8 +66,9 @@ class LevelData:
 class XSeries:
     """Power series in the formal variable x with complex coefficients.
 
-    `coeff_error` bounds the absolute error of every coefficient coming
-    from truncating the underlying q-products.
+    `coeff_error` bounds the absolute error of every coefficient: the
+    truncation of the underlying q-products plus the floating-point
+    rounding of series products.
     """
 
     order: int
@@ -112,7 +114,10 @@ class XSeries:
             if ai != 0:
                 for j in range(n - i):
                     out[i + j] += ai * b.coeffs[j]
-        err = a.coeff_error * b.norm1() + b.coeff_error * a.norm1()
+        a_norm, b_norm = a.norm1(), b.norm1()
+        # each coefficient sums at most n products: rounding <= n eps |a|_1 |b|_1
+        rounding = n * sys.float_info.epsilon * a_norm * b_norm
+        err = a.coeff_error * b_norm + b.coeff_error * a_norm + rounding
         return XSeries._make(out, err)
 
     def __rmul__(self, other) -> "XSeries":
@@ -204,7 +209,8 @@ def phi_series(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
     out = XSeries._make(lead)
     for n in range(1, m + 1):
         out = out * _normalized_pair(q_power(tau, n), x_order)
-    return XSeries(out.order, out.coeffs, _tail_error(tau, m) * out.norm1())
+    return XSeries(out.order, out.coeffs,
+                   _tail_error(tau, m) * out.norm1() + out.coeff_error)
 
 
 def _normalized_pair(w: complex, x_order: int) -> XSeries:
@@ -230,7 +236,8 @@ def phi_product_part(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
     out = XSeries.one(x_order)
     for n in range(1, m + 1):
         out = out * _normalized_pair(q_power(tau, n), x_order)
-    return XSeries(out.order, out.coeffs, _tail_error(tau, m) * out.norm1())
+    return XSeries(out.order, out.coeffs,
+                   _tail_error(tau, m) * out.norm1() + out.coeff_error)
 
 
 def phi_shifted_series(tau: Tau, shift: complex, x_order: int,
@@ -246,7 +253,8 @@ def phi_shifted_series(tau: Tau, shift: complex, x_order: int,
         f_minus = XSeries.one(x_order) - (qn * e_shift) * _exp_series(-1.0, x_order)
         f_plus = XSeries.one(x_order) - (qn / e_shift) * _exp_series(1.0, x_order)
         out = out * f_minus * f_plus * (1.0 / norm)
-    return XSeries(out.order, out.coeffs, _tail_error(tau, m) * out.norm1())
+    return XSeries(out.order, out.coeffs,
+                   _tail_error(tau, m) * out.norm1() + out.coeff_error)
 
 
 def phi_point(tau: Tau, x: complex, q_tol: float = 1e-12) -> complex:

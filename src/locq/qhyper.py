@@ -1,15 +1,19 @@
 """q-Pochhammer symbols and bilateral basic hypergeometric series.
 
-Works generically over exact rationals (Fraction) and complex floats: the
-same code path sums the terminating identities exactly and evaluates
-convergent series numerically.  The negative-index Pochhammer symbol is
-the unique extension satisfying the shift identity
+Works over exact rationals (Fraction) and complex floats: the terminating
+identities are summed exactly and convergent series numerically.  The
+negative-index Pochhammer symbol is the unique extension satisfying the
+shift identity
     (a;q)_{m+n} = (a;q)_m * (a q^m; q)_n,
-namely (a;q)_{-m} = 1 / prod_{k=1..m} (1 - a q^{-k}).
+namely (a;q)_{-m} = 1 / prod_{k=1..m} (1 - a q^{-k}).  Bilateral series are
+summed tail by tail from the term-ratio recurrence (see _Tail); the direct
+product _psi_term is kept as the independent oracle the tests compare to.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -55,6 +59,8 @@ def pochhammer(a, q, n: int):
             out *= one - apow
             apow *= q
         return out
+    if q == 0:
+        raise DegenerateParametersError(f"(a;q)_{n} with n < 0 divides by q = 0")
     denom = one
     apow = a
     for _ in range(-n):
@@ -197,20 +203,24 @@ def bilateral_psi(
 
     With window=None the window doubles automatically until two successive
     partial sums agree to `tol` (numeric inputs) or both tails terminate
-    in exact zeros (exact inputs).  The summary reports the magnitude of
-    the outermost included terms on each tail; a NonConvergent note is
-    attached when they fail to decay.
+    in exact zeros (exact inputs); each doubling extends the tails summed
+    so far.  A window above `max_window` is rejected before any work.  The
+    summary reports the magnitude of the outermost included terms on each
+    tail; a NonConvergent note is attached when they fail to decay.
     """
     if window is not None:
         if window < 1:
             raise ValueError("window must always be a positive integer")
-        return _psi_window(spec, window)
+        if window > max_window:
+            raise ValueError(f"window must be at most {max_window}, got {window}")
+        return _psi_window(_tails(spec), window)
 
+    tails = _tails(spec)
     prev: Scalar | None = None
-    prev_tails: float | None = None
+    prev_edge: float | None = None
     w = 8
     while True:
-        summary = _psi_window(spec, w)
+        summary = _psi_window(tails, w)
         if summary.notes:
             summary.converged = False
             return summary
@@ -222,12 +232,12 @@ def bilateral_psi(
             if _magnitude(summary.value - prev) <= tol * scale:
                 summary.converged = True
                 return summary
-        tails = max(summary.upper_tail, summary.lower_tail)
-        if prev_tails is not None and tails >= prev_tails:
+        edge = max(summary.upper_tail, summary.lower_tail)
+        if prev_edge is not None and edge >= prev_edge:
             summary.notes.append("tail terms fail to decay; series non-convergent here")
             summary.converged = False
             return summary
-        prev, prev_tails = summary.value, tails
+        prev, prev_edge = summary.value, edge
         w *= 2
         if w > max_window:
             summary.notes.append("window cap reached before convergence")
@@ -243,30 +253,210 @@ def _magnitude(value) -> float:
         return float("inf")
 
 
-def _psi_window(spec: BilateralSeriesSpec, window: int) -> PsiSummary:
-    zero = _one_like(spec.q * spec.z) * 0
-    terms = {}
-    overflowed = False
-    for n in range(-window, window + 1):
-        try:
-            terms[n] = _psi_term(spec, n)
-        except OverflowError:
-            terms[n] = zero
-            overflowed = True
-    total = zero
-    for n in sorted(terms, key=abs, reverse=True):
-        total += terms[n]
-    upper = [terms[n] for n in (window, window - 1)]
-    lower = [terms[-n] for n in (window, window - 1)]
-    upper_tail = max(_magnitude(t) for t in upper)
-    lower_tail = max(_magnitude(t) for t in lower)
+def _quotient_magnitude(num: int, den: int) -> float:
+    """|num/den| as a float without reducing it (true division rounds correctly)."""
+    try:
+        return abs(num / den)
+    except OverflowError:
+        return float("inf")
+
+
+class _Tail:
+    """One tail of the bilateral series, grown by the term-ratio recurrence.
+
+    Position j holds t_j on the upper tail and t_{-j} on the lower tail;
+    position 0 is t_0 = 1, which neither tail sums.  With k = j - 1 + start,
+    r' = len(top) and s' = len(bot) the ratio t_j / t_{j-1} is
+
+        prod_top (1 - p u^k) / prod_bot (1 - p u^k) * (-1)^(s'-r') u^((s'-r')k) arg.
+
+    The upper tail takes (top, bot, u, arg, start) = (numerator, denominator,
+    q, z, 0); the lower one (denominator, numerator, 1/q, 1/z, 1), because
+    (a;q)_{-m} / (a;q)_{-m+1} = 1 / (1 - a q^-m).  A vanishing top factor
+    makes every later term an exact 0, a vanishing bottom factor makes them
+    infinite.  first_top / first_bot is the first position whose ratio has
+    such a factor and first_overflow the first non-finite numeric term (inf
+    while there is none).  Windows passed to extend() never decrease.
+    """
+
+    def __init__(self):
+        self.pos = 0
+        self.first_top = self.first_bot = self.first_overflow = math.inf
+
+    def extend(self, window: int) -> None:
+        while self.pos < window:
+            self.pos += 1
+            self._step()
+
+    def _record(self, top: list, bot: list) -> bool:
+        """Note vanishing factors at this position; False once a bottom one has vanished."""
+        if self.first_top > self.pos and 0 in top:
+            self.first_top = self.pos
+        if self.first_bot > self.pos and 0 in bot:
+            self.first_bot = self.pos
+        return self.first_bot > self.pos
+
+    def error(self, n: int) -> Exception | None:
+        """The error _psi_term raises for the term at n (|n| <= pos), if any."""
+        if self.first_bot > abs(n):
+            return None
+        if self.first_top <= abs(n):
+            return DegenerateParametersError(
+                f"term at n={n} is 0/0: numerator and denominator Pochhammers both vanish"
+            )
+        return PochhammerZeroDivisionError(
+            f"term at n={n} is infinite: a denominator Pochhammer vanishes"
+        )
+
+
+class _ExactTail(_Tail):
+    """Exact tail as unnormalized integers, so that no gcd is taken per term.
+
+    With u = un/ud and p = pn/pd, (1 - p u^k) = (pd ud^k - pn un^k) / (pd ud^k)
+    and the ud^k cancel against u^((s'-r')k): every ratio is a quotient of
+    integers, reduced once.  The current term is num/den and the running
+    sum total/den; a ratio rn/rd multiplies into the term and turns the sum
+    into total*rd + num, so a Fraction is built only per window reported.
+    On the lower tail (u = 1/q) the factors are pd qn^m - pn qd^m, the
+    q^m - p form: no negative power of q is ever formed.
+    """
+
+    def __init__(self, top, bot, u: Fraction, arg: Fraction, start: int):
+        super().__init__()
+        self.top = [(p.numerator, p.denominator) for p in top]
+        self.bot = [(p.numerator, p.denominator) for p in bot]
+        shift = len(bot) - len(top)
+        self.un, self.ud = u.numerator, u.denominator
+        self.grow = self.un ** abs(shift)  # u^((s'-r')k) leaves un^(|s'-r'|k)
+        self.grow_above = shift >= 0
+        self.unk, self.udk, self.growk = self.un**start, self.ud**start, self.grow**start
+        sign = -1 if shift % 2 else 1
+        self.cn = sign * arg.numerator * math.prod(d for _, d in self.bot)
+        self.cd = arg.denominator * math.prod(d for _, d in self.top)
+        self.num, self.den, self.total = 1, 1, 0
+        self.prev_num, self.prev_den = 1, 1
+
+    def _step(self) -> None:
+        unk, udk, growk = self.unk, self.udk, self.growk
+        self.unk, self.udk, self.growk = unk * self.un, udk * self.ud, growk * self.grow
+        top = [d * udk - n * unk for n, d in self.top]
+        bot = [d * udk - n * unk for n, d in self.bot]
+        self.prev_num, self.prev_den = self.num, self.den
+        if not (self._record(top, bot) and self.num):
+            return
+        rn = math.prod(top) * self.cn
+        rd = math.prod(bot) * self.cd
+        if self.grow_above:
+            rn *= growk
+        else:
+            rd *= growk
+        g = math.gcd(rn, rd) if rd > 0 else -math.gcd(rn, rd)
+        rn, rd = rn // g, rd // g
+        self.num *= rn
+        self.den *= rd
+        self.total = self.total * rd + self.num
+
+    def value(self) -> Fraction:
+        return Fraction(self.total, self.den)
+
+    def edge(self) -> tuple[float, bool]:
+        """Largest |t| of the two outermost terms, and whether both are 0."""
+        size = max(_quotient_magnitude(self.num, self.den),
+                   _quotient_magnitude(self.prev_num, self.prev_den))
+        return size, self.num == 0 and self.prev_num == 0
+
+
+class _NumericTail(_Tail):
+    """Complex tail; every term is kept so that a window sums outermost first.
+
+    The factors take powers of whichever of u, v = 1/u has modulus at most
+    1.  For |u| > 1, (1 - p u^k) = u^k (v^k - p) and the u^k cancel against
+    u^((s'-r')k), except for parameters p = 0, whose factor is 1 and which
+    are left out.  On the lower tail with |q| < 1 this is the q^m - p form,
+    so the overflowing q^-m is never formed.  Multiplication overflows
+    silently, so a non-finite term is recorded, counts as 0 and stays so.
+    """
+
+    def __init__(self, top, bot, u: complex, arg: complex, start: int):
+        super().__init__()
+        shift = len(bot) - len(top)
+        self.top = [p for p in top if p]
+        self.bot = [p for p in bot if p]
+        self.inverted = abs(u) > 1
+        if self.inverted:
+            self.base, self.grow = 1 / u, u ** (shift - len(self.bot) + len(self.top))
+        else:
+            self.base, self.grow = u, u**shift
+        self.pw, self.growk = self.base**start, self.grow**start
+        self.c = (-1 if shift % 2 else 1) * arg
+        self.term = 1 + 0j
+        self.terms = [self.term]
+
+    def _step(self) -> None:
+        pw, growk = self.pw, self.growk
+        self.pw, self.growk = pw * self.base, growk * self.grow
+        if self.inverted:
+            top = [pw - p for p in self.top]
+            bot = [pw - p for p in self.bot]
+        else:
+            top = [1 - p * pw for p in self.top]
+            bot = [1 - p * pw for p in self.bot]
+        term = self.term
+        if self._record(top, bot) and term and cmath.isfinite(term):
+            term *= math.prod(top) / math.prod(bot) * self.c * growk
+            if not cmath.isfinite(term):
+                self.first_overflow = self.pos
+        self.term = term
+        self.terms.append(term if cmath.isfinite(term) else 0j)
+
+    def value(self) -> complex:
+        return sum(reversed(self.terms[1:]), 0j)
+
+    def edge(self) -> tuple[float, bool]:
+        """Largest |t| of the two outermost terms, and whether both are 0."""
+        last = self.terms[-2:]
+        return max(abs(t) for t in last), all(t == 0 for t in last)
+
+
+def _tails(spec: BilateralSeriesSpec) -> tuple[_Tail, _Tail]:
+    """The (lower, upper) tails of the series; exact when every input is."""
+    num, den, q, z = spec.numerator_params, spec.denominator_params, spec.q, spec.z
+    if q == 0:
+        raise DegenerateParametersError("q = 0: the terms at n < 0 divide by q")
+    if all(isinstance(p, Fraction) for p in (*num, *den, q, z)):
+        tail = _ExactTail
+    else:
+        tail = _NumericTail
+        num, den = [complex(p) for p in num], [complex(p) for p in den]
+        q, z = complex(q), complex(z)
+    # z = 0 keeps only n = 0, so the lower tail gets a zero argument as well
+    return tail(den, num, 1 / q, 1 / z if z else z, 1), tail(num, den, q, z, 0)
+
+
+def _psi_window(tails: tuple[_Tail, _Tail], window: int) -> PsiSummary:
+    """Summary over [-window, window], extending both tails to the window.
+
+    The error raised is the one a term-by-term sum in the order n = -window,
+    ..., window meets first: the lower tail's at n = -window if any of its
+    terms is infinite or 0/0, else that of the first such upper term.
+    """
+    lower, upper = tails
+    lower.extend(window)
+    upper.extend(window)
+    error = lower.error(-window) or upper.error(min(upper.first_bot, window))
+    if error:
+        raise error
+    total = lower.value() + upper.value() + 1
+    upper_tail, upper_zero = upper.edge()
+    lower_tail, lower_zero = lower.edge()
+    overflowed = min(lower.first_overflow, upper.first_overflow) <= window
     summary = PsiSummary(
         value=total,
         window=window,
         upper_tail=upper_tail,
         lower_tail=lower_tail,
-        upper_terminated=all(t == 0 for t in upper) and not overflowed,
-        lower_terminated=all(t == 0 for t in lower) and not overflowed,
+        upper_terminated=upper_zero and not overflowed,
+        lower_terminated=lower_zero and not overflowed,
         converged=False,
     )
     scale = max(_magnitude(total), 1.0)
@@ -306,7 +496,7 @@ def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
         [a, b, q**-n], [c, a * b * q ** (1 - n) / c, q], q, q
     )
     window = n + 2
-    lhs = _psi_window(spec, window).value
+    lhs = _psi_window(_tails(spec), window).value
     denom = pochhammer(c, q, n) * pochhammer(c / (a * b), q, n)
     if denom == 0:
         raise DegenerateParametersError("closed-form denominator vanishes")

@@ -151,6 +151,39 @@ class TestQhyperCommand:
         assert code == 0
         assert payload["window"] == 8
 
+    PSI = ["qhyper", "psi", "--den", "0.3", "--q", "0.2", "--z", "0.5"]
+
+    def test_psi_large_window_has_no_spurious_overflow(self, run_cli):
+        # convergent 1psi1; q^-600 overflows a double, q^600 does not
+        code, out = run_cli([*self.PSI, "--num", "0.9", "--window", "600"])
+        wide = parse_strict(out)
+        assert code == 0
+        assert wide["notes"] == []
+        assert wide["lower_tail"] > 0
+        code, out = run_cli([*self.PSI, "--num", "0.9"])
+        auto = parse_strict(out)
+        assert code == 0 and auto["converged"] is True
+        assert abs(float(wide["value"][0]) - float(auto["value"][0])) < 1e-12
+
+    def test_psi_term_overflow_is_noted(self, run_cli):
+        # two numerator parameters: the upper terms grow like q^(-n^2/2)
+        code, out = run_cli([*self.PSI, "--num", "0.9;0.5", "--window", "600"])
+        payload = parse_strict(out)
+        assert code == 0
+        assert payload["notes"] == ["term overflow; series non-convergent here"]
+        assert payload["terminated"] == [False, False]
+
+    def test_psi_window_cap_is_exit_two(self, run_cli):
+        code, out = run_cli([*self.PSI, "--num", "0.9", "--window", "4097"])
+        assert code == 2
+        assert parse_strict(out)["error"] == "ValueError: window must be at most 4096, got 4097"
+
+    def test_pochhammer_zero_base_is_exit_two(self, run_cli):
+        code, out = run_cli(["qhyper", "pochhammer", "--a", "1", "--q", "0", "--n", "-2"])
+        assert code == 2
+        error = parse_strict(out)["error"]
+        assert error.startswith("DegenerateParametersError") and "q = 0" in error
+
 
 class TestSeriesCommands:
     def test_macdonald_schema(self, run_cli):

@@ -5,9 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locq import qhyper, spectral
-from locq.errors import PochhammerZeroDivisionError, ToleranceUnreachableError
+from locq.errors import (
+    DegenerateParametersError,
+    PochhammerZeroDivisionError,
+    ToleranceUnreachableError,
+)
 from locq.qhyper import (
     BilateralSeriesSpec,
     bilateral_psi,
@@ -49,6 +54,11 @@ class TestPochhammer:
                 continue
             assert lhs == rhs
             checked += 1
+
+    def test_negative_index_at_zero_base(self):
+        with pytest.raises(DegenerateParametersError, match="q = 0"):
+            pochhammer(Fraction(1), Fraction(0), -2)
+        assert pochhammer(Fraction(1, 2), Fraction(0), 2) == Fraction(1, 2)
 
     def test_infinite_at_zero(self):
         assert pochhammer_infinite(0, Fraction(1, 2)) == 1
@@ -99,6 +109,26 @@ class TestBilateral:
         assert summary.converged
         reference = bilateral_psi(spec, window=200).value
         assert abs(summary.value - reference) < 1e-12
+
+    def test_numeric_terms_match_direct_product(self):
+        # |q| < 1 and |q| > 1 take the two forms of the factors; zero
+        # parameters drop out of the factors but not out of r and s
+        rng = random.Random(31)
+        for _ in range(200):
+            q = rng.choice([1, -1]) * rng.choice([rng.uniform(0.2, 0.9), rng.uniform(1.2, 3.0)])
+
+            def params():
+                return [0.0 if rng.random() < 0.25 else rng.uniform(-2, 2)
+                        for _ in range(rng.randint(0, 3))]
+
+            spec = BilateralSeriesSpec.make(params(), params(), q, rng.uniform(-2, 2))
+            lower, upper = qhyper._tails(spec)
+            lower.extend(12)
+            upper.extend(12)
+            for n in range(-12, 13):
+                got = (upper if n >= 0 else lower).terms[abs(n)]
+                want = qhyper._psi_term(spec, n)
+                assert abs(got - want) <= 1e-10 * abs(want), (spec, n)
 
     def test_literal_reading_has_nonzero_negative_terms(self):
         # without the extra denominator parameter q, the n = -1 term of the
@@ -179,3 +209,61 @@ class TestConvergenceDiagnostics:
         v_exact = bilateral_psi(exact, window=None).value
         v_numeric = bilateral_psi(numeric, window=None).value
         assert abs(float(v_exact) - v_numeric.real) < 1e-10
+
+
+SMALL = st.fractions(-3, 3, max_denominator=7)
+
+
+@st.composite
+def exact_specs(draw):
+    """Exact specs with up to three parameters a side; parameters equal to
+    q^k (|k| <= 4) make terms vanish or blow up on either tail."""
+    q = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5),
+                              Fraction(3, 2), Fraction(-1), Fraction(1)]))
+    param = st.one_of(st.integers(-4, 4).map(lambda k: q**k), SMALL)
+    return BilateralSeriesSpec.make(
+        draw(st.lists(param, max_size=3)), draw(st.lists(param, max_size=3)), q, draw(SMALL)
+    )
+
+
+def _oracle(spec, n):
+    """(_psi_term's value, None) or (None, the error it raises)."""
+    try:
+        return qhyper._psi_term(spec, n), None
+    except (DegenerateParametersError, PochhammerZeroDivisionError) as exc:
+        return None, exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_specs(), st.integers(-12, 12))
+def test_recurrence_term_matches_direct_product(spec, n):
+    lower, upper = qhyper._tails(spec)
+    tail = upper if n > 0 else lower
+    tail.extend(abs(n))
+    want, want_error = _oracle(spec, n)
+    error = tail.error(n)
+    if want_error is not None or error is not None:
+        assert type(error) is type(want_error) and str(error) == str(want_error)
+    else:
+        got = Fraction(tail.num, tail.den) if n else Fraction(1)
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_specs(), st.integers(1, 12))
+def test_window_sum_matches_direct_products(spec, window):
+    terms = [_oracle(spec, n) for n in range(-window, window + 1)]
+    errors = [exc for _, exc in terms if exc is not None]
+    if errors:
+        # the first error of a term-by-term sum from n = -window upwards
+        with pytest.raises(type(errors[0])) as info:
+            bilateral_psi(spec, window=window)
+        assert str(info.value) == str(errors[0])
+    else:
+        summary = bilateral_psi(spec, window=window)
+        assert summary.value == sum(sorted((t for t, _ in terms), key=abs))
+        edges = [terms[0][0], terms[1][0], terms[-1][0], terms[-2][0]]
+        assert summary.lower_terminated == (edges[0] == edges[1] == 0)
+        assert summary.upper_terminated == (edges[2] == edges[3] == 0)
+        assert summary.lower_tail == max(abs(float(t)) for t in edges[:2])
+        assert summary.upper_tail == max(abs(float(t)) for t in edges[2:])
