@@ -204,21 +204,12 @@ def _cmd_qhyper(args) -> tuple[dict, int]:
     raise UsageError(f"unknown qhyper form {args.form!r}")
 
 
-def _cmd_macdonald(args) -> tuple[dict, int]:
+def _cmd_betti_series(args) -> tuple[dict, int]:
+    build = (genfunc.macdonald_series if args.subcommand == "macdonald"
+             else genfunc.orbifold_series)
     b = BettiData.from_string(args.betti)
     y_bound = int(args.y_bound) if args.y_bound else None
-    series = genfunc.macdonald_series(b, int(args.order), y_bound)
-    payload = series.to_json_dict()
-    payload["chi"] = b.chi
-    if y_bound is not None:
-        payload["y_bound"] = y_bound
-    return payload, 0
-
-
-def _cmd_orbifold(args) -> tuple[dict, int]:
-    b = BettiData.from_string(args.betti)
-    y_bound = int(args.y_bound) if args.y_bound else None
-    series = genfunc.orbifold_series(b, int(args.order), y_bound)
+    series = build(b, int(args.order), y_bound)
     payload = series.to_json_dict()
     payload["chi"] = b.chi
     if y_bound is not None:
@@ -322,17 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", default="1e-12")
     p.set_defaults(handler=_cmd_qhyper)
 
-    p = sub.add_parser("macdonald", help="symmetric-product Poincare series")
-    p.add_argument("--betti", required=True, help="'b0,b1,b2,...'")
-    p.add_argument("--order", default="8")
-    p.add_argument("--y-bound", default="")
-    p.set_defaults(handler=_cmd_macdonald)
-
-    p = sub.add_parser("orbifold", help="orbifold Poincare series")
-    p.add_argument("--betti", required=True)
-    p.add_argument("--order", default="8")
-    p.add_argument("--y-bound", default="")
-    p.set_defaults(handler=_cmd_orbifold)
+    for name, text in (("macdonald", "symmetric-product Poincare series"),
+                       ("orbifold", "orbifold Poincare series")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--betti", required=True, help="'b0,b1,b2,...'")
+        p.add_argument("--order", default="8")
+        p.add_argument("--y-bound", default="")
+        p.set_defaults(handler=_cmd_betti_series)
 
     p = sub.add_parser("twisted-sym", help="twisted symmetric-product Euler series")
     p.add_argument("--chi", required=True)

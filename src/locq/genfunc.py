@@ -27,7 +27,7 @@ from .series import (
     BivariateSeries,
     FormalSeries,
     IntegerProductSpec,
-    _check_order,
+    binomial_product,
     expand_product,
 )
 
@@ -97,25 +97,25 @@ def sym_poincare_oracle(b: BettiData, n: int) -> dict[int, int]:
     return out
 
 
+def _betti_product(b: BettiData, q_exponents, q_order: int,
+                   y_bound: int | None) -> BivariateSeries:
+    """Product of (1 + q^n y^j)^(b_j) over odd degrees j and (1 - q^n y^j)^(-b_j)
+    over even j, for every n in q_exponents, expanded exactly to q_order."""
+    if y_bound is not None and y_bound < 0:
+        raise ValueError("y_bound must be nonnegative")
+    factors = ((1, n, j, count) if j % 2 else (-1, n, j, -count)
+               for n in q_exponents for j, count in enumerate(b.betti) if count)
+    out = binomial_product(factors, q_order)
+    return out if y_bound is None else out.filter_y(y_bound)
+
+
 def macdonald_series(b: BettiData, q_order: int, y_bound: int | None = None) -> BivariateSeries:
     """Generating series of symmetric-product Poincare polynomials.
 
     Product form: prod_j (1 + q y^(2j+1))^(b_odd) / prod_j (1 - q y^(2j))^(b_even),
     expanded exactly to q_order.
     """
-    _check_order(q_order)
-    out = BivariateSeries.one(q_order)
-    for j, count in enumerate(b.betti):
-        if count == 0:
-            continue
-        sign = 1 if j % 2 == 1 else -1
-        factor = BivariateSeries.one(q_order) + BivariateSeries.monomial(
-            sign, 1, j, q_order
-        )
-        out = out * factor.int_pow(count if j % 2 == 1 else -count)
-    if y_bound is not None:
-        out = out.filter_y(y_bound)
-    return out
+    return _betti_product(b, [1], q_order, y_bound)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,20 +163,7 @@ def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
 
 def orbifold_series(b: BettiData, q_order: int, y_bound: int | None = None) -> BivariateSeries:
     """Orbifold Poincare series: prod_{n>=1} prod_j (1+q^n y^(2j+1))^b / (1-q^n y^(2j))^b."""
-    _check_order(q_order)
-    out = BivariateSeries.one(q_order)
-    for n in range(1, q_order + 1):
-        for j, count in enumerate(b.betti):
-            if count == 0:
-                continue
-            sign = 1 if j % 2 == 1 else -1
-            factor = BivariateSeries.one(q_order) + BivariateSeries.monomial(
-                sign, n, j, q_order
-            )
-            out = out * factor.int_pow(count if j % 2 == 1 else -count)
-    if y_bound is not None:
-        out = out.filter_y(y_bound)
-    return out
+    return _betti_product(b, range(1, q_order + 1), q_order, y_bound)
 
 
 def partition_multiplicities(n: int):

@@ -230,16 +230,6 @@ def _normalized_pair(w: complex, x_order: int) -> XSeries:
     return XSeries._make(coeffs)
 
 
-def phi_product_part(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
-    """The normalized infinite-product part of Phi alone (an even series)."""
-    m = _product_factor_count(tau, q_tol)
-    out = XSeries.one(x_order)
-    for n in range(1, m + 1):
-        out = out * _normalized_pair(q_power(tau, n), x_order)
-    return XSeries(out.order, out.coeffs,
-                   _tail_error(tau, m) * out.norm1() + out.coeff_error)
-
-
 def phi_shifted_series(tau: Tau, shift: complex, x_order: int,
                        q_tol: float = 1e-12) -> XSeries:
     """Phi(x + shift) as an x-series."""

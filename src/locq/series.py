@@ -1,10 +1,11 @@
 """Exact truncated power series over the rationals.
 
 FormalSeries is a univariate series in q known modulo q**(order+1) with
-exact rational coefficients; BivariateSeries has Laurent-polynomial
-coefficients in a second variable y with integer entries.  All values are
-immutable and all operations are pure, so instances can be shared freely
-between threads.
+exact rational coefficients and full ring arithmetic.  BivariateSeries is a
+value type: a series in q whose coefficients are integer Laurent
+polynomials in a second variable y, built by `binomial_product` and then
+only read, specialized or filtered.  All values are immutable and all
+operations are pure, so instances can be shared freely between threads.
 
 Internally a FormalSeries stores integer numerators over a single common
 denominator, which keeps the hot convolution loops in pure integer
@@ -48,15 +49,20 @@ def _as_fraction(value) -> Fraction:
 
 
 # -- ring code shared by every truncated-series type ----------------------------
-# FormalSeries, BivariateSeries and locq.genus.XSeries bind the power methods
+# FormalSeries and locq.genus.XSeries bind the power methods
 # in their own class bodies (int_pow = _int_pow), so each method sits in its
 # class's namespace and the slotted dataclasses need no common base class.
 
 
+MAX_ORDER = 10_000
+
+
 def _check_order(order: int) -> None:
-    """Reject a negative truncation order before any work is done."""
+    """Reject an order outside [0, MAX_ORDER] before any work is done."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be at most {MAX_ORDER}")
 
 
 def _common(a, b):
@@ -292,34 +298,6 @@ class IntegerProductSpec:
 # ---------------------------------------------------------------------------
 
 
-def _lp_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        c2 = out.get(e, 0) + c
-        if c2:
-            out[e] = c2
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _lp_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            c = out.get(e, 0) + c1 * c2
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _lp_scale(p: dict, c: int) -> dict:
-    return {e: c * v for e, v in p.items()} if c else {}
-
-
 def _lp_eval_int(p: dict, y: int) -> Fraction:
     total = Fraction(0)
     for e, c in p.items():
@@ -345,92 +323,10 @@ class BivariateSeries:
         cleaned = [{e: c for e, c in d.items() if c} for d in coeffs]
         return BivariateSeries(order, tuple(cleaned), y_truncated)
 
-    @classmethod
-    def one(cls, order: int) -> "BivariateSeries":
-        return cls._make(order, [{0: 1}] + [{} for _ in range(order)])
-
-    @classmethod
-    def monomial(cls, coefficient: int, q_exp: int, y_exp: int, order: int) -> "BivariateSeries":
-        """coefficient * q**q_exp * y**y_exp, truncated at `order`."""
-        coeffs: list[dict] = [{} for _ in range(order + 1)]
-        if 0 <= q_exp <= order and coefficient:
-            coeffs[q_exp] = {y_exp: coefficient}
-        return cls._make(order, coeffs)
-
     def q_coefficient(self, k: int) -> dict:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return dict(self.coeffs[k])
-
-    def truncate(self, order: int) -> "BivariateSeries":
-        if order >= self.order:
-            return self
-        return BivariateSeries._make(order, [dict(d) for d in self.coeffs[: order + 1]],
-                                     self.y_truncated)
-
-    def __add__(self, other) -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        a, b = _common(self, other)
-        return BivariateSeries._make(
-            a.order, [_lp_add(x, y) for x, y in zip(a.coeffs, b.coeffs)],
-            a.y_truncated or b.y_truncated,
-        )
-
-    def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries._make(
-            self.order, [_lp_scale(d, -1) for d in self.coeffs], self.y_truncated
-        )
-
-    def __sub__(self, other) -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __mul__(self, other) -> "BivariateSeries":
-        if isinstance(other, int):
-            return BivariateSeries._make(
-                self.order, [_lp_scale(d, other) for d in self.coeffs], self.y_truncated
-            )
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        a, b = _common(self, other)
-        out: list[dict] = [{} for _ in range(a.order + 1)]
-        for i, p in enumerate(a.coeffs):
-            if not p:
-                continue
-            for j in range(a.order + 1 - i):
-                qq = b.coeffs[j]
-                if qq:
-                    out[i + j] = _lp_add(out[i + j], _lp_mul(p, qq))
-        return BivariateSeries._make(a.order, out, a.y_truncated or b.y_truncated)
-
-    def __rmul__(self, other) -> "BivariateSeries":
-        return self.__mul__(other)
-
-    def invert(self) -> "BivariateSeries":
-        """Inverse modulo q**(order+1); constant term must be a unit +-y**k."""
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        if len(c0) != 1 or abs(next(iter(c0.values()))) != 1:
-            raise ZeroConstantTermError(
-                "constant term must be a unit monomial +-y^k for an integer inverse"
-            )
-        (e0, u0), = c0.items()
-        inv0 = {-e0: u0}  # u0 in {1,-1} so 1/u0 == u0
-        out = [inv0] + [{} for _ in range(self.order)]
-        for n in range(1, self.order + 1):
-            acc: dict = {}
-            for k in range(1, n + 1):
-                tk = self.coeffs[k]
-                if tk:
-                    acc = _lp_add(acc, _lp_mul(tk, out[n - k]))
-            out[n] = _lp_mul(_lp_scale(acc, -1), inv0)
-        return BivariateSeries._make(self.order, out, self.y_truncated)
-
-    int_pow = _int_pow
-    __pow__ = _int_pow
 
     def specialize_y(self, y: int) -> FormalSeries:
         """Substitute an integer for y, coefficient by coefficient."""
@@ -466,3 +362,37 @@ class BivariateSeries:
     def from_json_dict(cls, data: dict) -> "BivariateSeries":
         coeffs = [{int(e): int(c) for e, c in d.items()} for d in data["coeffs"]]
         return cls._make(data["order"], coeffs, bool(data.get("y_truncated", False)))
+
+
+def binomial_product(factors, order: int) -> BivariateSeries:
+    """Expand prod (1 + s q^e y^d)^m exactly to q^order.
+
+    `factors` yields integer tuples (s, e, d, m) with e >= 1.  The q^i
+    coefficient is a y-exponent -> integer map, updated in place with |m|
+    passes per factor, the bivariate twin of kernel.mul_binomial_inplace:
+    multiplying by (1 + s q^e y^d) runs i downwards, c[i] += s y^d c[i-e];
+    dividing by it (m < 0) runs i upwards, c[i] -= s y^d c[i-e], so that
+    c[i-e] is already a coefficient of the quotient.
+    """
+    _check_order(order)
+    coeffs: list[dict] = [{} for _ in range(order + 1)]
+    coeffs[0][0] = 1
+    for s, e, d, m in factors:
+        if e < 1:
+            raise ValueError("q-exponent of a binomial factor must be positive")
+        if not s or e > order:
+            continue
+        step = s if m > 0 else -s
+        rows = range(order, e - 1, -1) if m > 0 else range(e, order + 1)
+        for _ in range(abs(m)):
+            for i in rows:
+                src = coeffs[i - e]
+                if src:
+                    dst = coeffs[i]
+                    for k, v in src.items():
+                        c = dst.get(k + d, 0) + step * v
+                        if c:
+                            dst[k + d] = c
+                        else:
+                            del dst[k + d]
+    return BivariateSeries(order, tuple(coeffs))

@@ -303,6 +303,29 @@ class TestContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["macdonald", "--betti", "1,0,1", "--order", "10001"],
+            ["orbifold", "--betti", "1,0,1", "--order", "10001"],
+            ["euler-series", "--chi", "1", "--order", "10001"],
+            ["twisted-sym", "--chi", "1", "--order", "10001"],
+            ["phi", "--tau", "0,1", "--x-order", "10001"],
+            ["genus-cpm", "--tau", "0,2", "--N", "2", "--k", "1", "--l", "0", "--m", "10000"],
+        ],
+    )
+    def test_order_above_cap_is_exit_two(self, run_cli, argv):
+        # the cap is checked first, so these orders allocate nothing
+        code, out = run_cli(argv)
+        assert code == 2
+        assert parse_strict(out)["error"] == "ValueError: order must be at most 10000"
+
+    @pytest.mark.parametrize("subcommand", ["macdonald", "orbifold"])
+    def test_negative_y_bound_is_exit_two(self, run_cli, subcommand):
+        code, out = run_cli([subcommand, "--betti", "1,0,1", "--order", "3", "--y-bound", "-1"])
+        assert code == 2
+        assert parse_strict(out)["error"] == "ValueError: y_bound must be nonnegative"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["phi", "--tau", "0,1"],
             ["spectral-eval", "--a", "1", "--tau", "0,1"],
             ["qhyper", "pochhammer", "--a", "0.5", "--q", "0.5", "--infinite"],

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locq.genfunc import (
     BettiData,
@@ -16,7 +17,7 @@ from locq.genfunc import (
     sym_poincare_oracle,
     twisted_sym_series,
 )
-from locq.series import BivariateSeries, FormalSeries, IntegerProductSpec, expand_product
+from locq.series import FormalSeries, IntegerProductSpec, expand_product
 
 POINT = BettiData.of(1)
 SPHERE = BettiData.of(1, 0, 1)
@@ -59,23 +60,20 @@ class TestMacdonald:
             assert series.q_coefficient(n) == {0: 1}
 
     def test_sphere_formula(self):
-        series = macdonald_series(SPHERE, 4)
-        assert series.q_coefficient(2) == {0: 1, 2: 1, 4: 1}
-        one = BivariateSeries.one(4)
-        expect = (one - BivariateSeries.monomial(1, 1, 0, 4)).int_pow(-1) * (
-            one - BivariateSeries.monomial(1, 1, 2, 4)
-        ).int_pow(-1)
-        assert series == expect
+        # 1 / ((1 - q)(1 - q y^2)): the q^n coefficient is 1 + y^2 + ... + y^(2n)
+        series = macdonald_series(SPHERE, 6)
+        for n in range(7):
+            assert series.q_coefficient(n) == {2 * k: 1 for k in range(n + 1)}
 
     def test_torus_substitution(self):
-        # (1 + q y)^2 / ((1 - q)(1 - q y^2))
+        # (1 + q y)^2 / ((1 - q)(1 - q y^2)), built in the ring of q-series over Q
         order = 5
-        one = BivariateSeries.one(order)
-        numerator = (one + BivariateSeries.monomial(1, 1, 1, order)).int_pow(2)
-        denominator = (one - BivariateSeries.monomial(1, 1, 0, order)) * (
-            one - BivariateSeries.monomial(1, 1, 2, order)
-        )
-        assert macdonald_series(TORUS, order) == numerator * denominator.invert()
+        series = macdonald_series(TORUS, order)
+        q = FormalSeries.monomial(1, 1, order)
+        one = FormalSeries.one(order)
+        for y in (-2, -1, 2, 3):
+            expect = (one + y * q).int_pow(2) * ((one - q) * (one - y**2 * q)).invert()
+            assert series.specialize_y(y) == expect, y
 
     @pytest.mark.parametrize("betti", [(1,), (1, 0, 1), (1, 2, 1), (2, 1), (0, 3), (1, 1, 1, 1)])
     def test_matches_oracle(self, betti):
@@ -175,3 +173,34 @@ class TestOrbifoldOracle:
     def test_partition_enumeration(self):
         parts = sorted(tuple(sorted(m.items())) for m in partition_multiplicities(4))
         assert len(parts) == 5  # p(4) = 5
+
+
+# -- the in-place binomial passes against the ring of q-series over Q -----------
+
+
+def ring_product(b: BettiData, q_exponents, order: int, y: int) -> FormalSeries:
+    """prod_n prod_j (1 + y^j q^n)^(b_j) (odd j) (1 - y^j q^n)^(-b_j) (even j)."""
+    out = FormalSeries.one(order)
+    for n in q_exponents:
+        for j, count in enumerate(b.betti):
+            sign = 1 if j % 2 else -1
+            binomial = FormalSeries.one(order) + FormalSeries.monomial(sign * y**j, n, order)
+            out = out * binomial.int_pow(sign * count)
+    return out
+
+
+BETTI = st.lists(st.integers(0, 3), max_size=4).map(lambda b: BettiData(tuple(b)))
+Y_VALUES = st.sampled_from([-2, -1, 2, 3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(BETTI, st.integers(0, 10), Y_VALUES)
+def test_macdonald_matches_ring_product(b, order, y):
+    assert macdonald_series(b, order).specialize_y(y) == ring_product(b, [1], order, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(BETTI, st.integers(0, 10), Y_VALUES)
+def test_orbifold_matches_ring_product(b, order, y):
+    expect = ring_product(b, range(1, order + 1), order, y)
+    assert orbifold_series(b, order).specialize_y(y) == expect
