@@ -7,8 +7,8 @@ be checked coefficient by coefficient:
   * macdonald_series      <->  sym_poincare_oracle (graded symmetric powers)
   * orbifold_series       <->  orbifold_oracle (partition sums of the above)
   * equivariant series    <->  partition counting
-  * twisted series        ->   assembled from four explicit products; its
-                               half-integer pieces must cancel to integers.
+  * twisted series        ->   assembled from three integer products; its
+                               halved difference must be an integer.
 
 Index-range note for the orbifold product: the q-power index runs over
 n >= 1 and the degree index over j >= 0 (so the degree-0 Betti number
@@ -20,16 +20,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import LocqError
 from .series import (
     BivariateSeries,
     FormalSeries,
-    IntegerProductSpec,
+    _check_order,
     binomial_product,
-    expand_product,
+    euler_product,
 )
+
+# Each Betti number sets the pass count of a binomial factor in
+# series.binomial_product, so the cost grows linearly with it.
+MAX_BETTI = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +44,8 @@ class BettiData:
     def __post_init__(self):
         if any(b < 0 for b in self.betti):
             raise ValueError("Betti numbers must be nonnegative")
+        if any(b > MAX_BETTI for b in self.betti):
+            raise ValueError(f"Betti numbers must be at most {MAX_BETTI}")
 
     @classmethod
     def of(cls, *betti: int) -> "BettiData":
@@ -128,37 +133,44 @@ class EulerSpecializationResult:
 def euler_specialization(b: BettiData, q_order: int) -> EulerSpecializationResult:
     """y = -1 reduction: the series must equal (1-q)^(-chi) exactly."""
     series = macdonald_series(b, q_order).specialize_y(-1)
-    one_minus_q = FormalSeries.one(q_order) - FormalSeries.monomial(1, 1, q_order)
-    expected = one_minus_q.int_pow(-b.chi)
+    expected = euler_product([0, b.chi], q_order)
     return EulerSpecializationResult(series=series, expected=expected,
                                      matches=series == expected)
 
 
 def equivariant_euler_series(chi: int, q_order: int) -> FormalSeries:
     """prod_{j>=1} (1 - q^j)^(-chi), exactly to q_order."""
-    euler = expand_product(IntegerProductSpec(1, 0, 1, "minus"), q_order)
-    return euler.int_pow(-chi)
+    _check_order(q_order)
+    return euler_product([chi] * (q_order + 1), q_order)
 
 
 def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
     """Euler-characteristic series of the twisted symmetric-product theory.
 
-    Assembled from four integer products over odd/even exponents,
+    Defined from four integer products over odd/even exponents,
         A = prod (1-q^(2n-1))^(-chi)        B = prod (1+q^(2n-1))^(chi)
         C+- = prod (1 +- q^(2n))^(chi)
-    as A + B * (1 + (C+ - C-)/2).  The halves are exact rationals and must
-    cancel: a non-integer coefficient in the result is a hard error.  Note
-    the constant coefficient is 2, not 1, for every chi.
+    as A + B * (1 + (C+ - C-)/2).  Euler's identity
+    prod (1 + q^n) = prod_{n odd} (1 - q^n)^(-1) gives B C+ = A, so with
+    D = B C- the series is A + B + (A - D)/2, computed in integers.  As
+    products prod (1 - q^k)^(-c_k), the exponent c_k of A, B and D is, by
+    k mod 4: k odd: chi, chi, chi; k = 2: 0, -chi, -2 chi; k = 0: 0, 0, -chi.
+    A - D must be even: an odd coefficient is a hard error.  Note the
+    constant coefficient is 2, not 1, for every chi.
     """
-    a = expand_product(IntegerProductSpec(2, 1, 0, "minus"), q_order).int_pow(-chi)
-    bb = expand_product(IntegerProductSpec(2, 1, 0, "plus"), q_order).int_pow(chi)
-    c_plus = expand_product(IntegerProductSpec(2, 2, 0, "plus"), q_order).int_pow(chi)
-    c_minus = expand_product(IntegerProductSpec(2, 2, 0, "minus"), q_order).int_pow(chi)
-    bracket = FormalSeries.one(q_order) + Fraction(1, 2) * (c_plus - c_minus)
-    out = a + bb * bracket
-    if any(c.denominator != 1 for c in out.coefficients):
+    _check_order(q_order)
+
+    def product(odd: int, two: int, four: int) -> tuple[int, ...]:
+        by_residue = (four, odd, two, odd)
+        return euler_product([by_residue[k % 4] for k in range(q_order + 1)], q_order).nums
+
+    a = product(chi, 0, 0)
+    b = product(chi, -chi, 0)
+    d = product(chi, -2 * chi, -chi)
+    diffs = [x - y for x, y in zip(a, d)]
+    if any(v % 2 for v in diffs):
         raise LocqError("twisted series produced non-integer coefficients")
-    return out
+    return FormalSeries._make(q_order, [x + y + v // 2 for x, y, v in zip(a, b, diffs)], 1)
 
 
 def orbifold_series(b: BettiData, q_order: int, y_bound: int | None = None) -> BivariateSeries:

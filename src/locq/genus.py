@@ -39,6 +39,9 @@ from .spectral import Tau, factor_cap, q_power
 
 TWO_PI_I = 2j * math.pi
 
+# The period scan evaluates f at 3 (2B + 1)^2 points for trial bound B.
+MAX_TRIAL_BOUND = 64
+
 
 @dataclass(frozen=True, slots=True)
 class LevelData:
@@ -361,7 +364,8 @@ def lattice_periodicity_scan(
     """Scan lattice translations for exact periods of f.
 
     Tests every omega = 2 pi i (m tau + m') with |m|, |m'| <= trial_bound
-    at the sample points and keeps those with max |f(x+omega) - f(x)| < tol.
+    (N by default, at most MAX_TRIAL_BOUND) at the sample points and keeps
+    those with max |f(x+omega) - f(x)| < tol.
     The kept translations must generate a sublattice of index exactly
     N / gcd(k, l, N) in 2 pi i (Z tau + Z), which is N for a primitive
     twist; otherwise ScanInconclusive is raised with the partial findings
@@ -372,6 +376,8 @@ def lattice_periodicity_scan(
     bound = trial_bound if trial_bound is not None else n
     if bound < n:
         raise ValueError("trial_bound must be at least the level")
+    if bound > MAX_TRIAL_BOUND:
+        raise ValueError(f"trial_bound must be at most {MAX_TRIAL_BOUND}, got {bound}")
     tau = level.tau
     base = [f_point(level, x, q_tol) for x in sample_points]
     scale = max(max(abs(v) for v in base), 1.0)

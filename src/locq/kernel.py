@@ -6,6 +6,8 @@ denominator handled by the caller), so everything here is exact and
 overflow-free.
 """
 
+import operator
+
 
 def mul_trunc(a, b):
     """Truncated Cauchy product of two equal-length coefficient lists."""
@@ -51,9 +53,24 @@ def invert_ints(nums):
     return out, pw
 
 
-def mul_binomial_inplace(nums, exponent, sign):
-    """Multiply a coefficient list in place by (1 + sign * q**exponent)."""
-    for i in range(len(nums) - 1, exponent - 1, -1):
-        v = nums[i - exponent]
-        if v:
-            nums[i] += sign * v
+def euler_transform(c, order):
+    """Coefficients of prod_{k>=1} (1 - q**k)**(-c[k]) modulo q**(order+1).
+
+    c[k] is an integer exponent for 1 <= k < len(c); c[0] is ignored and
+    entries past `order` do not affect the result.  With the divisor sums
+    a_k = sum_{d | k} d c_d (a sieve over the multiples of each d), the
+    logarithmic derivative of the product gives
+        P_0 = 1,   n P_n = sum_{k=1..n} a_k P_{n-k},
+    whose division by n is exact because every P_n is an integer.
+    """
+    a = [0] * (order + 1)
+    for d in range(1, min(len(c) - 1, order) + 1):
+        if c[d]:
+            step = d * c[d]
+            for k in range(d, order + 1, d):
+                a[k] += step
+    p = [0] * (order + 1)
+    p[0] = 1
+    for n in range(1, order + 1):
+        p[n] = sum(map(operator.mul, a[1:n + 1], p[n - 1::-1])) // n
+    return p

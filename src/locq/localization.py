@@ -32,6 +32,11 @@ from . import pfaffian as _pf
 
 TWO_PI = 2.0 * math.pi
 
+# NumPy's leggauss(n) builds an n x n companion matrix, and a product of n
+# spheres has 2^n fixed points; both are bounded before anything is built.
+MAX_QUAD_POINTS = 1024
+MAX_FACTORS = 16
+
 
 @dataclass(frozen=True, slots=True)
 class SphereFactor:
@@ -89,8 +94,14 @@ def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
 
     With numerical=True the rates are instead extracted by finite
     differencing the ambient rotation field in an oriented tangent frame
-    at each pole (cross-check path).
+    at each pole (cross-check path).  More than MAX_FACTORS factors are
+    rejected.
     """
+    if space.half_dim > MAX_FACTORS:
+        raise ValueError(
+            f"at most {MAX_FACTORS} sphere factors (2^{MAX_FACTORS} fixed points), "
+            f"got {space.half_dim}"
+        )
     # s * (mu * r) == (s * mu) * r exactly for s = +-1, so hoisting the
     # per-factor products out of the 2^n loop leaves every value unchanged
     heights = [f.weight * f.radius for f in space.factors]
@@ -152,6 +163,8 @@ def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
     _check_c(c, allow_zero=True)
     if quad_points < 2:
         raise ValueError("quad_points must be at least 2")
+    if quad_points > MAX_QUAD_POINTS:
+        raise ValueError(f"quad_points must be at most {MAX_QUAD_POINTS}")
     x, w = _leggauss(quad_points)
     z = factor.radius * x
     if isinstance(c, complex):

@@ -28,6 +28,10 @@ from .spectral import factor_cap
 
 Scalar = Fraction | complex
 
+# Largest bilateral window, Saalschutz window (n + 2) and |n| of a finite
+# Pochhammer symbol; each costs work linear in it and is checked first.
+MAX_WINDOW = 4096
+
 
 def _coerce(value) -> Scalar:
     """Exact inputs stay exact; anything float-like becomes complex."""
@@ -50,6 +54,8 @@ def pochhammer(a, q, n: int):
     For n < 0 the shift-identity extension is used; a vanishing factor
     there makes the symbol infinite and raises PochhammerZeroDivisionError.
     """
+    if abs(n) > MAX_WINDOW:
+        raise ValueError(f"|n| must be at most {MAX_WINDOW}, got {n}")
     a, q = _coerce(a), _coerce(q)
     one = _one_like(a * q)
     if n >= 0:
@@ -197,22 +203,21 @@ def bilateral_psi(
     spec: BilateralSeriesSpec,
     window: int | None = None,
     tol: float = 1e-12,
-    max_window: int = 4096,
 ) -> PsiSummary:
     """Sum the bilateral series over n in [-window, window].
 
     With window=None the window doubles automatically until two successive
     partial sums agree to `tol` (numeric inputs) or both tails terminate
     in exact zeros (exact inputs); each doubling extends the tails summed
-    so far.  A window above `max_window` is rejected before any work.  The
+    so far.  A window above MAX_WINDOW is rejected before any work.  The
     summary reports the magnitude of the outermost included terms on each
     tail; a NonConvergent note is attached when they fail to decay.
     """
     if window is not None:
         if window < 1:
             raise ValueError("window must always be a positive integer")
-        if window > max_window:
-            raise ValueError(f"window must be at most {max_window}, got {window}")
+        if window > MAX_WINDOW:
+            raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
         return _psi_window(_tails(spec), window)
 
     tails = _tails(spec)
@@ -239,7 +244,7 @@ def bilateral_psi(
             return summary
         prev, prev_edge = summary.value, edge
         w *= 2
-        if w > max_window:
+        if w > MAX_WINDOW:
             summary.notes.append("window cap reached before convergence")
             summary.converged = False
             return summary
@@ -489,6 +494,8 @@ def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
+    if n > MAX_WINDOW - 2:
+        raise ValueError(f"n must be at most {MAX_WINDOW - 2}, got {n}")
     a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
     if a == 0 or b == 0 or c == 0 or q == 0:
         raise DegenerateParametersError("parameters must be nonzero")

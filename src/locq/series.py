@@ -1,11 +1,13 @@
 """Exact truncated power series over the rationals.
 
 FormalSeries is a univariate series in q known modulo q**(order+1) with
-exact rational coefficients and full ring arithmetic.  BivariateSeries is a
-value type: a series in q whose coefficients are integer Laurent
-polynomials in a second variable y, built by `binomial_product` and then
-only read, specialized or filtered.  All values are immutable and all
-operations are pure, so instances can be shared freely between threads.
+exact rational coefficients and full ring arithmetic.  Integer products
+prod (1 - q^k)^(-c_k) are built by one recurrence, `euler_product`, not by
+ring multiplication.  BivariateSeries is a value type: a series in q whose
+coefficients are integer Laurent polynomials in a second variable y, built
+by `binomial_product` and then only read, specialized or filtered.  All
+values are immutable and all operations are pure, so instances can be
+shared freely between threads.
 
 Internally a FormalSeries stores integer numerators over a single common
 denominator, which keeps the hot convolution loops in pure integer
@@ -241,33 +243,39 @@ class FormalSeries:
         return f"<{body} + O(q^{self.order + 1})>"
 
 
+def euler_product(c, order: int) -> FormalSeries:
+    """prod_{k>=1} (1 - q**k)**(-c[k]) exactly to `order`.
+
+    The one route for every exact univariate product in this package;
+    kernel.euler_transform has the recurrence and the conventions for c.
+    """
+    _check_order(order)
+    return FormalSeries._make(order, kernel.euler_transform(c, order), 1)
+
+
 def expand_product(spec: "IntegerProductSpec", order: int) -> FormalSeries:
     """Expand prod_{n>=ell} (1 -/+ q**(a*n + epsilon)) exactly to `order`.
 
-    Only factors whose leading exponent a*n + epsilon is <= order differ
-    from 1 modulo the truncation, so the loop is finite.
+    Only factors whose leading exponent e = a*n + epsilon is <= order
+    differ from 1 modulo the truncation.  Each one becomes Euler-transform
+    exponents: (1 - q^e) adds -1 to c[e], and (1 + q^e), which equals
+    (1 - q^(2e)) / (1 - q^e), adds +1 to c[e] and -1 to c[2e].
     """
     _check_order(order)
-    spec.validate()
-    sign = -1 if spec.sign == "minus" else 1
-    nums = [0] * (order + 1)
-    nums[0] = 1
-    n = spec.ell
-    while True:
-        e = spec.a * n + spec.epsilon
-        if e > order:
-            break
+    spec.validate()  # rejects a leading factor (1 - q^0)
+    c = [0] * (order + 1)
+    scale = 1
+    for e in range(spec.a * spec.ell + spec.epsilon, order + 1, spec.a):
         if e == 0:
-            if sign == -1:
-                raise DegenerateFactorError(
-                    f"factor (1 - q^0) at n={n} annihilates the product"
-                )
-            # (1 + q^0) = 2
-            nums = [2 * v for v in nums]
+            scale = 2  # (1 + q^0) = 2
+        elif spec.sign == "minus":
+            c[e] -= 1
         else:
-            kernel.mul_binomial_inplace(nums, e, sign)
-        n += 1
-    return FormalSeries._make(order, nums, 1)
+            c[e] += 1
+            if 2 * e <= order:
+                c[2 * e] -= 1
+    nums = kernel.euler_transform(c, order)
+    return FormalSeries._make(order, [scale * v for v in nums], 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,7 +377,7 @@ def binomial_product(factors, order: int) -> BivariateSeries:
 
     `factors` yields integer tuples (s, e, d, m) with e >= 1.  The q^i
     coefficient is a y-exponent -> integer map, updated in place with |m|
-    passes per factor, the bivariate twin of kernel.mul_binomial_inplace:
+    passes per factor:
     multiplying by (1 + s q^e y^d) runs i downwards, c[i] += s y^d c[i-e];
     dividing by it (m < 0) runs i upwards, c[i] -= s y^d c[i-e], so that
     c[i-e] is already a coefficient of the quotient.

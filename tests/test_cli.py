@@ -1,6 +1,8 @@
 """CLI contract: JSON on every exit path, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -317,6 +319,33 @@ class TestContract:
         assert code == 2
         assert parse_strict(out)["error"] == "ValueError: order must be at most 10000"
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["macdonald", "--betti", "1001"], "Betti numbers must be at most 1000"),
+            (["orbifold", "--betti", "1,1001"], "Betti numbers must be at most 1000"),
+            (["dh-verify", "--factors", "1:1", "--c", "0.5", "--quad-nodes", "1025"],
+             "quad_points must be at most 1024"),
+            (["dh-verify", "--factors", ",".join(["1:1"] * 17), "--c", "0.5"],
+             "at most 16 sphere factors (2^16 fixed points), got 17"),
+            (["qhyper", "saalschutz", "--a", "2", "--b", "3", "--c", "5", "--n", "4095",
+              "--q", "1/2"], "n must be at most 4094, got 4095"),
+            (["qhyper", "pochhammer", "--a", "1/2", "--q", "1/3", "--n", "4097"],
+             "|n| must be at most 4096, got 4097"),
+            (["qhyper", "pochhammer", "--a", "1/2", "--q", "1/3", "--n", "-4097"],
+             "|n| must be at most 4096, got -4097"),
+            (["period-scan", "--tau", "0.3,1.1", "--N", "3", "--k", "1", "--l", "2",
+              "--trial-bound", "65"], "trial_bound must be at most 64, got 65"),
+            (["period-scan", "--tau", "0.3,1.1", "--N", "65", "--k", "1", "--l", "0"],
+             "trial_bound must be at most 64, got 65"),
+        ],
+    )
+    def test_input_above_cap_is_exit_two(self, run_cli, argv, error):
+        # every cap is checked before the work it bounds
+        code, out = run_cli(argv)
+        assert code == 2
+        assert parse_strict(out)["error"] == f"ValueError: {error}"
+
     @pytest.mark.parametrize("subcommand", ["macdonald", "orbifold"])
     def test_negative_y_bound_is_exit_two(self, run_cli, subcommand):
         code, out = run_cli([subcommand, "--betti", "1,0,1", "--order", "3", "--y-bound", "-1"])
@@ -364,6 +393,26 @@ class TestContract:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["coeffs"][0] == "1/1"
+
+
+def readme_examples() -> list[list[str]]:
+    """argv of every `locq ...` line of the README, verify-all excepted."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [shlex.split(line, comments=True)[1:]
+             for line in text.splitlines() if line.startswith("locq ")]
+    return [argv for argv in lines if argv != ["verify-all"]]
+
+
+def test_readme_examples_found():
+    assert len(readme_examples()) >= 10
+
+
+# verify-all is covered by acceptance criterion 10
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_runs(run_cli, argv):
+    code, out = run_cli(argv)
+    assert code == 0
+    assert parse_strict(out)["config"]["subcommand"] == argv[0]
 
 
 class TestScalarParsing:

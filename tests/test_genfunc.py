@@ -24,6 +24,14 @@ SPHERE = BettiData.of(1, 0, 1)
 TORUS = BettiData.of(1, 2, 1)
 
 
+def ring_binomials(exponents, sign: int, order: int) -> FormalSeries:
+    """prod_e (1 + sign q^e) by FormalSeries multiplication, factor by factor."""
+    out = FormalSeries.one(order)
+    for e in exponents:
+        out = out * (FormalSeries.one(order) + FormalSeries.monomial(sign, e, order))
+    return out
+
+
 class TestBetti:
     def test_chi(self):
         assert POINT.chi == 1
@@ -108,6 +116,11 @@ class TestEulerSpecialization:
 
 
 class TestEquivariant:
+    @pytest.mark.parametrize("chi", range(-4, 5))
+    def test_matches_ring_power(self, chi):
+        euler = ring_binomials(range(1, 31), -1, 30)
+        assert equivariant_euler_series(chi, 30) == euler.int_pow(-chi)
+
     def test_partition_series(self):
         series = equivariant_euler_series(1, 6)
         assert [int(c) for c in series.coefficients] == [1, 1, 2, 3, 5, 7, 11]
@@ -139,6 +152,18 @@ class TestTwisted:
         for chi in range(-4, 5):
             series = twisted_sym_series(chi, 20)
             assert all(c.denominator == 1 for c in series.coefficients)
+
+    @pytest.mark.parametrize("chi", range(-4, 5))
+    def test_matches_ring_formula(self, chi):
+        # A + B (1 + (C+ - C-)/2) over Q, each binomial multiplied in the ring
+        order = 30
+        odd, even = range(1, order + 1, 2), range(2, order + 1, 2)
+        a = ring_binomials(odd, -1, order).int_pow(-chi)
+        b = ring_binomials(odd, 1, order).int_pow(chi)
+        c_plus = ring_binomials(even, 1, order).int_pow(chi)
+        c_minus = ring_binomials(even, -1, order).int_pow(chi)
+        expect = a + b * (1 + Fraction(1, 2) * (c_plus - c_minus))
+        assert twisted_sym_series(chi, order) == expect
 
 
 class TestOrbifold:

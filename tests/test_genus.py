@@ -215,3 +215,25 @@ def test_xseries_power_laws(re_tau, im_tau, order, a, b):
         tol = lhs.coeff_error + rhs.coeff_error
         assert max(abs(u - v) for u, v in zip(lhs.coeffs, rhs.coeffs)) <= tol
 
+
+# -- the genus of CP^m vanishes exactly when N | m+1 ------------------------------
+
+
+def primitive_twists(n):
+    return [(k, l) for k in range(n) for l in range(n)
+            if (k, l) != (0, 0) and math.gcd(k, l, n) == 1]
+
+
+@pytest.mark.parametrize("tau", [1.1j, 0.3 + 0.9j])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_level_n_genus_vanishes_exactly_when_level_divides_m_plus_one(n, tau):
+    # Hirzebruch: the level-N genus of CP^m is 0 iff N | m+1.  Other twists
+    # than (1, 0) can come within 4e-4 of zero, so the non-vanishing side
+    # is checked at (1, 0) only.
+    for m in range(2 * n):
+        if (m + 1) % n == 0:
+            for k, l in primitive_twists(n):
+                g = genus_cpm(LevelData(n, k, l, Tau(tau)), m)
+                assert abs(g.value) <= g.error_bound, (m, k, l)
+        else:
+            assert abs(genus_cpm(LevelData(n, 1, 0, Tau(tau)), m).value) > 0.05, m

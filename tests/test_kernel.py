@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from locq import kernel
+from locq.series import FormalSeries
 
 
 def reference_invert(nums, length):
@@ -53,10 +54,38 @@ def test_invert_ints_exactness():
         assert got == reference_invert(nums, n)
 
 
-def test_binomial_update_is_polynomial_multiplication():
-    nums = [1, 0, 0, 0, 0, 0]
-    kernel.mul_binomial_inplace(nums, 1, -1)
-    kernel.mul_binomial_inplace(nums, 2, -1)
-    kernel.mul_binomial_inplace(nums, 3, -1)
+def test_euler_transform_of_a_finite_product():
     # (1-q)(1-q^2)(1-q^3) mod q^6
-    assert nums == [1, -1, -1, 0, 1, 1]
+    assert kernel.euler_transform([0, -1, -1, -1], 5) == [1, -1, -1, 0, 1, 1]
+    assert kernel.euler_transform([0, -1, -1, -1], 0) == [1]
+
+
+def ring_euler_product(c, order):
+    """prod_k (1 - q^k)^(-c[k]) by FormalSeries ring powers and products."""
+    out = FormalSeries.one(order)
+    for k in range(1, len(c)):
+        binomial = FormalSeries.one(order) - FormalSeries.monomial(1, k, order)
+        out = out * binomial.int_pow(-c[k])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=12), st.integers(0, 40))
+def test_euler_transform_matches_ring_product(c, order):
+    c = [0, *c]
+    got = FormalSeries.from_coefficients(kernel.euler_transform(c, order))
+    assert got == ring_euler_product(c, order)
+
+
+def test_euler_transform_pentagonal_theorem():
+    # prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2) over all integers k (Euler)
+    order = 2000
+    expect = [0] * (order + 1)
+    k = 0
+    while k * (3 * k - 1) // 2 <= order:
+        for j in {k, -k}:
+            e = j * (3 * j - 1) // 2
+            if e <= order:
+                expect[e] = (-1) ** k
+        k += 1
+    assert kernel.euler_transform([0] + [-1] * order, order) == expect

@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+from locq import localization
 from locq.errors import DegenerateWeightError
 from locq.localization import (
     SphereFactor,
@@ -199,6 +200,23 @@ class TestCaching:
         for _ in range(2):
             with pytest.raises(ValueError, match="quad_points"):
                 factor_integral_quad(f, 0.5, 1)
+
+    def test_quadrature_node_cap(self, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("leggauss reached past the cap")
+
+        monkeypatch.setattr(localization, "_leggauss", forbidden)
+        with pytest.raises(ValueError, match="at most 1024"):
+            factor_integral_quad(SphereFactor(1.0, 1.0), 0.5, 1025)
+
+    def test_factor_count_cap(self):
+        space = SphereProductSpace.of(*[(1.0, 1.0)] * 17)
+        for numerical in (False, True):
+            with pytest.raises(ValueError, match="at most 16 sphere factors"):
+                enumerate_fixed_points(space, numerical=numerical)
+        with pytest.raises(ValueError, match="at most 16 sphere factors"):
+            dh_verify(space, 0.5)
+        assert len(enumerate_fixed_points(SphereProductSpace.of(*[(1.0, 1.0)] * 16))) == 2**16
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0)])
     def test_non_finite_c_rejected_before_caching(self, c):

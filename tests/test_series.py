@@ -141,6 +141,28 @@ class TestExpandProduct:
         assert minus * plus == squares
 
 
+def ring_binomials(exponents, sign: int, order: int) -> FormalSeries:
+    """prod_e (1 + sign q^e) by FormalSeries multiplication, factor by factor."""
+    out = FormalSeries.one(order)
+    for e in exponents:
+        out = out * (FormalSeries.one(order) + FormalSeries.monomial(sign, e, order))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2),
+       st.sampled_from(["minus", "plus"]), st.integers(0, 40))
+def test_expand_product_matches_ring_product(a, eps, ell, sign, order):
+    spec = IntegerProductSpec(a, eps, ell, sign)
+    if sign == "minus" and a * ell + eps == 0:
+        with pytest.raises(DegenerateFactorError):
+            expand_product(spec, order)
+        return
+    exponents = range(a * ell + eps, order + 1, a)
+    expect = ring_binomials(exponents, -1 if sign == "minus" else 1, order)
+    assert expand_product(spec, order) == expect
+
+
 class TestJson:
     def test_schema(self):
         s = series(1, Fraction(-1, 2), 0)
