@@ -143,6 +143,8 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
         c = c.real
         if c == 0:
             raise UsageError("c must be nonzero")
+    tol = float(args.tol)
+    spectral.check_tolerance(tol)
     report = localization.dh_verify(space, c, quad_points=int(args.quad_nodes))
     payload = {
         "lhs": cpx(report.lhs) if isinstance(report.lhs, complex) else report.lhs,
@@ -156,9 +158,9 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
             }
             for p in report.fixed_points
         ],
-        "tolerance": float(args.tol),
+        "tolerance": tol,
     }
-    return payload, 0 if report.rel_err < float(args.tol) else 1
+    return payload, 0 if report.rel_err < tol else 1
 
 
 def _cmd_qhyper(args) -> tuple[dict, int]:
@@ -217,14 +219,10 @@ def _cmd_betti_series(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_twisted_sym(args) -> tuple[dict, int]:
-    series = genfunc.twisted_sym_series(int(args.chi), int(args.order))
-    return series.to_json_dict(), 0
-
-
-def _cmd_euler_series(args) -> tuple[dict, int]:
-    series = genfunc.equivariant_euler_series(int(args.chi), int(args.order))
-    return series.to_json_dict(), 0
+def _cmd_chi_series(args) -> tuple[dict, int]:
+    build = (genfunc.twisted_sym_series if args.subcommand == "twisted-sym"
+             else genfunc.equivariant_euler_series)
+    return build(int(args.chi), int(args.order)).to_json_dict(), 0
 
 
 def _cmd_phi(args) -> tuple[dict, int]:
@@ -321,15 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--y-bound", default="")
         p.set_defaults(handler=_cmd_betti_series)
 
-    p = sub.add_parser("twisted-sym", help="twisted symmetric-product Euler series")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--order", default="20")
-    p.set_defaults(handler=_cmd_twisted_sym)
-
-    p = sub.add_parser("euler-series", help="equivariant Euler-characteristic series")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--order", default="20")
-    p.set_defaults(handler=_cmd_euler_series)
+    for name, text in (("twisted-sym", "twisted symmetric-product Euler series"),
+                       ("euler-series", "equivariant Euler-characteristic series")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--chi", required=True)
+        p.add_argument("--order", default="20")
+        p.set_defaults(handler=_cmd_chi_series)
 
     p = sub.add_parser("phi", help="building-block series in x")
     p.add_argument("--tau", required=True)

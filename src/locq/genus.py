@@ -34,8 +34,9 @@ from .errors import (
     ScanInconclusiveError,
     ToleranceUnreachableError,
 )
+from .kernel import reciprocal
 from .series import _check_order, _common, _int_pow
-from .spectral import Tau, factor_cap, q_power
+from .spectral import Tau, check_tolerance, factor_cap, q_power
 
 TWO_PI_I = 2j * math.pi
 
@@ -95,20 +96,7 @@ class XSeries:
             return self
         return XSeries(order, self.coeffs[: order + 1], self.coeff_error)
 
-    def __add__(self, other: "XSeries") -> "XSeries":
-        a, b = _common(self, other)
-        return XSeries._make([x + y for x, y in zip(a.coeffs, b.coeffs)],
-                             a.coeff_error + b.coeff_error)
-
-    def __sub__(self, other: "XSeries") -> "XSeries":
-        a, b = _common(self, other)
-        return XSeries._make([x - y for x, y in zip(a.coeffs, b.coeffs)],
-                             a.coeff_error + b.coeff_error)
-
-    def __mul__(self, other) -> "XSeries":
-        if isinstance(other, (int, float, complex)):
-            return XSeries._make([c * other for c in self.coeffs],
-                                 self.coeff_error * abs(other))
+    def __mul__(self, other: "XSeries") -> "XSeries":
         a, b = _common(self, other)
         n = a.order + 1
         out = [0j] * n
@@ -123,21 +111,10 @@ class XSeries:
         err = a.coeff_error * b_norm + b.coeff_error * a_norm + rounding
         return XSeries._make(out, err)
 
-    def __rmul__(self, other) -> "XSeries":
-        return self.__mul__(other)
-
     def invert(self) -> "XSeries":
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        if self.coeffs[0] == 0:
             raise ZeroDivisionError("cannot invert an x-series with zero constant term")
-        n = self.order + 1
-        out = [0j] * n
-        out[0] = 1.0 / c0
-        for m in range(1, n):
-            acc = 0j
-            for k in range(1, m + 1):
-                acc += self.coeffs[k] * out[m - k]
-            out[m] = -acc / c0
+        out = reciprocal(self.coeffs)
         inv_norm = sum(abs(c) for c in out)
         err = self.coeff_error * inv_norm * inv_norm
         return XSeries._make(out, err)
@@ -173,6 +150,7 @@ def _product_factor_count(tau: Tau, q_tol: float, magnitude: float = 1.0) -> int
     dropped factor at index n differs from 1 by up to |q|^n * magnitude.
     Raises ToleranceUnreachable when the count would exceed LOCQ_MAX_FACTORS.
     """
+    check_tolerance(q_tol, "q_tol")
     absq = abs(q_power(tau, 1))
     if absq >= 1:
         raise NonConvergentError("|q| >= 1")
@@ -188,66 +166,70 @@ def _product_factor_count(tau: Tau, q_tol: float, magnitude: float = 1.0) -> int
     return m
 
 
-def _tail_error(tau: Tau, m: int) -> float:
+def _tail_error(tau: Tau, m: int, magnitude: float) -> float:
     absq = abs(q_power(tau, 1))
-    return 8.0 * absq ** (m + 1) / (1 - absq) ** 2
+    return 8.0 * magnitude * absq ** (m + 1) / (1 - absq) ** 2
+
+
+def _phi_product(tau: Tau, u: complex, x_order: int, q_tol: float) -> XSeries:
+    """(1 - u e^-x) prod_{n=1..m} (1 - a e^-x)(1 - b e^x) / ((1-a)(1-b)) in x.
+
+    Here a = q^n u and b = q^n / u.  At u = 1 this is Phi(x); at u = e^beta
+    each factor is that of Phi(x - beta) up to a constant, so the result is
+    Phi(x - beta) times a constant.  Coefficient k >= 1 of a pair factor
+    is -(a (-1)^k + b) / (k! (1-a)(1-b)) and its constant term is exactly
+    1, so the constant term of the result is exactly 1 - u, truncated or
+    not.
+
+    Tail bound, for q_tol <= 1: let M = max(|u|, 1/|u|) and s = |q|.  The
+    factor count makes s^(m+1) / (1-s) < q_tol / (8M), so
+    D = M s^(m+1) / (1-s) < 1/8, and every dropped factor n > m has
+    |a|, |b| <= M s^n <= D.  In the l1 norm of coefficients, which bounds
+    each coefficient and is submultiplicative for truncated products, a
+    dropped pair factor P_n has
+        |P_n - 1| <= (|a| + |b|)(e - 1) / (1 - D)^2 <= 4.5 M s^n,
+    so |prod_{n>m} P_n - 1| <= exp(4.5 D) - 1 <= 8 D.  The full product
+    therefore differs from the truncated one T by at most |T| 8 D; the
+    bound below is that with one more factor 1/(1-s).  Without M it
+    under-covers: at u = e^beta, M reaches e^(2 pi Im tau (N-1)/N).
+    """
+    _check_order(x_order)
+    magnitude = max(abs(u), 1.0 / abs(u))
+    m = _product_factor_count(tau, q_tol, magnitude)
+    # (1 - u e^-x): coefficient k >= 1 is -u (-1)^k / k!
+    lead = [1.0 - u]
+    term = 1.0 + 0j
+    for k in range(1, x_order + 1):
+        term *= -1.0 / k
+        lead.append(-(u * term))
+    out = XSeries._make(lead)
+    for n in range(1, m + 1):
+        w = q_power(tau, n)
+        a, b = w * u, w / u
+        if abs(1.0 - a) < 1e-14 or abs(1.0 - b) < 1e-14:
+            raise BetaSingularityError("a q-product factor of the building block vanishes")
+        denom = (1.0 - a) * (1.0 - b)
+        pair = [1.0 + 0j] + [0j] * x_order
+        fact = 1.0
+        for k in range(1, x_order + 1):
+            fact *= k
+            num = b - a if k % 2 else b + a
+            if num != 0:  # at u = 1 every odd k; 0j / denom could give -0.0
+                pair[k] = -num / fact / denom
+        out = out * XSeries._make(pair)
+    return XSeries(out.order, out.coeffs,
+                   _tail_error(tau, m, magnitude) * out.norm1() + out.coeff_error)
 
 
 def phi_series(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
     """Phi as an x-series; Phi(0) = 0 and Phi'(0) = 1 hold exactly.
 
-    The leading factor (1 - e^-x) is written down analytically and each
-    normalized pair (1-q^n e^-x)(1-q^n e^x)/(1-q^n)^2 is constructed with
+    This is the normalized product at u = 1: the leading factor
+    (1 - e^-x) is written down analytically and each pair factor has
     constant coefficient exactly 1, so the first two coefficients of the
     result carry no rounding at all.
     """
-    _check_order(x_order)
-    m = _product_factor_count(tau, q_tol)
-    # (1 - e^-x): coefficient k is -(-1)^k / k!
-    lead = [0j]
-    term = 1.0 + 0j
-    for k in range(1, x_order + 1):
-        term *= -1.0 / k
-        lead.append(-term)
-    out = XSeries._make(lead)
-    for n in range(1, m + 1):
-        out = out * _normalized_pair(q_power(tau, n), x_order)
-    return XSeries(out.order, out.coeffs,
-                   _tail_error(tau, m) * out.norm1() + out.coeff_error)
-
-
-def _normalized_pair(w: complex, x_order: int) -> XSeries:
-    """(1 - w e^-x)(1 - w e^x) / (1 - w)^2 with exact unit constant term.
-
-    The unnormalized pair is 1 - w(e^x + e^-x) + w^2, whose nonconstant
-    coefficients are -2w / k! for even k >= 2; the constant is (1-w)^2,
-    so after normalization it is exactly 1.
-    """
-    denom = (1.0 - w) ** 2
-    coeffs = [1.0 + 0j] + [0j] * x_order
-    fact = 1.0
-    for k in range(1, x_order + 1):
-        fact *= k
-        if k % 2 == 0:
-            coeffs[k] = -2.0 * w / fact / denom
-    return XSeries._make(coeffs)
-
-
-def phi_shifted_series(tau: Tau, shift: complex, x_order: int,
-                       q_tol: float = 1e-12) -> XSeries:
-    """Phi(x + shift) as an x-series."""
-    _check_order(x_order)
-    e_shift = cmath.exp(-shift)
-    m = _product_factor_count(tau, q_tol, max(abs(e_shift), 1.0 / abs(e_shift)))
-    out = XSeries.one(x_order) - e_shift * _exp_series(-1.0, x_order)
-    for n in range(1, m + 1):
-        qn = q_power(tau, n)
-        norm = (1.0 - qn) ** 2
-        f_minus = XSeries.one(x_order) - (qn * e_shift) * _exp_series(-1.0, x_order)
-        f_plus = XSeries.one(x_order) - (qn / e_shift) * _exp_series(1.0, x_order)
-        out = out * f_minus * f_plus * (1.0 / norm)
-    return XSeries(out.order, out.coeffs,
-                   _tail_error(tau, m) * out.norm1() + out.coeff_error)
+    return _phi_product(tau, 1.0, x_order, q_tol)
 
 
 def phi_point(tau: Tau, x: complex, q_tol: float = 1e-12) -> complex:
@@ -275,21 +257,19 @@ def f_point(level: LevelData, x: complex, q_tol: float = 1e-12) -> complex:
 def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
     """f as an x-series with f(0) = 0 and f'(0) = 1 exact.
 
-    The ratio Phi(-beta)/Phi(x-beta) is computed as the inverse of the
-    series Phi(x-beta)/Phi(-beta), whose constant term is exactly 1 by
-    construction, so no rounding enters the normalization.
+    The ratio Phi(-beta)/Phi(x-beta) is the inverse of P(x)/P(0), where P
+    is the normalized product at u = e^beta: P is Phi(x - beta) times a
+    constant and P(0) = 1 - u exactly, so the series inverted has constant
+    term exactly 1 and no rounding enters the normalization.
     """
-    _check_order(x_order)
-    tau = level.tau
-    beta = level.beta
-    shifted = phi_shifted_series(tau, -beta, x_order, q_tol)
-    z0 = shifted.coeffs[0]  # = Phi(-beta)
+    shifted = _phi_product(level.tau, cmath.exp(level.beta), x_order, q_tol)
+    z0 = shifted.coeffs[0]  # = 1 - e^beta
     if abs(z0) < 1e-14:
         raise BetaSingularityError("the twist point is a zero of the building block")
     normalized = [1.0 + 0j] + [c / z0 for c in shifted.coeffs[1:]]
     ratio = XSeries._make(normalized, shifted.coeff_error / abs(z0)).invert()
     prefactor = _exp_series(level.k / level.level, x_order)
-    return prefactor * phi_series(tau, x_order, q_tol) * ratio
+    return prefactor * phi_series(level.tau, x_order, q_tol) * ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,6 +351,7 @@ def lattice_periodicity_scan(
     twist; otherwise ScanInconclusive is raised with the partial findings
     attached.
     """
+    check_tolerance(tol)
     n = level.level
     expected = n // math.gcd(level.k, level.l, n)
     bound = trial_bound if trial_bound is not None else n

@@ -1,9 +1,9 @@
-"""Exact integer series kernel.
+"""Truncated power-series kernel.
 
-Hot loops for truncated power-series arithmetic over exact integers.  A
-series is carried as a plain list of Python ints (numerators over a common
-denominator handled by the caller), so everything here is exact and
-overflow-free.
+Hot loops for truncated power-series arithmetic on plain coefficient
+lists.  The Cauchy product and the Euler transform work on Python ints
+(numerators over a common denominator handled by the caller), so they are
+exact and overflow-free; the reciprocal works over any field.
 """
 
 import operator
@@ -23,34 +23,19 @@ def mul_trunc(a, b):
     return out
 
 
-def invert_ints(nums):
-    """Reciprocal of an integer-coefficient series.
+def reciprocal(a):
+    """Coefficients of 1 / sum_k a[k] x**k to the length of `a`.
 
-    Returns (numerators, denominator) with the common denominator
-    nums[0]**len(nums).  Division-free: with n0 = nums[0], the numerators
-    p_n of r_n = p_n / n0**(n+1) obey
-        p_0 = 1,   p_n = -sum_{k=1..n} nums[k] * p_{n-k} * n0**(k-1),
-    so the result is exact whenever n0 != 0 (the caller checks).
+    Works over any field whose elements support +, * and /, such as
+    Fraction or complex; a[0] must be nonzero (the caller checks).  From
+    a * r = 1,
+        r_0 = 1 / a_0,   r_n = -(sum_{k=1..n} a_k r_{n-k}) / a_0.
     """
-    L = len(nums)
-    n0 = nums[0]
-    p = [0] * L
-    p[0] = 1
-    for n in range(1, L):
-        acc = 0
-        pw = 1
-        for k in range(1, n + 1):
-            nk = nums[k]
-            if nk:
-                acc += nk * p[n - k] * pw
-            pw *= n0
-        p[n] = -acc
-    out = [0] * L
-    pw = 1
-    for n in range(L - 1, -1, -1):
-        out[n] = p[n] * pw
-        pw *= n0
-    return out, pw
+    a0 = a[0]
+    out = [1 / a0]
+    for n in range(1, len(a)):
+        out.append(-sum(map(operator.mul, a[1:n + 1], out[n - 1::-1])) / a0)
+    return out
 
 
 def euler_transform(c, order):

@@ -24,7 +24,7 @@ from .errors import (
     PochhammerZeroDivisionError,
     ToleranceUnreachableError,
 )
-from .spectral import factor_cap
+from .spectral import check_tolerance, factor_cap
 
 Scalar = Fraction | complex
 
@@ -86,6 +86,7 @@ def pochhammer_infinite(a, q, tol: float = 1e-12, max_terms: int | None = None):
     max_terms overrides it; a tolerance that needs more factors raises
     ToleranceUnreachable.
     """
+    check_tolerance(tol)
     a, q = _coerce(a), _coerce(q)
     if abs(complex(q)) >= 1:
         raise NonConvergentError(f"(a;q)_inf requires |q| < 1, got |q|={abs(complex(q))}")
@@ -213,6 +214,7 @@ def bilateral_psi(
     summary reports the magnitude of the outermost included terms on each
     tail; a NonConvergent note is attached when they fail to decay.
     """
+    check_tolerance(tol)
     if window is not None:
         if window < 1:
             raise ValueError("window must always be a positive integer")

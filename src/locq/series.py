@@ -207,9 +207,9 @@ class FormalSeries:
         """Multiplicative inverse modulo q**(order+1)."""
         if self.nums[0] == 0:
             raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        inv_nums, inv_den = kernel.invert_ints(list(self.nums))
+        inverse = kernel.reciprocal([Fraction(v) for v in self.nums])
         # 1/(N/d) = d * (1/N)
-        return FormalSeries._make(self.order, [v * self.den for v in inv_nums], inv_den)
+        return FormalSeries.from_coefficients([c * self.den for c in inverse], self.order)
 
     int_pow = _int_pow
     __pow__ = _int_pow

@@ -40,6 +40,12 @@ def factor_cap() -> int:
     return cap
 
 
+def check_tolerance(tol: float, name: str = "tol") -> None:
+    """Reject a tolerance unless 0 < tol < infinity (NaN included)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
+
+
 @dataclass(frozen=True, slots=True)
 class Tau:
     """Modular parameter in the upper half-plane."""
@@ -129,6 +135,7 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     for |w| <= 1/2 and the tail factors are eventually that small.  Raises
     ToleranceUnreachable when M would exceed LOCQ_MAX_FACTORS.
     """
+    check_tolerance(rel_tol, "rel_tol")
     tau = p.tau
     # |q^x| for complex x under the q^x = e^(2 pi i tau x) convention
     ratio = abs(q_power(tau, p.a))

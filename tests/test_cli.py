@@ -352,6 +352,29 @@ class TestContract:
         assert code == 2
         assert parse_strict(out)["error"] == "ValueError: y_bound must be nonnegative"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["spectral-eval", "--a", "1", "--tau", "0,1"], "--tol"),
+            (["dh-verify", "--factors", "1:1", "--c", "1"], "--tol"),
+            (["qhyper", "pochhammer", "--a", "0.5", "--q", "0.3", "--infinite"], "--tol"),
+            (["qhyper", "psi", "--num", "0.9", "--den", "0.3", "--q", "0.2", "--z", "0.5"],
+             "--tol"),
+            (["phi", "--tau", "0,1"], "--q-tol"),
+            (["genus-cpm", "--tau", "0,2", "--N", "2", "--k", "1", "--l", "0", "--m", "3"],
+             "--q-tol"),
+            (["period-scan", "--tau", "0.3,1.1", "--N", "2", "--k", "1", "--l", "0"], "--tol"),
+            (["period-scan", "--tau", "0.3,1.1", "--N", "2", "--k", "1", "--l", "0"],
+             "--q-tol"),
+        ],
+    )
+    def test_bad_tolerance_is_exit_two(self, run_cli, argv, flag, value):
+        # checked before any work: nan used to pass every comparison silently
+        code, out = run_cli([*argv, f"{flag}={value}"])
+        assert code == 2
+        assert "must be positive and finite, got" in parse_strict(out)["error"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,6 +12,7 @@ from locq.genus import (
     LevelData,
     XSeries,
     _exp_series,
+    _phi_product,
     _product_factor_count,
     f_point,
     f_series,
@@ -19,7 +20,6 @@ from locq.genus import (
     lattice_periodicity_scan,
     phi_point,
     phi_series,
-    phi_shifted_series,
 )
 from locq.spectral import Tau
 
@@ -78,10 +78,14 @@ class TestF:
             assert f.coeffs[1] == 1
 
     def test_series_matches_pointwise(self):
-        lvl = LevelData(2, 1, 0, Tau(2j))
-        f = f_series(lvl, 12)
-        for x in (0.11, 0.07 - 0.04j):
-            assert abs(f.eval(x) - f_point(lvl, x)) < 1e-10
+        # k = N - 1 gives the largest |e^beta| spread, l != 0 and Re tau != 0
+        # make e^beta and q genuinely complex
+        for n, k, l, tau in ((2, 1, 0, 2j), (3, 2, 1, 0.3 + 1.1j), (5, 4, 2, 0.2 + 1.3j),
+                             (4, 3, 3, -0.4 + 1.2j), (3, 0, 2, 0.45 + 0.8j)):
+            lvl = LevelData(n, k, l, Tau(tau))
+            f = f_series(lvl, 12)
+            for x in (0.11, 0.07 - 0.04j):
+                assert abs(f.eval(x) - f_point(lvl, x)) < 1e-10, (n, k, l, tau, x)
 
     def test_quasi_periodicity(self):
         for (n, k, l) in ((2, 1, 0), (3, 1, 2)):
@@ -178,7 +182,7 @@ def test_non_primitive_twist_still_inconclusive_at_tiny_tolerance():
 
 @pytest.mark.parametrize("build", [
     lambda: phi_series(GENERIC_TAU, -1),
-    lambda: phi_shifted_series(GENERIC_TAU, 0.3j, -1),
+    lambda: _phi_product(GENERIC_TAU, cmath.exp(0.3j), -1, 1e-12),
     lambda: f_series(LevelData(2, 1, 0, GENERIC_TAU), -1),
 ])
 def test_negative_order_rejected(build):
@@ -237,3 +241,76 @@ def test_level_n_genus_vanishes_exactly_when_level_divides_m_plus_one(n, tau):
                 assert abs(g.value) <= g.error_bound, (m, k, l)
         else:
             assert abs(genus_cpm(LevelData(n, 1, 0, Tau(tau)), m).value) > 0.05, m
+
+
+# -- independent routes to Phi and to the shifted product -------------------------
+
+
+def eisenstein_phi(tau: complex, order: int) -> list[complex]:
+    """Phi from its Eisenstein expansion, independent of the q-product.
+
+    log[Phi(x) / (1 - e^-x)] = -2 sum_{even k>=2} (x^k/k!) sum_{t>=1} t^(k-1) q^t/(1-q^t)
+    (Zagier 1988); the exponential E of that series L comes from
+    E' = L'E, i.e. n E_n = sum_k k L_k E_{n-k}, and Phi = (1 - e^-x) E.
+    """
+    q = cmath.exp(2j * math.pi * tau)
+    log = [0j] * (order + 1)
+    for k in range(2, order + 1, 2):
+        total, t = 0j, 1
+        while True:
+            term = t ** (k - 1) * q**t / (1 - q**t)
+            total += term
+            if t > k and abs(term) < 1e-18 * abs(total):
+                break
+            t += 1
+        log[k] = -2 * total / math.factorial(k)
+    exp = [1 + 0j]
+    for n in range(1, order + 1):
+        exp.append(sum(k * log[k] * exp[n - k] for k in range(1, n + 1)) / n)
+    lead = [0.0] + [-((-1) ** k) / math.factorial(k) for k in range(1, order + 1)]
+    return [sum(lead[i] * exp[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("tau", [0.5 + 0.6j, 1.1j, -0.3 + 0.4j])
+def test_phi_matches_eisenstein_expansion(tau):
+    phi = phi_series(Tau(tau), 12)
+    for k, want in enumerate(eisenstein_phi(tau, 12)):
+        assert abs(phi.coeffs[k] - want) <= phi.coeff_error, k
+
+
+@pytest.mark.parametrize("tau", [0.2 + 0.6j, -0.3 + 1.0j])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_genus_matches_contour_integral(n, tau):
+    # x f(x)^-(m+1) has no pole in |x| <= 1 but x = 0, where f vanishes
+    # to first order; the trapezoid sum on |x| = 1 converges geometrically
+    for k, l in primitive_twists(n):
+        level = LevelData(n, k, l, Tau(tau))
+        for m in (1, 4, 12):
+            nodes = 2 * (m + 1) + 64
+            terms = [x * f_point(level, x) ** -(m + 1)
+                     for x in (cmath.exp(2j * math.pi * (j + 0.5) / nodes) for j in range(nodes))]
+            residue = sum(terms) / nodes
+            g = genus_cpm(level, m)
+            assert abs(g.value - residue) <= g.error_bound + 1e-12 * max(map(abs, terms)), \
+                (k, l, m)
+
+
+@pytest.mark.parametrize("tau", [0.1 + 0.3j, 0.2 + 0.5j, 0.4 + 1.0j])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_error_bound_covers_truncation(n, tau):
+    # the normalized product at u = e^beta and f, each against the same
+    # series at q_tol = 1e-16; the bounds of both sides cover the gap
+    order = 8
+    for k in range(n):
+        for l in range(n):
+            if (k, l) == (0, 0):
+                continue
+            level = LevelData(n, k, l, Tau(tau))
+            u = cmath.exp(level.beta)
+            product_ref = _phi_product(level.tau, u, order, 1e-16)
+            f_ref = f_series(level, order, 1e-16)
+            for q_tol in (1e-6, 1e-8, 1e-10):
+                for got, ref in ((_phi_product(level.tau, u, order, q_tol), product_ref),
+                                 (f_series(level, order, q_tol), f_ref)):
+                    gap = max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs))
+                    assert gap <= got.coeff_error + ref.coeff_error, (k, l, q_tol)
