@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -146,6 +147,7 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
     tol = float(args.tol)
     spectral.check_tolerance(tol)
     report = localization.dh_verify(space, c, quad_points=int(args.quad_nodes))
+    budget = report.rel_err / tol  # overflows to inf at a tiny --tol; reported as null
     payload = {
         "lhs": cpx(report.lhs) if isinstance(report.lhs, complex) else report.lhs,
         "rhs": cpx(report.rhs) if isinstance(report.rhs, complex) else report.rhs,
@@ -159,6 +161,13 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
             for p in report.fixed_points
         ],
         "tolerance": tol,
+        "diagnostics": {
+            "path": "complex" if report.decimal_digits is None else "decimal",
+            "decimal_digits": report.decimal_digits,
+            "fixed_points": len(report.fixed_points),
+            "quad_nodes": int(args.quad_nodes),
+            "budget_used": budget if math.isfinite(budget) else None,
+        },
     }
     return payload, 0 if report.rel_err < tol else 1
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -36,6 +36,12 @@ TWO_PI = 2.0 * math.pi
 # spheres has 2^n fixed points; both are bounded before anything is built.
 MAX_QUAD_POINTS = 1024
 MAX_FACTORS = 16
+# The real fixed-point sum runs at the precision its cancellation needs
+# (fixed_point_digits); this caps that precision, and so the cost of each
+# Decimal operation, before any work.
+MAX_DECIMAL_DIGITS = 1000
+# e^(c H) fits a double while |Re c| * max_p |H(p)| stays below this.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,31 +98,39 @@ class FixedPoint:
 def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
     """All 2^n pole combinations, with analytic linearization rates s*mu/r.
 
+    The points are built by subset doubling: each factor splits every point
+    into its north (+1) and south (-1) child, so H costs one add per point,
+    and the sign and rate tuples come from itertools.product over the
+    per-factor pairs.  The order is that of
+    itertools.product((1, -1), repeat=n), first factor slowest, and H is the
+    left-to-right sum sum_i s_i mu_i r_i from int 0.
+
     With numerical=True the rates are instead extracted by finite
     differencing the ambient rotation field in an oriented tangent frame
-    at each pole (cross-check path).  More than MAX_FACTORS factors are
-    rejected.
+    at each pole (cross-check path), two per factor.  More than MAX_FACTORS
+    factors are rejected.
     """
     if space.half_dim > MAX_FACTORS:
         raise ValueError(
             f"at most {MAX_FACTORS} sphere factors (2^{MAX_FACTORS} fixed points), "
             f"got {space.half_dim}"
         )
-    # s * (mu * r) == (s * mu) * r exactly for s = +-1, so hoisting the
-    # per-factor products out of the 2^n loop leaves every value unchanged
-    heights = [f.weight * f.radius for f in space.factors]
-    rates = [f.rate for f in space.factors]
-    points = []
-    for signs in itertools.product((1, -1), repeat=space.half_dim):
-        h = sum(map(operator.mul, signs, heights))
-        if numerical:
-            lams = tuple(
-                _numerical_rate(f, s) for s, f in zip(signs, space.factors)
-            )
-        else:
-            lams = tuple(map(operator.mul, signs, rates))
-        points.append(FixedPoint(pole_signs=signs, h_value=h, lambdas=lams))
-    return points
+    # s * (mu * r) == (s * mu) * r exactly for s = +-1, so each factor adds
+    # +-(mu * r) to its parent's H
+    h_values = [0]
+    for f in space.factors:
+        steps = (f.weight * f.radius, -(f.weight * f.radius))
+        h_values = [h + step for h in h_values for step in steps]
+    if numerical:
+        rate_pairs = [(_numerical_rate(f, 1), _numerical_rate(f, -1)) for f in space.factors]
+    else:
+        rate_pairs = [(f.rate, -f.rate) for f in space.factors]
+    return list(map(
+        FixedPoint,
+        itertools.product((1, -1), repeat=space.half_dim),
+        h_values,
+        itertools.product(*rate_pairs),
+    ))
 
 
 def _numerical_rate(factor: SphereFactor, pole_sign: int, h: float = 1e-6) -> float:
@@ -201,11 +215,41 @@ def dh_lhs_closed(space: SphereProductSpace, c):
     return out
 
 
+def fixed_point_digits(space: SphereProductSpace, c) -> int | None:
+    """Decimal working precision of the real fixed-point sum; None for complex c.
+
+    Rejects, before any work, a c at which e^(c H) overflows a double at
+    some fixed point.  For real c the sum equals prod_i 2 sinh(x_i) / rate_i
+    with x_i = c mu_i r_i, while its largest term is prod_i e^|x_i| / |rate_i|,
+    so it cancels D = -sum_i log10(1 - e^(-2|x_i|)) digits.  It runs at
+    max(40, 20 + ceil(D)) digits, at most MAX_DECIMAL_DIGITS.
+    """
+    scales = [abs(f.weight * f.radius) for f in space.factors]
+    exponent = abs(c.real) * sum(scales)
+    if not exponent <= LOG_FLOAT_MAX:
+        raise ValueError(
+            f"overflow: e^(c H) exceeds the largest double, since |Re c| * sum |mu_i r_i| "
+            f"= {exponent!r} > log(sys.float_info.max) = {LOG_FLOAT_MAX!r}"
+        )
+    if isinstance(c, complex):
+        return None
+    loss = 0.0
+    for scale in scales:
+        kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
+        loss -= math.log10(kept) if kept > 0 else -math.inf
+    if not loss <= MAX_DECIMAL_DIGITS - 20:
+        raise ValueError(
+            f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
+            f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
+        )
+    return max(40, 20 + math.ceil(loss))
+
+
 @lru_cache(maxsize=1024, typed=True)
-def _exp_pair(factor: SphereFactor, c) -> tuple[Decimal, Decimal]:
-    """(e^(c mu r), e^(-c mu r)) to 40 significant digits."""
+def _exp_pair(factor: SphereFactor, c, digits: int) -> tuple[Decimal, Decimal]:
+    """(e^(c mu r), e^(-c mu r)) to `digits` significant digits."""
     with localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = digits
         x = Decimal(c) * Decimal(factor.weight) * Decimal(factor.radius)
         return x.exp(), (-x).exp()
 
@@ -215,12 +259,15 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None
 
     For real c the alternating sum cancels down to ~prod_i tanh(c mu_i r_i)
     of its largest term, far beyond double precision at small c; the terms
-    are therefore accumulated with 40-digit Decimal arithmetic, which keeps
-    the result exact to ~1e-15 relative for every parameter combination.
-    The per-factor exponentials e^(+-c mu_i r_i) are cached per (factor, c),
-    so repeated factors cost one Decimal exp pair each.  Complex c takes
-    the plain complex path (used by the oscillatory smoke checks at looser
-    tolerance).
+    are therefore accumulated in Decimal arithmetic at the precision
+    fixed_point_digits sizes to that cancellation (at least 40 digits), which
+    leaves about 20 significant digits in the sum before its rounding to a
+    float.  The float prefactor (2 pi / c)^n is not covered: it overflows
+    at tiny c once n >= 2.  The numerators prod_i e^(+-c mu_i r_i) are built
+    by subset doubling, one Decimal multiply per point, in the order of
+    enumerate_fixed_points; the per-factor exponential pairs are cached per
+    (factor, c, digits).  Complex c takes the plain complex path (used by
+    the oscillatory smoke checks at looser tolerance).
 
     With via_sqrt_det=True the denominator prod_j l_j is obtained from
     locq.pfaffian.sqrt_det on the assembled block-diagonal linearization
@@ -228,31 +275,34 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None
     enumerate_fixed_points(space) when the caller already has it.
     """
     _check_c(c)
+    digits = fixed_point_digits(space, c)
     if points is None:
         points = enumerate_fixed_points(space)
-    n = space.half_dim
-
-    def lam_product(p: FixedPoint) -> float:
-        if via_sqrt_det:
-            return _pf.sqrt_det(_pf.block_diagonal(p.lambdas))
-        return math.prod(p.lambdas)
+    if via_sqrt_det:
+        denominators = [_pf.sqrt_det(_pf.block_diagonal(p.lambdas)) for p in points]
+    else:
+        denominators = [math.prod(p.lambdas) for p in points]
+    prefactor = (TWO_PI / c) ** space.half_dim
 
     if isinstance(c, complex):
         total = 0.0 + 0.0j
-        for p in points:
-            total += cmath.exp(c * p.h_value) / lam_product(p)
-        return (TWO_PI / c) ** n * total
+        for p, den in zip(points, denominators):
+            total += cmath.exp(c * p.h_value) / den
+        return prefactor * total
 
-    exps = [_exp_pair(f, c) for f in space.factors]
     with localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = digits
+        terms = [Decimal(1)]
+        for f in space.factors:
+            e_plus, e_minus = _exp_pair(f, c, digits)
+            terms = [u for t in terms for u in (t * e_plus, t * e_minus)]
+        # a float's Decimal conversion costs more than the division, and the
+        # analytic denominators take two values, +-prod_i |rate_i|
+        exact = {den: Decimal(den) for den in set(denominators)}
         total = Decimal(0)
-        for p in points:
-            term = Decimal(1)
-            for s, pair in zip(p.pole_signs, exps):
-                term *= pair[0 if s > 0 else 1]
-            total += term / Decimal(lam_product(p))
-        return (TWO_PI / c) ** n * float(total)
+        for term, den in zip(terms, denominators):
+            total += term / exact[den]
+        return prefactor * float(total)
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,12 +311,19 @@ class DHReport:
     rhs: float | complex
     rel_err: float
     fixed_points: tuple[FixedPoint, ...]
+    decimal_digits: int | None
 
 
-def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
-    """Evaluate both sides of the localization identity and their mismatch."""
+def dh_verify(space: SphereProductSpace, c, quad_points: int = 64, points=None) -> DHReport:
+    """Evaluate both sides of the localization identity and their mismatch.
+
+    `points` takes the output of enumerate_fixed_points(space) when the
+    caller already has it, as for dh_rhs.
+    """
+    _check_c(c)
+    digits = fixed_point_digits(space, c)
     lhs = dh_lhs(space, c, quad_points)
-    points = tuple(enumerate_fixed_points(space))
+    points = tuple(enumerate_fixed_points(space) if points is None else points)
     rhs = dh_rhs(space, c, points=points)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return DHReport(lhs=lhs, rhs=rhs, rel_err=rel, fixed_points=points)
+    return DHReport(lhs=lhs, rhs=rhs, rel_err=rel, fixed_points=points, decimal_digits=digits)

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -59,11 +60,88 @@ class TestDhVerify:
         assert code == 2
         assert "finite" in parse_strict(out)["error"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_result_is_exit_two(self, run_cli):
-        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "1000"])
+        self._assert_named_overflow(run_cli, "1000")
+
+    @pytest.mark.parametrize("c", ["800", "-800", "1e308", "800,3"])
+    def test_overflow_is_named_for_every_c(self, run_cli, c):
+        self._assert_named_overflow(run_cli, c)
+
+    @staticmethod
+    def _assert_named_overflow(run_cli, c):
+        # named before any work: no quadrature runs, so NumPy warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(["dh-verify", "--factors", "1:1", f"--c={c}"])
         assert code == 2
-        assert "error" in parse_strict(out)
+        assert parse_strict(out)["error"].startswith("ValueError: overflow: e^(c H) exceeds")
+        assert caught == []
+
+    def test_overflow_bound_is_the_largest_exponent(self, run_cli):
+        # |c| * sum |mu_i r_i| = 701 fits a double; 711 does not
+        code, out = run_cli(["dh-verify", "--factors", "1:350,2:-0.25", "--c", "2",
+                             "--quad-nodes", "128"])
+        assert code == 0
+        assert parse_strict(out)["rel_err"] < 1e-8
+        code, out = run_cli(["dh-verify", "--factors", "1:350,2:-2.75", "--c", "2"])
+        assert code == 2
+        assert "overflow" in parse_strict(out)["error"]
+
+    @pytest.mark.parametrize("factors,c", [("1:1,2:1,1:3,2:2", "1e-9"), ("1:1", "1e-300")])
+    def test_small_c_sums_keep_their_digits(self, run_cli, factors, c):
+        # the alternating sum cancels ~-log10(2|c mu r|) digits per factor;
+        # at 40 fixed digits these gave rel_err 8e-7 and rhs 0 (a 16-factor
+        # case is in test_localization.py, where no 2^16-point JSON is printed)
+        code, out = run_cli(["dh-verify", "--factors", factors, "--c", c])
+        payload = parse_strict(out)
+        assert code == 0
+        assert payload["rel_err"] < 1e-8
+        assert payload["diagnostics"]["decimal_digits"] > 40
+
+    def test_precision_cap_is_exit_two(self, run_cli):
+        # four factors at c = 1e-300 cancel ~1200 digits
+        code, out = run_cli(["dh-verify", "--factors", "1:1,1:1,1:1,1:1", "--c", "1e-300"])
+        assert code == 2
+        error = parse_strict(out)["error"]
+        assert error.startswith("ValueError: the fixed-point sum at c = 1e-300 cancels")
+        assert "MAX_DECIMAL_DIGITS = 1000" in error
+
+    def test_diagnostics_real_c(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1,2:3,0.5:0.5", "--c", "0.1",
+                             "--quad-nodes", "48", "--tol", "1e-6"])
+        payload = parse_strict(out)
+        assert code == 0
+        assert payload["diagnostics"] == {
+            "path": "decimal",
+            "decimal_digits": 40,
+            "fixed_points": 8,
+            "quad_nodes": 48,
+            "budget_used": payload["rel_err"] / 1e-6,
+        }
+
+    def test_diagnostics_complex_c(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1,2:3", "--c", "0.3,0.7"])
+        diagnostics = parse_strict(out)["diagnostics"]
+        assert code == 0
+        assert diagnostics["path"] == "complex"
+        assert diagnostics["decimal_digits"] is None
+        assert diagnostics["fixed_points"] == 4
+        assert diagnostics["quad_nodes"] == 64
+        assert 0 <= diagnostics["budget_used"] < 1
+
+    def test_diagnostics_budget_overflow_is_null(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1,2:3", "--c", "0.5", "--tol=5e-324"])
+        payload = parse_strict(out)
+        assert code == 1
+        assert payload["rel_err"] > 0
+        assert payload["diagnostics"]["budget_used"] is None
+
+    @pytest.mark.parametrize("argv", [["--c", "0.5"], ["--c", "0.3,0.7"], ["--c", "1e-9"]])
+    def test_diagnostics_rerun_is_byte_identical(self, run_cli, argv):
+        command = ["dh-verify", "--factors", "1:1,2:3,1.5:-0.5", *argv]
+        first = run_cli(command)
+        assert '"diagnostics"' in first[1]
+        assert run_cli(command) == first
 
     def test_unwritable_out_file_is_exit_two(self, run_cli, tmp_path):
         target = tmp_path / "missing-dir" / "result.json"

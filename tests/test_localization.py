@@ -5,8 +5,9 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from locq import localization
+from locq import localization, verify
 from locq.errors import DegenerateWeightError
 from locq.localization import (
     SphereFactor,
@@ -18,6 +19,7 @@ from locq.localization import (
     enumerate_fixed_points,
     factor_integral_closed,
     factor_integral_quad,
+    fixed_point_digits,
     _exp_pair,
 )
 
@@ -140,10 +142,10 @@ class TestIdentity:
 
 def _reference_rhs(space, c):
     """The fixed-point sum written out per pole combination, with no cache:
-    every exponential is recomputed at 40 digits where it is used."""
+    every exponential is recomputed, at the sum's precision, where it is used."""
     n = space.half_dim
     with localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = fixed_point_digits(space, c)
         total = Decimal(0)
         for signs in itertools.product((1, -1), repeat=n):
             term = Decimal(1)
@@ -235,3 +237,128 @@ class TestCaching:
         assert isinstance(factor_integral_quad(f, 1.0), float)
         assert isinstance(factor_integral_quad(f, 1.0 + 0.0j), complex)
 
+
+def _reference_points(space, numerical=False):
+    """The fixed points as one loop per pole combination over
+    itertools.product; H is added up left to right from int 0 by hand,
+    since sum() of floats is compensated from Python 3.12 on."""
+    out = []
+    for signs in itertools.product((1, -1), repeat=space.half_dim):
+        h = 0
+        for s, f in zip(signs, space.factors):
+            h = h + s * (f.weight * f.radius)
+        if numerical:
+            lams = tuple(localization._numerical_rate(f, s) for s, f in zip(signs, space.factors))
+        else:
+            lams = tuple(s * (f.weight / f.radius) for s, f in zip(signs, space.factors))
+        out.append((signs, h, lams))
+    return out
+
+
+_signed = st.tuples(st.floats(0.1, 4.0), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
+_spaces = st.lists(st.tuples(st.floats(0.1, 4.0), _signed), min_size=1, max_size=8).map(
+    lambda pairs: SphereProductSpace.of(*pairs)
+)
+_real_cs = st.tuples(st.floats(1e-3, 3.0), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
+
+
+class TestSubsetDoubling:
+    """The doubled points and Decimal numerators against the per-point loops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=_spaces, numerical=st.booleans())
+    def test_points_match_product_loop(self, space, numerical):
+        points = enumerate_fixed_points(space, numerical=numerical)
+        got = [(p.pole_signs, p.h_value, p.lambdas) for p in points]
+        assert got == _reference_points(space, numerical)
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=_spaces, c=_real_cs)
+    def test_rhs_matches_per_point_loop(self, space, c):
+        assert dh_rhs(space, c) == _reference_rhs(space, c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(space=_spaces, c=_real_cs)
+    def test_verify_with_given_points_matches(self, space, c):
+        given_points = dh_verify(space, c, points=enumerate_fixed_points(space))
+        assert given_points == dh_verify(space, c)
+
+    def test_numerical_rates_run_twice_per_factor(self, monkeypatch):
+        calls = []
+        rate = localization._numerical_rate
+
+        def counted(factor, pole_sign):
+            calls.append(pole_sign)
+            return rate(factor, pole_sign)
+
+        monkeypatch.setattr(localization, "_numerical_rate", counted)
+        space = SphereProductSpace.of(*[(1.0 + k, 0.5 - k) for k in range(6)])
+        assert len(enumerate_fixed_points(space, numerical=True)) == 2**6
+        assert calls == [1, -1] * 6
+
+
+class TestSumPrecision:
+    def test_verify_all_cases_stay_at_forty_digits(self):
+        pairs = [(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
+        for k in range(1, 5):
+            for combo in itertools.combinations_with_replacement(pairs, k):
+                space = SphereProductSpace.of(*combo)
+                assert {fixed_point_digits(space, c) for c in verify.DH_CS} == {40}
+
+    def test_digits_follow_the_cancellation(self):
+        # 1 - e^(-2e-300) = 2e-300 loses 299.7 digits; 20 more are kept
+        assert fixed_point_digits(SphereProductSpace.of((1.0, 1.0)), 1e-300) == 320
+        space = SphereProductSpace.of((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (2.0, 2.0))
+        assert fixed_point_digits(space, 1e-9) == 54
+        assert fixed_point_digits(space, -1e-9) == 54
+        assert fixed_point_digits(space, 1e-9 + 0.5j) is None
+
+    @pytest.mark.parametrize(
+        "pairs,c",
+        [
+            (((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (2.0, 2.0)), 1e-9),
+            (((1.0, 1.0),), 1e-300),
+            (((0.5, -2.0), (3.0, 0.25), (1.5, 1.5)), -1e-6),
+        ],
+    )
+    def test_small_c_matches_closed_form(self, pairs, c):
+        space = SphereProductSpace.of(*pairs)
+        assert dh_rhs(space, c) == pytest.approx(dh_lhs_closed(space, c), rel=1e-14)
+
+    def test_sixteen_factors_at_small_c(self):
+        # at 40 digits this sum came out 24 times too large
+        space = SphereProductSpace.of(*[(1 + 0.1 * i, 0.5 + 0.07 * i) for i in range(16)])
+        report = dh_verify(space, 0.001)
+        assert report.decimal_digits == 60
+        assert report.rel_err < 1e-12
+
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work ran before the check")
+
+        monkeypatch.setattr(localization, "factor_integral_quad", forbidden)
+        monkeypatch.setattr(localization, "enumerate_fixed_points", forbidden)
+        monkeypatch.setattr(localization, "_exp_pair", forbidden)
+
+    def test_precision_cap_before_any_work(self, monkeypatch):
+        space = SphereProductSpace.of(*[(1.0, 1.0)] * 4)
+        self._forbid_work(monkeypatch)
+        for fn in (dh_rhs, dh_verify):
+            with pytest.raises(ValueError, match="more than MAX_DECIMAL_DIGITS = 1000"):
+                fn(space, 1e-300)
+
+    def test_underflowing_exponent_hits_the_cap(self):
+        with pytest.raises(ValueError, match="cancels inf digits"):
+            fixed_point_digits(SphereProductSpace.of((1e-200, 1e-200)), 1e-200)
+
+    @pytest.mark.parametrize("c", [1000.0, -800.0, 1e308, complex(800.0, 1.0)])
+    def test_overflow_named_before_any_work(self, monkeypatch, c):
+        space = SphereProductSpace.of((1.0, 1.0))
+        self._forbid_work(monkeypatch)
+        for fn in (dh_rhs, dh_verify):
+            with pytest.raises(ValueError, match=r"^overflow: e\^\(c H\) exceeds"):
+                fn(space, c)
+
+    def test_imaginary_c_is_not_an_overflow(self):
+        assert fixed_point_digits(SphereProductSpace.of((1.0, 1.0)), 1000j) is None
