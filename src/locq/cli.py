@@ -2,9 +2,10 @@
 
 Exit-code contract: 0 on success, 1 when a checked identity fails to hold
 (mathematical failure), 2 on invalid input.  Every exit path prints a
-single JSON document; the parsed options are echoed under "config" so a
-run can be reproduced from its own output.  Identical configs produce
-byte-identical output.
+single JSON document on one line, strict and with sorted keys
+(`python -m json.tool` pretty-prints it); the parsed options are echoed
+under "config" so a run can be reproduced from its own output.  Identical
+configs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -153,11 +154,7 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
         "rhs": cpx(report.rhs) if isinstance(report.rhs, complex) else report.rhs,
         "rel_err": report.rel_err,
         "fixed_points": [
-            {
-                "pole_signs": list(p.pole_signs),
-                "H": p.h_value,
-                "lambdas": list(p.lambdas),
-            }
+            {"pole_signs": p.pole_signs, "H": p.h_value, "lambdas": p.lambdas}
             for p in report.fixed_points
         ],
         "tolerance": tol,
@@ -379,13 +376,16 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 def _emit(payload: dict, out: str) -> None:
-    # strict JSON: a non-finite float raises ValueError instead of printing NaN
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    # One line through the C encoder: any `indent` selects the pure-Python
+    # one.  Strict JSON: a non-finite float raises ValueError instead of
+    # printing NaN, before any file is opened.  print() writes the text and
+    # the newline separately, so no second copy of the document is built.
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
-        sys.stdout.write(text + "\n")
+        print(text)
 
 
 def main(argv=None) -> int:

@@ -219,9 +219,11 @@ def fixed_point_digits(space: SphereProductSpace, c) -> int | None:
     """Decimal working precision of the real fixed-point sum; None for complex c.
 
     Rejects, before any work, a c at which e^(c H) overflows a double at
-    some fixed point.  For real c the sum equals prod_i 2 sinh(x_i) / rate_i
-    with x_i = c mu_i r_i, while its largest term is prod_i e^|x_i| / |rate_i|,
-    so it cancels D = -sum_i log10(1 - e^(-2|x_i|)) digits.  It runs at
+    some fixed point, and, after the precision cap below, one at which the
+    prefactor (2 pi / c)^n is not finite (_prefactor).  For real c the sum
+    equals prod_i 2 sinh(x_i) / rate_i with x_i = c mu_i r_i, while its
+    largest term is prod_i e^|x_i| / |rate_i|, so it cancels
+    D = -sum_i log10(1 - e^(-2|x_i|)) digits.  It runs at
     max(40, 20 + ceil(D)) digits, at most MAX_DECIMAL_DIGITS.
     """
     scales = [abs(f.weight * f.radius) for f in space.factors]
@@ -232,17 +234,39 @@ def fixed_point_digits(space: SphereProductSpace, c) -> int | None:
             f"= {exponent!r} > log(sys.float_info.max) = {LOG_FLOAT_MAX!r}"
         )
     if isinstance(c, complex):
-        return None
-    loss = 0.0
-    for scale in scales:
-        kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
-        loss -= math.log10(kept) if kept > 0 else -math.inf
-    if not loss <= MAX_DECIMAL_DIGITS - 20:
+        digits = None
+    else:
+        loss = 0.0
+        for scale in scales:
+            kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
+            loss -= math.log10(kept) if kept > 0 else -math.inf
+        if not loss <= MAX_DECIMAL_DIGITS - 20:
+            raise ValueError(
+                f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
+                f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
+            )
+        digits = max(40, 20 + math.ceil(loss))
+    _prefactor(space, c)
+    return digits
+
+
+def _prefactor(space: SphereProductSpace, c):
+    """The float (or complex) prefactor (2 pi / c)^n of the fixed-point sum.
+
+    At tiny |c| it is not finite: 2 pi / c rounds to inf, the power
+    overflows (a float power raises OverflowError) or a complex power
+    comes out inf or nan.  Each case raises a ValueError that names it.
+    """
+    try:
+        value = (TWO_PI / c) ** space.half_dim
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
         raise ValueError(
-            f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
-            f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
+            f"overflow: the prefactor (2 pi / c)^n at c = {c!r}, n = {space.half_dim} "
+            f"is not a finite double"
         )
-    return max(40, 20 + math.ceil(loss))
+    return value
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -262,12 +286,13 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None
     are therefore accumulated in Decimal arithmetic at the precision
     fixed_point_digits sizes to that cancellation (at least 40 digits), which
     leaves about 20 significant digits in the sum before its rounding to a
-    float.  The float prefactor (2 pi / c)^n is not covered: it overflows
-    at tiny c once n >= 2.  The numerators prod_i e^(+-c mu_i r_i) are built
-    by subset doubling, one Decimal multiply per point, in the order of
-    enumerate_fixed_points; the per-factor exponential pairs are cached per
-    (factor, c, digits).  Complex c takes the plain complex path (used by
-    the oscillatory smoke checks at looser tolerance).
+    float.  The prefactor (2 pi / c)^n stays a float (or complex); where it
+    is not finite, fixed_point_digits raises before any work.  The
+    numerators prod_i e^(+-c mu_i r_i) are built by subset doubling, one
+    Decimal multiply per point, in the order of enumerate_fixed_points; the
+    per-factor exponential pairs are cached per (factor, c, digits).
+    Complex c takes the plain complex path (used by the oscillatory smoke
+    checks at looser tolerance).
 
     With via_sqrt_det=True the denominator prod_j l_j is obtained from
     locq.pfaffian.sqrt_det on the assembled block-diagonal linearization
@@ -282,7 +307,7 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None
         denominators = [_pf.sqrt_det(_pf.block_diagonal(p.lambdas)) for p in points]
     else:
         denominators = [math.prod(p.lambdas) for p in points]
-    prefactor = (TWO_PI / c) ** space.half_dim
+    prefactor = _prefactor(space, c)
 
     if isinstance(c, complex):
         total = 0.0 + 0.0j

@@ -8,6 +8,7 @@ lattice point from its gamma-function closed form, and the terminating
 summation instances by direct rational Pochhammer products.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -130,5 +131,6 @@ def test_criterion_10_verify_all_cli(capsys):
     code = cli.main(["verify-all"])
     captured = capsys.readouterr()
     assert code == 0
-    assert '"all_passed": true' in captured.out
+    assert captured.out.count("\n") == 1 and captured.out.endswith("\n")
+    assert json.loads(captured.out)["all_passed"] is True
     print("PASS verify-all: exit status 0")

@@ -24,6 +24,11 @@ def parse_strict(output: str) -> dict:
     return json.loads(output, parse_constant=_reject_constant)
 
 
+def assert_canonical(output: str) -> None:
+    """The output is one line: strict JSON with sorted keys and default separators."""
+    assert output == json.dumps(json.loads(output), sort_keys=True, allow_nan=False) + "\n"
+
+
 class TestDhVerify:
     def test_success(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "1"])
@@ -97,6 +102,16 @@ class TestDhVerify:
         assert code == 0
         assert payload["rel_err"] < 1e-8
         assert payload["diagnostics"]["decimal_digits"] > 40
+
+    @pytest.mark.parametrize(
+        "factors,c", [("1:1,1:1", "1e-300"), ("1:1", "1e-310"), ("1:1,1:1", "1e-300,1e-300")]
+    )
+    def test_prefactor_overflow_is_named(self, run_cli, factors, c):
+        # before: an unnamed OverflowError, or a NaN that only the JSON encoder refused
+        code, out = run_cli(["dh-verify", "--factors", factors, f"--c={c}"])
+        assert code == 2
+        error = parse_strict(out)["error"]
+        assert error.startswith("ValueError: overflow: the prefactor (2 pi / c)^n at c = ")
 
     def test_precision_cap_is_exit_two(self, run_cli):
         # four factors at c = 1e-300 cancel ~1200 digits
@@ -486,14 +501,31 @@ class TestContract:
         assert len(parse_strict(first[1])["suites"]) == 3
         assert run_cli(["verify-all"]) == first
 
+    def test_error_output_is_one_canonical_line(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "0"])
+        assert code == 2
+        assert_canonical(out)
+
+    def test_large_fixed_point_listing(self, run_cli):
+        factors = ",".join(f"{1 + 0.1 * i}:{0.5 + 0.07 * i}" for i in range(12))
+        code, out = run_cli(["dh-verify", "--factors", factors, "--c", "0.3"])
+        assert code == 0
+        assert_canonical(out)
+        points = parse_strict(out)["fixed_points"]
+        assert len(points) == 4096
+        for p in points:
+            assert isinstance(p["pole_signs"], list) and len(p["pole_signs"]) == 12
+            assert isinstance(p["lambdas"], list) and len(p["lambdas"]) == 12
+
     def test_out_file(self, run_cli, tmp_path):
+        argv = ["euler-series", "--chi", "2", "--order", "3"]
         target = tmp_path / "result.json"
-        code, out = run_cli(
-            ["euler-series", "--chi", "2", "--order", "3", "--out", str(target)]
-        )
+        code, out = run_cli([*argv, "--out", str(target)])
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["coeffs"][0] == "1/1"
+        # the file holds exactly the bytes stdout would
+        assert target.read_bytes() == run_cli(argv)[1].encode("utf-8")
 
 
 def readme_examples() -> list[list[str]]:
@@ -514,6 +546,7 @@ def test_readme_example_runs(run_cli, argv):
     code, out = run_cli(argv)
     assert code == 0
     assert parse_strict(out)["config"]["subcommand"] == argv[0]
+    assert_canonical(out)
 
 
 class TestScalarParsing:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -359,6 +360,30 @@ class TestSumPrecision:
         for fn in (dh_rhs, dh_verify):
             with pytest.raises(ValueError, match=r"^overflow: e\^\(c H\) exceeds"):
                 fn(space, c)
+
+    @pytest.mark.parametrize(
+        "pairs,c",
+        [
+            (((1.0, 1.0), (1.0, 1.0)), 1e-300),  # the float power raises OverflowError
+            (((1.0, 1.0),), 1e-310),  # 2 pi / c is already inf
+            (((1.0, 1.0), (1.0, 1.0)), complex(1e-300, 1e-300)),  # the complex power is nan
+        ],
+    )
+    def test_prefactor_overflow_named_before_any_work(self, monkeypatch, pairs, c):
+        space = SphereProductSpace.of(*pairs)
+        self._forbid_work(monkeypatch)
+        for fn in (dh_rhs, dh_verify):
+            with pytest.raises(ValueError, match=r"^overflow: the prefactor \(2 pi / c\)\^n"):
+                fn(space, c)
+
+    def test_prefactor_refused_only_when_not_finite(self):
+        # (2 pi / c)^2 reaches the largest double at c = 2 pi / sqrt(max)
+        space = SphereProductSpace.of((1.0, 1.0), (1.0, 1.0))
+        edge = localization.TWO_PI / math.sqrt(sys.float_info.max)
+        with pytest.raises(ValueError, match="prefactor"):
+            fixed_point_digits(space, edge * (1 - 1e-6))
+        report = dh_verify(space, edge * (1 + 1e-6))
+        assert report.rel_err < 1e-14
 
     def test_imaginary_c_is_not_an_overflow(self):
         assert fixed_point_digits(SphereProductSpace.of((1.0, 1.0)), 1000j) is None
