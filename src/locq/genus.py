@@ -28,20 +28,17 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (
-    BetaSingularityError,
-    NonConvergentError,
-    ScanInconclusiveError,
-    ToleranceUnreachableError,
-)
+from .errors import BetaSingularityError, ScanInconclusiveError
 from .kernel import reciprocal
 from .series import _check_order, _common, _int_pow
-from .spectral import Tau, check_tolerance, factor_cap, q_power
+from .spectral import Tau, check_tolerance, factor_count, q_power
 
 TWO_PI_I = 2j * math.pi
 
 # The period scan evaluates f at 3 (2B + 1)^2 points for trial bound B.
 MAX_TRIAL_BOUND = 64
+# The points x at which the period scan compares f(x + omega) with f(x).
+SCAN_POINTS = (0.31 + 0.17j, -0.23 + 0.41j, 0.11 - 0.29j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,22 +145,9 @@ def _product_factor_count(tau: Tau, q_tol: float, magnitude: float = 1.0) -> int
 
     `magnitude` bounds |e^x| and |e^-x| over the evaluation arguments: the
     dropped factor at index n differs from 1 by up to |q|^n * magnitude.
-    Raises ToleranceUnreachable when the count would exceed LOCQ_MAX_FACTORS.
     """
     check_tolerance(q_tol, "q_tol")
-    absq = abs(q_power(tau, 1))
-    if absq >= 1:
-        raise NonConvergentError("|q| >= 1")
-    cap = factor_cap()
-    m = 1
-    threshold = q_tol / (8.0 * max(magnitude, 1.0))
-    while absq ** (m + 1) / (1 - absq) >= threshold:
-        m += 1
-        if m > cap:
-            raise ToleranceUnreachableError(
-                f"needed more than {cap} factors for q_tol={q_tol}"
-            )
-    return m
+    return factor_count(1.0, abs(q_power(tau, 1)), 1, q_tol / (8.0 * max(magnitude, 1.0)))
 
 
 def _tail_error(tau: Tau, m: int, magnitude: float) -> float:
@@ -339,12 +323,11 @@ def lattice_periodicity_scan(
     trial_bound: int | None = None,
     tol: float = 1e-8,
     q_tol: float = 1e-12,
-    sample_points=(0.31 + 0.17j, -0.23 + 0.41j, 0.11 - 0.29j),
 ) -> PeriodScanReport:
     """Scan lattice translations for exact periods of f.
 
     Tests every omega = 2 pi i (m tau + m') with |m|, |m'| <= trial_bound
-    (N by default, at most MAX_TRIAL_BOUND) at the sample points and keeps
+    (N by default, at most MAX_TRIAL_BOUND) at SCAN_POINTS and keeps
     those with max |f(x+omega) - f(x)| < tol.
     The kept translations must generate a sublattice of index exactly
     N / gcd(k, l, N) in 2 pi i (Z tau + Z), which is N for a primitive
@@ -360,7 +343,7 @@ def lattice_periodicity_scan(
     if bound > MAX_TRIAL_BOUND:
         raise ValueError(f"trial_bound must be at most {MAX_TRIAL_BOUND}, got {bound}")
     tau = level.tau
-    base = [f_point(level, x, q_tol) for x in sample_points]
+    base = [f_point(level, x, q_tol) for x in SCAN_POINTS]
     scale = max(max(abs(v) for v in base), 1.0)
     periods: list[tuple[int, int]] = []
     worst_kept = 0.0
@@ -369,7 +352,7 @@ def lattice_periodicity_scan(
             omega = TWO_PI_I * (m * tau.value + mp)
             dev = max(
                 abs(f_point(level, x + omega, q_tol) - b)
-                for x, b in zip(sample_points, base)
+                for x, b in zip(SCAN_POINTS, base)
             )
             if dev < tol * scale:
                 periods.append((m, mp))

@@ -42,6 +42,8 @@ MAX_FACTORS = 16
 MAX_DECIMAL_DIGITS = 1000
 # e^(c H) fits a double while |Re c| * max_p |H(p)| stays below this.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# Step of the central difference in _numerical_rate.
+RATE_STEP = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +135,7 @@ def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
     ))
 
 
-def _numerical_rate(factor: SphereFactor, pole_sign: int, h: float = 1e-6) -> float:
+def _numerical_rate(factor: SphereFactor, pole_sign: int) -> float:
     """Linearization rate at a pole from the ambient field V(p) = rate * z_hat x p.
 
     The tangent frame at the pole is oriented against the outward normal:
@@ -150,7 +152,7 @@ def _numerical_rate(factor: SphereFactor, pole_sign: int, h: float = 1e-6) -> fl
     ex = np.array([1.0, 0.0, 0.0])
     ey = np.array([0.0, 1.0, 0.0])
     e1, e2 = (ex, ey) if pole_sign > 0 else (ey, ex)
-    dv = (field(pole + h * e1) - field(pole - h * e1)) / (2 * h)
+    dv = (field(pole + RATE_STEP * e1) - field(pole - RATE_STEP * e1)) / (2 * RATE_STEP)
     return float(dv @ e2)
 
 

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import NotSkewSymmetricError, OddDimensionError, SingularMatrixError
 
 SKEW_TOL = 1e-12
+# canonicalize rejects A when its smallest rotation rate is at most this
+# fraction of the largest.
+SINGULAR_TOL = 1e-10
 
 
 class SkewMatrix:
@@ -147,7 +150,7 @@ class CanonicalForm:
         return self.basis @ self.block_matrix() @ self.basis.T
 
 
-def canonicalize(a: SkewMatrix, singular_tol: float = 1e-10) -> CanonicalForm:
+def canonicalize(a: SkewMatrix) -> CanonicalForm:
     """Orthonormal basis putting A into 2x2 rotation blocks.
 
     The rotation rates come from the spectral decomposition of the
@@ -163,7 +166,7 @@ def canonicalize(a: SkewMatrix, singular_tol: float = 1e-10) -> CanonicalForm:
     w, v = np.linalg.eigh(m @ m)  # w ascending, all <= 0
     lam_all = np.sqrt(np.maximum(-w, 0.0))
     scale = float(np.max(lam_all))
-    if scale == 0.0 or float(np.min(lam_all)) <= singular_tol * scale:
+    if scale == 0.0 or float(np.min(lam_all)) <= SINGULAR_TOL * scale:
         raise SingularMatrixError("matrix is singular or nearly singular")
 
     # split the spectrum into groups of (nearly) equal rotation rates and

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    DegenerateParametersError,
-    NonConvergentError,
-    PochhammerZeroDivisionError,
-    ToleranceUnreachableError,
-)
-from .spectral import check_tolerance, factor_cap
+from .errors import DegenerateParametersError, PochhammerZeroDivisionError
+from .spectral import check_tolerance, factor_count
 
 Scalar = Fraction | complex
 
@@ -79,34 +74,21 @@ def pochhammer(a, q, n: int):
     return one / denom
 
 
-def pochhammer_infinite(a, q, tol: float = 1e-12, max_terms: int | None = None):
+def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     """(a;q)_infinity as a truncated product with tail bound below tol.
 
-    The factor count is capped by LOCQ_MAX_FACTORS (default 10**6) unless
-    max_terms overrides it; a tolerance that needs more factors raises
-    ToleranceUnreachable.
+    The product stops after the m factors of spectral.factor_count with
+    the tail bound sum_{k>=m} |a| |q|^k < tol / 2; it is multiplied in
+    complex floats for every input, since the truncation is only
+    accurate to tol anyway.
     """
     check_tolerance(tol)
-    a, q = _coerce(a), _coerce(q)
-    if abs(complex(q)) >= 1:
-        raise NonConvergentError(f"(a;q)_inf requires |q| < 1, got |q|={abs(complex(q))}")
-    if max_terms is None:
-        max_terms = factor_cap()
-    one = _one_like(a * q)
-    out = one
-    apow = a
-    absq = abs(complex(q))
-    abs_apow = abs(complex(a))
-    m = 0
-    while abs_apow / (1 - absq) >= tol / 2 and abs_apow != 0:
-        out *= one - apow
-        apow *= q
-        abs_apow *= absq
-        m += 1
-        if m > max_terms:
-            raise ToleranceUnreachableError(
-                f"(a;q)_inf needed more than {max_terms} factors for tol={tol}"
-            )
+    a, q = complex(_coerce(a)), complex(_coerce(q))
+    m = factor_count(abs(a), abs(q), 0, tol / 2)
+    out = 1 + 0j
+    for _ in range(m):
+        out *= 1 - a
+        a *= q
     return out
 
 

@@ -223,10 +223,6 @@ class FormalSeries:
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coefficients],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FormalSeries":
-        return cls.from_coefficients(data["coeffs"], order=data["order"])
-
     def __repr__(self) -> str:
         terms = []
         for k, c in enumerate(self.coefficients):
@@ -306,18 +302,6 @@ class IntegerProductSpec:
 # ---------------------------------------------------------------------------
 
 
-def _lp_eval_int(p: dict, y: int) -> Fraction:
-    total = Fraction(0)
-    for e, c in p.items():
-        if e >= 0:
-            total += c * Fraction(y) ** e
-        else:
-            if y == 0:
-                raise ZeroDivisionError("negative y-exponent evaluated at y=0")
-            total += c * Fraction(1, y) ** (-e)
-    return total
-
-
 @dataclass(frozen=True, slots=True)
 class BivariateSeries:
     """Power series in q whose coefficients are integer Laurent polynomials in y."""
@@ -337,10 +321,16 @@ class BivariateSeries:
         return dict(self.coeffs[k])
 
     def specialize_y(self, y: int) -> FormalSeries:
-        """Substitute an integer for y, coefficient by coefficient."""
-        return FormalSeries.from_coefficients(
-            [_lp_eval_int(d, y) for d in self.coeffs], order=self.order
-        )
+        """Substitute an integer for y, coefficient by coefficient.
+
+        With s = min(0, lowest y-exponent) every coefficient is the integer
+        sum c y^(e - s) over the common denominator y^-s.
+        """
+        s = min([0, *(e for d in self.coeffs for e in d)])
+        if s and y == 0:
+            raise ZeroDivisionError("negative y-exponent evaluated at y=0")
+        nums = [sum(c * y ** (e - s) for e, c in d.items()) for d in self.coeffs]
+        return FormalSeries._make(self.order, nums, y**-s)
 
     def filter_y(self, y_bound: int) -> "BivariateSeries":
         """Drop y-exponents with |e| > y_bound, marking the result truncated."""
@@ -352,10 +342,6 @@ class BivariateSeries:
             out.append(kept)
         return BivariateSeries._make(self.order, out, self.y_truncated or dropped)
 
-    def max_abs_y_exponent(self) -> int:
-        exps = [abs(e) for d in self.coeffs for e in d]
-        return max(exps, default=0)
-
     def to_json_dict(self) -> dict:
         data = {
             "var": "q",
@@ -365,11 +351,6 @@ class BivariateSeries:
         if self.y_truncated:
             data["y_truncated"] = True
         return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BivariateSeries":
-        coeffs = [{int(e): int(c) for e, c in d.items()} for d in data["coeffs"]]
-        return cls._make(data["order"], coeffs, bool(data.get("y_truncated", False)))
 
 
 def binomial_product(factors, order: int) -> BivariateSeries:

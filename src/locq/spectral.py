@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -126,11 +127,34 @@ class ProductValue:
     s: SValue
 
 
+def factor_count(scale: float, ratio: float, offset: int, threshold: float) -> int:
+    """Factors an infinite product needs: the least m >= 1 with
+
+        scale * ratio ** (offset + m) / (1 - ratio) < threshold,
+
+    the geometric tail bound after m factors whose n-th term is bounded
+    by scale * ratio ** (offset + n).  The one truncation rule of every
+    numeric infinite product.  Raises NonConvergent unless ratio < 1 and
+    ToleranceUnreachable once m would exceed LOCQ_MAX_FACTORS.
+    """
+    if not ratio < 1:
+        raise NonConvergentError(f"a geometric tail needs ratio < 1, got {ratio}")
+    cap = factor_cap()
+    m = 1
+    while not scale * ratio ** (offset + m) / (1.0 - ratio) < threshold:
+        m += 1
+        if m > cap:
+            raise ToleranceUnreachableError(
+                f"needed more than {cap} factors for a tail below {threshold}"
+            )
+    return m
+
+
 def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     """Evaluate prod_{n>=ell} (1 -/+ q^(a n + epsilon)) to relative tolerance.
 
-    The truncation index M is the smallest integer with
-        sum_{n>M} |q^(a n + epsilon)| < rel_tol / 2,
+    The factor count M is the smallest with
+        sum_{n>=ell+M} |q^(a n + epsilon)| < rel_tol / 2,
     a valid bound for the dropped log-factors since |log(1 -/+ w)| <= 2|w|
     for |w| <= 1/2 and the tail factors are eventually that small.  Raises
     ToleranceUnreachable when M would exceed LOCQ_MAX_FACTORS.
@@ -138,30 +162,12 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     check_tolerance(rel_tol, "rel_tol")
     tau = p.tau
     # |q^x| for complex x under the q^x = e^(2 pi i tau x) convention
-    ratio = abs(q_power(tau, p.a))
-    if ratio >= 1:
-        raise NonConvergentError("|q|^a >= 1")
-    abs_eps_part = abs(q_power(tau, p.epsilon))
-    cap = factor_cap()
+    scale, ratio = abs(q_power(tau, p.epsilon)), abs(q_power(tau, p.a))
+    used = factor_count(scale, ratio, p.ell, rel_tol / 2)
     sign = -1.0 if p.sign == "minus" else 1.0
-
     value = 1 + 0j
-    n = p.ell
-    used = 0
-    while True:
-        w = q_power(tau, p.a * n + p.epsilon)
-        # tail after including factor n: sum_{m>n} |q^(a m + eps)| (geometric,
-        # ratio = |q|^a per unit step in m)
-        tail = abs_eps_part * ratio ** (n + 1) / (1.0 - ratio)
-        value *= 1.0 + sign * w
-        used += 1
-        n += 1
-        if tail < rel_tol / 2:
-            break
-        if used >= cap:
-            raise ToleranceUnreachableError(
-                f"needed more than {cap} factors for rel_tol={rel_tol}"
-            )
+    for n in range(p.ell, p.ell + used):
+        value *= 1.0 + sign * q_power(tau, p.a * n + p.epsilon)
     return ProductValue(value=value, factors_used=used, s=s_of_params(p))
 
 
@@ -173,9 +179,15 @@ class ShiftCheck:
 
 
 def branch_shift_check(p: SpectralParams) -> ShiftCheck:
-    """Verify s(plus) - s(minus) == i*sigma(tau) exactly."""
+    """Verify s(plus) - s(minus) == i*sigma(tau) up to its two roundings.
+
+    s(plus) is s(minus) + i*sigma rounded, and the difference is rounded
+    again; each rounding is at most eps * max(|s(plus)|, |s(minus)|).
+    """
     s_minus = s_of_params(p.with_sign("minus")).s
     s_plus = s_of_params(p.with_sign("plus")).s
     expected = 1j * sigma(p.tau)
     diff = s_plus - s_minus
-    return ShiftCheck(difference=diff, expected=expected, passed=diff == expected)
+    bound = 2 * sys.float_info.epsilon * max(abs(s_plus), abs(s_minus))
+    return ShiftCheck(difference=diff, expected=expected,
+                      passed=abs(diff - expected) <= bound)

@@ -273,6 +273,17 @@ class TestQhyperCommand:
         assert code == 2
         assert parse_strict(out)["error"] == "ValueError: window must be at most 4096, got 4097"
 
+    def test_exact_infinite_pochhammer_is_numeric(self, run_cli):
+        # a truncated infinite product is only good to --tol, so exact
+        # inputs are multiplied in floats like any others
+        code, out = run_cli(["qhyper", "pochhammer", "--a", "1/2", "--q", "29/30", "--infinite"])
+        assert code == 0
+        re, im = parse_strict(out)["value"]
+        direct = 1.0
+        for k in range(5000):
+            direct *= 1 - 0.5 * (29 / 30) ** k
+        assert abs(complex(float(re), float(im)) - direct) < 1e-10
+
     def test_pochhammer_zero_base_is_exit_two(self, run_cli):
         code, out = run_cli(["qhyper", "pochhammer", "--a", "1", "--q", "0", "--n", "-2"])
         assert code == 2

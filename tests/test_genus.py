@@ -13,7 +13,6 @@ from locq.genus import (
     XSeries,
     _exp_series,
     _phi_product,
-    _product_factor_count,
     f_point,
     f_series,
     genus_cpm,
@@ -21,7 +20,7 @@ from locq.genus import (
     phi_point,
     phi_series,
 )
-from locq.spectral import Tau
+from locq.spectral import Tau, factor_count, nome
 
 GENERIC_TAU = Tau(0.3 + 1.1j)
 
@@ -192,7 +191,7 @@ def test_negative_order_rejected(build):
 
 def test_factor_cap_is_honored(monkeypatch):
     tau = Tau(0.1j)
-    needed = _product_factor_count(tau, 1e-12)
+    needed = factor_count(1.0, abs(nome(tau)), 1, 1e-12 / 8)
     monkeypatch.setenv("LOCQ_MAX_FACTORS", str(needed))
     assert phi_series(tau, 4).order == 4
     monkeypatch.setenv("LOCQ_MAX_FACTORS", str(needed - 1))

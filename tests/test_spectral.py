@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from locq.errors import ToleranceUnreachableError
+from locq.errors import NonConvergentError, ToleranceUnreachableError
 from locq.series import IntegerProductSpec, expand_product
 from locq.spectral import (
     ProductValue,
@@ -13,6 +14,7 @@ from locq.spectral import (
     branch_shift_check,
     evaluate_product,
     factor_cap,
+    factor_count,
     nome,
     q_power,
     rho,
@@ -60,6 +62,22 @@ class TestSMap:
     def test_branch_shift(self, tau, shift):
         check = branch_shift_check(SpectralParams(1.0, 0.25, 2, "minus", Tau(tau)))
         assert check.passed and check.difference == shift
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.1, 3.0),
+        st.complex_numbers(max_magnitude=5.0),
+        st.integers(0, 4),
+        st.floats(-2.0, 2.0),
+        st.floats(0.3, 3.0),
+    )
+    def test_branch_shift_within_rounding(self, a, eps, ell, re_tau, im_tau):
+        # s(plus) = s(minus) + i sigma is rounded once and the difference
+        # once more, so exact float equality fails for most inputs
+        check = branch_shift_check(
+            SpectralParams(a, eps, ell, "minus", Tau(complex(re_tau, im_tau)))
+        )
+        assert check.passed
 
     def test_affine_in_epsilon(self):
         tau = Tau(0.3 + 0.8j)
@@ -150,3 +168,50 @@ class TestEvaluateProduct:
     def test_factors_used_reported(self):
         result = evaluate_product(SpectralParams(1.0, 0.0, 1, "minus", Tau(1j)))
         assert result.factors_used >= 2
+
+
+# -- the one truncation rule ------------------------------------------------------
+
+
+def tail_below(scale, ratio, offset, threshold, m):
+    return scale * ratio ** (offset + m) / (1.0 - ratio) < threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 0.99),
+    st.integers(0, 5),
+    st.floats(1e-15, 1.0),
+)
+def test_factor_count_is_least_and_capped(scale, ratio, offset, threshold):
+    m = factor_count(scale, ratio, offset, threshold)
+    assert m >= 1 and tail_below(scale, ratio, offset, threshold, m)
+    assert all(not tail_below(scale, ratio, offset, threshold, k) for k in range(1, m))
+    if m > 1:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("LOCQ_MAX_FACTORS", str(m - 1))
+            with pytest.raises(ToleranceUnreachableError):
+                factor_count(scale, ratio, offset, threshold)
+
+
+@given(st.floats(1.0, 1e300) | st.just(math.nan))
+def test_factor_count_needs_ratio_below_one(ratio):
+    with pytest.raises(NonConvergentError):
+        factor_count(1.0, ratio, 0, 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.1, 3.0),
+    st.complex_numbers(max_magnitude=3.0),
+    st.integers(0, 4),
+    st.sampled_from(["minus", "plus"]),
+    st.floats(0.3, 3.0),
+    st.floats(1e-14, 1e-3),
+)
+def test_evaluate_product_uses_factor_count(a, eps, ell, sign, im_tau, rel_tol):
+    tau = Tau(complex(0.2, im_tau))
+    used = evaluate_product(SpectralParams(a, eps, ell, sign, tau), rel_tol).factors_used
+    scale, ratio = abs(q_power(tau, eps)), abs(q_power(tau, a))
+    assert used == factor_count(scale, ratio, ell, rel_tol / 2)
