@@ -11,6 +11,7 @@ configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -277,7 +278,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: parse_args never changes it."""
     parser = _Parser(prog="locq", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -33,6 +33,9 @@ from .series import (
 # Each Betti number sets the pass count of a binomial factor in
 # series.binomial_product, so the cost grows linearly with it.
 MAX_BETTI = 1000
+# |chi| is the exponent of every factor of the Euler-characteristic series,
+# so their coefficients grow with it.
+MAX_CHI = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +141,14 @@ def euler_specialization(b: BettiData, q_order: int) -> EulerSpecializationResul
                                      matches=series == expected)
 
 
+def _check_chi(chi: int) -> None:
+    if abs(chi) > MAX_CHI:
+        raise ValueError(f"|chi| must be at most {MAX_CHI}, got {chi}")
+
+
 def equivariant_euler_series(chi: int, q_order: int) -> FormalSeries:
     """prod_{j>=1} (1 - q^j)^(-chi), exactly to q_order."""
+    _check_chi(chi)
     _check_order(q_order)
     return euler_product([chi] * (q_order + 1), q_order)
 
@@ -158,6 +167,7 @@ def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
     A - D must be even: an odd coefficient is a hard error.  Note the
     constant coefficient is 2, not 1, for every chi.
     """
+    _check_chi(chi)
     _check_order(q_order)
 
     def product(odd: int, two: int, four: int) -> tuple[int, ...]:

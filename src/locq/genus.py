@@ -27,6 +27,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import BetaSingularityError, ScanInconclusiveError
 from .kernel import reciprocal
@@ -216,26 +217,52 @@ def phi_series(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
     return _phi_product(tau, 1.0, x_order, q_tol)
 
 
+class _PointEvaluator:
+    """Pointwise Phi and f at one tau and q_tol, sharing q^n and (1 - q^n)^2.
+
+    The (q^n, (1 - q^n)^2) table grows to the largest factor count asked
+    for so far; a point that needs m factors reads its first m rows, so
+    each value equals that of a fresh evaluator bit for bit.  An evaluator
+    lives for one call or one scan and is never cached across them: tau
+    values that compare equal can differ in the sign of a zero.
+    """
+
+    __slots__ = ("tau", "q_tol", "_rows")
+
+    def __init__(self, tau: Tau, q_tol: float):
+        self.tau = tau
+        self.q_tol = q_tol
+        self._rows: list[tuple[complex, complex]] = []
+
+    def phi(self, x: complex) -> complex:
+        ex, emx = cmath.exp(x), cmath.exp(-x)
+        m = _product_factor_count(self.tau, self.q_tol, max(abs(ex), abs(emx)))
+        rows = self._rows
+        for n in range(len(rows) + 1, m + 1):
+            qn = q_power(self.tau, n)
+            rows.append((qn, (1.0 - qn) ** 2))
+        val = 1.0 - emx
+        for qn, den in islice(rows, m):
+            val *= (1.0 - qn * emx) * (1.0 - qn * ex) / den
+        return val
+
+    def f(self, level: LevelData, x: complex, phi_mb: complex) -> complex:
+        """f(x), given phi_mb = self.phi(-level.beta)."""
+        phi_xb = self.phi(x - level.beta)
+        if abs(phi_xb) < 1e-14:
+            raise BetaSingularityError("x - beta hits a zero of the building block")
+        return cmath.exp(level.k / level.level * x) * self.phi(x) * phi_mb / phi_xb
+
+
 def phi_point(tau: Tau, x: complex, q_tol: float = 1e-12) -> complex:
     """Pointwise numeric evaluation of Phi."""
-    ex, emx = cmath.exp(x), cmath.exp(-x)
-    m = _product_factor_count(tau, q_tol, max(abs(ex), abs(emx)))
-    val = 1.0 - emx
-    for n in range(1, m + 1):
-        qn = q_power(tau, n)
-        val *= (1.0 - qn * emx) * (1.0 - qn * ex) / (1.0 - qn) ** 2
-    return val
+    return _PointEvaluator(tau, q_tol).phi(x)
 
 
 def f_point(level: LevelData, x: complex, q_tol: float = 1e-12) -> complex:
     """Pointwise numeric evaluation of the twisted function f."""
-    tau = level.tau
-    beta = level.beta
-    phi_mb = phi_point(tau, -beta, q_tol)
-    phi_xb = phi_point(tau, x - beta, q_tol)
-    if abs(phi_xb) < 1e-14:
-        raise BetaSingularityError("x - beta hits a zero of the building block")
-    return cmath.exp(level.k / level.level * x) * phi_point(tau, x, q_tol) * phi_mb / phi_xb
+    points = _PointEvaluator(level.tau, q_tol)
+    return points.f(level, x, points.phi(-level.beta))
 
 
 def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
@@ -343,7 +370,10 @@ def lattice_periodicity_scan(
     if bound > MAX_TRIAL_BOUND:
         raise ValueError(f"trial_bound must be at most {MAX_TRIAL_BOUND}, got {bound}")
     tau = level.tau
-    base = [f_point(level, x, q_tol) for x in SCAN_POINTS]
+    # Phi(-beta) and the q^n table are computed once for all 3 (2B + 1)^2 points
+    points = _PointEvaluator(tau, q_tol)
+    phi_mb = points.phi(-level.beta)
+    base = [points.f(level, x, phi_mb) for x in SCAN_POINTS]
     scale = max(max(abs(v) for v in base), 1.0)
     periods: list[tuple[int, int]] = []
     worst_kept = 0.0
@@ -351,7 +381,7 @@ def lattice_periodicity_scan(
         for mp in range(-bound, bound + 1):
             omega = TWO_PI_I * (m * tau.value + mp)
             dev = max(
-                abs(f_point(level, x + omega, q_tol) - b)
+                abs(points.f(level, x + omega, phi_mb) - b)
                 for x, b in zip(SCAN_POINTS, base)
             )
             if dev < tol * scale:

@@ -134,9 +134,12 @@ def factor_count(scale: float, ratio: float, offset: int, threshold: float) -> i
 
     the geometric tail bound after m factors whose n-th term is bounded
     by scale * ratio ** (offset + n).  The one truncation rule of every
-    numeric infinite product.  Raises NonConvergent unless ratio < 1 and
+    numeric infinite product.  Raises ValueError for a NaN or infinite
+    scale, which no m can meet, NonConvergent unless ratio < 1 and
     ToleranceUnreachable once m would exceed LOCQ_MAX_FACTORS.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"a geometric tail needs a finite scale, got {scale}")
     if not ratio < 1:
         raise NonConvergentError(f"a geometric tail needs ratio < 1, got {ratio}")
     cap = factor_cap()

@@ -1,13 +1,16 @@
 """CLI contract: JSON on every exit path, exit codes, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from locq import spectral, verify
+from locq import cli, spectral, verify
 from locq.spectral import SpectralParams, Tau
 
 
@@ -442,6 +445,8 @@ class TestContract:
               "--trial-bound", "65"], "trial_bound must be at most 64, got 65"),
             (["period-scan", "--tau", "0.3,1.1", "--N", "65", "--k", "1", "--l", "0"],
              "trial_bound must be at most 64, got 65"),
+            (["euler-series", "--chi", "1000001"], "|chi| must be at most 1000, got 1000001"),
+            (["twisted-sym", "--chi=-1001"], "|chi| must be at most 1000, got -1001"),
         ],
     )
     def test_input_above_cap_is_exit_two(self, run_cli, argv, error):
@@ -478,6 +483,22 @@ class TestContract:
         code, out = run_cli([*argv, f"{flag}={value}"])
         assert code == 2
         assert "must be positive and finite, got" in parse_strict(out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["qhyper", "pochhammer", "--a", "nan", "--q", "0.5", "--infinite"], "nan"),
+            (["qhyper", "pochhammer", "--a", "inf", "--q", "0.5", "--infinite"], "inf"),
+            (["spectral-eval", "--a", "1", "--epsilon", "nan", "--tau", "0,1"], "nan"),
+        ],
+    )
+    def test_non_finite_product_scale_is_exit_two(self, run_cli, monkeypatch, argv, value):
+        # named before the factor loop: one allowed factor would not be enough
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "1")
+        code, out = run_cli(argv)
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            f"ValueError: a geometric tail needs a finite scale, got {value}")
 
     @pytest.mark.parametrize(
         "argv",
@@ -537,6 +558,37 @@ class TestContract:
         assert json.loads(target.read_text())["coeffs"][0] == "1/1"
         # the file holds exactly the bytes stdout would
         assert target.read_bytes() == run_cli(argv)[1].encode("utf-8")
+
+
+def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
+    """One process: a usage error, a success, a handler error, then --out.
+
+    Each document equals, byte for byte, that of a fresh `python -m locq`
+    with the same argv, and the parser is built once for all four calls.
+    """
+    cli.build_parser.cache_clear()
+    monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    cases = [
+        (["nope"], 2),
+        (["period-scan", "--tau", "0.3,1.1", "--N", "3", "--k", "1", "--l", "2"], 0),
+        (["dh-verify", "--factors", "1:1", "--c", "0"], 2),
+        (["euler-series", "--chi", "2", "--order", "3", "--out", "OUT"], 0),
+    ]
+    for argv, status in cases:
+        in_process = [str(tmp_path / "in.json") if a == "OUT" else a for a in argv]
+        fresh = [str(tmp_path / "fresh.json") if a == "OUT" else a for a in argv]
+        code, out = run_cli(in_process)
+        proc = subprocess.run([sys.executable, "-m", "locq", *fresh], env=env,
+                              capture_output=True, check=False)
+        assert (code, proc.returncode) == (status, status), argv
+        assert out.encode("utf-8") == proc.stdout, argv
+        if "OUT" in argv:
+            assert out == ""
+            assert (tmp_path / "in.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        else:
+            assert_canonical(out)
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def readme_examples() -> list[list[str]]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locq.genfunc import (
+    MAX_CHI,
     BettiData,
     GradedSymBasis,
     equivariant_euler_series,
@@ -164,6 +165,16 @@ class TestTwisted:
         c_minus = ring_binomials(even, -1, order).int_pow(chi)
         expect = a + b * (1 + Fraction(1, 2) * (c_plus - c_minus))
         assert twisted_sym_series(chi, order) == expect
+
+
+@pytest.mark.parametrize("build", [equivariant_euler_series, twisted_sym_series])
+def test_chi_is_bounded(build):
+    assert build(MAX_CHI, 3).coefficients[0] in (1, 2)
+    assert build(-MAX_CHI, 3).coefficients[0] in (1, 2)
+    for chi in (MAX_CHI + 1, -MAX_CHI - 1, 10**6 + 1):
+        # checked before the order, which -1 would otherwise fail
+        with pytest.raises(ValueError, match=rf"^\|chi\| must be at most {MAX_CHI}, got {chi}$"):
+            build(chi, -1)
 
 
 class TestOrbifold:

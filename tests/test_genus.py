@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locq import genus
 from locq.errors import ScanInconclusiveError, ToleranceUnreachableError
 from locq.genus import (
     LevelData,
@@ -124,6 +125,39 @@ class TestPeriodScan:
             lattice_periodicity_scan(
                 LevelData(2, 1, 0, GENERIC_TAU), trial_bound=2, tol=1e-30
             )
+
+    def test_alternating_tau_matches_each_alone(self):
+        # -0.0 and 0.0 compare equal as tau; nothing may be shared across scans
+        levels = [LevelData(2, 1, 0, Tau(complex(-0.0, 1.0))),
+                  LevelData(2, 1, 0, Tau(complex(0.0, 1.0))),
+                  LevelData(3, 1, 2, GENERIC_TAU)]
+        alone = [repr(lattice_periodicity_scan(lvl)) for lvl in levels]
+        for _ in range(2):
+            for lvl, want in zip(levels, alone):
+                assert repr(lattice_periodicity_scan(lvl)) == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(-0.5, 0.5), st.floats(0.8, 1.5), st.sampled_from(
+        [(2, 1, 0), (2, 1, 1), (3, 1, 2), (3, 0, 1)]))
+    def test_scanned_values_are_f_point(self, re_tau, im_tau, nkl):
+        level = LevelData(*nkl, Tau(complex(re_tau, im_tau)))
+        seen = []
+        scan_f = genus._PointEvaluator.f
+
+        def recording(self, lvl, x, phi_mb):
+            seen.append((x, scan_f(self, lvl, x, phi_mb)))
+            return seen[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(genus._PointEvaluator, "f", recording)
+            try:
+                lattice_periodicity_scan(level)
+            except ScanInconclusiveError:
+                pass
+        assert len(seen) == 3 * (1 + (2 * level.level + 1) ** 2)
+        for x, value in seen:
+            # repr round-trips each float: bit identity, signs of zero included
+            assert repr(value) == repr(f_point(level, x)), x
 
 
 class TestGenus:

@@ -201,6 +201,21 @@ def test_factor_count_needs_ratio_below_one(ratio):
         factor_count(1.0, ratio, 0, 1e-12)
 
 
+@given(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(0.0, 0.99),
+    st.integers(0, 5),
+    st.floats(1e-15, 1.0),
+)
+def test_factor_count_needs_finite_scale(scale, ratio, offset, threshold):
+    # rejected before the loop: a cap of one factor would otherwise raise
+    # ToleranceUnreachable after the first step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LOCQ_MAX_FACTORS", "1")
+        with pytest.raises(ValueError, match=f"finite scale, got {scale}$"):
+            factor_count(scale, ratio, offset, threshold)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(0.1, 3.0),
