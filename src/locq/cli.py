@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -91,6 +92,15 @@ def scalar_json(value):
     return cpx(value)
 
 
+class _Encoded:
+    """A payload value given as strict JSON text, in chunks, for _emit."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+
 def xseries_json(series: genus.XSeries) -> dict:
     return {
         "var": "x",
@@ -139,6 +149,43 @@ def _cmd_pfaffian(args) -> tuple[dict, int]:
     }, 0
 
 
+def _joined_products(pairs: list[tuple[str, str]]) -> list[str]:
+    """The texts "x_1, ..., x_n" for x in itertools.product(*pairs), in order.
+
+    Built by subset doubling, first pair slowest: each child text is its
+    parent's plus ", " and the child's element.
+    """
+    texts = list(pairs[0])
+    for pair in pairs[1:]:
+        tails = [", " + e for e in pair]
+        texts = [t + e for t in texts for e in tails]
+    return texts
+
+
+def _fixed_point_listing(space: SphereProductSpace, points) -> _Encoded:
+    """The fixed-point listing as json.dumps(sort_keys=True) writes it, in chunks.
+
+    `points` is enumerate_fixed_points(space), and each point's object is
+    {"H": ..., "lambdas": [...], "pole_signs": [...]}.  Its lambdas are the
+    factor rates with its signs applied and its pole_signs depend only on
+    n, so both array texts are built by subset doubling from the repr of
+    the 2n signed rates; H takes float.__repr__ once per point, as the C
+    encoder does.  A non-finite rate or H raises the encoder's own
+    ValueError (strict JSON).
+    """
+    rates = [f.rate for f in space.factors]
+    h_values = [p.h_value for p in points]
+    if not (all(map(math.isfinite, rates)) and all(map(math.isfinite, h_values))):
+        # raises at the first non-finite value in document order
+        json.dumps([(p.h_value, p.lambdas) for p in points], allow_nan=False)
+    lambdas = _joined_products([(repr(r), repr(-r)) for r in rates])
+    signs = _joined_products([("1", "-1")] * space.half_dim)
+    separators = itertools.chain(("[",), itertools.repeat(", "))
+    objects = map('{}{{"H": {}, "lambdas": [{}], "pole_signs": [{}]}}'.format,
+                  separators, map(float.__repr__, h_values), lambdas, signs)
+    return _Encoded(itertools.chain(objects, ("]",)))
+
+
 def _cmd_dh_verify(args) -> tuple[dict, int]:
     space = parse_factors(args.factors)
     c = parse_complex(args.c)
@@ -154,10 +201,7 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
         "lhs": cpx(report.lhs) if isinstance(report.lhs, complex) else report.lhs,
         "rhs": cpx(report.rhs) if isinstance(report.rhs, complex) else report.rhs,
         "rel_err": report.rel_err,
-        "fixed_points": [
-            {"pole_signs": p.pole_signs, "H": p.h_value, "lambdas": p.lambdas}
-            for p in report.fixed_points
-        ],
+        "fixed_points": _fixed_point_listing(space, report.fixed_points),
         "tolerance": tol,
         "diagnostics": {
             "path": "complex" if report.decimal_digits is None else "decimal",
@@ -381,14 +425,27 @@ def _config_echo(args: argparse.Namespace) -> dict:
 def _emit(payload: dict, out: str) -> None:
     # One line through the C encoder: any `indent` selects the pure-Python
     # one.  Strict JSON: a non-finite float raises ValueError instead of
-    # printing NaN, before any file is opened.  print() writes the text and
-    # the newline separately, so no second copy of the document is built.
-    text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    # printing NaN, before any file is opened.  A value that is already text
+    # (_Encoded, at most one) goes in at its sorted-key position between the
+    # encoded keys either side.  The pieces are written one by one, so no
+    # second copy of the document is built.
+    encode = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
+    key = next((k for k, v in payload.items() if isinstance(v, _Encoded)), None)
+    if key is None:
+        pieces = (encode(payload), "\n")
+    else:
+        head = encode({k: v for k, v in payload.items() if k < key})[:-1]
+        tail = encode({k: v for k, v in payload.items() if k > key})[1:]
+        pieces = itertools.chain(
+            (head, ", " if head != "{" else "", encode(key), ": "),
+            payload[key].chunks,
+            (", " if tail != "}" else "", tail, "\n"),
+        )
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,7 @@ from itertools import islice
 from .errors import BetaSingularityError, ScanInconclusiveError
 from .kernel import reciprocal
 from .series import _check_order, _common, _int_pow
-from .spectral import Tau, check_tolerance, factor_count, q_power
+from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
 TWO_PI_I = 2j * math.pi
 
@@ -141,14 +141,15 @@ def _exp_series(rate: complex, order: int) -> XSeries:
     return XSeries._make(coeffs)
 
 
-def _product_factor_count(tau: Tau, q_tol: float, magnitude: float = 1.0) -> int:
-    """Number of q-product factors for a truncation tail below q_tol.
+def _product_factor_count(absq: float, q_tol: float, magnitude: float,
+                          cap: int | None = None) -> int:
+    """Number of q-product factors for a truncation tail below q_tol, at |q| = absq.
 
     `magnitude` bounds |e^x| and |e^-x| over the evaluation arguments: the
     dropped factor at index n differs from 1 by up to |q|^n * magnitude.
+    `cap` is factor_cap(), which factor_count reads when it is not given.
     """
-    check_tolerance(q_tol, "q_tol")
-    return factor_count(1.0, abs(q_power(tau, 1)), 1, q_tol / (8.0 * max(magnitude, 1.0)))
+    return factor_count(1.0, absq, 1, q_tol / (8.0 * max(magnitude, 1.0)), cap)
 
 
 def _tail_error(tau: Tau, m: int, magnitude: float) -> float:
@@ -179,8 +180,9 @@ def _phi_product(tau: Tau, u: complex, x_order: int, q_tol: float) -> XSeries:
     under-covers: at u = e^beta, M reaches e^(2 pi Im tau (N-1)/N).
     """
     _check_order(x_order)
+    check_tolerance(q_tol, "q_tol")
     magnitude = max(abs(u), 1.0 / abs(u))
-    m = _product_factor_count(tau, q_tol, magnitude)
+    m = _product_factor_count(abs(q_power(tau, 1)), q_tol, magnitude)
     # (1 - u e^-x): coefficient k >= 1 is -u (-1)^k / k!
     lead = [1.0 - u]
     term = 1.0 + 0j
@@ -224,19 +226,25 @@ class _PointEvaluator:
     for so far; a point that needs m factors reads its first m rows, so
     each value equals that of a fresh evaluator bit for bit.  An evaluator
     lives for one call or one scan and is never cached across them: tau
-    values that compare equal can differ in the sign of a zero.
+    values that compare equal can differ in the sign of a zero, and
+    LOCQ_MAX_FACTORS, which it reads once, like |q|, may change between
+    scans.
     """
 
-    __slots__ = ("tau", "q_tol", "_rows")
+    __slots__ = ("tau", "q_tol", "_absq", "_cap", "_rows")
 
     def __init__(self, tau: Tau, q_tol: float):
+        check_tolerance(q_tol, "q_tol")
         self.tau = tau
         self.q_tol = q_tol
+        self._absq = abs(q_power(tau, 1))
+        # factor_count rejects |q| >= 1 before it reads the cap; so does this
+        self._cap = factor_cap() if self._absq < 1 else None
         self._rows: list[tuple[complex, complex]] = []
 
     def phi(self, x: complex) -> complex:
         ex, emx = cmath.exp(x), cmath.exp(-x)
-        m = _product_factor_count(self.tau, self.q_tol, max(abs(ex), abs(emx)))
+        m = _product_factor_count(self._absq, self.q_tol, max(abs(ex), abs(emx)), self._cap)
         rows = self._rows
         for n in range(len(rows) + 1, m + 1):
             qn = q_power(self.tau, n)

@@ -228,6 +228,11 @@ def fixed_point_digits(space: SphereProductSpace, c) -> int | None:
     D = -sum_i log10(1 - e^(-2|x_i|)) digits.  It runs at
     max(40, 20 + ceil(D)) digits, at most MAX_DECIMAL_DIGITS.
     """
+    return _size_sum(space, c)[0]
+
+
+def _size_sum(space: SphereProductSpace, c):
+    """(fixed_point_digits(space, c), _prefactor(space, c)), each computed once."""
     scales = [abs(f.weight * f.radius) for f in space.factors]
     exponent = abs(c.real) * sum(scales)
     if not exponent <= LOG_FLOAT_MAX:
@@ -248,8 +253,7 @@ def fixed_point_digits(space: SphereProductSpace, c) -> int | None:
                 f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
             )
         digits = max(40, 20 + math.ceil(loss))
-    _prefactor(space, c)
-    return digits
+    return digits, _prefactor(space, c)
 
 
 def _prefactor(space: SphereProductSpace, c):
@@ -302,14 +306,19 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None
     enumerate_fixed_points(space) when the caller already has it.
     """
     _check_c(c)
-    digits = fixed_point_digits(space, c)
+    digits, prefactor = _size_sum(space, c)
     if points is None:
         points = enumerate_fixed_points(space)
+    return _fixed_point_sum(space, c, points, digits, prefactor, via_sqrt_det)
+
+
+def _fixed_point_sum(space: SphereProductSpace, c, points, digits, prefactor,
+                     via_sqrt_det: bool = False):
+    """dh_rhs once its check is sized: digits and prefactor are _size_sum's."""
     if via_sqrt_det:
         denominators = [_pf.sqrt_det(_pf.block_diagonal(p.lambdas)) for p in points]
     else:
         denominators = [math.prod(p.lambdas) for p in points]
-    prefactor = _prefactor(space, c)
 
     if isinstance(c, complex):
         total = 0.0 + 0.0j
@@ -348,9 +357,9 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64, points=None) 
     caller already has it, as for dh_rhs.
     """
     _check_c(c)
-    digits = fixed_point_digits(space, c)
+    digits, prefactor = _size_sum(space, c)
     lhs = dh_lhs(space, c, quad_points)
     points = tuple(enumerate_fixed_points(space) if points is None else points)
-    rhs = dh_rhs(space, c, points=points)
+    rhs = _fixed_point_sum(space, c, points, digits, prefactor)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return DHReport(lhs=lhs, rhs=rhs, rel_err=rel, fixed_points=points, decimal_digits=digits)

@@ -127,7 +127,8 @@ class ProductValue:
     s: SValue
 
 
-def factor_count(scale: float, ratio: float, offset: int, threshold: float) -> int:
+def factor_count(scale: float, ratio: float, offset: int, threshold: float,
+                 cap: int | None = None) -> int:
     """Factors an infinite product needs: the least m >= 1 with
 
         scale * ratio ** (offset + m) / (1 - ratio) < threshold,
@@ -136,13 +137,15 @@ def factor_count(scale: float, ratio: float, offset: int, threshold: float) -> i
     by scale * ratio ** (offset + n).  The one truncation rule of every
     numeric infinite product.  Raises ValueError for a NaN or infinite
     scale, which no m can meet, NonConvergent unless ratio < 1 and
-    ToleranceUnreachable once m would exceed LOCQ_MAX_FACTORS.
+    ToleranceUnreachable once m would exceed LOCQ_MAX_FACTORS.  A caller
+    that counts many products at once may pass factor_cap() as `cap`.
     """
     if not math.isfinite(scale):
         raise ValueError(f"a geometric tail needs a finite scale, got {scale}")
     if not ratio < 1:
         raise NonConvergentError(f"a geometric tail needs ratio < 1, got {ratio}")
-    cap = factor_cap()
+    if cap is None:
+        cap = factor_cap()
     m = 1
     while not scale * ratio ** (offset + m) / (1.0 - ratio) < threshold:
         m += 1

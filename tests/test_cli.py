@@ -1,5 +1,7 @@
 """CLI contract: JSON on every exit path, exit codes, determinism."""
 
+import cmath
+import itertools
 import json
 import os
 import shlex
@@ -9,8 +11,9 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from locq import cli, spectral, verify
+from locq import cli, localization, spectral, verify
 from locq.spectral import SpectralParams, Tau
 
 
@@ -179,6 +182,120 @@ class TestDhVerify:
         ]
         code2, out2 = run_cli(argv)
         assert (code1, out1) == (code2, out2)
+
+
+def dict_listing(space, points) -> list[dict]:
+    """The fixed-point listing as dicts, for json.dumps: the encoder oracle."""
+    return [{"pole_signs": p.pole_signs, "H": p.h_value, "lambdas": p.lambdas} for p in points]
+
+
+def run_with_dict_listing(run_cli, argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_fixed_point_listing", dict_listing)
+        return run_cli(argv)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reported by the first difference: a plain assert has pytest
+    diff megabyte documents on every failing example Hypothesis shrinks."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        raise AssertionError(f"differ at {at}: {got[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
+def text_or_error(encode):
+    try:
+        return encode()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# magnitudes from subnormal to near the largest double, so that rates mu / r
+# and H = sum s mu r also overflow, and reprs take every exponent form
+radii = st.floats(min_value=5e-324, max_value=1e300)
+weights = st.floats(min_value=-1e300, max_value=1e300).filter(lambda w: w != 0)
+moderate = st.one_of(st.floats(1e-12, 1e-3), st.floats(0.1, 10.0), st.floats(1e3, 1e12))
+signed_moderate = st.tuples(moderate, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+class TestFixedPointListing:
+    """dh-verify's listing text against json.dumps of the per-point dicts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(moderate, signed_moderate), min_size=1, max_size=12),
+        st.one_of(st.none(), st.tuples(radii, weights)),
+        st.integers(0, 11),
+    )
+    def test_listing_matches_dict_encoder(self, pairs, extreme, at):
+        if extreme is not None:
+            pairs = pairs[:11]
+            pairs.insert(at, extreme)
+        space = localization.SphereProductSpace.of(*pairs)
+        points = localization.enumerate_fixed_points(space)
+        listing = text_or_error(lambda: "".join(cli._fixed_point_listing(space, points).chunks))
+        oracle = text_or_error(lambda: json.dumps(dict_listing(space, points),
+                                                  sort_keys=True, allow_nan=False))
+        assert_same_text(listing, oracle)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.tuples(moderate, signed_moderate), min_size=1, max_size=12),
+        st.floats(1e-3, 5.0),
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        st.sampled_from([1.0, -1.0]),
+    )
+    def test_cli_bytes_match_dict_encoder(self, run_cli, pairs, size, angle, sign):
+        # |c| * sum |mu r| = size keeps e^(c H) finite; angle != 0 is complex c
+        c = sign * size / sum(abs(r * mu) for r, mu in pairs) * cmath.exp(1j * angle)
+        c_text = repr(c.real) if angle == 0.0 else f"{c.real!r},{c.imag!r}"
+        argv = ["dh-verify", "--factors", ",".join(f"{r!r}:{mu!r}" for r, mu in pairs),
+                f"--c={c_text}"]
+        code, out = run_cli(argv)
+        oracle_code, oracle_out = run_with_dict_listing(run_cli, argv)
+        assert code == oracle_code
+        assert_same_text(out, oracle_out)
+
+    @pytest.mark.parametrize("argv", [
+        ["--factors", "1:1,2:-3,0.5:0.5", "--c", "0.5"],
+        ["--factors", "1:1,2:3", "--c", "0.3,0.7"],
+        ["--factors", ",".join(f"{1 + 0.1 * i}:{0.5 - 0.07 * i}" for i in range(10)),
+         "--c", "0.3"],
+    ])
+    def test_out_file_matches_dict_encoder(self, run_cli, tmp_path, argv):
+        code, out = run_cli(["dh-verify", *argv, "--out", str(tmp_path / "new.json")])
+        assert out == ""
+        oracle = run_with_dict_listing(
+            run_cli, ["dh-verify", *argv, "--out", str(tmp_path / "old.json")])
+        assert (code, out) == oracle
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert (tmp_path / "new.json").read_bytes() == run_cli(["dh-verify", *argv])[1].encode()
+
+    @pytest.mark.parametrize("factors", ["1e-320:1e10", "1:1,2:3,1e-320:-1e10"])
+    def test_non_finite_rate_is_exit_two_before_any_file(self, run_cli, tmp_path, factors):
+        argv = ["dh-verify", "--factors", factors, "--c", "1"]
+        target = tmp_path / "result.json"
+        code, out = run_cli([*argv, "--out", str(target)])
+        assert (code, out) == run_cli(argv) == run_with_dict_listing(run_cli, argv)
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            "ValueError: Out of range float values are not JSON compliant")
+        assert not target.exists()
+
+    def test_points_in_enumeration_order(self, run_cli):
+        pairs = [(1.5, 0.25), (0.5, -2.0), (2.0, 3.0), (0.75, -0.5)]
+        code, out = run_cli(["dh-verify", "--factors", ",".join(f"{r}:{mu}" for r, mu in pairs),
+                             "--c", "0.4"])
+        assert code == 0
+        listing = parse_strict(out)["fixed_points"]
+        points = localization.enumerate_fixed_points(localization.SphereProductSpace.of(*pairs))
+        assert [p["pole_signs"] for p in listing] == [
+            list(signs) for signs in itertools.product((1, -1), repeat=len(pairs))]
+        assert [(p["H"], p["lambdas"]) for p in listing] == [
+            (p.h_value, list(p.lambdas)) for p in points]
 
 
 class TestSpectralEval:

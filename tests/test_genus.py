@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locq import genus
-from locq.errors import ScanInconclusiveError, ToleranceUnreachableError
+from locq import genus, spectral
+from locq.errors import NonConvergentError, ScanInconclusiveError, ToleranceUnreachableError
 from locq.genus import (
     LevelData,
     XSeries,
@@ -158,6 +158,59 @@ class TestPeriodScan:
         for x, value in seen:
             # repr round-trips each float: bit identity, signs of zero included
             assert repr(value) == repr(f_point(level, x)), x
+
+
+class TestPointEvaluatorHoist:
+    """The evaluator reads |q| and LOCQ_MAX_FACTORS once, not once per point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-0.5, 0.5), st.floats(0.3, 2.0), st.complex_numbers(max_magnitude=6.0),
+           st.sampled_from([1e-6, 1e-12, 1e-15]))
+    def test_factor_counts_and_values_match_per_point_rule(self, re_tau, im_tau, x, q_tol):
+        tau = Tau(complex(re_tau, im_tau))
+        # the per-point rule, |q| and the cap read afresh
+        magnitude = max(abs(cmath.exp(x)), abs(cmath.exp(-x)), 1.0)
+        m = factor_count(1.0, abs(genus.q_power(tau, 1)), 1, q_tol / (8.0 * magnitude))
+        counts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(genus, "factor_count",
+                       lambda *a: counts.append(factor_count(*a)) or counts[-1])
+            value = genus._PointEvaluator(tau, q_tol).phi(x)
+        assert counts == [m]
+        # Phi as the plain truncated product at this point
+        want = 1.0 - cmath.exp(-x)
+        for n in range(1, m + 1):
+            qn = genus.q_power(tau, n)
+            want *= (1.0 - qn * cmath.exp(-x)) * (1.0 - qn * cmath.exp(x)) / (1.0 - qn) ** 2
+        assert repr(value) == repr(want)
+
+    def test_cap_read_once_per_scan(self, monkeypatch):
+        reads = []
+        read = spectral.factor_cap
+        for module in (genus, spectral):  # every route to LOCQ_MAX_FACTORS
+            monkeypatch.setattr(module, "factor_cap", lambda: reads.append(1) or read())
+        lattice_periodicity_scan(LevelData(3, 1, 2, GENERIC_TAU))
+        lattice_periodicity_scan(LevelData(2, 1, 0, GENERIC_TAU))
+        assert len(reads) == 2
+
+    def test_cap_set_between_scans_applies_to_the_next(self, monkeypatch):
+        level = LevelData(3, 1, 2, GENERIC_TAU)
+        monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
+        first = lattice_periodicity_scan(level)
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "2")
+        with pytest.raises(ToleranceUnreachableError, match="more than 2 factors"):
+            lattice_periodicity_scan(level)
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "0")
+        with pytest.raises(ValueError, match="LOCQ_MAX_FACTORS must be a positive integer"):
+            lattice_periodicity_scan(level)
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "1000")
+        assert repr(lattice_periodicity_scan(level)) == repr(first)
+
+    def test_non_convergent_before_the_cap(self, monkeypatch):
+        # |q| rounds to 1 here; that is named even when the cap is invalid
+        monkeypatch.setenv("LOCQ_MAX_FACTORS", "0")
+        with pytest.raises(NonConvergentError):
+            phi_point(Tau(complex(0.0, 1e-300)), 0.5)
 
 
 class TestGenus:

@@ -284,6 +284,27 @@ class TestSubsetDoubling:
         given_points = dh_verify(space, c, points=enumerate_fixed_points(space))
         assert given_points == dh_verify(space, c)
 
+    @pytest.mark.parametrize("c", [0.7, -1e-9, complex(0.3, 0.4)])
+    def test_each_check_sized_once(self, monkeypatch, c):
+        calls = []
+        for name in ("_size_sum", "_prefactor"):
+            original = getattr(localization, name)
+            monkeypatch.setattr(localization, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        space = SphereProductSpace.of((1.0, 2.0), (0.5, -1.5), (2.0, 0.25))
+        for run in (lambda: dh_verify(space, c), lambda: dh_rhs(space, c),
+                    lambda: dh_rhs(space, c, via_sqrt_det=True)):
+            calls.clear()
+            run()
+            assert calls == ["_size_sum", "_prefactor"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(space=_spaces, c=st.one_of(_real_cs, st.builds(complex, _real_cs, _real_cs)))
+    def test_verify_rhs_is_dh_rhs(self, space, c):
+        report = dh_verify(space, c)
+        assert repr(report.rhs) == repr(dh_rhs(space, c))
+        assert report.decimal_digits == fixed_point_digits(space, c)
+
     def test_numerical_rates_run_twice_per_factor(self, monkeypatch):
         calls = []
         rate = localization._numerical_rate
