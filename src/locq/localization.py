@@ -20,10 +20,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,11 +115,7 @@ def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
     at each pole (cross-check path), two per factor.  More than MAX_FACTORS
     factors are rejected.
     """
-    if space.half_dim > MAX_FACTORS:
-        raise ValueError(
-            f"at most {MAX_FACTORS} sphere factors (2^{MAX_FACTORS} fixed points), "
-            f"got {space.half_dim}"
-        )
+    _check_factor_count(space)
     # s * (mu * r) == (s * mu) * r exactly for s = +-1, so each factor adds
     # +-(mu * r) to its parent's H
     h_values = [0]
@@ -133,6 +132,14 @@ def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
         h_values,
         itertools.product(*rate_pairs),
     ))
+
+
+def _check_factor_count(space: SphereProductSpace) -> None:
+    if space.half_dim > MAX_FACTORS:
+        raise ValueError(
+            f"at most {MAX_FACTORS} sphere factors (2^{MAX_FACTORS} fixed points), "
+            f"got {space.half_dim}"
+        )
 
 
 def _numerical_rate(factor: SphereFactor, pole_sign: int) -> float:
@@ -232,9 +239,35 @@ def fixed_point_digits(space: SphereProductSpace, c) -> int | None:
 
 
 def _size_sum(space: SphereProductSpace, c):
-    """(fixed_point_digits(space, c), _prefactor(space, c)), each computed once."""
-    scales = [abs(f.weight * f.radius) for f in space.factors]
-    exponent = abs(c.real) * sum(scales)
+    """(fixed_point_digits(space, c), _prefactor(n, c)), each computed once."""
+    sizes = (0, 0.0)
+    for f in space.factors:
+        sizes = _size_step(sizes, f, c)
+    return _sized(sizes, c, space.half_dim)
+
+
+def _size_step(sizes, factor: SphereFactor, c):
+    """The sizes of a check extended by one factor.
+
+    sizes is (sum_i |mu_i r_i|, loss), both left folds over the factors,
+    from int 0 and from 0.0; loss, the digits the real sum cancels, stays
+    0.0 for complex c.
+    """
+    scale_sum, loss = sizes
+    scale = abs(factor.weight * factor.radius)
+    if not isinstance(c, complex):
+        kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
+        loss -= math.log10(kept) if kept > 0 else -math.inf
+    return scale_sum + scale, loss
+
+
+def _sized(sizes, c, n: int):
+    """(digits, prefactor) of a check on n factors with these sizes.
+
+    Raises the ValueError of fixed_point_digits where the check cannot run.
+    """
+    scale_sum, loss = sizes
+    exponent = abs(c.real) * scale_sum
     if not exponent <= LOG_FLOAT_MAX:
         raise ValueError(
             f"overflow: e^(c H) exceeds the largest double, since |Re c| * sum |mu_i r_i| "
@@ -243,20 +276,16 @@ def _size_sum(space: SphereProductSpace, c):
     if isinstance(c, complex):
         digits = None
     else:
-        loss = 0.0
-        for scale in scales:
-            kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
-            loss -= math.log10(kept) if kept > 0 else -math.inf
         if not loss <= MAX_DECIMAL_DIGITS - 20:
             raise ValueError(
                 f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
                 f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
             )
         digits = max(40, 20 + math.ceil(loss))
-    return digits, _prefactor(space, c)
+    return digits, _prefactor(n, c)
 
 
-def _prefactor(space: SphereProductSpace, c):
+def _prefactor(n: int, c):
     """The float (or complex) prefactor (2 pi / c)^n of the fixed-point sum.
 
     At tiny |c| it is not finite: 2 pi / c rounds to inf, the power
@@ -264,12 +293,12 @@ def _prefactor(space: SphereProductSpace, c):
     comes out inf or nan.  Each case raises a ValueError that names it.
     """
     try:
-        value = (TWO_PI / c) ** space.half_dim
+        value = (TWO_PI / c) ** n
     except OverflowError:
         value = math.inf
     if not cmath.isfinite(value):
         raise ValueError(
-            f"overflow: the prefactor (2 pi / c)^n at c = {c!r}, n = {space.half_dim} "
+            f"overflow: the prefactor (2 pi / c)^n at c = {c!r}, n = {n} "
             f"is not a finite double"
         )
     return value
@@ -284,6 +313,47 @@ def _exp_pair(factor: SphereFactor, c, digits: int) -> tuple[Decimal, Decimal]:
         return x.exp(), (-x).exp()
 
 
+def _denominators(factors, dens=(1,)) -> list[float]:
+    """The denominators prod_j l_j, `dens` extended by `factors`.
+
+    Subset doubling by the signed rates, in the order of
+    enumerate_fixed_points: from int 1, each point's denominator is the
+    left-to-right product math.prod takes over its rates.
+    """
+    for f in factors:
+        rate = f.rate
+        dens = [d * l for d in dens for l in (rate, -rate)]
+    return dens
+
+
+def _exact(denominators) -> list[Decimal]:
+    """Each denominator as the Decimal equal to it."""
+    # a float's Decimal conversion costs more than the division, and the
+    # analytic denominators take two values, +-prod_i |rate_i|
+    exact = {den: Decimal(den) for den in set(denominators)}
+    return [exact[den] for den in denominators]
+
+
+def _decimal_sum(factors, c, digits: int, prefactor, denominators, terms=(Decimal(1),)):
+    """The real fixed-point sum and its numerators, at `digits` digits.
+
+    The numerators prod_i e^(+-c mu_i r_i) are `terms` extended by
+    `factors`, by subset doubling in the order of enumerate_fixed_points:
+    each factor splits every term into its north and south child, one
+    Decimal multiply each.  Returns prefactor * sum_p numerators[p] /
+    denominators[p] (Decimals, see _exact), each quotient and each partial
+    sum, left to right from Decimal(0), rounded to `digits` digits, and
+    the numerators.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        for f in factors:
+            e_plus, e_minus = _exp_pair(f, c, digits)
+            terms = [u for t in terms for u in (t * e_plus, t * e_minus)]
+        total = sum(map(operator.truediv, terms, denominators), Decimal(0))
+    return prefactor * float(total), terms
+
+
 def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None):
     """Fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j.
 
@@ -294,20 +364,21 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None
     leaves about 20 significant digits in the sum before its rounding to a
     float.  The prefactor (2 pi / c)^n stays a float (or complex); where it
     is not finite, fixed_point_digits raises before any work.  The
-    numerators prod_i e^(+-c mu_i r_i) are built by subset doubling, one
-    Decimal multiply per point, in the order of enumerate_fixed_points; the
-    per-factor exponential pairs are cached per (factor, c, digits).
-    Complex c takes the plain complex path (used by the oscillatory smoke
-    checks at looser tolerance).
+    numerators prod_i e^(+-c mu_i r_i) and the denominators prod_j l_j are
+    built by subset doubling, one multiply per point, in the order of
+    enumerate_fixed_points; the per-factor exponential pairs are cached per
+    (factor, c, digits).  Complex c takes the plain complex path (used by
+    the oscillatory smoke checks at looser tolerance).
 
     With via_sqrt_det=True the denominator prod_j l_j is obtained from
     locq.pfaffian.sqrt_det on the assembled block-diagonal linearization
     instead of multiplying the analytic rates.  `points` takes the output of
-    enumerate_fixed_points(space) when the caller already has it.
+    enumerate_fixed_points(space) when the caller already has it; only
+    complex c and via_sqrt_det read it.
     """
     _check_c(c)
     digits, prefactor = _size_sum(space, c)
-    if points is None:
+    if points is None and (via_sqrt_det or isinstance(c, complex)):
         points = enumerate_fixed_points(space)
     return _fixed_point_sum(space, c, points, digits, prefactor, via_sqrt_det)
 
@@ -315,30 +386,22 @@ def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None
 def _fixed_point_sum(space: SphereProductSpace, c, points, digits, prefactor,
                      via_sqrt_det: bool = False):
     """dh_rhs once its check is sized: digits and prefactor are _size_sum's."""
+    _check_factor_count(space)
     if via_sqrt_det:
         denominators = [_pf.sqrt_det(_pf.block_diagonal(p.lambdas)) for p in points]
     else:
-        denominators = [math.prod(p.lambdas) for p in points]
+        denominators = _denominators(space.factors)
 
     if isinstance(c, complex):
         total = 0.0 + 0.0j
         for p, den in zip(points, denominators):
             total += cmath.exp(c * p.h_value) / den
         return prefactor * total
+    return _decimal_sum(space.factors, c, digits, prefactor, _exact(denominators))[0]
 
-    with localcontext() as ctx:
-        ctx.prec = digits
-        terms = [Decimal(1)]
-        for f in space.factors:
-            e_plus, e_minus = _exp_pair(f, c, digits)
-            terms = [u for t in terms for u in (t * e_plus, t * e_minus)]
-        # a float's Decimal conversion costs more than the division, and the
-        # analytic denominators take two values, +-prod_i |rate_i|
-        exact = {den: Decimal(den) for den in set(denominators)}
-        total = Decimal(0)
-        for term, den in zip(terms, denominators):
-            total += term / exact[den]
-        return prefactor * float(total)
+
+def _rel_err(lhs, rhs) -> float:
+    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,5 +424,70 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64, points=None) 
     lhs = dh_lhs(space, c, quad_points)
     points = tuple(enumerate_fixed_points(space) if points is None else points)
     rhs = _fixed_point_sum(space, c, points, digits, prefactor)
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return DHReport(lhs=lhs, rhs=rhs, rel_err=rel, fixed_points=points, decimal_digits=digits)
+    return DHReport(lhs=lhs, rhs=rhs, rel_err=_rel_err(lhs, rhs), fixed_points=points,
+                    decimal_digits=digits)
+
+
+class SpacePrefix(NamedTuple):
+    """The first factors of a sphere product, with the part of its
+    fixed-point sum that does not depend on c: the denominators prod_j l_j
+    (_denominators), and the same as exact Decimals (_exact).
+
+    extend(factor) doubles the denominators by one factor.  The empty
+    prefix, SpacePrefix(), has no factor and one denominator, int 1.
+    """
+
+    factors: tuple[SphereFactor, ...] = ()
+    denominators: Sequence[float] = (1,)
+    exact: Sequence[Decimal] = ()
+
+    def extend(self, factor: SphereFactor) -> "SpacePrefix":
+        denominators = _denominators((factor,), self.denominators)
+        return SpacePrefix(self.factors + (factor,), denominators, _exact(denominators))
+
+
+class PrefixCheck(NamedTuple):
+    """dh_verify's check at one real c on a SpacePrefix.
+
+    Its fields are the left folds over the prefix's factors that dh_verify
+    takes: the sizes (_size_step), the quadrature product lhs (dh_lhs) and
+    the numerators at `digits` digits (_decimal_sum).  So extend(prefix),
+    where prefix is this check's prefix extended by one factor, gives the
+    check on that prefix by one step of each fold; each check's lhs, rhs
+    and rel_err equal those of dh_verify(SphereProductSpace(prefix.factors),
+    c, quad_points), bit for bit.  Where the new factor raises the digits,
+    the numerators are rebuilt at the new precision, since every rounding
+    depends on it.  Start from PrefixCheck.empty(c, quad_points), which
+    has the empty prefix and is no check.
+    """
+
+    c: float
+    quad_points: int
+    prefix: SpacePrefix = SpacePrefix()
+    sizes: tuple = (0, 0.0)
+    lhs: float = 1.0
+    digits: int | None = None
+    numerators: Sequence[Decimal] = ()
+    rhs: float | None = None
+    rel_err: float | None = None
+
+    @classmethod
+    def empty(cls, c, quad_points: int = 64) -> "PrefixCheck":
+        _check_c(c)
+        if isinstance(c, complex):
+            raise ValueError(f"c must be real, got {c}")
+        return cls(c, quad_points)
+
+    def extend(self, prefix: SpacePrefix) -> "PrefixCheck":
+        c = self.c
+        factor = prefix.factors[-1]
+        sizes = _size_step(self.sizes, factor, c)
+        digits, prefactor = _sized(sizes, c, len(prefix.factors))
+        lhs = self.lhs * factor_integral_quad(factor, c, self.quad_points)
+        if digits == self.digits:
+            rhs, numerators = _decimal_sum((factor,), c, digits, prefactor, prefix.exact,
+                                           self.numerators)
+        else:
+            rhs, numerators = _decimal_sum(prefix.factors, c, digits, prefactor, prefix.exact)
+        return PrefixCheck(c, self.quad_points, prefix, sizes, lhs, digits, numerators, rhs,
+                           _rel_err(lhs, rhs))

@@ -28,6 +28,8 @@ class SkewMatrix:
 
     Inputs are antisymmetrized via (A - A^T)/2; deviations beyond the
     1e-12 absolute tolerance raise, smaller nonzero ones set `adjusted`.
+    A NaN or infinite entry raises a ValueError naming the first one, in
+    row-major order, before any arithmetic.
     """
 
     __slots__ = ("mat", "adjusted")
@@ -39,6 +41,13 @@ class SkewMatrix:
         if a.shape[0] % 2 != 0 or a.shape[0] == 0:
             raise OddDimensionError(
                 f"dimension must be a positive even integer, got {a.shape[0]}"
+            )
+        bad = np.argwhere(~np.isfinite(a))
+        if len(bad):
+            row, col = (int(i) for i in bad[0])
+            raise ValueError(
+                f"matrix entries must be finite, got {float(a[row, col])!r} at "
+                f"(row, col) = ({row}, {col})"
             )
         deviation = float(np.max(np.abs(a + a.T))) / 2.0
         if deviation > SKEW_TOL * max(1.0, float(np.max(np.abs(a)))):

@@ -39,22 +39,40 @@ class SuiteResult:
 DH_VALUES = (0.5, 1.0, 2.0, 3.0)
 DH_CS = (0.01, 0.1, 1.0, 5.0)
 DH_TOL = 1e-8
+DH_MAX_FACTORS = 4
+
+
+def localization_checks():
+    """Every check of suite_localization, as a localization.PrefixCheck.
+
+    The spaces are the sphere products with radii and weights drawn from
+    DH_VALUES, up to four factors, as itertools.combinations_with_replacement
+    gives them; each is checked at every c in DH_CS.  Every prefix of such a
+    space is another of them, so the walk goes depth first over that tree
+    and extends each parent's prefix, once, and its checks by one factor.
+    """
+    factors = [localization.SphereFactor(r, mu) for r in DH_VALUES for mu in DH_VALUES]
+
+    def walk(prefix, checks, start):
+        for i in range(start, len(factors)):
+            child = prefix.extend(factors[i])
+            children = [check.extend(child) for check in checks]
+            yield from children
+            if len(child.factors) < DH_MAX_FACTORS:
+                yield from walk(child, children, i)
+
+    checks = [localization.PrefixCheck.empty(c, quad_points=64) for c in DH_CS]
+    return walk(localization.SpacePrefix(), checks, 0)
 
 
 def suite_localization() -> SuiteResult:
     """Both sides of the fixed-point identity on every sphere product
     with radii and weights drawn from DH_VALUES, up to four factors."""
-    pairs = [(r, mu) for r in DH_VALUES for mu in DH_VALUES]
     worst = 0.0
     checks = 0
-    for k in range(1, 5):
-        for combo in itertools.combinations_with_replacement(pairs, k):
-            space = localization.SphereProductSpace.of(*combo)
-            points = tuple(localization.enumerate_fixed_points(space))  # c-independent
-            for c in DH_CS:
-                report = localization.dh_verify(space, c, quad_points=64, points=points)
-                worst = max(worst, report.rel_err)
-                checks += 1
+    for check in localization_checks():
+        worst = max(worst, check.rel_err)
+        checks += 1
     return SuiteResult(
         name="dh-localization",
         passed=worst < DH_TOL,

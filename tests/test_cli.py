@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -337,6 +338,24 @@ class TestPfaffianCommand:
     def test_odd_dimension(self, run_cli):
         code, out = run_cli(["pfaffian", "--matrix", "[[0]]"])
         assert code == 2
+
+    @pytest.mark.parametrize("dim,index,value", [(2, (0, 1), math.inf), (10, (3, 7), math.nan)])
+    def test_non_finite_entry_is_named_with_empty_stderr(self, tmp_path, dim, index, value):
+        # one matrix per Pfaffian path; a NaN or inf that reaches NumPy prints
+        # RuntimeWarnings and fails later with an error that names no entry
+        matrix = [[float(j - i) for j in range(dim)] for i in range(dim)]
+        row, col = index
+        matrix[row][col], matrix[col][row] = value, -value
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(matrix), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "locq", "pfaffian", "--matrix-file",
+                               str(path)], env=env, capture_output=True, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == b""
+        assert parse_strict(proc.stdout)["error"] == (
+            f"ValueError: matrix entries must be finite, got {value!r} "
+            f"at (row, col) = ({row}, {col})")
 
 
 class TestQhyperCommand:

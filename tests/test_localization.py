@@ -141,19 +141,32 @@ class TestIdentity:
         assert abs(lhs - closed) / abs(closed) < 1e-10
 
 
-def _reference_rhs(space, c):
-    """The fixed-point sum written out per pole combination, with no cache:
-    every exponential is recomputed, at the sum's precision, where it is used."""
-    n = space.half_dim
+def _reference_numerators(space, c, digits):
+    """prod_i e^(s_i c mu_i r_i) per pole combination, at `digits` digits,
+    with no cache: every exponential is recomputed where it is used."""
+    out = []
     with localcontext() as ctx:
-        ctx.prec = fixed_point_digits(space, c)
-        total = Decimal(0)
-        for signs in itertools.product((1, -1), repeat=n):
+        ctx.prec = digits
+        for signs in itertools.product((1, -1), repeat=space.half_dim):
             term = Decimal(1)
-            denom = 1.0
             for s, f in zip(signs, space.factors):
                 x = Decimal(c) * Decimal(f.weight) * Decimal(f.radius)
                 term *= (x if s > 0 else -x).exp()
+            out.append(term)
+    return out
+
+
+def _reference_rhs(space, c):
+    """The fixed-point sum written out per pole combination, with no cache."""
+    n = space.half_dim
+    digits = fixed_point_digits(space, c)
+    terms = _reference_numerators(space, c, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = Decimal(0)
+        for signs, term in zip(itertools.product((1, -1), repeat=n), terms):
+            denom = 1.0
+            for s, f in zip(signs, space.factors):
                 denom *= s * (f.weight / f.radius)
             total += term / Decimal(denom)
     return (2.0 * math.pi / c) ** n * float(total)
@@ -408,3 +421,55 @@ class TestSumPrecision:
 
     def test_imaginary_c_is_not_an_overflow(self):
         assert fixed_point_digits(SphereProductSpace.of((1.0, 1.0)), 1000j) is None
+
+
+class TestPrefixWalk:
+    """verify.localization_checks extends each space's checks from its prefix's."""
+
+    def test_every_suite_check_is_dh_verify(self):
+        pairs = [(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
+        plain = {}
+        worst = 0.0
+        for k in range(1, verify.DH_MAX_FACTORS + 1):
+            for combo in itertools.combinations_with_replacement(pairs, k):
+                space = SphereProductSpace.of(*combo)
+                for c in verify.DH_CS:
+                    report = dh_verify(space, c, quad_points=64)
+                    plain[space.factors, c] = repr((report.lhs, report.rhs, report.rel_err))
+                    worst = max(worst, report.rel_err)
+        walked = {}
+        for check in verify.localization_checks():
+            key = check.prefix.factors, check.c
+            assert key not in walked
+            walked[key] = repr((check.lhs, check.rhs, check.rel_err))
+        assert len(plain) == 19376
+        assert walked.keys() == plain.keys()
+        assert [k for k in plain if walked[k] != plain[k]] == []
+        assert verify.suite_localization().details == {
+            "checks": 19376, "worst_rel_err": worst, "tolerance": verify.DH_TOL}
+
+    def test_more_digits_rebuild_the_numerators(self):
+        # the sum cancels 8.7 digits per factor at c = 1e-9: 40, 40, 47 digits.
+        # The parent's 40-digit numerators, doubled at 47 digits, would still
+        # give the same rhs (their error is not amplified by the cancellation),
+        # but not the same numerators, which every child extends.
+        factor = SphereFactor(1.0, 1.0)
+        prefix = localization.SpacePrefix()
+        check = localization.PrefixCheck.empty(1e-9)
+        digits = []
+        for n in range(1, 4):
+            prefix = prefix.extend(factor)
+            check = check.extend(prefix)
+            space = SphereProductSpace((factor,) * n)
+            report = dh_verify(space, 1e-9)
+            assert repr((check.lhs, check.rhs, check.rel_err)) == \
+                repr((report.lhs, report.rhs, report.rel_err))
+            assert check.digits == report.decimal_digits
+            assert check.numerators == _reference_numerators(space, 1e-9, check.digits)
+            digits.append(check.digits)
+        assert digits == [40, 40, 47]
+
+    @pytest.mark.parametrize("c", [0, math.nan, 0.5j])
+    def test_empty_check_takes_real_nonzero_c(self, c):
+        with pytest.raises(ValueError, match="c must be"):
+            localization.PrefixCheck.empty(c)

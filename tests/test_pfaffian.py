@@ -1,5 +1,7 @@
 """Pfaffian identities, canonical forms, and the sign convention."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,23 @@ class TestValidation:
     def test_not_skew(self):
         with pytest.raises(NotSkewSymmetricError):
             SkewMatrix([[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("dim,entries,named", [
+        (2, {(0, 1): np.inf, (1, 0): -np.inf}, "inf at (row, col) = (0, 1)"),
+        (2, {(1, 0): np.nan}, "nan at (row, col) = (1, 0)"),
+        (10, {(3, 7): np.nan, (7, 3): np.nan}, "nan at (row, col) = (3, 7)"),
+        (10, {(9, 2): -np.inf, (2, 9): np.inf}, "inf at (row, col) = (2, 9)"),
+    ])
+    def test_non_finite_entry_named(self, dim, entries, named):
+        # dims 2 and 10 reach the two Pfaffian paths; a NaN or inf that
+        # reaches NumPy warns, an error under the test configuration
+        raw = np.triu(np.arange(1.0, dim * dim + 1).reshape(dim, dim), 1)
+        a = raw - raw.T
+        for index, value in entries.items():
+            a[index] = value
+        message = f"matrix entries must be finite, got {named}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SkewMatrix(a)
 
     def test_small_deviation_is_adjusted(self):
         a = np.array([[0.0, 1.0], [-1.0 + 1e-14, 0.0]])
