@@ -28,6 +28,7 @@ from .series import (
     _check_order,
     binomial_product,
     euler_product,
+    polynomial_power,
 )
 
 # Each Betti number sets the pass count of a binomial factor in
@@ -136,7 +137,7 @@ class EulerSpecializationResult:
 def euler_specialization(b: BettiData, q_order: int) -> EulerSpecializationResult:
     """y = -1 reduction: the series must equal (1-q)^(-chi) exactly."""
     series = macdonald_series(b, q_order).specialize_y(-1)
-    expected = euler_product([0, b.chi], q_order)
+    expected = polynomial_power([(1, -1)], -b.chi, q_order)
     return EulerSpecializationResult(series=series, expected=expected,
                                      matches=series == expected)
 
@@ -146,11 +147,31 @@ def _check_chi(chi: int) -> None:
         raise ValueError(f"|chi| must be at most {MAX_CHI}, got {chi}")
 
 
+def pentagonal_terms(order: int) -> list[tuple[int, int]]:
+    """The nonzero terms (k, g_k), 1 <= k <= order, of Euler's function.
+
+    By the pentagonal number theorem (Andrews, The Theory of Partitions,
+    Cor. 1.7), prod_{n>=1} (1 - q^n) = 1 + sum_{j>=1} (-1)^j
+    (q^(j(3j-1)/2) + q^(j(3j+1)/2)): about 1.6 sqrt(order) terms.
+    """
+    out = []
+    for j in itertools.count(1):
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if k > order:
+                return out
+            out.append((k, (-1) ** j))
+
+
 def equivariant_euler_series(chi: int, q_order: int) -> FormalSeries:
-    """prod_{j>=1} (1 - q^j)^(-chi), exactly to q_order."""
+    """prod_{j>=1} (1 - q^j)^(-chi), exactly to q_order.
+
+    The power -chi of Euler's function, from its pentagonal terms: the
+    cost is O(q_order^1.5) multiply-adds, not the Euler transform's
+    q_order^2 / 2.
+    """
     _check_chi(chi)
     _check_order(q_order)
-    return euler_product([chi] * (q_order + 1), q_order)
+    return polynomial_power(pentagonal_terms(q_order), -chi, q_order)
 
 
 def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:

@@ -1,9 +1,10 @@
 """Truncated power-series kernel.
 
 Hot loops for truncated power-series arithmetic on plain coefficient
-lists.  The Cauchy product and the Euler transform work on Python ints
-(numerators over a common denominator handled by the caller), so they are
-exact and overflow-free; the reciprocal works over any field.
+lists.  The Cauchy product, the Euler transform and the sparse power work
+on Python ints (numerators over a common denominator handled by the
+caller), so they are exact and overflow-free; the reciprocal works over
+any field.
 """
 
 import operator
@@ -59,3 +60,31 @@ def euler_transform(c, order):
     for n in range(1, order + 1):
         p[n] = sum(map(operator.mul, a[1:n + 1], p[n - 1::-1])) // n
     return p
+
+
+def sparse_power(terms, alpha, order):
+    """Coefficients of (1 + sum_k g_k q**k)**alpha modulo q**(order+1).
+
+    `terms` holds (k, g_k) pairs with distinct integer exponents k >= 1 and
+    integer g_k; terms past `order` do not affect the result.  `alpha` is
+    any integer.  J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
+    section 4.7) follows from g f' = alpha g' f:
+        f_0 = 1,   n f_n = sum_k ((alpha+1) k - n) g_k f_{n-k},
+    one term per nonzero g_k with k <= n.  It runs as
+        f_n = ((alpha+1) sum_k k g_k f_{n-k}) // n - sum_k g_k f_{n-k},
+    whose division by n is exact because every f_n is an integer.
+    """
+    terms = sorted((k, g) for k, g in terms if g and k <= order)
+    ks = [k for k, _ in terms]
+    gs = [g for _, g in terms]
+    kgs = [k * g for k, g in terms]
+    scale = alpha + 1
+    f = [0] * (order + 1)
+    f[0] = 1
+    m = 0
+    for n in range(1, order + 1):
+        while m < len(ks) and ks[m] <= n:
+            m += 1
+        prev = [f[n - k] for k in ks[:m]]
+        f[n] = scale * sum(map(operator.mul, kgs, prev)) // n - sum(map(operator.mul, gs, prev))
+    return f

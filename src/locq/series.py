@@ -2,10 +2,12 @@
 
 FormalSeries is a univariate series in q known modulo q**(order+1) with
 exact rational coefficients and full ring arithmetic.  Integer products
-prod (1 - q^k)^(-c_k) are built by one recurrence, `euler_product`, not by
-ring multiplication.  BivariateSeries is a value type: a series in q whose
-coefficients are integer Laurent polynomials in a second variable y, built
-by `binomial_product` and then only read, specialized or filtered.  All
+are built by recurrences, not by ring multiplication: a power of one
+sparse polynomial, (1 + sum_k g_k q^k)^alpha, by `polynomial_power`, and
+any other product prod (1 - q^k)^(-c_k) by `euler_product`.
+BivariateSeries is a value type: a series in q whose coefficients are
+integer Laurent polynomials in a second variable y, built by
+`binomial_product` and then only read, specialized or filtered.  All
 values are immutable and all operations are pure, so instances can be
 shared freely between threads.
 
@@ -242,11 +244,22 @@ class FormalSeries:
 def euler_product(c, order: int) -> FormalSeries:
     """prod_{k>=1} (1 - q**k)**(-c[k]) exactly to `order`.
 
-    The one route for every exact univariate product in this package;
-    kernel.euler_transform has the recurrence and the conventions for c.
+    The route for every exact univariate product that is not a power of
+    one sparse polynomial (see polynomial_power); kernel.euler_transform
+    has the recurrence and the conventions for c.
     """
     _check_order(order)
     return FormalSeries._make(order, kernel.euler_transform(c, order), 1)
+
+
+def polynomial_power(terms, alpha: int, order: int) -> FormalSeries:
+    """(1 + sum_k g_k q**k)**alpha exactly to `order`, for any integer alpha.
+
+    `terms` lists the (k, g_k) pairs, k >= 1; kernel.sparse_power has the
+    recurrence, whose cost is two multiply-adds per term and coefficient.
+    """
+    _check_order(order)
+    return FormalSeries._make(order, kernel.sparse_power(terms, alpha, order), 1)
 
 
 def expand_product(spec: "IntegerProductSpec", order: int) -> FormalSeries:

@@ -1,10 +1,12 @@
 """Generating functions vs enumeration oracles, all equalities exact."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locq import kernel
 from locq.genfunc import (
     MAX_CHI,
     BettiData,
@@ -132,6 +134,58 @@ class TestEquivariant:
     def test_chi_minus_one_pentagonal(self):
         series = equivariant_euler_series(-1, 12)
         assert series == expand_product(IntegerProductSpec(1, 0, 1, "minus"), 12)
+
+    @pytest.mark.parametrize("chi", [MAX_CHI, -MAX_CHI])
+    def test_matches_euler_transform_at_max_chi(self, chi):
+        order = 500
+        expect = kernel.euler_transform([0] + [chi] * order, order)
+        assert list(equivariant_euler_series(chi, order).nums) == expect
+
+    def test_jacobi_cube_identity(self):
+        # prod (1 - q^n)^3 = sum_{n>=0} (-1)^n (2n + 1) q^(n(n+1)/2) (Jacobi)
+        order = 4000
+        expect = [0] * (order + 1)
+        n = 0
+        while n * (n + 1) // 2 <= order:
+            expect[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+            n += 1
+        assert list(equivariant_euler_series(-3, order).nums) == expect
+
+
+class TestRamanujanTau:
+    """q prod (1 - q^n)^24 = sum tau(n) q^n, the discriminant modular form."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def tau(self):
+        series = equivariant_euler_series(-24, self.N - 1)
+        assert series.den == 1
+        return [0, *series.nums]  # tau[n] is the coefficient of q^(n-1)
+
+    def test_first_values(self, tau):
+        assert tau[1:12] == [1, -24, 252, -1472, 4830, -6048, -16744, 84480,
+                             -113643, -115920, 534612]
+
+    def test_congruence_mod_691(self, tau):
+        # tau(n) = sigma_11(n) mod 691 (Ramanujan)
+        sigma = [0] * (self.N + 1)
+        for d in range(1, self.N + 1):
+            for m in range(d, self.N + 1, d):
+                sigma[m] += d**11
+        for n in range(1, self.N + 1):
+            assert (tau[n] - sigma[n]) % 691 == 0, n
+
+    def test_multiplicative(self, tau):
+        for m in range(2, self.N + 1):
+            for n in range(m + 1, self.N // m + 1):
+                if math.gcd(m, n) == 1:
+                    assert tau[m * n] == tau[m] * tau[n], (m, n)
+
+    def test_prime_squares(self, tau):
+        for p in range(2, math.isqrt(self.N) + 1):
+            if all(p % d for d in range(2, math.isqrt(p) + 1)):
+                assert tau[p * p] == tau[p] ** 2 - p**11, p
 
 
 class TestTwisted:

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from locq import kernel
+from locq.genfunc import pentagonal_terms
 from locq.series import FormalSeries
 
 
@@ -76,3 +78,37 @@ def test_euler_transform_pentagonal_theorem():
                 expect[e] = (-1) ** k
         k += 1
     assert kernel.euler_transform([0] + [-1] * order, order) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 45), st.integers(-6, 6), max_size=6),
+    st.integers(-12, 12),
+    st.integers(0, 40),
+)
+def test_sparse_power_matches_ring_power(terms, alpha, order):
+    # terms past the order and zero coefficients are allowed in the input
+    base = [1] + [0] * order
+    for k, g in terms.items():
+        if k <= order:
+            base[k] = g
+    expect = FormalSeries.from_coefficients(base).int_pow(alpha)
+    got = FormalSeries.from_coefficients(kernel.sparse_power(terms.items(), alpha, order))
+    assert got == expect
+
+
+def test_sparse_power_small_cases():
+    # (1 - q)^-2 = sum (n+1) q^n; (1 + q^2)^3 = 1 + 3q^2 + 3q^4 + q^6
+    assert kernel.sparse_power([(1, -1)], -2, 5) == [1, 2, 3, 4, 5, 6]
+    assert kernel.sparse_power([(2, 1)], 3, 8) == [1, 0, 3, 0, 3, 0, 1, 0, 0]
+    assert kernel.sparse_power([(1, 5)], 7, 0) == [1]
+    assert kernel.sparse_power([], -3, 4) == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 26, 100, 2000])
+def test_pentagonal_terms_are_eulers_function(order):
+    dense = [1] + [0] * order
+    for k, g in pentagonal_terms(order):
+        assert dense[k] == 0
+        dense[k] = g
+    assert dense == kernel.euler_transform([0] + [-1] * order, order)
