@@ -162,27 +162,23 @@ def _joined_products(pairs: list[tuple[str, str]]) -> list[str]:
     return texts
 
 
-def _fixed_point_listing(space: SphereProductSpace, points) -> _Encoded:
+def _fixed_point_listing(points: localization.FixedPoints) -> _Encoded:
     """The fixed-point listing as json.dumps(sort_keys=True) writes it, in chunks.
 
-    `points` is enumerate_fixed_points(space), and each point's object is
-    {"H": ..., "lambdas": [...], "pole_signs": [...]}.  Its lambdas are the
-    factor rates with its signs applied and its pole_signs depend only on
-    n, so both array texts are built by subset doubling from the repr of
-    the 2n signed rates; H takes float.__repr__ once per point, as the C
-    encoder does.  A non-finite rate or H raises the encoder's own
-    ValueError (strict JSON).
+    Point p's object is {"H": ..., "lambdas": [...], "pole_signs": [...]}, its
+    arrays the p-th itertools.product entries of points.rates and of the
+    signs, so their texts are built by subset doubling from the 2n reprs; H
+    takes float.__repr__ once per point, as the C encoder does.  A non-finite
+    rate or H raises the encoder's own ValueError (strict JSON).
     """
-    rates = [f.rate for f in space.factors]
-    h_values = [p.h_value for p in points]
-    if not (all(map(math.isfinite, rates)) and all(map(math.isfinite, h_values))):
-        # raises at the first non-finite value in document order
-        json.dumps([(p.h_value, p.lambdas) for p in points], allow_nan=False)
-    lambdas = _joined_products([(repr(r), repr(-r)) for r in rates])
-    signs = _joined_products([("1", "-1")] * space.half_dim)
+    if not all(map(math.isfinite, itertools.chain(points.h_values, *points.rates))):
+        # raises at the first non-finite value in document order: H_0, the north rates, H
+        json.dumps([points.h_values[0], points.rates, points.h_values], allow_nan=False)
+    lambdas = _joined_products([(repr(n), repr(s)) for n, s in points.rates])
+    signs = _joined_products([("1", "-1")] * len(points.rates))
     separators = itertools.chain(("[",), itertools.repeat(", "))
     objects = map('{}{{"H": {}, "lambdas": [{}], "pole_signs": [{}]}}'.format,
-                  separators, map(float.__repr__, h_values), lambdas, signs)
+                  separators, map(float.__repr__, points.h_values), lambdas, signs)
     return _Encoded(itertools.chain(objects, ("]",)))
 
 
@@ -201,7 +197,7 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
         "lhs": cpx(report.lhs) if isinstance(report.lhs, complex) else report.lhs,
         "rhs": cpx(report.rhs) if isinstance(report.rhs, complex) else report.rhs,
         "rel_err": report.rel_err,
-        "fixed_points": _fixed_point_listing(space, report.fixed_points),
+        "fixed_points": _fixed_point_listing(report.fixed_points),
         "tolerance": tol,
         "diagnostics": {
             "path": "complex" if report.decimal_digits is None else "decimal",
@@ -214,7 +210,14 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
     return payload, 0 if report.rel_err < tol else 1
 
 
+# The options each qhyper form reads that have no default.
+_QHYPER_NEEDS = {"pochhammer": ("a", "q"), "psi": ("q", "z"), "saalschutz": ("a", "b", "c", "q")}
+
+
 def _cmd_qhyper(args) -> tuple[dict, int]:
+    missing = [f"--{name}" for name in _QHYPER_NEEDS[args.form] if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"qhyper {args.form} needs {', '.join(missing)}")
     if args.form == "pochhammer":
         a = parse_scalar(args.a)
         q = parse_scalar(args.q)
@@ -254,7 +257,6 @@ def _cmd_qhyper(args) -> tuple[dict, int]:
             "rhs": frac(result.rhs),
             "equal": result.equal,
         }, 0 if result.equal else 1
-    raise UsageError(f"unknown qhyper form {args.form!r}")
 
 
 def _cmd_betti_series(args) -> tuple[dict, int]:

@@ -12,7 +12,10 @@ identity
 
 holds exactly, which makes it a machine-checkable oracle: the left side is
 evaluated by Gauss-Legendre quadrature, the right side by the fixed-point
-sum with the sqrt-det sign convention of locq.pfaffian.
+sum with the sqrt-det sign convention of locq.pfaffian.  A point's
+denominator prod_j l_j is (-1)^(its south poles) P, P = prod_j mu_j / r_j,
+also in floats and Decimals, whose rounding is symmetric under negation:
+so the real sum gives each numerator that sign and divides by P.
 """
 
 from __future__ import annotations
@@ -92,23 +95,27 @@ class SphereProductSpace:
 
 
 @dataclass(frozen=True, slots=True)
-class FixedPoint:
-    """A pole combination with its Hamiltonian value and rotation rates."""
+class FixedPoints:
+    """The 2^n fixed points: one (north, south) rate pair per factor and H.
 
-    pole_signs: tuple[int, ...]
-    h_value: float
-    lambdas: tuple[float, ...]
+    Point p's signs and rates are the p-th entries of itertools.product((1,
+    -1), repeat=n) and itertools.product(*rates); h_values[p] is its H.
+    """
+
+    rates: tuple[tuple[float, float], ...]
+    h_values: list[float]
+
+    def __len__(self) -> int:
+        return len(self.h_values)
 
 
-def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
-    """All 2^n pole combinations, with analytic linearization rates s*mu/r.
+def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False) -> FixedPoints:
+    """All 2^n pole combinations, with analytic linearization rates +-mu/r.
 
-    The points are built by subset doubling: each factor splits every point
-    into its north (+1) and south (-1) child, so H costs one add per point,
-    and the sign and rate tuples come from itertools.product over the
-    per-factor pairs.  The order is that of
-    itertools.product((1, -1), repeat=n), first factor slowest, and H is the
-    left-to-right sum sum_i s_i mu_i r_i from int 0.
+    H is built by subset doubling: each factor splits every point into its
+    north (+1) and south (-1) child, one add per point, so H is the
+    left-to-right sum sum_i s_i mu_i r_i from int 0, in the order of
+    itertools.product((1, -1), repeat=n).
 
     With numerical=True the rates are instead extracted by finite
     differencing the ambient rotation field in an oriented tangent frame
@@ -123,15 +130,10 @@ def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False):
         steps = (f.weight * f.radius, -(f.weight * f.radius))
         h_values = [h + step for h in h_values for step in steps]
     if numerical:
-        rate_pairs = [(_numerical_rate(f, 1), _numerical_rate(f, -1)) for f in space.factors]
+        rates = tuple((_numerical_rate(f, 1), _numerical_rate(f, -1)) for f in space.factors)
     else:
-        rate_pairs = [(f.rate, -f.rate) for f in space.factors]
-    return list(map(
-        FixedPoint,
-        itertools.product((1, -1), repeat=space.half_dim),
-        h_values,
-        itertools.product(*rate_pairs),
-    ))
+        rates = tuple((f.rate, -f.rate) for f in space.factors)
+    return FixedPoints(rates, h_values)
 
 
 def _check_factor_count(space: SphereProductSpace) -> None:
@@ -313,73 +315,62 @@ def _exp_pair(factor: SphereFactor, c, digits: int) -> tuple[Decimal, Decimal]:
         return x.exp(), (-x).exp()
 
 
-def _denominators(factors, dens=(1,)) -> list[float]:
-    """The denominators prod_j l_j, `dens` extended by `factors`.
-
-    Subset doubling by the signed rates, in the order of
-    enumerate_fixed_points: from int 1, each point's denominator is the
-    left-to-right product math.prod takes over its rates.
-    """
+def _denominators(factors) -> list[float]:
+    """The complex sum's denominators prod_j l_j, by subset doubling in the
+    order of enumerate_fixed_points, left to right from int 1."""
+    dens = [1]
     for f in factors:
         rate = f.rate
         dens = [d * l for d in dens for l in (rate, -rate)]
     return dens
 
 
-def _exact(denominators) -> list[Decimal]:
-    """Each denominator as the Decimal equal to it."""
-    # a float's Decimal conversion costs more than the division, and the
-    # analytic denominators take two values, +-prod_i |rate_i|
-    exact = {den: Decimal(den) for den in set(denominators)}
-    return [exact[den] for den in denominators]
+def _rate_product(factors) -> float:
+    """P = prod_j rate_j, left to right from int 1 as math.prod multiplies."""
+    return math.prod(f.rate for f in factors)
 
 
-def _decimal_sum(factors, c, digits: int, prefactor, denominators, terms=(Decimal(1),)):
-    """The real fixed-point sum and its numerators, at `digits` digits.
-
-    The numerators prod_i e^(+-c mu_i r_i) are `terms` extended by
-    `factors`, by subset doubling in the order of enumerate_fixed_points:
-    each factor splits every term into its north and south child, one
-    Decimal multiply each.  Returns prefactor * sum_p numerators[p] /
-    denominators[p] (Decimals, see _exact), each quotient and each partial
-    sum, left to right from Decimal(0), rounded to `digits` digits, and
-    the numerators.
-    """
+def _numerators(factors, c, digits: int, terms=(Decimal(1),)) -> list[Decimal]:
+    """The signed numerators (-1)^(south poles) prod_i e^(s_i c mu_i r_i):
+    `terms` extended by `factors` at `digits` digits, by subset doubling in
+    the order of enumerate_fixed_points (t -> t e^(c mu r), t (-e^(-c mu r)))."""
     with localcontext() as ctx:
         ctx.prec = digits
         for f in factors:
             e_plus, e_minus = _exp_pair(f, c, digits)
-            terms = [u for t in terms for u in (t * e_plus, t * e_minus)]
-        total = sum(map(operator.truediv, terms, denominators), Decimal(0))
-    return prefactor * float(total), terms
+            steps = (e_plus, -e_minus)
+            terms = [t * e for t in terms for e in steps]
+    return terms
 
 
-def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False, points=None):
+def _decimal_sum(numerators, denominators, digits: int, prefactor) -> float:
+    """prefactor * sum_p numerators[p] / denominators[p], each quotient and
+    partial sum (left to right from Decimal(0)) rounded to `digits` digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = sum(map(operator.truediv, numerators, denominators), Decimal(0))
+    return prefactor * float(total)
+
+
+def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False):
     """Fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j.
 
     For real c the alternating sum cancels down to ~prod_i tanh(c mu_i r_i)
-    of its largest term, far beyond double precision at small c; the terms
-    are therefore accumulated in Decimal arithmetic at the precision
-    fixed_point_digits sizes to that cancellation (at least 40 digits), which
-    leaves about 20 significant digits in the sum before its rounding to a
-    float.  The prefactor (2 pi / c)^n stays a float (or complex); where it
-    is not finite, fixed_point_digits raises before any work.  The
-    numerators prod_i e^(+-c mu_i r_i) and the denominators prod_j l_j are
-    built by subset doubling, one multiply per point, in the order of
-    enumerate_fixed_points; the per-factor exponential pairs are cached per
-    (factor, c, digits).  Complex c takes the plain complex path (used by
-    the oscillatory smoke checks at looser tolerance).
+    of its largest term, far beyond double precision at small c, so its
+    signed numerators (_numerators) are divided by the one Decimal of P at
+    the precision fixed_point_digits sizes to that cancellation (at least 40
+    digits, about 20 left in the sum).  Where the float (or complex)
+    prefactor (2 pi / c)^n is not finite, fixed_point_digits raises before
+    any work.  Complex c takes the plain complex path, one denominator per
+    point (used by the oscillatory smoke checks at looser tolerance).
 
-    With via_sqrt_det=True the denominator prod_j l_j is obtained from
-    locq.pfaffian.sqrt_det on the assembled block-diagonal linearization
-    instead of multiplying the analytic rates.  `points` takes the output of
-    enumerate_fixed_points(space) when the caller already has it; only
-    complex c and via_sqrt_det read it.
+    With via_sqrt_det=True each point's denominator is locq.pfaffian.sqrt_det
+    of its block-diagonal linearization; it carries the point's sign, so the
+    real sum divides the unsigned numerators by it.
     """
     _check_c(c)
     digits, prefactor = _size_sum(space, c)
-    if points is None and (via_sqrt_det or isinstance(c, complex)):
-        points = enumerate_fixed_points(space)
+    points = enumerate_fixed_points(space) if via_sqrt_det or isinstance(c, complex) else None
     return _fixed_point_sum(space, c, points, digits, prefactor, via_sqrt_det)
 
 
@@ -388,16 +379,21 @@ def _fixed_point_sum(space: SphereProductSpace, c, points, digits, prefactor,
     """dh_rhs once its check is sized: digits and prefactor are _size_sum's."""
     _check_factor_count(space)
     if via_sqrt_det:
-        denominators = [_pf.sqrt_det(_pf.block_diagonal(p.lambdas)) for p in points]
-    else:
+        denominators = [_pf.sqrt_det(_pf.block_diagonal(lambdas))
+                        for lambdas in itertools.product(*points.rates)]
+    elif isinstance(c, complex):
         denominators = _denominators(space.factors)
-
+    else:
+        exact = Decimal(_rate_product(space.factors))
+        return _decimal_sum(_numerators(space.factors, c, digits), itertools.repeat(exact),
+                            digits, prefactor)
     if isinstance(c, complex):
         total = 0.0 + 0.0j
-        for p, den in zip(points, denominators):
-            total += cmath.exp(c * p.h_value) / den
+        for h, den in zip(points.h_values, denominators):
+            total += cmath.exp(c * h) / den
         return prefactor * total
-    return _decimal_sum(space.factors, c, digits, prefactor, _exact(denominators))[0]
+    numerators = map(Decimal.copy_abs, _numerators(space.factors, c, digits))
+    return _decimal_sum(numerators, map(Decimal, denominators), digits, prefactor)
 
 
 def _rel_err(lhs, rhs) -> float:
@@ -409,20 +405,16 @@ class DHReport:
     lhs: float | complex
     rhs: float | complex
     rel_err: float
-    fixed_points: tuple[FixedPoint, ...]
+    fixed_points: FixedPoints
     decimal_digits: int | None
 
 
-def dh_verify(space: SphereProductSpace, c, quad_points: int = 64, points=None) -> DHReport:
-    """Evaluate both sides of the localization identity and their mismatch.
-
-    `points` takes the output of enumerate_fixed_points(space) when the
-    caller already has it, as for dh_rhs.
-    """
+def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
+    """Evaluate both sides of the localization identity and their mismatch."""
     _check_c(c)
     digits, prefactor = _size_sum(space, c)
     lhs = dh_lhs(space, c, quad_points)
-    points = tuple(enumerate_fixed_points(space) if points is None else points)
+    points = enumerate_fixed_points(space)
     rhs = _fixed_point_sum(space, c, points, digits, prefactor)
     return DHReport(lhs=lhs, rhs=rhs, rel_err=_rel_err(lhs, rhs), fixed_points=points,
                     decimal_digits=digits)
@@ -430,20 +422,20 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64, points=None) 
 
 class SpacePrefix(NamedTuple):
     """The first factors of a sphere product, with the part of its
-    fixed-point sum that does not depend on c: the denominators prod_j l_j
-    (_denominators), and the same as exact Decimals (_exact).
+    fixed-point sum that does not depend on c: the rate product P
+    (_rate_product), and the same as the Decimal equal to it.
 
-    extend(factor) doubles the denominators by one factor.  The empty
-    prefix, SpacePrefix(), has no factor and one denominator, int 1.
+    extend(factor) takes one step of that product.  The empty prefix,
+    SpacePrefix(), has no factor and P = int 1.
     """
 
     factors: tuple[SphereFactor, ...] = ()
-    denominators: Sequence[float] = (1,)
-    exact: Sequence[Decimal] = ()
+    rate_product: float = 1
+    exact: Decimal = Decimal(1)
 
     def extend(self, factor: SphereFactor) -> "SpacePrefix":
-        denominators = _denominators((factor,), self.denominators)
-        return SpacePrefix(self.factors + (factor,), denominators, _exact(denominators))
+        rate_product = self.rate_product * factor.rate
+        return SpacePrefix(self.factors + (factor,), rate_product, Decimal(rate_product))
 
 
 class PrefixCheck(NamedTuple):
@@ -451,14 +443,15 @@ class PrefixCheck(NamedTuple):
 
     Its fields are the left folds over the prefix's factors that dh_verify
     takes: the sizes (_size_step), the quadrature product lhs (dh_lhs) and
-    the numerators at `digits` digits (_decimal_sum).  So extend(prefix),
-    where prefix is this check's prefix extended by one factor, gives the
-    check on that prefix by one step of each fold; each check's lhs, rhs
-    and rel_err equal those of dh_verify(SphereProductSpace(prefix.factors),
-    c, quad_points), bit for bit.  Where the new factor raises the digits,
-    the numerators are rebuilt at the new precision, since every rounding
-    depends on it.  Start from PrefixCheck.empty(c, quad_points), which
-    has the empty prefix and is no check.
+    the signed numerators at `digits` digits (_numerators).  So
+    extend(prefix), where prefix is this check's prefix extended by one
+    factor, gives the check on that prefix by one step of each fold; each
+    check's lhs, rhs and rel_err equal those of
+    dh_verify(SphereProductSpace(prefix.factors), c, quad_points), bit for
+    bit.  Where the new factor raises the digits, the numerators are
+    rebuilt at the new precision, since every rounding depends on it.
+    Start from PrefixCheck.empty(c, quad_points), which has the empty
+    prefix and is no check.
     """
 
     c: float
@@ -485,9 +478,9 @@ class PrefixCheck(NamedTuple):
         digits, prefactor = _sized(sizes, c, len(prefix.factors))
         lhs = self.lhs * factor_integral_quad(factor, c, self.quad_points)
         if digits == self.digits:
-            rhs, numerators = _decimal_sum((factor,), c, digits, prefactor, prefix.exact,
-                                           self.numerators)
+            numerators = _numerators((factor,), c, digits, self.numerators)
         else:
-            rhs, numerators = _decimal_sum(prefix.factors, c, digits, prefactor, prefix.exact)
+            numerators = _numerators(prefix.factors, c, digits)
+        rhs = _decimal_sum(numerators, itertools.repeat(prefix.exact), digits, prefactor)
         return PrefixCheck(c, self.quad_points, prefix, sizes, lhs, digits, numerators, rhs,
                            _rel_err(lhs, rhs))

@@ -29,13 +29,16 @@ class SkewMatrix:
     Inputs are antisymmetrized via (A - A^T)/2; deviations beyond the
     1e-12 absolute tolerance raise, smaller nonzero ones set `adjusted`.
     A NaN or infinite entry raises a ValueError naming the first one, in
-    row-major order, before any arithmetic.
+    row-major order, and a non-numeric one its type, before any arithmetic.
     """
 
     __slots__ = ("mat", "adjusted")
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
+        try:
+            a = np.asarray(entries, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be real numbers: {exc}") from exc
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"square matrix required, got shape {a.shape}")
         if a.shape[0] % 2 != 0 or a.shape[0] == 0:

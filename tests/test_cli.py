@@ -185,9 +185,15 @@ class TestDhVerify:
         assert (code1, out1) == (code2, out2)
 
 
-def dict_listing(space, points) -> list[dict]:
-    """The fixed-point listing as dicts, for json.dumps: the encoder oracle."""
-    return [{"pole_signs": p.pole_signs, "H": p.h_value, "lambdas": p.lambdas} for p in points]
+def dict_listing(points) -> list[dict]:
+    """The fixed-point listing as dicts, for json.dumps: the encoder oracle.
+
+    Each point is expanded from the flat value: its signs and lambdas are
+    the matching itertools.product entries.
+    """
+    signs = itertools.product((1, -1), repeat=len(points.rates))
+    return [{"pole_signs": s, "H": h, "lambdas": lams}
+            for s, h, lams in zip(signs, points.h_values, itertools.product(*points.rates))]
 
 
 def run_with_dict_listing(run_cli, argv):
@@ -236,8 +242,8 @@ class TestFixedPointListing:
             pairs.insert(at, extreme)
         space = localization.SphereProductSpace.of(*pairs)
         points = localization.enumerate_fixed_points(space)
-        listing = text_or_error(lambda: "".join(cli._fixed_point_listing(space, points).chunks))
-        oracle = text_or_error(lambda: json.dumps(dict_listing(space, points),
+        listing = text_or_error(lambda: "".join(cli._fixed_point_listing(points).chunks))
+        oracle = text_or_error(lambda: json.dumps(dict_listing(points),
                                                   sort_keys=True, allow_nan=False))
         assert_same_text(listing, oracle)
 
@@ -296,7 +302,7 @@ class TestFixedPointListing:
         assert [p["pole_signs"] for p in listing] == [
             list(signs) for signs in itertools.product((1, -1), repeat=len(pairs))]
         assert [(p["H"], p["lambdas"]) for p in listing] == [
-            (p.h_value, list(p.lambdas)) for p in points]
+            (h, list(lams)) for h, lams in zip(points.h_values, itertools.product(*points.rates))]
 
 
 class TestSpectralEval:
@@ -319,6 +325,17 @@ class TestSpectralEval:
         code, out = run_cli(["spectral-eval", "--a", "1", "--tau", "0,-1"])
         assert code == 2
         assert "error" in parse(out)
+
+
+def run_fresh(argv) -> str:
+    """Run the CLI in a fresh process that must exit 2 with one strict JSON
+    line and nothing on stderr; returns the error it names."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "locq", *argv], env=env,
+                          capture_output=True, check=False)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert proc.stdout.count(b"\n") == 1
+    return parse_strict(proc.stdout)["error"]
 
 
 class TestPfaffianCommand:
@@ -348,14 +365,19 @@ class TestPfaffianCommand:
         matrix[row][col], matrix[col][row] = value, -value
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(matrix), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "locq", "pfaffian", "--matrix-file",
-                               str(path)], env=env, capture_output=True, check=False)
-        assert proc.returncode == 2
-        assert proc.stderr == b""
-        assert parse_strict(proc.stdout)["error"] == (
+        assert run_fresh(["pfaffian", "--matrix-file", str(path)]) == (
             f"ValueError: matrix entries must be finite, got {value!r} "
             f"at (row, col) = ({row}, {col})")
+
+    @pytest.mark.parametrize("text", ["{}", '{"rows": [[0, 1], [-1, 0]]}', "[[0, {}], [{}, 0]]"])
+    def test_non_numeric_matrix_is_named_with_empty_stderr(self, tmp_path, text):
+        # before: a TypeError traceback from NumPy's float conversion, exit 1
+        path = tmp_path / "matrix.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["--matrix", text], ["--matrix-file", str(path)]):
+            error = run_fresh(["pfaffian", *argv])
+            assert error.startswith("ValueError: matrix entries must be real numbers: ")
+            assert "'dict'" in error
 
 
 class TestQhyperCommand:
@@ -422,6 +444,18 @@ class TestQhyperCommand:
         for k in range(5000):
             direct *= 1 - 0.5 * (29 / 30) ** k
         assert abs(complex(float(re), float(im)) - direct) < 1e-10
+
+    @pytest.mark.parametrize("argv,missing", [
+        (["pochhammer", "--a", "1/2"], "--q"),
+        (["pochhammer", "--n", "3"], "--a, --q"),
+        (["psi", "--q", "1/2"], "--z"),
+        (["psi", "--num", "2", "--den", "5"], "--q, --z"),
+        (["saalschutz", "--a", "1/2", "--b", "1/3", "--c", "1/5", "--n", "2"], "--q"),
+        (["saalschutz", "--q", "1/2"], "--a, --b, --c"),
+    ])
+    def test_missing_option_is_named(self, argv, missing):
+        # before: an AttributeError traceback on None, exit 1
+        assert run_fresh(["qhyper", *argv]) == f"qhyper {argv[0]} needs {missing}"
 
     def test_pochhammer_zero_base_is_exit_two(self, run_cli):
         code, out = run_cli(["qhyper", "pochhammer", "--a", "1", "--q", "0", "--n", "-2"])

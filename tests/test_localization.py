@@ -6,7 +6,7 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locq import localization, verify
 from locq.errors import DegenerateWeightError
@@ -28,23 +28,25 @@ from locq.localization import (
 class TestFixedPoints:
     def test_single_sphere(self):
         pts = enumerate_fixed_points(SphereProductSpace.of((1.0, 1.0)))
-        data = {(p.pole_signs, p.h_value, p.lambdas) for p in pts}
-        assert data == {((1,), 1.0, (1.0,)), ((-1,), -1.0, (-1.0,))}
+        assert len(pts) == 2
+        assert pts.rates == ((1.0, -1.0),)
+        assert pts.h_values == [1.0, -1.0]
 
     def test_two_spheres_h_values(self):
         pts = enumerate_fixed_points(SphereProductSpace.of((1.0, 1.0), (1.0, 1.0)))
-        assert sorted(p.h_value for p in pts) == [-2.0, 0.0, 0.0, 2.0]
+        assert sorted(pts.h_values) == [-2.0, 0.0, 0.0, 2.0]
 
     def test_rate_scaling(self):
         pts = enumerate_fixed_points(SphereProductSpace.of((2.0, 3.0)))
-        assert {p.lambdas[0] for p in pts} == {1.5, -1.5}
+        assert pts.rates == ((1.5, -1.5),)
 
     def test_numerical_linearization_agrees(self):
         space = SphereProductSpace.of((2.0, 3.0), (0.5, -1.25))
         analytic = enumerate_fixed_points(space)
         numeric = enumerate_fixed_points(space, numerical=True)
-        for pa, pn in zip(analytic, numeric):
-            for la, ln in zip(pa.lambdas, pn.lambdas):
+        assert numeric.h_values == analytic.h_values
+        for pa, pn in zip(analytic.rates, numeric.rates):
+            for la, ln in zip(pa, pn):
                 assert la == pytest.approx(ln, abs=1e-9)
 
     def test_zero_weight_rejected(self):
@@ -122,8 +124,8 @@ class TestIdentity:
         space = SphereProductSpace.of((1.0, 2.0), (2.0, 0.5))
         halved = SphereProductSpace.of((1.0, 1.0), (2.0, 0.25))
         c = 0.8
-        exps = sorted(c * p.h_value for p in enumerate_fixed_points(space))
-        exps_halved = sorted(2 * c * p.h_value for p in enumerate_fixed_points(halved))
+        exps = sorted(c * h for h in enumerate_fixed_points(space).h_values)
+        exps_halved = sorted(2 * c * h for h in enumerate_fixed_points(halved).h_values)
         assert exps == pytest.approx(exps_halved, rel=1e-14)
 
     def test_via_sqrt_det_path(self):
@@ -209,7 +211,7 @@ class TestCaching:
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
     def test_report_fixed_points_match_enumeration(self, space):
-        assert dh_verify(space, 0.3).fixed_points == tuple(enumerate_fixed_points(space))
+        assert dh_verify(space, 0.3).fixed_points == enumerate_fixed_points(space)
 
     def test_errors_are_not_cached(self):
         f = SphereFactor(1.0, 1.0)
@@ -273,6 +275,12 @@ _signed = st.tuples(st.floats(0.1, 4.0), st.sampled_from((1, -1))).map(lambda t:
 _spaces = st.lists(st.tuples(st.floats(0.1, 4.0), _signed), min_size=1, max_size=8).map(
     lambda pairs: SphereProductSpace.of(*pairs)
 )
+# magnitudes from subnormal to near the largest double, so that the rates
+# mu / r and their products also overflow to inf, underflow to 0 and meet as nan
+_extreme_spaces = st.lists(
+    st.tuples(st.floats(5e-324, 1e300), st.floats(-1e300, 1e300).filter(bool)),
+    min_size=1, max_size=8,
+).map(lambda pairs: SphereProductSpace.of(*pairs))
 _real_cs = st.tuples(st.floats(1e-3, 3.0), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
 
 
@@ -283,7 +291,9 @@ class TestSubsetDoubling:
     @given(space=_spaces, numerical=st.booleans())
     def test_points_match_product_loop(self, space, numerical):
         points = enumerate_fixed_points(space, numerical=numerical)
-        got = [(p.pole_signs, p.h_value, p.lambdas) for p in points]
+        got = list(zip(itertools.product((1, -1), repeat=space.half_dim), points.h_values,
+                       itertools.product(*points.rates)))
+        assert len(points) == 2**space.half_dim
         assert got == _reference_points(space, numerical)
 
     @settings(max_examples=60, deadline=None)
@@ -291,11 +301,22 @@ class TestSubsetDoubling:
     def test_rhs_matches_per_point_loop(self, space, c):
         assert dh_rhs(space, c) == _reference_rhs(space, c)
 
-    @settings(max_examples=30, deadline=None)
-    @given(space=_spaces, c=_real_cs)
-    def test_verify_with_given_points_matches(self, space, c):
-        given_points = dh_verify(space, c, points=enumerate_fixed_points(space))
-        assert given_points == dh_verify(space, c)
+    @settings(max_examples=60, deadline=None)
+    @given(space=st.one_of(_spaces, _extreme_spaces))
+    @example(space=SphereProductSpace.of((1.0, 0.1), (1.0, 0.2), (1.0, 0.3)))
+    def test_each_denominator_is_the_signed_rate_product(self, space):
+        # the real sum divides every signed numerator by the one P
+        rate_product = localization._rate_product(space.factors)
+        prefix = localization.SpacePrefix()
+        for f in space.factors:
+            prefix = prefix.extend(f)
+        assert repr(prefix.rate_product) == repr(rate_product)
+        assert str(prefix.exact) == str(Decimal(rate_product))
+        points = _reference_points(space)
+        want = [repr(-rate_product if signs.count(-1) % 2 else rate_product)
+                for signs, _, _ in points]
+        assert [repr(math.prod(lams)) for _, _, lams in points] == want
+        assert list(map(repr, localization._denominators(space.factors))) == want
 
     @pytest.mark.parametrize("c", [0.7, -1e-9, complex(0.3, 0.4)])
     def test_each_check_sized_once(self, monkeypatch, c):
@@ -465,7 +486,11 @@ class TestPrefixWalk:
             assert repr((check.lhs, check.rhs, check.rel_err)) == \
                 repr((report.lhs, report.rhs, report.rel_err))
             assert check.digits == report.decimal_digits
-            assert check.numerators == _reference_numerators(space, 1e-9, check.digits)
+            # each numerator carries its point's sign, (-1)^(south poles)
+            signed = [t.copy_negate() if signs.count(-1) % 2 else t for signs, t in zip(
+                itertools.product((1, -1), repeat=n),
+                _reference_numerators(space, 1e-9, check.digits))]
+            assert check.numerators == signed
             digits.append(check.digits)
         assert digits == [40, 40, 47]
 
