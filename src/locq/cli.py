@@ -1,7 +1,8 @@
 """Command-line interface: one JSON-emitting subcommand per operation.
 
 Exit-code contract: 0 on success, 1 when a checked identity fails to hold
-(mathematical failure), 2 on invalid input.  Every exit path prints a
+(mathematical failure), 2 on invalid input, and 2 with nothing more written
+when the reader of stdout closes it early.  Every other exit path prints a
 single JSON document on one line, strict and with sorted keys
 (`python -m json.tool` pretty-prints it); the parsed options are echoed
 under "config" so a run can be reproduced from its own output.  Identical
@@ -15,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -130,6 +132,35 @@ def _cmd_spectral_eval(args) -> tuple[dict, int]:
     }, 0
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               type(None): "null", int: "number", float: "number"}
+
+
+def _json_type(value) -> str:
+    """The JSON type of a json.loads value, with its Python type's name."""
+    return f"JSON {_JSON_TYPES[type(value)]} ({type(value).__name__!r})"
+
+
+def _check_matrix(entries) -> None:
+    """Reject a parsed JSON matrix that is not an array of rows of numbers.
+
+    JSON numbers load as int or float; a string, boolean or null entry
+    raises a ValueError naming the first one, in row-major order, and its
+    JSON type, before NumPy could convert it ("2" to 2.0, true to 1.0, null
+    to nan).
+    """
+    prefix = "matrix entries must be real numbers: "
+    if not isinstance(entries, list):
+        raise ValueError(f"{prefix}got {_json_type(entries)}, not an array of rows")
+    for row, values in enumerate(entries):
+        if not isinstance(values, list):
+            raise ValueError(f"{prefix}row {row} is {_json_type(values)}, not an array")
+        for col, value in enumerate(values):
+            if type(value) not in (int, float):
+                raise ValueError(
+                    f"{prefix}got {_json_type(value)} at (row, col) = ({row}, {col})")
+
+
 def _cmd_pfaffian(args) -> tuple[dict, int]:
     if args.matrix_file:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
@@ -138,6 +169,7 @@ def _cmd_pfaffian(args) -> tuple[dict, int]:
         entries = json.loads(args.matrix)
     else:
         raise UsageError("provide --matrix or --matrix-file")
+    _check_matrix(entries)
     a = pfaffian.SkewMatrix(entries)
     form = pfaffian.canonicalize(a)
     return {
@@ -454,6 +486,22 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(500_000)  # exact outputs can be huge rationals
     try:
+        status = _respond(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone: write nothing more to it, and point
+        # its descriptor at os.devnull so the flush at interpreter exit
+        # stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return status
+
+
+def _respond(argv) -> int:
+    """Parse argv, run its handler and emit its document; the exit code."""
+    try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
         _emit({"error": str(exc), "exit": 2}, "")
@@ -462,6 +510,8 @@ def main(argv=None) -> int:
         payload, status = args.handler(args)
         payload["config"] = _config_echo(args)
         _emit(payload, args.out)
+    except BrokenPipeError:
+        raise  # stdout is closed: main ends the request without writing again
     except UsageError as exc:
         _emit({"error": str(exc), "config": _config_echo(args), "exit": 2}, "")
         return 2

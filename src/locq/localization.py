@@ -16,6 +16,9 @@ sum with the sqrt-det sign convention of locq.pfaffian.  A point's
 denominator prod_j l_j is (-1)^(its south poles) P, P = prod_j mu_j / r_j,
 also in floats and Decimals, whose rounding is symmetric under negation:
 so the real sum gives each numerator that sign and divides by P.
+
+NumPy is imported inside the quadrature and the numerical rate, the only
+code that uses it.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateWeightError
 from . import pfaffian as _pf
@@ -151,6 +152,8 @@ def _numerical_rate(factor: SphereFactor, pole_sign: int) -> float:
     (x_hat, y_hat) at the north pole, (y_hat, x_hat) at the south pole.
     Returns l with V ~ l * (frame rotation generator).
     """
+    import numpy as np
+
     rate = factor.rate
     r = factor.radius
 
@@ -167,6 +170,8 @@ def _numerical_rate(factor: SphereFactor, pole_sign: int) -> float:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
@@ -185,6 +190,8 @@ def _check_c(c, allow_zero: bool = False) -> None:
 @lru_cache(maxsize=1024, typed=True)
 def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
     """2 pi r * integral_{-r}^{r} e^(c mu z) dz by Gauss-Legendre quadrature."""
+    import numpy as np
+
     _check_c(c, allow_zero=True)
     if quad_points < 2:
         raise ValueError("quad_points must be at least 2")

@@ -7,15 +7,20 @@ similarity transforms for larger matrices.  sqrt_det fixes the sign of
 det(A)^(1/2) through the canonical-form convention: an oriented
 orthonormal basis in which A consists of 2x2 blocks [[0, -l_j], [l_j, 0]],
 whence sqrt_det(A) = prod_j l_j = (-1)^n Pf(A) for dim = 2n.
+
+NumPy is imported inside the functions that use it, so importing this
+module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotSkewSymmetricError, OddDimensionError, SingularMatrixError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SKEW_TOL = 1e-12
 # canonicalize rejects A when its smallest rotation rate is at most this
@@ -35,6 +40,8 @@ class SkewMatrix:
     __slots__ = ("mat", "adjusted")
 
     def __init__(self, entries):
+        import numpy as np
+
         try:
             a = np.asarray(entries, dtype=float)
         except TypeError as exc:
@@ -73,6 +80,8 @@ class SkewMatrix:
 
     def det(self) -> float:
         """Determinant by LU elimination (numpy), independent of any Pfaffian path."""
+        import numpy as np
+
         return float(np.linalg.det(self.mat))
 
 
@@ -117,6 +126,8 @@ def pfaffian_tridiagonal(a: SkewMatrix) -> float:
     Pfaffian of the tridiagonal is the product of its odd superdiagonal
     entries T[0,1] T[2,3] ...
     """
+    import numpy as np
+
     t = a.mat.copy()
     d = a.dim
     det_q = 1.0
@@ -151,6 +162,8 @@ class CanonicalForm:
     basis: np.ndarray
 
     def block_matrix(self) -> np.ndarray:
+        import numpy as np
+
         d = 2 * len(self.lambdas)
         b = np.zeros((d, d))
         for j, lam in enumerate(self.lambdas):
@@ -173,6 +186,8 @@ def canonicalize(a: SkewMatrix) -> CanonicalForm:
     and any sign needed to fix the orientation is carried by the last
     rate, so prod_j l_j is well defined.
     """
+    import numpy as np
+
     m = a.mat
     d = a.dim
     w, v = np.linalg.eigh(m @ m)  # w ascending, all <= 0
@@ -237,6 +252,8 @@ def sqrt_det(a: SkewMatrix) -> float:
 
 def block_diagonal(lambdas) -> SkewMatrix:
     """Assemble the skew matrix with 2x2 blocks [[0, -l], [l, 0]]."""
+    import numpy as np
+
     lams = list(lambdas)
     d = 2 * len(lams)
     m = np.zeros((d, d))

@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import genfunc, genus, localization, pfaffian, qhyper, spectral
 from .errors import LocqError
 from .series import IntegerProductSpec, expand_product
@@ -84,6 +82,8 @@ def suite_localization() -> SuiteResult:
 
 
 def suite_pfaffian() -> SuiteResult:
+    import numpy as np
+
     rng = np.random.default_rng(20240915)
     worst_square = 0.0
     for _ in range(500):

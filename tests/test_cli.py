@@ -327,11 +327,15 @@ class TestSpectralEval:
         assert "error" in parse(out)
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh `python -m locq` that imports this locq."""
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
 def run_fresh(argv) -> str:
     """Run the CLI in a fresh process that must exit 2 with one strict JSON
     line and nothing on stderr; returns the error it names."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "locq", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "locq", *argv], env=fresh_env(),
                           capture_output=True, check=False)
     assert (proc.returncode, proc.stderr) == (2, b"")
     assert proc.stdout.count(b"\n") == 1
@@ -368,6 +372,21 @@ class TestPfaffianCommand:
         assert run_fresh(["pfaffian", "--matrix-file", str(path)]) == (
             f"ValueError: matrix entries must be finite, got {value!r} "
             f"at (row, col) = ({row}, {col})")
+
+    @pytest.mark.parametrize("text,named", [
+        ('[["0", "2"], ["-2", "0"]]', "got JSON string ('str') at (row, col) = (0, 0)"),
+        ("[[false, true], [-1, false]]", "got JSON boolean ('bool') at (row, col) = (0, 0)"),
+        ("[[null, 1], [-1, 0]]", "got JSON null ('NoneType') at (row, col) = (0, 0)"),
+        ('[[0, 2], [-2, "0"]]', "got JSON string ('str') at (row, col) = (1, 1)"),
+        ("[[0, 1], 5]", "row 1 is JSON number ('int'), not an array"),
+    ])
+    def test_only_json_numbers_are_entries(self, tmp_path, text, named):
+        # before: NumPy read "2" as 2.0, true as 1.0 and null as nan, and exited 0
+        path = tmp_path / "matrix.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["--matrix", text], ["--matrix-file", str(path)]):
+            assert run_fresh(["pfaffian", *argv]) == (
+                f"ValueError: matrix entries must be real numbers: {named}")
 
     @pytest.mark.parametrize("text", ["{}", '{"rows": [[0, 1], [-1, 0]]}', "[[0, {}], [{}, 0]]"])
     def test_non_numeric_matrix_is_named_with_empty_stderr(self, tmp_path, text):
@@ -738,7 +757,7 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
     """
     cli.build_parser.cache_clear()
     monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env = fresh_env()
     cases = [
         (["nope"], 2),
         (["period-scan", "--tau", "0.3,1.1", "--N", "3", "--k", "1", "--l", "2"], 0),
@@ -780,6 +799,57 @@ def test_readme_example_runs(run_cli, argv):
     assert code == 0
     assert parse_strict(out)["config"]["subcommand"] == argv[0]
     assert_canonical(out)
+
+
+class TestWithoutNumpy:
+    """Only pfaffian, dh-verify and verify-all load NumPy, on first use."""
+
+    # Runs each argv of the JSON list argv[1] through cli.main in one process
+    # in which any import of NumPy raises ImportError.
+    BLOCKED = """if True:
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None
+        from locq import cli
+        results = []
+        for argv in json.loads(sys.argv[1]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                results.append([cli.main(argv), buf.getvalue()])
+        print(json.dumps(results))
+    """
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        code = 'import sys, locq.cli; sys.exit("numpy" in sys.modules)'
+        assert subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              check=False).returncode == 0
+
+    def test_requests_print_the_same_bytes_without_numpy(self, run_cli):
+        requests = [argv for argv in readme_examples()
+                    if argv[0] not in ("pfaffian", "dh-verify")]
+        assert {argv[0] for argv in requests} >= {
+            "euler-series", "twisted-sym", "macdonald", "orbifold", "qhyper",
+            "spectral-eval", "phi", "genus-cpm", "period-scan"}
+        assert {argv[1] for argv in requests if argv[0] == "qhyper"} == {
+            "pochhammer", "psi", "saalschutz"}
+        proc = subprocess.run([sys.executable, "-c", self.BLOCKED, json.dumps(requests)],
+                              env=fresh_env(), capture_output=True, check=True)
+        assert proc.stderr == b""
+        blocked = json.loads(proc.stdout)
+        for argv, (code, out) in zip(requests, blocked, strict=True):
+            assert [code, out] == list(run_cli(argv)), argv
+
+
+def test_closed_stdout_exits_2_with_empty_stderr():
+    # before: a double BrokenPipeError traceback on stderr, exit 1.  The
+    # document is about 210 kB, more than a pipe holds, so the write fails.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "locq", "euler-series", "--chi", "3", "--order", "3000"],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{"coeffs":'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (2, b"")
 
 
 class TestScalarParsing:
