@@ -147,7 +147,8 @@ def _check_matrix(entries) -> None:
     JSON numbers load as int or float; a string, boolean or null entry
     raises a ValueError naming the first one, in row-major order, and its
     JSON type, before NumPy could convert it ("2" to 2.0, true to 1.0, null
-    to nan).
+    to nan).  A row whose length is not the number of rows raises one that
+    names the row, where NumPy would name none.
     """
     prefix = "matrix entries must be real numbers: "
     if not isinstance(entries, list):
@@ -155,6 +156,9 @@ def _check_matrix(entries) -> None:
     for row, values in enumerate(entries):
         if not isinstance(values, list):
             raise ValueError(f"{prefix}row {row} is {_json_type(values)}, not an array")
+        if len(values) != len(entries):
+            raise ValueError(f"square matrix required, got {len(values)} entries in row "
+                             f"{row} of {len(entries)} rows")
         for col, value in enumerate(values):
             if type(value) not in (int, float):
                 raise ValueError(

@@ -17,8 +17,7 @@ denominator prod_j l_j is (-1)^(its south poles) P, P = prod_j mu_j / r_j,
 also in floats and Decimals, whose rounding is symmetric under negation:
 so the real sum gives each numerator that sign and divides by P.
 
-NumPy is imported inside the quadrature and the numerical rate, the only
-code that uses it.
+NumPy is imported inside the quadrature, the only code that uses it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateWeightError
-from . import pfaffian as _pf
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,8 +47,6 @@ MAX_FACTORS = 16
 MAX_DECIMAL_DIGITS = 1000
 # e^(c H) fits a double while |Re c| * max_p |H(p)| stays below this.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# Step of the central difference in _numerical_rate.
-RATE_STEP = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,18 +106,14 @@ class FixedPoints:
         return len(self.h_values)
 
 
-def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False) -> FixedPoints:
+def enumerate_fixed_points(space: SphereProductSpace) -> FixedPoints:
     """All 2^n pole combinations, with analytic linearization rates +-mu/r.
 
     H is built by subset doubling: each factor splits every point into its
     north (+1) and south (-1) child, one add per point, so H is the
     left-to-right sum sum_i s_i mu_i r_i from int 0, in the order of
-    itertools.product((1, -1), repeat=n).
-
-    With numerical=True the rates are instead extracted by finite
-    differencing the ambient rotation field in an oriented tangent frame
-    at each pole (cross-check path), two per factor.  More than MAX_FACTORS
-    factors are rejected.
+    itertools.product((1, -1), repeat=n).  More than MAX_FACTORS factors
+    are rejected.
     """
     _check_factor_count(space)
     # s * (mu * r) == (s * mu) * r exactly for s = +-1, so each factor adds
@@ -130,11 +122,7 @@ def enumerate_fixed_points(space: SphereProductSpace, numerical: bool = False) -
     for f in space.factors:
         steps = (f.weight * f.radius, -(f.weight * f.radius))
         h_values = [h + step for h in h_values for step in steps]
-    if numerical:
-        rates = tuple((_numerical_rate(f, 1), _numerical_rate(f, -1)) for f in space.factors)
-    else:
-        rates = tuple((f.rate, -f.rate) for f in space.factors)
-    return FixedPoints(rates, h_values)
+    return FixedPoints(tuple((f.rate, -f.rate) for f in space.factors), h_values)
 
 
 def _check_factor_count(space: SphereProductSpace) -> None:
@@ -143,29 +131,6 @@ def _check_factor_count(space: SphereProductSpace) -> None:
             f"at most {MAX_FACTORS} sphere factors (2^{MAX_FACTORS} fixed points), "
             f"got {space.half_dim}"
         )
-
-
-def _numerical_rate(factor: SphereFactor, pole_sign: int) -> float:
-    """Linearization rate at a pole from the ambient field V(p) = rate * z_hat x p.
-
-    The tangent frame at the pole is oriented against the outward normal:
-    (x_hat, y_hat) at the north pole, (y_hat, x_hat) at the south pole.
-    Returns l with V ~ l * (frame rotation generator).
-    """
-    import numpy as np
-
-    rate = factor.rate
-    r = factor.radius
-
-    def field(p):
-        return np.array([-rate * p[1], rate * p[0], 0.0])
-
-    pole = np.array([0.0, 0.0, pole_sign * r])
-    ex = np.array([1.0, 0.0, 0.0])
-    ey = np.array([0.0, 1.0, 0.0])
-    e1, e2 = (ex, ey) if pole_sign > 0 else (ey, ex)
-    dv = (field(pole + RATE_STEP * e1) - field(pole - RATE_STEP * e1)) / (2 * RATE_STEP)
-    return float(dv @ e2)
 
 
 @lru_cache(maxsize=32)
@@ -332,11 +297,6 @@ def _denominators(factors) -> list[float]:
     return dens
 
 
-def _rate_product(factors) -> float:
-    """P = prod_j rate_j, left to right from int 1 as math.prod multiplies."""
-    return math.prod(f.rate for f in factors)
-
-
 def _numerators(factors, c, digits: int, terms=(Decimal(1),)) -> list[Decimal]:
     """The signed numerators (-1)^(south poles) prod_i e^(s_i c mu_i r_i):
     `terms` extended by `factors` at `digits` digits, by subset doubling in
@@ -348,59 +308,6 @@ def _numerators(factors, c, digits: int, terms=(Decimal(1),)) -> list[Decimal]:
             steps = (e_plus, -e_minus)
             terms = [t * e for t in terms for e in steps]
     return terms
-
-
-def _decimal_sum(numerators, denominators, digits: int, prefactor) -> float:
-    """prefactor * sum_p numerators[p] / denominators[p], each quotient and
-    partial sum (left to right from Decimal(0)) rounded to `digits` digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        total = sum(map(operator.truediv, numerators, denominators), Decimal(0))
-    return prefactor * float(total)
-
-
-def dh_rhs(space: SphereProductSpace, c, via_sqrt_det: bool = False):
-    """Fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j.
-
-    For real c the alternating sum cancels down to ~prod_i tanh(c mu_i r_i)
-    of its largest term, far beyond double precision at small c, so its
-    signed numerators (_numerators) are divided by the one Decimal of P at
-    the precision fixed_point_digits sizes to that cancellation (at least 40
-    digits, about 20 left in the sum).  Where the float (or complex)
-    prefactor (2 pi / c)^n is not finite, fixed_point_digits raises before
-    any work.  Complex c takes the plain complex path, one denominator per
-    point (used by the oscillatory smoke checks at looser tolerance).
-
-    With via_sqrt_det=True each point's denominator is locq.pfaffian.sqrt_det
-    of its block-diagonal linearization; it carries the point's sign, so the
-    real sum divides the unsigned numerators by it.
-    """
-    _check_c(c)
-    digits, prefactor = _size_sum(space, c)
-    points = enumerate_fixed_points(space) if via_sqrt_det or isinstance(c, complex) else None
-    return _fixed_point_sum(space, c, points, digits, prefactor, via_sqrt_det)
-
-
-def _fixed_point_sum(space: SphereProductSpace, c, points, digits, prefactor,
-                     via_sqrt_det: bool = False):
-    """dh_rhs once its check is sized: digits and prefactor are _size_sum's."""
-    _check_factor_count(space)
-    if via_sqrt_det:
-        denominators = [_pf.sqrt_det(_pf.block_diagonal(lambdas))
-                        for lambdas in itertools.product(*points.rates)]
-    elif isinstance(c, complex):
-        denominators = _denominators(space.factors)
-    else:
-        exact = Decimal(_rate_product(space.factors))
-        return _decimal_sum(_numerators(space.factors, c, digits), itertools.repeat(exact),
-                            digits, prefactor)
-    if isinstance(c, complex):
-        total = 0.0 + 0.0j
-        for h, den in zip(points.h_values, denominators):
-            total += cmath.exp(c * h) / den
-        return prefactor * total
-    numerators = map(Decimal.copy_abs, _numerators(space.factors, c, digits))
-    return _decimal_sum(numerators, map(Decimal, denominators), digits, prefactor)
 
 
 def _rel_err(lhs, rhs) -> float:
@@ -417,20 +324,42 @@ class DHReport:
 
 
 def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
-    """Evaluate both sides of the localization identity and their mismatch."""
+    """Both sides of the localization identity and their mismatch.
+
+    Before any work it refuses a c at which fixed_point_digits raises, then
+    more than MAX_FACTORS factors.  The right side is the fixed-point sum
+    (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j.  For real c it cancels down
+    to ~prod_i tanh(c mu_i r_i) of its largest term, far beyond double
+    precision at small c, so it runs in Decimals at the precision
+    fixed_point_digits sizes to that cancellation: the check is the left
+    fold of SpacePrefix.extend and PrefixCheck.extend over the factors.
+    Complex c takes the plain complex sum, one float denominator per point
+    (used by the oscillatory smoke checks at looser tolerance).
+    """
     _check_c(c)
     digits, prefactor = _size_sum(space, c)
-    lhs = dh_lhs(space, c, quad_points)
+    _check_factor_count(space)
     points = enumerate_fixed_points(space)
-    rhs = _fixed_point_sum(space, c, points, digits, prefactor)
+    if isinstance(c, complex):
+        lhs = dh_lhs(space, c, quad_points)
+        total = 0.0 + 0.0j
+        for h, den in zip(points.h_values, _denominators(space.factors)):
+            total += cmath.exp(c * h) / den
+        rhs = prefactor * total
+    else:
+        prefix, check = SpacePrefix(), PrefixCheck.empty(c, quad_points)
+        for f in space.factors:
+            prefix = prefix.extend(f)
+            check = check.extend(prefix)
+        lhs, rhs = check.lhs, check.rhs
     return DHReport(lhs=lhs, rhs=rhs, rel_err=_rel_err(lhs, rhs), fixed_points=points,
                     decimal_digits=digits)
 
 
 class SpacePrefix(NamedTuple):
     """The first factors of a sphere product, with the part of its
-    fixed-point sum that does not depend on c: the rate product P
-    (_rate_product), and the same as the Decimal equal to it.
+    fixed-point sum that does not depend on c: the rate product P (left to
+    right from int 1, as math.prod multiplies), and the Decimal equal to it.
 
     extend(factor) takes one step of that product.  The empty prefix,
     SpacePrefix(), has no factor and P = int 1.
@@ -449,14 +378,13 @@ class PrefixCheck(NamedTuple):
     """dh_verify's check at one real c on a SpacePrefix.
 
     Its fields are the left folds over the prefix's factors that dh_verify
-    takes: the sizes (_size_step), the quadrature product lhs (dh_lhs) and
-    the signed numerators at `digits` digits (_numerators).  So
-    extend(prefix), where prefix is this check's prefix extended by one
-    factor, gives the check on that prefix by one step of each fold; each
-    check's lhs, rhs and rel_err equal those of
-    dh_verify(SphereProductSpace(prefix.factors), c, quad_points), bit for
-    bit.  Where the new factor raises the digits, the numerators are
-    rebuilt at the new precision, since every rounding depends on it.
+    takes: the sizes (_size_step) with the digits and prefactor they give,
+    the quadrature product lhs (dh_lhs) and the signed numerators at
+    `digits` digits (_numerators).  So extend(prefix), where prefix is this
+    check's prefix extended by one factor, gives the check on that prefix
+    by one step of each fold; rhs and rel_err are read off it, one Decimal
+    sum per read.  Where the new factor raises the digits, the numerators
+    are rebuilt at the new precision, since every rounding depends on it.
     Start from PrefixCheck.empty(c, quad_points), which has the empty
     prefix and is no check.
     """
@@ -468,8 +396,7 @@ class PrefixCheck(NamedTuple):
     lhs: float = 1.0
     digits: int | None = None
     numerators: Sequence[Decimal] = ()
-    rhs: float | None = None
-    rel_err: float | None = None
+    prefactor: float | None = None
 
     @classmethod
     def empty(cls, c, quad_points: int = 64) -> "PrefixCheck":
@@ -488,6 +415,19 @@ class PrefixCheck(NamedTuple):
             numerators = _numerators((factor,), c, digits, self.numerators)
         else:
             numerators = _numerators(prefix.factors, c, digits)
-        rhs = _decimal_sum(numerators, itertools.repeat(prefix.exact), digits, prefactor)
-        return PrefixCheck(c, self.quad_points, prefix, sizes, lhs, digits, numerators, rhs,
-                           _rel_err(lhs, rhs))
+        return PrefixCheck(c, self.quad_points, prefix, sizes, lhs, digits, numerators,
+                           prefactor)
+
+    @property
+    def rhs(self) -> float:
+        """prefactor * sum_p numerators[p] / P, each quotient and partial sum
+        (left to right from Decimal(0)) rounded to `digits` digits."""
+        with localcontext() as ctx:
+            ctx.prec = self.digits
+            total = sum(map(operator.truediv, self.numerators,
+                            itertools.repeat(self.prefix.exact)), Decimal(0))
+        return self.prefactor * float(total)
+
+    @property
+    def rel_err(self) -> float:
+        return _rel_err(self.lhs, self.rhs)

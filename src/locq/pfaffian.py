@@ -161,18 +161,8 @@ class CanonicalForm:
     lambdas: tuple[float, ...]
     basis: np.ndarray
 
-    def block_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        d = 2 * len(self.lambdas)
-        b = np.zeros((d, d))
-        for j, lam in enumerate(self.lambdas):
-            b[2 * j, 2 * j + 1] = -lam
-            b[2 * j + 1, 2 * j] = lam
-        return b
-
     def reassemble(self) -> np.ndarray:
-        return self.basis @ self.block_matrix() @ self.basis.T
+        return self.basis @ block_diagonal(self.lambdas).mat @ self.basis.T
 
 
 def canonicalize(a: SkewMatrix) -> CanonicalForm:

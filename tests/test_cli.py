@@ -388,6 +388,15 @@ class TestPfaffianCommand:
             assert run_fresh(["pfaffian", *argv]) == (
                 f"ValueError: matrix entries must be real numbers: {named}")
 
+    @pytest.mark.parametrize("text,named", [
+        ("[[0, 1], [-1]]", "got 1 entries in row 1 of 2 rows"),
+        ("[[0, 1, 2], [-1, 0, 3]]", "got 3 entries in row 0 of 2 rows"),
+    ])
+    def test_ragged_rows_are_named_with_empty_stderr(self, text, named):
+        # before: NumPy's "inhomogeneous shape" error, which names no row
+        assert run_fresh(["pfaffian", "--matrix", text]) == (
+            f"ValueError: square matrix required, {named}")
+
     @pytest.mark.parametrize("text", ["{}", '{"rows": [[0, 1], [-1, 0]]}', "[[0, {}], [{}, 0]]"])
     def test_non_numeric_matrix_is_named_with_empty_stderr(self, tmp_path, text):
         # before: a TypeError traceback from NumPy's float conversion, exit 1

@@ -1,5 +1,6 @@
 """Fixed-point localization on sphere products: the identity is the oracle."""
 
+import cmath
 import itertools
 import math
 import sys
@@ -8,14 +9,13 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from locq import localization, verify
+from locq import localization, pfaffian, verify
 from locq.errors import DegenerateWeightError
 from locq.localization import (
     SphereFactor,
     SphereProductSpace,
     dh_lhs,
     dh_lhs_closed,
-    dh_rhs,
     dh_verify,
     enumerate_fixed_points,
     factor_integral_closed,
@@ -23,6 +23,33 @@ from locq.localization import (
     fixed_point_digits,
     _exp_pair,
 )
+
+
+# Step of the central difference in _numerical_rate.
+RATE_STEP = 1e-6
+
+
+def _numerical_rate(factor, pole_sign):
+    """Oracle: the linearization rate at a pole, by finite differencing the
+    ambient field V(p) = rate * z_hat x p.
+
+    The tangent frame at the pole is oriented against the outward normal:
+    (x_hat, y_hat) at the north pole, (y_hat, x_hat) at the south pole.
+    Returns l with V ~ l * (frame rotation generator).
+    """
+    import numpy as np
+
+    rate = factor.weight / factor.radius
+
+    def field(p):
+        return np.array([-rate * p[1], rate * p[0], 0.0])
+
+    pole = np.array([0.0, 0.0, pole_sign * factor.radius])
+    ex = np.array([1.0, 0.0, 0.0])
+    ey = np.array([0.0, 1.0, 0.0])
+    e1, e2 = (ex, ey) if pole_sign > 0 else (ey, ex)
+    dv = (field(pole + RATE_STEP * e1) - field(pole - RATE_STEP * e1)) / (2 * RATE_STEP)
+    return float(dv @ e2)
 
 
 class TestFixedPoints:
@@ -41,13 +68,10 @@ class TestFixedPoints:
         assert pts.rates == ((1.5, -1.5),)
 
     def test_numerical_linearization_agrees(self):
-        space = SphereProductSpace.of((2.0, 3.0), (0.5, -1.25))
-        analytic = enumerate_fixed_points(space)
-        numeric = enumerate_fixed_points(space, numerical=True)
-        assert numeric.h_values == analytic.h_values
-        for pa, pn in zip(analytic.rates, numeric.rates):
-            for la, ln in zip(pa, pn):
-                assert la == pytest.approx(ln, abs=1e-9)
+        for space in [SphereProductSpace.of((2.0, 3.0), (0.5, -1.25)), *CACHE_SPACES]:
+            for f, pair in zip(space.factors, enumerate_fixed_points(space).rates):
+                numeric = (_numerical_rate(f, 1), _numerical_rate(f, -1))
+                assert pair == pytest.approx(numeric, abs=1e-9)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(DegenerateWeightError):
@@ -96,7 +120,7 @@ class TestLhs:
 class TestIdentity:
     def test_single_sphere_closed_form(self):
         # fixed-point side reproduces 2 pi (e - 1/e) identically
-        rhs = dh_rhs(SphereProductSpace.of((1.0, 1.0)), 1.0)
+        rhs = dh_verify(SphereProductSpace.of((1.0, 1.0)), 1.0).rhs
         assert rhs == pytest.approx(2 * math.pi * (math.e - 1 / math.e), rel=1e-13)
 
     @pytest.mark.parametrize("c", [0.01, 0.1, 1.0, 5.0, 10.0])
@@ -118,7 +142,8 @@ class TestIdentity:
     def test_sign_flip_symmetry(self):
         space = SphereProductSpace.of((1.0, 1.0), (2.0, 3.0))
         flipped = SphereProductSpace.of((1.0, -1.0), (2.0, -3.0))
-        assert dh_rhs(flipped, -0.7) == pytest.approx(dh_rhs(space, 0.7), rel=1e-12)
+        assert dh_verify(flipped, -0.7).rhs == pytest.approx(dh_verify(space, 0.7).rhs,
+                                                             rel=1e-12)
 
     def test_scaling_covariance_of_exponents(self):
         space = SphereProductSpace.of((1.0, 2.0), (2.0, 0.5))
@@ -129,15 +154,16 @@ class TestIdentity:
         assert exps == pytest.approx(exps_halved, rel=1e-14)
 
     def test_via_sqrt_det_path(self):
-        space = SphereProductSpace.of((1.0, 1.0), (2.0, -3.0))
-        direct = dh_rhs(space, 0.9)
-        routed = dh_rhs(space, 0.9, via_sqrt_det=True)
-        assert routed == pytest.approx(direct, rel=1e-11)
+        spaces = [SphereProductSpace.of((1.0, 1.0), (2.0, -3.0)), *CACHE_SPACES]
+        for space in spaces:
+            for c in (0.9, -0.9):
+                assert _sqrt_det_rhs(space, c) == pytest.approx(dh_verify(space, c).rhs,
+                                                                rel=1e-11)
 
     def test_imaginary_c_smoke(self):
         space = SphereProductSpace.of((1.0, 1.0), (2.0, 3.0))
         lhs = dh_lhs(space, 0.7j, quad_points=128)
-        rhs = dh_rhs(space, 0.7j)
+        rhs = dh_verify(space, 0.7j).rhs
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
         closed = dh_lhs_closed(space, 0.7j)
         assert abs(lhs - closed) / abs(closed) < 1e-10
@@ -174,6 +200,32 @@ def _reference_rhs(space, c):
     return (2.0 * math.pi / c) ** n * float(total)
 
 
+def _sqrt_det_rhs(space, c):
+    """Oracle: the real fixed-point sum with each point's denominator
+    pfaffian.sqrt_det of its block-diagonal linearization, which carries
+    the point's sign, so it divides the unsigned numerators."""
+    digits = fixed_point_digits(space, c)
+    points = _reference_points(space)
+    terms = _reference_numerators(space, c, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = Decimal(0)
+        for (_, _, lams), term in zip(points, terms):
+            total += term / Decimal(pfaffian.sqrt_det(pfaffian.block_diagonal(lams)))
+    return (2.0 * math.pi / c) ** space.half_dim * float(total)
+
+
+def _reference_complex_rhs(space, c):
+    """The complex fixed-point sum written out per pole combination."""
+    total = 0.0 + 0.0j
+    for _, h, lams in _reference_points(space):
+        denom = 1.0
+        for lam in lams:
+            denom *= lam
+        total += cmath.exp(c * h) / denom
+    return (2.0 * math.pi / c) ** space.half_dim * total
+
+
 CACHE_SPACES = [
     SphereProductSpace.of((1.0, 2.0), (1.0, 2.0)),
     SphereProductSpace.of((0.5, 3.0), (2.0, -0.5), (0.5, 3.0)),
@@ -191,8 +243,8 @@ class TestCaching:
     @pytest.mark.parametrize("c", [1e-3, -1e-3, 0.05, -0.05, 1.3, -1.3])
     def test_rhs_matches_uncached_reference_exactly(self, space, c):
         _clear_caches()
-        assert dh_rhs(space, c) == _reference_rhs(space, c)
-        assert dh_rhs(space, c) == _reference_rhs(space, c)  # warm
+        assert dh_verify(space, c).rhs == _reference_rhs(space, c)
+        assert dh_verify(space, c).rhs == _reference_rhs(space, c)  # warm
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
     def test_cold_cleared_and_warm_results_identical(self, space):
@@ -229,9 +281,8 @@ class TestCaching:
 
     def test_factor_count_cap(self):
         space = SphereProductSpace.of(*[(1.0, 1.0)] * 17)
-        for numerical in (False, True):
-            with pytest.raises(ValueError, match="at most 16 sphere factors"):
-                enumerate_fixed_points(space, numerical=numerical)
+        with pytest.raises(ValueError, match="at most 16 sphere factors"):
+            enumerate_fixed_points(space)
         with pytest.raises(ValueError, match="at most 16 sphere factors"):
             dh_verify(space, 0.5)
         assert len(enumerate_fixed_points(SphereProductSpace.of(*[(1.0, 1.0)] * 16))) == 2**16
@@ -240,7 +291,7 @@ class TestCaching:
     def test_non_finite_c_rejected_before_caching(self, c):
         space = CACHE_SPACES[1]
         sizes = factor_integral_quad.cache_info().currsize, _exp_pair.cache_info().currsize
-        for fn in (dh_lhs, dh_rhs, dh_verify):
+        for fn in (dh_lhs, dh_verify):
             with pytest.raises(ValueError, match="finite"):
                 fn(space, c)
         with pytest.raises(ValueError, match="finite"):
@@ -254,7 +305,7 @@ class TestCaching:
         assert isinstance(factor_integral_quad(f, 1.0 + 0.0j), complex)
 
 
-def _reference_points(space, numerical=False):
+def _reference_points(space):
     """The fixed points as one loop per pole combination over
     itertools.product; H is added up left to right from int 0 by hand,
     since sum() of floats is compensated from Python 3.12 on."""
@@ -263,10 +314,7 @@ def _reference_points(space, numerical=False):
         h = 0
         for s, f in zip(signs, space.factors):
             h = h + s * (f.weight * f.radius)
-        if numerical:
-            lams = tuple(localization._numerical_rate(f, s) for s, f in zip(signs, space.factors))
-        else:
-            lams = tuple(s * (f.weight / f.radius) for s, f in zip(signs, space.factors))
+        lams = tuple(s * (f.weight / f.radius) for s, f in zip(signs, space.factors))
         out.append((signs, h, lams))
     return out
 
@@ -288,25 +336,25 @@ class TestSubsetDoubling:
     """The doubled points and Decimal numerators against the per-point loops."""
 
     @settings(max_examples=40, deadline=None)
-    @given(space=_spaces, numerical=st.booleans())
-    def test_points_match_product_loop(self, space, numerical):
-        points = enumerate_fixed_points(space, numerical=numerical)
+    @given(space=_spaces)
+    def test_points_match_product_loop(self, space):
+        points = enumerate_fixed_points(space)
         got = list(zip(itertools.product((1, -1), repeat=space.half_dim), points.h_values,
                        itertools.product(*points.rates)))
         assert len(points) == 2**space.half_dim
-        assert got == _reference_points(space, numerical)
+        assert got == _reference_points(space)
 
     @settings(max_examples=60, deadline=None)
     @given(space=_spaces, c=_real_cs)
     def test_rhs_matches_per_point_loop(self, space, c):
-        assert dh_rhs(space, c) == _reference_rhs(space, c)
+        assert dh_verify(space, c).rhs == _reference_rhs(space, c)
 
     @settings(max_examples=60, deadline=None)
     @given(space=st.one_of(_spaces, _extreme_spaces))
     @example(space=SphereProductSpace.of((1.0, 0.1), (1.0, 0.2), (1.0, 0.3)))
     def test_each_denominator_is_the_signed_rate_product(self, space):
         # the real sum divides every signed numerator by the one P
-        rate_product = localization._rate_product(space.factors)
+        rate_product = math.prod(f.weight / f.radius for f in space.factors)
         prefix = localization.SpacePrefix()
         for f in space.factors:
             prefix = prefix.extend(f)
@@ -320,37 +368,26 @@ class TestSubsetDoubling:
 
     @pytest.mark.parametrize("c", [0.7, -1e-9, complex(0.3, 0.4)])
     def test_each_check_sized_once(self, monkeypatch, c):
+        # a check is sized once, up front, and its refusal comes before any work
         calls = []
         for name in ("_size_sum", "_prefactor"):
             original = getattr(localization, name)
             monkeypatch.setattr(localization, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-        space = SphereProductSpace.of((1.0, 2.0), (0.5, -1.5), (2.0, 0.25))
-        for run in (lambda: dh_verify(space, c), lambda: dh_rhs(space, c),
-                    lambda: dh_rhs(space, c, via_sqrt_det=True)):
-            calls.clear()
-            run()
-            assert calls == ["_size_sum", "_prefactor"]
+        TestSumPrecision._forbid_work(monkeypatch)
+        space = SphereProductSpace.of(*[(1.0, 2.0), (0.5, -1.5), (2.0, 0.25)] * 6)
+        with pytest.raises(ValueError, match=r"at most 16 sphere factors .*, got 18$"):
+            dh_verify(space, c)
+        assert calls == ["_size_sum", "_prefactor"]
 
     @settings(max_examples=30, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, st.builds(complex, _real_cs, _real_cs)))
     def test_verify_rhs_is_dh_rhs(self, space, c):
+        # the rhs of dh_verify, real or complex, is the per-point sum bit for bit
         report = dh_verify(space, c)
-        assert repr(report.rhs) == repr(dh_rhs(space, c))
+        reference = _reference_complex_rhs if isinstance(c, complex) else _reference_rhs
+        assert repr(report.rhs) == repr(reference(space, c))
         assert report.decimal_digits == fixed_point_digits(space, c)
-
-    def test_numerical_rates_run_twice_per_factor(self, monkeypatch):
-        calls = []
-        rate = localization._numerical_rate
-
-        def counted(factor, pole_sign):
-            calls.append(pole_sign)
-            return rate(factor, pole_sign)
-
-        monkeypatch.setattr(localization, "_numerical_rate", counted)
-        space = SphereProductSpace.of(*[(1.0 + k, 0.5 - k) for k in range(6)])
-        assert len(enumerate_fixed_points(space, numerical=True)) == 2**6
-        assert calls == [1, -1] * 6
 
 
 class TestSumPrecision:
@@ -379,7 +416,7 @@ class TestSumPrecision:
     )
     def test_small_c_matches_closed_form(self, pairs, c):
         space = SphereProductSpace.of(*pairs)
-        assert dh_rhs(space, c) == pytest.approx(dh_lhs_closed(space, c), rel=1e-14)
+        assert dh_verify(space, c).rhs == pytest.approx(dh_lhs_closed(space, c), rel=1e-14)
 
     def test_sixteen_factors_at_small_c(self):
         # at 40 digits this sum came out 24 times too large
@@ -400,9 +437,14 @@ class TestSumPrecision:
     def test_precision_cap_before_any_work(self, monkeypatch):
         space = SphereProductSpace.of(*[(1.0, 1.0)] * 4)
         self._forbid_work(monkeypatch)
-        for fn in (dh_rhs, dh_verify):
-            with pytest.raises(ValueError, match="more than MAX_DECIMAL_DIGITS = 1000"):
-                fn(space, 1e-300)
+        with pytest.raises(ValueError, match="more than MAX_DECIMAL_DIGITS = 1000"):
+            dh_verify(space, 1e-300)
+
+    def test_factor_cap_before_any_work(self, monkeypatch):
+        space = SphereProductSpace.of(*[(1.0, 1.0)] * 17)
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"at most 16 sphere factors .*, got 17$"):
+            dh_verify(space, 0.5)
 
     def test_underflowing_exponent_hits_the_cap(self):
         with pytest.raises(ValueError, match="cancels inf digits"):
@@ -412,9 +454,8 @@ class TestSumPrecision:
     def test_overflow_named_before_any_work(self, monkeypatch, c):
         space = SphereProductSpace.of((1.0, 1.0))
         self._forbid_work(monkeypatch)
-        for fn in (dh_rhs, dh_verify):
-            with pytest.raises(ValueError, match=r"^overflow: e\^\(c H\) exceeds"):
-                fn(space, c)
+        with pytest.raises(ValueError, match=r"^overflow: e\^\(c H\) exceeds"):
+            dh_verify(space, c)
 
     @pytest.mark.parametrize(
         "pairs,c",
@@ -427,9 +468,8 @@ class TestSumPrecision:
     def test_prefactor_overflow_named_before_any_work(self, monkeypatch, pairs, c):
         space = SphereProductSpace.of(*pairs)
         self._forbid_work(monkeypatch)
-        for fn in (dh_rhs, dh_verify):
-            with pytest.raises(ValueError, match=r"^overflow: the prefactor \(2 pi / c\)\^n"):
-                fn(space, c)
+        with pytest.raises(ValueError, match=r"^overflow: the prefactor \(2 pi / c\)\^n"):
+            dh_verify(space, c)
 
     def test_prefactor_refused_only_when_not_finite(self):
         # (2 pi / c)^2 reaches the largest double at c = 2 pi / sqrt(max)
