@@ -7,8 +7,10 @@ be checked coefficient by coefficient:
   * macdonald_series      <->  sym_poincare_oracle (graded symmetric powers)
   * orbifold_series       <->  orbifold_oracle (partition sums of the above)
   * equivariant series    <->  partition counting
-  * twisted series        ->   assembled from three integer products; its
-                               halved difference must be an integer.
+  * twisted_sym_series    <->  twisted_sym_oracle (tuples of strict and of
+                               distinct-odd partitions), for chi >= 0; the
+                               eta-quotient route's halved difference must
+                               be an integer.
 
 Index-range note for the orbifold product: the q-power index runs over
 n >= 1 and the degree index over j >= 0 (so the degree-0 Betti number
@@ -19,15 +21,17 @@ agreeing with the partition-sum oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
+from . import kernel
 from .errors import LocqError
 from .series import (
     BivariateSeries,
     FormalSeries,
     _check_order,
     binomial_product,
-    euler_product,
     polynomial_power,
 )
 
@@ -174,6 +178,16 @@ def equivariant_euler_series(chi: int, q_order: int) -> FormalSeries:
     return polynomial_power(pentagonal_terms(q_order), -chi, q_order)
 
 
+def theta4_terms(order: int) -> list[tuple[int, int]]:
+    """The nonzero terms (k, g_k), 1 <= k <= order, of Gauss's theta_4.
+
+    theta_4(t) = 1 + 2 sum_{n>=1} (-1)^n t^(n^2) = E(t)^2 / E(t^2), with E
+    Euler's function (Gauss; Koehler, Eta Products and Theta Series
+    Identities, 2011): about sqrt(order) terms.
+    """
+    return [(n * n, 2 * (-1) ** n) for n in range(1, math.isqrt(order) + 1)]
+
+
 def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
     """Euler-characteristic series of the twisted symmetric-product theory.
 
@@ -182,26 +196,93 @@ def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
         C+- = prod (1 +- q^(2n))^(chi)
     as A + B * (1 + (C+ - C-)/2).  Euler's identity
     prod (1 + q^n) = prod_{n odd} (1 - q^n)^(-1) gives B C+ = A, so with
-    D = B C- the series is A + B + (A - D)/2, computed in integers.  As
-    products prod (1 - q^k)^(-c_k), the exponent c_k of A, B and D is, by
-    k mod 4: k odd: chi, chi, chi; k = 2: 0, -chi, -2 chi; k = 0: 0, 0, -chi.
-    A - D must be even: an odd coefficient is a hard error.  Note the
-    constant coefficient is 2, not 1, for every chi.
+    D = B C- the series is A + B + (A - D)/2.  As eta quotients, with E
+    Euler's function, A = E(q)^(-chi) U(q^2), B = E(q)^(-chi) Theta(q^2)
+    and D = E(q)^(-chi) U(q^2) Theta(q^2), where U = E(t)^chi and
+    Theta = theta_4(t)^chi.  So the series is E(q)^(-chi) G(q^2) with
+        G = U + Theta + (U - U Theta)/2:
+    three sparse powers and two products.  U - U Theta must be even: an
+    odd coefficient is a hard error.  Note the constant coefficient is 2,
+    not 1, for every chi.
     """
     _check_chi(chi)
     _check_order(q_order)
-
-    def product(odd: int, two: int, four: int) -> tuple[int, ...]:
-        by_residue = (four, odd, two, odd)
-        return euler_product([by_residue[k % 4] for k in range(q_order + 1)], q_order).nums
-
-    a = product(chi, 0, 0)
-    b = product(chi, -chi, 0)
-    d = product(chi, -2 * chi, -chi)
-    diffs = [x - y for x, y in zip(a, d)]
+    half = q_order // 2
+    u = kernel.sparse_power(pentagonal_terms(half), chi, half)
+    theta = kernel.sparse_power(theta4_terms(half), chi, half)
+    diffs = [x - y for x, y in zip(u, kernel.mul_trunc(u, theta))]
     if any(v % 2 for v in diffs):
         raise LocqError("twisted series produced non-integer coefficients")
-    return FormalSeries._make(q_order, [x + y + v // 2 for x, y, v in zip(a, b, diffs)], 1)
+    g = [0] * (q_order + 1)
+    g[::2] = [x + y + v // 2 for x, y, v in zip(u, theta, diffs)]
+    e = kernel.sparse_power(pentagonal_terms(q_order), -chi, q_order)
+    return FormalSeries._make(q_order, kernel.mul_trunc(e, g), 1)
+
+
+@lru_cache(maxsize=1024)
+def _distinct_part_counts(n: int, step: int) -> tuple[int, int]:
+    """Partitions of n into distinct parts from 1, 1 + step, 1 + 2 step, ...,
+    counted by the parity of n minus their number of parts: (even, odd).
+
+    Step 1 counts the strict partitions, step 2 those into distinct odd
+    parts; the recursion lists every partition, largest part first.
+    """
+    counts = [0, 0]
+
+    def rec(remaining: int, largest: int, length: int) -> None:
+        if remaining == 0:
+            counts[(n - length) % 2] += 1
+            return
+        for part in range(min(remaining, largest), 0, -1):
+            if (part - 1) % step == 0:
+                rec(remaining - part, part - 1, length + 1)
+
+    rec(n, n, 0)
+    return counts[0], counts[1]
+
+
+@lru_cache(maxsize=4096)
+def _tuple_counts(chi: int, n: int, step: int) -> tuple[int, int]:
+    """chi-tuples of the partitions of _distinct_part_counts with total n,
+    counted by the parity of n minus their total number of parts.
+
+    A tuple is its first chi // 2 members followed by the rest, so the
+    recursion is about log2(chi) deep.
+    """
+    if chi <= 1:
+        if chi:
+            return _distinct_part_counts(n, step)
+        return (1, 0) if n == 0 else (0, 0)
+    head = chi // 2
+    even = odd = 0
+    for m in range(n + 1):
+        e1, o1 = _tuple_counts(head, m, step)
+        e2, o2 = _tuple_counts(chi - head, n - m, step)
+        even += e1 * e2 + o1 * o2
+        odd += e1 * o2 + o1 * e2
+    return even, odd
+
+
+def twisted_sym_oracle(chi: int, n: int) -> int:
+    """Coefficient of q^n of the twisted series for chi >= 0, by counting.
+
+    With A and D of twisted_sym_series, A = (sum over strict partitions
+    lambda of q^|lambda|)^chi (Euler) and D is the same sum weighted by
+    (-1)^(|lambda| - l(lambda)), the parity of the number of even parts.
+    So A + (A - D)/2 counts chi-tuples of strict partitions of total n,
+    weighted 1 when n minus their total number of parts is even and 2 when
+    it is odd, and B counts chi-tuples of partitions into distinct odd
+    parts.  At chi = 1 the first count is Schur's number of irreducible
+    spin representations of the double cover of S_n (Hoffman-Humphreys,
+    Projective Representations of the Symmetric Groups, 1992).  Uses no
+    series product.
+    """
+    if chi < 0:
+        raise ValueError("the twisted-series oracle needs chi >= 0")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    even, odd = _tuple_counts(chi, n, 1)
+    return even + 2 * odd + sum(_tuple_counts(chi, n, 2))
 
 
 def orbifold_series(b: BettiData, q_order: int, y_bound: int | None = None) -> BivariateSeries:

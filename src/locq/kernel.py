@@ -4,23 +4,62 @@ Hot loops for truncated power-series arithmetic on plain coefficient
 lists.  The Cauchy product, the Euler transform and the sparse power work
 on Python ints (numerators over a common denominator handled by the
 caller), so they are exact and overflow-free; the reciprocal works over
-any field.
+any field.  The Cauchy product is one Kronecker-packed multiplication of
+two `decimal` integers, never a loop over coefficient pairs.
 """
 
 import operator
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+
+# Large enough that no product, sum or difference of integers is rounded.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _pack(values, width):
+    """Decimal holding sum_k values[k] * 10**(width * k), exactly.
+
+    Adjacent entries are paired as lo + hi * 10**shift, with the shift
+    doubling each round, so every round moves each digit once.
+    """
+    parts = [Decimal(v) for v in values]
+    shift = width
+    while len(parts) > 1:
+        pairs = zip(parts[::2], parts[1::2])
+        odd = parts[-1:] if len(parts) % 2 else []
+        parts = [_EXACT.add(lo, hi.scaleb(shift, _EXACT)) for lo, hi in pairs] + odd
+        shift *= 2
+    return parts[0]
 
 
 def mul_trunc(a, b):
-    """Truncated Cauchy product of two equal-length coefficient lists."""
+    """Truncated Cauchy product of two equal-length integer lists.
+
+    Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): with
+    X = 10**w and 10**w > 2 n max|a| max|b|, every coefficient of the full
+    product lies in (-X/2, X/2), so the integer A(X) B(X) holds them in
+    balanced base-X digits.  The one multiplication runs in `decimal`,
+    whose libmpdec switches to a number-theoretic transform for large
+    operands; CPython's int multiply is only Karatsuba.  Every conversion
+    goes through Decimal, so no coefficient meets the int/str digit limit.
+    """
     n = len(a)
-    out = [0] * n
-    for i in range(n):
-        ai = a[i]
-        if ai:
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+    bound = n * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    if not bound:
+        return [0] * n
+    # 10**width > 2 bound, by 30103/100000 > log10(2)
+    width = (bound.bit_length() + 1) * 30103 // 100000 + 1
+    product = _EXACT.multiply(_pack(a, width), _pack(b, width))
+    sign = -1 if product.is_signed() else 1
+    # the low n slots: a shift by 0 keeps the last `prec` digits
+    low = Context(prec=n * width, Emax=MAX_EMAX).shift(product.copy_abs(), 0)
+    digits = str(low).rjust(n * width, "0")
+    top = 10**width
+    out = []
+    carry = 0
+    for end in range(n * width, 0, -width):
+        v = int(Decimal(digits[end - width:end])) + carry
+        carry = 2 * v > top
+        out.append(sign * (v - top if carry else v))
     return out
 
 

@@ -4,7 +4,8 @@ FormalSeries is a univariate series in q known modulo q**(order+1) with
 exact rational coefficients and full ring arithmetic.  Integer products
 are built by recurrences, not by ring multiplication: a power of one
 sparse polynomial, (1 + sum_k g_k q^k)^alpha, by `polynomial_power`, and
-any other product prod (1 - q^k)^(-c_k) by `euler_product`.
+the spectral products prod (1 -/+ q^(a n + eps)) by `expand_product`,
+through the Euler transform.
 BivariateSeries is a value type: a series in q whose coefficients are
 integer Laurent polynomials in a second variable y, built by
 `binomial_product` and then only read, specialized or filtered.  All
@@ -239,17 +240,6 @@ class FormalSeries:
                              if terms else (("-" if c < 0 else "") + coeff + mag))
         body = " ".join(terms) if terms else "0"
         return f"<{body} + O(q^{self.order + 1})>"
-
-
-def euler_product(c, order: int) -> FormalSeries:
-    """prod_{k>=1} (1 - q**k)**(-c[k]) exactly to `order`.
-
-    The route for every exact univariate product that is not a power of
-    one sparse polynomial (see polynomial_power); kernel.euler_transform
-    has the recurrence and the conventions for c.
-    """
-    _check_order(order)
-    return FormalSeries._make(order, kernel.euler_transform(c, order), 1)
 
 
 def polynomial_power(terms, alpha: int, order: int) -> FormalSeries:

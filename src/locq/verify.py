@@ -199,21 +199,34 @@ def suite_orbifold() -> SuiteResult:
 
 
 def suite_twisted() -> SuiteResult:
+    """Constant term 2 at chi = 0, integer coefficients for chi in [-4, 4],
+    and the spin-partition oracle coefficient by coefficient for chi in
+    [0, 4], n <= 20."""
     constant_ok = True
     for order in (0, 1, 5, 12, 20):
         series = genfunc.twisted_sym_series(0, order)
         expect = [Fraction(2)] + [Fraction(0)] * order
         constant_ok = constant_ok and list(series.coefficients) == expect
     integer_ok = True
+    mismatches = 0
+    cases = 0
     for chi in range(-4, 5):
         try:
-            genfunc.twisted_sym_series(chi, 20)
+            series = genfunc.twisted_sym_series(chi, 20)
         except LocqError:
             integer_ok = False
+            continue
+        if chi < 0:
+            continue  # the oracle counts tuples: chi >= 0 only
+        for n, got in enumerate(series.coefficients):
+            cases += 1
+            if got != genfunc.twisted_sym_oracle(chi, n):
+                mismatches += 1
     return SuiteResult(
         name="twisted-sym",
-        passed=constant_ok and integer_ok,
-        details={"constant_two": constant_ok, "integer_coefficients": integer_ok},
+        passed=constant_ok and integer_ok and mismatches == 0,
+        details={"constant_two": constant_ok, "integer_coefficients": integer_ok,
+                 "cases": cases, "mismatches": mismatches},
     )
 
 

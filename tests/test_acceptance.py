@@ -80,10 +80,13 @@ def test_criterion_5_orbifold_oracle():
 
 def test_criterion_6_twisted_series():
     """Twisted series: constant 2 at chi = 0 for every order; integer
-    coefficients for chi in [-4, 4] at order 20."""
+    coefficients for chi in [-4, 4] at order 20; the spin-partition oracle
+    for chi in [0, 4], n <= 20."""
     result = verify.suite_twisted()
     _report(result)
     assert result.passed
+    assert result.details["cases"] == 5 * 21
+    assert result.details["mismatches"] == 0
 
 
 def test_criterion_7_q_identities():

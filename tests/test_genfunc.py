@@ -18,6 +18,8 @@ from locq.genfunc import (
     orbifold_series,
     partition_multiplicities,
     sym_poincare_oracle,
+    theta4_terms,
+    twisted_sym_oracle,
     twisted_sym_series,
 )
 from locq.series import FormalSeries, IntegerProductSpec, expand_product
@@ -219,6 +221,72 @@ class TestTwisted:
         c_minus = ring_binomials(even, -1, order).int_pow(chi)
         expect = a + b * (1 + Fraction(1, 2) * (c_plus - c_minus))
         assert twisted_sym_series(chi, order) == expect
+
+
+def euler_transform_route(chi: int, order: int) -> list[int]:
+    """The twisted series as A + B + (A - D)/2 over three Euler transforms.
+
+    As products prod (1 - q^k)^(-c_k), the exponent c_k of A, B and D is,
+    by k mod 4: k odd: chi, chi, chi; k = 2: 0, -chi, -2 chi; k = 0: 0, 0,
+    -chi, with A, B and D as in twisted_sym_series.
+    """
+
+    def product(odd: int, two: int, four: int) -> list[int]:
+        by_residue = (four, odd, two, odd)
+        return kernel.euler_transform([by_residue[k % 4] for k in range(order + 1)], order)
+
+    a = product(chi, 0, 0)
+    b = product(chi, -chi, 0)
+    d = product(chi, -2 * chi, -chi)
+    assert all((x - z) % 2 == 0 for x, z in zip(a, d))
+    return [x + y + (x - z) // 2 for x, y, z in zip(a, b, d)]
+
+
+class TestTwistedRoutes:
+    """The eta-quotient route against the three Euler transforms."""
+
+    @pytest.mark.parametrize("chi", range(-4, 5))
+    def test_small_chi_every_order(self, chi):
+        for order in range(42):
+            assert list(twisted_sym_series(chi, order).nums) == euler_transform_route(chi, order)
+
+    @pytest.mark.parametrize("chi, order", [(1000, 200), (-1000, 200), (300, 600),
+                                            (-300, 600), (24, 2000)])
+    def test_large_corners(self, chi, order):
+        assert list(twisted_sym_series(chi, order).nums) == euler_transform_route(chi, order)
+
+
+class TestTwistedOracle:
+    def test_matches_series(self):
+        for chi in range(5):
+            series = twisted_sym_series(chi, 24)
+            assert [twisted_sym_oracle(chi, n) for n in range(25)] == list(series.nums), chi
+
+    def test_first_values(self):
+        assert [twisted_sym_oracle(3, n) for n in range(8)] == [2, 6, 12, 26, 45, 75, 128, 201]
+        assert [twisted_sym_oracle(0, n) for n in range(4)] == [2, 0, 0, 0]
+
+    def test_spin_count_at_chi_one(self):
+        # n = 4: the strict partitions 4 (n - l odd, weight 2) and 3+1 (n - l
+        # even, weight 1), and 3+1 again as the one into distinct odd parts
+        assert twisted_sym_oracle(1, 4) == 2 + 1 + 1
+
+    def test_rejects_negative_arguments(self):
+        with pytest.raises(ValueError, match="chi >= 0"):
+            twisted_sym_oracle(-1, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            twisted_sym_oracle(2, -1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 4, 50, 2000])
+def test_theta4_terms_are_an_eta_quotient(order):
+    # theta_4(t) = E(t)^2 / E(t^2): exponent -2 at odd k, -1 at even k
+    dense = [1] + [0] * order
+    for k, g in theta4_terms(order):
+        assert dense[k] == 0
+        dense[k] = g
+    assert dense == kernel.euler_transform([0] + [-2 + (k % 2 == 0) for k in range(1, order + 1)],
+                                           order)
 
 
 @pytest.mark.parametrize("build", [equivariant_euler_series, twisted_sym_series])

@@ -1,6 +1,7 @@
 """The exact series kernel against independent reference computations."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,49 @@ def test_mul_trunc_matches_reference():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mul_trunc_property(data):
+    # tiny entries next to huge ones: the slot width follows the largest
     n = data.draw(st.integers(1, 30))
-    coeffs = st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n)
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70),
+                      st.integers(-(2**2000), 2**2000))
+    coeffs = st.lists(entry, min_size=n, max_size=n)
     a, b = data.draw(coeffs), data.draw(coeffs)
     assert kernel.mul_trunc(a, b) == schoolbook_mul(a, b)
+
+
+def test_mul_trunc_carry_past_the_highest_slot():
+    # -1 + q^2 packs as X^2 - 1, whose base-X digits are X - 1, X - 1: the
+    # carry out of slot 0 runs through slot 1 into slot 2
+    assert kernel.mul_trunc([1, -1, 0, 0], [-1, -1, 0, 0]) == [-1, 0, 1, 0]
+
+
+def test_mul_trunc_negative_product():
+    # the packed product 1 - X^2 is negative: its digits are those of X^2 - 1
+    assert kernel.mul_trunc([-1, 0, 1, 0], [-1, 0, 0, 0]) == [1, 0, -1, 0]
+
+
+def test_mul_trunc_zero_operands_and_length_one():
+    assert kernel.mul_trunc([0, 0, 0], [5, -7, 2]) == [0, 0, 0]
+    assert kernel.mul_trunc([5, -7, 2], [0, 0, 0]) == [0, 0, 0]
+    assert kernel.mul_trunc([0], [0]) == [0]
+    assert kernel.mul_trunc([-6], [7]) == [-42]
+    assert kernel.mul_trunc([2**3000], [-(3**2000)]) == [-(2**3000) * 3**2000]
+
+
+def test_mul_trunc_past_the_int_str_digit_limit():
+    # 10**5000 has more digits than int/str conversion allows by default
+    big = 10**5000
+    a = [big, -1, 3, 0]
+    b = [1, big, -big, 2]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            str(big)
+        got = kernel.mul_trunc(a, b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == schoolbook_mul(a, b)
+    assert got[1] == big * big - 1
 
 
 def test_reciprocal_round_trip():
