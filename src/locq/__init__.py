@@ -2,7 +2,7 @@
 
 Subpackages by task:
 
-  series        exact truncated power series over the rationals
+  series        exact truncated power series with integer coefficients
   qhyper        q-Pochhammer symbols and bilateral hypergeometric sums
   spectral      numeric infinite products and their spectral-argument map
   pfaffian      Pfaffians and the square-root-determinant convention

@@ -5,10 +5,6 @@ class LocqError(Exception):
     """Base class for all locq-specific errors."""
 
 
-class ZeroConstantTermError(LocqError):
-    """Series inversion requires a nonzero constant coefficient."""
-
-
 class DegenerateFactorError(LocqError):
     """An infinite product contains a vanishing factor (1 - q^0)."""
 

@@ -216,7 +216,7 @@ def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
     g = [0] * (q_order + 1)
     g[::2] = [x + y + v // 2 for x, y, v in zip(u, theta, diffs)]
     e = kernel.sparse_power(pentagonal_terms(q_order), -chi, q_order)
-    return FormalSeries._make(q_order, kernel.mul_trunc(e, g), 1)
+    return FormalSeries(q_order, tuple(kernel.mul_trunc(e, g)))
 
 
 @lru_cache(maxsize=1024)

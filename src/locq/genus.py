@@ -31,7 +31,7 @@ from itertools import islice
 
 from .errors import BetaSingularityError, ScanInconclusiveError
 from .kernel import reciprocal
-from .series import _check_order, _common, _int_pow
+from .series import _check_order
 from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
 TWO_PI_I = 2j * math.pi
@@ -95,7 +95,8 @@ class XSeries:
         return XSeries(order, self.coeffs[: order + 1], self.coeff_error)
 
     def __mul__(self, other: "XSeries") -> "XSeries":
-        a, b = _common(self, other)
+        order = min(self.order, other.order)
+        a, b = self.truncate(order), other.truncate(order)
         n = a.order + 1
         out = [0j] * n
         for i in range(n):
@@ -117,8 +118,23 @@ class XSeries:
         err = self.coeff_error * inv_norm * inv_norm
         return XSeries._make(out, err)
 
-    int_pow = _int_pow
-    __pow__ = _int_pow
+    def int_pow(self, exponent: int) -> "XSeries":
+        """Integer power by square-and-multiply.
+
+        A negative exponent inverts first, so it needs an invertible
+        constant term.
+        """
+        base = self if exponent >= 0 else self.invert()
+        e = abs(exponent)
+        result = XSeries.one(self.order)
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return result
+
+    __pow__ = int_pow
 
     def shift_down(self) -> "XSeries":
         """Divide by x: drops the constant coefficient (which must vanish)."""

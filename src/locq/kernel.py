@@ -2,9 +2,8 @@
 
 Hot loops for truncated power-series arithmetic on plain coefficient
 lists.  The Cauchy product, the Euler transform and the sparse power work
-on Python ints (numerators over a common denominator handled by the
-caller), so they are exact and overflow-free; the reciprocal works over
-any field.  The Cauchy product is one Kronecker-packed multiplication of
+on Python ints, so they are exact and overflow-free; the reciprocal works
+over any field.  The Cauchy product is one Kronecker-packed multiplication of
 two `decimal` integers, never a loop over coefficient pairs.
 """
 

@@ -1,6 +1,7 @@
 """CLI contract: JSON on every exit path, exit codes, determinism."""
 
 import cmath
+import hashlib
 import itertools
 import json
 import math
@@ -522,6 +523,29 @@ class TestSeriesCommands:
     def test_orbifold(self, run_cli):
         code, out = run_cli(["orbifold", "--betti", "1,0,1", "--order", "2"])
         assert parse(out)["coeffs"][2] == {"0": 2, "2": 2, "4": 1}
+
+    # sha256 of stdout: locks the "v/1" coefficient strings, the key order and
+    # every coefficient of the exact series commands
+    PINNED = [
+        ("euler-series --chi 3 --order 2000",
+         "5088cbc18b1c7f9298a8e9dc882c039aa95267ab596158a62327701943edef55"),
+        ("euler-series --chi -24 --order 12",
+         "ce663304de1e854ba9ae8d5b700980e0ebfe9b9172588be98587404cbdec9efa"),
+        ("twisted-sym --chi -3 --order 800",
+         "ed68afe1f0b9b98b6ac719251525db35b6dc9844d903af08047f09c2024d2672"),
+        ("twisted-sym --chi 0 --order 0",
+         "409c7a70234365f667cf9d6a3218349b7361b5d3a67ae00106eef02a74c6145b"),
+        ("macdonald --betti 1,2,1 --order 30",
+         "1cd8a4d2297767bb70e54a46226650f1adf52b7ef5f1235ec1adbc1c05d01a04"),
+        ("orbifold --betti 1,2,1 --order 20 --y-bound 40",
+         "60096214b08e7685e03cbc614dde1dd43d6669d001606d1dc37f0761f1f68057"),
+    ]
+
+    @pytest.mark.parametrize("command, digest", PINNED)
+    def test_output_bytes_are_pinned(self, run_cli, command, digest):
+        code, out = run_cli(command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGenusCommands:

@@ -1,11 +1,11 @@
 """Generating functions vs enumeration oracles, all equalities exact."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import int_series as ring
 from locq import kernel
 from locq.genfunc import (
     MAX_CHI,
@@ -29,11 +29,11 @@ SPHERE = BettiData.of(1, 0, 1)
 TORUS = BettiData.of(1, 2, 1)
 
 
-def ring_binomials(exponents, sign: int, order: int) -> FormalSeries:
-    """prod_e (1 + sign q^e) by FormalSeries multiplication, factor by factor."""
-    out = FormalSeries.one(order)
+def ring_binomials(exponents, sign: int, order: int) -> list[int]:
+    """prod_e (1 + sign q^e) by schoolbook products, factor by factor."""
+    out = ring.one(order)
     for e in exponents:
-        out = out * (FormalSeries.one(order) + FormalSeries.monomial(sign, e, order))
+        out = ring.mul(out, ring.binomial(sign, e, order))
     return out
 
 
@@ -79,14 +79,14 @@ class TestMacdonald:
             assert series.q_coefficient(n) == {2 * k: 1 for k in range(n + 1)}
 
     def test_torus_substitution(self):
-        # (1 + q y)^2 / ((1 - q)(1 - q y^2)), built in the ring of q-series over Q
+        # (1 + q y)^2 / ((1 - q)(1 - q y^2)), built by schoolbook products
         order = 5
         series = macdonald_series(TORUS, order)
-        q = FormalSeries.monomial(1, 1, order)
-        one = FormalSeries.one(order)
         for y in (-2, -1, 2, 3):
-            expect = (one + y * q).int_pow(2) * ((one - q) * (one - y**2 * q)).invert()
-            assert series.specialize_y(y) == expect, y
+            numerator = ring.power(ring.binomial(y, 1, order), 2)
+            denominator = ring.mul(ring.binomial(-1, 1, order), ring.binomial(-y * y, 1, order))
+            expect = ring.mul(numerator, ring.inverse(denominator))
+            assert list(series.specialize_y(y).coeffs) == expect, y
 
     @pytest.mark.parametrize("betti", [(1,), (1, 0, 1), (1, 2, 1), (2, 1), (0, 3), (1, 1, 1, 1)])
     def test_matches_oracle(self, betti):
@@ -105,33 +105,31 @@ class TestEulerSpecialization:
     def test_sphere(self):
         result = euler_specialization(SPHERE, 8)
         assert result.matches
-        assert result.series.coefficients[:4] == (
-            Fraction(1), Fraction(2), Fraction(3), Fraction(4),
-        )
+        assert result.series.coeffs[:4] == (1, 2, 3, 4)
 
     def test_torus_constant_one(self):
         result = euler_specialization(TORUS, 8)
         assert result.matches
-        assert result.series == FormalSeries.one(8)
+        assert result.series == FormalSeries(8, (1,) + (0,) * 8)
 
     def test_point(self):
         result = euler_specialization(POINT, 8)
         assert result.matches
-        assert all(c == 1 for c in result.series.coefficients)
+        assert all(c == 1 for c in result.series.coeffs)
 
 
 class TestEquivariant:
     @pytest.mark.parametrize("chi", range(-4, 5))
     def test_matches_ring_power(self, chi):
         euler = ring_binomials(range(1, 31), -1, 30)
-        assert equivariant_euler_series(chi, 30) == euler.int_pow(-chi)
+        assert list(equivariant_euler_series(chi, 30).coeffs) == ring.power(euler, -chi)
 
     def test_partition_series(self):
         series = equivariant_euler_series(1, 6)
-        assert [int(c) for c in series.coefficients] == [1, 1, 2, 3, 5, 7, 11]
+        assert series.coeffs == (1, 1, 2, 3, 5, 7, 11)
 
     def test_chi_zero(self):
-        assert equivariant_euler_series(0, 10) == FormalSeries.one(10)
+        assert equivariant_euler_series(0, 10) == FormalSeries(10, (1,) + (0,) * 10)
 
     def test_chi_minus_one_pentagonal(self):
         series = equivariant_euler_series(-1, 12)
@@ -141,7 +139,7 @@ class TestEquivariant:
     def test_matches_euler_transform_at_max_chi(self, chi):
         order = 500
         expect = kernel.euler_transform([0] + [chi] * order, order)
-        assert list(equivariant_euler_series(chi, order).nums) == expect
+        assert list(equivariant_euler_series(chi, order).coeffs) == expect
 
     def test_jacobi_cube_identity(self):
         # prod (1 - q^n)^3 = sum_{n>=0} (-1)^n (2n + 1) q^(n(n+1)/2) (Jacobi)
@@ -151,7 +149,7 @@ class TestEquivariant:
         while n * (n + 1) // 2 <= order:
             expect[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
             n += 1
-        assert list(equivariant_euler_series(-3, order).nums) == expect
+        assert list(equivariant_euler_series(-3, order).coeffs) == expect
 
 
 class TestRamanujanTau:
@@ -161,9 +159,8 @@ class TestRamanujanTau:
 
     @pytest.fixture(scope="class")
     def tau(self):
-        series = equivariant_euler_series(-24, self.N - 1)
-        assert series.den == 1
-        return [0, *series.nums]  # tau[n] is the coefficient of q^(n-1)
+        # tau[n] is the coefficient of q^(n-1)
+        return [0, *equivariant_euler_series(-24, self.N - 1).coeffs]
 
     def test_first_values(self, tau):
         assert tau[1:12] == [1, -24, 252, -1472, 4830, -6048, -16744, 84480,
@@ -194,33 +191,34 @@ class TestTwisted:
     def test_chi_zero_is_constant_two(self):
         for order in (0, 3, 17):
             series = twisted_sym_series(0, order)
-            assert series.coefficients[0] == 2
-            assert all(c == 0 for c in series.coefficients[1:])
+            assert series.coeffs == (2,) + (0,) * order
 
     def test_chi_two_expansion(self):
         series = twisted_sym_series(2, 2)
-        assert [int(c) for c in series.coefficients] == [2, 4, 6]
+        assert series.coeffs == (2, 4, 6)
 
     def test_constant_term_always_two(self):
         for chi in (-3, -1, 1, 4):
-            assert twisted_sym_series(chi, 5).coefficients[0] == 2
+            assert twisted_sym_series(chi, 5).coeffs[0] == 2
 
     def test_integer_coefficients(self):
         for chi in range(-4, 5):
             series = twisted_sym_series(chi, 20)
-            assert all(c.denominator == 1 for c in series.coefficients)
+            assert all(type(c) is int for c in series.coeffs)
 
     @pytest.mark.parametrize("chi", range(-4, 5))
     def test_matches_ring_formula(self, chi):
-        # A + B (1 + (C+ - C-)/2) over Q, each binomial multiplied in the ring
+        # A + B (1 + (C+ - C-)/2), each binomial multiplied by schoolbook products
         order = 30
         odd, even = range(1, order + 1, 2), range(2, order + 1, 2)
-        a = ring_binomials(odd, -1, order).int_pow(-chi)
-        b = ring_binomials(odd, 1, order).int_pow(chi)
-        c_plus = ring_binomials(even, 1, order).int_pow(chi)
-        c_minus = ring_binomials(even, -1, order).int_pow(chi)
-        expect = a + b * (1 + Fraction(1, 2) * (c_plus - c_minus))
-        assert twisted_sym_series(chi, order) == expect
+        a = ring.power(ring_binomials(odd, -1, order), -chi)
+        b = ring.power(ring_binomials(odd, 1, order), chi)
+        c_plus = ring.power(ring_binomials(even, 1, order), chi)
+        c_minus = ring.power(ring_binomials(even, -1, order), chi)
+        bracket = [2 * (k == 0) + p - m for k, (p, m) in enumerate(zip(c_plus, c_minus))]
+        twice = [2 * x + y for x, y in zip(a, ring.mul(b, bracket))]
+        assert all(v % 2 == 0 for v in twice)
+        assert list(twisted_sym_series(chi, order).coeffs) == [v // 2 for v in twice]
 
 
 def euler_transform_route(chi: int, order: int) -> list[int]:
@@ -248,19 +246,19 @@ class TestTwistedRoutes:
     @pytest.mark.parametrize("chi", range(-4, 5))
     def test_small_chi_every_order(self, chi):
         for order in range(42):
-            assert list(twisted_sym_series(chi, order).nums) == euler_transform_route(chi, order)
+            assert list(twisted_sym_series(chi, order).coeffs) == euler_transform_route(chi, order)
 
     @pytest.mark.parametrize("chi, order", [(1000, 200), (-1000, 200), (300, 600),
                                             (-300, 600), (24, 2000)])
     def test_large_corners(self, chi, order):
-        assert list(twisted_sym_series(chi, order).nums) == euler_transform_route(chi, order)
+        assert list(twisted_sym_series(chi, order).coeffs) == euler_transform_route(chi, order)
 
 
 class TestTwistedOracle:
     def test_matches_series(self):
         for chi in range(5):
             series = twisted_sym_series(chi, 24)
-            assert [twisted_sym_oracle(chi, n) for n in range(25)] == list(series.nums), chi
+            assert [twisted_sym_oracle(chi, n) for n in range(25)] == list(series.coeffs), chi
 
     def test_first_values(self):
         assert [twisted_sym_oracle(3, n) for n in range(8)] == [2, 6, 12, 26, 45, 75, 128, 201]
@@ -291,8 +289,8 @@ def test_theta4_terms_are_an_eta_quotient(order):
 
 @pytest.mark.parametrize("build", [equivariant_euler_series, twisted_sym_series])
 def test_chi_is_bounded(build):
-    assert build(MAX_CHI, 3).coefficients[0] in (1, 2)
-    assert build(-MAX_CHI, 3).coefficients[0] in (1, 2)
+    assert build(MAX_CHI, 3).coeffs[0] in (1, 2)
+    assert build(-MAX_CHI, 3).coeffs[0] in (1, 2)
     for chi in (MAX_CHI + 1, -MAX_CHI - 1, 10**6 + 1):
         # checked before the order, which -1 would otherwise fail
         with pytest.raises(ValueError, match=rf"^\|chi\| must be at most {MAX_CHI}, got {chi}$"):
@@ -333,17 +331,17 @@ class TestOrbifoldOracle:
         assert len(parts) == 5  # p(4) = 5
 
 
-# -- the in-place binomial passes against the ring of q-series over Q -----------
+# -- the in-place binomial passes against schoolbook products ------------------
 
 
-def ring_product(b: BettiData, q_exponents, order: int, y: int) -> FormalSeries:
+def ring_product(b: BettiData, q_exponents, order: int, y: int) -> list[int]:
     """prod_n prod_j (1 + y^j q^n)^(b_j) (odd j) (1 - y^j q^n)^(-b_j) (even j)."""
-    out = FormalSeries.one(order)
+    out = ring.one(order)
     for n in q_exponents:
         for j, count in enumerate(b.betti):
             sign = 1 if j % 2 else -1
-            binomial = FormalSeries.one(order) + FormalSeries.monomial(sign * y**j, n, order)
-            out = out * binomial.int_pow(sign * count)
+            binomial = ring.binomial(sign * y**j, n, order)
+            out = ring.mul(out, ring.power(binomial, sign * count))
     return out
 
 
@@ -354,11 +352,12 @@ Y_VALUES = st.sampled_from([-2, -1, 2, 3])
 @settings(max_examples=60, deadline=None)
 @given(BETTI, st.integers(0, 10), Y_VALUES)
 def test_macdonald_matches_ring_product(b, order, y):
-    assert macdonald_series(b, order).specialize_y(y) == ring_product(b, [1], order, y)
+    expect = ring_product(b, [1], order, y)
+    assert list(macdonald_series(b, order).specialize_y(y).coeffs) == expect
 
 
 @settings(max_examples=60, deadline=None)
 @given(BETTI, st.integers(0, 10), Y_VALUES)
 def test_orbifold_matches_ring_product(b, order, y):
     expect = ring_product(b, range(1, order + 1), order, y)
-    assert orbifold_series(b, order).specialize_y(y) == expect
+    assert list(orbifold_series(b, order).specialize_y(y).coeffs) == expect

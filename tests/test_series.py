@@ -1,12 +1,12 @@
-"""Exact series arithmetic: examples, ring axioms, product expansion."""
+"""Exact series: the test-side integer ring, product expansion, specialization."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locq.errors import DegenerateFactorError, ZeroConstantTermError
+import int_series as ring
+from locq.errors import DegenerateFactorError
 from locq.series import (
     BivariateSeries,
     FormalSeries,
@@ -16,82 +16,60 @@ from locq.series import (
 )
 
 
-def series(*coeffs, order=None):
-    return FormalSeries.from_coefficients(coeffs, order=order)
-
-
 def rand_series(rng, order, unit=False):
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
-    if unit and coeffs[0] == 0:
-        coeffs[0] = Fraction(1)
-    return FormalSeries.from_coefficients(coeffs, order=order)
+    coeffs = [rng.randint(-9, 9) for _ in range(order + 1)]
+    if unit:
+        coeffs[0] = rng.choice((1, -1))
+    return coeffs
 
 
-class TestAdd:
-    def test_cancellation(self):
-        assert series(1, 1) + series(1, -1) == series(2, 0)
-
-    def test_identity(self):
-        s = series(3, Fraction(1, 2), -4)
-        assert s + FormalSeries.zero(2) == s
-
-    def test_quadratic_cancellation(self):
-        assert series(1, 2, 3) + series(1, -2, -3) == series(2, 0, 0)
+# -- the test-side ring on hand expansions: the oracle is checked too -------------
 
 
 class TestMul:
     def test_geometric_inverse(self):
-        one_minus_q = series(1, -1, 0, 0, 0)
-        geometric = series(1, 1, 1, 1, 1)
-        assert one_minus_q * geometric == FormalSeries.one(4)
+        assert ring.mul([1, -1, 0, 0, 0], [1, 1, 1, 1, 1]) == ring.one(4)
 
     def test_difference_of_squares(self):
-        assert series(1, 1, 0) * series(1, -1, 0) == series(1, 0, -1)
+        assert ring.mul([1, 1, 0], [1, -1, 0]) == [1, 0, -1]
 
     def test_hand_expansion(self):
-        lhs = series(1, -1, 0, 0, 0) * series(1, 0, 0, -1, 0)
-        assert lhs == series(1, -1, 0, -1, 1)
+        assert ring.mul([1, -1, 0, 0, 0], [1, 0, 0, -1, 0]) == [1, -1, 0, -1, 1]
 
 
 class TestInvert:
     def test_geometric(self):
-        assert series(1, -1, 0, 0).invert() == series(1, 1, 1, 1)
+        assert ring.inverse([1, -1, 0, 0]) == [1, 1, 1, 1]
 
     def test_one(self):
-        assert FormalSeries.one(6).invert() == FormalSeries.one(6)
+        assert ring.inverse(ring.one(6)) == ring.one(6)
 
     def test_fibonacci(self):
-        inv = series(1, -1, -1, 0, 0).invert()
-        assert inv == series(1, 1, 2, 3, 5)
-
-    def test_zero_constant_term(self):
-        with pytest.raises(ZeroConstantTermError):
-            series(0, 1, 1).invert()
+        assert ring.inverse([1, -1, -1, 0, 0]) == [1, 1, 2, 3, 5]
 
     def test_random_inverse_property(self):
         rng = random.Random(11)
         for _ in range(25):
             s = rand_series(rng, rng.randint(0, 12), unit=True)
-            assert s * s.invert() == FormalSeries.one(s.order)
+            assert ring.mul(s, ring.inverse(s)) == ring.one(len(s) - 1)
 
 
 class TestIntPow:
     def test_binomial(self):
-        assert series(1, -1, 0, 0).int_pow(-2) == series(1, 2, 3, 4)
+        assert ring.power([1, -1, 0, 0], -2) == [1, 2, 3, 4]
 
     def test_zeroth_power(self):
         rng = random.Random(5)
-        s = rand_series(rng, 7)
-        assert s.int_pow(0) == FormalSeries.one(7)
+        assert ring.power(rand_series(rng, 7), 0) == ring.one(7)
 
     def test_negative_one(self):
-        assert series(1, -1, 0, 0).int_pow(-1) == series(1, 1, 1, 1)
+        assert ring.power([1, -1, 0, 0], -1) == [1, 1, 1, 1]
 
     def test_pow_consistency(self):
         rng = random.Random(6)
         s = rand_series(rng, 9, unit=True)
-        assert s.int_pow(3) == s * s * s
-        assert s.int_pow(-2) == (s * s).invert()
+        assert ring.power(s, 3) == ring.mul(ring.mul(s, s), s)
+        assert ring.power(s, -2) == ring.inverse(ring.mul(s, s))
 
 
 class TestRingAxioms:
@@ -100,32 +78,28 @@ class TestRingAxioms:
         for _ in range(15):
             order = rng.randint(0, 10)
             a, b, c = (rand_series(rng, order) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert (a * b) * c == a * (b * c)
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
+            b_plus_c = [x + y for x, y in zip(b, c)]
+            assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+            assert ring.mul(a, b) == ring.mul(b, a)
+            ab, ac = ring.mul(a, b), ring.mul(a, c)
+            assert ring.mul(a, b_plus_c) == [x + y for x, y in zip(ab, ac)]
 
     def test_mixed_orders_truncate_to_min(self):
-        a = series(1, 2, 3, 4)
-        b = series(1, 1)
-        assert (a + b).order == 1
-        assert (a * b).order == 1
-        assert a * b == series(1, 3)
+        assert ring.mul([1, 2, 3, 4], [1, 1]) == [1, 3]
 
 
 class TestExpandProduct:
     def test_euler_pentagonal_start(self):
         s = expand_product(IntegerProductSpec(1, 0, 1, "minus"), 5)
-        assert s == series(1, -1, -1, 0, 0, 1)
+        assert s == FormalSeries(5, (1, -1, -1, 0, 0, 1))
 
     def test_odd_exponent_product(self):
         s = expand_product(IntegerProductSpec(2, 1, 0, "minus"), 4)
-        assert s == series(1, -1, 0, -1, 1)
+        assert s == FormalSeries(4, (1, -1, 0, -1, 1))
 
     def test_plus_sign(self):
         s = expand_product(IntegerProductSpec(1, 0, 1, "plus"), 3)
-        assert s == series(1, 1, 1, 2)
+        assert s == FormalSeries(3, (1, 1, 1, 2))
 
     def test_degenerate_factor(self):
         with pytest.raises(DegenerateFactorError):
@@ -138,14 +112,14 @@ class TestExpandProduct:
         minus = expand_product(IntegerProductSpec(a, eps, ell, "minus"), order)
         plus = expand_product(IntegerProductSpec(a, eps, ell, "plus"), order)
         squares = expand_product(IntegerProductSpec(2 * a, 2 * eps, ell, "minus"), order)
-        assert minus * plus == squares
+        assert ring.mul(minus.coeffs, plus.coeffs) == list(squares.coeffs)
 
 
-def ring_binomials(exponents, sign: int, order: int) -> FormalSeries:
-    """prod_e (1 + sign q^e) by FormalSeries multiplication, factor by factor."""
-    out = FormalSeries.one(order)
+def ring_binomials(exponents, sign: int, order: int) -> list[int]:
+    """prod_e (1 + sign q^e) by schoolbook products, factor by factor."""
+    out = ring.one(order)
     for e in exponents:
-        out = out * (FormalSeries.one(order) + FormalSeries.monomial(sign, e, order))
+        out = ring.mul(out, ring.binomial(sign, e, order))
     return out
 
 
@@ -160,14 +134,13 @@ def test_expand_product_matches_ring_product(a, eps, ell, sign, order):
         return
     exponents = range(a * ell + eps, order + 1, a)
     expect = ring_binomials(exponents, -1 if sign == "minus" else 1, order)
-    assert expand_product(spec, order) == expect
+    assert list(expand_product(spec, order).coeffs) == expect
 
 
 class TestJson:
     def test_schema(self):
-        s = series(1, Fraction(-1, 2), 0)
-        data = s.to_json_dict()
-        assert data == {"var": "q", "order": 2, "coeffs": ["1/1", "-1/2", "0/1"]}
+        data = FormalSeries(2, (1, -12, 0)).to_json_dict()
+        assert data == {"var": "q", "order": 2, "coeffs": ["1/1", "-12/1", "0/1"]}
 
     def test_bivariate_schema(self):
         b = BivariateSeries._make(2, [{0: 1}, {-2: 3}, {}])
@@ -191,12 +164,13 @@ class TestBivariate:
     )
     def test_specialize_y_evaluates_each_coefficient(self, coeffs, y):
         b = BivariateSeries._make(len(coeffs) - 1, coeffs)
-        if y == 0 and any(e < 0 for d in b.coeffs for e in d):
-            with pytest.raises(ZeroDivisionError):
+        low = min((e for d in b.coeffs for e in d), default=0)
+        if low < 0:
+            with pytest.raises(ValueError, match=rf"lowest is {low}$"):
                 b.specialize_y(y)
             return
-        expect = [sum(c * Fraction(y) ** e for e, c in d.items()) for d in b.coeffs]
-        assert b.specialize_y(y) == FormalSeries.from_coefficients(expect)
+        expect = tuple(sum(c * y**e for e, c in d.items()) for d in b.coeffs)
+        assert b.specialize_y(y) == FormalSeries(len(coeffs) - 1, expect)
 
 
 class TestBinomialProduct:
@@ -221,35 +195,3 @@ class TestBinomialProduct:
     def test_rejects_nonpositive_q_exponent(self):
         with pytest.raises(ValueError):
             binomial_product([(1, 0, 1, 1)], 3)
-
-
-def test_float_coefficients_rejected():
-    with pytest.raises(TypeError):
-        FormalSeries.from_coefficients([1.5, 2])
-
-
-# -- power laws of the one int_pow ----------------------------------------------
-
-EXPONENTS = st.integers(-4, 4)
-
-
-@st.composite
-def unit_formal_series(draw):
-    order = draw(st.integers(0, 8))
-    rational = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-    head = draw(rational.filter(bool))
-    tail = draw(st.lists(rational, min_size=order, max_size=order))
-    return FormalSeries.from_coefficients([head, *tail], order=order)
-
-
-def check_power_laws(x, a, b):
-    one = type(x).one(x.order)
-    assert x**a * x**b == x ** (a + b)
-    assert x**-1 * x == one
-    assert x**0 == one
-
-
-@settings(max_examples=60, deadline=None)
-@given(unit_formal_series(), EXPONENTS, EXPONENTS)
-def test_formal_power_laws(x, a, b):
-    check_power_laws(x, a, b)

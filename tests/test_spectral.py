@@ -126,7 +126,7 @@ class TestEvaluateProduct:
             ):
                 poly = expand_product(spec, 40)
                 poly_value = sum(
-                    complex(c) * q**k for k, c in enumerate(poly.coefficients)
+                    complex(c) * q**k for k, c in enumerate(poly.coeffs)
                 )
                 numeric = evaluate_product(
                     SpectralParams(
