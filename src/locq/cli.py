@@ -179,7 +179,7 @@ def _cmd_pfaffian(args) -> tuple[dict, int]:
     return {
         "pfaffian": pfaffian.pfaffian(a),
         "det": a.det(),
-        "sqrt_det": pfaffian.sqrt_det(a),
+        "sqrt_det": form.sqrt_det,
         "lambdas": list(form.lambdas),
         "antisymmetrized": a.adjusted,
     }, 0

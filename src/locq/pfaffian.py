@@ -6,7 +6,9 @@ as the oracle) and Householder tridiagonalization with orthogonal
 similarity transforms for larger matrices.  sqrt_det fixes the sign of
 det(A)^(1/2) through the canonical-form convention: an oriented
 orthonormal basis in which A consists of 2x2 blocks [[0, -l_j], [l_j, 0]],
-whence sqrt_det(A) = prod_j l_j = (-1)^n Pf(A) for dim = 2n.
+whence sqrt_det(A) = prod_j l_j = (-1)^n Pf(A) for dim = 2n.  The form
+comes from one eigendecomposition of the Hermitian matrix 1j * A, whose
+eigenvalues are the rates +-l_j themselves.
 
 NumPy is imported inside the functions that use it, so importing this
 module (and the CLI) does not load it.
@@ -14,6 +16,7 @@ module (and the CLI) does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,7 +27,8 @@ if TYPE_CHECKING:
 
 SKEW_TOL = 1e-12
 # canonicalize rejects A when its smallest rotation rate is at most this
-# fraction of the largest.
+# fraction of the largest.  Both are eigenvalues of 1j * A, accurate to a
+# few rounding errors of the largest, so the threshold compares true rates.
 SINGULAR_TOL = 1e-10
 
 
@@ -161,83 +165,46 @@ class CanonicalForm:
     lambdas: tuple[float, ...]
     basis: np.ndarray
 
-    def reassemble(self) -> np.ndarray:
-        return self.basis @ block_diagonal(self.lambdas).mat @ self.basis.T
+    @property
+    def sqrt_det(self) -> float:
+        """det(A)^(1/2) = prod_j l_j, multiplied left to right."""
+        return math.prod(self.lambdas)
 
 
 def canonicalize(a: SkewMatrix) -> CanonicalForm:
     """Orthonormal basis putting A into 2x2 rotation blocks.
 
-    The rotation rates come from the spectral decomposition of the
-    symmetric matrix A @ A (eigenvalues -l_j^2).  The basis is completed
-    pair by pair as (e, A e / l) inside each eigenspace, which stays
-    orthonormal even for repeated rates.  Orientation convention: the
-    basis determinant is +1, rates are sorted by decreasing magnitude,
-    and any sign needed to fix the orientation is carried by the last
-    rate, so prod_j l_j is well defined.
+    1j * A is Hermitian with eigenvalues +-l_j; the rates are its n largest.
+    An eigenvector x + iy of l_j, scaled so that its largest-modulus entry
+    is real and positive, has A x = l_j y, |x| = |y| and x orthogonal to y,
+    so (x/|x|, y/|y|) carries the block [[0, -l_j], [l_j, 0]], repeated
+    rates included.  Orientation convention: the basis determinant is +1,
+    rates are sorted by decreasing magnitude, and any sign needed to fix
+    the orientation is carried by the last rate, so prod_j l_j is well
+    defined.
     """
     import numpy as np
 
-    m = a.mat
-    d = a.dim
-    w, v = np.linalg.eigh(m @ m)  # w ascending, all <= 0
-    lam_all = np.sqrt(np.maximum(-w, 0.0))
-    scale = float(np.max(lam_all))
-    if scale == 0.0 or float(np.min(lam_all)) <= SINGULAR_TOL * scale:
+    n = a.half_dim
+    w, v = np.linalg.eigh(1j * a.mat)  # w ascending: -l_1 .. -l_n, l_n .. l_1
+    lambdas = w[n:][::-1].tolist()
+    if lambdas[-1] <= SINGULAR_TOL * lambdas[0]:
         raise SingularMatrixError("matrix is singular or nearly singular")
-
-    # split the spectrum into groups of (nearly) equal rotation rates and
-    # build invariant 2-planes inside each group by projection
-    order = np.argsort(-lam_all)
-    lam_sorted = lam_all[order]
-    v_sorted = v[:, order]
-    lambdas: list[float] = []
-    cols: list[np.ndarray] = []
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and abs(lam_sorted[j] - lam_sorted[i]) <= 1e-7 * scale:
-            j += 1
-        group = [v_sorted[:, k].copy() for k in range(i, j)]
-        planes: list[tuple[np.ndarray, np.ndarray]] = []
-        for _ in range((j - i) // 2):
-            best_vec, best_norm = None, -1.0
-            for cvec in group:
-                r = cvec.copy()
-                for f1, f2 in planes:
-                    r -= (f1 @ r) * f1 + (f2 @ r) * f2
-                nr = float(np.linalg.norm(r))
-                if nr > best_norm:
-                    best_norm, best_vec = nr, r
-            if best_vec is None or best_norm < 1e-6:
-                raise SingularMatrixError("failed to split the spectrum into 2-planes")
-            e1 = best_vec / best_norm
-            ae1 = m @ e1
-            lam = float(np.linalg.norm(ae1))  # per-plane rate, exact for this plane
-            e2 = ae1 / lam
-            e2 -= (e1 @ e2) * e1
-            e2 /= np.linalg.norm(e2)
-            planes.append((e1, e2))
-            lambdas.append(lam)
-            cols.extend([e1, e2])
-        i = j
-
-    if len(lambdas) != a.half_dim:
-        raise SingularMatrixError("failed to split the spectrum into 2-planes")
-    basis = np.column_stack(cols)
+    z = v[:, n:][:, ::-1]
+    pivot = z[np.argmax(np.abs(z), axis=0), np.arange(n)]
+    z = z * (np.abs(pivot) / pivot)
+    basis = np.empty((a.dim, a.dim))
+    basis[:, 0::2] = z.real / np.linalg.norm(z.real, axis=0)
+    basis[:, 1::2] = z.imag / np.linalg.norm(z.imag, axis=0)
     if np.linalg.det(basis) < 0:
         basis[:, -1] = -basis[:, -1]
         lambdas[-1] = -lambdas[-1]
-    return CanonicalForm(lambdas=tuple(float(x) for x in lambdas), basis=basis)
+    return CanonicalForm(lambdas=tuple(lambdas), basis=basis)
 
 
 def sqrt_det(a: SkewMatrix) -> float:
     """det(A)^(1/2) = prod_j l_j = (-1)^n Pf(A) in the oriented canonical basis."""
-    form = canonicalize(a)
-    out = 1.0
-    for lam in form.lambdas:
-        out *= lam
-    return out
+    return canonicalize(a).sqrt_det
 
 
 def block_diagonal(lambdas) -> SkewMatrix:

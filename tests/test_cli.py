@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from locq import cli, localization, spectral, verify
+from locq import cli, localization, pfaffian, spectral, verify
 from locq.spectral import SpectralParams, Tau
 
 
@@ -351,6 +351,22 @@ class TestPfaffianCommand:
         assert payload["pfaffian"] == 2.0
         assert payload["sqrt_det"] == pytest.approx(-2.0)
         assert payload["det"] == pytest.approx(4.0)
+
+    def test_one_canonical_form_per_request(self, run_cli, monkeypatch):
+        # sqrt_det is read off the form that gives the lambdas
+        canonicalize, calls = pfaffian.canonicalize, []
+
+        def counted(a):
+            calls.append(a)
+            return canonicalize(a)
+
+        monkeypatch.setattr(pfaffian, "canonicalize", counted)
+        matrix = "[[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]"
+        code, out = run_cli(["pfaffian", "--matrix", matrix])
+        payload = parse(out)
+        assert code == 0
+        assert len(calls) == 1
+        assert payload["sqrt_det"] == math.prod(payload["lambdas"])
 
     def test_missing_input(self, run_cli):
         code, out = run_cli(["pfaffian"])

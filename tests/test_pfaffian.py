@@ -31,6 +31,17 @@ def random_orthogonal(rng, dim):
     return q
 
 
+def rotated_block(rng, lambdas):
+    """block_diagonal(lambdas) in a random orthonormal basis."""
+    a = block_diagonal(lambdas)
+    q = random_orthogonal(rng, a.dim)
+    return SkewMatrix(q @ a.mat @ q.T)
+
+
+def reassemble(form):
+    return form.basis @ block_diagonal(form.lambdas).mat @ form.basis.T
+
+
 class TestValidation:
     def test_odd_dimension(self):
         with pytest.raises(OddDimensionError):
@@ -133,7 +144,7 @@ class TestCanonicalize:
             for _ in range(8):
                 a = random_skew(rng, dim)
                 form = canonicalize(a)
-                assert np.max(np.abs(form.reassemble() - a.mat)) < 1e-9
+                assert np.max(np.abs(reassemble(form) - a.mat)) < 1e-9
                 assert np.allclose(form.basis @ form.basis.T, np.eye(dim), atol=1e-10)
                 assert np.linalg.det(form.basis) > 0
 
@@ -141,11 +152,41 @@ class TestCanonicalize:
         a = block_diagonal([2.0, 2.0, 2.0])
         form = canonicalize(a)
         assert np.allclose(sorted(abs(x) for x in form.lambdas), [2.0] * 3)
-        assert np.max(np.abs(form.reassemble() - a.mat)) < 1e-9
+        assert np.max(np.abs(reassemble(form) - a.mat)) < 1e-9
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             canonicalize(SkewMatrix(np.zeros((4, 4))))
+
+    @pytest.mark.parametrize("small", [1e-8, 1e-9])
+    def test_small_rate_above_singular_tol(self, small):
+        # a rate above SINGULAR_TOL times the largest is kept, to 1e-6 relative
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            form = canonicalize(rotated_block(rng, [1.0, small]))
+            lams = sorted(abs(x) for x in form.lambdas)
+            assert lams == pytest.approx([small, 1.0], rel=1e-6, abs=0.0)
+
+    def test_rate_below_singular_tol_rejected(self):
+        with pytest.raises(SingularMatrixError):
+            canonicalize(rotated_block(np.random.default_rng(7), [1.0, 3e-11]))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+    def test_extreme_scales(self, scale):
+        a = rotated_block(np.random.default_rng(8), [2.0, 1.0])
+        form = canonicalize(SkewMatrix(scale * a.mat))
+        lams = sorted(abs(x) / scale for x in form.lambdas)
+        assert np.allclose(lams, [1.0, 2.0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 12, 16])
+    def test_graded_spectrum_accuracy(self, dim):
+        # rates 1 ... 1e-7: every rate within 1e-13 of the largest rate
+        rng = np.random.default_rng(dim)
+        rates = np.logspace(0, -7, dim // 2)
+        for _ in range(5):
+            form = canonicalize(rotated_block(rng, rates))
+            lams = sorted((abs(x) for x in form.lambdas), reverse=True)
+            assert np.max(np.abs(np.array(lams) - rates)) <= 1e-13 * rates[0]
 
 
 class TestSqrtDet:
