@@ -12,10 +12,7 @@ identity
 
 holds exactly, which makes it a machine-checkable oracle: the left side is
 evaluated by Gauss-Legendre quadrature, the right side by the fixed-point
-sum with the sqrt-det sign convention of locq.pfaffian.  A point's
-denominator prod_j l_j is (-1)^(its south poles) P, P = prod_j mu_j / r_j,
-also in floats and Decimals, whose rounding is symmetric under negation:
-so the real sum gives each numerator that sign and divides by P.
+sum with the sqrt-det sign convention of locq.pfaffian.
 
 NumPy is imported inside the quadrature, the only code that uses it.
 """
@@ -23,9 +20,7 @@ NumPy is imported inside the quadrature, the only code that uses it.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -279,35 +274,41 @@ def _prefactor(n: int, c):
 
 
 @lru_cache(maxsize=1024, typed=True)
-def _exp_pair(factor: SphereFactor, c, digits: int) -> tuple[Decimal, Decimal]:
-    """(e^(c mu r), e^(-c mu r)) to `digits` significant digits."""
+def _half_terms(factor: SphereFactor, c, digits: int | None):
+    """The factor's share of a point's term, (e^x / l, -e^(-x) / l) at its
+    north and south pole, with x = c mu r and l = mu / r: Decimals at
+    `digits` digits, or complex floats where digits is None."""
+    if digits is None:
+        x = c * factor.weight * factor.radius
+        return cmath.exp(x) / factor.rate, -cmath.exp(-x) / factor.rate
     with localcontext() as ctx:
         ctx.prec = digits
-        x = Decimal(c) * Decimal(factor.weight) * Decimal(factor.radius)
-        return x.exp(), (-x).exp()
+        weight, radius = Decimal(factor.weight), Decimal(factor.radius)
+        x, rate = Decimal(c) * weight * radius, weight / radius
+        return x.exp() / rate, -(-x).exp() / rate
 
 
-def _denominators(factors) -> list[float]:
-    """The complex sum's denominators prod_j l_j, by subset doubling in the
-    order of enumerate_fixed_points, left to right from int 1."""
-    dens = [1]
-    for f in factors:
-        rate = f.rate
-        dens = [d * l for d in dens for l in (rate, -rate)]
-    return dens
-
-
-def _numerators(factors, c, digits: int, terms=(Decimal(1),)) -> list[Decimal]:
-    """The signed numerators (-1)^(south poles) prod_i e^(s_i c mu_i r_i):
-    `terms` extended by `factors` at `digits` digits, by subset doubling in
-    the order of enumerate_fixed_points (t -> t e^(c mu r), t (-e^(-c mu r)))."""
+def _point_terms(factors, c, digits: int | None, terms=(1,)) -> list:
+    """The terms e^(c H(p)) / prod_j l_j(p): `terms` extended by `factors`,
+    by subset doubling in the order of enumerate_fixed_points (each term t
+    splits into t times the factor's two half-terms)."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = digits or ctx.prec  # complex terms ignore the context
         for f in factors:
-            e_plus, e_minus = _exp_pair(f, c, digits)
-            steps = (e_plus, -e_minus)
-            terms = [t * e for t in terms for e in steps]
+            pair = _half_terms(f, c, digits)
+            terms = [t * h for t in terms for h in pair]
     return terms
+
+
+def _fixed_point_sum(terms, digits: int | None, prefactor):
+    """prefactor * sum(terms), the terms added left to right from int 0:
+    in Decimal at `digits` digits, or in complex floats where digits is None."""
+    with localcontext() as ctx:
+        ctx.prec = digits or ctx.prec
+        total = 0
+        for t in terms:
+            total += t
+    return prefactor * (total if digits is None else float(total))
 
 
 def _rel_err(lhs, rhs) -> float:
@@ -328,74 +329,45 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
 
     Before any work it refuses a c at which fixed_point_digits raises, then
     more than MAX_FACTORS factors.  The right side is the fixed-point sum
-    (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j.  For real c it cancels down
-    to ~prod_i tanh(c mu_i r_i) of its largest term, far beyond double
+    (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j, each term a product of the
+    factors' half-terms (_half_terms).  For real c it cancels down to
+    ~prod_i tanh(c mu_i r_i) of its largest term, far beyond double
     precision at small c, so it runs in Decimals at the precision
-    fixed_point_digits sizes to that cancellation: the check is the left
-    fold of SpacePrefix.extend and PrefixCheck.extend over the factors.
-    Complex c takes the plain complex sum, one float denominator per point
-    (used by the oscillatory smoke checks at looser tolerance).
+    fixed_point_digits sizes to that cancellation; complex c takes complex
+    floats (used by the oscillatory smoke checks at looser tolerance).  The
+    terms are built once, at that final precision.
     """
     _check_c(c)
     digits, prefactor = _size_sum(space, c)
     _check_factor_count(space)
     points = enumerate_fixed_points(space)
-    if isinstance(c, complex):
-        lhs = dh_lhs(space, c, quad_points)
-        total = 0.0 + 0.0j
-        for h, den in zip(points.h_values, _denominators(space.factors)):
-            total += cmath.exp(c * h) / den
-        rhs = prefactor * total
-    else:
-        prefix, check = SpacePrefix(), PrefixCheck.empty(c, quad_points)
-        for f in space.factors:
-            prefix = prefix.extend(f)
-            check = check.extend(prefix)
-        lhs, rhs = check.lhs, check.rhs
+    lhs = dh_lhs(space, c, quad_points)
+    rhs = _fixed_point_sum(_point_terms(space.factors, c, digits), digits, prefactor)
     return DHReport(lhs=lhs, rhs=rhs, rel_err=_rel_err(lhs, rhs), fixed_points=points,
                     decimal_digits=digits)
 
 
-class SpacePrefix(NamedTuple):
-    """The first factors of a sphere product, with the part of its
-    fixed-point sum that does not depend on c: the rate product P (left to
-    right from int 1, as math.prod multiplies), and the Decimal equal to it.
-
-    extend(factor) takes one step of that product.  The empty prefix,
-    SpacePrefix(), has no factor and P = int 1.
-    """
-
-    factors: tuple[SphereFactor, ...] = ()
-    rate_product: float = 1
-    exact: Decimal = Decimal(1)
-
-    def extend(self, factor: SphereFactor) -> "SpacePrefix":
-        rate_product = self.rate_product * factor.rate
-        return SpacePrefix(self.factors + (factor,), rate_product, Decimal(rate_product))
-
-
 class PrefixCheck(NamedTuple):
-    """dh_verify's check at one real c on a SpacePrefix.
+    """dh_verify's check at one real c on the first factors of a space.
 
-    Its fields are the left folds over the prefix's factors that dh_verify
-    takes: the sizes (_size_step) with the digits and prefactor they give,
-    the quadrature product lhs (dh_lhs) and the signed numerators at
-    `digits` digits (_numerators).  So extend(prefix), where prefix is this
-    check's prefix extended by one factor, gives the check on that prefix
-    by one step of each fold; rhs and rel_err are read off it, one Decimal
-    sum per read.  Where the new factor raises the digits, the numerators
-    are rebuilt at the new precision, since every rounding depends on it.
-    Start from PrefixCheck.empty(c, quad_points), which has the empty
-    prefix and is no check.
+    Its fields are the left folds over those factors that dh_verify takes:
+    the sizes (_size_step) with the digits and prefactor they give, the
+    quadrature product lhs (dh_lhs) and the point terms at `digits` digits
+    (_point_terms).  So extend(factor) gives the check on these factors and
+    one more by one step of each fold; rhs and rel_err are read off it, one
+    Decimal sum (_fixed_point_sum) per read.  Where the new factor raises
+    the digits, the terms are rebuilt at the new precision, since every
+    rounding depends on it.  Start from PrefixCheck.empty(c, quad_points),
+    which has no factor and is no check.
     """
 
     c: float
     quad_points: int
-    prefix: SpacePrefix = SpacePrefix()
+    factors: tuple[SphereFactor, ...] = ()
     sizes: tuple = (0, 0.0)
     lhs: float = 1.0
     digits: int | None = None
-    numerators: Sequence[Decimal] = ()
+    terms: Sequence[Decimal] = ()
     prefactor: float | None = None
 
     @classmethod
@@ -405,28 +377,21 @@ class PrefixCheck(NamedTuple):
             raise ValueError(f"c must be real, got {c}")
         return cls(c, quad_points)
 
-    def extend(self, prefix: SpacePrefix) -> "PrefixCheck":
+    def extend(self, factor: SphereFactor) -> "PrefixCheck":
         c = self.c
-        factor = prefix.factors[-1]
+        factors = self.factors + (factor,)
         sizes = _size_step(self.sizes, factor, c)
-        digits, prefactor = _sized(sizes, c, len(prefix.factors))
+        digits, prefactor = _sized(sizes, c, len(factors))
         lhs = self.lhs * factor_integral_quad(factor, c, self.quad_points)
         if digits == self.digits:
-            numerators = _numerators((factor,), c, digits, self.numerators)
+            terms = _point_terms((factor,), c, digits, self.terms)
         else:
-            numerators = _numerators(prefix.factors, c, digits)
-        return PrefixCheck(c, self.quad_points, prefix, sizes, lhs, digits, numerators,
-                           prefactor)
+            terms = _point_terms(factors, c, digits)
+        return PrefixCheck(c, self.quad_points, factors, sizes, lhs, digits, terms, prefactor)
 
     @property
     def rhs(self) -> float:
-        """prefactor * sum_p numerators[p] / P, each quotient and partial sum
-        (left to right from Decimal(0)) rounded to `digits` digits."""
-        with localcontext() as ctx:
-            ctx.prec = self.digits
-            total = sum(map(operator.truediv, self.numerators,
-                            itertools.repeat(self.prefix.exact)), Decimal(0))
-        return self.prefactor * float(total)
+        return _fixed_point_sum(self.terms, self.digits, self.prefactor)
 
     @property
     def rel_err(self) -> float:

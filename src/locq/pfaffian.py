@@ -35,8 +35,9 @@ SINGULAR_TOL = 1e-10
 class SkewMatrix:
     """Even-dimensional real skew-symmetric matrix.
 
-    Inputs are antisymmetrized via (A - A^T)/2; deviations beyond the
-    1e-12 absolute tolerance raise, smaller nonzero ones set `adjusted`.
+    Inputs are antisymmetrized via (A - A^T)/2; a deviation max|A + A^T| / 2
+    beyond SKEW_TOL = 1e-12 times the largest entry raises, at every scale,
+    and a smaller nonzero one sets `adjusted`.
     A NaN or infinite entry raises a ValueError naming the first one, in
     row-major order, and a non-numeric one its type, before any arithmetic.
     """
@@ -64,7 +65,7 @@ class SkewMatrix:
                 f"(row, col) = ({row}, {col})"
             )
         deviation = float(np.max(np.abs(a + a.T))) / 2.0
-        if deviation > SKEW_TOL * max(1.0, float(np.max(np.abs(a)))):
+        if deviation > SKEW_TOL * float(np.max(np.abs(a))):
             raise NotSkewSymmetricError(
                 f"matrix deviates from skew symmetry by {deviation:.3e}"
             )

@@ -68,6 +68,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             SkewMatrix(a)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e13])
+    def test_not_skew_at_any_scale(self, scale):
+        # strictly upper triangular: the deviation is half the largest entry
+        a = np.zeros((4, 4))
+        a[0, 1], a[2, 3] = 2e-13 * scale, 3e-13 * scale
+        with pytest.raises(NotSkewSymmetricError):
+            SkewMatrix(a)
+
     def test_small_deviation_is_adjusted(self):
         a = np.array([[0.0, 1.0], [-1.0 + 1e-14, 0.0]])
         m = SkewMatrix(a)
