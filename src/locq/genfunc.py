@@ -311,16 +311,19 @@ def orbifold_oracle(b: BettiData, n: int) -> dict[int, int]:
     """Coefficient of q^n of the orbifold series, from the partition sum.
 
     Sums, over partitions of n with multiplicities (n_j), the product of
-    symmetric-power Poincare polynomials of order n_j.  Fully independent
-    of the infinite product.
+    symmetric-power Poincare polynomials of order n_j, each power enumerated
+    once per call.  Fully independent of the infinite product.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    powers: dict[int, dict[int, int]] = {}
     out: dict[int, int] = {}
     for mults in partition_multiplicities(n):
         term: dict[int, int] = {0: 1}
         for mult in mults.values():
-            factor = sym_poincare_oracle(b, mult)
+            if mult not in powers:
+                powers[mult] = sym_poincare_oracle(b, mult)
+            factor = powers[mult]
             new: dict[int, int] = {}
             for e1, c1 in term.items():
                 for e2, c2 in factor.items():

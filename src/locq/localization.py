@@ -110,7 +110,7 @@ def enumerate_fixed_points(space: SphereProductSpace) -> FixedPoints:
     itertools.product((1, -1), repeat=n).  More than MAX_FACTORS factors
     are rejected.
     """
-    _check_factor_count(space)
+    _check_factor_count(space.half_dim)
     # s * (mu * r) == (s * mu) * r exactly for s = +-1, so each factor adds
     # +-(mu * r) to its parent's H
     h_values = [0]
@@ -120,11 +120,10 @@ def enumerate_fixed_points(space: SphereProductSpace) -> FixedPoints:
     return FixedPoints(tuple((f.rate, -f.rate) for f in space.factors), h_values)
 
 
-def _check_factor_count(space: SphereProductSpace) -> None:
-    if space.half_dim > MAX_FACTORS:
+def _check_factor_count(n: int) -> None:
+    if n > MAX_FACTORS:
         raise ValueError(
-            f"at most {MAX_FACTORS} sphere factors (2^{MAX_FACTORS} fixed points), "
-            f"got {space.half_dim}"
+            f"at most {MAX_FACTORS} sphere factors (2^{MAX_FACTORS} fixed points), got {n}"
         )
 
 
@@ -211,29 +210,35 @@ def _size_sum(space: SphereProductSpace, c):
     """(fixed_point_digits(space, c), _prefactor(n, c)), each computed once."""
     sizes = (0, 0.0)
     for f in space.factors:
-        sizes = _size_step(sizes, f, c)
-    return _sized(sizes, c, space.half_dim)
+        sizes = _size_step(sizes, _size_term(f, c))
+    return _digits(sizes, c), _prefactor(space.half_dim, c)
 
 
-def _size_step(sizes, factor: SphereFactor, c):
-    """The sizes of a check extended by one factor.
+def _size_term(factor: SphereFactor, c):
+    """The factor's step of the sizes: (|mu r|, log10(1 - e^(-2|x|))) with
+    x = c mu r.  The second entry, 0.0 for complex c, is minus the digits
+    the real sum cancels at this factor."""
+    scale = abs(factor.weight * factor.radius)
+    if isinstance(c, complex):
+        return scale, 0.0
+    kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
+    return scale, math.log10(kept) if kept > 0 else -math.inf
+
+
+def _size_step(sizes, term):
+    """The sizes of a check extended by one factor of _size_term `term`.
 
     sizes is (sum_i |mu_i r_i|, loss), both left folds over the factors,
-    from int 0 and from 0.0; loss, the digits the real sum cancels, stays
-    0.0 for complex c.
+    from int 0 and from 0.0; loss is the digits the real sum cancels.
     """
-    scale_sum, loss = sizes
-    scale = abs(factor.weight * factor.radius)
-    if not isinstance(c, complex):
-        kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
-        loss -= math.log10(kept) if kept > 0 else -math.inf
-    return scale_sum + scale, loss
+    return sizes[0] + term[0], sizes[1] - term[1]
 
 
-def _sized(sizes, c, n: int):
-    """(digits, prefactor) of a check on n factors with these sizes.
+def _digits(sizes, c) -> int | None:
+    """The digits of a check with these sizes: None for complex c.
 
-    Raises the ValueError of fixed_point_digits where the check cannot run.
+    Raises the ValueError of fixed_point_digits where e^(c H) overflows or
+    the sum needs more than MAX_DECIMAL_DIGITS.
     """
     scale_sum, loss = sizes
     exponent = abs(c.real) * scale_sum
@@ -243,15 +248,13 @@ def _sized(sizes, c, n: int):
             f"= {exponent!r} > log(sys.float_info.max) = {LOG_FLOAT_MAX!r}"
         )
     if isinstance(c, complex):
-        digits = None
-    else:
-        if not loss <= MAX_DECIMAL_DIGITS - 20:
-            raise ValueError(
-                f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
-                f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
-            )
-        digits = max(40, 20 + math.ceil(loss))
-    return digits, _prefactor(n, c)
+        return None
+    if not loss <= MAX_DECIMAL_DIGITS - 20:
+        raise ValueError(
+            f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
+            f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
+        )
+    return max(40, 20 + math.ceil(loss))
 
 
 def _prefactor(n: int, c):
@@ -288,10 +291,11 @@ def _half_terms(factor: SphereFactor, c, digits: int | None):
         return x.exp() / rate, -(-x).exp() / rate
 
 
-def _point_terms(factors, c, digits: int | None, terms=(1,)) -> list:
-    """The terms e^(c H(p)) / prod_j l_j(p): `terms` extended by `factors`,
-    by subset doubling in the order of enumerate_fixed_points (each term t
-    splits into t times the factor's two half-terms)."""
+def _point_terms(factors, c, digits: int | None) -> list:
+    """The terms e^(c H(p)) / prod_j l_j(p), by subset doubling in the order
+    of enumerate_fixed_points (each term t splits into t times the factor's
+    two half-terms)."""
+    terms = (1,)
     with localcontext() as ctx:
         ctx.prec = digits or ctx.prec  # complex terms ignore the context
         for f in factors:
@@ -339,7 +343,7 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
     """
     _check_c(c)
     digits, prefactor = _size_sum(space, c)
-    _check_factor_count(space)
+    _check_factor_count(space.half_dim)
     points = enumerate_fixed_points(space)
     lhs = dh_lhs(space, c, quad_points)
     rhs = _fixed_point_sum(_point_terms(space.factors, c, digits), digits, prefactor)
@@ -347,51 +351,89 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
                     decimal_digits=digits)
 
 
-class PrefixCheck(NamedTuple):
-    """dh_verify's check at one real c on the first factors of a space.
+class _FactorTable:
+    """One real c's per-factor work for the PrefixChecks on a list of
+    factors, by factor index, each item computed once: the quadratures and
+    _size_terms up front, every factor's half-terms at each digits a check
+    reaches, and the prefactor at each depth."""
 
-    Its fields are the left folds over those factors that dh_verify takes:
-    the sizes (_size_step) with the digits and prefactor they give, the
-    quadrature product lhs (dh_lhs) and the point terms at `digits` digits
-    (_point_terms).  So extend(factor) gives the check on these factors and
-    one more by one step of each fold; rhs and rel_err are read off it, one
-    Decimal sum (_fixed_point_sum) per read.  Where the new factor raises
-    the digits, the terms are rebuilt at the new precision, since every
-    rounding depends on it.  Start from PrefixCheck.empty(c, quad_points),
-    which has no factor and is no check.
+    __slots__ = ("c", "factors", "quads", "size_terms", "_halves", "_prefactors")
+
+    def __init__(self, c, quad_points: int, factors: Sequence[SphereFactor]):
+        self.c, self.factors = c, tuple(factors)
+        self.quads = [factor_integral_quad(f, c, quad_points) for f in self.factors]
+        self.size_terms = [_size_term(f, c) for f in self.factors]
+        self._halves: dict[int, list[tuple[Decimal, Decimal]]] = {}
+        self._prefactors: dict[int, float] = {}
+
+    def half_terms(self, digits: int) -> list[tuple[Decimal, Decimal]]:
+        if digits not in self._halves:
+            self._halves[digits] = [_half_terms(f, self.c, digits) for f in self.factors]
+        return self._halves[digits]
+
+    def prefactor(self, n: int) -> float:
+        if n not in self._prefactors:
+            self._prefactors[n] = _prefactor(n, self.c)
+        return self._prefactors[n]
+
+
+class PrefixCheck(NamedTuple):
+    """dh_verify's check at one real c on a sequence of factors.
+
+    The factors are indices into the list the check was started on
+    (PrefixCheck.empty), whose per-factor work one _FactorTable does once.
+    The fields are the left folds over those factors that dh_verify takes:
+    the sizes (_size_step) with the digits they give, the quadrature product
+    lhs (dh_lhs) and the point terms at `digits` digits (_point_terms); rhs
+    is their sum (_fixed_point_sum).  So extend(i) gives the check on these
+    factors and factor i by one step of each fold, the products and the sum
+    in one Decimal context.  Where the new factor raises the digits, the
+    terms are rebuilt at the new precision, since every rounding depends on
+    it.  An empty check has no factor and is no check.
     """
 
-    c: float
-    quad_points: int
-    factors: tuple[SphereFactor, ...] = ()
+    table: _FactorTable
+    indices: tuple[int, ...] = ()
     sizes: tuple = (0, 0.0)
     lhs: float = 1.0
     digits: int | None = None
     terms: Sequence[Decimal] = ()
-    prefactor: float | None = None
+    rhs: float | None = None
 
     @classmethod
-    def empty(cls, c, quad_points: int = 64) -> "PrefixCheck":
+    def empty(cls, c, factors: Sequence[SphereFactor], quad_points: int = 64) -> "PrefixCheck":
         _check_c(c)
         if isinstance(c, complex):
             raise ValueError(f"c must be real, got {c}")
-        return cls(c, quad_points)
-
-    def extend(self, factor: SphereFactor) -> "PrefixCheck":
-        c = self.c
-        factors = self.factors + (factor,)
-        sizes = _size_step(self.sizes, factor, c)
-        digits, prefactor = _sized(sizes, c, len(factors))
-        lhs = self.lhs * factor_integral_quad(factor, c, self.quad_points)
-        if digits == self.digits:
-            terms = _point_terms((factor,), c, digits, self.terms)
-        else:
-            terms = _point_terms(factors, c, digits)
-        return PrefixCheck(c, self.quad_points, factors, sizes, lhs, digits, terms, prefactor)
+        return cls(_FactorTable(c, quad_points, factors))
 
     @property
-    def rhs(self) -> float:
-        return _fixed_point_sum(self.terms, self.digits, self.prefactor)
+    def c(self) -> float:
+        return self.table.c
+
+    @property
+    def factors(self) -> tuple[SphereFactor, ...]:
+        return tuple(self.table.factors[i] for i in self.indices)
+
+    def extend(self, i: int) -> "PrefixCheck":
+        table = self.table
+        indices = self.indices + (i,)
+        _check_factor_count(len(indices))
+        sizes = _size_step(self.sizes, table.size_terms[i])
+        digits = _digits(sizes, table.c)
+        prefactor = table.prefactor(len(indices))
+        lhs = self.lhs * table.quads[i]
+        if digits == self.digits:
+            terms, new = self.terms, (i,)
+        else:
+            terms, new = (1,), indices
+        halves = table.half_terms(digits)
+        with localcontext() as ctx:
+            ctx.prec = digits
+            for j in new:
+                terms = [t * h for t in terms for h in halves[j]]
+            total = sum(terms)  # left to right from int 0, as in _fixed_point_sum
+        return PrefixCheck(table, indices, sizes, lhs, digits, terms, prefactor * float(total))
 
     @property
     def rel_err(self) -> float:

@@ -102,25 +102,31 @@ def pfaffian(a: SkewMatrix) -> float:
 
 
 def pfaffian_combinatorial(a: SkewMatrix) -> float:
-    """Perfect-matching expansion along the first row (105 terms at dim 8)."""
-    m = a.mat
+    """Perfect-matching expansion along the first row (105 terms at dim 8).
+
+    It runs over the entries as Python floats and computes the Pfaffian of
+    each minor once per call, keyed by its index tuple.  The expansion order
+    is the plain recursion's, so the result is that recursion's to the bit.
+    """
+    m = a.mat.tolist()
+    minors: dict[tuple[int, ...], float] = {(): 1.0}
 
     def pf(idx: tuple[int, ...]) -> float:
-        if not idx:
-            return 1.0
-        first = idx[0]
+        row = m[idx[0]]
         rest = idx[1:]
         total = 0.0
         sign = 1.0
         for pos, j in enumerate(rest):
-            aij = m[first, j]
+            aij = row[j]
             if aij != 0.0:
                 sub = rest[:pos] + rest[pos + 1:]
-                total += sign * aij * pf(sub)
+                if sub not in minors:
+                    minors[sub] = pf(sub)
+                total += sign * aij * minors[sub]
             sign = -sign
         return total
 
-    return float(pf(tuple(range(a.dim))))
+    return pf(tuple(range(a.dim)))
 
 
 def pfaffian_tridiagonal(a: SkewMatrix) -> float:

@@ -47,18 +47,19 @@ def localization_checks():
     DH_VALUES, up to four factors, as itertools.combinations_with_replacement
     gives them; each is checked at every c in DH_CS.  Every prefix of such a
     space is another of them, so the walk goes depth first over that tree
-    and extends each parent's checks by one factor.
+    and extends each parent's checks by one factor, named by its index in
+    the list of 16, so that each c's per-factor work is done once.
     """
     factors = [localization.SphereFactor(r, mu) for r in DH_VALUES for mu in DH_VALUES]
 
     def walk(checks, start):
         for i in range(start, len(factors)):
-            children = [check.extend(factors[i]) for check in checks]
+            children = [check.extend(i) for check in checks]
             yield from children
-            if len(children[0].factors) < DH_MAX_FACTORS:
+            if len(children[0].indices) < DH_MAX_FACTORS:
                 yield from walk(children, i)
 
-    return walk([localization.PrefixCheck.empty(c, quad_points=64) for c in DH_CS], 0)
+    return walk([localization.PrefixCheck.empty(c, factors, quad_points=64) for c in DH_CS], 0)
 
 
 def suite_localization() -> SuiteResult:

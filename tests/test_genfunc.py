@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import int_series as ring
-from locq import kernel
+from locq import genfunc, kernel
 from locq.genfunc import (
     MAX_CHI,
     BettiData,
@@ -329,6 +329,21 @@ class TestOrbifoldOracle:
     def test_partition_enumeration(self):
         parts = sorted(tuple(sorted(m.items())) for m in partition_multiplicities(4))
         assert len(parts) == 5  # p(4) = 5
+
+    def test_each_symmetric_power_enumerated_once(self, monkeypatch):
+        # the partitions of 8 have multiplicities 1-6 and 8 (7 ones leave a 1);
+        # at the torus no power vanishes, so every partition multiplies all
+        # of its factors
+        calls = []
+
+        def counted(b, n):
+            calls.append(n)
+            return sym_poincare_oracle(b, n)
+
+        monkeypatch.setattr(genfunc, "sym_poincare_oracle", counted)
+        got = orbifold_oracle(TORUS, 8)
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6, 8]
+        assert got == orbifold_series(TORUS, 8).q_coefficient(8)
 
 
 # -- the in-place binomial passes against schoolbook products ------------------

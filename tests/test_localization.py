@@ -532,10 +532,10 @@ class TestPrefixWalk:
         # the same rhs (their error is not amplified by the cancellation), but
         # not the same terms, which every child extends.
         factor = SphereFactor(1.0, 1.0)
-        check = localization.PrefixCheck.empty(1e-9)
+        check = localization.PrefixCheck.empty(1e-9, [factor])
         digits = []
         for n in range(1, 4):
-            check = check.extend(factor)
+            check = check.extend(0)
             space = SphereProductSpace((factor,) * n)
             report = dh_verify(space, 1e-9)
             assert repr((check.lhs, check.rhs, check.rel_err)) == \
@@ -545,7 +545,40 @@ class TestPrefixWalk:
             digits.append(check.digits)
         assert digits == [40, 40, 47]
 
+    def test_suite_does_each_factors_work_once_per_c(self, monkeypatch):
+        # 16 factors at 4 values of c: one quadrature and one half-term pair
+        # each, against one of each per check (19,376) when every check
+        # looked its factor up again
+        calls = {"factor_integral_quad": 0, "_half_terms": 0}
+        for name in calls:
+            original = getattr(localization, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(localization, name, counted)
+        assert verify.suite_localization().details["checks"] == 19376
+        assert calls["factor_integral_quad"] <= 64
+        assert calls["_half_terms"] <= 64
+
+    def test_seventeenth_factor_refused_before_any_term(self, monkeypatch):
+        factor = SphereFactor(1.0, 1.0)
+        check = localization.PrefixCheck.empty(0.5, [factor])
+        for _ in range(localization.MAX_FACTORS):
+            check = check.extend(0)
+        assert len(check.terms) == 2**16
+
+        def forbidden(*args):
+            raise AssertionError("work ran before the factor cap")
+
+        TestSumPrecision._forbid_work(monkeypatch)
+        for name in ("_prefactor", "localcontext"):  # the sizing and the terms
+            monkeypatch.setattr(localization, name, forbidden)
+        with pytest.raises(ValueError, match=r"^at most 16 sphere factors .*, got 17$"):
+            check.extend(0)
+
     @pytest.mark.parametrize("c", [0, math.nan, 0.5j])
     def test_empty_check_takes_real_nonzero_c(self, c):
         with pytest.raises(ValueError, match="c must be"):
-            localization.PrefixCheck.empty(c)
+            localization.PrefixCheck.empty(c, [SphereFactor(1.0, 1.0)])

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locq.errors import (
     NotSkewSymmetricError,
@@ -124,6 +125,79 @@ class TestPfaffian:
                 assert pfaffian_combinatorial(a) == pytest.approx(
                     pfaffian_tridiagonal(a), rel=1e-10, abs=1e-12
                 )
+
+
+def _plain_pfaffian(a):
+    """The expansion along the first row as a plain recursion: NumPy
+    indexing and no memo, so every minor is expanded again where it recurs."""
+    m = a.mat
+
+    def pf(idx):
+        if not idx:
+            return 1.0
+        first = idx[0]
+        rest = idx[1:]
+        total = 0.0
+        sign = 1.0
+        for pos, j in enumerate(rest):
+            aij = m[first, j]
+            if aij != 0.0:
+                sub = rest[:pos] + rest[pos + 1:]
+                total += sign * aij * pf(sub)
+            sign = -sign
+        return total
+
+    return float(pf(tuple(range(a.dim))))
+
+
+@st.composite
+def _skew_matrices(draw):
+    """Skew matrices of dimension 2-8: exact zeros, which the expansion
+    skips, among entries of magnitude 1, 1e-150 or 1e150."""
+    dim = draw(st.sampled_from([2, 4, 6, 8]))
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    entry = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))
+    upper = draw(st.lists(entry, min_size=dim * (dim - 1) // 2,
+                          max_size=dim * (dim - 1) // 2))
+    a = np.zeros((dim, dim))
+    a[np.triu_indices(dim, 1)] = np.array(upper) * scale
+    return SkewMatrix(a - a.T)
+
+
+class TestCombinatorialMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_skew_matrices())
+    def test_bit_identical_to_plain_recursion(self, a):
+        # repr, so that inf and nan (from the 1e150 scale) compare too.
+        # Overflow and inf - inf warn in NumPy scalar arithmetic (an error
+        # under the test configuration), not in Python floats.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert repr(pfaffian_combinatorial(a)) == repr(_plain_pfaffian(a))
+
+    def test_each_minor_expanded_once(self):
+        # dim 8, no zero entry: the 33 nonempty minors (1 of size 8, 7 of
+        # size 6, 15 of size 4, 10 of size 2) read 7 + 7 * 5 + 15 * 3 + 10 = 97
+        # entries; the plain recursion reads 7 + 7 * 5 + 35 * 3 + 105 = 252
+        reads = []
+
+        class Row(list):
+            def __getitem__(self, j):
+                reads.append(j)
+                return list.__getitem__(self, j)
+
+        upper = np.triu(np.arange(1.0, 65.0).reshape(8, 8), 1)
+        a = SkewMatrix(upper - upper.T)
+
+        class Counted:
+            dim = a.dim
+
+            class mat:
+                @staticmethod
+                def tolist():
+                    return [Row(r) for r in a.mat.tolist()]
+
+        assert pfaffian_combinatorial(Counted()) == pfaffian_combinatorial(a) == 125960.0
+        assert len(reads) == 97
 
 
 class TestCanonicalize:
