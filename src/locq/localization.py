@@ -291,15 +291,14 @@ def _half_terms(factor: SphereFactor, c, digits: int | None):
         return x.exp() / rate, -(-x).exp() / rate
 
 
-def _point_terms(factors, c, digits: int | None) -> list:
-    """The terms e^(c H(p)) / prod_j l_j(p), by subset doubling in the order
-    of enumerate_fixed_points (each term t splits into t times the factor's
+def _point_terms(pairs, digits: int | None, terms=(1,)) -> list:
+    """The terms e^(c H(p)) / prod_j l_j(p): `terms` extended by the factors
+    whose _half_terms are `pairs`, by subset doubling in the order of
+    enumerate_fixed_points (each term t splits into t times the factor's
     two half-terms)."""
-    terms = (1,)
     with localcontext() as ctx:
         ctx.prec = digits or ctx.prec  # complex terms ignore the context
-        for f in factors:
-            pair = _half_terms(f, c, digits)
+        for pair in pairs:
             terms = [t * h for t in terms for h in pair]
     return terms
 
@@ -346,7 +345,8 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
     _check_factor_count(space.half_dim)
     points = enumerate_fixed_points(space)
     lhs = dh_lhs(space, c, quad_points)
-    rhs = _fixed_point_sum(_point_terms(space.factors, c, digits), digits, prefactor)
+    pairs = [_half_terms(f, c, digits) for f in space.factors]
+    rhs = _fixed_point_sum(_point_terms(pairs, digits), digits, prefactor)
     return DHReport(lhs=lhs, rhs=rhs, rel_err=_rel_err(lhs, rhs), fixed_points=points,
                     decimal_digits=digits)
 
@@ -354,27 +354,21 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
 class _FactorTable:
     """One real c's per-factor work for the PrefixChecks on a list of
     factors, by factor index, each item computed once: the quadratures and
-    _size_terms up front, every factor's half-terms at each digits a check
-    reaches, and the prefactor at each depth."""
+    _size_terms up front, and every factor's half-terms at each digits a
+    check reaches."""
 
-    __slots__ = ("c", "factors", "quads", "size_terms", "_halves", "_prefactors")
+    __slots__ = ("c", "factors", "quads", "size_terms", "_halves")
 
     def __init__(self, c, quad_points: int, factors: Sequence[SphereFactor]):
         self.c, self.factors = c, tuple(factors)
         self.quads = [factor_integral_quad(f, c, quad_points) for f in self.factors]
         self.size_terms = [_size_term(f, c) for f in self.factors]
         self._halves: dict[int, list[tuple[Decimal, Decimal]]] = {}
-        self._prefactors: dict[int, float] = {}
 
     def half_terms(self, digits: int) -> list[tuple[Decimal, Decimal]]:
         if digits not in self._halves:
             self._halves[digits] = [_half_terms(f, self.c, digits) for f in self.factors]
         return self._halves[digits]
-
-    def prefactor(self, n: int) -> float:
-        if n not in self._prefactors:
-            self._prefactors[n] = _prefactor(n, self.c)
-        return self._prefactors[n]
 
 
 class PrefixCheck(NamedTuple):
@@ -385,11 +379,12 @@ class PrefixCheck(NamedTuple):
     The fields are the left folds over those factors that dh_verify takes:
     the sizes (_size_step) with the digits they give, the quadrature product
     lhs (dh_lhs) and the point terms at `digits` digits (_point_terms); rhs
-    is their sum (_fixed_point_sum).  So extend(i) gives the check on these
-    factors and factor i by one step of each fold, the products and the sum
-    in one Decimal context.  Where the new factor raises the digits, the
-    terms are rebuilt at the new precision, since every rounding depends on
-    it.  An empty check has no factor and is no check.
+    is their sum (_fixed_point_sum), taken once, when the check is built.
+    So extend(i) gives the check on these factors and factor i by one step
+    of each fold, through the routines dh_verify calls.  Where the new
+    factor raises the digits, the terms are rebuilt at the new precision,
+    since every rounding depends on it.  An empty check has no factor and
+    is no check.
     """
 
     table: _FactorTable
@@ -421,19 +416,16 @@ class PrefixCheck(NamedTuple):
         _check_factor_count(len(indices))
         sizes = _size_step(self.sizes, table.size_terms[i])
         digits = _digits(sizes, table.c)
-        prefactor = table.prefactor(len(indices))
+        prefactor = _prefactor(len(indices), table.c)
         lhs = self.lhs * table.quads[i]
         if digits == self.digits:
             terms, new = self.terms, (i,)
         else:
             terms, new = (1,), indices
         halves = table.half_terms(digits)
-        with localcontext() as ctx:
-            ctx.prec = digits
-            for j in new:
-                terms = [t * h for t in terms for h in halves[j]]
-            total = sum(terms)  # left to right from int 0, as in _fixed_point_sum
-        return PrefixCheck(table, indices, sizes, lhs, digits, terms, prefactor * float(total))
+        terms = _point_terms([halves[j] for j in new], digits, terms)
+        rhs = _fixed_point_sum(terms, digits, prefactor)
+        return PrefixCheck(table, indices, sizes, lhs, digits, terms, rhs)
 
     @property
     def rel_err(self) -> float:

@@ -108,25 +108,27 @@ def pfaffian_combinatorial(a: SkewMatrix) -> float:
     each minor once per call, keyed by its index tuple.  The expansion order
     is the plain recursion's, so the result is that recursion's to the bit.
     """
-    m = a.mat.tolist()
-    minors: dict[tuple[int, ...], float] = {(): 1.0}
+    return _pf_minor(a.mat.tolist(), tuple(range(a.dim)), {(): 1.0})
 
-    def pf(idx: tuple[int, ...]) -> float:
-        row = m[idx[0]]
-        rest = idx[1:]
-        total = 0.0
-        sign = 1.0
-        for pos, j in enumerate(rest):
-            aij = row[j]
-            if aij != 0.0:
-                sub = rest[:pos] + rest[pos + 1:]
-                if sub not in minors:
-                    minors[sub] = pf(sub)
-                total += sign * aij * minors[sub]
-            sign = -sign
-        return total
 
-    return pf(tuple(range(a.dim)))
+def _pf_minor(m: list[list[float]], idx: tuple[int, ...], minors: dict) -> float:
+    """Pfaffian of the minor of m on the indices idx, expanded along its
+    first row; minors maps the index tuples already expanded to their
+    Pfaffians.  A module function, not a closure over itself, so the memo
+    is freed when the call returns rather than by the cycle collector."""
+    row = m[idx[0]]
+    rest = idx[1:]
+    total = 0.0
+    sign = 1.0
+    for pos, j in enumerate(rest):
+        aij = row[j]
+        if aij != 0.0:
+            sub = rest[:pos] + rest[pos + 1:]
+            if sub not in minors:
+                minors[sub] = _pf_minor(m, sub, minors)
+            total += sign * aij * minors[sub]
+        sign = -sign
+    return total
 
 
 def pfaffian_tridiagonal(a: SkewMatrix) -> float:

@@ -1,5 +1,6 @@
 """Pfaffian identities, canonical forms, and the sign convention."""
 
+import gc
 import re
 
 import numpy as np
@@ -198,6 +199,18 @@ class TestCombinatorialMemo:
 
         assert pfaffian_combinatorial(Counted()) == pfaffian_combinatorial(a) == 125960.0
         assert len(reads) == 97
+
+    def test_memo_freed_without_the_cycle_collector(self):
+        # a recursive closure is a reference cycle, which would keep each
+        # call's minors and float entries alive until the next collection
+        a = random_skew(np.random.default_rng(8), 8)
+        gc.collect()
+        gc.disable()
+        try:
+            pfaffian_combinatorial(a)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCanonicalize:
