@@ -291,27 +291,23 @@ def _half_terms(factor: SphereFactor, c, digits: int | None):
         return x.exp() / rate, -(-x).exp() / rate
 
 
-def _point_terms(pairs, digits: int | None, terms=(1,)) -> list:
-    """The terms e^(c H(p)) / prod_j l_j(p): `terms` extended by the factors
-    whose _half_terms are `pairs`, by subset doubling in the order of
-    enumerate_fixed_points (each term t splits into t times the factor's
-    two half-terms)."""
+def _fixed_point_sum(pairs, digits: int | None, prefactor, terms=(1,)):
+    """(terms, prefactor * sum(terms)) for the terms e^(c H(p)) / prod_j l_j(p).
+
+    The terms are `terms` extended by the factors whose _half_terms are
+    `pairs`, by subset doubling in the order of enumerate_fixed_points (each
+    term t splits into t times the factor's two half-terms), and are added
+    left to right from int 0: in Decimal at `digits` digits, or in complex
+    floats where digits is None.
+    """
     with localcontext() as ctx:
         ctx.prec = digits or ctx.prec  # complex terms ignore the context
         for pair in pairs:
             terms = [t * h for t in terms for h in pair]
-    return terms
-
-
-def _fixed_point_sum(terms, digits: int | None, prefactor):
-    """prefactor * sum(terms), the terms added left to right from int 0:
-    in Decimal at `digits` digits, or in complex floats where digits is None."""
-    with localcontext() as ctx:
-        ctx.prec = digits or ctx.prec
         total = 0
         for t in terms:
             total += t
-    return prefactor * (total if digits is None else float(total))
+    return terms, prefactor * (total if digits is None else float(total))
 
 
 def _rel_err(lhs, rhs) -> float:
@@ -345,8 +341,8 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
     _check_factor_count(space.half_dim)
     points = enumerate_fixed_points(space)
     lhs = dh_lhs(space, c, quad_points)
-    pairs = [_half_terms(f, c, digits) for f in space.factors]
-    rhs = _fixed_point_sum(_point_terms(pairs, digits), digits, prefactor)
+    _, rhs = _fixed_point_sum([_half_terms(f, c, digits) for f in space.factors],
+                              digits, prefactor)
     return DHReport(lhs=lhs, rhs=rhs, rel_err=_rel_err(lhs, rhs), fixed_points=points,
                     decimal_digits=digits)
 
@@ -378,13 +374,12 @@ class PrefixCheck(NamedTuple):
     (PrefixCheck.empty), whose per-factor work one _FactorTable does once.
     The fields are the left folds over those factors that dh_verify takes:
     the sizes (_size_step) with the digits they give, the quadrature product
-    lhs (dh_lhs) and the point terms at `digits` digits (_point_terms); rhs
-    is their sum (_fixed_point_sum), taken once, when the check is built.
-    So extend(i) gives the check on these factors and factor i by one step
-    of each fold, through the routines dh_verify calls.  Where the new
-    factor raises the digits, the terms are rebuilt at the new precision,
-    since every rounding depends on it.  An empty check has no factor and
-    is no check.
+    lhs (dh_lhs) and the point terms at `digits` digits, with rhs their sum,
+    taken once, when the check is built (_fixed_point_sum).  So extend(i)
+    gives the check on these factors and factor i by one step of each fold,
+    through the routine dh_verify calls.  Where the new factor raises the
+    digits, the terms are rebuilt at the new precision, since every
+    rounding depends on it.  An empty check has no factor and is no check.
     """
 
     table: _FactorTable
@@ -423,8 +418,7 @@ class PrefixCheck(NamedTuple):
         else:
             terms, new = (1,), indices
         halves = table.half_terms(digits)
-        terms = _point_terms([halves[j] for j in new], digits, terms)
-        rhs = _fixed_point_sum(terms, digits, prefactor)
+        terms, rhs = _fixed_point_sum([halves[j] for j in new], digits, prefactor, terms)
         return PrefixCheck(table, indices, sizes, lhs, digits, terms, rhs)
 
     @property
