@@ -5,7 +5,7 @@ paired with an independent basis-enumeration oracle so the identities can
 be checked coefficient by coefficient:
 
   * macdonald_series      <->  sym_poincare_oracle (graded symmetric powers)
-  * orbifold_series       <->  orbifold_oracle (partition sums of the above)
+  * orbifold_series       <->  orbifold_oracle_series (partition sums of the above)
   * equivariant series    <->  partition counting
   * twisted_sym_series    <->  twisted_sym_oracle (tuples of strict and of
                                distinct-odd partitions), for chi >= 0; the
@@ -129,21 +129,6 @@ def macdonald_series(b: BettiData, q_order: int, y_bound: int | None = None) -> 
     expanded exactly to q_order.
     """
     return _betti_product(b, [1], q_order, y_bound)
-
-
-@dataclass(frozen=True, slots=True)
-class EulerSpecializationResult:
-    series: FormalSeries
-    expected: FormalSeries
-    matches: bool
-
-
-def euler_specialization(b: BettiData, q_order: int) -> EulerSpecializationResult:
-    """y = -1 reduction: the series must equal (1-q)^(-chi) exactly."""
-    series = macdonald_series(b, q_order).specialize_y(-1)
-    expected = polynomial_power([(1, -1)], -b.chi, q_order)
-    return EulerSpecializationResult(series=series, expected=expected,
-                                     matches=series == expected)
 
 
 def _check_chi(chi: int) -> None:
@@ -307,30 +292,36 @@ def partition_multiplicities(n: int):
     yield from rec(n, n, {})
 
 
-def orbifold_oracle(b: BettiData, n: int) -> dict[int, int]:
-    """Coefficient of q^n of the orbifold series, from the partition sum.
+def orbifold_oracle_series(b: BettiData, order: int) -> list[dict[int, int]]:
+    """Coefficients of q^0 .. q^order of the orbifold series, from partition sums.
 
-    Sums, over partitions of n with multiplicities (n_j), the product of
-    symmetric-power Poincare polynomials of order n_j, each power enumerated
-    once per call.  Fully independent of the infinite product.
+    The coefficient of q^n sums, over the partitions of n with
+    multiplicities (n_j), the product of the symmetric-power Poincare
+    polynomials of order n_j; the powers of order 0 .. order are enumerated
+    once, for every n.  Fully independent of the infinite product.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    powers: dict[int, dict[int, int]] = {}
-    out: dict[int, int] = {}
-    for mults in partition_multiplicities(n):
-        term: dict[int, int] = {0: 1}
-        for mult in mults.values():
-            if mult not in powers:
-                powers[mult] = sym_poincare_oracle(b, mult)
-            factor = powers[mult]
-            new: dict[int, int] = {}
-            for e1, c1 in term.items():
-                for e2, c2 in factor.items():
-                    new[e1 + e2] = new.get(e1 + e2, 0) + c1 * c2
-            term = {e: c for e, c in new.items() if c}
-            if not term:
-                break
-        for e, c in term.items():
-            out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    powers = [sym_poincare_oracle(b, mult) for mult in range(order + 1)]
+    coeffs = []
+    for n in range(order + 1):
+        out: dict[int, int] = {}
+        for mults in partition_multiplicities(n):
+            term: dict[int, int] = {0: 1}
+            for mult in mults.values():
+                new: dict[int, int] = {}
+                for e1, c1 in term.items():
+                    for e2, c2 in powers[mult].items():
+                        new[e1 + e2] = new.get(e1 + e2, 0) + c1 * c2
+                term = {e: c for e, c in new.items() if c}
+                if not term:
+                    break
+            for e, c in term.items():
+                out[e] = out.get(e, 0) + c
+        coeffs.append({e: c for e, c in out.items() if c})
+    return coeffs
+
+
+def orbifold_oracle(b: BettiData, n: int) -> dict[int, int]:
+    """Coefficient of q^n of the orbifold series, from the partition sums."""
+    return orbifold_oracle_series(b, n)[n]

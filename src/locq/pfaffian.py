@@ -40,6 +40,9 @@ class SkewMatrix:
     and a smaller nonzero one sets `adjusted`.
     A NaN or infinite entry raises a ValueError naming the first one, in
     row-major order, and a non-numeric one its type, before any arithmetic.
+    Entries so large that a result overflows a double are refused where
+    that result is computed: the Pfaffian, the determinant, a rate or
+    sqrt_det raises a ValueError naming it, and NumPy warns of nothing.
     """
 
     __slots__ = ("mat", "adjusted")
@@ -64,12 +67,13 @@ class SkewMatrix:
                 f"matrix entries must be finite, got {float(a[row, col])!r} at "
                 f"(row, col) = ({row}, {col})"
             )
-        deviation = float(np.max(np.abs(a + a.T))) / 2.0
+        with np.errstate(all="ignore"):
+            deviation = float(np.max(np.abs(a + a.T))) / 2.0
+            skew = (a - a.T) / 2.0
         if deviation > SKEW_TOL * float(np.max(np.abs(a))):
             raise NotSkewSymmetricError(
                 f"matrix deviates from skew symmetry by {deviation:.3e}"
             )
-        skew = (a - a.T) / 2.0
         np.fill_diagonal(skew, 0.0)
         self.mat = skew
         self.mat.setflags(write=False)
@@ -87,7 +91,16 @@ class SkewMatrix:
         """Determinant by LU elimination (numpy), independent of any Pfaffian path."""
         import numpy as np
 
-        return float(np.linalg.det(self.mat))
+        with np.errstate(all="ignore"):
+            return _finite("determinant", float(np.linalg.det(self.mat)))
+
+
+def _finite(what: str, value: float) -> float:
+    """value, or a ValueError naming `what` where it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not a finite double, got {value!r}: "
+                         "the matrix entries are too large")
+    return value
 
 
 def pfaffian(a: SkewMatrix) -> float:
@@ -97,8 +110,8 @@ def pfaffian(a: SkewMatrix) -> float:
     orthogonal tridiagonal reduction beyond.
     """
     if a.dim <= 8:
-        return pfaffian_combinatorial(a)
-    return pfaffian_tridiagonal(a)
+        return _finite("Pfaffian", pfaffian_combinatorial(a))
+    return _finite("Pfaffian", pfaffian_tridiagonal(a))
 
 
 def pfaffian_combinatorial(a: SkewMatrix) -> float:
@@ -144,27 +157,25 @@ def pfaffian_tridiagonal(a: SkewMatrix) -> float:
     t = a.mat.copy()
     d = a.dim
     det_q = 1.0
-    for k in range(d - 2):
-        col = t[k + 1:, k].copy()
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            continue
-        v = col
-        v[0] += np.copysign(norm, v[0] if v[0] != 0 else 1.0)
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # apply H = I - 2 v v^T on rows and columns k+1..
-        block = t[k + 1:, :]
-        block -= 2.0 * np.outer(v, v @ block)
-        block = t[:, k + 1:]
-        block -= 2.0 * np.outer(block @ v, v)
-        det_q = -det_q
-    pf = 1.0
-    for i in range(0, d, 2):
-        pf *= t[i, i + 1]
-    return float(det_q * pf)
+    with np.errstate(all="ignore"):
+        for k in range(d - 2):
+            col = t[k + 1:, k].copy()
+            norm = np.linalg.norm(col)
+            if norm == 0.0:
+                continue
+            v = col
+            v[0] += np.copysign(norm, v[0] if v[0] != 0 else 1.0)
+            vnorm = np.linalg.norm(v)
+            if vnorm == 0.0:
+                continue
+            v /= vnorm
+            # apply H = I - 2 v v^T on rows and columns k+1..
+            block = t[k + 1:, :]
+            block -= 2.0 * np.outer(v, v @ block)
+            block = t[:, k + 1:]
+            block -= 2.0 * np.outer(block @ v, v)
+            det_q = -det_q
+    return det_q * math.prod(np.diagonal(t, 1)[::2].tolist())
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,7 @@ class CanonicalForm:
     @property
     def sqrt_det(self) -> float:
         """det(A)^(1/2) = prod_j l_j, multiplied left to right."""
-        return math.prod(self.lambdas)
+        return _finite("sqrt_det", math.prod(self.lambdas))
 
 
 def canonicalize(a: SkewMatrix) -> CanonicalForm:
@@ -195,8 +206,9 @@ def canonicalize(a: SkewMatrix) -> CanonicalForm:
     import numpy as np
 
     n = a.half_dim
-    w, v = np.linalg.eigh(1j * a.mat)  # w ascending: -l_1 .. -l_n, l_n .. l_1
-    lambdas = w[n:][::-1].tolist()
+    with np.errstate(all="ignore"):
+        w, v = np.linalg.eigh(1j * a.mat)  # w ascending: -l_1 .. -l_n, l_n .. l_1
+    lambdas = [_finite("rotation rate", rate) for rate in w[n:][::-1].tolist()]
     if lambdas[-1] <= SINGULAR_TOL * lambdas[0]:
         raise SingularMatrixError("matrix is singular or nearly singular")
     z = v[:, n:][:, ::-1]

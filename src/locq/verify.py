@@ -1,11 +1,11 @@
 """Self-contained verification suites behind the `verify-all` command.
 
-Each suite checks one family of identities at its published tolerance and
-returns a SuiteResult; run_all() executes every suite.  The suites are
-deliberately oracle-based: product formulas are compared against
-independent enumerations, both sides of the localization identity are
-evaluated by unrelated numerical routes, and exact identities are checked
-with rational arithmetic and no tolerance at all.
+Each suite returns one Row per identity: `exact` compares (got, want)
+pairs with ==, `within` holds errors to a tolerance, and one rule
+(Row.passed) decides every row.  The suites are deliberately oracle-based:
+product formulas are compared against independent enumerations, both
+sides of the localization identity are evaluated by unrelated numerical
+routes, and exact identities are checked with rational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,20 +13,95 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import genfunc, genus, localization, pfaffian, qhyper, spectral
 from .errors import LocqError
-from .series import IntegerProductSpec, expand_product
+from .series import IntegerProductSpec, expand_product, polynomial_power
 from .spectral import SpectralParams, Tau
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
+class Row:
+    """One identity's result: `checks` cases, their `worst`, and its `tolerance`.
+
+    An exact row (tolerance None) passes iff worst, its mismatch count, is
+    0; a tolerance row passes iff worst < tolerance, so a NaN or infinite
+    worst fails it; a row with no checks fails.
+    """
+
+    identity: str
+    checks: int
+    worst: float
+    tolerance: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        if self.checks == 0:
+            return False
+        if self.tolerance is None:
+            return self.worst == 0
+        return self.worst < self.tolerance
+
+    def to_json_dict(self) -> dict:
+        return {
+            "identity": self.identity,
+            "checks": self.checks,
+            "worst": _finite_or_none(self.worst),
+            "tolerance": self.tolerance,
+            "budget_used": (None if self.tolerance is None
+                            else _finite_or_none(self.worst / self.tolerance)),
+            "passed": self.passed,
+        }
+
+
+def _finite_or_none(x: float) -> float | None:
+    """x, or None where strict JSON has no number for it."""
+    return x if math.isfinite(x) else None
+
+
+def _or_none(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None where it refuses with a LocqError."""
+    try:
+        return fn(*args, **kwargs)
+    except LocqError:
+        return None
+
+
+def exact(identity: str, pairs) -> Row:
+    """An exact row from (got, want) pairs: worst counts the pairs with got != want."""
+    checks = mismatches = 0
+    for got, want in pairs:
+        checks += 1
+        mismatches += got != want
+    return Row(identity, checks, mismatches)
+
+
+def within(identity: str, errors, tolerance: float) -> Row:
+    """A tolerance row from errors.  A NaN error stays the worst, where
+    max(worst, err) would pass over it."""
+    checks, worst = 0, 0.0
+    for err in errors:
+        checks += 1
+        if err > worst or math.isnan(err):
+            worst = float(err)
+    return Row(identity, checks, worst, tolerance)
+
+
+@dataclass(frozen=True, slots=True)
 class SuiteResult:
     name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+    rows: tuple[Row, ...]
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.rows) and all(row.passed for row in self.rows)
+
+    @property
+    def details(self) -> dict:
+        return {"checks": sum(row.checks for row in self.rows),
+                "rows": [row.to_json_dict() for row in self.rows]}
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -65,16 +140,10 @@ def localization_checks():
 def suite_localization() -> SuiteResult:
     """Both sides of the fixed-point identity on every sphere product
     with radii and weights drawn from DH_VALUES, up to four factors."""
-    worst = 0.0
-    checks = 0
-    for check in localization_checks():
-        worst = max(worst, check.rel_err)
-        checks += 1
-    return SuiteResult(
-        name="dh-localization",
-        passed=worst < DH_TOL,
-        details={"checks": checks, "worst_rel_err": worst, "tolerance": DH_TOL},
-    )
+    return SuiteResult("dh-localization", (
+        within("fixed-point sum = Liouville integral, rel err",
+               (check.rel_err for check in localization_checks()), DH_TOL),
+    ))
 
 
 # -- 2. pfaffian --------------------------------------------------------------
@@ -84,41 +153,37 @@ def suite_pfaffian() -> SuiteResult:
     import numpy as np
 
     rng = np.random.default_rng(20240915)
-    worst_square = 0.0
-    for _ in range(500):
-        d = int(rng.choice([2, 4, 6, 8, 10, 12]))
+
+    def skew(dims):
+        d = int(rng.choice(dims))
         raw = rng.normal(size=(d, d))
-        a = pfaffian.SkewMatrix(raw - raw.T)
-        pf = pfaffian.pfaffian(a)
-        det = a.det()
-        worst_square = max(worst_square, float(abs(pf * pf - det)) / max(abs(det), 1e-30))
-    worst_congruence = 0.0
-    for _ in range(200):
-        d = int(rng.choice([2, 4, 6, 8]))
-        raw = rng.normal(size=(d, d))
-        a = pfaffian.SkewMatrix(raw - raw.T)
-        b = rng.normal(size=(d, d))
-        lhs = pfaffian.pfaffian(pfaffian.SkewMatrix(b @ a.mat @ b.T))
-        rhs = float(np.linalg.det(b)) * pfaffian.pfaffian(a)
-        worst_congruence = max(worst_congruence, float(abs(lhs - rhs)) / max(abs(rhs), 1e-30))
-    worst_paths = 0.0
-    for _ in range(100):
-        d = int(rng.choice([2, 4, 6, 8]))
-        raw = rng.normal(size=(d, d))
-        a = pfaffian.SkewMatrix(raw - raw.T)
-        pc = pfaffian.pfaffian_combinatorial(a)
-        pt = pfaffian.pfaffian_tridiagonal(a)
-        worst_paths = max(worst_paths, float(abs(pc - pt)) / max(abs(pc), 1e-30))
-    passed = worst_square < 1e-9 and worst_congruence < 1e-8 and worst_paths < 1e-10
-    return SuiteResult(
-        name="pfaffian",
-        passed=passed,
-        details={
-            "worst_pf_squared_vs_det": worst_square,
-            "worst_congruence": worst_congruence,
-            "worst_path_disagreement": worst_paths,
-        },
-    )
+        return pfaffian.SkewMatrix(raw - raw.T)
+
+    def square_errors():
+        for _ in range(500):
+            a = skew([2, 4, 6, 8, 10, 12])
+            pf, det = pfaffian.pfaffian(a), a.det()
+            yield abs(pf * pf - det) / max(abs(det), 1e-30)
+
+    def congruence_errors():
+        for _ in range(200):
+            a = skew([2, 4, 6, 8])
+            b = rng.normal(size=(a.dim, a.dim))
+            lhs = pfaffian.pfaffian(pfaffian.SkewMatrix(b @ a.mat @ b.T))
+            rhs = float(np.linalg.det(b)) * pfaffian.pfaffian(a)
+            yield abs(lhs - rhs) / max(abs(rhs), 1e-30)
+
+    def path_errors():
+        for _ in range(100):
+            a = skew([2, 4, 6, 8])
+            pc = pfaffian.pfaffian_combinatorial(a)
+            yield abs(pc - pfaffian.pfaffian_tridiagonal(a)) / max(abs(pc), 1e-30)
+
+    return SuiteResult("pfaffian", (
+        within("Pf(A)^2 = det(A), rel err", square_errors(), 1e-9),
+        within("Pf(B A B^T) = det(B) Pf(A), rel err", congruence_errors(), 1e-8),
+        within("combinatorial Pf = tridiagonal Pf, rel err", path_errors(), 1e-10),
+    ))
 
 
 # -- 3/4/5/6. generating functions -------------------------------------------
@@ -137,44 +202,31 @@ def betti_family(max_total: int, max_degree: int):
 
 def suite_macdonald() -> SuiteResult:
     """Product formula vs graded-symmetric-power enumeration, n <= 8."""
-    mismatches = 0
-    cases = 0
-    for b in betti_family(max_total=4, max_degree=5):
-        series = genfunc.macdonald_series(b, 8)
-        for n in range(9):
-            cases += 1
-            if series.q_coefficient(n) != genfunc.sym_poincare_oracle(b, n):
-                mismatches += 1
-    return SuiteResult(
-        name="macdonald-oracle",
-        passed=mismatches == 0,
-        details={"cases": cases, "mismatches": mismatches},
-    )
+    return SuiteResult("macdonald-oracle", (
+        exact("Macdonald product q^n = symmetric-power enumeration, n <= 8",
+              ((series.q_coefficient(n), genfunc.sym_poincare_oracle(b, n))
+               for b in betti_family(max_total=4, max_degree=5)
+               for series in [genfunc.macdonald_series(b, 8)]
+               for n in range(9))),
+    ))
 
 
 def suite_euler() -> SuiteResult:
     """y = -1 specialization and the equivariant partition-number check."""
-    failures = []
-    for b in betti_family(max_total=4, max_degree=5):
-        if not genfunc.euler_specialization(b, 20).matches:
-            failures.append(tuple(b.betti))
     # independent partition counts by bounded-part dynamic programming
     nmax = 20
     dp = [1] + [0] * nmax
     for part in range(1, nmax + 1):
         for n in range(part, nmax + 1):
             dp[n] += dp[n - part]
-    series = genfunc.equivariant_euler_series(1, nmax)
-    partition_ok = list(series.coeffs) == dp
-    return SuiteResult(
-        name="euler-specializations",
-        passed=not failures and partition_ok,
-        details={
-            "betti_failures": failures,
-            "partition_numbers_match": partition_ok,
-            "p_20": dp[20],
-        },
-    )
+    return SuiteResult("euler-specializations", (
+        exact("Macdonald series at y = -1 = (1 - q)^(-chi), to q^20",
+              ((genfunc.macdonald_series(b, nmax).specialize_y(-1),
+                polynomial_power([(1, -1)], -b.chi, nmax))
+               for b in betti_family(max_total=4, max_degree=5))),
+        exact("equivariant series at chi = 1 = partition numbers p(n), n <= 20",
+              zip(genfunc.equivariant_euler_series(1, nmax).coeffs, dp)),
+    ))
 
 
 def suite_orbifold() -> SuiteResult:
@@ -182,50 +234,33 @@ def suite_orbifold() -> SuiteResult:
     partition-sum oracle, coefficient by coefficient for n <= 8."""
     family = betti_family(max_total=3, max_degree=3)
     family.append(genfunc.BettiData.of(1, 2, 1))
-    mismatches = 0
-    cases = 0
-    for b in family:
-        series = genfunc.orbifold_series(b, 8)
-        for n in range(9):
-            cases += 1
-            if series.q_coefficient(n) != genfunc.orbifold_oracle(b, n):
-                mismatches += 1
-    return SuiteResult(
-        name="orbifold-oracle",
-        passed=mismatches == 0,
-        details={"cases": cases, "mismatches": mismatches},
-    )
+    return SuiteResult("orbifold-oracle", (
+        exact("orbifold product q^n = partition-sum enumeration, n <= 8",
+              ((series.q_coefficient(n), want)
+               for b in family
+               for series in [genfunc.orbifold_series(b, 8)]
+               for n, want in enumerate(genfunc.orbifold_oracle_series(b, 8)))),
+    ))
 
 
 def suite_twisted() -> SuiteResult:
     """Constant term 2 at chi = 0, integer coefficients for chi in [-4, 4],
     and the spin-partition oracle coefficient by coefficient for chi in
     [0, 4], n <= 20."""
-    constant_ok = True
-    for order in (0, 1, 5, 12, 20):
-        series = genfunc.twisted_sym_series(0, order)
-        constant_ok = constant_ok and list(series.coeffs) == [2] + [0] * order
-    integer_ok = True
-    mismatches = 0
-    cases = 0
-    for chi in range(-4, 5):
-        try:
-            series = genfunc.twisted_sym_series(chi, 20)
-        except LocqError:
-            integer_ok = False
-            continue
-        if chi < 0:
-            continue  # the oracle counts tuples: chi >= 0 only
-        for n, got in enumerate(series.coeffs):
-            cases += 1
-            if got != genfunc.twisted_sym_oracle(chi, n):
-                mismatches += 1
-    return SuiteResult(
-        name="twisted-sym",
-        passed=constant_ok and integer_ok and mismatches == 0,
-        details={"constant_two": constant_ok, "integer_coefficients": integer_ok,
-                 "cases": cases, "mismatches": mismatches},
-    )
+    # refused (None) where the halved difference is not an integer
+    series = {chi: _or_none(genfunc.twisted_sym_series, chi, 20) for chi in range(-4, 5)}
+    return SuiteResult("twisted-sym", (
+        exact("twisted series at chi = 0 = 2, orders 0, 1, 5, 12, 20",
+              ((list(genfunc.twisted_sym_series(0, order).coeffs), [2] + [0] * order)
+               for order in (0, 1, 5, 12, 20))),
+        exact("twisted series has integer coefficients, chi in [-4, 4]",
+              ((s is not None, True) for s in series.values())),
+        # the oracle counts tuples: chi >= 0 only
+        exact("twisted series q^n = spin-partition count, chi in [0, 4], n <= 20",
+              ((s and s.coeffs[n], genfunc.twisted_sym_oracle(chi, n))
+               for chi, s in series.items() if chi >= 0
+               for n in range(21))),
+    ))
 
 
 # -- 7. q-identities -----------------------------------------------------------
@@ -237,13 +272,11 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def suite_qidentities() -> SuiteResult:
-    rng = random.Random(777)
-    saal_pass = 0
-    saal_total = 0
-    attempts = 0
-    while saal_pass < 60 and attempts < 2000:
-        attempts += 1
+def _saalschutz_pairs(rng: random.Random):
+    """(lhs, rhs) on 60 random legal parameter sets; running out of 2000
+    attempts before that is one more, failing, pair."""
+    found = 0
+    for _ in range(2000):
         n = rng.randint(0, 6)
         a, b, c = (_random_fraction(rng) for _ in range(3))
         q = Fraction(rng.randint(1, 8), rng.randint(9, 12))
@@ -251,12 +284,17 @@ def suite_qidentities() -> SuiteResult:
             result = qhyper.saalschutz_check(a, b, c, n, q)
         except LocqError:
             continue
-        saal_total += 1
-        if result.equal:
-            saal_pass += 1
-    shift_fail = 0
-    shift_total = 0
-    while shift_total < 200:
+        yield result.lhs, result.rhs
+        found += 1
+        if found == 60:
+            return
+    yield found, 60
+
+
+def _shift_pairs(rng: random.Random):
+    """(a;q)_{m+n} against (a;q)_m (a q^m;q)_n on 200 legal random draws."""
+    found = 0
+    while found < 200:
         a = _random_fraction(rng)
         q = Fraction(rng.randint(1, 8), rng.randint(9, 12))
         m = rng.randint(-5, 5)
@@ -266,126 +304,84 @@ def suite_qidentities() -> SuiteResult:
             rhs = qhyper.pochhammer(a, q, m) * qhyper.pochhammer(a * q**m, q, n)
         except LocqError:
             continue
-        shift_total += 1
-        if lhs != rhs:
-            shift_fail += 1
-    passed = saal_pass >= 50 and saal_pass == saal_total and shift_fail == 0
-    return SuiteResult(
-        name="q-identities",
-        passed=passed,
-        details={
-            "saalschutz_exact": saal_pass,
-            "saalschutz_tried": saal_total,
-            "shift_identity_checks": shift_total,
-            "shift_identity_failures": shift_fail,
-        },
-    )
+        found += 1
+        yield lhs, rhs
+
+
+def suite_qidentities() -> SuiteResult:
+    rng = random.Random(777)
+    return SuiteResult("q-identities", (
+        exact("terminating q-Saalschutz sum = closed form, n <= 6", _saalschutz_pairs(rng)),
+        exact("(a;q)_(m+n) = (a;q)_m (a q^m;q)_n, |m|, |n| <= 5", _shift_pairs(rng)),
+    ))
 
 
 # -- 8. spectral ----------------------------------------------------------------
 
 
 def suite_spectral() -> SuiteResult:
-    tau_i = Tau(1j)
-    product = spectral.evaluate_product(
-        SpectralParams(1.0, 0.0, 1, "minus", tau_i), rel_tol=1e-13
-    )
+    product = spectral.evaluate_product(SpectralParams(1.0, 0.0, 1, "minus", Tau(1j)),
+                                        rel_tol=1e-13)
     closed = math.exp(math.pi / 12.0) * math.gamma(0.25) / (2.0 * math.pi**0.75)
-    eta_err = abs(product.value - closed)
-    shift_ok = all(
-        spectral.branch_shift_check(
-            SpectralParams(a, eps, ell, "minus", Tau(tv))
-        ).passed
-        for a, eps, ell in ((1.0, 0.0, 1), (2.0, 1.0, 0), (0.5, 0.25 + 0.5j, 3))
-        for tv in (1j, 2j, 1 + 1j, 0.5 + 0.8j)
-    )
-    worst_series = 0.0
-    for tv in (1j, 0.3 + 0.9j):
-        tau = Tau(tv)
-        q = spectral.nome(tau)
-        for spec_params in (
-            IntegerProductSpec(1, 0, 1, "minus"),
-            IntegerProductSpec(1, 0, 1, "plus"),
-            IntegerProductSpec(2, 1, 0, "minus"),
-            IntegerProductSpec(3, 2, 1, "plus"),
-        ):
-            order = 40
-            poly = expand_product(spec_params, order)
-            poly_val = sum(
-                complex(c) * q**k for k, c in enumerate(poly.coeffs)
-            )
-            numeric = spectral.evaluate_product(
-                SpectralParams(
-                    float(spec_params.a),
-                    complex(spec_params.epsilon),
-                    spec_params.ell,
-                    spec_params.sign,
-                    tau,
-                ),
-                rel_tol=1e-13,
-            )
-            worst_series = max(worst_series, abs(numeric.value - poly_val))
-    passed = eta_err < 1e-9 and shift_ok and worst_series < 1e-10
-    return SuiteResult(
-        name="spectral-products",
-        passed=passed,
-        details={
-            "eta_closed_form_err": eta_err,
-            "branch_shift_exact": shift_ok,
-            "worst_series_vs_numeric": worst_series,
-        },
-    )
+
+    def series_errors():
+        for tv in (1j, 0.3 + 0.9j):
+            tau = Tau(tv)
+            q = spectral.nome(tau)
+            for a, eps, ell, sign in ((1, 0, 1, "minus"), (1, 0, 1, "plus"),
+                                      (2, 1, 0, "minus"), (3, 2, 1, "plus")):
+                poly = expand_product(IntegerProductSpec(a, eps, ell, sign), 40)
+                poly_val = sum(complex(c) * q**k for k, c in enumerate(poly.coeffs))
+                numeric = spectral.evaluate_product(
+                    SpectralParams(float(a), complex(eps), ell, sign, tau), rel_tol=1e-13)
+                yield abs(numeric.value - poly_val)
+
+    return SuiteResult("spectral-products", (
+        within("product at tau = i = e^(pi/12) Gamma(1/4) / (2 pi^(3/4)), abs err",
+               [abs(product.value - closed)], 1e-9),
+        exact("s(plus) - s(minus) = i sigma(tau) to its two roundings",
+              ((spectral.branch_shift_check(
+                  SpectralParams(a, eps, ell, "minus", Tau(tv))).passed, True)
+               for a, eps, ell in ((1.0, 0.0, 1), (2.0, 1.0, 0), (0.5, 0.25 + 0.5j, 3))
+               for tv in (1j, 2j, 1 + 1j, 0.5 + 0.8j))),
+        within("numeric product = integer series to q^40, abs err", series_errors(), 1e-10),
+    ))
 
 
 # -- 9. genus --------------------------------------------------------------------
 
 
 def suite_genus() -> SuiteResult:
-    normalization_ok = True
-    for tv in (1j, 2j, 0.5 + 1j):
-        phi = genus.phi_series(Tau(tv), 4)
-        if abs(phi.coeffs[0]) > 1e-10 or abs(phi.coeffs[1] - 1.0) > 1e-10:
-            normalization_ok = False
-    quasi_worst = 0.0
     tau = Tau(0.3 + 1.1j)
-    for level, k, l in ((2, 1, 0), (2, 1, 1), (3, 1, 2), (3, 2, 1)):
-        lvl = genus.LevelData(level, k, l, tau)
-        for x in (0.37 + 0.21j, -0.4 + 0.05j):
-            lhs = genus.f_point(lvl, x + 2j * math.pi)
-            rhs = (
-                complex(math.cos(2 * math.pi * k / level),
-                        math.sin(2 * math.pi * k / level))
-                * genus.f_point(lvl, x)
-            )
-            quasi_worst = max(quasi_worst, abs(lhs - rhs))
-    scan_ok = True
-    indices = {}
-    for level in (2, 3):
-        for k in range(level):
-            for l in range(level):
-                if (k, l) == (0, 0):
-                    continue
-                try:
-                    report = genus.lattice_periodicity_scan(
-                        genus.LevelData(level, k, l, tau), trial_bound=level, tol=1e-8
-                    )
-                    indices[f"N{level}k{k}l{l}"] = report.index
-                except LocqError:
-                    scan_ok = False
-                    indices[f"N{level}k{k}l{l}"] = None
+
+    def normalization_errors():
+        for tv in (1j, 2j, 0.5 + 1j):
+            coeffs = genus.phi_series(Tau(tv), 4).coeffs
+            yield abs(coeffs[0]) + abs(coeffs[1] - 1.0)
+
+    def quasi_errors():
+        for level, k, l in ((2, 1, 0), (2, 1, 1), (3, 1, 2), (3, 2, 1)):
+            lvl = genus.LevelData(level, k, l, tau)
+            phase = complex(math.cos(2 * math.pi * k / level), math.sin(2 * math.pi * k / level))
+            for x in (0.37 + 0.21j, -0.4 + 0.05j):
+                yield abs(genus.f_point(lvl, x + 2j * math.pi) - phase * genus.f_point(lvl, x))
+
     genus_one = genus.genus_cpm(genus.LevelData(2, 1, 0, Tau(2j)), 0)
-    exact_one = genus_one.value == 1.0
-    passed = normalization_ok and quasi_worst < 1e-8 and scan_ok and exact_one
-    return SuiteResult(
-        name="genus-level-n",
-        passed=passed,
-        details={
-            "normalization_ok": normalization_ok,
-            "quasi_periodicity_worst": quasi_worst,
-            "sublattice_indices": indices,
-            "projective_point_exactly_one": exact_one,
-        },
-    )
+    return SuiteResult("genus-level-n", (
+        within("Phi(0) = 0 and Phi'(0) = 1, |Phi(0)| + |Phi'(0) - 1|",
+               normalization_errors(), 1e-10),
+        within("f(x + 2 pi i) = e^(2 pi i k/N) f(x), abs err", quasi_errors(), 1e-8),
+        exact("period-scan sublattice index = N, N in {2, 3}, every twist (k, l) != 0",
+              ((report and report.index, level)
+               for level in (2, 3)
+               for k in range(level)
+               for l in range(level)
+               if (k, l) != (0, 0)
+               for report in [_or_none(genus.lattice_periodicity_scan,
+                                       genus.LevelData(level, k, l, tau),
+                                       trial_bound=level, tol=1e-8)])),
+        exact("genus of a point = 1", [(genus_one.value, 1.0)]),
+    ))
 
 
 ALL_SUITES = (

@@ -24,45 +24,92 @@ PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
 ETA_PRODUCT_AT_I = 0.9981290699259586
 
 
-def _report(result) -> None:
+# Every row of verify-all: (identity, checks, tolerance), None for exact rows
+TABLE = {
+    "dh-localization": [
+        ("fixed-point sum = Liouville integral, rel err", 19376, 1e-8),
+    ],
+    "pfaffian": [
+        ("Pf(A)^2 = det(A), rel err", 500, 1e-9),
+        ("Pf(B A B^T) = det(B) Pf(A), rel err", 200, 1e-8),
+        ("combinatorial Pf = tridiagonal Pf, rel err", 100, 1e-10),
+    ],
+    "macdonald-oracle": [
+        ("Macdonald product q^n = symmetric-power enumeration, n <= 8", 1890, None),
+    ],
+    "euler-specializations": [
+        ("Macdonald series at y = -1 = (1 - q)^(-chi), to q^20", 210, None),
+        ("equivariant series at chi = 1 = partition numbers p(n), n <= 20", 21, None),
+    ],
+    "orbifold-oracle": [
+        ("orbifold product q^n = partition-sum enumeration, n <= 8", 324, None),
+    ],
+    "twisted-sym": [
+        ("twisted series at chi = 0 = 2, orders 0, 1, 5, 12, 20", 5, None),
+        ("twisted series has integer coefficients, chi in [-4, 4]", 9, None),
+        ("twisted series q^n = spin-partition count, chi in [0, 4], n <= 20", 105, None),
+    ],
+    "q-identities": [
+        ("terminating q-Saalschutz sum = closed form, n <= 6", 60, None),
+        ("(a;q)_(m+n) = (a;q)_m (a q^m;q)_n, |m|, |n| <= 5", 200, None),
+    ],
+    "spectral-products": [
+        ("product at tau = i = e^(pi/12) Gamma(1/4) / (2 pi^(3/4)), abs err", 1, 1e-9),
+        ("s(plus) - s(minus) = i sigma(tau) to its two roundings", 12, None),
+        ("numeric product = integer series to q^40, abs err", 8, 1e-10),
+    ],
+    "genus-level-n": [
+        ("Phi(0) = 0 and Phi'(0) = 1, |Phi(0)| + |Phi'(0) - 1|", 3, 1e-10),
+        ("f(x + 2 pi i) = e^(2 pi i k/N) f(x), abs err", 8, 1e-8),
+        ("period-scan sublattice index = N, N in {2, 3}, every twist (k, l) != 0", 11, None),
+        ("genus of a point = 1", 1, None),
+    ],
+}
+
+
+def _rows(result) -> list:
+    """The suite's rows, after checking them against TABLE and that all pass."""
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name}: {result.details}")
+    assert [(r.identity, r.checks, r.tolerance) for r in result.rows] == TABLE[result.name]
+    assert result.passed and all(r.passed for r in result.rows)
+    return list(result.rows)
+
+
+def test_verify_all_rows_are_pinned():
+    """Every suite's rows, in order: no case count or tolerance moves
+    without an edit to TABLE."""
+    results = verify.run_all()
+    assert {r.name: [(row.identity, row.checks, row.tolerance) for row in r.rows]
+            for r in results} == TABLE
+    assert [r.name for r in results] == list(TABLE)
 
 
 def test_criterion_1_localization_identity():
     """Fixed-point identity on every sphere product from the value grid,
     rel err < 1e-8 with 64 quadrature nodes per factor."""
-    result = verify.suite_localization()
-    _report(result)
-    assert result.passed
-    assert result.details["checks"] == 19376
-    assert result.details["worst_rel_err"] < 1e-8
+    (row,) = _rows(verify.suite_localization())
+    assert row.checks == 19376 and row.worst < 1e-8
 
 
 def test_criterion_2_pfaffian():
     """Pf^2 = det on 500 random matrices (dims 2-12), congruence
     covariance on 200 pairs, and both evaluation paths agree."""
-    result = verify.suite_pfaffian()
-    _report(result)
-    assert result.passed
-    assert result.details["worst_pf_squared_vs_det"] < 1e-9
+    square, congruence, paths = _rows(verify.suite_pfaffian())
+    assert square.worst < 1e-9 and congruence.worst < 1e-8 and paths.worst < 1e-10
 
 
 def test_criterion_3_macdonald_oracle():
     """Product formula equals the symmetric-power enumeration exactly for
     n <= 8 over all Betti lists with total rank <= 4."""
-    result = verify.suite_macdonald()
-    _report(result)
-    assert result.passed
-    assert result.details["mismatches"] == 0
+    (row,) = _rows(verify.suite_macdonald())
+    assert row.worst == 0
 
 
 def test_criterion_4_euler_specializations():
     """y = -1 reduces to (1-q)^(-chi) exactly to order 20; the chi = 1
     equivariant series lists the partition numbers."""
-    result = verify.suite_euler()
-    _report(result)
-    assert result.passed
+    assert [row.worst for row in _rows(verify.suite_euler())] == [0, 0]
     from locq.genfunc import equivariant_euler_series
 
     series = equivariant_euler_series(1, 20)
@@ -72,31 +119,25 @@ def test_criterion_4_euler_specializations():
 def test_criterion_5_orbifold_oracle():
     """Orbifold product coefficients equal the partition-sum oracle
     exactly through q^8."""
-    result = verify.suite_orbifold()
-    _report(result)
-    assert result.passed
-    assert result.details["mismatches"] == 0
+    (row,) = _rows(verify.suite_orbifold())
+    assert row.worst == 0
 
 
 def test_criterion_6_twisted_series():
     """Twisted series: constant 2 at chi = 0 for every order; integer
     coefficients for chi in [-4, 4] at order 20; the spin-partition oracle
     for chi in [0, 4], n <= 20."""
-    result = verify.suite_twisted()
-    _report(result)
-    assert result.passed
-    assert result.details["cases"] == 5 * 21
-    assert result.details["mismatches"] == 0
+    constant, integer, oracle = _rows(verify.suite_twisted())
+    assert oracle.checks == 5 * 21
+    assert constant.worst == integer.worst == oracle.worst == 0
 
 
 def test_criterion_7_q_identities():
     """Terminating summation exact on >= 50 random legal parameter sets
     (n <= 6); Pochhammer shift identity exact including negative indices."""
-    result = verify.suite_qidentities()
-    _report(result)
-    assert result.passed
-    assert result.details["saalschutz_exact"] >= 50
-    assert result.details["shift_identity_failures"] == 0
+    saalschutz, shift = _rows(verify.suite_qidentities())
+    assert saalschutz.checks >= 50 and saalschutz.worst == 0
+    assert shift.worst == 0
     # one frozen instance, value from direct rational products
     frozen = saalschutz_check(Fraction(2), Fraction(3), Fraction(5), 1, Fraction(1, 2))
     assert frozen.equal and frozen.lhs == Fraction(-3, 2)
@@ -105,9 +146,8 @@ def test_criterion_7_q_identities():
 def test_criterion_8_spectral():
     """Square-lattice product matches its closed form to 1e-9; the branch
     shift is exact; numeric products match series expansion to 1e-10."""
-    result = verify.suite_spectral()
-    _report(result)
-    assert result.passed
+    closed_form, shift, series = _rows(verify.suite_spectral())
+    assert closed_form.worst < 1e-9 and shift.worst == 0 and series.worst < 1e-10
     value = evaluate_product(
         SpectralParams(1.0, 0.0, 1, "minus", Tau(1j)), rel_tol=1e-13
     ).value
@@ -119,14 +159,11 @@ def test_criterion_8_spectral():
 def test_criterion_9_genus():
     """Normalization to 1e-10, quasi-periodicity to 1e-8, an index-N
     sublattice for N in {2, 3} and all legal twists, point genus exactly 1."""
-    result = verify.suite_genus()
-    _report(result)
-    assert result.passed
-    indices = result.details["sublattice_indices"]
-    assert len(indices) == 11
-    assert all(
-        idx == int(name[1]) for name, idx in indices.items()
-    )
+    normalization, quasi, scan, point = _rows(verify.suite_genus())
+    assert normalization.worst < 1e-10 and quasi.worst < 1e-8
+    # the 11 twists (k, l) != (0, 0) of N = 2 and 3, each of index N
+    assert (scan.checks, scan.worst) == (11, 0)
+    assert point.worst == 0
 
 
 def test_criterion_10_verify_all_cli(capsys):
@@ -135,5 +172,11 @@ def test_criterion_10_verify_all_cli(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.count("\n") == 1 and captured.out.endswith("\n")
-    assert json.loads(captured.out)["all_passed"] is True
+    payload = json.loads(captured.out)
+    assert payload["all_passed"] is True
+    for suite in payload["suites"]:
+        details = suite["details"]
+        assert set(details) == {"checks", "rows"}
+        assert details["checks"] == sum(row["checks"] for row in details["rows"])
+        assert suite["passed"] is all(row["passed"] for row in details["rows"])
     print("PASS verify-all: exit status 0")

@@ -390,6 +390,22 @@ class TestPfaffianCommand:
             f"ValueError: matrix entries must be finite, got {value!r} "
             f"at (row, col) = ({row}, {col})")
 
+    @pytest.mark.parametrize("dim,scale,named", [
+        (4, 1e80, "determinant is not a finite double, got inf"),
+        (8, 1e200, "Pfaffian is not a finite double, got nan"),
+        (10, 1e200, "Pfaffian is not a finite double, got nan"),
+        (10, 1e80, "Pfaffian is not a finite double, got -inf"),
+    ])
+    def test_overflow_is_named_with_empty_stderr(self, dim, scale, named):
+        # before: NumPy's overflow RuntimeWarnings on stderr, then the JSON
+        # encoder's "Out of range float values are not JSON compliant"
+        import numpy as np
+
+        raw = np.random.default_rng(1).normal(size=(dim, dim))
+        text = json.dumps(((raw - raw.T) * scale).tolist())
+        assert run_fresh(["pfaffian", "--matrix", text]) == (
+            f"ValueError: {named}: the matrix entries are too large")
+
     @pytest.mark.parametrize("text,named", [
         ('[["0", "2"], ["-2", "0"]]', "got JSON string ('str') at (row, col) = (0, 0)"),
         ("[[false, true], [-1, false]]", "got JSON boolean ('bool') at (row, col) = (0, 0)"),

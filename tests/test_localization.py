@@ -523,8 +523,8 @@ class TestPrefixWalk:
         assert len(plain) == 19376
         assert walked.keys() == plain.keys()
         assert [k for k in plain if walked[k] != plain[k]] == []
-        assert verify.suite_localization().details == {
-            "checks": 19376, "worst_rel_err": worst, "tolerance": verify.DH_TOL}
+        assert verify.suite_localization().rows == (verify.Row(
+            "fixed-point sum = Liouville integral, rel err", 19376, worst, verify.DH_TOL),)
 
     def test_more_digits_rebuild_the_numerators(self):
         # the sum cancels 8.7 digits per factor at c = 1e-9: 40, 40, 47 digits.

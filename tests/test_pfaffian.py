@@ -118,6 +118,16 @@ class TestPfaffian:
             rhs = float(np.linalg.det(b)) * pfaffian(a)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("dim", [4, 10])
+    def test_overflow_is_refused_by_name(self, dim):
+        # rates 1e200: Pf, det and sqrt_det overflow, the rates do not
+        a = block_diagonal([1e200] * (dim // 2))
+        assert canonicalize(a).lambdas == (1e200,) * (dim // 2)
+        for fn, what in ((pfaffian, "Pfaffian"), (SkewMatrix.det, "determinant"),
+                         (sqrt_det, "sqrt_det")):
+            with pytest.raises(ValueError, match=f"^{what} is not a finite double"):
+                fn(a)
+
     def test_paths_agree(self):
         rng = np.random.default_rng(3)
         for dim in (2, 4, 6, 8):

@@ -1,0 +1,80 @@
+"""The row table of verify-all: one pass rule, and errors that cannot pass."""
+
+import json
+import math
+from types import SimpleNamespace
+
+import pytest
+
+from locq import verify
+from locq.verify import Row, exact, within
+
+
+def parse_strict(text: str) -> dict:
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("row,passed", [
+    (Row("exact", 3, 0), True),
+    (Row("exact, one mismatch", 3, 1), False),
+    (Row("exact, no checks", 0, 0), False),
+    (Row("tolerance", 2, 0.5e-9, 1e-9), True),
+    (Row("tolerance, at the bound", 2, 1e-9, 1e-9), False),
+    (Row("tolerance, no checks", 0, 0.0, 1e-9), False),
+    (Row("tolerance, NaN", 2, math.nan, 1e-9), False),
+    (Row("tolerance, inf", 2, math.inf, 1e-9), False),
+])
+def test_one_pass_rule(row, passed):
+    assert row.passed is passed
+    assert row.to_json_dict()["passed"] is passed
+
+
+def test_builders():
+    assert exact("e", [(1, 1), (2, 3), ({0: 1}, {0: 1})]) == Row("e", 3, 1)
+    assert exact("e", []) == Row("e", 0, 0)
+    assert within("w", [1e-12, 3e-11, 2e-11], 1e-10) == Row("w", 3, 3e-11, 1e-10)
+
+
+@pytest.mark.parametrize("errors", [
+    [math.nan, 1e-12], [1e-12, math.nan], [1e-12, math.nan, 2e-12], [math.inf, math.nan],
+])
+def test_nan_error_is_the_worst(errors):
+    # max(worst, err) keeps the earlier value when err is NaN
+    row = within("w", errors, 1e-10)
+    assert row.checks == len(errors) and math.isnan(row.worst) and not row.passed
+
+
+def test_row_json_is_strict():
+    assert Row("w", 4, math.nan, 1e-8).to_json_dict() == {
+        "identity": "w", "checks": 4, "worst": None, "tolerance": 1e-8,
+        "budget_used": None, "passed": False}
+    # a finite worst whose budget overflows
+    assert Row("w", 1, 1e300, 1e-10).to_json_dict()["budget_used"] is None
+    assert Row("e", 5, 2).to_json_dict() == {
+        "identity": "e", "checks": 5, "worst": 2, "tolerance": None,
+        "budget_used": None, "passed": False}
+
+
+def test_nan_localization_error_fails_verify_all(run_cli, monkeypatch):
+    # one NaN rel_err among the 19,376 checks: before, max(worst, nan) kept
+    # the old worst and the suite passed with unchanged details
+    walk = verify.localization_checks
+
+    def with_nan():
+        for i, check in enumerate(walk()):
+            yield SimpleNamespace(rel_err=math.nan) if i == 1000 else check
+
+    monkeypatch.setattr(verify, "localization_checks", with_nan)
+    monkeypatch.setattr(verify, "ALL_SUITES", (verify.suite_localization,))
+    code, out = run_cli(["verify-all"])
+    assert code == 1
+    payload = parse_strict(out)
+    assert payload["all_passed"] is False
+    (suite,) = payload["suites"]
+    assert suite["passed"] is False
+    assert suite["details"] == {"checks": 19376, "rows": [{
+        "identity": "fixed-point sum = Liouville integral, rel err", "checks": 19376,
+        "worst": None, "tolerance": 1e-8, "budget_used": None, "passed": False}]}
