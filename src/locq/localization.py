@@ -25,7 +25,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateWeightError
@@ -37,9 +37,12 @@ TWO_PI = 2.0 * math.pi
 MAX_QUAD_POINTS = 1024
 MAX_FACTORS = 16
 # The real fixed-point sum runs at the precision its cancellation needs
-# (fixed_point_digits); this caps that precision, and so the cost of each
+# (_size_check); this caps that precision, and so the cost of each
 # Decimal operation, before any work.
 MAX_DECIMAL_DIGITS = 1000
+# The complex sum runs in doubles, so it may cancel at most this many of
+# their ~16 digits; a c at which it would cancel more is refused up front.
+MAX_COMPLEX_LOSS = 9
 # e^(c H) fits a double while |Re c| * max_p |H(p)| stays below this.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -136,17 +139,13 @@ def _leggauss(n: int):
 
 
 def _check_c(c, allow_zero: bool = False) -> None:
-    """Reject non-finite c (and zero unless allowed) before any cache sees it."""
+    """Reject non-finite c (and zero unless allowed) before any work."""
     if not cmath.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     if c == 0 and not allow_zero:
         raise ValueError("c must be nonzero")
 
 
-# Per-factor results are pure functions of (factor, c, ...) and a verify
-# pass sees few distinct pairs, so they are cached.  typed=True keeps
-# 1, 1.0 and 1+0j apart: equal keys, different result types.
-@lru_cache(maxsize=1024, typed=True)
 def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
     """2 pi r * integral_{-r}^{r} e^(c mu z) dz by Gauss-Legendre quadrature."""
     import numpy as np
@@ -175,70 +174,42 @@ def factor_integral_closed(factor: SphereFactor, c):
     return 4.0 * math.pi * factor.radius * sinh / (c * factor.weight)
 
 
-def dh_lhs(space: SphereProductSpace, c, quad_points: int = 64):
-    """Liouville integral of e^(c H): product of per-factor quadratures."""
-    _check_c(c)
-    out = 1.0 + 0.0j if isinstance(c, complex) else 1.0
-    for f in space.factors:
-        out *= factor_integral_quad(f, c, quad_points)
-    return out
-
-
 def dh_lhs_closed(space: SphereProductSpace, c):
-    """Closed-form counterpart of dh_lhs, for cross-checking the quadrature."""
+    """Closed-form Liouville integral of e^(c H), for cross-checking the quadratures."""
     out = 1.0 + 0.0j if isinstance(c, complex) else 1.0
     for f in space.factors:
         out *= factor_integral_closed(f, c)
     return out
 
 
-def fixed_point_digits(space: SphereProductSpace, c) -> int | None:
-    """Decimal working precision of the real fixed-point sum; None for complex c.
-
-    Rejects, before any work, a c at which e^(c H) overflows a double at
-    some fixed point, and, after the precision cap below, one at which the
-    prefactor (2 pi / c)^n is not finite (_prefactor).  For real c the sum
-    equals prod_i 2 sinh(x_i) / rate_i with x_i = c mu_i r_i, while its
-    largest term is prod_i e^|x_i| / |rate_i|, so it cancels
-    D = -sum_i log10(1 - e^(-2|x_i|)) digits.  It runs at
-    max(40, 20 + ceil(D)) digits, at most MAX_DECIMAL_DIGITS.
-    """
-    return _size_sum(space, c)[0]
-
-
-def _size_sum(space: SphereProductSpace, c):
-    """(fixed_point_digits(space, c), _prefactor(n, c)), each computed once."""
-    sizes = (0, 0.0)
-    for f in space.factors:
-        sizes = _size_step(sizes, _size_term(f, c))
-    return _digits(sizes, c), _prefactor(space.half_dim, c)
-
-
 def _size_term(factor: SphereFactor, c):
-    """The factor's step of the sizes: (|mu r|, log10(1 - e^(-2|x|))) with
-    x = c mu r.  The second entry, 0.0 for complex c, is minus the digits
-    the real sum cancels at this factor."""
+    """The factor's step of the sizes: |mu r| and the digits the sum
+    cancels at this factor, -log10 of what its half-terms keep, x = c mu r.
+    A real sum keeps |2 sinh x| / e^|x| = 1 - e^(-2|x|) of its largest
+    term, a complex one |sinh x| / cosh(Re x) of the sum of its terms'
+    sizes, taken as |1 - e^(-2x)| / (1 + |e^(-2x)|) with Re x >= 0 and
+    e^(-2x) = (e^(-x))^2, so that nothing overflows."""
     scale = abs(factor.weight * factor.radius)
     if isinstance(c, complex):
-        return scale, 0.0
-    kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
-    return scale, math.log10(kept) if kept > 0 else -math.inf
+        x = c * factor.weight * factor.radius
+        e = cmath.exp(x if x.real < 0 else -x) ** 2
+        kept = abs(1 - e) / (1 + abs(e))
+    else:
+        kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
+    return scale, -math.log10(kept) if kept > 0 else math.inf
 
 
-def _size_step(sizes, term):
-    """The sizes of a check extended by one factor of _size_term `term`.
+def _size_check(sizes, n: int, c):
+    """(digits, prefactor) of the check on n factors with these sizes:
+    (sum_i |mu_i r_i|, D), left folds of _size_term from int 0 and 0.0.
 
-    sizes is (sum_i |mu_i r_i|, loss), both left folds over the factors,
-    from int 0 and from 0.0; loss is the digits the real sum cancels.
-    """
-    return sizes[0] + term[0], sizes[1] - term[1]
-
-
-def _digits(sizes, c) -> int | None:
-    """The digits of a check with these sizes: None for complex c.
-
-    Raises the ValueError of fixed_point_digits where e^(c H) overflows or
-    the sum needs more than MAX_DECIMAL_DIGITS.
+    Refuses, in this order, a c at which e^(c H) overflows a double at some
+    fixed point, a real sum that needs more than MAX_DECIMAL_DIGITS, a
+    prefactor (2 pi / c)^n that is not finite (_prefactor) and a complex
+    sum that cancels more than MAX_COMPLEX_LOSS digits.  A real sum, prod_i
+    2 sinh(x_i) / rate_i against a largest term prod_i e^|x_i| / |rate_i|,
+    cancels D digits and runs in Decimals at max(40, 20 + ceil(D)) digits;
+    a complex one runs in doubles (digits None).
     """
     scale_sum, loss = sizes
     exponent = abs(c.real) * scale_sum
@@ -248,13 +219,19 @@ def _digits(sizes, c) -> int | None:
             f"= {exponent!r} > log(sys.float_info.max) = {LOG_FLOAT_MAX!r}"
         )
     if isinstance(c, complex):
-        return None
+        prefactor = _prefactor(n, c)
+        if not loss <= MAX_COMPLEX_LOSS:
+            raise ValueError(
+                f"the complex fixed-point sum at c = {c!r} cancels {loss:.1f} digits, more "
+                f"than the MAX_COMPLEX_LOSS = {MAX_COMPLEX_LOSS} a double can lose"
+            )
+        return None, prefactor
     if not loss <= MAX_DECIMAL_DIGITS - 20:
         raise ValueError(
             f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
             f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
         )
-    return max(40, 20 + math.ceil(loss))
+    return max(40, 20 + math.ceil(loss)), _prefactor(n, c)
 
 
 def _prefactor(n: int, c):
@@ -276,7 +253,6 @@ def _prefactor(n: int, c):
     return value
 
 
-@lru_cache(maxsize=1024, typed=True)
 def _half_terms(factor: SphereFactor, c, digits: int | None):
     """The factor's share of a point's term, (e^x / l, -e^(-x) / l) at its
     north and south pole, with x = c mu r and l = mu / r: Decimals at
@@ -310,10 +286,6 @@ def _fixed_point_sum(pairs, digits: int | None, prefactor, terms=(1,)):
     return terms, prefactor * (total if digits is None else float(total))
 
 
-def _rel_err(lhs, rhs) -> float:
-    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
-
 @dataclass(frozen=True, slots=True)
 class DHReport:
     lhs: float | complex
@@ -323,104 +295,97 @@ class DHReport:
     decimal_digits: int | None
 
 
-def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
-    """Both sides of the localization identity and their mismatch.
-
-    Before any work it refuses a c at which fixed_point_digits raises, then
-    more than MAX_FACTORS factors.  The right side is the fixed-point sum
-    (2 pi / c)^n sum_p e^(c H(p)) / prod_j l_j, each term a product of the
-    factors' half-terms (_half_terms).  For real c it cancels down to
-    ~prod_i tanh(c mu_i r_i) of its largest term, far beyond double
-    precision at small c, so it runs in Decimals at the precision
-    fixed_point_digits sizes to that cancellation; complex c takes complex
-    floats (used by the oscillatory smoke checks at looser tolerance).  The
-    terms are built once, at that final precision.
-    """
-    _check_c(c)
-    digits, prefactor = _size_sum(space, c)
-    _check_factor_count(space.half_dim)
-    points = enumerate_fixed_points(space)
-    lhs = dh_lhs(space, c, quad_points)
-    _, rhs = _fixed_point_sum([_half_terms(f, c, digits) for f in space.factors],
-                              digits, prefactor)
-    return DHReport(lhs=lhs, rhs=rhs, rel_err=_rel_err(lhs, rhs), fixed_points=points,
-                    decimal_digits=digits)
-
-
 class _FactorTable:
-    """One real c's per-factor work for the PrefixChecks on a list of
-    factors, by factor index, each item computed once: the quadratures and
-    _size_terms up front, and every factor's half-terms at each digits a
-    check reaches."""
-
-    __slots__ = ("c", "factors", "quads", "size_terms", "_halves")
+    """One c's per-factor work for the PrefixChecks on a list of factors, by
+    factor index, each item computed once: the _size_terms up front, the
+    quadratures when a check first needs them, after its refusals, and
+    every factor's half-terms at each digits a check reaches.  It is the
+    only memo of that work, and it lives as long as its checks."""
 
     def __init__(self, c, quad_points: int, factors: Sequence[SphereFactor]):
-        self.c, self.factors = c, tuple(factors)
-        self.quads = [factor_integral_quad(f, c, quad_points) for f in self.factors]
+        self.c, self.factors, self.quad_points = c, tuple(factors), quad_points
         self.size_terms = [_size_term(f, c) for f in self.factors]
-        self._halves: dict[int, list[tuple[Decimal, Decimal]]] = {}
+        self._halves: dict[int | None, list[tuple]] = {}
 
-    def half_terms(self, digits: int) -> list[tuple[Decimal, Decimal]]:
+    @cached_property
+    def quads(self) -> list:
+        return [factor_integral_quad(f, self.c, self.quad_points) for f in self.factors]
+
+    def half_terms(self, digits: int | None) -> list[tuple]:
         if digits not in self._halves:
             self._halves[digits] = [_half_terms(f, self.c, digits) for f in self.factors]
         return self._halves[digits]
 
 
 class PrefixCheck(NamedTuple):
-    """dh_verify's check at one real c on a sequence of factors.
-
-    The factors are indices into the list the check was started on
-    (PrefixCheck.empty), whose per-factor work one _FactorTable does once.
-    The fields are the left folds over those factors that dh_verify takes:
-    the sizes (_size_step) with the digits they give, the quadrature product
-    lhs (dh_lhs) and the point terms at `digits` digits, with rhs their sum,
-    taken once, when the check is built (_fixed_point_sum).  So extend(i)
-    gives the check on these factors and factor i by one step of each fold,
-    through the routine dh_verify calls.  Where the new factor raises the
-    digits, the terms are rebuilt at the new precision, since every
-    rounding depends on it.  An empty check has no factor and is no check.
+    """The localization check at one c on a sequence of factors, named by
+    index into the list of PrefixCheck.empty, whose _FactorTable does each
+    factor's work once.  The fields are left folds over the factors: the
+    sizes (_size_check), the quadrature product lhs and the point terms at
+    `digits` digits, with rhs their sum (_fixed_point_sum).  extend(*indices)
+    makes every refusal before any work, takes each fold's steps for all
+    the new factors and builds the terms once, at the final digits: from
+    this check's terms where the digits did not rise, else from (1,) over
+    all the factors, since every rounding depends on the digits.  An empty
+    check is no check; dh_verify extends it by all of a space's factors.
     """
 
     table: _FactorTable
     indices: tuple[int, ...] = ()
     sizes: tuple = (0, 0.0)
-    lhs: float = 1.0
+    lhs: float | complex = 1.0
     digits: int | None = None
-    terms: Sequence[Decimal] = ()
-    rhs: float | None = None
+    terms: Sequence = (1,)
+    rhs: float | complex | None = None
 
     @classmethod
     def empty(cls, c, factors: Sequence[SphereFactor], quad_points: int = 64) -> "PrefixCheck":
         _check_c(c)
-        if isinstance(c, complex):
-            raise ValueError(f"c must be real, got {c}")
-        return cls(_FactorTable(c, quad_points, factors))
+        return cls(_FactorTable(c, quad_points, factors),
+                   lhs=1.0 + 0.0j if isinstance(c, complex) else 1.0)
 
     @property
-    def c(self) -> float:
+    def c(self):
         return self.table.c
 
     @property
     def factors(self) -> tuple[SphereFactor, ...]:
         return tuple(self.table.factors[i] for i in self.indices)
 
-    def extend(self, i: int) -> "PrefixCheck":
+    def extend(self, *indices: int) -> "PrefixCheck":
         table = self.table
-        indices = self.indices + (i,)
-        _check_factor_count(len(indices))
-        sizes = _size_step(self.sizes, table.size_terms[i])
-        digits = _digits(sizes, table.c)
-        prefactor = _prefactor(len(indices), table.c)
-        lhs = self.lhs * table.quads[i]
+        everything = self.indices + indices
+        _check_factor_count(len(everything))
+        sizes = self.sizes
+        for i in indices:
+            scale, loss = table.size_terms[i]
+            sizes = sizes[0] + scale, sizes[1] + loss
+        digits, prefactor = _size_check(sizes, len(everything), table.c)
+        lhs, quads = self.lhs, table.quads
+        for i in indices:
+            lhs *= quads[i]
         if digits == self.digits:
-            terms, new = self.terms, (i,)
+            terms, new = self.terms, indices
         else:
-            terms, new = (1,), indices
+            terms, new = (1,), everything
         halves = table.half_terms(digits)
-        terms, rhs = _fixed_point_sum([halves[j] for j in new], digits, prefactor, terms)
-        return PrefixCheck(table, indices, sizes, lhs, digits, terms, rhs)
+        terms, rhs = _fixed_point_sum(map(halves.__getitem__, new), digits, prefactor, terms)
+        return PrefixCheck(table, everything, sizes, lhs, digits, terms, rhs)
 
     @property
     def rel_err(self) -> float:
-        return _rel_err(self.lhs, self.rhs)
+        return abs(self.lhs - self.rhs) / max(abs(self.rhs), 1e-300)
+
+
+def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
+    """Both sides of the localization identity, their mismatch and the
+    fixed points: the PrefixCheck on all of the space's factors.
+
+    The right side is the fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) /
+    prod_j l_j.  For real c it cancels far beyond double precision at small
+    c, so it runs in Decimals at the digits _size_check sizes; complex c
+    takes complex floats.  Every refusal comes before any work.
+    """
+    check = PrefixCheck.empty(c, space.factors, quad_points).extend(*range(space.half_dim))
+    return DHReport(lhs=check.lhs, rhs=check.rhs, rel_err=check.rel_err,
+                    fixed_points=enumerate_fixed_points(space), decimal_digits=check.digits)

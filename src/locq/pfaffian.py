@@ -17,6 +17,7 @@ module (and the CLI) does not load it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,9 +36,10 @@ SINGULAR_TOL = 1e-10
 class SkewMatrix:
     """Even-dimensional real skew-symmetric matrix.
 
-    Inputs are antisymmetrized via (A - A^T)/2; a deviation max|A + A^T| / 2
-    beyond SKEW_TOL = 1e-12 times the largest entry raises, at every scale,
-    and a smaller nonzero one sets `adjusted`.
+    Inputs are antisymmetrized via (A - A^T)/2, or A/2 - A^T/2 where A - A^T
+    overflows (A/2 would round subnormal entries); a deviation max|A + A^T|
+    / 2 beyond SKEW_TOL = 1e-12 times the largest entry raises, at every
+    scale, and a smaller nonzero one sets `adjusted`.
     A NaN or infinite entry raises a ValueError naming the first one, in
     row-major order, and a non-numeric one its type, before any arithmetic.
     Entries so large that a result overflows a double are refused where
@@ -70,7 +72,10 @@ class SkewMatrix:
         with np.errstate(all="ignore"):
             deviation = float(np.max(np.abs(a + a.T))) / 2.0
             skew = (a - a.T) / 2.0
-        if deviation > SKEW_TOL * float(np.max(np.abs(a))):
+            largest = float(np.max(np.abs(a)))
+            if largest > sys.float_info.max / 2:  # where A - A^T overflows, A/2 - A^T/2 is exact
+                skew = np.where(np.isfinite(skew), skew, a / 2.0 - a.T / 2.0)
+        if deviation > SKEW_TOL * largest:
             raise NotSkewSymmetricError(
                 f"matrix deviates from skew symmetry by {deviation:.3e}"
             )

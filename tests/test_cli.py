@@ -121,6 +121,16 @@ class TestDhVerify:
         error = parse_strict(out)["error"]
         assert error.startswith("ValueError: overflow: the prefactor (2 pi / c)^n at c = ")
 
+    def test_complex_cancellation_is_exit_two(self, run_cli):
+        # these 12 factors at c = 0.01i cancel 22.7 digits of a double's ~16:
+        # before, rel_err 0.9998 and exit 1, a failure of the identity
+        factors = ",".join(f"{1 + 0.1 * i}:{0.5 + 0.07 * i}" for i in range(12))
+        code, out = run_cli(["dh-verify", "--factors", factors, "--c", "0,0.01"])
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            "ValueError: the complex fixed-point sum at c = 0.01j cancels 22.7 digits, "
+            "more than the MAX_COMPLEX_LOSS = 9 a double can lose")
+
     def test_precision_cap_is_exit_two(self, run_cli):
         # four factors at c = 1e-300 cancel ~1200 digits
         code, out = run_cli(["dh-verify", "--factors", "1:1,1:1,1:1,1:1", "--c", "1e-300"])
@@ -405,6 +415,14 @@ class TestPfaffianCommand:
         text = json.dumps(((raw - raw.T) * scale).tolist())
         assert run_fresh(["pfaffian", "--matrix", text]) == (
             f"ValueError: {named}: the matrix entries are too large")
+
+    def test_huge_finite_entries_are_named_with_empty_stderr(self):
+        # before: (A - A^T) / 2 overflowed, and canonicalize failed with
+        # "LinAlgError: Eigenvalues did not converge"
+        text = "[[0, 1.7e308, 1e308, 0], [-1.7e308, 0, 0, 0], [-1e308, 0, 0, 1], [0, 0, -1, 0]]"
+        assert run_fresh(["pfaffian", "--matrix", text]) == (
+            "ValueError: rotation rate is not a finite double, got inf: "
+            "the matrix entries are too large")
 
     @pytest.mark.parametrize("text,named", [
         ('[["0", "2"], ["-2", "0"]]', "got JSON string ('str') at (row, col) = (0, 0)"),

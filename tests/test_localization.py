@@ -1,5 +1,6 @@
 """Fixed-point localization on sphere products: the identity is the oracle."""
 
+import cmath
 import itertools
 import math
 import random
@@ -12,15 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from locq import localization, pfaffian, verify
 from locq.errors import DegenerateWeightError
 from locq.localization import (
+    PrefixCheck,
     SphereFactor,
     SphereProductSpace,
-    dh_lhs,
     dh_lhs_closed,
     dh_verify,
     enumerate_fixed_points,
     factor_integral_closed,
     factor_integral_quad,
-    fixed_point_digits,
     _half_terms,
 )
 
@@ -109,11 +109,11 @@ class TestLhs:
         expect = factor_integral_closed(SphereFactor(1.0, 1.0), 0.7) * \
             factor_integral_closed(SphereFactor(2.0, 3.0), 0.7)
         assert dh_lhs_closed(space, 0.7) == pytest.approx(expect, rel=1e-14)
-        assert dh_lhs(space, 0.7) == pytest.approx(expect, rel=1e-12)
+        assert dh_verify(space, 0.7).lhs == pytest.approx(expect, rel=1e-12)
 
     def test_monotone_in_c(self):
         space = SphereProductSpace.of((1.0, 1.0), (2.0, 0.5))
-        values = [dh_lhs(space, c) for c in (0.5, 0.6, 0.7, 0.8)]
+        values = [dh_verify(space, c).lhs for c in (0.5, 0.6, 0.7, 0.8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -178,7 +178,7 @@ class TestIdentity:
 
     def test_imaginary_c_smoke(self):
         space = SphereProductSpace.of((1.0, 1.0), (2.0, 3.0))
-        lhs = dh_lhs(space, 0.7j, quad_points=128)
+        lhs = dh_verify(space, 0.7j, quad_points=128).lhs
         rhs = dh_verify(space, 0.7j).rhs
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
         closed = dh_lhs_closed(space, 0.7j)
@@ -186,8 +186,8 @@ class TestIdentity:
 
 
 def _reference_numerators(space, c, digits):
-    """prod_i e^(s_i c mu_i r_i) per pole combination, at `digits` digits,
-    with no cache: every exponential is recomputed where it is used."""
+    """prod_i e^(s_i c mu_i r_i) per pole combination, at `digits` digits:
+    every exponential is recomputed where it is used."""
     out = []
     with localcontext() as ctx:
         ctx.prec = digits
@@ -202,22 +202,22 @@ def _reference_numerators(space, c, digits):
 
 def _reference_terms(space, c, digits):
     """Each point's term e^(c H) / prod_j l_j, one loop per pole combination:
-    the product, left to right, of the factors' uncached half-terms (north,
-    south), in Decimal at `digits` digits or in complex floats for None."""
+    the product, left to right, of the factors' half-terms (north, south),
+    each computed where it is used, in Decimal at `digits` digits or in
+    complex floats for None."""
     out = []
     with localcontext() as ctx:
         ctx.prec = digits or ctx.prec
         for poles in itertools.product((0, 1), repeat=space.half_dim):
             term = 1
             for pole, f in zip(poles, space.factors):
-                term *= _half_terms.__wrapped__(f, c, digits)[pole]
+                term *= _half_terms(f, c, digits)[pole]
             out.append(term)
     return out
 
 
-def _reference_rhs(space, c):
-    """The real fixed-point sum written out per pole combination, with no cache."""
-    digits = fixed_point_digits(space, c)
+def _reference_rhs(space, c, digits):
+    """The real fixed-point sum at `digits` digits, written out per pole combination."""
     terms = _reference_terms(space, c, digits)
     with localcontext() as ctx:
         ctx.prec = digits
@@ -231,7 +231,7 @@ def _sqrt_det_rhs(space, c):
     """Oracle: the real fixed-point sum with each point's denominator
     pfaffian.sqrt_det of its block-diagonal linearization, which carries
     the point's sign, so it divides the unsigned numerators."""
-    digits = fixed_point_digits(space, c)
+    digits = dh_verify(space, c).decimal_digits
     points = _reference_points(space)
     terms = _reference_numerators(space, c, digits)
     with localcontext() as ctx:
@@ -240,6 +240,12 @@ def _sqrt_det_rhs(space, c):
         for (_, _, lams), term in zip(points, terms):
             total += term / Decimal(pfaffian.sqrt_det(pfaffian.block_diagonal(lams)))
     return (2.0 * math.pi / c) ** space.half_dim * float(total)
+
+
+def _reference_complex_loss(space, c):
+    """Digits the complex sum cancels: -sum_i log10(|sinh x_i| / cosh(Re x_i))."""
+    xs = [c * f.weight * f.radius for f in space.factors]
+    return -sum(math.log10(abs(cmath.sinh(x)) / math.cosh(x.real)) for x in xs)
 
 
 def _reference_complex_rhs(space, c):
@@ -257,33 +263,32 @@ CACHE_SPACES = [
 ]
 
 
-def _clear_caches():
-    factor_integral_quad.cache_clear()
-    _half_terms.cache_clear()
-
-
 class TestCaching:
+    """Each c's per-factor work is memoized in one factor table per check;
+    nothing outlives it, so no result depends on what ran before."""
+
     @pytest.mark.parametrize("space", CACHE_SPACES)
     @pytest.mark.parametrize("c", [1e-3, -1e-3, 0.05, -0.05, 1.3, -1.3])
     def test_rhs_matches_uncached_reference_exactly(self, space, c):
-        _clear_caches()
-        assert dh_verify(space, c).rhs == _reference_rhs(space, c)
-        assert dh_verify(space, c).rhs == _reference_rhs(space, c)  # warm
+        report = dh_verify(space, c)
+        assert report.rhs == _reference_rhs(space, c, report.decimal_digits)
+        assert dh_verify(space, c).rhs == report.rhs
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
     def test_cold_cleared_and_warm_results_identical(self, space):
-        def key(report):
-            return report.lhs, report.rhs, report.rel_err, report.fixed_points
+        # dh_verify starts a fresh table each call; a second check on one
+        # table finds its quadratures and half-terms already there
+        def key(lhs, rhs, rel_err, digits):
+            return repr((lhs, rhs, rel_err, digits))
 
-        _clear_caches()
-        cold = key(dh_verify(space, 0.7))
-        factor_integral_quad.cache_clear()
-        assert key(dh_verify(space, 0.7)) == cold
-        _half_terms.cache_clear()
-        assert key(dh_verify(space, 0.7)) == cold
-        hits = factor_integral_quad.cache_info().hits
-        assert key(dh_verify(space, 0.7)) == cold
-        assert factor_integral_quad.cache_info().hits == hits + space.half_dim
+        cold = dh_verify(space, 0.7)
+        dh_verify(space, 0.3)  # another c's table in between
+        assert dh_verify(space, 0.7) == cold
+        empty = PrefixCheck.empty(0.7, space.factors)
+        for check in (empty.extend(*range(space.half_dim)),
+                      empty.extend(*range(space.half_dim))):
+            assert key(check.lhs, check.rhs, check.rel_err, check.digits) == \
+                key(cold.lhs, cold.rhs, cold.rel_err, cold.decimal_digits)
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
     def test_report_fixed_points_match_enumeration(self, space):
@@ -312,16 +317,16 @@ class TestCaching:
         assert len(enumerate_fixed_points(SphereProductSpace.of(*[(1.0, 1.0)] * 16))) == 2**16
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0)])
-    def test_non_finite_c_rejected_before_caching(self, c):
+    def test_non_finite_c_rejected_before_caching(self, monkeypatch, c):
         space = CACHE_SPACES[1]
-        sizes = factor_integral_quad.cache_info().currsize, _half_terms.cache_info().currsize
-        for fn in (dh_lhs, dh_verify):
+        TestSumPrecision._forbid_work(monkeypatch)
+        for _ in range(2):
             with pytest.raises(ValueError, match="finite"):
-                fn(space, c)
-        with pytest.raises(ValueError, match="finite"):
-            factor_integral_quad(space.factors[0], c)
-        assert (factor_integral_quad.cache_info().currsize,
-                _half_terms.cache_info().currsize) == sizes
+                dh_verify(space, c)
+            with pytest.raises(ValueError, match="finite"):
+                PrefixCheck.empty(c, space.factors)
+            with pytest.raises(ValueError, match="finite"):
+                factor_integral_quad(space.factors[0], c)
 
     def test_cache_keeps_argument_types_apart(self):
         f = SphereFactor(1.0, 1.0)
@@ -354,6 +359,9 @@ _extreme_spaces = st.lists(
     min_size=1, max_size=8,
 ).map(lambda pairs: SphereProductSpace.of(*pairs))
 _real_cs = st.tuples(st.floats(1e-3, 3.0), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
+# small enough that the digits rise part way along a check
+_small_real_cs = st.tuples(st.floats(1e-12, 1e-6), st.sampled_from((1, -1))).map(
+    lambda t: t[0] * t[1])
 
 
 class TestSubsetDoubling:
@@ -372,47 +380,105 @@ class TestSubsetDoubling:
     @settings(max_examples=60, deadline=None)
     @given(space=_spaces, c=_real_cs)
     def test_rhs_matches_per_point_loop(self, space, c):
-        assert dh_verify(space, c).rhs == _reference_rhs(space, c)
+        report = dh_verify(space, c)
+        assert report.rhs == _reference_rhs(space, c, report.decimal_digits)
 
     @pytest.mark.parametrize("c", [0.7, -1e-9, complex(0.3, 0.4)])
     def test_each_check_sized_once(self, monkeypatch, c):
-        # a check is sized once, up front, and its refusal comes before any work
+        # a check is sized once, for all its factors; past the factor cap it
+        # is refused before it is sized and before any work
         calls = []
-        for name in ("_size_sum", "_prefactor"):
+        for name in ("_size_term", "_size_check"):
             original = getattr(localization, name)
             monkeypatch.setattr(localization, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        factors = [(1.0, 2.0), (0.5, -1.5), (2.0, 0.25)]
+        dh_verify(SphereProductSpace.of(*factors * 2), c)
+        assert calls == ["_size_term"] * 6 + ["_size_check"]
+        calls.clear()
         TestSumPrecision._forbid_work(monkeypatch)
-        space = SphereProductSpace.of(*[(1.0, 2.0), (0.5, -1.5), (2.0, 0.25)] * 6)
         with pytest.raises(ValueError, match=r"at most 16 sphere factors .*, got 18$"):
-            dh_verify(space, c)
-        assert calls == ["_size_sum", "_prefactor"]
+            dh_verify(SphereProductSpace.of(*factors * 6), c)
+        assert calls == ["_size_term"] * 18
 
     @settings(max_examples=30, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, st.builds(complex, _real_cs, _real_cs)))
     def test_verify_rhs_is_dh_rhs(self, space, c):
-        # the rhs of dh_verify, real or complex, is the per-point sum bit for bit
+        # the rhs of dh_verify, real or complex, is the per-point sum bit for
+        # bit, unless the complex sum would cancel more than a double can lose
+        if isinstance(c, complex) and \
+                _reference_complex_loss(space, c) > localization.MAX_COMPLEX_LOSS:
+            with pytest.raises(ValueError, match="MAX_COMPLEX_LOSS = 9"):
+                dh_verify(space, c)
+            return
         report = dh_verify(space, c)
-        reference = _reference_complex_rhs if isinstance(c, complex) else _reference_rhs
-        assert repr(report.rhs) == repr(reference(space, c))
-        assert report.decimal_digits == fixed_point_digits(space, c)
+        if isinstance(c, complex):
+            assert report.decimal_digits is None
+            assert repr(report.rhs) == repr(_reference_complex_rhs(space, c))
+        else:
+            assert repr(report.rhs) == repr(_reference_rhs(space, c, report.decimal_digits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
+                                      st.builds(complex, _real_cs, _real_cs)))
+    def test_one_index_at_a_time_is_all_at_once(self, space, c):
+        # extend(i) then extend(j) is extend(i, j), bit for bit, terms included,
+        # where the digits rise part way (small real c) and at complex c
+        def key(check):
+            return repr((check.lhs, check.rhs, check.rel_err, check.digits, check.terms))
+
+        empty = PrefixCheck.empty(c, space.factors)
+        stepwise = empty
+        try:
+            whole = empty.extend(*range(space.half_dim))
+        except ValueError:  # the whole check is refused, so its last step is
+            with pytest.raises(ValueError):
+                for i in range(space.half_dim):
+                    stepwise = stepwise.extend(i)
+            return
+        for i in range(space.half_dim):
+            stepwise = stepwise.extend(i)
+        assert key(stepwise) == key(whole)
+
+
+class TestComplexLoss:
+    """A complex sum runs in doubles; where its terms cancel more than
+    MAX_COMPLEX_LOSS of their digits it is refused, not reported as a
+    failure of the identity."""
+
+    SPACE = SphereProductSpace.of(*[(1 + 0.1 * i, 0.5 + 0.07 * i) for i in range(12)])
+
+    @pytest.mark.parametrize("c,loss,err", [(0.3j, 5.2, 1e-12), (0.2j, 7.2, 1e-10),
+                                            (0.15j, 8.6, 1e-8)])
+    def test_sum_within_the_budget_meets_the_closed_form(self, c, loss, err):
+        assert _reference_complex_loss(self.SPACE, c) == pytest.approx(loss, abs=0.05)
+        closed = dh_lhs_closed(self.SPACE, c)
+        assert abs(dh_verify(self.SPACE, c).rhs - closed) / abs(closed) < err
+
+    @pytest.mark.parametrize("c,loss", [(0.1j, "10.7"), (0.01j, "22.7"),
+                                        (complex(1e-3, 0.01), "22.7")])
+    def test_deeper_cancellation_refused_before_any_work(self, monkeypatch, c, loss):
+        # at 0.1j the error was 6.7e-8, at 0.01j rel_err 0.9998 and exit 1
+        TestSumPrecision._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^the complex fixed-point sum at c = "
+                                             rf".* cancels {loss} digits, more than the "
+                                             rf"MAX_COMPLEX_LOSS = 9 a double can lose$"):
+            dh_verify(self.SPACE, c)
 
 
 class TestSumPrecision:
     def test_verify_all_cases_stay_at_forty_digits(self):
-        pairs = [(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
-        for k in range(1, 5):
-            for combo in itertools.combinations_with_replacement(pairs, k):
-                space = SphereProductSpace.of(*combo)
-                assert {fixed_point_digits(space, c) for c in verify.DH_CS} == {40}
+        digits = [check.digits for check in verify.localization_checks()]
+        assert len(digits) == 19376
+        assert set(digits) == {40}
 
     def test_digits_follow_the_cancellation(self):
         # 1 - e^(-2e-300) = 2e-300 loses 299.7 digits; 20 more are kept
-        assert fixed_point_digits(SphereProductSpace.of((1.0, 1.0)), 1e-300) == 320
+        assert dh_verify(SphereProductSpace.of((1.0, 1.0)), 1e-300).decimal_digits == 320
         space = SphereProductSpace.of((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (2.0, 2.0))
-        assert fixed_point_digits(space, 1e-9) == 54
-        assert fixed_point_digits(space, -1e-9) == 54
-        assert fixed_point_digits(space, 1e-9 + 0.5j) is None
+        assert dh_verify(space, 1e-9).decimal_digits == 54
+        assert dh_verify(space, -1e-9).decimal_digits == 54
+        assert dh_verify(space, 1e-9 + 0.5j).decimal_digits is None
 
     @pytest.mark.parametrize(
         "pairs,c",
@@ -426,14 +492,15 @@ class TestSumPrecision:
         space = SphereProductSpace.of(*pairs)
         assert dh_verify(space, c).rhs == pytest.approx(dh_lhs_closed(space, c), rel=1e-14)
 
-    def test_terms_built_once_at_the_final_digits(self):
+    def test_terms_built_once_at_the_final_digits(self, monkeypatch):
         # the digits go 40, 40, 47 over the first one, two and three factors;
         # the terms are built once, at 47 digits: one half-term pair per factor
-        _clear_caches()
+        digits = []
+        monkeypatch.setattr(localization, "_half_terms",
+                            lambda f, c, d: digits.append(d) or _half_terms(f, c, d))
         report = dh_verify(SphereProductSpace.of(*[(1.0, 1.0)] * 3), 1e-9)
-        info = _half_terms.cache_info()
         assert report.decimal_digits == 47
-        assert info.hits + info.misses == 3
+        assert digits == [47] * 3
 
     def test_sixteen_factors_at_small_c(self):
         # at 40 digits this sum came out 24 times too large
@@ -465,7 +532,7 @@ class TestSumPrecision:
 
     def test_underflowing_exponent_hits_the_cap(self):
         with pytest.raises(ValueError, match="cancels inf digits"):
-            fixed_point_digits(SphereProductSpace.of((1e-200, 1e-200)), 1e-200)
+            dh_verify(SphereProductSpace.of((1e-200, 1e-200)), 1e-200)
 
     @pytest.mark.parametrize("c", [1000.0, -800.0, 1e308, complex(800.0, 1.0)])
     def test_overflow_named_before_any_work(self, monkeypatch, c):
@@ -493,12 +560,14 @@ class TestSumPrecision:
         space = SphereProductSpace.of((1.0, 1.0), (1.0, 1.0))
         edge = localization.TWO_PI / math.sqrt(sys.float_info.max)
         with pytest.raises(ValueError, match="prefactor"):
-            fixed_point_digits(space, edge * (1 - 1e-6))
+            dh_verify(space, edge * (1 - 1e-6))
         report = dh_verify(space, edge * (1 + 1e-6))
         assert report.rel_err < 1e-14
 
     def test_imaginary_c_is_not_an_overflow(self):
-        assert fixed_point_digits(SphereProductSpace.of((1.0, 1.0)), 1000j) is None
+        assert dh_verify(SphereProductSpace.of((1.0, 1.0)), 1000j).decimal_digits is None
+        # nor is its cancellation: -2x overflows to -inf j here, e^(-x) does not
+        assert dh_verify(SphereProductSpace.of((1.0, 1.0)), 1e308j).decimal_digits is None
 
 
 class TestPrefixWalk:
@@ -532,7 +601,7 @@ class TestPrefixWalk:
         # the same rhs (their error is not amplified by the cancellation), but
         # not the same terms, which every child extends.
         factor = SphereFactor(1.0, 1.0)
-        check = localization.PrefixCheck.empty(1e-9, [factor])
+        check = PrefixCheck.empty(1e-9, [factor])
         digits = []
         for n in range(1, 4):
             check = check.extend(0)
@@ -564,7 +633,7 @@ class TestPrefixWalk:
 
     def test_seventeenth_factor_refused_before_any_term(self, monkeypatch):
         factor = SphereFactor(1.0, 1.0)
-        check = localization.PrefixCheck.empty(0.5, [factor])
+        check = PrefixCheck.empty(0.5, [factor])
         for _ in range(localization.MAX_FACTORS):
             check = check.extend(0)
         assert len(check.terms) == 2**16
@@ -578,7 +647,16 @@ class TestPrefixWalk:
         with pytest.raises(ValueError, match=r"^at most 16 sphere factors .*, got 17$"):
             check.extend(0)
 
-    @pytest.mark.parametrize("c", [0, math.nan, 0.5j])
+    @pytest.mark.parametrize("c", [0, math.nan])
     def test_empty_check_takes_real_nonzero_c(self, c):
         with pytest.raises(ValueError, match="c must be"):
-            localization.PrefixCheck.empty(c, [SphereFactor(1.0, 1.0)])
+            PrefixCheck.empty(c, [SphereFactor(1.0, 1.0)])
+
+    def test_empty_check_takes_complex_c(self):
+        # complex c walks as real c does, in complex floats (digits None)
+        factors = [SphereFactor(1.0, 1.0), SphereFactor(2.0, -0.5)]
+        check = PrefixCheck.empty(0.5j, factors).extend(0).extend(1)
+        report = dh_verify(SphereProductSpace(tuple(factors)), 0.5j)
+        assert check.digits is None
+        assert repr((check.lhs, check.rhs, check.rel_err)) == \
+            repr((report.lhs, report.rhs, report.rel_err))

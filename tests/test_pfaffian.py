@@ -84,6 +84,15 @@ class TestValidation:
         assert m.adjusted
         assert m.mat[0, 1] == -m.mat[1, 0]
 
+    def test_skew_part_of_huge_entries_is_exact(self):
+        # (A - A^T) / 2 overflows to inf at 1.7e308 - -1.7e308; A/2 - A^T/2
+        # is exact there, and the subnormal entries keep their last bit
+        a = np.array([[0.0, 1.7e308, 1e308, 0.0], [-1.7e308, 0.0, 0.0, 5e-324],
+                      [-1e308, 0.0, 0.0, 1.0], [0.0, -5e-324, -1.0, 0.0]])
+        m = SkewMatrix(a)
+        assert np.array_equal(m.mat, a)
+        assert not m.adjusted
+
 
 class TestPfaffian:
     def test_two_by_two(self):
