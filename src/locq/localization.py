@@ -37,9 +37,13 @@ TWO_PI = 2.0 * math.pi
 MAX_QUAD_POINTS = 1024
 MAX_FACTORS = 16
 # The real fixed-point sum runs at the precision its cancellation needs
-# (_size_check); this caps that precision, and so the cost of each
-# Decimal operation, before any work.
+# (_size_check), counted in decimal digits; this caps that precision, and
+# so the cost of each operation, before any work.
 MAX_DECIMAL_DIGITS = 1000
+# Its integer mantissas carry this many bits beyond those digits, so that
+# the rounding bound of _fixed_point_sum, n 2^(2n - 1) units of the last
+# bit, stays below 2^GUARD_BITS for every n up to MAX_FACTORS.
+GUARD_BITS = 2 * MAX_FACTORS + 4
 # The complex sum runs in doubles, so it may cancel at most this many of
 # their ~16 digits; a c at which it would cancel more is refused up front.
 MAX_COMPLEX_LOSS = 9
@@ -188,9 +192,15 @@ def _size_term(factor: SphereFactor, c):
     A real sum keeps |2 sinh x| / e^|x| = 1 - e^(-2|x|) of its largest
     term, a complex one |sinh x| / cosh(Re x) of the sum of its terms'
     sizes, taken as |1 - e^(-2x)| / (1 + |e^(-2x)|) with Re x >= 0 and
-    e^(-2x) = (e^(-x))^2, so that nothing overflows."""
+    e^(-2x) = (e^(-x))^2, so that nothing overflows.  A complex c whose
+    Im(c mu r) overflows a double, so that e^x has no phase, is refused."""
     scale = abs(factor.weight * factor.radius)
     if isinstance(c, complex):
+        if not math.isfinite(c.imag * factor.weight * factor.radius):
+            raise ValueError(
+                f"overflow: Im(c mu r) = {c.imag!r} * {factor.weight!r} * {factor.radius!r} "
+                f"is not a finite double"
+            )
         x = c * factor.weight * factor.radius
         e = cmath.exp(x if x.real < 0 else -x) ** 2
         kept = abs(1 - e) / (1 + abs(e))
@@ -208,8 +218,10 @@ def _size_check(sizes, n: int, c):
     prefactor (2 pi / c)^n that is not finite (_prefactor) and a complex
     sum that cancels more than MAX_COMPLEX_LOSS digits.  A real sum, prod_i
     2 sinh(x_i) / rate_i against a largest term prod_i e^|x_i| / |rate_i|,
-    cancels D digits and runs in Decimals at max(40, 20 + ceil(D)) digits;
-    a complex one runs in doubles (digits None).
+    cancels D digits and runs at max(40, 20 + ceil(D)) decimal digits: its
+    half-terms are Decimals at 3 digits more, and its terms are integer
+    mantissas with the bits of those digits (_half_terms); a complex one
+    runs in doubles (digits None).
     """
     scale_sum, loss = sizes
     exponent = abs(c.real) * scale_sum
@@ -255,35 +267,102 @@ def _prefactor(n: int, c):
 
 def _half_terms(factor: SphereFactor, c, digits: int | None):
     """The factor's share of a point's term, (e^x / l, -e^(-x) / l) at its
-    north and south pole, with x = c mu r and l = mu / r: Decimals at
-    `digits` digits, or complex floats where digits is None."""
+    north and south pole, with x = c mu r and l = mu / r, as
+    (pair, scale, shift): the half-terms are pair / 2^scale, and a product
+    that ends in them drops `shift` bits before it is multiplied again
+    (_fixed_point_sum).
+
+    Where digits is None (complex c) the pair is two complex floats, scale
+    and shift 0.  At real c the pair is computed in Decimal at digits + 3
+    digits, with one exp (e^(-x) = 1 / e^x), and returned as two integer
+    mantissas on one binary scale, each within half a unit of its Decimal:
+    the larger has exactly ceil(digits log2 10) + GUARD_BITS bits, and
+    shift is its bit length.  `digits` counts decimal digits.
+    """
     if digits is None:
         x = c * factor.weight * factor.radius
-        return cmath.exp(x) / factor.rate, -cmath.exp(-x) / factor.rate
+        return (cmath.exp(x) / factor.rate, -cmath.exp(-x) / factor.rate), 0, 0
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = digits + 3
         weight, radius = Decimal(factor.weight), Decimal(factor.radius)
         x, rate = Decimal(c) * weight * radius, weight / radius
-        return x.exp() / rate, -(-x).exp() / rate
+        exp = x.exp()
+        halves = exp / rate, -1 / exp / rate
+    bits = math.ceil(digits * math.log2(10)) + GUARD_BITS
+    ratios = [h.as_integer_ratio() for h in halves]
+    p, q = ratios[halves[1].copy_abs() > halves[0].copy_abs()]  # the larger
+    scale = bits - (abs(p).bit_length() - q.bit_length())
+    # 2^(bits - 1) < |p| / q * 2^scale < 2^(bits + 1): at most two steps down
+    while abs(_scaled(p, q, scale)).bit_length() > bits:
+        scale -= 1
+    pair = _scaled(*ratios[0], scale), _scaled(*ratios[1], scale)
+    return pair, scale, max(map(abs, pair)).bit_length()
 
 
-def _fixed_point_sum(pairs, digits: int | None, prefactor, terms=(1,)):
-    """(terms, prefactor * sum(terms)) for the terms e^(c H(p)) / prod_j l_j(p).
+def _scaled(p: int, q: int, scale: int) -> int:
+    """p / q * 2^scale rounded to the nearest integer (halves up)."""
+    if scale >= 0:
+        p <<= scale
+    else:
+        q <<= -scale
+    return (2 * p + q) // (2 * q)
 
-    The terms are `terms` extended by the factors whose _half_terms are
-    `pairs`, by subset doubling in the order of enumerate_fixed_points (each
-    term t splits into t times the factor's two half-terms), and are added
-    left to right from int 0: in Decimal at `digits` digits, or in complex
-    floats where digits is None.
+
+def _rounded(terms, shift: int):
+    """The terms rounded to nearest (halves up) by `shift` > 0 bits."""
+    half = 1 << (shift - 1)
+    return [(t + half) >> shift for t in terms]
+
+
+def _fixed_point_sum(halves, digits: int | None, prefactor, terms=(1,), scale=0):
+    """(terms, scale, shift, rhs): the point terms e^(c H(p)) / prod_j l_j,
+    their sum(terms) / 2^scale, the bits a term drops before it is
+    multiplied again, and rhs = prefactor * their sum.
+
+    The terms are `terms` (rounded, at the scale 2^-scale) extended by the
+    factors whose _half_terms are `halves`, by subset doubling in the
+    order of enumerate_fixed_points: each term t splits into t times the
+    factor's two half-terms.  Complex terms are never rounded and are
+    added left to right from int 0 in complex floats.
+
+    At real c a term is a product of integer mantissas.  A product of two
+    or more is rounded to nearest, by the bit length b of its last
+    factor's larger mantissa, only when it is multiplied again, so a leaf
+    check's terms are exact products.  The terms are added exactly, and
+    the sum is rounded once to a double, by int / int true division.
+
+    Error bound, given the mantissas: each rounding is off by at most half
+    a unit, and |m| < 2^b keeps an earlier error from growing, so each of
+    the 2^n terms is off by fewer than n half-units at the terms' scale (a
+    unit is 2^b of the last factor), and their sum by at most 2^n n.  A
+    rounding drops at most one bit more than its mantissa added, so the
+    largest term keeps at least 2 bits - n bits (bits = ceil(digits
+    log2 10) + GUARD_BITS), and the bound is at most n 2^(2n - 1 -
+    GUARD_BITS) 10^-digits <= 10^-digits / 2 of the largest term: at most
+    10^-20 / 2 of a sum that cancels D <= digits - 20 digits (_size_check).
+    The half-terms' own errors, a few units in their (digits + 3)-th digit,
+    reach the sum through prod_j (h_j+ + h_j-) and move it by about
+    n 10^(D - digits - 2) of itself.
     """
-    with localcontext() as ctx:
-        ctx.prec = digits or ctx.prec  # complex terms ignore the context
-        for pair in pairs:
-            terms = [t * h for t in terms for h in pair]
+    shift = 0
+    for pair, pair_scale, pair_shift in halves:
+        if shift:
+            terms = _rounded(terms, shift)
+        terms = [t * h for t in terms for h in pair]
+        scale += pair_scale - shift
+        # a term of one mantissa is already at the mantissas' scale
+        shift = pair_shift if len(terms) > 2 else 0
+    if digits is None:
         total = 0
         for t in terms:
             total += t
-    return terms, prefactor * (total if digits is None else float(total))
+        return terms, scale, shift, prefactor * total
+    num, den = (sum(terms), 1 << scale) if scale >= 0 else (sum(terms) << -scale, 1)
+    try:
+        total = num / den
+    except OverflowError:  # too large for a double
+        total = math.inf
+    return terms, scale, shift, prefactor * total
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,12 +401,18 @@ class PrefixCheck(NamedTuple):
     index into the list of PrefixCheck.empty, whose _FactorTable does each
     factor's work once.  The fields are left folds over the factors: the
     sizes (_size_check), the quadrature product lhs and the point terms at
-    `digits` digits, with rhs their sum (_fixed_point_sum).  extend(*indices)
-    makes every refusal before any work, takes each fold's steps for all
-    the new factors and builds the terms once, at the final digits: from
-    this check's terms where the digits did not rise, else from (1,) over
-    all the factors, since every rounding depends on the digits.  An empty
-    check is no check; dh_verify extends it by all of a space's factors.
+    `digits` digits (sum(terms) / 2^scale, each rounded by `shift` bits
+    before it is multiplied again), with rhs their sum (_fixed_point_sum).
+
+    extend(*indices) makes every refusal before any work, takes each fold's
+    steps for all the new factors and builds the terms once, at the final
+    digits: from this check's rounded terms where the digits did not rise,
+    else from (1,) over all the factors, since every mantissa depends on
+    the digits.  children(indices) is [extend(i) for i in indices], bit
+    for bit, with this check's terms rounded once for all of them.  A
+    result that is not a finite double is refused once it is known.  An
+    empty check is no check; dh_verify extends it by all of a space's
+    factors.
     """
 
     table: _FactorTable
@@ -336,6 +421,8 @@ class PrefixCheck(NamedTuple):
     lhs: float | complex = 1.0
     digits: int | None = None
     terms: Sequence = (1,)
+    scale: int = 0
+    shift: int = 0
     rhs: float | complex | None = None
 
     @classmethod
@@ -353,24 +440,47 @@ class PrefixCheck(NamedTuple):
         return tuple(self.table.factors[i] for i in self.indices)
 
     def extend(self, *indices: int) -> "PrefixCheck":
+        return self._grow((indices,))[0]
+
+    def children(self, indices) -> list["PrefixCheck"]:
+        return self._grow([(i,) for i in indices])
+
+    def _grow(self, additions) -> list["PrefixCheck"]:
+        """One check per tuple of new indices in `additions`, in order."""
         table = self.table
-        everything = self.indices + indices
-        _check_factor_count(len(everything))
-        sizes = self.sizes
-        for i in indices:
-            scale, loss = table.size_terms[i]
-            sizes = sizes[0] + scale, sizes[1] + loss
-        digits, prefactor = _size_check(sizes, len(everything), table.c)
-        lhs, quads = self.lhs, table.quads
-        for i in indices:
-            lhs *= quads[i]
-        if digits == self.digits:
-            terms, new = self.terms, indices
-        else:
-            terms, new = (1,), everything
-        halves = table.half_terms(digits)
-        terms, rhs = _fixed_point_sum(map(halves.__getitem__, new), digits, prefactor, terms)
-        return PrefixCheck(table, everything, sizes, lhs, digits, terms, rhs)
+        c, size_terms = table.c, table.size_terms
+        rounded = None  # this check's terms, rounded once for every child
+        out = []
+        for indices in additions:
+            everything = self.indices + indices
+            _check_factor_count(len(everything))
+            scale_sum, loss = self.sizes
+            for i in indices:
+                step, step_loss = size_terms[i]
+                scale_sum, loss = scale_sum + step, loss + step_loss
+            digits, prefactor = _size_check((scale_sum, loss), len(everything), c)
+            lhs, quads = self.lhs, table.quads
+            for i in indices:
+                lhs *= quads[i]
+            if not cmath.isfinite(lhs):
+                raise ValueError(f"overflow: the Liouville integral at c = {c!r} "
+                                 f"is not a finite double")
+            halves = table.half_terms(digits)
+            if digits == self.digits and indices:
+                if rounded is None:
+                    rounded = _rounded(self.terms, self.shift) if self.shift else self.terms
+                terms, scale, shift, rhs = _fixed_point_sum(
+                    [halves[i] for i in indices], digits, prefactor, rounded,
+                    self.scale - self.shift)
+            else:
+                terms, scale, shift, rhs = _fixed_point_sum(
+                    [halves[i] for i in everything], digits, prefactor)
+            if not cmath.isfinite(rhs):
+                raise ValueError(f"overflow: the fixed-point sum at c = {c!r} "
+                                 f"is not a finite double")
+            out.append(PrefixCheck(table, everything, (scale_sum, loss), lhs, digits, terms,
+                                   scale, shift, rhs))
+        return out
 
     @property
     def rel_err(self) -> float:
@@ -383,8 +493,10 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
 
     The right side is the fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) /
     prod_j l_j.  For real c it cancels far beyond double precision at small
-    c, so it runs in Decimals at the digits _size_check sizes; complex c
-    takes complex floats.  Every refusal comes before any work.
+    c, so it runs on integer mantissas with the bits of the decimal digits
+    _size_check sizes; complex c takes complex floats.  Every refusal
+    comes before any work, except that of a result that is not a finite
+    double.
     """
     check = PrefixCheck.empty(c, space.factors, quad_points).extend(*range(space.half_dim))
     return DHReport(lhs=check.lhs, rhs=check.rhs, rel_err=check.rel_err,

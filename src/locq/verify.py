@@ -123,13 +123,15 @@ def localization_checks():
     gives them; each is checked at every c in DH_CS.  Every prefix of such a
     space is another of them, so the walk goes depth first over that tree
     and extends each parent's checks by one factor, named by its index in
-    the list of 16, so that each c's per-factor work is done once.
+    the list of 16, so that each c's per-factor work is done once.  Each
+    parent check makes all its children at once (PrefixCheck.children),
+    so its terms are rounded once for all of them.
     """
     factors = [localization.SphereFactor(r, mu) for r in DH_VALUES for mu in DH_VALUES]
 
     def walk(checks, start):
-        for i in range(start, len(factors)):
-            children = [check.extend(i) for check in checks]
+        indices = range(start, len(factors))
+        for i, children in zip(indices, zip(*(check.children(indices) for check in checks))):
             yield from children
             if len(children[0].indices) < DH_MAX_FACTORS:
                 yield from walk(children, i)

@@ -131,6 +131,27 @@ class TestDhVerify:
             "ValueError: the complex fixed-point sum at c = 0.01j cancels 22.7 digits, "
             "more than the MAX_COMPLEX_LOSS = 9 a double can lose")
 
+    @pytest.mark.parametrize("factors,c,product", [
+        ("1e10:1e100", "0,1e200", "1e+200 * 1e+100 * 10000000000.0"),
+        ("1e10:1e10", "0,1e300", "1e+300 * 10000000000.0 * 10000000000.0"),
+    ])
+    def test_overflowing_phase_is_named(self, run_cli, factors, c, product):
+        # before: "ValueError: math domain error" from cmath.exp, and "cancels
+        # inf digits" for x = nan + inf j
+        code, out = run_cli(["dh-verify", "--factors", factors, f"--c={c}"])
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            f"ValueError: overflow: Im(c mu r) = {product} is not a finite double")
+
+    def test_non_finite_result_is_named(self, run_cli):
+        # the Liouville volume (4 pi r^2)^2 = 1.6e802: before, "Out of range
+        # float values are not JSON compliant"
+        code, out = run_cli(["dh-verify", "--factors", "1e200:1e-200,1e200:1e-200",
+                             "--c", "1e-3"])
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            "ValueError: overflow: the Liouville integral at c = 0.001 is not a finite double")
+
     def test_precision_cap_is_exit_two(self, run_cli):
         # four factors at c = 1e-300 cancel ~1200 digits
         code, out = run_cli(["dh-verify", "--factors", "1:1,1:1,1:1,1:1", "--c", "1e-300"])

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -200,6 +201,18 @@ def _reference_numerators(space, c, digits):
     return out
 
 
+def _reference_half_terms(f, c, digits):
+    """(e^x / l, -e^(-x) / l), x = c mu r, l = mu / r, with two exps: in
+    Decimal at the current context's precision, or in complex floats for
+    digits None."""
+    if digits is None:
+        x = c * f.weight * f.radius
+        return cmath.exp(x) / f.rate, -cmath.exp(-x) / f.rate
+    weight, radius = Decimal(f.weight), Decimal(f.radius)
+    x, rate = Decimal(c) * weight * radius, weight / radius
+    return x.exp() / rate, -(-x).exp() / rate
+
+
 def _reference_terms(space, c, digits):
     """Each point's term e^(c H) / prod_j l_j, one loop per pole combination:
     the product, left to right, of the factors' half-terms (north, south),
@@ -211,7 +224,7 @@ def _reference_terms(space, c, digits):
         for poles in itertools.product((0, 1), repeat=space.half_dim):
             term = 1
             for pole, f in zip(poles, space.factors):
-                term *= _half_terms(f, c, digits)[pole]
+                term *= _reference_half_terms(f, c, digits)[pole]
             out.append(term)
     return out
 
@@ -254,6 +267,26 @@ def _reference_complex_rhs(space, c):
     for term in _reference_terms(space, c, None):
         total += term
     return (2.0 * math.pi / c) ** space.half_dim * total
+
+
+def _reference_integer_terms(check):
+    """A real check's terms written out per pole combination from its
+    factors' mantissas: the product, left to right, of one mantissa per
+    factor, where a product of two or more is divided by 2^b and rounded
+    to the nearest integer (halves up) before the next factor multiplies
+    it, b the bit length of its last factor's larger mantissa."""
+    halves = check.table.half_terms(check.digits)
+    out = []
+    for poles in itertools.product((0, 1), repeat=len(check.indices)):
+        term, drop = 1, 0
+        for k, (pole, i) in enumerate(zip(poles, check.indices)):
+            pair, _, bits = halves[i]
+            if drop:
+                term = (2 * term + 2**drop) // 2 ** (drop + 1)
+            term *= pair[pole]
+            drop = bits if k else 0
+        out.append(term)
+    return out
 
 
 CACHE_SPACES = [
@@ -441,6 +474,34 @@ class TestSubsetDoubling:
         assert key(stepwise) == key(whole)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
+                                      st.builds(complex, _real_cs, _real_cs)),
+           data=st.data())
+    def test_children_are_one_extend_each(self, space, c, data):
+        # children(indices) is [extend(i) for i in indices], bit for bit, terms
+        # and refusals included, where the digits rise part way (small real c)
+        # and at complex c
+        def outcome(make):
+            try:
+                return [repr((check.indices, check.lhs, check.rhs, check.rel_err, check.digits,
+                              check.terms, check.scale, check.shift)) for check in make()]
+            except ValueError as exc:
+                return str(exc)
+
+        n = space.half_dim
+        prefix = data.draw(st.integers(0, n - 1), label="prefix")
+        indices = data.draw(st.lists(st.integers(0, n - 1), max_size=6), label="indices")
+        parent = PrefixCheck.empty(c, space.factors)
+        if prefix:
+            try:
+                parent = parent.extend(*range(prefix))
+            except ValueError:
+                return
+        assert outcome(lambda: parent.children(indices)) == \
+            outcome(lambda: [parent.extend(i) for i in indices])
+
+
 class TestComplexLoss:
     """A complex sum runs in doubles; where its terms cancel more than
     MAX_COMPLEX_LOSS of their digits it is refused, not reported as a
@@ -509,6 +570,48 @@ class TestSumPrecision:
         assert report.decimal_digits == 60
         assert report.rel_err < 1e-12
 
+    SIXTEEN = SphereProductSpace.of(*[(1 + 0.1 * i, 0.5 + 0.07 * i) for i in range(16)])
+
+    @pytest.mark.parametrize("digits", [40, 47, 60, 156, 320])
+    def test_mantissas_fill_their_bits(self, digits):
+        # a product is rounded by the bit length of its last factor's larger
+        # mantissa: exactly ceil(digits log2 10) + GUARD_BITS bits.  A fixed
+        # shift by more bits than a mantissa has loses the difference at
+        # every factor (rel_err 2.4e-6 on test_sixteen_factors_at_small_c)
+        bits = math.ceil(digits * math.log2(10)) + localization.GUARD_BITS
+        factors = [*self.SIXTEEN.factors, SphereFactor(1e200, 1e-200), SphereFactor(0.5, -4.0)]
+        for f in factors:
+            for c in (1e-9, 1e-3, 0.7, -5.0):
+                pair, _, shift = _half_terms(f, c, digits)
+                assert shift == max(map(abs, pair)).bit_length() == bits
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-9, *verify.DH_CS])
+    def test_sum_within_its_bound(self, c):
+        n = self.SIXTEEN.half_dim
+        check = PrefixCheck.empty(c, self.SIXTEEN.factors).extend(*range(n))
+        halves = check.table.half_terms(check.digits)
+        bits = math.ceil(check.digits * math.log2(10)) + localization.GUARD_BITS
+        # every rounding drops at most one bit more than its mantissa adds
+        assert max(map(abs, check.terms)).bit_length() >= 2 * bits - n
+        # given the mantissas, the points' exact sum is prod_j (m_j+ + m_j-),
+        # and the terms' sum is within 2^n n half-units of the last shift of it
+        exact = math.prod(sum(pair) for pair, _, _ in halves)
+        dropped = sum(scale for _, scale, _ in halves) - check.scale
+        assert abs(sum(check.terms) - Fraction(exact, 2**dropped)) <= 2**n * n * 2**check.shift / 2
+        # against a 200-digit Decimal sum over the points, within 10^-20 of it
+        with localcontext() as ctx:
+            ctx.prec = 200
+            terms = [Decimal(1)]
+            for f in self.SIXTEEN.factors:
+                north, south = _reference_half_terms(f, c, 200)
+                terms = [t * h for t in terms for h in (north, south)]
+            total = Decimal(0)
+            for term in terms:
+                total += term
+        value = sum(check.terms) / Fraction(2) ** check.scale
+        assert abs(value - Fraction(total)) <= Fraction(1, 10**20) * abs(Fraction(total))
+        assert check.rhs == (localization.TWO_PI / c) ** n * float(total)
+
     @staticmethod
     def _forbid_work(monkeypatch):
         def forbidden(*args):
@@ -564,6 +667,26 @@ class TestSumPrecision:
         report = dh_verify(space, edge * (1 + 1e-6))
         assert report.rel_err < 1e-14
 
+    @pytest.mark.parametrize("pairs,c", [(((1e10, 1e100),), 1e200j),
+                                         (((1.0, 1.0), (1e10, 1e10)), complex(0.5, 1e300))])
+    def test_overflowing_phase_named_before_any_work(self, monkeypatch, pairs, c):
+        # x = c mu r is inf j or nan + inf j: e^x has no phase
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^overflow: Im\(c mu r\) = .* is not a finite double$"):
+            dh_verify(SphereProductSpace.of(*pairs), c)
+
+    def test_non_finite_results_are_named(self):
+        # a Liouville volume of 1.6e802; and a volume of 1e305 whose
+        # fixed-point sum, (c / 2 pi)^n times it, does not fit a double
+        with pytest.raises(ValueError, match=r"^overflow: the Liouville integral at c = 0.001 "
+                                             r"is not a finite double$"):
+            dh_verify(SphereProductSpace.of((1e200, 1e-200), (1e200, 1e-200)), 1e-3)
+        space = SphereProductSpace.of((2.4e131, 4e-136))
+        assert math.isfinite(dh_lhs_closed(space, 1e6))
+        with pytest.raises(ValueError, match=r"^overflow: the fixed-point sum at c = 1000000.0 "
+                                             r"is not a finite double$"):
+            dh_verify(space, 1e6)
+
     def test_imaginary_c_is_not_an_overflow(self):
         assert dh_verify(SphereProductSpace.of((1.0, 1.0)), 1000j).decimal_digits is None
         # nor is its cancellation: -2x overflows to -inf j here, e^(-x) does not
@@ -597,9 +720,9 @@ class TestPrefixWalk:
 
     def test_more_digits_rebuild_the_numerators(self):
         # the sum cancels 8.7 digits per factor at c = 1e-9: 40, 40, 47 digits.
-        # The parent's 40-digit terms, doubled at 47 digits, would still give
-        # the same rhs (their error is not amplified by the cancellation), but
-        # not the same terms, which every child extends.
+        # Every mantissa depends on the digits, so the check at 47 digits
+        # builds its terms from its factors' 47-digit mantissas, not from its
+        # parent's 40-digit terms; every child extends those terms.
         factor = SphereFactor(1.0, 1.0)
         check = PrefixCheck.empty(1e-9, [factor])
         digits = []
@@ -610,7 +733,12 @@ class TestPrefixWalk:
             assert repr((check.lhs, check.rhs, check.rel_err)) == \
                 repr((report.lhs, report.rhs, report.rel_err))
             assert check.digits == report.decimal_digits
-            assert check.terms == _reference_terms(space, 1e-9, check.digits)
+            assert check.terms == _reference_integer_terms(check)
+            # each term is its point's Decimal term to the check's digits
+            want = _reference_terms(space, 1e-9, check.digits + 20)
+            unit = max(map(abs, want)) / 10**check.digits
+            for got, term in zip(check.terms, want):
+                assert abs(got / Fraction(2) ** check.scale - Fraction(term)) <= Fraction(unit)
             digits.append(check.digits)
         assert digits == [40, 40, 47]
 
