@@ -227,7 +227,7 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
             raise UsageError("c must be nonzero")
     tol = float(args.tol)
     spectral.check_tolerance(tol)
-    report = localization.dh_verify(space, c, quad_points=int(args.quad_nodes))
+    report = localization.dh_verify(space, c)
     budget = report.rel_err / tol  # overflows to inf at a tiny --tol; reported as null
     payload = {
         "lhs": cpx(report.lhs) if isinstance(report.lhs, complex) else report.lhs,
@@ -239,7 +239,7 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
             "path": "complex" if report.decimal_digits is None else "decimal",
             "decimal_digits": report.decimal_digits,
             "fixed_points": len(report.fixed_points),
-            "quad_nodes": int(args.quad_nodes),
+            "quad_nodes": list(report.quad_nodes),
             "budget_used": budget if math.isfinite(budget) else None,
         },
     }
@@ -383,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dh-verify", help="check the fixed-point localization identity")
     p.add_argument("--factors", required=True, help="'r1:mu1,r2:mu2,...'")
     p.add_argument("--c", required=True)
-    p.add_argument("--quad-nodes", default="64")
     p.add_argument("--tol", default="1e-8")
     p.set_defaults(handler=_cmd_dh_verify)
 

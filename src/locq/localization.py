@@ -36,6 +36,9 @@ TWO_PI = 2.0 * math.pi
 # spheres has 2^n fixed points; both are bounded before anything is built.
 MAX_QUAD_POINTS = 1024
 MAX_FACTORS = 16
+# Gauss-Legendre node counts (_size_term): powers of two, so _leggauss
+# caches every size a process can reach.
+QUAD_COUNTS = tuple(1 << k for k in range(3, MAX_QUAD_POINTS.bit_length()))
 # The real fixed-point sum runs at the precision its cancellation needs
 # (_size_check), counted in decimal digits; this caps that precision, and
 # so the cost of each operation, before any work.
@@ -67,6 +70,9 @@ class SphereFactor:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.weight == 0:
             raise DegenerateWeightError("zero weight makes the fixed circles non-isolated")
+        if not math.isfinite(self.weight / self.radius):
+            raise ValueError(f"overflow: the rate mu / r = {self.weight!r} / {self.radius!r} "
+                             f"is not a finite double")
 
     @property
     def rate(self) -> float:
@@ -187,8 +193,10 @@ def dh_lhs_closed(space: SphereProductSpace, c):
 
 
 def _size_term(factor: SphereFactor, c):
-    """The factor's step of the sizes: |mu r| and the digits the sum
-    cancels at this factor, -log10 of what its half-terms keep, x = c mu r.
+    """The factor's step of the sizes: |mu r|, the digits the sum cancels
+    at this factor, -log10 of what its half-terms keep, x = c mu r, and
+    its Gauss-Legendre node count: the least n in QUAD_COUNTS with
+    _quad_excess(n, x, kept) <= 0, None if there is none or kept is 0.
     A real sum keeps |2 sinh x| / e^|x| = 1 - e^(-2|x|) of its largest
     term, a complex one |sinh x| / cosh(Re x) of the sum of its terms'
     sizes, taken as |1 - e^(-2x)| / (1 + |e^(-2x)|) with Re x >= 0 and
@@ -205,8 +213,29 @@ def _size_term(factor: SphereFactor, c):
         e = cmath.exp(x if x.real < 0 else -x) ** 2
         kept = abs(1 - e) / (1 + abs(e))
     else:
+        x = abs(c) * scale
         kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
-    return scale, -math.log10(kept) if kept > 0 else math.inf
+    if not kept > 0:
+        return scale, math.inf, None
+    nodes = next((n for n in QUAD_COUNTS if _quad_excess(n, x, kept) <= 0), None)
+    return scale, -math.log10(kept), nodes
+
+
+def _quad_excess(n: int, a, kept: float) -> float:
+    """log of (64/15) e^(|a| (rho + 1/rho) / 2) rho^(-2n) / (rho^2 - 1), the
+    n-node Gauss-Legendre error bound on integral_{-1}^{1} e^(a s) ds
+    (Trefethen, SIAM Rev. 50, 2008, Thm 4.5) at rho = (2n + sqrt(4n^2 +
+    |a|^2)) / |a|, over eps e^|Re a| kept / |a| <= |integral|, which tends
+    to 2 eps as a -> 0.  With rho = e^u, sinh u = 2n / |a|, all of it is
+    taken in logs, so a subnormal |a| (rho = inf) gives -inf, not an error.
+    """
+    size = math.hypot(a.real, a.imag)
+    u = math.asinh(2 * n / size)
+    # |a| (rho + 1/rho) / 2 - |Re a| = hypot(2n, |a|) - |Re a|, without cancellation
+    growth = (4 * n * n + a.imag * a.imag) / (math.hypot(2 * n, size) + abs(a.real))
+    # log(rho^2 - 1) = log(4n e^u / |a|)
+    return (math.log(64 / 15 / sys.float_info.epsilon) + growth - (2 * n + 1) * u
+            - math.log(4 * n) + 2 * math.log(size) - math.log(kept))
 
 
 def _size_check(sizes, n: int, c):
@@ -251,7 +280,8 @@ def _prefactor(n: int, c):
 
     At tiny |c| it is not finite: 2 pi / c rounds to inf, the power
     overflows (a float power raises OverflowError) or a complex power
-    comes out inf or nan.  Each case raises a ValueError that names it.
+    comes out inf or nan.  At huge |c| it falls below the normal doubles,
+    which lose digits.  Each case raises a ValueError that names it.
     """
     try:
         value = (TWO_PI / c) ** n
@@ -261,6 +291,11 @@ def _prefactor(n: int, c):
         raise ValueError(
             f"overflow: the prefactor (2 pi / c)^n at c = {c!r}, n = {n} "
             f"is not a finite double"
+        )
+    if abs(value) < sys.float_info.min:
+        raise ValueError(
+            f"underflow: the prefactor (2 pi / c)^n at c = {c!r}, n = {n} "
+            f"is below the normal doubles"
         )
     return value
 
@@ -328,8 +363,11 @@ def _fixed_point_sum(halves, digits: int | None, prefactor, terms=(1,), scale=0)
     At real c a term is a product of integer mantissas.  A product of two
     or more is rounded to nearest, by the bit length b of its last
     factor's larger mantissa, only when it is multiplied again, so a leaf
-    check's terms are exact products.  The terms are added exactly, and
-    the sum is rounded once to a double, by int / int true division.
+    check's terms are exact products.  The terms are added exactly, their
+    sum over 2^b (b its bit length) is rounded once to a double by int /
+    int division, and rhs is prefactor times that, scaled by 2^(b - scale).
+    So rhs fits a double wherever it is one, and is prefactor * (sum(terms)
+    / 2^scale) bit for bit wherever that quotient and product are normal.
 
     Error bound, given the mantissas: each rounding is off by at most half
     a unit, and |m| < 2^b keeps an earlier error from growing, so each of
@@ -357,12 +395,13 @@ def _fixed_point_sum(halves, digits: int | None, prefactor, terms=(1,), scale=0)
         for t in terms:
             total += t
         return terms, scale, shift, prefactor * total
-    num, den = (sum(terms), 1 << scale) if scale >= 0 else (sum(terms) << -scale, 1)
+    total = sum(terms)
+    bits = total.bit_length()
     try:
-        total = num / den
+        rhs = math.ldexp(prefactor * (total / (1 << bits)), bits - scale)
     except OverflowError:  # too large for a double
-        total = math.inf
-    return terms, scale, shift, prefactor * total
+        rhs = math.inf
+    return terms, scale, shift, rhs
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,23 +411,27 @@ class DHReport:
     rel_err: float
     fixed_points: FixedPoints
     decimal_digits: int | None
+    quad_nodes: tuple[int, ...]
 
 
 class _FactorTable:
     """One c's per-factor work for the PrefixChecks on a list of factors, by
     factor index, each item computed once: the _size_terms up front, the
-    quadratures when a check first needs them, after its refusals, and
-    every factor's half-terms at each digits a check reaches.  It is the
-    only memo of that work, and it lives as long as its checks."""
+    quadratures at their node counts when a check first needs them, after
+    its refusals, and every factor's half-terms at each digits a check
+    reaches.  It is the only memo of that work, and it lives as long as its
+    checks."""
 
-    def __init__(self, c, quad_points: int, factors: Sequence[SphereFactor]):
-        self.c, self.factors, self.quad_points = c, tuple(factors), quad_points
+    def __init__(self, c, factors: Sequence[SphereFactor]):
+        self.c, self.factors = c, tuple(factors)
         self.size_terms = [_size_term(f, c) for f in self.factors]
+        self.unsized = {i for i, (_, _, nodes) in enumerate(self.size_terms) if nodes is None}
         self._halves: dict[int | None, list[tuple]] = {}
 
     @cached_property
     def quads(self) -> list:
-        return [factor_integral_quad(f, self.c, self.quad_points) for f in self.factors]
+        return [factor_integral_quad(f, self.c, nodes) if nodes else None
+                for f, (_, _, nodes) in zip(self.factors, self.size_terms)]
 
     def half_terms(self, digits: int | None) -> list[tuple]:
         if digits not in self._halves:
@@ -404,7 +447,8 @@ class PrefixCheck(NamedTuple):
     `digits` digits (sum(terms) / 2^scale, each rounded by `shift` bits
     before it is multiplied again), with rhs their sum (_fixed_point_sum).
 
-    extend(*indices) makes every refusal before any work, takes each fold's
+    extend(*indices) makes every refusal before any work (_size_check's,
+    then an unsized factor's), takes each fold's
     steps for all the new factors and builds the terms once, at the final
     digits: from this check's rounded terms where the digits did not rise,
     else from (1,) over all the factors, since every mantissa depends on
@@ -426,9 +470,9 @@ class PrefixCheck(NamedTuple):
     rhs: float | complex | None = None
 
     @classmethod
-    def empty(cls, c, factors: Sequence[SphereFactor], quad_points: int = 64) -> "PrefixCheck":
+    def empty(cls, c, factors: Sequence[SphereFactor]) -> "PrefixCheck":
         _check_c(c)
-        return cls(_FactorTable(c, quad_points, factors),
+        return cls(_FactorTable(c, factors),
                    lhs=1.0 + 0.0j if isinstance(c, complex) else 1.0)
 
     @property
@@ -448,7 +492,7 @@ class PrefixCheck(NamedTuple):
     def _grow(self, additions) -> list["PrefixCheck"]:
         """One check per tuple of new indices in `additions`, in order."""
         table = self.table
-        c, size_terms = table.c, table.size_terms
+        c, size_terms, unsized = table.c, table.size_terms, table.unsized
         rounded = None  # this check's terms, rounded once for every child
         out = []
         for indices in additions:
@@ -456,9 +500,15 @@ class PrefixCheck(NamedTuple):
             _check_factor_count(len(everything))
             scale_sum, loss = self.sizes
             for i in indices:
-                step, step_loss = size_terms[i]
+                step, step_loss, _ = size_terms[i]
                 scale_sum, loss = scale_sum + step, loss + step_loss
             digits, prefactor = _size_check((scale_sum, loss), len(everything), c)
+            if unsized and not unsized.isdisjoint(indices):
+                f = table.factors[next(i for i in indices if i in unsized)]
+                raise ValueError(
+                    f"the Gauss-Legendre quadrature of the factor (r, mu) = "
+                    f"({f.radius!r}, {f.weight!r}) at c = {c!r} needs more than "
+                    f"MAX_QUAD_POINTS = {MAX_QUAD_POINTS} nodes")
             lhs, quads = self.lhs, table.quads
             for i in indices:
                 lhs *= quads[i]
@@ -487,9 +537,10 @@ class PrefixCheck(NamedTuple):
         return abs(self.lhs - self.rhs) / max(abs(self.rhs), 1e-300)
 
 
-def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
-    """Both sides of the localization identity, their mismatch and the
-    fixed points: the PrefixCheck on all of the space's factors.
+def dh_verify(space: SphereProductSpace, c) -> DHReport:
+    """Both sides of the localization identity, their mismatch, the fixed
+    points and each factor's quadrature node count (_size_term): the
+    PrefixCheck on all of the space's factors.
 
     The right side is the fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) /
     prod_j l_j.  For real c it cancels far beyond double precision at small
@@ -498,6 +549,7 @@ def dh_verify(space: SphereProductSpace, c, quad_points: int = 64) -> DHReport:
     comes before any work, except that of a result that is not a finite
     double.
     """
-    check = PrefixCheck.empty(c, space.factors, quad_points).extend(*range(space.half_dim))
+    check = PrefixCheck.empty(c, space.factors).extend(*range(space.half_dim))
     return DHReport(lhs=check.lhs, rhs=check.rhs, rel_err=check.rel_err,
-                    fixed_points=enumerate_fixed_points(space), decimal_digits=check.digits)
+                    fixed_points=enumerate_fixed_points(space), decimal_digits=check.digits,
+                    quad_nodes=tuple(nodes for _, _, nodes in check.table.size_terms))

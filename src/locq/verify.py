@@ -136,7 +136,7 @@ def localization_checks():
             if len(children[0].indices) < DH_MAX_FACTORS:
                 yield from walk(children, i)
 
-    return walk([localization.PrefixCheck.empty(c, factors, quad_points=64) for c in DH_CS], 0)
+    return walk([localization.PrefixCheck.empty(c, factors) for c in DH_CS], 0)
 
 
 def suite_localization() -> SuiteResult:

@@ -87,7 +87,7 @@ def test_verify_all_rows_are_pinned():
 
 def test_criterion_1_localization_identity():
     """Fixed-point identity on every sphere product from the value grid,
-    rel err < 1e-8 with 64 quadrature nodes per factor."""
+    rel err < 1e-8, each factor's quadrature at its sized node count."""
     (row,) = _rows(verify.suite_localization())
     assert row.checks == 19376 and row.worst < 1e-8
 

@@ -92,8 +92,7 @@ class TestDhVerify:
 
     def test_overflow_bound_is_the_largest_exponent(self, run_cli):
         # |c| * sum |mu_i r_i| = 701 fits a double; 711 does not
-        code, out = run_cli(["dh-verify", "--factors", "1:350,2:-0.25", "--c", "2",
-                             "--quad-nodes", "128"])
+        code, out = run_cli(["dh-verify", "--factors", "1:350,2:-0.25", "--c", "2"])
         assert code == 0
         assert parse_strict(out)["rel_err"] < 1e-8
         code, out = run_cli(["dh-verify", "--factors", "1:350,2:-2.75", "--c", "2"])
@@ -152,6 +151,29 @@ class TestDhVerify:
         assert parse_strict(out)["error"] == (
             "ValueError: overflow: the Liouville integral at c = 0.001 is not a finite double")
 
+    @pytest.mark.parametrize("c,nodes", [("0,100", 128), ("0,1000", 1024)])
+    def test_oscillatory_integrand_is_sized(self, run_cli, c, nodes):
+        # at 64 nodes these gave rel_err 1.7e-5 and 159: true identities
+        # reported as failed
+        code, out = run_cli(["dh-verify", "--factors", "1:1", f"--c={c}"])
+        payload = parse_strict(out)
+        assert code == 0
+        assert payload["rel_err"] < 1e-10
+        assert payload["diagnostics"]["quad_nodes"] == [nodes]
+
+    def test_node_cap_is_named(self, run_cli, capsys):
+        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c=0,3000"])
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            "ValueError: the Gauss-Legendre quadrature of the factor (r, mu) = (1.0, 1.0) "
+            "at c = 3000j needs more than MAX_QUAD_POINTS = 1024 nodes")
+        assert capsys.readouterr().err == ""
+
+    def test_quad_nodes_is_no_option(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "0.5", "--quad-nodes", "64"])
+        assert code == 2
+        assert parse_strict(out)["error"] == "unrecognized arguments: --quad-nodes 64"
+
     def test_precision_cap_is_exit_two(self, run_cli):
         # four factors at c = 1e-300 cancel ~1200 digits
         code, out = run_cli(["dh-verify", "--factors", "1:1,1:1,1:1,1:1", "--c", "1e-300"])
@@ -162,14 +184,14 @@ class TestDhVerify:
 
     def test_diagnostics_real_c(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1,2:3,0.5:0.5", "--c", "0.1",
-                             "--quad-nodes", "48", "--tol", "1e-6"])
+                             "--tol", "1e-6"])
         payload = parse_strict(out)
         assert code == 0
         assert payload["diagnostics"] == {
             "path": "decimal",
             "decimal_digits": 40,
             "fixed_points": 8,
-            "quad_nodes": 48,
+            "quad_nodes": [8, 8, 8],
             "budget_used": payload["rel_err"] / 1e-6,
         }
 
@@ -180,11 +202,12 @@ class TestDhVerify:
         assert diagnostics["path"] == "complex"
         assert diagnostics["decimal_digits"] is None
         assert diagnostics["fixed_points"] == 4
-        assert diagnostics["quad_nodes"] == 64
+        assert diagnostics["quad_nodes"] == [8, 16]
         assert 0 <= diagnostics["budget_used"] < 1
 
     def test_diagnostics_budget_overflow_is_null(self, run_cli):
-        code, out = run_cli(["dh-verify", "--factors", "1:1,2:3", "--c", "0.5", "--tol=5e-324"])
+        # rel_err 7e-15: the ratio to 5e-324 overflows
+        code, out = run_cli(["dh-verify", "--factors", "1:1,2:3", "--c", "2", "--tol=5e-324"])
         payload = parse_strict(out)
         assert code == 1
         assert payload["rel_err"] > 0
@@ -210,7 +233,6 @@ class TestDhVerify:
             "dh-verify",
             "--factors", options["factors"],
             "--c", options["c"],
-            "--quad-nodes", options["quad_nodes"],
             "--tol", options["tol"],
         ]
         code2, out2 = run_cli(argv)
@@ -251,10 +273,12 @@ def text_or_error(encode):
         return f"{type(exc).__name__}: {exc}"
 
 
-# magnitudes from subnormal to near the largest double, so that rates mu / r
-# and H = sum s mu r also overflow, and reprs take every exponent form
+# magnitudes from subnormal to near the largest double, so that H = sum s mu r
+# also overflows, and reprs take every exponent form; a SphereFactor refuses
+# an infinite rate mu / r
 radii = st.floats(min_value=5e-324, max_value=1e300)
 weights = st.floats(min_value=-1e300, max_value=1e300).filter(lambda w: w != 0)
+extremes = st.tuples(radii, weights).filter(lambda p: math.isfinite(p[1] / p[0]))
 moderate = st.one_of(st.floats(1e-12, 1e-3), st.floats(0.1, 10.0), st.floats(1e3, 1e12))
 signed_moderate = st.tuples(moderate, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
 
@@ -265,7 +289,7 @@ class TestFixedPointListing:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.tuples(moderate, signed_moderate), min_size=1, max_size=12),
-        st.one_of(st.none(), st.tuples(radii, weights)),
+        st.one_of(st.none(), extremes),
         st.integers(0, 11),
     )
     def test_listing_matches_dict_encoder(self, pairs, extreme, at):
@@ -320,8 +344,10 @@ class TestFixedPointListing:
         code, out = run_cli([*argv, "--out", str(target)])
         assert (code, out) == run_cli(argv) == run_with_dict_listing(run_cli, argv)
         assert code == 2
+        # before: "Out of range float values are not JSON compliant"
+        weight = factors.rsplit(":", 1)[1].replace("1e10", "10000000000.0")
         assert parse_strict(out)["error"] == (
-            "ValueError: Out of range float values are not JSON compliant")
+            f"ValueError: overflow: the rate mu / r = {weight} / 1e-320 is not a finite double")
         assert not target.exists()
 
     def test_points_in_enumeration_order(self, run_cli):
@@ -724,8 +750,9 @@ class TestContract:
         [
             (["macdonald", "--betti", "1001"], "Betti numbers must be at most 1000"),
             (["orbifold", "--betti", "1,1001"], "Betti numbers must be at most 1000"),
-            (["dh-verify", "--factors", "1:1", "--c", "0.5", "--quad-nodes", "1025"],
-             "quad_points must be at most 1024"),
+            (["dh-verify", "--factors", "1:1", "--c", "0,3000"],
+             "the Gauss-Legendre quadrature of the factor (r, mu) = (1.0, 1.0) at c = 3000j "
+             "needs more than MAX_QUAD_POINTS = 1024 nodes"),
             (["dh-verify", "--factors", ",".join(["1:1"] * 17), "--c", "0.5"],
              "at most 16 sphere factors (2^16 fixed points), got 17"),
             (["qhyper", "saalschutz", "--a", "2", "--b", "3", "--c", "5", "--n", "4095",

@@ -8,6 +8,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -86,6 +87,12 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="finite"):
             SphereFactor(r, mu)
 
+    @pytest.mark.parametrize("r,mu", [(1e-320, 1e10), (1e-300, -1e10)])
+    def test_infinite_rate_rejected(self, r, mu):
+        with pytest.raises(ValueError, match=r"^overflow: the rate mu / r = .* / .* "
+                                             r"is not a finite double$"):
+            SphereFactor(r, mu)
+
 
 class TestLhs:
     def test_closed_form_single_sphere(self):
@@ -133,7 +140,7 @@ class TestIdentity:
             SphereProductSpace.of((0.5, 3.0), (1.0, 1.0), (2.0, 2.0), (3.0, 0.5)),
         ]
         for space in spaces:
-            report = dh_verify(space, c, quad_points=64)
+            report = dh_verify(space, c)
             assert report.rel_err < 1e-8
 
     def test_negative_weights(self):
@@ -179,8 +186,8 @@ class TestIdentity:
 
     def test_imaginary_c_smoke(self):
         space = SphereProductSpace.of((1.0, 1.0), (2.0, 3.0))
-        lhs = dh_verify(space, 0.7j, quad_points=128).lhs
-        rhs = dh_verify(space, 0.7j).rhs
+        report = dh_verify(space, 0.7j)
+        lhs, rhs = report.lhs, report.rhs
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
         closed = dh_lhs_closed(space, 0.7j)
         assert abs(lhs - closed) / abs(closed) < 1e-10
@@ -367,6 +374,106 @@ class TestCaching:
         assert isinstance(factor_integral_quad(f, 1.0 + 0.0j), complex)
 
 
+def _reference_integral(a):
+    """integral_{-1}^{1} e^(a s) ds = 2 sinh(a) / a, and the share `kept`
+    of _size_term: 1 - e^(-2|a|) for real a, |sinh a| / cosh(Re a) for
+    complex a; both in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpmathify(a)
+        kept = (-mpmath.expm1(-2 * abs(x)) if isinstance(a, float)
+                else abs(mpmath.sinh(x)) / mpmath.cosh(x.real))
+        return mpmath.mpc(2 * mpmath.sinh(x) / x), float(kept)
+
+
+_real_as = st.floats(1e-300, 500.0).flatmap(lambda r: st.sampled_from((r, -r)))
+# |a| >= 1e-6, where the complex kept still has most of its digits
+_complex_as = st.builds(cmath.rect, st.floats(1e-6, 500.0), st.floats(-math.pi, math.pi))
+
+
+class TestQuadratureSizing:
+    """Each factor's Gauss-Legendre node count, from the a priori error bound
+    of _quad_excess at a = c mu r."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.one_of(_real_as, _complex_as))
+    @example(a=340.3604103578992j)
+    @example(a=500.0)
+    def test_count_is_the_least_and_its_error_within_the_bound(self, a):
+        # factor (1, 1) at c = a: the quadrature is 2 pi integral_{-1}^{1} e^(a s) ds
+        integral, kept = _reference_integral(a)
+        n = localization._size_term(SphereFactor(1.0, 1.0), a)[2]
+        assert n in localization.QUAD_COUNTS
+        assert localization._quad_excess(n, a, kept) <= 0
+        assert n == 8 or localization._quad_excess(n // 2, a, kept) > 0
+        growth = math.exp(abs(a.real)) * sys.float_info.epsilon
+        bound = math.exp(localization._quad_excess(n, a, kept)) * growth * kept / abs(a)
+        # the rounding floor: the products a x_i each move a phase by up to
+        # |a| eps, and the nodes, the exps and the dot product add a few eps
+        # of sum_i |w_i e^(a x_i)| <= 2 e^|Re a|; at most 8 (1 + |a|) eps
+        # e^|Re a| was seen over 9,000 random a with |a| <= 500
+        floor = 32 * (1 + abs(a)) * growth
+        with mpmath.workdps(50):
+            error = float(abs(factor_integral_quad(SphereFactor(1.0, 1.0), a, n)
+                              - 2 * mpmath.pi * integral))
+        assert error <= 2 * math.pi * (bound + floor)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from(localization.QUAD_COUNTS),
+           a=st.one_of(_real_as, _complex_as, st.floats(500.0, 1e300)))
+    def test_excess_is_the_bound_over_its_floor(self, n, a):
+        # Trefethen's bound at the closed-form rho, over eps e^|Re a| kept / |a|,
+        # in mpmath: the floor tends to 2 eps as a -> 0.  |a| (rho + 1/rho) / 2
+        # and |Re a| cancel up to 300 digits, so the reference carries 350.
+        _, kept = _reference_integral(a) if abs(a) <= 500 else (None, 1.0)
+        with mpmath.workdps(350):
+            size = abs(mpmath.mpmathify(a))
+            rho = (2 * n + mpmath.sqrt(4 * n**2 + size**2)) / size
+            log_bound = (mpmath.log(mpmath.mpf(64) / 15) + size * (rho + 1 / rho) / 2
+                         - 2 * n * mpmath.log(rho) - mpmath.log(rho**2 - 1))
+            log_floor = (mpmath.log(sys.float_info.epsilon) + abs(mpmath.mpf(a.real))
+                         + mpmath.log(kept) - mpmath.log(size))
+            want = float(log_bound - log_floor)
+        assert localization._quad_excess(n, a, kept) == pytest.approx(
+            want, rel=1e-12, abs=1e-9)
+
+    def test_subnormal_rate_times_c_needs_the_fewest_nodes(self):
+        # |a| = 1e-320: rho = 4n / |a| overflows a double, its log does not
+        assert localization._quad_excess(8, 1e-320, 2e-320) == -math.inf
+        report = dh_verify(SphereProductSpace.of((1e-160, 1e-160)), 1.0)
+        assert report.quad_nodes == (8,)
+        assert report.rel_err < 1e-8
+
+    @pytest.mark.parametrize("c,nodes", [(0.1, 8), (100j, 128), (300j, 256), (700.0, 128),
+                                         (1000j, 1024), (3000j, None), (1e308j, None)])
+    def test_counts(self, c, nodes):
+        assert localization._size_term(SphereFactor(1.0, 1.0), c)[2] == nodes
+
+    def test_node_cap_before_any_work(self, monkeypatch):
+        TestSumPrecision._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^the Gauss-Legendre quadrature of the factor "
+                                             r"\(r, mu\) = \(2.0, 1.5\) at c = 1000j needs more "
+                                             r"than MAX_QUAD_POINTS = 1024 nodes$"):
+            dh_verify(SphereProductSpace.of((1.0, 1.0), (2.0, 1.5)), 1000j)
+
+    @pytest.mark.parametrize("pairs,c,match", [
+        (((1.0, 1.0),), complex(800.0, 3000.0), "^overflow: e"),
+        (((1.0, 1.0), (1e-20, 1e-20)), 3000j, "MAX_COMPLEX_LOSS"),
+        (((1.0, 1.0),) * 17, 3000j, "at most 16 sphere factors"),
+    ])
+    def test_node_cap_after_the_other_refusals(self, pairs, c, match):
+        with pytest.raises(ValueError, match=match):
+            dh_verify(SphereProductSpace.of(*pairs), c)
+
+    def test_refused_factor_leaves_the_others_checked(self):
+        # the table holds a factor past the cap, and checks without it work
+        factors = [SphereFactor(1.0, 1.0), SphereFactor(1.0, 5000.0)]
+        empty = PrefixCheck.empty(0.5j, factors)
+        check = empty.extend(0)
+        assert check.rel_err < 1e-12
+        with pytest.raises(ValueError, match="MAX_QUAD_POINTS"):
+            check.extend(1)
+
+
 def _reference_points(space):
     """The fixed points as one loop per pole combination over
     itertools.product; H is added up left to right from int 0 by hand,
@@ -385,10 +492,12 @@ _signed = st.tuples(st.floats(0.1, 4.0), st.sampled_from((1, -1))).map(lambda t:
 _spaces = st.lists(st.tuples(st.floats(0.1, 4.0), _signed), min_size=1, max_size=8).map(
     lambda pairs: SphereProductSpace.of(*pairs)
 )
-# magnitudes from subnormal to near the largest double, so that the rates
-# mu / r and their products also overflow to inf, underflow to 0 and meet as nan
+# magnitudes from subnormal to near the largest double, so that the
+# products mu r overflow to inf, underflow to 0 and meet as nan in H (a
+# SphereFactor refuses an infinite rate mu / r)
 _extreme_spaces = st.lists(
-    st.tuples(st.floats(5e-324, 1e300), st.floats(-1e300, 1e300).filter(bool)),
+    st.tuples(st.floats(5e-324, 1e300), st.floats(-1e300, 1e300).filter(bool)).filter(
+        lambda p: math.isfinite(p[1] / p[0])),
     min_size=1, max_size=8,
 ).map(lambda pairs: SphereProductSpace.of(*pairs))
 _real_cs = st.tuples(st.floats(1e-3, 3.0), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
@@ -658,6 +767,17 @@ class TestSumPrecision:
         with pytest.raises(ValueError, match=r"^overflow: the prefactor \(2 pi / c\)\^n"):
             dh_verify(space, c)
 
+    @pytest.mark.parametrize("n,c", [(2, 1e155), (3, 1e110), (2, 1e200j)])
+    def test_prefactor_underflow_named_before_any_work(self, monkeypatch, n, c):
+        # (2 pi / c)^n of 3.9e-309 (subnormal), 2.4e-328 and -3.9e-399 (both
+        # 0.0): rhs would have lost its digits, or been 0 against an lhs of
+        # 158, 1984 or 158
+        space = SphereProductSpace.of(*[(1.0, 1e-300)] * n)
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^underflow: the prefactor \(2 pi / c\)\^n at "
+                                             r"c = .* is below the normal doubles$"):
+            dh_verify(space, c)
+
     def test_prefactor_refused_only_when_not_finite(self):
         # (2 pi / c)^2 reaches the largest double at c = 2 pi / sqrt(max)
         space = SphereProductSpace.of((1.0, 1.0), (1.0, 1.0))
@@ -676,21 +796,35 @@ class TestSumPrecision:
             dh_verify(SphereProductSpace.of(*pairs), c)
 
     def test_non_finite_results_are_named(self):
-        # a Liouville volume of 1.6e802; and a volume of 1e305 whose
-        # fixed-point sum, (c / 2 pi)^n times it, does not fit a double
+        # a Liouville volume of 1.6e802
         with pytest.raises(ValueError, match=r"^overflow: the Liouville integral at c = 0.001 "
                                              r"is not a finite double$"):
             dh_verify(SphereProductSpace.of((1e200, 1e-200), (1e200, 1e-200)), 1e-3)
-        space = SphereProductSpace.of((2.4e131, 4e-136))
-        assert math.isfinite(dh_lhs_closed(space, 1e6))
-        with pytest.raises(ValueError, match=r"^overflow: the fixed-point sum at c = 1000000.0 "
-                                             r"is not a finite double$"):
-            dh_verify(space, 1e6)
+
+    @pytest.mark.parametrize("pair,c", [((2.4e131, 4e-136), 1e6), ((1e-100, 1e100), 1e-200),
+                                        ((1e-150, 1e150), 1e-300)])
+    def test_rhs_fits_where_its_sum_does_not(self, pair, c):
+        # the sum, (c / 2 pi)^n times the Liouville integral, overflows (1e311)
+        # or underflows (1e-399, 1e-599) a double: before, the first was
+        # refused and the others gave rhs 0.0
+        r, mu = pair
+        with mpmath.workdps(50):
+            x = mpmath.mpf(c) * mu
+            closed = float(4 * mpmath.pi * r * mpmath.sinh(x * r) / x)
+        report = dh_verify(SphereProductSpace.of(pair), c)
+        assert abs(report.rhs - closed) <= 1e-13 * closed
+        assert report.rel_err < 1e-13
 
     def test_imaginary_c_is_not_an_overflow(self):
-        assert dh_verify(SphereProductSpace.of((1.0, 1.0)), 1000j).decimal_digits is None
-        # nor is its cancellation: -2x overflows to -inf j here, e^(-x) does not
-        assert dh_verify(SphereProductSpace.of((1.0, 1.0)), 1e308j).decimal_digits is None
+        report = dh_verify(SphereProductSpace.of((1.0, 1.0)), 1000j)
+        assert report.decimal_digits is None
+        assert report.quad_nodes == (1024,)
+        assert report.rel_err < 1e-10
+        # nor is its cancellation (-2x overflows to -inf j here, e^(-x) does
+        # not): it is refused for its node count
+        with pytest.raises(ValueError, match="MAX_QUAD_POINTS") as info:
+            dh_verify(SphereProductSpace.of((1.0, 1.0)), 1e308j)
+        assert not str(info.value).startswith("overflow")
 
 
 class TestPrefixWalk:
@@ -704,7 +838,7 @@ class TestPrefixWalk:
             for combo in itertools.combinations_with_replacement(pairs, k):
                 space = SphereProductSpace.of(*combo)
                 for c in verify.DH_CS:
-                    report = dh_verify(space, c, quad_points=64)
+                    report = dh_verify(space, c)
                     plain[space.factors, c] = repr((report.lhs, report.rhs, report.rel_err))
                     worst = max(worst, report.rel_err)
         walked = {}
