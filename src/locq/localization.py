@@ -156,6 +156,15 @@ def _check_c(c, allow_zero: bool = False) -> None:
         raise ValueError("c must be nonzero")
 
 
+def _check_normal(what: str, c, value) -> None:
+    """Refuse a result that is not a finite double, or is below the normal
+    doubles, where it has lost digits, naming `what`."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"overflow: {what} at c = {c!r} is not a finite double")
+    if abs(value) < sys.float_info.min:
+        raise ValueError(f"underflow: {what} at c = {c!r} is below the normal doubles")
+
+
 def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
     """2 pi r * integral_{-r}^{r} e^(c mu z) dz by Gauss-Legendre quadrature."""
     import numpy as np
@@ -238,19 +247,18 @@ def _quad_excess(n: int, a, kept: float) -> float:
             - math.log(4 * n) + 2 * math.log(size) - math.log(kept))
 
 
-def _size_check(sizes, n: int, c):
-    """(digits, prefactor) of the check on n factors with these sizes:
-    (sum_i |mu_i r_i|, D), left folds of _size_term from int 0 and 0.0.
+def _size_check(sizes, c):
+    """The digits of the check with these sizes: (sum_i |mu_i r_i|, D), left
+    folds of _size_term from int 0 and 0.0.
 
     Refuses, in this order, a c at which e^(c H) overflows a double at some
-    fixed point, a real sum that needs more than MAX_DECIMAL_DIGITS, a
-    prefactor (2 pi / c)^n that is not finite (_prefactor) and a complex
-    sum that cancels more than MAX_COMPLEX_LOSS digits.  A real sum, prod_i
-    2 sinh(x_i) / rate_i against a largest term prod_i e^|x_i| / |rate_i|,
-    cancels D digits and runs at max(40, 20 + ceil(D)) decimal digits: its
-    half-terms are Decimals at 3 digits more, and its terms are integer
-    mantissas with the bits of those digits (_half_terms); a complex one
-    runs in doubles (digits None).
+    fixed point, a real sum that needs more than MAX_DECIMAL_DIGITS and a
+    complex sum that cancels more than MAX_COMPLEX_LOSS digits.  A real
+    sum, prod_i 2 sinh(x_i) 2 pi / (c l_i) against a largest term prod_i
+    e^|x_i| 2 pi / |c l_i|, cancels D digits and runs at max(40, 20 +
+    ceil(D)) decimal digits: its half-terms are Decimals at 3 digits more,
+    and its terms are integer mantissas with the bits of those digits
+    (_half_terms); a complex one runs in doubles (digits None).
     """
     scale_sum, loss = sizes
     exponent = abs(c.real) * scale_sum
@@ -260,69 +268,46 @@ def _size_check(sizes, n: int, c):
             f"= {exponent!r} > log(sys.float_info.max) = {LOG_FLOAT_MAX!r}"
         )
     if isinstance(c, complex):
-        prefactor = _prefactor(n, c)
         if not loss <= MAX_COMPLEX_LOSS:
             raise ValueError(
                 f"the complex fixed-point sum at c = {c!r} cancels {loss:.1f} digits, more "
                 f"than the MAX_COMPLEX_LOSS = {MAX_COMPLEX_LOSS} a double can lose"
             )
-        return None, prefactor
+        return None
     if not loss <= MAX_DECIMAL_DIGITS - 20:
         raise ValueError(
             f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
             f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
         )
-    return max(40, 20 + math.ceil(loss)), _prefactor(n, c)
-
-
-def _prefactor(n: int, c):
-    """The float (or complex) prefactor (2 pi / c)^n of the fixed-point sum.
-
-    At tiny |c| it is not finite: 2 pi / c rounds to inf, the power
-    overflows (a float power raises OverflowError) or a complex power
-    comes out inf or nan.  At huge |c| it falls below the normal doubles,
-    which lose digits.  Each case raises a ValueError that names it.
-    """
-    try:
-        value = (TWO_PI / c) ** n
-    except OverflowError:
-        value = math.inf
-    if not cmath.isfinite(value):
-        raise ValueError(
-            f"overflow: the prefactor (2 pi / c)^n at c = {c!r}, n = {n} "
-            f"is not a finite double"
-        )
-    if abs(value) < sys.float_info.min:
-        raise ValueError(
-            f"underflow: the prefactor (2 pi / c)^n at c = {c!r}, n = {n} "
-            f"is below the normal doubles"
-        )
-    return value
+    return max(40, 20 + math.ceil(loss))
 
 
 def _half_terms(factor: SphereFactor, c, digits: int | None):
-    """The factor's share of a point's term, (e^x / l, -e^(-x) / l) at its
-    north and south pole, with x = c mu r and l = mu / r, as
-    (pair, scale, shift): the half-terms are pair / 2^scale, and a product
-    that ends in them drops `shift` bits before it is multiplied again
+    """The factor's share of a point's term, (e^x, -e^(-x)) 2 pi / (c l) at
+    its north and south pole, with x = c mu r and l = mu / r, so that a
+    point's term carries its share of (2 pi / c)^n; as (pair, scale,
+    shift): the half-terms are pair / 2^scale, and a product that ends in
+    them drops `shift` bits before it is multiplied again
     (_fixed_point_sum).
 
     Where digits is None (complex c) the pair is two complex floats, scale
     and shift 0.  At real c the pair is computed in Decimal at digits + 3
-    digits, with one exp (e^(-x) = 1 / e^x), and returned as two integer
-    mantissas on one binary scale, each within half a unit of its Decimal:
-    the larger has exactly ceil(digits log2 10) + GUARD_BITS bits, and
-    shift is its bit length.  `digits` counts decimal digits.
+    digits from the double TWO_PI, with one exp (e^(-x) = 1 / e^x), and
+    returned as two integer mantissas on one binary scale, each within half
+    a unit of its Decimal: the larger has exactly ceil(digits log2 10) +
+    GUARD_BITS bits, and shift is its bit length.  `digits` counts decimal
+    digits.
     """
     if digits is None:
-        x = c * factor.weight * factor.radius
-        return (cmath.exp(x) / factor.rate, -cmath.exp(-x) / factor.rate), 0, 0
+        cw = c * factor.weight
+        x, k = cw * factor.radius, TWO_PI * factor.radius / cw
+        return (cmath.exp(x) * k, -cmath.exp(-x) * k), 0, 0
     with localcontext() as ctx:
         ctx.prec = digits + 3
-        weight, radius = Decimal(factor.weight), Decimal(factor.radius)
-        x, rate = Decimal(c) * weight * radius, weight / radius
+        radius, cw = Decimal(factor.radius), Decimal(c) * Decimal(factor.weight)
+        x, k = cw * radius, Decimal(TWO_PI) * radius / cw
         exp = x.exp()
-        halves = exp / rate, -1 / exp / rate
+        halves = exp * k, -k / exp
     bits = math.ceil(digits * math.log2(10)) + GUARD_BITS
     ratios = [h.as_integer_ratio() for h in halves]
     p, q = ratios[halves[1].copy_abs() > halves[0].copy_abs()]  # the larger
@@ -349,10 +334,10 @@ def _rounded(terms, shift: int):
     return [(t + half) >> shift for t in terms]
 
 
-def _fixed_point_sum(halves, digits: int | None, prefactor, terms=(1,), scale=0):
-    """(terms, scale, shift, rhs): the point terms e^(c H(p)) / prod_j l_j,
-    their sum(terms) / 2^scale, the bits a term drops before it is
-    multiplied again, and rhs = prefactor * their sum.
+def _fixed_point_sum(halves, digits: int | None, terms=(1,), scale=0):
+    """(terms, scale, shift, rhs): the point terms (2 pi / c)^n e^(c H(p)) /
+    prod_j l_j, their sum(terms) / 2^scale, the bits a term drops before it
+    is multiplied again, and rhs, their sum as a double.
 
     The terms are `terms` (rounded, at the scale 2^-scale) extended by the
     factors whose _half_terms are `halves`, by subset doubling in the
@@ -363,11 +348,10 @@ def _fixed_point_sum(halves, digits: int | None, prefactor, terms=(1,), scale=0)
     At real c a term is a product of integer mantissas.  A product of two
     or more is rounded to nearest, by the bit length b of its last
     factor's larger mantissa, only when it is multiplied again, so a leaf
-    check's terms are exact products.  The terms are added exactly, their
-    sum over 2^b (b its bit length) is rounded once to a double by int /
-    int division, and rhs is prefactor times that, scaled by 2^(b - scale).
-    So rhs fits a double wherever it is one, and is prefactor * (sum(terms)
-    / 2^scale) bit for bit wherever that quotient and product are normal.
+    check's terms are exact products.  The terms are added exactly, and
+    their sum over 2^b (b its bit length) is rounded once to a double by
+    int / int division and scaled by 2^(b - scale), so rhs is sum(terms) /
+    2^scale rounded once wherever that is a normal double.
 
     Error bound, given the mantissas: each rounding is off by at most half
     a unit, and |m| < 2^b keeps an earlier error from growing, so each of
@@ -394,11 +378,11 @@ def _fixed_point_sum(halves, digits: int | None, prefactor, terms=(1,), scale=0)
         total = 0
         for t in terms:
             total += t
-        return terms, scale, shift, prefactor * total
+        return terms, scale, shift, total
     total = sum(terms)
     bits = total.bit_length()
     try:
-        rhs = math.ldexp(prefactor * (total / (1 << bits)), bits - scale)
+        rhs = math.ldexp(total / (1 << bits), bits - scale)
     except OverflowError:  # too large for a double
         rhs = math.inf
     return terms, scale, shift, rhs
@@ -454,9 +438,9 @@ class PrefixCheck(NamedTuple):
     else from (1,) over all the factors, since every mantissa depends on
     the digits.  children(indices) is [extend(i) for i in indices], bit
     for bit, with this check's terms rounded once for all of them.  A
-    result that is not a finite double is refused once it is known.  An
-    empty check is no check; dh_verify extends it by all of a space's
-    factors.
+    result that is not a normal double is refused once it is known
+    (_check_normal), so rel_err divides by a normal |rhs|.  An empty check
+    is no check; dh_verify extends it by all of a space's factors.
     """
 
     table: _FactorTable
@@ -474,14 +458,6 @@ class PrefixCheck(NamedTuple):
         _check_c(c)
         return cls(_FactorTable(c, factors),
                    lhs=1.0 + 0.0j if isinstance(c, complex) else 1.0)
-
-    @property
-    def c(self):
-        return self.table.c
-
-    @property
-    def factors(self) -> tuple[SphereFactor, ...]:
-        return tuple(self.table.factors[i] for i in self.indices)
 
     def extend(self, *indices: int) -> "PrefixCheck":
         return self._grow((indices,))[0]
@@ -502,7 +478,7 @@ class PrefixCheck(NamedTuple):
             for i in indices:
                 step, step_loss, _ = size_terms[i]
                 scale_sum, loss = scale_sum + step, loss + step_loss
-            digits, prefactor = _size_check((scale_sum, loss), len(everything), c)
+            digits = _size_check((scale_sum, loss), c)
             if unsized and not unsized.isdisjoint(indices):
                 f = table.factors[next(i for i in indices if i in unsized)]
                 raise ValueError(
@@ -512,29 +488,24 @@ class PrefixCheck(NamedTuple):
             lhs, quads = self.lhs, table.quads
             for i in indices:
                 lhs *= quads[i]
-            if not cmath.isfinite(lhs):
-                raise ValueError(f"overflow: the Liouville integral at c = {c!r} "
-                                 f"is not a finite double")
+            _check_normal("the Liouville integral", c, lhs)
             halves = table.half_terms(digits)
             if digits == self.digits and indices:
                 if rounded is None:
                     rounded = _rounded(self.terms, self.shift) if self.shift else self.terms
                 terms, scale, shift, rhs = _fixed_point_sum(
-                    [halves[i] for i in indices], digits, prefactor, rounded,
-                    self.scale - self.shift)
+                    [halves[i] for i in indices], digits, rounded, self.scale - self.shift)
             else:
                 terms, scale, shift, rhs = _fixed_point_sum(
-                    [halves[i] for i in everything], digits, prefactor)
-            if not cmath.isfinite(rhs):
-                raise ValueError(f"overflow: the fixed-point sum at c = {c!r} "
-                                 f"is not a finite double")
+                    [halves[i] for i in everything], digits)
+            _check_normal("the fixed-point sum", c, rhs)
             out.append(PrefixCheck(table, everything, (scale_sum, loss), lhs, digits, terms,
                                    scale, shift, rhs))
         return out
 
     @property
     def rel_err(self) -> float:
-        return abs(self.lhs - self.rhs) / max(abs(self.rhs), 1e-300)
+        return abs(self.lhs - self.rhs) / abs(self.rhs)
 
 
 def dh_verify(space: SphereProductSpace, c) -> DHReport:
@@ -543,11 +514,12 @@ def dh_verify(space: SphereProductSpace, c) -> DHReport:
     PrefixCheck on all of the space's factors.
 
     The right side is the fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) /
-    prod_j l_j.  For real c it cancels far beyond double precision at small
-    c, so it runs on integer mantissas with the bits of the decimal digits
-    _size_check sizes; complex c takes complex floats.  Every refusal
-    comes before any work, except that of a result that is not a finite
-    double.
+    prod_j l_j, each factor's half-terms carrying its 2 pi / (c l_j).  For
+    real c it cancels far beyond double precision at small c, so it runs on
+    integer mantissas with the bits of the decimal digits _size_check
+    sizes, and is rounded once; complex c takes complex floats.  Every
+    refusal comes before any work, except that of a result that is not a
+    normal double.
     """
     check = PrefixCheck.empty(c, space.factors).extend(*range(space.half_dim))
     return DHReport(lhs=check.lhs, rhs=check.rhs, rel_err=check.rel_err,

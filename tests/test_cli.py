@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -110,15 +111,24 @@ class TestDhVerify:
         assert payload["rel_err"] < 1e-8
         assert payload["diagnostics"]["decimal_digits"] > 40
 
-    @pytest.mark.parametrize(
-        "factors,c", [("1:1,1:1", "1e-300"), ("1:1", "1e-310"), ("1:1,1:1", "1e-300,1e-300")]
-    )
-    def test_prefactor_overflow_is_named(self, run_cli, factors, c):
-        # before: an unnamed OverflowError, or a NaN that only the JSON encoder refused
-        code, out = run_cli(["dh-verify", "--factors", factors, f"--c={c}"])
+    @pytest.mark.parametrize("n,c", [(2, "1e-300"), (1, "1e-310")])
+    def test_rhs_fits_where_its_prefactor_does_not(self, run_cli, n, c):
+        # before, exit 2: "overflow: the prefactor (2 pi / c)^n at c = ...",
+        # a power that each factor's half-terms now carry a share of
+        code, out = run_cli(["dh-verify", "--factors", ",".join(["1:1"] * n), f"--c={c}"])
+        with mpmath.workdps(50):
+            x = mpmath.mpf(float(c))
+            closed = float((4 * mpmath.pi * mpmath.sinh(x) / x) ** n)
+        assert code == 0
+        assert abs(parse_strict(out)["rhs"] - closed) <= 2e-16 * closed
+
+    def test_tiny_complex_c_is_refused_for_its_loss(self, run_cli):
+        # before, for its prefactor (2 pi / c)^2, which is nan
+        code, out = run_cli(["dh-verify", "--factors", "1:1,1:1", "--c=1e-300,1e-300"])
         assert code == 2
-        error = parse_strict(out)["error"]
-        assert error.startswith("ValueError: overflow: the prefactor (2 pi / c)^n at c = ")
+        assert parse_strict(out)["error"] == (
+            "ValueError: the complex fixed-point sum at c = (1e-300+1e-300j) cancels 600.0 "
+            "digits, more than the MAX_COMPLEX_LOSS = 9 a double can lose")
 
     def test_complex_cancellation_is_exit_two(self, run_cli):
         # these 12 factors at c = 0.01i cancel 22.7 digits of a double's ~16:

@@ -170,7 +170,7 @@ class TestIdentity:
 
     def test_complex_sum_within_the_rounding_of_its_terms(self):
         # A float sum of terms t_p rounds at the scale of sum_p |t_p|, which is
-        # |prefactor| prod_j 2 cosh(Re x_j) / |l_j|, x_j = c mu_j r_j; where
+        # prod_j 2 cosh(Re x_j) 2 pi / |c l_j|, x_j = c mu_j r_j; where
         # the terms cancel (small |c|), that exceeds |closed| by the cancellation.
         rng = random.Random(22)
         for _ in range(400):
@@ -209,12 +209,14 @@ def _reference_numerators(space, c, digits):
 
 
 def _reference_half_terms(f, c, digits):
-    """(e^x / l, -e^(-x) / l), x = c mu r, l = mu / r, with two exps: in
-    Decimal at the current context's precision, or in complex floats for
-    digits None."""
+    """(e^x / l, -e^(-x) / l), x = c mu r, l = mu / r, with two exps in
+    Decimal at the current context's precision; for digits None, (e^x,
+    -e^(-x)) 2 pi / (c l) in complex floats, which carry (2 pi / c)^n into
+    the complex sum, since it has no rounding step to keep it outside."""
     if digits is None:
-        x = c * f.weight * f.radius
-        return cmath.exp(x) / f.rate, -cmath.exp(-x) / f.rate
+        cw = c * f.weight
+        x, k = cw * f.radius, localization.TWO_PI * f.radius / cw
+        return cmath.exp(x) * k, -cmath.exp(-x) * k
     weight, radius = Decimal(f.weight), Decimal(f.radius)
     x, rate = Decimal(c) * weight * radius, weight / radius
     return x.exp() / rate, -(-x).exp() / rate
@@ -237,14 +239,21 @@ def _reference_terms(space, c, digits):
 
 
 def _reference_rhs(space, c, digits):
-    """The real fixed-point sum at `digits` digits, written out per pole combination."""
+    """The real fixed-point sum at `digits` digits, written out per pole
+    combination, times (2 pi / c)^n in Decimal and rounded once."""
     terms = _reference_terms(space, c, digits)
     with localcontext() as ctx:
         ctx.prec = digits
         total = Decimal(0)
         for term in terms:
             total += term
-    return (2.0 * math.pi / c) ** space.half_dim * float(total)
+        return float(total * _reference_prefactor(space, c))
+
+
+def _reference_prefactor(space, c):
+    """(2 pi / c)^n in Decimal at the current context's precision, from the
+    double 2 pi of the quadrature."""
+    return (Decimal(localization.TWO_PI) / Decimal(c)) ** space.half_dim
 
 
 def _sqrt_det_rhs(space, c):
@@ -273,7 +282,7 @@ def _reference_complex_rhs(space, c):
     total = 0.0 + 0.0j
     for term in _reference_terms(space, c, None):
         total += term
-    return (2.0 * math.pi / c) ** space.half_dim * total
+    return total
 
 
 def _reference_integer_terms(check):
@@ -439,7 +448,7 @@ class TestQuadratureSizing:
     def test_subnormal_rate_times_c_needs_the_fewest_nodes(self):
         # |a| = 1e-320: rho = 4n / |a| overflows a double, its log does not
         assert localization._quad_excess(8, 1e-320, 2e-320) == -math.inf
-        report = dh_verify(SphereProductSpace.of((1e-160, 1e-160)), 1.0)
+        report = dh_verify(SphereProductSpace.of((1.0, 1e-320)), 1.0)
         assert report.quad_nodes == (8,)
         assert report.rel_err < 1e-8
 
@@ -707,7 +716,8 @@ class TestSumPrecision:
         exact = math.prod(sum(pair) for pair, _, _ in halves)
         dropped = sum(scale for _, scale, _ in halves) - check.scale
         assert abs(sum(check.terms) - Fraction(exact, 2**dropped)) <= 2**n * n * 2**check.shift / 2
-        # against a 200-digit Decimal sum over the points, within 10^-20 of it
+        # against a 200-digit Decimal sum over the points times (2 pi / c)^n,
+        # within 10^-20 of it, and rounded once from it
         with localcontext() as ctx:
             ctx.prec = 200
             terms = [Decimal(1)]
@@ -717,9 +727,10 @@ class TestSumPrecision:
             total = Decimal(0)
             for term in terms:
                 total += term
+            total *= _reference_prefactor(self.SIXTEEN, c)
         value = sum(check.terms) / Fraction(2) ** check.scale
         assert abs(value - Fraction(total)) <= Fraction(1, 10**20) * abs(Fraction(total))
-        assert check.rhs == (localization.TWO_PI / c) ** n * float(total)
+        assert check.rhs == float(total)
 
     @staticmethod
     def _forbid_work(monkeypatch):
@@ -753,39 +764,41 @@ class TestSumPrecision:
         with pytest.raises(ValueError, match=r"^overflow: e\^\(c H\) exceeds"):
             dh_verify(space, c)
 
+    # (2 pi / c)^2 reaches the largest double at c = 2 pi / sqrt(max)
+    EDGE = localization.TWO_PI / math.sqrt(sys.float_info.max)
+
     @pytest.mark.parametrize(
         "pairs,c",
         [
-            (((1.0, 1.0), (1.0, 1.0)), 1e-300),  # the float power raises OverflowError
+            (((1.0, 1.0), (1.0, 1.0)), 1e-300),  # the float power overflows
             (((1.0, 1.0),), 1e-310),  # 2 pi / c is already inf
-            (((1.0, 1.0), (1.0, 1.0)), complex(1e-300, 1e-300)),  # the complex power is nan
+            (((1.0, 1e-300),) * 2, 1e155),  # the power is 3.9e-309 (subnormal)
+            (((1.0, 1e-300),) * 3, 1e110),  # and 2.4e-328 (0.0)
+            (((1.0, 1.0), (1.0, 1.0)), EDGE * (1 - 1e-6)),
+            (((1.0, 1.0), (1.0, 1.0)), EDGE * (1 + 1e-6)),
         ],
     )
-    def test_prefactor_overflow_named_before_any_work(self, monkeypatch, pairs, c):
-        space = SphereProductSpace.of(*pairs)
-        self._forbid_work(monkeypatch)
-        with pytest.raises(ValueError, match=r"^overflow: the prefactor \(2 pi / c\)\^n"):
-            dh_verify(space, c)
-
-    @pytest.mark.parametrize("n,c", [(2, 1e155), (3, 1e110), (2, 1e200j)])
-    def test_prefactor_underflow_named_before_any_work(self, monkeypatch, n, c):
-        # (2 pi / c)^n of 3.9e-309 (subnormal), 2.4e-328 and -3.9e-399 (both
-        # 0.0): rhs would have lost its digits, or been 0 against an lhs of
-        # 158, 1984 or 158
-        space = SphereProductSpace.of(*[(1.0, 1e-300)] * n)
-        self._forbid_work(monkeypatch)
-        with pytest.raises(ValueError, match=r"^underflow: the prefactor \(2 pi / c\)\^n at "
-                                             r"c = .* is below the normal doubles$"):
-            dh_verify(space, c)
-
-    def test_prefactor_refused_only_when_not_finite(self):
-        # (2 pi / c)^2 reaches the largest double at c = 2 pi / sqrt(max)
-        space = SphereProductSpace.of((1.0, 1.0), (1.0, 1.0))
-        edge = localization.TWO_PI / math.sqrt(sys.float_info.max)
-        with pytest.raises(ValueError, match="prefactor"):
-            dh_verify(space, edge * (1 - 1e-6))
-        report = dh_verify(space, edge * (1 + 1e-6))
+    def test_rhs_fits_where_its_prefactor_does_not(self, pairs, c):
+        # each half-term carries its 2 pi / (c l), so no separate power (2 pi
+        # / c)^n is formed: before, the first five were refused for it
+        with mpmath.workdps(50):
+            closed = float(mpmath.fprod(
+                4 * mpmath.pi * r * mpmath.sinh(mpmath.mpf(c) * mu * r) / (mpmath.mpf(c) * mu)
+                for r, mu in pairs))
+        report = dh_verify(SphereProductSpace.of(*pairs), c)
+        assert abs(report.rhs - closed) <= 2e-16 * closed
         assert report.rel_err < 1e-14
+
+    @pytest.mark.parametrize("pairs,c,loss", [
+        (((1.0, 1.0), (1.0, 1.0)), complex(1e-300, 1e-300), "600.0"),
+        (((1.0, 1e-300), (1.0, 1e-300)), 1e200j, "200.0"),
+    ])
+    def test_tiny_complex_x_refused_for_its_loss(self, monkeypatch, pairs, c, loss):
+        # before, for the prefactor (2 pi / c)^n: nan and -3.9e-399
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=rf"cancels {loss} digits, more than the "
+                                             rf"MAX_COMPLEX_LOSS = 9 a double can lose$"):
+            dh_verify(SphereProductSpace.of(*pairs), c)
 
     @pytest.mark.parametrize("pairs,c", [(((1e10, 1e100),), 1e200j),
                                          (((1.0, 1.0), (1e10, 1e10)), complex(0.5, 1e300))])
@@ -800,6 +813,19 @@ class TestSumPrecision:
         with pytest.raises(ValueError, match=r"^overflow: the Liouville integral at c = 0.001 "
                                              r"is not a finite double$"):
             dh_verify(SphereProductSpace.of((1e200, 1e-200), (1e200, 1e-200)), 1e-3)
+
+    def test_subnormal_result_named_before_any_term(self, monkeypatch):
+        # a Liouville volume 4 pi r^2 of 1.26e-319: before, rhs 1.25666e-319
+        # and lhs 1.2566e-319 differed by 4.8e-5, and rel_err, over a floor
+        # of 1e-300, read 4.9e-24
+        def forbidden(*args):
+            raise AssertionError("a term was built before the check")
+
+        monkeypatch.setattr(localization, "_half_terms", forbidden)
+        monkeypatch.setattr(localization, "enumerate_fixed_points", forbidden)
+        with pytest.raises(ValueError, match=r"^underflow: the Liouville integral at c = 1.0 "
+                                             r"is below the normal doubles$"):
+            dh_verify(SphereProductSpace.of((1e-160, 1e-160)), 1.0)
 
     @pytest.mark.parametrize("pair,c", [((2.4e131, 4e-136), 1e6), ((1e-100, 1e100), 1e-200),
                                         ((1e-150, 1e150), 1e-300)])
@@ -843,7 +869,7 @@ class TestPrefixWalk:
                     worst = max(worst, report.rel_err)
         walked = {}
         for check in verify.localization_checks():
-            key = check.factors, check.c
+            key = tuple(check.table.factors[i] for i in check.indices), check.table.c
             assert key not in walked
             walked[key] = repr((check.lhs, check.rhs, check.rel_err))
         assert len(plain) == 19376
@@ -868,8 +894,12 @@ class TestPrefixWalk:
                 repr((report.lhs, report.rhs, report.rel_err))
             assert check.digits == report.decimal_digits
             assert check.terms == _reference_integer_terms(check)
-            # each term is its point's Decimal term to the check's digits
-            want = _reference_terms(space, 1e-9, check.digits + 20)
+            # each term is its point's Decimal term, times (2 pi / c)^n, to
+            # the check's digits
+            with localcontext() as ctx:
+                ctx.prec = check.digits + 20
+                want = [term * _reference_prefactor(space, 1e-9)
+                        for term in _reference_terms(space, 1e-9, ctx.prec)]
             unit = max(map(abs, want)) / 10**check.digits
             for got, term in zip(check.terms, want):
                 assert abs(got / Fraction(2) ** check.scale - Fraction(term)) <= Fraction(unit)
@@ -904,7 +934,7 @@ class TestPrefixWalk:
             raise AssertionError("work ran before the factor cap")
 
         TestSumPrecision._forbid_work(monkeypatch)
-        for name in ("_prefactor", "localcontext"):  # the sizing and the terms
+        for name in ("_size_check", "localcontext"):  # the sizing and the terms
             monkeypatch.setattr(localization, name, forbidden)
         with pytest.raises(ValueError, match=r"^at most 16 sphere factors .*, got 17$"):
             check.extend(0)
