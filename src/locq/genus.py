@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import islice
 
 from .errors import BetaSingularityError, ScanInconclusiveError
-from .kernel import reciprocal
 from .series import _check_order
 from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
@@ -40,6 +40,13 @@ TWO_PI_I = 2j * math.pi
 MAX_TRIAL_BOUND = 64
 # The points x at which the period scan compares f(x + omega) with f(x).
 SCAN_POINTS = (0.31 + 0.17j, -0.23 + 0.41j, 0.11 - 0.29j)
+
+
+def _check_exponent(what: str, z: complex) -> None:
+    """Refuse, naming `what`, a z at which e^z or e^-z is not a normal
+    double; Phi forms both at its argument, f both at beta."""
+    if math.exp(-abs(z.real)) < sys.float_info.min:
+        raise ValueError(f"overflow: e^(+-{what}) is not a normal double at {what} = {z!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,62 +96,57 @@ class XSeries:
     def norm1(self) -> float:
         return sum(abs(c) for c in self.coeffs)
 
-    def truncate(self, order: int) -> "XSeries":
-        if order >= self.order:
-            return self
-        return XSeries(order, self.coeffs[: order + 1], self.coeff_error)
-
     def __mul__(self, other: "XSeries") -> "XSeries":
-        order = min(self.order, other.order)
-        a, b = self.truncate(order), other.truncate(order)
-        n = a.order + 1
-        out = [0j] * n
-        for i in range(n):
-            ai = a.coeffs[i]
-            if ai != 0:
-                for j in range(n - i):
-                    out[i + j] += ai * b.coeffs[j]
-        a_norm, b_norm = a.norm1(), b.norm1()
+        if self.order != other.order:
+            raise ValueError(f"x-series orders differ: {self.order} and {other.order}")
+        a, b = self.coeffs, other.coeffs
+        n = len(a)
+        # coefficient k adds a_i b_(k-i) for i = 0..k, left to right from 0j
+        out = [sum(map(operator.mul, a[:k + 1], b[k::-1]), 0j) for k in range(n)]
+        a_norm, b_norm = self.norm1(), other.norm1()
         # each coefficient sums at most n products: rounding <= n eps |a|_1 |b|_1
         rounding = n * sys.float_info.epsilon * a_norm * b_norm
-        err = a.coeff_error * b_norm + b.coeff_error * a_norm + rounding
+        err = self.coeff_error * b_norm + other.coeff_error * a_norm + rounding
         return XSeries._make(out, err)
 
     def invert(self) -> "XSeries":
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("cannot invert an x-series with zero constant term")
-        out = reciprocal(self.coeffs)
+        out = _reciprocal(self.coeffs)
         inv_norm = sum(abs(c) for c in out)
         err = self.coeff_error * inv_norm * inv_norm
         return XSeries._make(out, err)
 
     def int_pow(self, exponent: int) -> "XSeries":
-        """Integer power by square-and-multiply.
-
-        A negative exponent inverts first, so it needs an invertible
-        constant term.
-        """
-        base = self if exponent >= 0 else self.invert()
-        e = abs(exponent)
-        result = XSeries.one(self.order)
-        while e:
-            if e & 1:
+        """Nonnegative integer power by square-and-multiply."""
+        if exponent < 0:
+            raise ValueError(f"the exponent must be nonnegative, got {exponent}")
+        base, result = self, XSeries.one(self.order)
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+            base = base * base if exponent > 1 else base
+            exponent >>= 1
         return result
-
-    __pow__ = int_pow
 
     def shift_down(self) -> "XSeries":
         """Divide by x: drops the constant coefficient (which must vanish)."""
         return XSeries(self.order - 1, self.coeffs[1:], self.coeff_error)
 
-    def eval(self, x: complex) -> complex:
-        total = 0j
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+
+def _reciprocal(a):
+    """Coefficients of 1 / sum_k a[k] x**k to the length of `a`.
+
+    Works over any field whose elements support +, * and /, such as
+    Fraction or complex; a[0] must be nonzero (the caller checks).  From
+    a * r = 1,
+        r_0 = 1 / a_0,   r_n = -(sum_{k=1..n} a_k r_{n-k}) / a_0.
+    """
+    a0 = a[0]
+    out = [1 / a0]
+    for n in range(1, len(a)):
+        out.append(-sum(map(operator.mul, a[1:n + 1], out[n - 1::-1])) / a0)
+    return out
 
 
 def _exp_series(rate: complex, order: int) -> XSeries:
@@ -165,12 +167,12 @@ def _product_factor_count(absq: float, q_tol: float, magnitude: float,
     dropped factor at index n differs from 1 by up to |q|^n * magnitude.
     `cap` is factor_cap(), which factor_count reads when it is not given.
     """
-    return factor_count(1.0, absq, 1, q_tol / (8.0 * max(magnitude, 1.0)), cap)
+    return factor_count(1.0, absq, 1, q_tol / 8.0 / max(magnitude, 1.0), cap)
 
 
 def _tail_error(tau: Tau, m: int, magnitude: float) -> float:
     absq = abs(q_power(tau, 1))
-    return 8.0 * magnitude * absq ** (m + 1) / (1 - absq) ** 2
+    return 8.0 * (magnitude * absq ** (m + 1)) / (1 - absq) ** 2
 
 
 def _phi_product(tau: Tau, u: complex, x_order: int, q_tol: float) -> XSeries:
@@ -278,13 +280,9 @@ class _PointEvaluator:
         return cmath.exp(level.k / level.level * x) * self.phi(x) * phi_mb / phi_xb
 
 
-def phi_point(tau: Tau, x: complex, q_tol: float = 1e-12) -> complex:
-    """Pointwise numeric evaluation of Phi."""
-    return _PointEvaluator(tau, q_tol).phi(x)
-
-
 def f_point(level: LevelData, x: complex, q_tol: float = 1e-12) -> complex:
     """Pointwise numeric evaluation of the twisted function f."""
+    _check_exponent("beta", level.beta)
     points = _PointEvaluator(level.tau, q_tol)
     return points.f(level, x, points.phi(-level.beta))
 
@@ -297,6 +295,7 @@ def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
     constant and P(0) = 1 - u exactly, so the series inverted has constant
     term exactly 1 and no rounding enters the normalization.
     """
+    _check_exponent("beta", level.beta)
     shifted = _phi_product(level.tau, cmath.exp(level.beta), x_order, q_tol)
     z0 = shifted.coeffs[0]  # = 1 - e^beta
     if abs(z0) < 1e-14:
@@ -394,6 +393,14 @@ def lattice_periodicity_scan(
     if bound > MAX_TRIAL_BOUND:
         raise ValueError(f"trial_bound must be at most {MAX_TRIAL_BOUND}, got {bound}")
     tau = level.tau
+    _check_exponent("beta", level.beta)
+    # Re(x + omega) is affine in m and free of m', so the points at m = +-B
+    # bound every argument x + omega and x + omega - beta of Phi
+    for m in (-bound, bound):
+        for x in SCAN_POINTS:
+            z = x + TWO_PI_I * (m * tau.value)
+            _check_exponent("z", z)
+            _check_exponent("z", z - level.beta)
     # Phi(-beta) and the q^n table are computed once for all 3 (2B + 1)^2 points
     points = _PointEvaluator(tau, q_tol)
     phi_mb = points.phi(-level.beta)

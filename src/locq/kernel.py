@@ -1,10 +1,10 @@
 """Truncated power-series kernel.
 
 Hot loops for truncated power-series arithmetic on plain coefficient
-lists.  The Cauchy product, the Euler transform and the sparse power work
-on Python ints, so they are exact and overflow-free; the reciprocal works
-over any field.  The Cauchy product is one Kronecker-packed multiplication of
-two `decimal` integers, never a loop over coefficient pairs.
+lists.  The Cauchy product, the Euler transform and the sparse power take
+and return Python ints, so they are exact and overflow-free.  The Cauchy
+product is one Kronecker-packed multiplication of two `decimal` integers,
+never a loop over coefficient pairs.
 """
 
 import operator
@@ -59,21 +59,6 @@ def mul_trunc(a, b):
         v = int(Decimal(digits[end - width:end])) + carry
         carry = 2 * v > top
         out.append(sign * (v - top if carry else v))
-    return out
-
-
-def reciprocal(a):
-    """Coefficients of 1 / sum_k a[k] x**k to the length of `a`.
-
-    Works over any field whose elements support +, * and /, such as
-    Fraction or complex; a[0] must be nonzero (the caller checks).  From
-    a * r = 1,
-        r_0 = 1 / a_0,   r_n = -(sum_{k=1..n} a_k r_{n-k}) / a_0.
-    """
-    a0 = a[0]
-    out = [1 / a0]
-    for n in range(1, len(a)):
-        out.append(-sum(map(operator.mul, a[1:n + 1], out[n - 1::-1])) / a0)
     return out
 
 

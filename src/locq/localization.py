@@ -50,7 +50,8 @@ GUARD_BITS = 2 * MAX_FACTORS + 4
 # The complex sum runs in doubles, so it may cancel at most this many of
 # their ~16 digits; a c at which it would cancel more is refused up front.
 MAX_COMPLEX_LOSS = 9
-# e^(c H) fits a double while |Re c| * max_p |H(p)| stays below this.
+# A factor's e^(c mu r), the largest exponential any step forms as a
+# double, fits one while |Re c mu r| stays below this.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -210,7 +211,11 @@ def _size_term(factor: SphereFactor, c):
     term, a complex one |sinh x| / cosh(Re x) of the sum of its terms'
     sizes, taken as |1 - e^(-2x)| / (1 + |e^(-2x)|) with Re x >= 0 and
     e^(-2x) = (e^(-x))^2, so that nothing overflows.  A complex c whose
-    Im(c mu r) overflows a double, so that e^x has no phase, is refused."""
+    Im(c mu r) overflows a double, so that e^x has no phase, is refused.
+
+    Where mu r underflows to 0 at real c, |mu r| < 2^-1074 and so |x| <
+    1e-15: kept = 2|x| to rounding, its digits are taken in logs, and the
+    least node count is exact to rounding."""
     scale = abs(factor.weight * factor.radius)
     if isinstance(c, complex):
         if not math.isfinite(c.imag * factor.weight * factor.radius):
@@ -221,6 +226,9 @@ def _size_term(factor: SphereFactor, c):
         x = c * factor.weight * factor.radius
         e = cmath.exp(x if x.real < 0 else -x) ** 2
         kept = abs(1 - e) / (1 + abs(e))
+    elif not scale:
+        logs = map(math.log10, (2.0, abs(c), abs(factor.weight), factor.radius))
+        return scale, -sum(logs), QUAD_COUNTS[0]
     else:
         x = abs(c) * scale
         kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
@@ -248,11 +256,13 @@ def _quad_excess(n: int, a, kept: float) -> float:
 
 
 def _size_check(sizes, c):
-    """The digits of the check with these sizes: (sum_i |mu_i r_i|, D), left
+    """The digits of the check with these sizes: (max_i |mu_i r_i|, D), left
     folds of _size_term from int 0 and 0.0.
 
-    Refuses, in this order, a c at which e^(c H) overflows a double at some
-    fixed point, a real sum that needs more than MAX_DECIMAL_DIGITS and a
+    Refuses, in this order, a c at which some factor's e^(c mu r) overflows
+    a double (no step forms e^(c H) as one: a quadrature forms e^(c mu r s)
+    with |s| <= 1, and the half-terms are Decimals, or per factor complex
+    floats), a real sum that needs more than MAX_DECIMAL_DIGITS and a
     complex sum that cancels more than MAX_COMPLEX_LOSS digits.  A real
     sum, prod_i 2 sinh(x_i) 2 pi / (c l_i) against a largest term prod_i
     e^|x_i| 2 pi / |c l_i|, cancels D digits and runs at max(40, 20 +
@@ -260,11 +270,11 @@ def _size_check(sizes, c):
     and its terms are integer mantissas with the bits of those digits
     (_half_terms); a complex one runs in doubles (digits None).
     """
-    scale_sum, loss = sizes
-    exponent = abs(c.real) * scale_sum
+    scale_max, loss = sizes
+    exponent = abs(c.real) * scale_max
     if not exponent <= LOG_FLOAT_MAX:
         raise ValueError(
-            f"overflow: e^(c H) exceeds the largest double, since |Re c| * sum |mu_i r_i| "
+            f"overflow: e^(c mu r) exceeds the largest double, since |Re c| * max |mu_i r_i| "
             f"= {exponent!r} > log(sys.float_info.max) = {LOG_FLOAT_MAX!r}"
         )
     if isinstance(c, complex):
@@ -474,11 +484,11 @@ class PrefixCheck(NamedTuple):
         for indices in additions:
             everything = self.indices + indices
             _check_factor_count(len(everything))
-            scale_sum, loss = self.sizes
+            scale_max, loss = self.sizes
             for i in indices:
                 step, step_loss, _ = size_terms[i]
-                scale_sum, loss = scale_sum + step, loss + step_loss
-            digits = _size_check((scale_sum, loss), c)
+                scale_max, loss = max(scale_max, step), loss + step_loss
+            digits = _size_check((scale_max, loss), c)
             if unsized and not unsized.isdisjoint(indices):
                 f = table.factors[next(i for i in indices if i in unsized)]
                 raise ValueError(
@@ -499,7 +509,7 @@ class PrefixCheck(NamedTuple):
                 terms, scale, shift, rhs = _fixed_point_sum(
                     [halves[i] for i in everything], digits)
             _check_normal("the fixed-point sum", c, rhs)
-            out.append(PrefixCheck(table, everything, (scale_sum, loss), lhs, digits, terms,
+            out.append(PrefixCheck(table, everything, (scale_max, loss), lhs, digits, terms,
                                    scale, shift, rhs))
         return out
 

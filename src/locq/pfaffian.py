@@ -3,12 +3,12 @@
 Two independent evaluation paths are kept side by side: the combinatorial
 expansion along the first row (exact up to rounding, used for dim <= 8 and
 as the oracle) and Householder tridiagonalization with orthogonal
-similarity transforms for larger matrices.  sqrt_det fixes the sign of
-det(A)^(1/2) through the canonical-form convention: an oriented
-orthonormal basis in which A consists of 2x2 blocks [[0, -l_j], [l_j, 0]],
-whence sqrt_det(A) = prod_j l_j = (-1)^n Pf(A) for dim = 2n.  The form
-comes from one eigendecomposition of the Hermitian matrix 1j * A, whose
-eigenvalues are the rates +-l_j themselves.
+similarity transforms for larger matrices.  canonicalize(A).sqrt_det
+fixes the sign of det(A)^(1/2) through the canonical-form convention: an
+oriented orthonormal basis in which A consists of 2x2 blocks
+[[0, -l_j], [l_j, 0]], whence det(A)^(1/2) = prod_j l_j = (-1)^n Pf(A) for
+dim = 2n.  The form comes from one eigendecomposition of the Hermitian
+matrix 1j * A, whose eigenvalues are the rates +-l_j themselves.
 
 NumPy is imported inside the functions that use it, so importing this
 module (and the CLI) does not load it.
@@ -226,11 +226,6 @@ def canonicalize(a: SkewMatrix) -> CanonicalForm:
         basis[:, -1] = -basis[:, -1]
         lambdas[-1] = -lambdas[-1]
     return CanonicalForm(lambdas=tuple(lambdas), basis=basis)
-
-
-def sqrt_det(a: SkewMatrix) -> float:
-    """det(A)^(1/2) = prod_j l_j = (-1)^n Pf(A) in the oriented canonical basis."""
-    return canonicalize(a).sqrt_det
 
 
 def block_diagonal(lambdas) -> SkewMatrix:

@@ -110,14 +110,6 @@ class BilateralSeriesSpec:
             _coerce(z),
         )
 
-    @property
-    def r(self) -> int:
-        return len(self.numerator_params)
-
-    @property
-    def s(self) -> int:
-        return len(self.denominator_params)
-
 
 @dataclass(slots=True)
 class PsiSummary:
@@ -176,9 +168,9 @@ def _psi_term(spec: BilateralSeriesSpec, n: int):
     if spec.z == 0:
         # only the n=0 term survives at z=0
         return ratio if n == 0 else one * 0
-    exp_extra = (spec.s - spec.r) * n
-    sign = -1 if exp_extra % 2 else 1
-    qpow_exp = (spec.s - spec.r) * (n * (n - 1) // 2)
+    s_minus_r = len(spec.denominator_params) - len(spec.numerator_params)
+    sign = -1 if s_minus_r * n % 2 else 1
+    qpow_exp = s_minus_r * (n * (n - 1) // 2)
     return ratio * sign * spec.q**qpow_exp * spec.z**n
 
 
@@ -461,7 +453,6 @@ class SaalschutzResult:
     lhs: Fraction
     rhs: Fraction
     equal: bool
-    window: int
 
 
 def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
@@ -486,10 +477,9 @@ def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
     spec = BilateralSeriesSpec.make(
         [a, b, q**-n], [c, a * b * q ** (1 - n) / c, q], q, q
     )
-    window = n + 2
-    lhs = _psi_window(_tails(spec), window).value
+    lhs = _psi_window(_tails(spec), n + 2).value
     denom = pochhammer(c, q, n) * pochhammer(c / (a * b), q, n)
     if denom == 0:
         raise DegenerateParametersError("closed-form denominator vanishes")
     rhs = pochhammer(c / a, q, n) * pochhammer(c / b, q, n) / denom
-    return SaalschutzResult(lhs=lhs, rhs=rhs, equal=lhs == rhs, window=window)
+    return SaalschutzResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)

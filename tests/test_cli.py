@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from locq import cli, localization, pfaffian, spectral, verify
+from locq import cli, genus, localization, pfaffian, spectral, verify
 from locq.spectral import SpectralParams, Tau
 
 
@@ -88,17 +88,35 @@ class TestDhVerify:
             warnings.simplefilter("always")
             code, out = run_cli(["dh-verify", "--factors", "1:1", f"--c={c}"])
         assert code == 2
-        assert parse_strict(out)["error"].startswith("ValueError: overflow: e^(c H) exceeds")
+        assert parse_strict(out)["error"].startswith("ValueError: overflow: e^(c mu r) exceeds")
         assert caught == []
 
     def test_overflow_bound_is_the_largest_exponent(self, run_cli):
-        # |c| * sum |mu_i r_i| = 701 fits a double; 711 does not
-        code, out = run_cli(["dh-verify", "--factors", "1:350,2:-0.25", "--c", "2"])
+        # |c| * max |mu_i r_i| = 700 fits a double, though the sum, 711, does
+        # not; 710 does not
+        code, out = run_cli(["dh-verify", "--factors", "1:350,2:-2.75", "--c", "2"])
         assert code == 0
         assert parse_strict(out)["rel_err"] < 1e-8
-        code, out = run_cli(["dh-verify", "--factors", "1:350,2:-2.75", "--c", "2"])
+        code, out = run_cli(["dh-verify", "--factors", "1:355,2:-0.25", "--c", "2"])
         assert code == 2
-        assert "overflow" in parse_strict(out)["error"]
+        assert parse_strict(out)["error"] == (
+            "ValueError: overflow: e^(c mu r) exceeds the largest double, since |Re c| * "
+            f"max |mu_i r_i| = 710.0 > log(sys.float_info.max) = {localization.LOG_FLOAT_MAX!r}")
+
+    @pytest.mark.parametrize("pairs", [
+        ((1e-150, 1e-180),),  # mu r = 1e-330 underflows: before, "cancels inf digits"
+        ((1e-150, 4e152), (1e-150, 4e152)),  # sum |mu r| = 800: before, the e^(c H) overflow
+    ])
+    def test_formerly_refused_answers(self, run_cli, pairs):
+        factors = ",".join(f"{r!r}:{mu!r}" for r, mu in pairs)
+        code, out = run_cli(["dh-verify", "--factors", factors, "--c", "1"])
+        with mpmath.workdps(50):
+            closed = float(mpmath.fprod(4 * mpmath.pi * r * mpmath.sinh(mpmath.mpf(mu) * r) / mu
+                                        for r, mu in pairs))
+        payload = parse_strict(out)
+        assert code == 0
+        assert abs(payload["rhs"] - closed) <= 1e-15 * closed
+        assert payload["rel_err"] < 1e-8
 
     @pytest.mark.parametrize("factors,c", [("1:1,2:1,1:3,2:2", "1e-9"), ("1:1", "1e-300")])
     def test_small_c_sums_keep_their_digits(self, run_cli, factors, c):
@@ -689,6 +707,25 @@ class TestGenusCommands:
         assert code == 0
         assert payload["index"] == 2
         assert payload["level"] == 4
+
+    @pytest.mark.parametrize("argv,what", [
+        (["genus-cpm", "--tau", "0,400", "--N", "3", "--k", "1", "--l", "0", "--m", "3"],
+         "beta = (-837.7580409572782+0j)"),
+        (["period-scan", "--tau", "0,37", "--N", "3", "--k", "1", "--l", "0"],
+         "z = (775.2361878854823+0.17j)"),
+    ])
+    def test_exponent_off_the_doubles_is_exit_two(self, run_cli, monkeypatch, argv, what):
+        # before: ZeroDivisionError and OverflowError from the products
+        def forbidden(*args):
+            raise AssertionError("a product ran before the check")
+
+        monkeypatch.setattr(genus, "_phi_product", forbidden)
+        monkeypatch.setattr(genus._PointEvaluator, "phi", forbidden)
+        code, out = run_cli(argv)
+        name = what.split(" ")[0]
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            f"ValueError: overflow: e^(+-{name}) is not a normal double at {what}")
 
     def test_period_scan_failure_is_exit_one(self, run_cli):
         code, out = run_cli(

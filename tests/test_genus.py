@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import int_series as ring
 from locq import genus, spectral
 from locq.errors import NonConvergentError, ScanInconclusiveError, ToleranceUnreachableError
 from locq.genus import (
@@ -18,12 +21,19 @@ from locq.genus import (
     f_series,
     genus_cpm,
     lattice_periodicity_scan,
-    phi_point,
     phi_series,
 )
 from locq.spectral import Tau, factor_count, nome
 
 GENERIC_TAU = Tau(0.3 + 1.1j)
+
+
+def horner(coeffs, x):
+    """sum_k coeffs[k] x^k, the truncated series at a point."""
+    total = 0j
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
 
 
 class TestLevelData:
@@ -66,8 +76,9 @@ class TestPhi:
     def test_series_matches_pointwise(self):
         tau = Tau(0.2 + 1.3j)
         phi = phi_series(tau, 14)
+        points = genus._PointEvaluator(tau, 1e-12)
         for x in (0.1, 0.05 + 0.03j, -0.08j):
-            assert abs(phi.eval(x) - phi_point(tau, x)) < 1e-10
+            assert abs(horner(phi.coeffs, x) - points.phi(x)) < 1e-10
 
 
 class TestF:
@@ -85,7 +96,7 @@ class TestF:
             lvl = LevelData(n, k, l, Tau(tau))
             f = f_series(lvl, 12)
             for x in (0.11, 0.07 - 0.04j):
-                assert abs(f.eval(x) - f_point(lvl, x)) < 1e-10, (n, k, l, tau, x)
+                assert abs(horner(f.coeffs, x) - f_point(lvl, x)) < 1e-10, (n, k, l, tau, x)
 
     def test_quasi_periodicity(self):
         for (n, k, l) in ((2, 1, 0), (3, 1, 2)):
@@ -210,7 +221,7 @@ class TestPointEvaluatorHoist:
         # |q| rounds to 1 here; that is named even when the cap is invalid
         monkeypatch.setenv("LOCQ_MAX_FACTORS", "0")
         with pytest.raises(NonConvergentError):
-            phi_point(Tau(complex(0.0, 1e-300)), 0.5)
+            genus._PointEvaluator(Tau(complex(0.0, 1e-300)), 1e-12).phi(0.5)
 
 
 class TestGenus:
@@ -240,6 +251,53 @@ class TestGenus:
         direct = unit.invert()
         cubed = direct * direct * direct
         assert genus_cpm(lvl, m).value == pytest.approx(cubed.coeffs[m], rel=1e-12)
+
+
+class TestExponentRefusal:
+    """e^(+-beta) and e^(+-z) at every argument z of Phi the scan will
+    evaluate must be normal doubles; otherwise a ValueError names the
+    overflow before any product is formed."""
+
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a product ran before the check")
+
+        monkeypatch.setattr(genus, "_phi_product", forbidden)
+        monkeypatch.setattr(genus._PointEvaluator, "phi", forbidden)
+
+    # e^beta = 0 (before, ZeroDivisionError) and subnormal (before, 10^6
+    # factors and ToleranceUnreachableError)
+    @pytest.mark.parametrize("im_tau", [400.0, 340.0])
+    def test_beta_off_the_doubles_is_named(self, monkeypatch, im_tau):
+        level = LevelData(3, 1, 0, Tau(complex(0.0, im_tau)))
+        self._forbid_work(monkeypatch)
+        for run in (lambda: genus_cpm(level, 3), lambda: f_point(level, 0.1),
+                    lambda: lattice_periodicity_scan(level)):
+            with pytest.raises(ValueError, match=r"^overflow: e\^\(\+-beta\) is not a normal "
+                                                 r"double at beta = \(-[78]\d\d\.\d+\+0j\)$"):
+                run()
+
+    def test_scan_point_off_the_doubles_is_named(self, monkeypatch):
+        # at m = -3, x + omega - beta has real part 775 (before, OverflowError)
+        level = LevelData(3, 1, 0, Tau(37j))
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^overflow: e\^\(\+-z\) is not a normal double "
+                                             r"at z = \(775\.\d+\+0\.17j\)$"):
+            lattice_periodicity_scan(level)
+
+    def test_just_inside_the_doubles_is_answered(self):
+        # |Re beta| up to -log(min normal) = 708.4: 8 max(|u|, 1/|u|) may
+        # overflow there, so the tail threshold divides by each in turn
+        edge = -math.log(sys.float_info.min) * 3 / (2 * math.pi)
+        inside = LevelData(3, 1, 0, Tau(complex(0.0, edge * (1 - 1e-15))))
+        assert genus_cpm(inside, 3).value == genus_cpm(LevelData(3, 1, 0, Tau(300j)), 3).value
+        with pytest.raises(ValueError, match="overflow"):
+            genus_cpm(LevelData(3, 1, 0, Tau(complex(0.0, edge * (1 + 1e-15)))), 3)
+        # the scan's largest |Re z| is 0.31 + 2 pi (3 + 1/3) Im tau
+        assert lattice_periodicity_scan(LevelData(3, 1, 0, Tau(33.8j))).index == 3
+        with pytest.raises(ValueError, match="overflow"):
+            lattice_periodicity_scan(LevelData(3, 1, 0, Tau(33.81j)))
 
 
 def test_composite_level_with_common_divisor_has_reduced_index():
@@ -294,16 +352,64 @@ def test_factor_cap_is_honored(monkeypatch):
     st.floats(-0.5, 0.5),
     st.floats(0.3, 3.0),
     st.integers(0, 7),
-    st.integers(-4, 4),
-    st.integers(-4, 4),
+    st.integers(0, 4),
+    st.integers(0, 4),
 )
 def test_xseries_power_laws(re_tau, im_tau, order, a, b):
     # x/f-style unit series: Phi(x)/x has constant term exactly 1
     x = phi_series(Tau(complex(re_tau, im_tau)), order + 1).shift_down()
     one = XSeries.one(order)
-    for lhs, rhs in ((x**a * x**b, x ** (a + b)), (x**-1 * x, one)):
+    inverse = x.invert()
+    for lhs, rhs in ((x.int_pow(a) * x.int_pow(b), x.int_pow(a + b)), (inverse * x, one),
+                     (inverse.int_pow(a) * x.int_pow(a), one)):
         tol = lhs.coeff_error + rhs.coeff_error
         assert max(abs(u - v) for u, v in zip(lhs.coeffs, rhs.coeffs)) <= tol
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="exponent must be nonnegative, got -1"):
+        XSeries.one(3).int_pow(-1)
+
+
+def plain_product(a, b):
+    """The truncated Cauchy product as a double loop, a_i b_(k-i) added
+    for i = 0..k from 0j."""
+    out = []
+    for k in range(len(a)):
+        total = 0j
+        for i in range(k + 1):
+            total += a[i] * b[k - i]
+        out.append(total)
+    return out
+
+
+_finite_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_is_the_plain_double_loop(data):
+    n = data.draw(st.integers(1, 12))
+    coeffs = st.lists(_finite_complex, min_size=n, max_size=n)
+    a, b = XSeries._make(data.draw(coeffs)), XSeries._make(data.draw(coeffs))
+    got = (a * b).coeffs
+    # repr round-trips each float: bit identity, signs of zero included
+    assert list(map(repr, got)) == list(map(repr, plain_product(a.coeffs, b.coeffs)))
+
+
+def test_product_of_mismatched_orders_is_refused():
+    with pytest.raises(ValueError, match="x-series orders differ: 3 and 2"):
+        XSeries.one(3) * XSeries.one(2)
+
+
+def test_reciprocal_round_trip():
+    # exact over Fraction, the field the recurrence is generic over
+    rng = random.Random(3)
+    for _ in range(15):
+        n = rng.randint(1, 25)
+        a = [Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 4))]
+        a += [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)]
+        assert ring.mul(a, genus._reciprocal(a)) == [1] + [0] * (n - 1)
 
 
 # -- the genus of CP^m vanishes exactly when N | m+1 ------------------------------

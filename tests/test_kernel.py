@@ -2,7 +2,6 @@
 
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,15 +66,6 @@ def test_mul_trunc_past_the_int_str_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert got == ring.mul(a, b)
     assert got[1] == big * big - 1
-
-
-def test_reciprocal_round_trip():
-    rng = random.Random(3)
-    for _ in range(15):
-        n = rng.randint(1, 25)
-        a = [Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 4))]
-        a += [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)]
-        assert ring.mul(a, kernel.reciprocal(a)) == [1] + [0] * (n - 1)
 
 
 def test_euler_transform_of_a_finite_product():

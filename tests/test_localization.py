@@ -258,8 +258,8 @@ def _reference_prefactor(space, c):
 
 def _sqrt_det_rhs(space, c):
     """Oracle: the real fixed-point sum with each point's denominator
-    pfaffian.sqrt_det of its block-diagonal linearization, which carries
-    the point's sign, so it divides the unsigned numerators."""
+    the sqrt_det of the canonical form of its block-diagonal linearization,
+    which carries the point's sign, so it divides the unsigned numerators."""
     digits = dh_verify(space, c).decimal_digits
     points = _reference_points(space)
     terms = _reference_numerators(space, c, digits)
@@ -267,7 +267,8 @@ def _sqrt_det_rhs(space, c):
         ctx.prec = digits
         total = Decimal(0)
         for (_, _, lams), term in zip(points, terms):
-            total += term / Decimal(pfaffian.sqrt_det(pfaffian.block_diagonal(lams)))
+            form = pfaffian.canonicalize(pfaffian.block_diagonal(lams))
+            total += term / Decimal(form.sqrt_det)
     return (2.0 * math.pi / c) ** space.half_dim * float(total)
 
 
@@ -753,16 +754,66 @@ class TestSumPrecision:
         with pytest.raises(ValueError, match=r"at most 16 sphere factors .*, got 17$"):
             dh_verify(space, 0.5)
 
-    def test_underflowing_exponent_hits_the_cap(self):
-        with pytest.raises(ValueError, match="cancels inf digits"):
+    def test_underflowing_exponent_meets_the_integral_underflow(self):
+        # mu r = 1e-400 underflows, but x = c mu r is sized in logs (620
+        # digits), so the refusal is the true one: the integral 4 pi 1e-400
+        # is below the doubles (before, "cancels inf digits")
+        with pytest.raises(ValueError, match=r"^underflow: the Liouville integral at "
+                                             r"c = 1e-200 is below the normal doubles$"):
             dh_verify(SphereProductSpace.of((1e-200, 1e-200)), 1e-200)
+
+    @pytest.mark.parametrize("pairs,c,digits", [
+        (((1e-150, 1e-180),), 1.0, 350),  # x = 1e-330, below the doubles
+        (((1e-150, 1e-180),), 1e100, 250),  # x = 1e-230, a normal double
+        (((1e-150, 1e-180), (1.0, 1.0)), 0.5, 351),
+    ])
+    def test_underflowing_mu_r_is_sized_from_x(self, pairs, c, digits):
+        # before, |mu r| rounded to 0 before it met c: "cancels inf digits"
+        with mpmath.workdps(50):
+            closed = float(mpmath.fprod(
+                4 * mpmath.pi * r * mpmath.sinh(mpmath.mpf(c) * mu * r) / (mpmath.mpf(c) * mu)
+                for r, mu in pairs))
+        report = dh_verify(SphereProductSpace.of(*pairs), c)
+        assert report.decimal_digits == digits
+        assert report.quad_nodes[0] == 8
+        assert abs(report.rhs - closed) <= 1e-15 * closed
+        assert report.rel_err < 1e-14
+
+    @pytest.mark.parametrize("pairs,c", [
+        (((1e-150, 4e152), (1e-150, 4e152)), 1.0),  # sum 800, largest 400
+        (((1.0, 350.0), (2.0, -2.75)), 2.0),  # sum 711, largest 700
+    ])
+    def test_exponent_bound_is_per_factor(self, pairs, c):
+        # before, |Re c| sum |mu_i r_i| > log(max double) was refused, though
+        # no step forms e^(c H) as a double
+        with mpmath.workdps(50):
+            closed = float(mpmath.fprod(
+                4 * mpmath.pi * r * mpmath.sinh(mpmath.mpf(c) * mu * r) / (mpmath.mpf(c) * mu)
+                for r, mu in pairs))
+        report = dh_verify(SphereProductSpace.of(*pairs), c)
+        assert abs(report.rhs - closed) <= 1e-15 * closed
+        assert report.rel_err < 1e-8
 
     @pytest.mark.parametrize("c", [1000.0, -800.0, 1e308, complex(800.0, 1.0)])
     def test_overflow_named_before_any_work(self, monkeypatch, c):
         space = SphereProductSpace.of((1.0, 1.0))
         self._forbid_work(monkeypatch)
-        with pytest.raises(ValueError, match=r"^overflow: e\^\(c H\) exceeds"):
+        with pytest.raises(ValueError, match=r"^overflow: e\^\(c mu r\) exceeds"):
             dh_verify(space, c)
+
+    def test_largest_exponent_named_before_any_work(self, monkeypatch):
+        # |c| max |mu_i r_i| = 710, one factor's exponent
+        space = SphereProductSpace.of((1.0, 355.0), (2.0, -0.25))
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^overflow: e\^\(c mu r\) exceeds the largest "
+                                             r"double, since \|Re c\| \* max \|mu_i r_i\| = 710.0 "):
+            dh_verify(space, 2.0)
+
+    def test_overflowing_product_named_once_known(self):
+        # each factor's exponent 700 fits a double, their Liouville integral not
+        with pytest.raises(ValueError, match=r"^overflow: the Liouville integral at c = 1.0 "
+                                             r"is not a finite double$"):
+            dh_verify(SphereProductSpace.of((1.0, 700.0), (1.0, 700.0)), 1.0)
 
     # (2 pi / c)^2 reaches the largest double at c = 2 pi / sqrt(max)
     EDGE = localization.TWO_PI / math.sqrt(sys.float_info.max)
