@@ -10,6 +10,7 @@ Subpackages by task:
   genfunc       symmetric-product generating functions and oracles
   genus         level-N elliptic genus pipeline
   cli           one JSON-emitting subcommand per operation
+  oracles       closed forms only the tests use (the CLI never imports it)
 """
 
 from .series import BivariateSeries, FormalSeries, IntegerProductSpec, expand_product

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernel
 from .errors import LocqError
@@ -43,17 +43,21 @@ MAX_BETTI = 1000
 MAX_CHI = 1000
 
 
-@dataclass(frozen=True, slots=True)
-class BettiData:
-    """Finite list b^0, b^1, ..., b^d of nonnegative Betti numbers."""
-
+class _BettiFields(NamedTuple):
     betti: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(b < 0 for b in self.betti):
+
+class BettiData(_BettiFields):
+    """Finite list b^0, b^1, ..., b^d of nonnegative Betti numbers."""
+
+    __slots__ = ()
+
+    def __new__(cls, betti: tuple[int, ...]):
+        if any(b < 0 for b in betti):
             raise ValueError("Betti numbers must be nonnegative")
-        if any(b > MAX_BETTI for b in self.betti):
+        if any(b > MAX_BETTI for b in betti):
             raise ValueError(f"Betti numbers must be at most {MAX_BETTI}")
+        return super().__new__(cls, betti)
 
     @classmethod
     def of(cls, *betti: int) -> "BettiData":
@@ -68,8 +72,7 @@ class BettiData:
         return sum((-1) ** j * b for j, b in enumerate(self.betti))
 
 
-@dataclass(frozen=True, slots=True)
-class GradedSymBasis:
+class GradedSymBasis(NamedTuple):
     """Generator degrees of a graded vector space, split by parity.
 
     Even-degree generators repeat freely in a symmetric power; odd-degree

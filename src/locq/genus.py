@@ -27,8 +27,8 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import BetaSingularityError, ScanInconclusiveError
 from .series import _check_order
@@ -49,30 +49,33 @@ def _check_exponent(what: str, z: complex) -> None:
         raise ValueError(f"overflow: e^(+-{what}) is not a normal double at {what} = {z!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class LevelData:
-    """Level N >= 2 with twist indices 0 <= k, l < N, (k, l) != (0, 0)."""
-
+class _LevelFields(NamedTuple):
     level: int
     k: int
     l: int
     tau: Tau
 
-    def __post_init__(self):
-        if self.level < 2:
+
+class LevelData(_LevelFields):
+    """Level N >= 2 with twist indices 0 <= k, l < N, (k, l) != (0, 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, k: int, l: int, tau: Tau):
+        if level < 2:
             raise ValueError("level must be an integer >= 2")
-        if not (0 <= self.k < self.level and 0 <= self.l < self.level):
+        if not (0 <= k < level and 0 <= l < level):
             raise ValueError("indices must satisfy 0 <= k, l < N")
-        if self.k == 0 and self.l == 0:
+        if k == 0 and l == 0:
             raise ValueError("(k, l) = (0, 0) makes the twist point vanish")
+        return super().__new__(cls, level, k, l, tau)
 
     @property
     def beta(self) -> complex:
         return TWO_PI_I * (self.k * self.tau.value + self.l) / self.level
 
 
-@dataclass(frozen=True, slots=True)
-class XSeries:
+class XSeries(NamedTuple):
     """Power series in the formal variable x with complex coefficients.
 
     `coeff_error` bounds the absolute error of every coefficient: the
@@ -85,13 +88,14 @@ class XSeries:
     coeff_error: float = 0.0
 
     @staticmethod
-    def _make(coeffs, error: float = 0.0) -> "XSeries":
+    def from_coeffs(coeffs, error: float = 0.0) -> "XSeries":
+        """The series with these coefficients, as complex, and this error bound."""
         coeffs = tuple(complex(c) for c in coeffs)
         return XSeries(len(coeffs) - 1, coeffs, error)
 
     @classmethod
     def one(cls, order: int) -> "XSeries":
-        return cls._make([1.0] + [0.0] * order)
+        return cls.from_coeffs([1.0] + [0.0] * order)
 
     def norm1(self) -> float:
         return sum(abs(c) for c in self.coeffs)
@@ -107,7 +111,7 @@ class XSeries:
         # each coefficient sums at most n products: rounding <= n eps |a|_1 |b|_1
         rounding = n * sys.float_info.epsilon * a_norm * b_norm
         err = self.coeff_error * b_norm + other.coeff_error * a_norm + rounding
-        return XSeries._make(out, err)
+        return XSeries.from_coeffs(out, err)
 
     def invert(self) -> "XSeries":
         if self.coeffs[0] == 0:
@@ -115,7 +119,7 @@ class XSeries:
         out = _reciprocal(self.coeffs)
         inv_norm = sum(abs(c) for c in out)
         err = self.coeff_error * inv_norm * inv_norm
-        return XSeries._make(out, err)
+        return XSeries.from_coeffs(out, err)
 
     def int_pow(self, exponent: int) -> "XSeries":
         """Nonnegative integer power by square-and-multiply."""
@@ -156,7 +160,7 @@ def _exp_series(rate: complex, order: int) -> XSeries:
     for k in range(1, order + 1):
         term *= rate / k
         coeffs.append(term)
-    return XSeries._make(coeffs)
+    return XSeries.from_coeffs(coeffs)
 
 
 def _product_factor_count(absq: float, q_tol: float, magnitude: float,
@@ -207,7 +211,7 @@ def _phi_product(tau: Tau, u: complex, x_order: int, q_tol: float) -> XSeries:
     for k in range(1, x_order + 1):
         term *= -1.0 / k
         lead.append(-(u * term))
-    out = XSeries._make(lead)
+    out = XSeries.from_coeffs(lead)
     for n in range(1, m + 1):
         w = q_power(tau, n)
         a, b = w * u, w / u
@@ -221,7 +225,7 @@ def _phi_product(tau: Tau, u: complex, x_order: int, q_tol: float) -> XSeries:
             num = b - a if k % 2 else b + a
             if num != 0:  # at u = 1 every odd k; 0j / denom could give -0.0
                 pair[k] = -num / fact / denom
-        out = out * XSeries._make(pair)
+        out = out * XSeries.from_coeffs(pair)
     return XSeries(out.order, out.coeffs,
                    _tail_error(tau, m, magnitude) * out.norm1() + out.coeff_error)
 
@@ -281,10 +285,20 @@ class _PointEvaluator:
 
 
 def f_point(level: LevelData, x: complex, q_tol: float = 1e-12) -> complex:
-    """Pointwise numeric evaluation of the twisted function f."""
+    """Pointwise numeric evaluation of the twisted function f.
+
+    Refuses, by a ValueError naming x, an x at which e^(+-x) or
+    e^(+-(x - beta)) is not a normal double, before any product, and an x
+    at which the value is not finite.
+    """
     _check_exponent("beta", level.beta)
+    _check_exponent("x", x)
+    _check_exponent("(x - beta)", x - level.beta)
     points = _PointEvaluator(level.tau, q_tol)
-    return points.f(level, x, points.phi(-level.beta))
+    value = points.f(level, x, points.phi(-level.beta))
+    if not cmath.isfinite(value):
+        raise ValueError(f"overflow: f is not finite at x = {x!r}, got {value!r}")
+    return value
 
 
 def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
@@ -301,13 +315,12 @@ def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
     if abs(z0) < 1e-14:
         raise BetaSingularityError("the twist point is a zero of the building block")
     normalized = [1.0 + 0j] + [c / z0 for c in shifted.coeffs[1:]]
-    ratio = XSeries._make(normalized, shifted.coeff_error / abs(z0)).invert()
+    ratio = XSeries.from_coeffs(normalized, shifted.coeff_error / abs(z0)).invert()
     prefactor = _exp_series(level.k / level.level, x_order)
     return prefactor * phi_series(level.tau, x_order, q_tol) * ratio
 
 
-@dataclass(frozen=True, slots=True)
-class GenusValue:
+class GenusValue(NamedTuple):
     value: complex
     error_bound: float
 
@@ -327,8 +340,7 @@ def genus_cpm(level: LevelData, m: int, q_tol: float = 1e-12) -> GenusValue:
     return GenusValue(value=g.coeffs[m], error_bound=max(g.coeff_error, q_tol))
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodScanReport:
+class PeriodScanReport(NamedTuple):
     periods: tuple[tuple[int, int], ...]
     index: int | None
     level: int

@@ -23,7 +23,6 @@ import cmath
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -55,25 +54,27 @@ MAX_COMPLEX_LOSS = 9
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True, slots=True)
-class SphereFactor:
-    """One round 2-sphere: radius and Hamiltonian weight."""
-
+class _SphereFields(NamedTuple):
     radius: float
     weight: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and math.isfinite(self.weight)):
-            raise ValueError(
-                f"radius and weight must be finite, got {self.radius}, {self.weight}"
-            )
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.weight == 0:
+
+class SphereFactor(_SphereFields):
+    """One round 2-sphere: radius and Hamiltonian weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, radius: float, weight: float):
+        if not (math.isfinite(radius) and math.isfinite(weight)):
+            raise ValueError(f"radius and weight must be finite, got {radius}, {weight}")
+        if not radius > 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        if weight == 0:
             raise DegenerateWeightError("zero weight makes the fixed circles non-isolated")
-        if not math.isfinite(self.weight / self.radius):
-            raise ValueError(f"overflow: the rate mu / r = {self.weight!r} / {self.radius!r} "
+        if not math.isfinite(weight / radius):
+            raise ValueError(f"overflow: the rate mu / r = {weight!r} / {radius!r} "
                              f"is not a finite double")
+        return super().__new__(cls, radius, weight)
 
     @property
     def rate(self) -> float:
@@ -81,15 +82,19 @@ class SphereFactor:
         return self.weight / self.radius
 
 
-@dataclass(frozen=True, slots=True)
-class SphereProductSpace:
-    """Product of round 2-spheres, oriented by the product of area forms."""
-
+class _SpaceFields(NamedTuple):
     factors: tuple[SphereFactor, ...]
 
-    def __post_init__(self):
-        if not self.factors:
+
+class SphereProductSpace(_SpaceFields):
+    """Product of round 2-spheres, oriented by the product of area forms."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors: tuple[SphereFactor, ...]):
+        if not factors:
             raise ValueError("at least one sphere factor is required")
+        return super().__new__(cls, factors)
 
     @classmethod
     def of(cls, *pairs: tuple[float, float]) -> "SphereProductSpace":
@@ -100,8 +105,7 @@ class SphereProductSpace:
         return len(self.factors)
 
 
-@dataclass(frozen=True, slots=True)
-class FixedPoints:
+class FixedPoints(NamedTuple):
     """The 2^n fixed points: one (north, south) rate pair per factor and H.
 
     Point p's signs and rates are the p-th entries of itertools.product((1,
@@ -111,6 +115,9 @@ class FixedPoints:
     rates: tuple[tuple[float, float], ...]
     h_values: list[float]
 
+    # len is the number of points, not of fields. That would break _make and
+    # _replace, which check len; nothing calls them on FixedPoints, and pickling
+    # and copying go through __getnewargs__, which iterates the two fields.
     def __len__(self) -> int:
         return len(self.h_values)
 
@@ -183,23 +190,6 @@ def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
     else:
         total = float(np.dot(w, np.exp(c * factor.weight * z)))
     return TWO_PI * factor.radius * factor.radius * total
-
-
-def factor_integral_closed(factor: SphereFactor, c):
-    """Closed form 4 pi r sinh(c mu r) / (c mu); the c -> 0 limit is 4 pi r^2."""
-    x = c * factor.weight * factor.radius
-    if x == 0:
-        return 4.0 * math.pi * factor.radius**2
-    sinh = cmath.sinh(x) if isinstance(x, complex) else math.sinh(x)
-    return 4.0 * math.pi * factor.radius * sinh / (c * factor.weight)
-
-
-def dh_lhs_closed(space: SphereProductSpace, c):
-    """Closed-form Liouville integral of e^(c H), for cross-checking the quadratures."""
-    out = 1.0 + 0.0j if isinstance(c, complex) else 1.0
-    for f in space.factors:
-        out *= factor_integral_closed(f, c)
-    return out
 
 
 def _size_term(factor: SphereFactor, c):
@@ -398,8 +388,7 @@ def _fixed_point_sum(halves, digits: int | None, terms=(1,), scale=0):
     return terms, scale, shift, rhs
 
 
-@dataclass(frozen=True, slots=True)
-class DHReport:
+class DHReport(NamedTuple):
     lhs: float | complex
     rhs: float | complex
     rel_err: float

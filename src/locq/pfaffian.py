@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotSkewSymmetricError, OddDimensionError, SingularMatrixError
 
@@ -183,8 +182,7 @@ def pfaffian_tridiagonal(a: SkewMatrix) -> float:
     return det_q * math.prod(np.diagonal(t, 1)[::2].tolist())
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Block-diagonalizing data: A = basis @ blockdiag(...) @ basis^T."""
 
     lambdas: tuple[float, ...]
@@ -226,16 +224,3 @@ def canonicalize(a: SkewMatrix) -> CanonicalForm:
         basis[:, -1] = -basis[:, -1]
         lambdas[-1] = -lambdas[-1]
     return CanonicalForm(lambdas=tuple(lambdas), basis=basis)
-
-
-def block_diagonal(lambdas) -> SkewMatrix:
-    """Assemble the skew matrix with 2x2 blocks [[0, -l], [l, 0]]."""
-    import numpy as np
-
-    lams = list(lambdas)
-    d = 2 * len(lams)
-    m = np.zeros((d, d))
-    for j, lam in enumerate(lams):
-        m[2 * j, 2 * j + 1] = -lam
-        m[2 * j + 1, 2 * j] = lam
-    return SkewMatrix(m)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateParametersError, PochhammerZeroDivisionError
 from .spectral import check_tolerance, factor_count
@@ -92,8 +91,7 @@ def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class BilateralSeriesSpec:
+class BilateralSeriesSpec(NamedTuple):
     """Parameters of the two-sided basic hypergeometric sum."""
 
     numerator_params: tuple
@@ -111,8 +109,7 @@ class BilateralSeriesSpec:
         )
 
 
-@dataclass(slots=True)
-class PsiSummary:
+class PsiSummary(NamedTuple):
     """Value of a bilateral sum plus convergence diagnostics."""
 
     value: Scalar
@@ -122,7 +119,7 @@ class PsiSummary:
     upper_terminated: bool
     lower_terminated: bool
     converged: bool
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
 
 def _psi_term(spec: BilateralSeriesSpec, n: int):
@@ -203,27 +200,20 @@ def bilateral_psi(
     while True:
         summary = _psi_window(tails, w)
         if summary.notes:
-            summary.converged = False
             return summary
         if summary.upper_terminated and summary.lower_terminated:
-            summary.converged = True
-            return summary
+            return summary._replace(converged=True)
         if prev is not None:
             scale = max(_magnitude(summary.value), 1.0)
             if _magnitude(summary.value - prev) <= tol * scale:
-                summary.converged = True
-                return summary
+                return summary._replace(converged=True)
         edge = max(summary.upper_tail, summary.lower_tail)
         if prev_edge is not None and edge >= prev_edge:
-            summary.notes.append("tail terms fail to decay; series non-convergent here")
-            summary.converged = False
-            return summary
+            return summary._replace(notes=("tail terms fail to decay; series non-convergent here",))
         prev, prev_edge = summary.value, edge
         w *= 2
         if w > MAX_WINDOW:
-            summary.notes.append("window cap reached before convergence")
-            summary.converged = False
-            return summary
+            return summary._replace(notes=("window cap reached before convergence",))
 
 
 def _magnitude(value) -> float:
@@ -431,7 +421,14 @@ def _psi_window(tails: tuple[_Tail, _Tail], window: int) -> PsiSummary:
     upper_tail, upper_zero = upper.edge()
     lower_tail, lower_zero = lower.edge()
     overflowed = min(lower.first_overflow, upper.first_overflow) <= window
-    summary = PsiSummary(
+    scale = max(_magnitude(total), 1.0)
+    if overflowed:
+        notes = ("term overflow; series non-convergent here",)
+    elif upper_tail > scale or lower_tail > scale:
+        notes = ("tail terms fail to decay; series non-convergent here",)
+    else:
+        notes = ()
+    return PsiSummary(
         value=total,
         window=window,
         upper_tail=upper_tail,
@@ -439,17 +436,11 @@ def _psi_window(tails: tuple[_Tail, _Tail], window: int) -> PsiSummary:
         upper_terminated=upper_zero and not overflowed,
         lower_terminated=lower_zero and not overflowed,
         converged=False,
+        notes=notes,
     )
-    scale = max(_magnitude(total), 1.0)
-    if overflowed:
-        summary.notes.append("term overflow; series non-convergent here")
-    elif upper_tail > scale or lower_tail > scale:
-        summary.notes.append("tail terms fail to decay; series non-convergent here")
-    return summary
 
 
-@dataclass(frozen=True, slots=True)
-class SaalschutzResult:
+class SaalschutzResult(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     equal: bool

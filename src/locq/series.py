@@ -16,8 +16,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from . import kernel
 from .errors import DegenerateFactorError
@@ -35,8 +34,7 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at most {MAX_ORDER}")
 
 
-@dataclass(frozen=True, slots=True)
-class FormalSeries:
+class FormalSeries(NamedTuple):
     """Truncated power series in q with exact integer coefficients."""
 
     order: int
@@ -86,8 +84,7 @@ def expand_product(spec: "IntegerProductSpec", order: int) -> FormalSeries:
     return FormalSeries(order, tuple(scale * v for v in nums))
 
 
-@dataclass(frozen=True, slots=True)
-class IntegerProductSpec:
+class IntegerProductSpec(NamedTuple):
     """Integer-exponent restriction of the spectral infinite products."""
 
     a: int
@@ -114,8 +111,7 @@ class IntegerProductSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BivariateSeries:
+class BivariateSeries(NamedTuple):
     """Power series in q whose coefficients are integer Laurent polynomials in y."""
 
     order: int
@@ -123,7 +119,8 @@ class BivariateSeries:
     y_truncated: bool = False
 
     @staticmethod
-    def _make(order: int, coeffs: list[dict], y_truncated: bool = False) -> "BivariateSeries":
+    def from_coeffs(order: int, coeffs: list[dict], y_truncated: bool = False) -> "BivariateSeries":
+        """The series with these coefficients, each dropping its zero terms."""
         cleaned = [{e: c for e, c in d.items() if c} for d in coeffs]
         return BivariateSeries(order, tuple(cleaned), y_truncated)
 
@@ -152,7 +149,7 @@ class BivariateSeries:
             kept = {e: c for e, c in d.items() if abs(e) <= y_bound}
             dropped = dropped or (len(kept) != len(d))
             out.append(kept)
-        return BivariateSeries._make(self.order, out, self.y_truncated or dropped)
+        return BivariateSeries.from_coeffs(self.order, out, self.y_truncated or dropped)
 
     def to_json_dict(self) -> dict:
         data = {

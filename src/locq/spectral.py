@@ -13,8 +13,7 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import NonConvergentError, ToleranceUnreachableError
 
@@ -47,15 +46,19 @@ def check_tolerance(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be positive and finite, got {tol}")
 
 
-@dataclass(frozen=True, slots=True)
-class Tau:
-    """Modular parameter in the upper half-plane."""
-
+class _TauFields(NamedTuple):
     value: complex
 
-    def __post_init__(self):
-        if not self.value.imag > 0:
-            raise ValueError(f"tau must have positive imaginary part, got {self.value}")
+
+class Tau(_TauFields):
+    """Modular parameter in the upper half-plane."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: complex):
+        if not value.imag > 0:
+            raise ValueError(f"tau must have positive imaginary part, got {value}")
+        return super().__new__(cls, value)
 
 
 def rho(tau: Tau) -> float:
@@ -77,32 +80,35 @@ def nome(tau: Tau) -> complex:
     return q_power(tau, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralParams:
-    """Parameter tuple (a, epsilon, ell, sign, tau) of one infinite product."""
-
+class _SpectralFields(NamedTuple):
     a: float
     epsilon: complex
     ell: int
     sign: Branch
     tau: Tau
 
-    def __post_init__(self):
-        if not self.a > 0:
+
+class SpectralParams(_SpectralFields):
+    """Parameter tuple (a, epsilon, ell, sign, tau) of one infinite product."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, epsilon: complex, ell: int, sign: Branch, tau: Tau):
+        if not a > 0:
             raise ValueError("a must be a positive real number")
-        if self.ell < 0:
+        if ell < 0:
             raise ValueError("ell must be a nonnegative integer")
-        if self.sign not in ("minus", "plus"):
+        if sign not in ("minus", "plus"):
             raise ValueError("sign must be 'minus' or 'plus'")
-        if abs(q_power(self.tau, self.a)) >= 1:
+        if abs(q_power(tau, a)) >= 1:
             raise NonConvergentError("|q|^a must be < 1 for the product to converge")
+        return super().__new__(cls, a, epsilon, ell, sign, tau)
 
     def with_sign(self, sign: Branch) -> "SpectralParams":
         return SpectralParams(self.a, self.epsilon, self.ell, sign, self.tau)
 
 
-@dataclass(frozen=True, slots=True)
-class SValue:
+class SValue(NamedTuple):
     """Spectral argument with the branch that produced it."""
 
     s: complex
@@ -120,8 +126,7 @@ def s_of_params(p: SpectralParams) -> SValue:
     return SValue(base, "minus")
 
 
-@dataclass(frozen=True, slots=True)
-class ProductValue:
+class ProductValue(NamedTuple):
     value: complex
     factors_used: int
     s: SValue
@@ -177,8 +182,7 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     return ProductValue(value=value, factors_used=used, s=s_of_params(p))
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftCheck:
+class ShiftCheck(NamedTuple):
     difference: complex
     expected: complex
     passed: bool

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import genfunc, genus, localization, pfaffian, qhyper, spectral
 from .errors import LocqError
@@ -22,8 +22,7 @@ from .series import IntegerProductSpec, expand_product, polynomial_power
 from .spectral import SpectralParams, Tau
 
 
-@dataclass(frozen=True, slots=True)
-class Row:
+class Row(NamedTuple):
     """One identity's result: `checks` cases, their `worst`, and its `tolerance`.
 
     An exact row (tolerance None) passes iff worst, its mismatch count, is
@@ -89,8 +88,7 @@ def within(identity: str, errors, tolerance: float) -> Row:
     return Row(identity, checks, worst, tolerance)
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     rows: tuple[Row, ...]
 

@@ -286,6 +286,23 @@ class TestExponentRefusal:
                                              r"at z = \(775\.\d+\+0\.17j\)$"):
             lattice_periodicity_scan(level)
 
+    def test_point_off_the_doubles_is_named(self, monkeypatch):
+        # before, a bare OverflowError: math range error from cmath.exp
+        self._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^overflow: e\^\(\+-x\) is not a normal double "
+                                             r"at x = 800$"):
+            f_point(LevelData(2, 1, 0, Tau(1j)), 800)
+        # x is a normal exponent, x - beta = 500 + 100 pi is not
+        with pytest.raises(ValueError, match=r"^overflow: e\^\(\+-\(x - beta\)\) is not a normal "
+                                             r"double at \(x - beta\) = \(814\.\d+\+0j\)$"):
+            f_point(LevelData(2, 1, 0, Tau(100j)), 500)
+
+    def test_point_with_no_finite_value_is_named(self):
+        # before, (nan+nanj) with no error
+        with pytest.raises(ValueError, match=r"^overflow: f is not finite at x = 700, "
+                                             r"got \(nan\+nanj\)$"):
+            f_point(LevelData(2, 1, 0, Tau(1j)), 700)
+
     def test_just_inside_the_doubles_is_answered(self):
         # |Re beta| up to -log(min normal) = 708.4: 8 max(|u|, 1/|u|) may
         # overflow there, so the tail threshold divides by each in turn
@@ -391,7 +408,7 @@ _finite_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_i
 def test_product_is_the_plain_double_loop(data):
     n = data.draw(st.integers(1, 12))
     coeffs = st.lists(_finite_complex, min_size=n, max_size=n)
-    a, b = XSeries._make(data.draw(coeffs)), XSeries._make(data.draw(coeffs))
+    a, b = XSeries.from_coeffs(data.draw(coeffs)), XSeries.from_coeffs(data.draw(coeffs))
     got = (a * b).coeffs
     # repr round-trips each float: bit identity, signs of zero included
     assert list(map(repr, got)) == list(map(repr, plain_product(a.coeffs, b.coeffs)))

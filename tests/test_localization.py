@@ -1,8 +1,10 @@
 """Fixed-point localization on sphere products: the identity is the oracle."""
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -15,16 +17,16 @@ from hypothesis import example, given, settings, strategies as st
 from locq import localization, pfaffian, verify
 from locq.errors import DegenerateWeightError
 from locq.localization import (
+    FixedPoints,
     PrefixCheck,
     SphereFactor,
     SphereProductSpace,
-    dh_lhs_closed,
     dh_verify,
     enumerate_fixed_points,
-    factor_integral_closed,
     factor_integral_quad,
     _half_terms,
 )
+from locq.oracles import block_diagonal, dh_lhs_closed, factor_integral_closed
 
 
 # Step of the central difference in _numerical_rate.
@@ -60,6 +62,13 @@ class TestFixedPoints:
         assert len(pts) == 2
         assert pts.rates == ((1.0, -1.0),)
         assert pts.h_values == [1.0, -1.0]
+
+    def test_len_counts_points_through_copies(self):
+        # len is 2^n, not the field count, and survives pickling and copying
+        pts = enumerate_fixed_points(SphereProductSpace.of((1.0, 1.0), (2.0, 0.5), (1.0, 3.0)))
+        assert len(pts) == 8
+        for other in (pickle.loads(pickle.dumps(pts)), copy.copy(pts), copy.deepcopy(pts)):
+            assert type(other) is FixedPoints and other == pts and len(other) == 8
 
     def test_two_spheres_h_values(self):
         pts = enumerate_fixed_points(SphereProductSpace.of((1.0, 1.0), (1.0, 1.0)))
@@ -267,7 +276,7 @@ def _sqrt_det_rhs(space, c):
         ctx.prec = digits
         total = Decimal(0)
         for (_, _, lams), term in zip(points, terms):
-            form = pfaffian.canonicalize(pfaffian.block_diagonal(lams))
+            form = pfaffian.canonicalize(block_diagonal(lams))
             total += term / Decimal(form.sqrt_det)
     return (2.0 * math.pi / c) ** space.half_dim * float(total)
 

@@ -12,9 +12,9 @@ from locq.errors import (
     OddDimensionError,
     SingularMatrixError,
 )
+from locq.oracles import block_diagonal
 from locq.pfaffian import (
     SkewMatrix,
-    block_diagonal,
     canonicalize,
     pfaffian,
     pfaffian_combinatorial,

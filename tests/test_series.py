@@ -143,14 +143,14 @@ class TestJson:
         assert data == {"var": "q", "order": 2, "coeffs": ["1/1", "-12/1", "0/1"]}
 
     def test_bivariate_schema(self):
-        b = BivariateSeries._make(2, [{0: 1}, {-2: 3}, {}])
+        b = BivariateSeries.from_coeffs(2, [{0: 1}, {-2: 3}, {}])
         data = b.to_json_dict()
         assert data["coeffs"][1] == {"-2": 3}
 
 
 class TestBivariate:
     def test_filter_y_marks_truncation(self):
-        b = BivariateSeries._make(3, [{0: 1}, {5: 1}, {}, {}])
+        b = BivariateSeries.from_coeffs(3, [{0: 1}, {5: 1}, {}, {}])
         filtered = b.filter_y(2)
         assert filtered.y_truncated
         assert filtered.q_coefficient(1) == {}
@@ -163,7 +163,7 @@ class TestBivariate:
         st.integers(-4, 4),
     )
     def test_specialize_y_evaluates_each_coefficient(self, coeffs, y):
-        b = BivariateSeries._make(len(coeffs) - 1, coeffs)
+        b = BivariateSeries.from_coeffs(len(coeffs) - 1, coeffs)
         low = min((e for d in b.coeffs for e in d), default=0)
         if low < 0:
             with pytest.raises(ValueError, match=rf"lowest is {low}$"):
