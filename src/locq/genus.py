@@ -105,9 +105,25 @@ class XSeries(NamedTuple):
             raise ValueError(f"x-series orders differ: {self.order} and {other.order}")
         a, b = self.coeffs, other.coeffs
         n = len(a)
-        # coefficient k adds a_i b_(k-i) for i = 0..k, left to right from 0j
-        out = [sum(map(operator.mul, a[:k + 1], b[k::-1]), 0j) for k in range(n)]
         a_norm, b_norm = self.norm1(), other.norm1()
+        # coefficient k adds a_i b_(k-i) for i = 0..k, left to right from 0j.
+        # Where every coefficient is finite (so both norms are), a product
+        # past either factor's last nonzero coefficient is a zero, which
+        # leaves such a sum as it is, signed zeros included, so none is
+        # added: a is cut after its last, and past k = last_b the products
+        # start at b's last nonzero coefficient.
+        last_a = last_b = n - 1
+        if math.isfinite(a_norm) and math.isfinite(b_norm):  # else inf * 0 is nan
+            while last_a >= 0 and not a[last_a]:
+                last_a -= 1
+            while last_b >= 0 and not b[last_b]:
+                last_b -= 1
+        cut = a[:last_a + 1]
+        out = [sum(map(operator.mul, cut[:k + 1], b[k::-1]), 0j) for k in range(last_b + 1)]
+        if last_b < n - 1:
+            tail = b[last_b::-1]
+            out += [sum(map(operator.mul, cut[k - last_b:k + 1], tail), 0j)
+                    for k in range(last_b + 1, n)]
         # each coefficient sums at most n products: rounding <= n eps |a|_1 |b|_1
         rounding = n * sys.float_info.epsilon * a_norm * b_norm
         err = self.coeff_error * b_norm + other.coeff_error * a_norm + rounding

@@ -12,7 +12,8 @@ identity
 
 holds exactly, which makes it a machine-checkable oracle: the left side is
 evaluated by Gauss-Legendre quadrature, the right side by the fixed-point
-sum with the sqrt-det sign convention of locq.pfaffian.
+sum with the sqrt-det sign convention of locq.pfaffian.  A PrefixCheck
+folds over its factors, so the check on n + 1 extends its prefix's by one step.
 
 NumPy is imported inside the quadrature, the only code that uses it.
 """
@@ -43,7 +44,7 @@ QUAD_COUNTS = tuple(1 << k for k in range(3, MAX_QUAD_POINTS.bit_length()))
 # so the cost of each operation, before any work.
 MAX_DECIMAL_DIGITS = 1000
 # Its integer mantissas carry this many bits beyond those digits, so that
-# the rounding bound of _fixed_point_sum, n 2^(2n - 1) units of the last
+# the rounding bound of PrefixCheck._fold, n 2^(2n - 1) units of the last
 # bit, stays below 2^GUARD_BITS for every n up to MAX_FACTORS.
 GUARD_BITS = 2 * MAX_FACTORS + 4
 # The complex sum runs in doubles, so it may cancel at most this many of
@@ -52,6 +53,7 @@ MAX_COMPLEX_LOSS = 9
 # A factor's e^(c mu r), the largest exponential any step forms as a
 # double, fits one while |Re c mu r| stays below this.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_NORMAL_MIN = sys.float_info.min
 
 
 class _SphereFields(NamedTuple):
@@ -169,7 +171,7 @@ def _check_normal(what: str, c, value) -> None:
     doubles, where it has lost digits, naming `what`."""
     if not cmath.isfinite(value):
         raise ValueError(f"overflow: {what} at c = {c!r} is not a finite double")
-    if abs(value) < sys.float_info.min:
+    if abs(value) < _NORMAL_MIN:
         raise ValueError(f"underflow: {what} at c = {c!r} is below the normal doubles")
 
 
@@ -288,7 +290,7 @@ def _half_terms(factor: SphereFactor, c, digits: int | None):
     point's term carries its share of (2 pi / c)^n; as (pair, scale,
     shift): the half-terms are pair / 2^scale, and a product that ends in
     them drops `shift` bits before it is multiplied again
-    (_fixed_point_sum).
+    (PrefixCheck._fold).
 
     Where digits is None (complex c) the pair is two complex floats, scale
     and shift 0.  At real c the pair is computed in Decimal at digits + 3
@@ -334,60 +336,6 @@ def _rounded(terms, shift: int):
     return [(t + half) >> shift for t in terms]
 
 
-def _fixed_point_sum(halves, digits: int | None, terms=(1,), scale=0):
-    """(terms, scale, shift, rhs): the point terms (2 pi / c)^n e^(c H(p)) /
-    prod_j l_j, their sum(terms) / 2^scale, the bits a term drops before it
-    is multiplied again, and rhs, their sum as a double.
-
-    The terms are `terms` (rounded, at the scale 2^-scale) extended by the
-    factors whose _half_terms are `halves`, by subset doubling in the
-    order of enumerate_fixed_points: each term t splits into t times the
-    factor's two half-terms.  Complex terms are never rounded and are
-    added left to right from int 0 in complex floats.
-
-    At real c a term is a product of integer mantissas.  A product of two
-    or more is rounded to nearest, by the bit length b of its last
-    factor's larger mantissa, only when it is multiplied again, so a leaf
-    check's terms are exact products.  The terms are added exactly, and
-    their sum over 2^b (b its bit length) is rounded once to a double by
-    int / int division and scaled by 2^(b - scale), so rhs is sum(terms) /
-    2^scale rounded once wherever that is a normal double.
-
-    Error bound, given the mantissas: each rounding is off by at most half
-    a unit, and |m| < 2^b keeps an earlier error from growing, so each of
-    the 2^n terms is off by fewer than n half-units at the terms' scale (a
-    unit is 2^b of the last factor), and their sum by at most 2^n n.  A
-    rounding drops at most one bit more than its mantissa added, so the
-    largest term keeps at least 2 bits - n bits (bits = ceil(digits
-    log2 10) + GUARD_BITS), and the bound is at most n 2^(2n - 1 -
-    GUARD_BITS) 10^-digits <= 10^-digits / 2 of the largest term: at most
-    10^-20 / 2 of a sum that cancels D <= digits - 20 digits (_size_check).
-    The half-terms' own errors, a few units in their (digits + 3)-th digit,
-    reach the sum through prod_j (h_j+ + h_j-) and move it by about
-    n 10^(D - digits - 2) of itself.
-    """
-    shift = 0
-    for pair, pair_scale, pair_shift in halves:
-        if shift:
-            terms = _rounded(terms, shift)
-        terms = [t * h for t in terms for h in pair]
-        scale += pair_scale - shift
-        # a term of one mantissa is already at the mantissas' scale
-        shift = pair_shift if len(terms) > 2 else 0
-    if digits is None:
-        total = 0
-        for t in terms:
-            total += t
-        return terms, scale, shift, total
-    total = sum(terms)
-    bits = total.bit_length()
-    try:
-        rhs = math.ldexp(total / (1 << bits), bits - scale)
-    except OverflowError:  # too large for a double
-        rhs = math.inf
-    return terms, scale, shift, rhs
-
-
 class DHReport(NamedTuple):
     lhs: float | complex
     rhs: float | complex
@@ -428,18 +376,18 @@ class PrefixCheck(NamedTuple):
     factor's work once.  The fields are left folds over the factors: the
     sizes (_size_check), the quadrature product lhs and the point terms at
     `digits` digits (sum(terms) / 2^scale, each rounded by `shift` bits
-    before it is multiplied again), with rhs their sum (_fixed_point_sum).
+    before it is multiplied again), with rhs their sum.
 
-    extend(*indices) makes every refusal before any work (_size_check's,
-    then an unsized factor's), takes each fold's
-    steps for all the new factors and builds the terms once, at the final
-    digits: from this check's rounded terms where the digits did not rise,
-    else from (1,) over all the factors, since every mantissa depends on
-    the digits.  children(indices) is [extend(i) for i in indices], bit
-    for bit, with this check's terms rounded once for all of them.  A
-    result that is not a normal double is refused once it is known
-    (_check_normal), so rel_err divides by a normal |rhs|.  An empty check
-    is no check; dh_verify extends it by all of a space's factors.
+    extend(*indices) makes every refusal before any work (the factor cap,
+    _size_check's, then an unsized factor's), takes one step of each fold
+    per new factor and builds the terms once, at the final digits: from
+    this check's rounded terms where the digits did not rise, else from
+    (1,) over all the factors, since every mantissa depends on the digits.
+    children(indices) is [extend(i) for i in indices], bit for bit, with
+    this check's terms rounded once for all of them.  A result that is not
+    a normal double is refused once it is known (_check_normal), so
+    rel_err divides by a normal |rhs|.  An empty check is no check;
+    dh_verify extends it by all of a space's factors.
     """
 
     table: _FactorTable
@@ -459,13 +407,44 @@ class PrefixCheck(NamedTuple):
                    lhs=1.0 + 0.0j if isinstance(c, complex) else 1.0)
 
     def extend(self, *indices: int) -> "PrefixCheck":
-        return self._grow((indices,))[0]
+        return self._fold([indices])[0]
 
     def children(self, indices) -> list["PrefixCheck"]:
-        return self._grow([(i,) for i in indices])
+        return self._fold(zip(indices))
 
-    def _grow(self, additions) -> list["PrefixCheck"]:
-        """One check per tuple of new indices in `additions`, in order."""
+    def _fold(self, additions) -> list["PrefixCheck"]:
+        """One check per tuple of new indices in `additions`, in order, each
+        this check extended by those factors: one step of each fold per new
+        factor, and one _size_check, sum and pair of normal checks per check.
+
+        The point terms (2 pi / c)^n e^(c H(p)) / prod_j l_j are doubled by
+        each factor's half-term pair in the order of enumerate_fixed_points:
+        each term t splits into t times the factor's two half-terms.
+        Complex terms are never rounded and are added left to right from
+        int 0 in complex floats.
+
+        At real c a term is a product of integer mantissas.  A product of
+        two or more is rounded to nearest, by the bit length b of its last
+        factor's larger mantissa, only when it is multiplied again, so a
+        leaf check's terms are exact products.  The terms are added
+        exactly, and their sum over 2^b (b its bit length) is rounded once
+        to a double by int / int division and scaled by 2^(b - scale), so
+        rhs is sum(terms) / 2^scale rounded once wherever that is a normal
+        double.
+
+        Error bound, given the mantissas: each rounding is off by at most
+        half a unit, and |m| < 2^b keeps an earlier error from growing, so
+        each of the 2^n terms is off by fewer than n half-units at the
+        terms' scale (a unit is 2^b of the last factor), and their sum by
+        at most 2^n n.  A rounding drops at most one bit more than its
+        mantissa added, so the largest term keeps at least 2 bits - n bits
+        (bits = ceil(digits log2 10) + GUARD_BITS), and the bound is at
+        most n 2^(2n - 1 - GUARD_BITS) 10^-digits <= 10^-digits / 2 of the
+        largest term: at most 10^-20 / 2 of a sum that cancels D <= digits
+        - 20 digits (_size_check).  The half-terms' own errors, a few units
+        in their (digits + 3)-th digit, reach the sum through prod_j (h_j+ +
+        h_j-) and move it by about n 10^(D - digits - 2) of itself.
+        """
         table = self.table
         c, size_terms, unsized = table.c, table.size_terms, table.unsized
         rounded = None  # this check's terms, rounded once for every child
@@ -477,7 +456,8 @@ class PrefixCheck(NamedTuple):
             for i in indices:
                 step, step_loss, _ = size_terms[i]
                 scale_max, loss = max(scale_max, step), loss + step_loss
-            digits = _size_check((scale_max, loss), c)
+            sizes = scale_max, loss
+            digits = _size_check(sizes, c)
             if unsized and not unsized.isdisjoint(indices):
                 f = table.factors[next(i for i in indices if i in unsized)]
                 raise ValueError(
@@ -487,19 +467,38 @@ class PrefixCheck(NamedTuple):
             lhs, quads = self.lhs, table.quads
             for i in indices:
                 lhs *= quads[i]
-            _check_normal("the Liouville integral", c, lhs)
+            if not _NORMAL_MIN <= abs(lhs) < math.inf:
+                _check_normal("the Liouville integral", c, lhs)
             halves = table.half_terms(digits)
             if digits == self.digits and indices:
                 if rounded is None:
                     rounded = _rounded(self.terms, self.shift) if self.shift else self.terms
-                terms, scale, shift, rhs = _fixed_point_sum(
-                    [halves[i] for i in indices], digits, rounded, self.scale - self.shift)
+                terms, scale, new = rounded, self.scale - self.shift, indices
             else:
-                terms, scale, shift, rhs = _fixed_point_sum(
-                    [halves[i] for i in everything], digits)
-            _check_normal("the fixed-point sum", c, rhs)
-            out.append(PrefixCheck(table, everything, (scale_max, loss), lhs, digits, terms,
-                                   scale, shift, rhs))
+                terms, scale, new = (1,), 0, everything
+            shift = 0
+            for i in new:
+                pair, pair_scale, pair_shift = halves[i]
+                if shift:
+                    terms = _rounded(terms, shift)
+                terms = [t * h for t in terms for h in pair]
+                scale += pair_scale - shift
+                # a term of one mantissa is already at the mantissas' scale
+                shift = pair_shift if len(terms) > 2 else 0
+            if digits is None:
+                rhs = 0
+                for t in terms:
+                    rhs += t
+            else:
+                total = sum(terms)
+                bits = total.bit_length()
+                try:
+                    rhs = math.ldexp(total / (1 << bits), bits - scale)
+                except OverflowError:  # too large for a double
+                    rhs = math.inf
+            if not _NORMAL_MIN <= abs(rhs) < math.inf:
+                _check_normal("the fixed-point sum", c, rhs)
+            out.append(PrefixCheck(table, everything, sizes, lhs, digits, terms, scale, shift, rhs))
         return out
 
     @property

@@ -2,8 +2,9 @@
 
 Two independent evaluation paths are kept side by side: the combinatorial
 expansion along the first row (exact up to rounding, used for dim <= 8 and
-as the oracle) and Householder tridiagonalization with orthogonal
-similarity transforms for larger matrices.  canonicalize(A).sqrt_det
+as the oracle) and, for larger matrices, Householder reflections of the
+even columns only, n/2 - 1 of them at dim n, each an orthogonal similarity
+of the trailing block.  canonicalize(A).sqrt_det
 fixes the sign of det(A)^(1/2) through the canonical-form convention: an
 oriented orthonormal basis in which A consists of 2x2 blocks
 [[0, -l_j], [l_j, 0]], whence det(A)^(1/2) = prod_j l_j = (-1)^n Pf(A) for
@@ -61,17 +62,16 @@ class SkewMatrix:
             raise OddDimensionError(
                 f"dimension must be a positive even integer, got {a.shape[0]}"
             )
-        bad = np.argwhere(~np.isfinite(a))
-        if len(bad):
-            row, col = (int(i) for i in bad[0])
+        if not np.isfinite(a).all():
+            row, col = (int(i) for i in np.argwhere(~np.isfinite(a))[0])
             raise ValueError(
                 f"matrix entries must be finite, got {float(a[row, col])!r} at "
                 f"(row, col) = ({row}, {col})"
             )
         with np.errstate(all="ignore"):
-            deviation = float(np.max(np.abs(a + a.T))) / 2.0
+            deviation = float(abs(a + a.T).max()) / 2.0
             skew = (a - a.T) / 2.0
-            largest = float(np.max(np.abs(a)))
+            largest = float(abs(a).max())
             if largest > sys.float_info.max / 2:  # where A - A^T overflows, A/2 - A^T/2 is exact
                 skew = np.where(np.isfinite(skew), skew, a / 2.0 - a.T / 2.0)
         if deviation > SKEW_TOL * largest:
@@ -149,37 +149,41 @@ def _pf_minor(m: list[list[float]], idx: tuple[int, ...], minors: dict) -> float
 
 
 def pfaffian_tridiagonal(a: SkewMatrix) -> float:
-    """Householder reduction to skew tridiagonal form.
+    """Householder reduction of the even columns (Wimmer, ACM TOMS 38, 2012).
 
-    Each reflector H is orthogonal with det(H) = -1 and Pf(H A H^T) =
-    det(H) Pf(A), so the sign is restored by counting reflectors; the
-    Pfaffian of the tridiagonal is the product of its odd superdiagonal
-    entries T[0,1] T[2,3] ...
+    Once column k is zero below row k+1, expanding along row k gives
+    Pf(A[k:, k:]) = a_k,k+1 Pf(A[k+2:, k+2:]).  So only columns 0, 2, 4,
+    ... are reflected, and only the trailing block is updated.  The
+    reflector H = I - 2 v v^T on rows and columns k+1.. maps the column x
+    = A[k+1:, k] to -copysign(|x|, x_0) e_1 and has det(H) = -1, so
+    Pf(A[k:, k:]) = -copysign(|x|, x_0) Pf(B), where B is the trailing
+    block of H A H^T = A + 2 (v w^T - w v^T), w = A v, which stays exactly
+    skew.  A column already zero below row k+1 is not reflected, so dim n
+    takes at most n/2 - 1 reflections.  Norms are taken by math.hypot,
+    which neither overflows nor underflows.
     """
     import numpy as np
 
     t = a.mat.copy()
     d = a.dim
-    det_q = 1.0
+    factors = []
     with np.errstate(all="ignore"):
-        for k in range(d - 2):
-            col = t[k + 1:, k].copy()
-            norm = np.linalg.norm(col)
-            if norm == 0.0:
+        for k in range(0, d - 2, 2):
+            x = t[k + 1:, k]
+            x0, tail = float(x[0]), math.hypot(*x[1:].tolist())
+            if tail == 0.0:
+                factors.append(float(t[k, k + 1]))
                 continue
-            v = col
-            v[0] += np.copysign(norm, v[0] if v[0] != 0 else 1.0)
-            vnorm = np.linalg.norm(v)
-            if vnorm == 0.0:
-                continue
-            v /= vnorm
-            # apply H = I - 2 v v^T on rows and columns k+1..
-            block = t[k + 1:, :]
-            block -= 2.0 * np.outer(v, v @ block)
-            block = t[:, k + 1:]
-            block -= 2.0 * np.outer(block @ v, v)
-            det_q = -det_q
-    return det_q * math.prod(np.diagonal(t, 1)[::2].tolist())
+            norm = math.hypot(x0, tail)
+            v = x.copy()
+            v[0] = x0 + math.copysign(norm, x0)
+            v /= math.hypot(v[0], tail)
+            w = t[k + 1:, k + 1:] @ v
+            update = v[1:, None] * w[1:]
+            t[k + 2:, k + 2:] += 2.0 * (update - update.T)
+            factors.append(-math.copysign(norm, x0))
+        factors.append(float(t[d - 2, d - 1]))
+    return math.prod(factors)
 
 
 class CanonicalForm(NamedTuple):

@@ -119,22 +119,22 @@ def localization_checks():
     The spaces are the sphere products with radii and weights drawn from
     DH_VALUES, up to four factors, as itertools.combinations_with_replacement
     gives them; each is checked at every c in DH_CS.  Every prefix of such a
-    space is another of them, so the walk goes depth first over that tree
-    and extends each parent's checks by one factor, named by its index in
-    the list of 16, so that each c's per-factor work is done once.  Each
+    space is another of them, so the walk goes depth first over that tree,
+    from a stack of (check, first new index) pairs, and extends each
+    parent's check by one factor, named by its index in the list of 16, so
+    that each c's per-factor work is done once.  Each
     parent check makes all its children at once (PrefixCheck.children),
     so its terms are rounded once for all of them.
     """
     factors = [localization.SphereFactor(r, mu) for r in DH_VALUES for mu in DH_VALUES]
-
-    def walk(checks, start):
+    stack = [(localization.PrefixCheck.empty(c, factors), 0) for c in DH_CS]
+    while stack:
+        check, start = stack.pop()
         indices = range(start, len(factors))
-        for i, children in zip(indices, zip(*(check.children(indices) for check in checks))):
-            yield from children
-            if len(children[0].indices) < DH_MAX_FACTORS:
-                yield from walk(children, i)
-
-    return walk([localization.PrefixCheck.empty(c, factors) for c in DH_CS], 0)
+        children = check.children(indices)
+        yield from children
+        if len(check.indices) + 1 < DH_MAX_FACTORS:
+            stack += zip(children, indices)
 
 
 def suite_localization() -> SuiteResult:
@@ -155,7 +155,7 @@ def suite_pfaffian() -> SuiteResult:
     rng = np.random.default_rng(20240915)
 
     def skew(dims):
-        d = int(rng.choice(dims))
+        d = dims[rng.integers(len(dims))]
         raw = rng.normal(size=(d, d))
         return pfaffian.SkewMatrix(raw - raw.T)
 

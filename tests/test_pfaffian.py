@@ -138,12 +138,51 @@ class TestPfaffian:
 
     def test_paths_agree(self):
         rng = np.random.default_rng(3)
-        for dim in (2, 4, 6, 8):
+        for dim in (2, 4, 6, 8, 10):
             for _ in range(10):
                 a = random_skew(rng, dim)
                 assert pfaffian_combinatorial(a) == pytest.approx(
                     pfaffian_tridiagonal(a), rel=1e-10, abs=1e-12
                 )
+
+
+class TestEvenColumnReduction:
+    """pfaffian_tridiagonal reflects only the even columns, and none that is
+    already zero below its block."""
+
+    @pytest.mark.parametrize("dim", [10, 12, 16, 20])
+    def test_block_diagonal_skips_every_reflection(self, dim):
+        # nothing to reflect: Pf is the product of the blocks' -l_j, exactly
+        rates = np.random.default_rng(dim).uniform(-2.0, 2.0, size=dim // 2).tolist()
+        want = 1.0
+        for rate in rates:
+            want *= -rate
+        assert pfaffian_tridiagonal(block_diagonal(rates)) == want
+
+    @pytest.mark.parametrize("dim", [10, 14, 20])
+    def test_zero_even_column_gives_zero(self, dim):
+        # reflections that reach no entry of the zero row and column leave
+        # them zero, so the reduction meets a column with nothing to reflect
+        # and a_k,k+1 = 0
+        raw = np.random.default_rng(dim).normal(size=(dim, dim))
+        for col in range(0, dim, 2):
+            a = raw - raw.T
+            a[:, col] = a[col, :] = 0.0
+            assert pfaffian_tridiagonal(SkewMatrix(a)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("dim", [10, 12, 20, 40, 60])
+    def test_square_is_determinant(self, dim, scale):
+        # entries scaled so that |Pf| is near `scale`: Pf and det both stay
+        # normal doubles
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            a = random_skew(rng, dim)
+            factor = (scale / abs(pfaffian_tridiagonal(a))) ** (2 / dim)
+            b = SkewMatrix(factor * a.mat)
+            pf, det = pfaffian_tridiagonal(b), b.det()
+            assert abs(pf) == pytest.approx(scale, rel=1e-6)
+            assert abs(pf * pf - det) <= 1e-9 * abs(det)
 
 
 def _plain_pfaffian(a):
