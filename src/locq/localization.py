@@ -176,7 +176,11 @@ def _check_normal(what: str, c, value) -> None:
 
 
 def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
-    """2 pi r * integral_{-r}^{r} e^(c mu z) dz by Gauss-Legendre quadrature."""
+    """2 pi r * integral_{-r}^{r} e^(c mu z) dz by Gauss-Legendre quadrature,
+    as (m, e) with value m 2^e (_frexp), so that no step forms r^2 on its
+    own: 2 pi m_r m_r times the quadrature, m_r the frexp mantissa of r, is
+    2 pi r r times it scaled by 2^(-2 e_r), bit for bit wherever both are
+    normal doubles."""
     import numpy as np
 
     _check_c(c, allow_zero=True)
@@ -191,7 +195,19 @@ def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
         total = complex(np.dot(w, vals))
     else:
         total = float(np.dot(w, np.exp(c * factor.weight * z)))
-    return TWO_PI * factor.radius * factor.radius * total
+    m_r, e_r = math.frexp(factor.radius)
+    m, e = _frexp(TWO_PI * m_r * m_r * total)
+    return m, e + 2 * e_r
+
+
+def _frexp(value):
+    """value as (m, e) with value = m 2^e: math.frexp of a float; for a
+    complex, e is the frexp exponent of its larger part, and both parts are
+    scaled by 2^-e.  Each is exact where the parts are normal doubles."""
+    if isinstance(value, complex):
+        e = math.frexp(max(abs(value.real), abs(value.imag)))[1]
+        return complex(math.ldexp(value.real, -e), math.ldexp(value.imag, -e)), e
+    return math.frexp(value)
 
 
 def _size_term(factor: SphereFactor, c):
@@ -330,10 +346,13 @@ def _scaled(p: int, q: int, scale: int) -> int:
     return (2 * p + q) // (2 * q)
 
 
-def _rounded(terms, shift: int):
-    """The terms rounded to nearest (halves up) by `shift` > 0 bits."""
+def _times(base, last, shift: int) -> list:
+    """[t * h for t in base for h in last], each product rounded to nearest
+    (halves up) by `shift` bits where shift > 0."""
+    if not shift:
+        return [t * h for t in base for h in last]
     half = 1 << (shift - 1)
-    return [(t + half) >> shift for t in terms]
+    return [(t * h + half) >> shift for t in base for h in last]
 
 
 class DHReport(NamedTuple):
@@ -348,16 +367,17 @@ class DHReport(NamedTuple):
 class _FactorTable:
     """One c's per-factor work for the PrefixChecks on a list of factors, by
     factor index, each item computed once: the _size_terms up front, the
-    quadratures at their node counts when a check first needs them, after
-    its refusals, and every factor's half-terms at each digits a check
-    reaches.  It is the only memo of that work, and it lives as long as its
-    checks."""
+    quadratures (factor_integral_quad) at their node counts when a check
+    first needs them, after its refusals, and every factor's half-terms at
+    each digits a check reaches, with each pair's sum h+ + h- in pole_sums.
+    It is the only memo of that work, and it lives as long as its checks."""
 
     def __init__(self, c, factors: Sequence[SphereFactor]):
         self.c, self.factors = c, tuple(factors)
         self.size_terms = [_size_term(f, c) for f in self.factors]
         self.unsized = {i for i, (_, _, nodes) in enumerate(self.size_terms) if nodes is None}
         self._halves: dict[int | None, list[tuple]] = {}
+        self.pole_sums: dict[int | None, list] = {}
 
     @cached_property
     def quads(self) -> list:
@@ -366,7 +386,9 @@ class _FactorTable:
 
     def half_terms(self, digits: int | None) -> list[tuple]:
         if digits not in self._halves:
-            self._halves[digits] = [_half_terms(f, self.c, digits) for f in self.factors]
+            halves = [_half_terms(f, self.c, digits) for f in self.factors]
+            self._halves[digits] = halves
+            self.pole_sums[digits] = [north + south for (north, south), _, _ in halves]
         return self._halves[digits]
 
 
@@ -374,9 +396,12 @@ class PrefixCheck(NamedTuple):
     """The localization check at one c on a sequence of factors, named by
     index into the list of PrefixCheck.empty, whose _FactorTable does each
     factor's work once.  The fields are left folds over the factors: the
-    sizes (_size_check), the quadrature product lhs and the point terms at
-    `digits` digits (sum(terms) / 2^scale, each rounded by `shift` bits
-    before it is multiplied again), with rhs their sum.
+    sizes (_size_check), the quadrature product lhs, and the point terms at
+    `digits` digits, sum(terms) / 2^scale, rounded by `shift` bits before
+    they are multiplied again; rhs is their sum.  The terms are kept as
+    `base`, the prefix's terms already rounded for the last factor, and
+    `last`, that factor's half-term pair: terms is [t * h for t in base for
+    h in last], built only when it is read or the check is extended.
 
     extend(*indices) makes every refusal before any work (the factor cap,
     _size_check's, then an unsized factor's), takes one step of each fold
@@ -384,10 +409,11 @@ class PrefixCheck(NamedTuple):
     this check's rounded terms where the digits did not rise, else from
     (1,) over all the factors, since every mantissa depends on the digits.
     children(indices) is [extend(i) for i in indices], bit for bit, with
-    this check's terms rounded once for all of them.  A result that is not
-    a normal double is refused once it is known (_check_normal), so
-    rel_err divides by a normal |rhs|.  An empty check is no check;
-    dh_verify extends it by all of a space's factors.
+    this check's terms rounded, and at real c summed, once for all of them,
+    so siblings share one base.  A result that is not a normal double is
+    refused once it is known (_check_normal), so rel_err divides by a
+    normal |rhs|.  An empty check is no check; dh_verify extends it by all
+    of a space's factors.
     """
 
     table: _FactorTable
@@ -395,7 +421,8 @@ class PrefixCheck(NamedTuple):
     sizes: tuple = (0, 0.0)
     lhs: float | complex = 1.0
     digits: int | None = None
-    terms: Sequence = (1,)
+    base: Sequence = (1,)
+    last: Sequence = (1,)
     scale: int = 0
     shift: int = 0
     rhs: float | complex | None = None
@@ -406,6 +433,11 @@ class PrefixCheck(NamedTuple):
         return cls(_FactorTable(c, factors),
                    lhs=1.0 + 0.0j if isinstance(c, complex) else 1.0)
 
+    @property
+    def terms(self) -> list:
+        """The point terms, in the order of enumerate_fixed_points."""
+        return _times(self.base, self.last, 0)
+
     def extend(self, *indices: int) -> "PrefixCheck":
         return self._fold([indices])[0]
 
@@ -415,7 +447,15 @@ class PrefixCheck(NamedTuple):
     def _fold(self, additions) -> list["PrefixCheck"]:
         """One check per tuple of new indices in `additions`, in order, each
         this check extended by those factors: one step of each fold per new
-        factor, and one _size_check, sum and pair of normal checks per check.
+        factor, and one _size_check and pair of normal checks per check.
+
+        The quadratures are carried as frexp mantissas and exponents
+        (factor_integral_quad): lhs is the product of the mantissas times 2
+        to the sum of the exponents, taken by one ldexp, so no partial
+        product overflows or underflows where lhs does not; it is the
+        left-to-right product of the values bit for bit wherever each
+        partial product is a normal double, since scaling by a power of two
+        commutes with rounding there.
 
         The point terms (2 pi / c)^n e^(c H(p)) / prod_j l_j are doubled by
         each factor's half-term pair in the order of enumerate_fixed_points:
@@ -426,28 +466,33 @@ class PrefixCheck(NamedTuple):
         At real c a term is a product of integer mantissas.  A product of
         two or more is rounded to nearest, by the bit length b of its last
         factor's larger mantissa, only when it is multiplied again, so a
-        leaf check's terms are exact products.  The terms are added
-        exactly, and their sum over 2^b (b its bit length) is rounded once
-        to a double by int / int division and scaled by 2^(b - scale), so
-        rhs is sum(terms) / 2^scale rounded once wherever that is a normal
-        double.
+        check's terms are exact products of its base and last.  So the sum
+        is taken in pole pairs: sum_t (t m+ + t m-) = (sum_t t) (m+ + m-)
+        exactly in Python ints, one product per check, with sum_t t over
+        the base summed once for all of a check's children, and the same
+        integer as the sum of the terms.  Its value over 2^b (b its bit
+        length) is rounded once to a double by int / int division and
+        scaled by 2^(b - scale), so rhs is sum(terms) / 2^scale rounded once
+        wherever that is a normal double.
 
         Error bound, given the mantissas: each rounding is off by at most
         half a unit, and |m| < 2^b keeps an earlier error from growing, so
         each of the 2^n terms is off by fewer than n half-units at the
         terms' scale (a unit is 2^b of the last factor), and their sum by
-        at most 2^n n.  A rounding drops at most one bit more than its
-        mantissa added, so the largest term keeps at least 2 bits - n bits
-        (bits = ceil(digits log2 10) + GUARD_BITS), and the bound is at
-        most n 2^(2n - 1 - GUARD_BITS) 10^-digits <= 10^-digits / 2 of the
-        largest term: at most 10^-20 / 2 of a sum that cancels D <= digits
-        - 20 digits (_size_check).  The half-terms' own errors, a few units
-        in their (digits + 3)-th digit, reach the sum through prod_j (h_j+ +
-        h_j-) and move it by about n 10^(D - digits - 2) of itself.
+        at most 2^n n; the last factor, summed in pole pairs, adds no
+        rounding.  A rounding drops at most one bit more than its mantissa
+        added, so the largest term keeps at least 2 bits - n bits (bits =
+        ceil(digits log2 10) + GUARD_BITS), and the bound is at most n 2^(2n
+        - 1 - GUARD_BITS) 10^-digits <= 10^-digits / 2 of the largest term:
+        at most 10^-20 / 2 of a sum that cancels D <= digits - 20 digits
+        (_size_check).  The half-terms' own errors, a few units in their
+        (digits + 3)-th digit, reach the sum through prod_j (h_j+ + h_j-)
+        and move it by about n 10^(D - digits - 2) of itself.
         """
         table = self.table
         c, size_terms, unsized = table.c, table.size_terms, table.unsized
-        rounded = None  # this check's terms, rounded once for every child
+        lhs_m, lhs_e = _frexp(self.lhs)
+        ready = None  # this check's terms rounded for one more factor, once for every child
         out = []
         for indices in additions:
             everything = self.indices + indices
@@ -464,33 +509,44 @@ class PrefixCheck(NamedTuple):
                     f"the Gauss-Legendre quadrature of the factor (r, mu) = "
                     f"({f.radius!r}, {f.weight!r}) at c = {c!r} needs more than "
                     f"MAX_QUAD_POINTS = {MAX_QUAD_POINTS} nodes")
-            lhs, quads = self.lhs, table.quads
+            m, e, quads = lhs_m, lhs_e, table.quads
             for i in indices:
-                lhs *= quads[i]
+                quad_m, quad_e = quads[i]
+                m *= quad_m
+                e += quad_e
+            try:
+                lhs = (math.ldexp(m, e) if digits is not None
+                       else complex(math.ldexp(m.real, e), math.ldexp(m.imag, e)))
+            except OverflowError:  # too large for a double
+                lhs = math.inf
             if not _NORMAL_MIN <= abs(lhs) < math.inf:
                 _check_normal("the Liouville integral", c, lhs)
-            halves = table.half_terms(digits)
             if digits == self.digits and indices:
-                if rounded is None:
-                    rounded = _rounded(self.terms, self.shift) if self.shift else self.terms
-                terms, scale, new = rounded, self.scale - self.shift, indices
-            else:
-                terms, scale, new = (1,), 0, everything
+                if ready is None:
+                    ready = _times(self.base, self.last, self.shift)
+                    ready_sum = sum(ready) if digits is not None else None
+                    ready_steps = table.half_terms(digits), table.pole_sums[digits]
+                base, last, total, scale = ready, None, ready_sum, self.scale - self.shift
+                (halves, sums), new = ready_steps, indices
+            else:  # from the empty product
+                base, last, total, scale, pole_sum = (1,), (1,), 1, 0, 1
+                halves, sums, new = table.half_terms(digits), table.pole_sums[digits], everything
             shift = 0
             for i in new:
-                pair, pair_scale, pair_shift = halves[i]
-                if shift:
-                    terms = _rounded(terms, shift)
-                terms = [t * h for t in terms for h in pair]
+                if last is not None:
+                    base, total = _times(base, last, shift), None
+                last, pair_scale, pair_shift = halves[i]
+                pole_sum = sums[i]
                 scale += pair_scale - shift
                 # a term of one mantissa is already at the mantissas' scale
-                shift = pair_shift if len(terms) > 2 else 0
+                shift = pair_shift if len(base) > 1 else 0
             if digits is None:
                 rhs = 0
-                for t in terms:
-                    rhs += t
+                for t in base:
+                    for h in last:
+                        rhs += t * h
             else:
-                total = sum(terms)
+                total = (sum(base) if total is None else total) * pole_sum
                 bits = total.bit_length()
                 try:
                     rhs = math.ldexp(total / (1 << bits), bits - scale)
@@ -498,7 +554,8 @@ class PrefixCheck(NamedTuple):
                     rhs = math.inf
             if not _NORMAL_MIN <= abs(rhs) < math.inf:
                 _check_normal("the fixed-point sum", c, rhs)
-            out.append(PrefixCheck(table, everything, sizes, lhs, digits, terms, scale, shift, rhs))
+            out.append(PrefixCheck(table, everything, sizes, lhs, digits, base, last, scale,
+                                   shift, rhs))
         return out
 
     @property

@@ -122,9 +122,11 @@ def localization_checks():
     space is another of them, so the walk goes depth first over that tree,
     from a stack of (check, first new index) pairs, and extends each
     parent's check by one factor, named by its index in the list of 16, so
-    that each c's per-factor work is done once.  Each
-    parent check makes all its children at once (PrefixCheck.children),
-    so its terms are rounded once for all of them.
+    that each c's per-factor work is done once.  Each parent check makes
+    all its children at once (PrefixCheck.children), so its terms are
+    rounded and summed once for all of them, and each child's rhs is one
+    integer product, that sum times its factor's pole-pair sum m+ + m-;
+    the 15,504 four-factor checks never build their terms.
     """
     factors = [localization.SphereFactor(r, mu) for r in DH_VALUES for mu in DH_VALUES]
     stack = [(localization.PrefixCheck.empty(c, factors), 0) for c in DH_CS]

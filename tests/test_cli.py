@@ -179,6 +179,20 @@ class TestDhVerify:
         assert parse_strict(out)["error"] == (
             "ValueError: overflow: the Liouville integral at c = 0.001 is not a finite double")
 
+    def test_liouville_integral_past_r_squared(self, run_cli):
+        # r^2 = 1e400 overflows a double, but the Liouville integral is
+        # 2.18e202: before, exit 2 and "overflow: the Liouville integral"
+        pairs = ((1e200, 1e-200), (1e-100, 1e100))
+        code, out = run_cli(["dh-verify", "--factors", "1e200:1e-200,1e-100:1e100", "--c", "1"])
+        with mpmath.workdps(50):
+            closed = mpmath.fprod(4 * mpmath.pi * mpmath.mpf(r) * mpmath.sinh(mpmath.mpf(mu) * r)
+                                  / mu for r, mu in pairs)
+        payload = parse_strict(out)
+        assert code == 0
+        assert abs(payload["lhs"] - closed) <= 1e-14 * closed
+        assert abs(payload["rhs"] - closed) <= 1e-15 * closed
+        assert payload["rel_err"] < 1e-10
+
     @pytest.mark.parametrize("c,nodes", [("0,100", 128), ("0,1000", 1024)])
     def test_oscillatory_integrand_is_sized(self, run_cli, c, nodes):
         # at 64 nodes these gave rel_err 1.7e-5 and 159: true identities

@@ -2,6 +2,7 @@
 
 import cmath
 import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -103,6 +104,14 @@ class TestFixedPoints:
             SphereFactor(r, mu)
 
 
+def _quad_value(factor, c, quad_points=64):
+    """factor_integral_quad's (m, e) as the value m 2^e."""
+    m, e = factor_integral_quad(factor, c, quad_points)
+    if isinstance(m, complex):
+        return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+    return math.ldexp(m, e)
+
+
 class TestLhs:
     def test_closed_form_single_sphere(self):
         value = factor_integral_closed(SphereFactor(1.0, 1.0), 1.0)
@@ -111,7 +120,7 @@ class TestLhs:
     def test_quadrature_matches_closed_form(self):
         for r, mu, c in ((1.0, 1.0, 1.0), (2.0, 3.0, 0.7), (0.5, 3.0, 5.0)):
             f = SphereFactor(r, mu)
-            assert factor_integral_quad(f, c, 64) == pytest.approx(
+            assert _quad_value(f, c, 64) == pytest.approx(
                 factor_integral_closed(f, c), rel=1e-10
             )
 
@@ -389,8 +398,8 @@ class TestCaching:
 
     def test_cache_keeps_argument_types_apart(self):
         f = SphereFactor(1.0, 1.0)
-        assert isinstance(factor_integral_quad(f, 1.0), float)
-        assert isinstance(factor_integral_quad(f, 1.0 + 0.0j), complex)
+        assert isinstance(factor_integral_quad(f, 1.0)[0], float)
+        assert isinstance(factor_integral_quad(f, 1.0 + 0.0j)[0], complex)
 
 
 def _reference_integral(a):
@@ -432,7 +441,7 @@ class TestQuadratureSizing:
         # e^|Re a| was seen over 9,000 random a with |a| <= 500
         floor = 32 * (1 + abs(a)) * growth
         with mpmath.workdps(50):
-            error = float(abs(factor_integral_quad(SphereFactor(1.0, 1.0), a, n)
+            error = float(abs(_quad_value(SphereFactor(1.0, 1.0), a, n)
                               - 2 * mpmath.pi * integral))
         assert error <= 2 * math.pi * (bound + floor)
 
@@ -868,6 +877,41 @@ class TestSumPrecision:
         with pytest.raises(ValueError, match=r"^overflow: Im\(c mu r\) = .* is not a finite double$"):
             dh_verify(SphereProductSpace.of(*pairs), c)
 
+    def test_liouville_integral_past_r_squared(self):
+        # r^2 = 1e400 overflows and the quadratures' product does not: each
+        # is carried as a frexp mantissa and exponent. Before, "overflow: the
+        # Liouville integral at c = 1.0 is not a finite double"
+        pairs = ((1e200, 1e-200), (1e-100, 1e100))
+        with mpmath.workdps(50):
+            closed = mpmath.fprod(4 * mpmath.pi * mpmath.mpf(r) * mpmath.sinh(mpmath.mpf(mu) * r)
+                                  / mu for r, mu in pairs)
+        report = dh_verify(SphereProductSpace.of(*pairs), 1.0)
+        assert float(closed) == pytest.approx(2.18094229995112567e202, rel=1e-16)
+        assert abs(report.lhs - closed) <= 1e-14 * closed
+        assert abs(report.rhs - closed) <= 1e-15 * closed
+        assert report.rel_err < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
+                                      st.builds(complex, _real_cs, _real_cs)))
+    def test_lhs_is_the_product_of_the_plain_quadratures(self, space, c):
+        # where every partial product is a normal double, lhs is bit for bit
+        # the left-to-right product of 2 pi r r times each quadrature
+        import numpy as np
+
+        try:
+            report = dh_verify(space, c)
+        except ValueError:  # a complex sum that cancels too much
+            assert isinstance(c, complex)
+            return
+        lhs = 1.0 + 0.0j if isinstance(c, complex) else 1.0
+        for f, n in zip(space.factors, report.quad_nodes):
+            x, w = np.polynomial.legendre.leggauss(n)
+            vals = np.exp(np.asarray(c * f.weight * (f.radius * x)))
+            total = complex(np.dot(w, vals)) if isinstance(c, complex) else float(np.dot(w, vals))
+            lhs *= localization.TWO_PI * f.radius * f.radius * total
+        assert repr(report.lhs) == repr(lhs)
+
     def test_non_finite_results_are_named(self):
         # a Liouville volume of 1.6e802
         with pytest.raises(ValueError, match=r"^overflow: the Liouville integral at c = 0.001 "
@@ -937,6 +981,49 @@ class TestPrefixWalk:
         assert [k for k in plain if walked[k] != plain[k]] == []
         assert verify.suite_localization().rows == (verify.Row(
             "fixed-point sum = Liouville integral, rel err", 19376, worst, verify.DH_TOL),)
+
+    def test_walk_is_pinned(self):
+        # the checks' indices, c, digits and rhs, in the walk's order; rhs is
+        # built from ints and Decimal only, so the digest holds on every
+        # platform
+        digest, count = hashlib.sha256(), 0
+        for check in verify.localization_checks():
+            digest.update(repr((check.indices, check.table.c, check.digits, check.rhs)).encode())
+            count += 1
+        assert count == 19376
+        assert digest.hexdigest() == \
+            "b7f6893acce6bbae0706b94a915f55cce512653740e946dd2722f4402c1b0543"
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs), data=st.data())
+    def test_rhs_is_the_sum_of_the_terms_rounded_once(self, space, c, data):
+        # the last factor is summed in pole pairs, (sum of base) (m+ + m-):
+        # the same integer as the sum of the terms, rounded once to rhs,
+        # for children and extend alike, where the digits rise part way
+        # (small c) too; the children at the parent's digits share one base,
+        # the parent's terms rounded by its shift
+        def rounded_once(check):
+            total = sum(check.terms)
+            bits = total.bit_length()
+            return math.ldexp(total / (1 << bits), bits - check.scale)
+
+        n = space.half_dim
+        prefix = data.draw(st.integers(0, n - 1), label="prefix")
+        indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+                            label="indices")
+        parent = PrefixCheck.empty(c, space.factors)
+        if prefix:
+            parent = parent.extend(*range(prefix))
+        children = parent.children(indices)
+        extended = [parent.extend(i) for i in indices] + [parent.extend(*indices)]
+        for check in children + extended:
+            assert check.terms == [t * h for t in check.base for h in check.last]
+            assert check.rhs == rounded_once(check)
+        same_digits = [child for child in children if child.digits == parent.digits]
+        if same_digits:
+            half = (1 << parent.shift) // 2
+            assert same_digits[0].base == [(t + half) >> parent.shift for t in parent.terms]
+            assert all(child.base is same_digits[0].base for child in same_digits)
 
     def test_more_digits_rebuild_the_numerators(self):
         # the sum cancels 8.7 digits per factor at c = 1e-9: 40, 40, 47 digits.
