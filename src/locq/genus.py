@@ -13,8 +13,11 @@ function
 
 and the genus of complex projective spaces via residue extraction from
 (x/f(x))^(m+1).  Quasi-ellipticity of f is not assumed: translations over
-a trial window of the lattice 2 pi i (Z tau + Z) are scanned numerically
-and the index of the sublattice they generate is computed exactly.
+a trial window of the lattice 2 pi i (Z tau + Z) are scanned and the
+index of the sublattice they generate is computed exactly.  Phi depends
+on x only through e^x, so a translation by 2 pi i m' multiplies f by the
+root of unity e^(2 pi i k m' / N) exactly; only the direction 2 pi i m tau,
+which carries the theta-function content, is evaluated numerically.
 
 This module is numeric by necessity (generic tau admits no exact
 coefficients); every series carries a propagated bound for the truncation
@@ -36,7 +39,8 @@ from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
 TWO_PI_I = 2j * math.pi
 
-# The period scan evaluates f at 3 (2B + 1)^2 points for trial bound B.
+# The period scan evaluates f at 3 (2B + 1) points, 3 per lattice row m, for
+# trial bound B, and checks 3 (2B + 1)^2 translates.
 MAX_TRIAL_BOUND = 64
 # The points x at which the period scan compares f(x + omega) with f(x).
 SCAN_POINTS = (0.31 + 0.17j, -0.23 + 0.41j, 0.11 - 0.29j)
@@ -396,6 +400,34 @@ def _lattice_index(vectors) -> int | None:
     return abs(pivot_rows[0][0]) * g2
 
 
+def _scan_values(level: LevelData, bound: int, q_tol: float):
+    """f at SCAN_POINTS, and an iterator of ((m, m'), f at SCAN_POINTS + omega)
+    over every omega = 2 pi i (m tau + m') with |m|, |m'| <= bound.
+
+    Phi is a function of e^z, so Phi(z + 2 pi i m') = Phi(z) exactly, and
+    f(z + 2 pi i m') = w^(k m') f(z) with w = e^(2 pi i / N).  Each row m is
+    evaluated once, at z = x + 2 pi i m tau, and each translate in it is
+    that row times w^(k m' mod N) from a table built once; row 0 is the
+    base.  Phi(-beta) and the q^n table are computed once for all rows, so
+    a scan evaluates Phi 7 + 12 B times.
+    """
+    points = _PointEvaluator(level.tau, q_tol)
+    phi_mb = points.phi(-level.beta)
+    base = [points.f(level, x, phi_mb) for x in SCAN_POINTS]
+
+    def translates():
+        n, k = level.level, level.k
+        roots = [cmath.exp(TWO_PI_I * j / n) for j in range(n)]
+        for m in range(-bound, bound + 1):
+            shift = TWO_PI_I * (m * level.tau.value)
+            row = base if m == 0 else [points.f(level, x + shift, phi_mb) for x in SCAN_POINTS]
+            for mp in range(-bound, bound + 1):
+                w = roots[k * mp % n]
+                yield (m, mp), [w * g for g in row]
+
+    return base, translates()
+
+
 def lattice_periodicity_scan(
     level: LevelData,
     trial_bound: int | None = None,
@@ -406,7 +438,9 @@ def lattice_periodicity_scan(
 
     Tests every omega = 2 pi i (m tau + m') with |m|, |m'| <= trial_bound
     (N by default, at most MAX_TRIAL_BOUND) at SCAN_POINTS and keeps
-    those with max |f(x+omega) - f(x)| < tol.
+    those with max |f(x+omega) - f(x)| < tol max(1, max |f(x)|).  The
+    values in the direction m tau are computed, one row per m; the step
+    2 pi i m' is the exact factor e^(2 pi i k m' / N) (see _scan_values).
     The kept translations must generate a sublattice of index exactly
     N / gcd(k, l, N) in 2 pi i (Z tau + Z), which is N for a primitive
     twist; otherwise ScanInconclusive is raised with the partial findings
@@ -429,23 +463,15 @@ def lattice_periodicity_scan(
             z = x + TWO_PI_I * (m * tau.value)
             _check_exponent("z", z)
             _check_exponent("z", z - level.beta)
-    # Phi(-beta) and the q^n table are computed once for all 3 (2B + 1)^2 points
-    points = _PointEvaluator(tau, q_tol)
-    phi_mb = points.phi(-level.beta)
-    base = [points.f(level, x, phi_mb) for x in SCAN_POINTS]
+    base, translates = _scan_values(level, bound, q_tol)
     scale = max(max(abs(v) for v in base), 1.0)
     periods: list[tuple[int, int]] = []
     worst_kept = 0.0
-    for m in range(-bound, bound + 1):
-        for mp in range(-bound, bound + 1):
-            omega = TWO_PI_I * (m * tau.value + mp)
-            dev = max(
-                abs(points.f(level, x + omega, phi_mb) - b)
-                for x, b in zip(SCAN_POINTS, base)
-            )
-            if dev < tol * scale:
-                periods.append((m, mp))
-                worst_kept = max(worst_kept, dev)
+    for period, values in translates:
+        dev = max(abs(v - b) for v, b in zip(values, base))
+        if dev < tol * scale:
+            periods.append(period)
+            worst_kept = max(worst_kept, dev)
     index = _lattice_index(periods)
     report = PeriodScanReport(
         periods=tuple(sorted(periods)), index=index, level=n, max_deviation=worst_kept

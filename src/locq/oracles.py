@@ -12,21 +12,48 @@ from .localization import SphereFactor, SphereProductSpace
 from .pfaffian import SkewMatrix
 
 
-def factor_integral_closed(factor: SphereFactor, c):
-    """Closed form 4 pi r sinh(c mu r) / (c mu); the c -> 0 limit is 4 pi r^2."""
+def _closed_parts(factor: SphereFactor, c):
+    """The closed form 4 pi r^2 sinh(x) / x, x = c mu r, as (m, e), the value
+    m 2^e: r = r' 2^e' by frexp, so m = 4 pi r'^2 sinh(x) / x and e = 2 e'.
+    Neither r^2 nor r / (c mu) is formed, and sinh(x) / x is 1 at x = 0."""
+    mantissa, exponent = math.frexp(factor.radius)
     x = c * factor.weight * factor.radius
     if x == 0:
-        return 4.0 * math.pi * factor.radius**2
-    sinh = cmath.sinh(x) if isinstance(x, complex) else math.sinh(x)
-    return 4.0 * math.pi * factor.radius * sinh / (c * factor.weight)
+        shape = 1.0
+    else:
+        shape = (cmath.sinh(x) if isinstance(x, complex) else math.sinh(x)) / x
+    return 4.0 * math.pi * mantissa * mantissa * shape, 2 * exponent
+
+
+def _times_two_to(value, e):
+    """value 2^e, with inf of value's sign where that overflows a double."""
+    if isinstance(value, complex):
+        return complex(_times_two_to(value.real, e), _times_two_to(value.imag, e))
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def factor_integral_closed(factor: SphereFactor, c):
+    """Closed form 4 pi r sinh(c mu r) / (c mu); the c -> 0 limit is 4 pi r^2."""
+    return _times_two_to(*_closed_parts(factor, c))
 
 
 def dh_lhs_closed(space: SphereProductSpace, c):
-    """Closed-form Liouville integral of e^(c H), for cross-checking the quadratures."""
+    """Closed-form Liouville integral of e^(c H), for cross-checking the quadratures.
+
+    The factors' mantissas are multiplied and their binary exponents added,
+    so the product is finite wherever it is a double, though a factor's
+    r^2 or r / (c mu) alone may not be.
+    """
     out = 1.0 + 0.0j if isinstance(c, complex) else 1.0
+    exponent = 0
     for f in space.factors:
-        out *= factor_integral_closed(f, c)
-    return out
+        mantissa, e = _closed_parts(f, c)
+        out *= mantissa
+        exponent += e
+    return _times_two_to(out, exponent)
 
 
 def block_diagonal(lambdas) -> SkewMatrix:

@@ -144,6 +144,11 @@ def factor_count(scale: float, ratio: float, offset: int, threshold: float,
     scale, which no m can meet, NonConvergent unless ratio < 1 and
     ToleranceUnreachable once m would exceed LOCQ_MAX_FACTORS.  A caller
     that counts many products at once may pass factor_cap() as `cap`.
+
+    The float predicate is monotone in m, so m is found without a walk
+    from 1: a request is refused at once unless the predicate holds at the
+    cap, and otherwise m steps to the least m that meets it from the real
+    solution of scale ratio^(offset + m) = threshold (1 - ratio), in logs.
     """
     if not math.isfinite(scale):
         raise ValueError(f"a geometric tail needs a finite scale, got {scale}")
@@ -151,13 +156,20 @@ def factor_count(scale: float, ratio: float, offset: int, threshold: float,
         raise NonConvergentError(f"a geometric tail needs ratio < 1, got {ratio}")
     if cap is None:
         cap = factor_cap()
-    m = 1
-    while not scale * ratio ** (offset + m) / (1.0 - ratio) < threshold:
+    room = 1.0 - ratio
+    if scale * ratio ** (offset + 1) / room < threshold:
+        return 1
+    # m = 1 fails, so no m meets a threshold <= 0 or a scale <= 0, and ratio > 0
+    if not (threshold > 0 and scale > 0 and scale * ratio ** (offset + cap) / room < threshold):
+        raise ToleranceUnreachableError(
+            f"needed more than {cap} factors for a tail below {threshold}"
+        )
+    exact = (math.log(threshold) + math.log1p(-ratio) - math.log(scale)) / math.log(ratio)
+    m = min(max(math.ceil(exact) - offset, 2), cap)
+    while not scale * ratio ** (offset + m) / room < threshold:
         m += 1
-        if m > cap:
-            raise ToleranceUnreachableError(
-                f"needed more than {cap} factors for a tail below {threshold}"
-            )
+    while scale * ratio ** (offset + m - 1) / room < threshold:
+        m -= 1
     return m
 
 

@@ -421,6 +421,16 @@ class TestSpectralEval:
         assert payload["factors_used"] == expected.factors_used
         assert float(payload["s"][0]) == 1.0
 
+    def test_factor_cap_refused_by_name(self, run_cli, monkeypatch):
+        # |q| = e^(-2 pi 1e-7) needs about 4.6e7 factors; the count walked
+        # 10^6 of them, about 0.2 s, before this refusal, and now evaluates
+        # its tail twice (test_spectral.py::test_factor_count_takes_a_few_powers)
+        monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
+        code, out = run_cli(["spectral-eval", "--a", "1", "--tau", "0,1e-7"])
+        assert code == 2
+        assert parse_strict(out)["error"] == ("ToleranceUnreachableError: needed more than "
+                                              "1000000 factors for a tail below 5e-13")
+
     def test_invalid_tau(self, run_cli):
         code, out = run_cli(["spectral-eval", "--a", "1", "--tau", "0,-1"])
         assert code == 2
@@ -742,6 +752,22 @@ class TestGenusCommands:
         assert code == 2
         assert parse_strict(out)["error"] == (
             f"ValueError: overflow: e^(+-{name}) is not a normal double at {what}")
+
+    def test_period_scan_at_the_trial_bound_cap(self, run_cli, monkeypatch):
+        # 3 (2B + 1)^2 = 49,923 translates from at most 7 + 6 (2B + 1) = 781
+        # evaluations of Phi, one row of 3 points per m; each translate took
+        # 6 before, 99,853 in all and 8.2 s on a 2-core x86-64 machine
+        calls = []
+        phi = genus._PointEvaluator.phi
+        monkeypatch.setattr(genus._PointEvaluator, "phi",
+                            lambda self, x: calls.append(x) or phi(self, x))
+        code, out = run_cli(["period-scan", "--tau", "0,0.05", "--N", "5", "--k", "1",
+                             "--l", "2", "--trial-bound", "64"])
+        payload = parse_strict(out)
+        assert code == 0
+        assert payload["index"] == 5
+        assert len(payload["periods"]) == 3329
+        assert len(calls) <= 7 + 6 * (2 * 64 + 1)
 
     def test_period_scan_failure_is_exit_one(self, run_cli):
         code, out = run_cli(

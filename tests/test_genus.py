@@ -148,28 +148,36 @@ class TestPeriodScan:
             for lvl, want in zip(levels, alone):
                 assert repr(lattice_periodicity_scan(lvl)) == want
 
-    @settings(max_examples=15, deadline=None)
-    @given(st.floats(-0.5, 0.5), st.floats(0.8, 1.5), st.sampled_from(
-        [(2, 1, 0), (2, 1, 1), (3, 1, 2), (3, 0, 1)]))
-    def test_scanned_values_are_f_point(self, re_tau, im_tau, nkl):
-        level = LevelData(*nkl, Tau(complex(re_tau, im_tau)))
-        seen = []
-        scan_f = genus._PointEvaluator.f
-
-        def recording(self, lvl, x, phi_mb):
-            seen.append((x, scan_f(self, lvl, x, phi_mb)))
-            return seen[-1][1]
-
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(-0.5, 0.5), st.floats(0.8, 1.5), st.integers(2, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
+    ).filter(lambda nkl: nkl[1] or nkl[2]))
+    def test_scan_is_its_rows_times_roots_of_unity(self, re_tau, im_tau, nkl):
+        n, k, l = nkl
+        level = LevelData(n, k, l, Tau(complex(re_tau, im_tau)))
+        calls = []
+        phi = genus._PointEvaluator.phi
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(genus._PointEvaluator, "f", recording)
-            try:
-                lattice_periodicity_scan(level)
-            except ScanInconclusiveError:
-                pass
-        assert len(seen) == 3 * (1 + (2 * level.level + 1) ** 2)
-        for x, value in seen:
-            # repr round-trips each float: bit identity, signs of zero included
-            assert repr(value) == repr(f_point(level, x)), x
+            mp.setattr(genus._PointEvaluator, "phi",
+                       lambda self, x: calls.append(x) or phi(self, x))
+            report = lattice_periodicity_scan(level)
+        # Phi(-beta), then Phi(z) and Phi(z - beta) at 3 points of each row m
+        assert len(calls) <= 7 + 6 * (2 * n + 1)
+        # f(x + 2 pi i (m tau + m')) = e^(2 pi i (k m' - l m) / N) f(x): the
+        # periods are the kernel of that twist character
+        assert set(report.periods) == {(m, mp) for m in range(-n, n + 1)
+                                       for mp in range(-n, n + 1) if (k * mp - l * m) % n == 0}
+        # f_point's argument x + omega is rounded, by up to eps |x + omega|
+        # (< 2e-14 at |x + omega| < 90), and |f'/f|, elliptic and so the same
+        # at every translate, is about 4 at most at SCAN_POINTS over these tau;
+        # with the q-products' roundings the two differ by at most 3.2e-14
+        # over 150 random levels
+        _, translates = genus._scan_values(level, n, 1e-12)
+        for (m, mp), values in translates:
+            omega = genus.TWO_PI_I * (m * level.tau.value + mp)
+            for x, value in zip(genus.SCAN_POINTS, values):
+                want = f_point(level, x + omega)
+                assert abs(value - want) <= 1e-12 * abs(want), (m, mp, x)
 
 
 class TestPointEvaluatorHoist:

@@ -130,6 +130,28 @@ class TestLhs:
             4 * math.pi * 1.5**2, rel=1e-16 + 1e-10
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-150, 200), st.floats(0.1, 2.5),
+                              st.sampled_from((1, -1))), min_size=1, max_size=4),
+           st.sampled_from([1.0, -0.5, 1.2, 0.7j, complex(0.3, -1.1)]))
+    @example([(200, 1.0, 1), (-100, 1.0, 1)], 1.0)
+    def test_closed_form_against_mpmath(self, shapes, c):
+        # r = 10^e and mu = +-s / r, so c mu r is about c s, |c s| < pi
+        # keeps sinh(c mu r) away from its zeros, and r^2 and r / (c mu)
+        # overflow or underflow a double from |e| = 155 on (below e = -153
+        # the rate mu / r is not a double, which SphereFactor refuses)
+        pairs = [(10.0**e, sign * s / 10.0**e) for e, s, sign in shapes]
+        with mpmath.workdps(50):
+            cc = mpmath.mpmathify(c)
+            want = mpmath.fprod(4 * mpmath.pi * mpmath.mpf(r) * mpmath.sinh(cc * mu * r) / (cc * mu)
+                                for r, mu in pairs)
+            size = abs(want)
+        got = dh_lhs_closed(SphereProductSpace.of(*pairs), c)
+        if size > sys.float_info.max:
+            assert math.isinf(abs(got))
+        elif size > 1e-300:
+            assert abs(got - want) <= 1e-14 * size
+
     def test_product_space_factorizes(self):
         space = SphereProductSpace.of((1.0, 1.0), (2.0, 3.0))
         expect = factor_integral_closed(SphereFactor(1.0, 1.0), 0.7) * \
@@ -885,11 +907,15 @@ class TestSumPrecision:
         with mpmath.workdps(50):
             closed = mpmath.fprod(4 * mpmath.pi * mpmath.mpf(r) * mpmath.sinh(mpmath.mpf(mu) * r)
                                   / mu for r, mu in pairs)
-        report = dh_verify(SphereProductSpace.of(*pairs), 1.0)
+        space = SphereProductSpace.of(*pairs)
+        report = dh_verify(space, 1.0)
         assert float(closed) == pytest.approx(2.18094229995112567e202, rel=1e-16)
         assert abs(report.lhs - closed) <= 1e-14 * closed
         assert abs(report.rhs - closed) <= 1e-15 * closed
         assert report.rel_err < 1e-10
+        # the closed form, which returned inf here, meets both sides
+        assert abs(dh_lhs_closed(space, 1.0) - closed) <= 1e-15 * closed
+        assert report.rhs == pytest.approx(dh_lhs_closed(space, 1.0), rel=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,

@@ -195,6 +195,63 @@ def test_factor_count_is_least_and_capped(scale, ratio, offset, threshold):
                 factor_count(scale, ratio, offset, threshold)
 
 
+def count_by_walk(scale, ratio, offset, threshold, cap):
+    """The walk from m = 1 that factor_count replaced: the least m <= cap at
+    which the tail is below the threshold, or None past the cap."""
+    m = 1
+    while not tail_below(scale, ratio, offset, threshold, m):
+        m += 1
+        if m > cap:
+            return None
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(0.0, 100.0) | st.floats(5e-324, 1e300) | st.just(-1.0),
+    st.floats(0.0, 0.99) | st.floats(1e-6, 1e-2).map(lambda d: 1.0 - d)
+    | st.floats(0.0, 1e-300) | st.just(5e-324),
+    st.integers(0, 5),
+    st.floats(1e-15, 1.0) | st.floats(5e-324, 2.2e-308) | st.floats(1e-300, 1e10)
+    | st.sampled_from([0.0, -1.0]),
+    st.sampled_from([1, 2, 3, 50, 3000]),
+)
+def test_factor_count_matches_the_walk(scale, ratio, offset, threshold, cap):
+    # ratio near 0 and near 1, subnormal thresholds and scales, and the cap
+    want = count_by_walk(scale, ratio, offset, threshold, cap)
+    if want is None:
+        with pytest.raises(ToleranceUnreachableError,
+                           match=rf"^needed more than {cap} factors for a tail below "):
+            factor_count(scale, ratio, offset, threshold, cap)
+    else:
+        assert factor_count(scale, ratio, offset, threshold, cap) == want
+
+
+class CountedRatio(float):
+    """A float whose powers are counted."""
+
+    powers = 0
+
+    def __pow__(self, exponent):
+        CountedRatio.powers += 1
+        return float(self) ** exponent
+
+
+@pytest.mark.parametrize("ratio,threshold,powers", [
+    (math.exp(-2 * math.pi * 1e-7), 5e-13, 2),  # spectral-eval --a 1 --tau 0,1e-7
+    (0.5, 0.0, 1),  # no m meets a threshold of 0
+    (0.3, 1e-300, 4),  # m = 573: at 1, at the cap, at 573 and at 572
+])
+def test_factor_count_takes_a_few_powers(ratio, threshold, powers):
+    # the walk took one power per m: 10^6 before the refusal in the first row
+    CountedRatio.powers = 0
+    try:
+        factor_count(1.0, CountedRatio(ratio), 1, threshold)
+    except ToleranceUnreachableError as exc:
+        assert str(exc) == f"needed more than 1000000 factors for a tail below {threshold}"
+    assert CountedRatio.powers == powers
+
+
 @given(st.floats(1.0, 1e300) | st.just(math.nan))
 def test_factor_count_needs_ratio_below_one(ratio):
     with pytest.raises(NonConvergentError):
