@@ -13,11 +13,11 @@ function
 
 and the genus of complex projective spaces via residue extraction from
 (x/f(x))^(m+1).  Quasi-ellipticity of f is not assumed: translations over
-a trial window of the lattice 2 pi i (Z tau + Z) are scanned and the
-index of the sublattice they generate is computed exactly.  Phi depends
-on x only through e^x, so a translation by 2 pi i m' multiplies f by the
-root of unity e^(2 pi i k m' / N) exactly; only the direction 2 pi i m tau,
-which carries the theta-function content, is evaluated numerically.
+a trial window of the lattice 2 pi i (Z tau + Z) are scanned, and the index
+of the sublattice they generate is computed exactly by Euclid's algorithm.
+Phi depends on x only through e^x, so f(x + 2 pi i m') is f(x) times the
+root of unity e^(2 pi i k m' / N): the scan evaluates f once per row m of
+the direction 2 pi i m tau, and compares each row once per residue k m' mod N.
 
 This module is numeric by necessity (generic tau admits no exact
 coefficients); every series carries a propagated bound for the truncation
@@ -39,8 +39,8 @@ from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
 TWO_PI_I = 2j * math.pi
 
-# The period scan evaluates f at 3 (2B + 1) points, 3 per lattice row m, for
-# trial bound B, and checks 3 (2B + 1)^2 translates.
+# The period scan evaluates f at 3 points per lattice row m, 3 (2B + 1) in
+# all for trial bound B, and compares each row with the base at N residues.
 MAX_TRIAL_BOUND = 64
 # The points x at which the period scan compares f(x + omega) with f(x).
 SCAN_POINTS = (0.31 + 0.17j, -0.23 + 0.41j, 0.11 - 0.29j)
@@ -368,64 +368,22 @@ class PeriodScanReport(NamedTuple):
 
 
 def _lattice_index(vectors) -> int | None:
-    """Index in Z^2 of the sublattice generated by integer vectors.
+    """Index in Z^2 of the sublattice generated by integer vectors, None
+    when they do not span a finite-index sublattice.
 
-    Hermite-style reduction of the 2 x n generator matrix; returns None
-    when the vectors do not span a finite-index sublattice.
+    Euclid's algorithm on first coordinates, by unimodular row operations
+    (Cohen, GTM 138, 2.4): one generator (a, b) keeps the gcd of the first
+    coordinates so far, and each vector's leftover (0, y) folds into
+    d = gcd(d, y).  The lattice is then spanned by (a, b) and (0, d), so
+    its index is |a| d, which is 0 when it has rank below 2.
     """
-    vecs = [list(v) for v in vectors if v != (0, 0)]
-    if not vecs:
-        return None
-    # reduce first coordinate to a single pivot by gcd steps
-    while True:
-        vecs = [v for v in vecs if v != [0, 0]]
-        nonzero_first = [v for v in vecs if v[0] != 0]
-        if len(nonzero_first) <= 1:
-            break
-        nonzero_first.sort(key=lambda v: abs(v[0]))
-        pivot = nonzero_first[0]
-        for v in nonzero_first[1:]:
-            k = v[0] // pivot[0]
-            v[0] -= k * pivot[0]
-            v[1] -= k * pivot[1]
-    pivot_rows = [v for v in vecs if v[0] != 0]
-    rest = [v for v in vecs if v[0] == 0]
-    if not pivot_rows or not rest:
-        return None
-    g2 = 0
-    for v in rest:
-        g2 = math.gcd(g2, abs(v[1]))
-    if g2 == 0:
-        return None
-    return abs(pivot_rows[0][0]) * g2
-
-
-def _scan_values(level: LevelData, bound: int, q_tol: float):
-    """f at SCAN_POINTS, and an iterator of ((m, m'), f at SCAN_POINTS + omega)
-    over every omega = 2 pi i (m tau + m') with |m|, |m'| <= bound.
-
-    Phi is a function of e^z, so Phi(z + 2 pi i m') = Phi(z) exactly, and
-    f(z + 2 pi i m') = w^(k m') f(z) with w = e^(2 pi i / N).  Each row m is
-    evaluated once, at z = x + 2 pi i m tau, and each translate in it is
-    that row times w^(k m' mod N) from a table built once; row 0 is the
-    base.  Phi(-beta) and the q^n table are computed once for all rows, so
-    a scan evaluates Phi 7 + 12 B times.
-    """
-    points = _PointEvaluator(level.tau, q_tol)
-    phi_mb = points.phi(-level.beta)
-    base = [points.f(level, x, phi_mb) for x in SCAN_POINTS]
-
-    def translates():
-        n, k = level.level, level.k
-        roots = [cmath.exp(TWO_PI_I * j / n) for j in range(n)]
-        for m in range(-bound, bound + 1):
-            shift = TWO_PI_I * (m * level.tau.value)
-            row = base if m == 0 else [points.f(level, x + shift, phi_mb) for x in SCAN_POINTS]
-            for mp in range(-bound, bound + 1):
-                w = roots[k * mp % n]
-                yield (m, mp), [w * g for g in row]
-
-    return base, translates()
+    a = b = d = 0
+    for x, y in vectors:
+        while x:
+            t = a // x
+            a, b, x, y = x, y, a - t * x, b - t * y
+        d = math.gcd(d, y)
+    return abs(a) * d or None
 
 
 def lattice_periodicity_scan(
@@ -438,13 +396,18 @@ def lattice_periodicity_scan(
 
     Tests every omega = 2 pi i (m tau + m') with |m|, |m'| <= trial_bound
     (N by default, at most MAX_TRIAL_BOUND) at SCAN_POINTS and keeps
-    those with max |f(x+omega) - f(x)| < tol max(1, max |f(x)|).  The
-    values in the direction m tau are computed, one row per m; the step
-    2 pi i m' is the exact factor e^(2 pi i k m' / N) (see _scan_values).
-    The kept translations must generate a sublattice of index exactly
-    N / gcd(k, l, N) in 2 pi i (Z tau + Z), which is N for a primitive
-    twist; otherwise ScanInconclusive is raised with the partial findings
-    attached.
+    those with max |f(x+omega) - f(x)| < tol max(1, max |f(x)|).
+
+    Phi is a function of e^z, so f(z + 2 pi i m') = w^(k m') f(z) exactly,
+    with w = e^(2 pi i / N).  Each row m is evaluated once, at
+    z = x + 2 pi i m tau (row 0 is the base f(x)), and its deviation from
+    the base taken as w^r times the row at each residue r < N; translate
+    (m, m') has that of residue k m' mod N.  Phi(-beta) and the q^n table
+    are computed once, so a scan evaluates Phi 7 + 12 B times at trial
+    bound B.  The kept translations must generate a sublattice of index
+    exactly N / gcd(k, l, N) in 2 pi i (Z tau + Z), which is N for a
+    primitive twist; otherwise ScanInconclusive is raised with the partial
+    findings attached.
     """
     check_tolerance(tol)
     n = level.level
@@ -463,18 +426,25 @@ def lattice_periodicity_scan(
             z = x + TWO_PI_I * (m * tau.value)
             _check_exponent("z", z)
             _check_exponent("z", z - level.beta)
-    base, translates = _scan_values(level, bound, q_tol)
-    scale = max(max(abs(v) for v in base), 1.0)
+    points = _PointEvaluator(tau, q_tol)
+    phi_mb = points.phi(-level.beta)
+    base = [points.f(level, x, phi_mb) for x in SCAN_POINTS]
+    cut = tol * max(max(abs(v) for v in base), 1.0)
+    roots = [cmath.exp(TWO_PI_I * r / n) for r in range(n)]
     periods: list[tuple[int, int]] = []
     worst_kept = 0.0
-    for period, values in translates:
-        dev = max(abs(v - b) for v, b in zip(values, base))
-        if dev < tol * scale:
-            periods.append(period)
-            worst_kept = max(worst_kept, dev)
+    for m in range(-bound, bound + 1):
+        shift = TWO_PI_I * (m * tau.value)
+        row = base if m == 0 else [points.f(level, x + shift, phi_mb) for x in SCAN_POINTS]
+        devs = [max(abs(w * g - b) for g, b in zip(row, base)) for w in roots]
+        for mp in range(-bound, bound + 1):
+            dev = devs[level.k * mp % n]
+            if dev < cut:
+                periods.append((m, mp))
+                worst_kept = max(worst_kept, dev)
     index = _lattice_index(periods)
     report = PeriodScanReport(
-        periods=tuple(sorted(periods)), index=index, level=n, max_deviation=worst_kept
+        periods=tuple(periods), index=index, level=n, max_deviation=worst_kept
     )
     if index != expected:
         raise ScanInconclusiveError(

@@ -221,9 +221,9 @@ def _size_term(factor: SphereFactor, c):
     e^(-2x) = (e^(-x))^2, so that nothing overflows.  A complex c whose
     Im(c mu r) overflows a double, so that e^x has no phase, is refused.
 
-    Where mu r underflows to 0 at real c, |mu r| < 2^-1074 and so |x| <
-    1e-15: kept = 2|x| to rounding, its digits are taken in logs, and the
-    least node count is exact to rounding."""
+    Where x = c mu r underflows to 0 at real c, whether or not mu r does,
+    |x| < 1e-15: kept = 2|x| to rounding, its digits are taken in logs,
+    and the least node count is exact to rounding."""
     scale = abs(factor.weight * factor.radius)
     if isinstance(c, complex):
         if not math.isfinite(c.imag * factor.weight * factor.radius):
@@ -234,7 +234,7 @@ def _size_term(factor: SphereFactor, c):
         x = c * factor.weight * factor.radius
         e = cmath.exp(x if x.real < 0 else -x) ** 2
         kept = abs(1 - e) / (1 + abs(e))
-    elif not scale:
+    elif not abs(c) * scale:
         logs = map(math.log10, (2.0, abs(c), abs(factor.weight), factor.radius))
         return scale, -sum(logs), QUAD_COUNTS[0]
     else:

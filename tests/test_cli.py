@@ -754,7 +754,7 @@ class TestGenusCommands:
             f"ValueError: overflow: e^(+-{name}) is not a normal double at {what}")
 
     def test_period_scan_at_the_trial_bound_cap(self, run_cli, monkeypatch):
-        # 3 (2B + 1)^2 = 49,923 translates from at most 7 + 6 (2B + 1) = 781
+        # 129^2 = 16,641 translations from at most 7 + 6 (2B + 1) = 781
         # evaluations of Phi, one row of 3 points per m; each translate took
         # 6 before, 99,853 in all and 8.2 s on a 2-core x86-64 machine
         calls = []

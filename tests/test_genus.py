@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import int_series as ring
 from locq import genus, spectral
@@ -155,29 +155,59 @@ class TestPeriodScan:
     def test_scan_is_its_rows_times_roots_of_unity(self, re_tau, im_tau, nkl):
         n, k, l = nkl
         level = LevelData(n, k, l, Tau(complex(re_tau, im_tau)))
-        calls = []
-        phi = genus._PointEvaluator.phi
+        calls, rows = [], []
+        phi, f = genus._PointEvaluator.phi, genus._PointEvaluator.f
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(genus._PointEvaluator, "phi",
                        lambda self, x: calls.append(x) or phi(self, x))
+            mp.setattr(genus._PointEvaluator, "f",
+                       lambda self, lvl, z, phi_mb: rows.append((z, f(self, lvl, z, phi_mb)))
+                       or rows[-1][1])
             report = lattice_periodicity_scan(level)
         # Phi(-beta), then Phi(z) and Phi(z - beta) at 3 points of each row m
         assert len(calls) <= 7 + 6 * (2 * n + 1)
         # f(x + 2 pi i (m tau + m')) = e^(2 pi i (k m' - l m) / N) f(x): the
-        # periods are the kernel of that twist character
-        assert set(report.periods) == {(m, mp) for m in range(-n, n + 1)
-                                       for mp in range(-n, n + 1) if (k * mp - l * m) % n == 0}
-        # f_point's argument x + omega is rounded, by up to eps |x + omega|
-        # (< 2e-14 at |x + omega| < 90), and |f'/f|, elliptic and so the same
-        # at every translate, is about 4 at most at SCAN_POINTS over these tau;
-        # with the q-products' roundings the two differ by at most 3.2e-14
-        # over 150 random levels
-        _, translates = genus._scan_values(level, n, 1e-12)
-        for (m, mp), values in translates:
-            omega = genus.TWO_PI_I * (m * level.tau.value + mp)
-            for x, value in zip(genus.SCAN_POINTS, values):
+        # periods are the kernel of that twist character, in (m, m') order
+        assert list(report.periods) == [(m, mp) for m in range(-n, n + 1)
+                                        for mp in range(-n, n + 1) if (k * mp - l * m) % n == 0]
+        # the base row m = 0, then each row m != 0, at z = x + 2 pi i m tau;
+        # translate (m, m') is the row times w^(k m' mod N).  f_point's
+        # argument x + omega is rounded, by up to eps |x + omega| (< 2e-14 at
+        # |x + omega| < 90), and |f'/f|, elliptic and so the same at every
+        # translate, is about 4 at most at SCAN_POINTS over these tau; with
+        # the q-products' roundings the two differ by at most 3.2e-14 over
+        # 150 random levels
+        row_points = [(m, x) for m in [0] + [m for m in range(-n, n + 1) if m]
+                      for x in genus.SCAN_POINTS]
+        assert [z for z, _ in rows] == [x + genus.TWO_PI_I * (m * level.tau.value) if m else x
+                                        for m, x in row_points]
+        roots = [cmath.exp(genus.TWO_PI_I * r / n) for r in range(n)]
+        for (m, x), (_, value) in zip(row_points, rows):
+            for mp in range(-n, n + 1):
+                omega = genus.TWO_PI_I * (m * level.tau.value + mp)
                 want = f_point(level, x + omega)
-                assert abs(value - want) <= 1e-12 * abs(want), (m, mp, x)
+                got = roots[k * mp % n] * value
+                assert abs(got - want) <= 1e-12 * abs(want), (m, mp, x)
+
+
+class TestLatticeIndex:
+    """The index of the sublattice of Z^2 that integer vectors generate."""
+
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example([(0, 0), (0, 0)])
+    @example([(2, 4), (-3, -6)])
+    @example([(0, 3), (0, 0), (2, 1)])
+    @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=6)
+           | st.lists(st.integers(-6, 6), max_size=5).flatmap(
+               lambda ts: st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+                   lambda v: [(t * v[0], t * v[1]) for t in ts])))
+    def test_index_is_the_gcd_of_the_minors(self, vectors):
+        # the second strategy draws collinear sets, (0, 0) entries included;
+        # the index is |det| of a basis, the gcd of all 2 x 2 minors
+        minors = [x * y2 - y * x2 for i, (x, y) in enumerate(vectors)
+                  for x2, y2 in vectors[i + 1:]]
+        assert genus._lattice_index(vectors) == (math.gcd(*minors) or None)
 
 
 class TestPointEvaluatorHoist:

@@ -806,9 +806,12 @@ class TestSumPrecision:
         (((1e-150, 1e-180),), 1.0, 350),  # x = 1e-330, below the doubles
         (((1e-150, 1e-180),), 1e100, 250),  # x = 1e-230, a normal double
         (((1e-150, 1e-180), (1.0, 1.0)), 0.5, 351),
+        # mu r is a normal double, x = c mu r is not
+        (((1e-15, 1e-15),), 1e-300, 350),
+        (((1.0, 1e-30),), 1e-300, 350),
     ])
     def test_underflowing_mu_r_is_sized_from_x(self, pairs, c, digits):
-        # before, |mu r| rounded to 0 before it met c: "cancels inf digits"
+        # before, |mu r| or c mu r rounded to 0: "cancels inf digits"
         with mpmath.workdps(50):
             closed = float(mpmath.fprod(
                 4 * mpmath.pi * r * mpmath.sinh(mpmath.mpf(c) * mu * r) / (mpmath.mpf(c) * mu)

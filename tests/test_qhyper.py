@@ -201,6 +201,33 @@ class TestConvergenceDiagnostics:
         assert not summary.converged
         assert summary.window <= 64
 
+    def test_overflowing_window_returns_its_note(self):
+        # the first window's own note ends the doubling
+        spec = BilateralSeriesSpec.make([1e300], [0.3], 0.5, 1e300)
+        summary = bilateral_psi(spec, window=None)
+        assert summary.window == 8
+        assert not summary.converged
+        assert summary.notes == ("term overflow; series non-convergent here",)
+
+    def test_both_tails_terminating_is_converged(self):
+        # 27 = q^-3 ends the upper tail, the denominator q the lower one
+        q = Fraction(1, 3)
+        spec = BilateralSeriesSpec.make([Fraction(1, 2), Fraction(27)],
+                                        [q, Fraction(1, 5)], q, q)
+        summary = bilateral_psi(spec, window=None)
+        assert summary.window == 8
+        assert summary.converged and summary.notes == ()
+        assert summary.upper_terminated and summary.lower_terminated
+        assert summary.value == bilateral_psi(spec, window=16).value
+
+    def test_window_cap_reached_before_convergence(self):
+        # |z| = 0.999: the upper tail decays too slowly for MAX_WINDOW terms
+        spec = BilateralSeriesSpec.make([0.1], [0.5], 0.5, 0.999)
+        summary = bilateral_psi(spec, window=None)
+        assert summary.window == qhyper.MAX_WINDOW
+        assert not summary.converged
+        assert summary.notes == ("window cap reached before convergence",)
+
     def test_convergent_exact_auto_matches_numeric(self):
         exact = BilateralSeriesSpec.make(
             [Fraction(9, 10)], [Fraction(3, 10)], Fraction(1, 5), Fraction(1, 2)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locq.errors import NonConvergentError, ToleranceUnreachableError
 from locq.series import IntegerProductSpec, expand_product
@@ -216,6 +216,9 @@ def count_by_walk(scale, ratio, offset, threshold, cap):
     | st.sampled_from([0.0, -1.0]),
     st.sampled_from([1, 2, 3, 50, 3000]),
 )
+# the log estimate is one short (2301, the walk 2302) and one over (4, the walk 3)
+@example(2.932193383815575e+109, 0.7238523986079362, 4, 4.1998564924532565e-214, 3000)
+@example(1.852016210246915e+160, 1.3925921588513502e-89, 1, 2.0310903818129015e-198, 50)
 def test_factor_count_matches_the_walk(scale, ratio, offset, threshold, cap):
     # ratio near 0 and near 1, subnormal thresholds and scales, and the cap
     want = count_by_walk(scale, ratio, offset, threshold, cap)
