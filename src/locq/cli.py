@@ -12,10 +12,10 @@ configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -33,8 +33,14 @@ from .spectral import SpectralParams, Tau
 
 
 def cpx(z: complex) -> list[str]:
-    """Complex as a two-element array of decimal strings (repr round-trips)."""
+    """Complex as a two-element array of decimal strings (repr round-trips).
+
+    A value that is not finite raises a ValueError naming it: "nan" and "inf"
+    would pass the strict encoder as strings.
+    """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"the complex result {z!r} is not finite")
     return [repr(z.real), repr(z.imag)]
 
 
@@ -198,23 +204,21 @@ def _joined_products(pairs: list[tuple[str, str]]) -> list[str]:
     return texts
 
 
-def _fixed_point_listing(points: localization.FixedPoints) -> _Encoded:
+def _fixed_point_listing(space: SphereProductSpace, h_values: list[float]) -> _Encoded:
     """The fixed-point listing as json.dumps(sort_keys=True) writes it, in chunks.
 
-    Point p's object is {"H": ..., "lambdas": [...], "pole_signs": [...]}, its
-    arrays the p-th itertools.product entries of points.rates and of the
-    signs, so their texts are built by subset doubling from the 2n reprs; H
-    takes float.__repr__ once per point, as the C encoder does.  A non-finite
-    rate or H raises the encoder's own ValueError (strict JSON).
+    Point p's object is {"H": h_values[p], "lambdas": [...], "pole_signs":
+    [...]}, its arrays the p-th itertools.product entries of the factors'
+    (rate, -rate) pairs and of the signs, so their texts are built by subset
+    doubling from the 2n reprs; H takes float.__repr__ once per point, as the
+    C encoder does.  Every value is finite: SphereFactor refuses a rate, and
+    enumerate_fixed_points an H, that is not.
     """
-    if not all(map(math.isfinite, itertools.chain(points.h_values, *points.rates))):
-        # raises at the first non-finite value in document order: H_0, the north rates, H
-        json.dumps([points.h_values[0], points.rates, points.h_values], allow_nan=False)
-    lambdas = _joined_products([(repr(n), repr(s)) for n, s in points.rates])
-    signs = _joined_products([("1", "-1")] * len(points.rates))
+    lambdas = _joined_products([(repr(f.rate), repr(-f.rate)) for f in space.factors])
+    signs = _joined_products([("1", "-1")] * space.half_dim)
     separators = itertools.chain(("[",), itertools.repeat(", "))
     objects = map('{}{{"H": {}, "lambdas": [{}], "pole_signs": [{}]}}'.format,
-                  separators, map(float.__repr__, points.h_values), lambdas, signs)
+                  separators, map(float.__repr__, h_values), lambdas, signs)
     return _Encoded(itertools.chain(objects, ("]",)))
 
 
@@ -228,19 +232,20 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
     tol = float(args.tol)
     spectral.check_tolerance(tol)
     report = localization.dh_verify(space, c)
+    h_values = localization.enumerate_fixed_points(space)
     budget = report.rel_err / tol  # overflows to inf at a tiny --tol; reported as null
     payload = {
         "lhs": cpx(report.lhs) if isinstance(report.lhs, complex) else report.lhs,
         "rhs": cpx(report.rhs) if isinstance(report.rhs, complex) else report.rhs,
         "rel_err": report.rel_err,
-        "fixed_points": _fixed_point_listing(report.fixed_points),
+        "fixed_points": _fixed_point_listing(space, h_values),
         "tolerance": tol,
         "diagnostics": {
             "path": "complex" if report.decimal_digits is None else "decimal",
             "decimal_digits": report.decimal_digits,
-            "fixed_points": len(report.fixed_points),
+            "fixed_points": len(h_values),
             "quad_nodes": list(report.quad_nodes),
-            "budget_used": budget if math.isfinite(budget) else None,
+            "budget_used": verify.finite_or_none(budget),
         },
     }
     return payload, 0 if report.rel_err < tol else 1
@@ -274,8 +279,8 @@ def _cmd_qhyper(args) -> tuple[dict, int]:
         return {
             "value": scalar_json(summary.value),
             "window": summary.window,
-            "upper_tail": summary.upper_tail,
-            "lower_tail": summary.lower_tail,
+            "upper_tail": verify.finite_or_none(summary.upper_tail),
+            "lower_tail": verify.finite_or_none(summary.lower_tail),
             "terminated": [summary.lower_terminated, summary.upper_terminated],
             "converged": summary.converged,
             "notes": summary.notes,

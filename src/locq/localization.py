@@ -107,40 +107,29 @@ class SphereProductSpace(_SpaceFields):
         return len(self.factors)
 
 
-class FixedPoints(NamedTuple):
-    """The 2^n fixed points: one (north, south) rate pair per factor and H.
-
-    Point p's signs and rates are the p-th entries of itertools.product((1,
-    -1), repeat=n) and itertools.product(*rates); h_values[p] is its H.
-    """
-
-    rates: tuple[tuple[float, float], ...]
-    h_values: list[float]
-
-    # len is the number of points, not of fields. That would break _make and
-    # _replace, which check len; nothing calls them on FixedPoints, and pickling
-    # and copying go through __getnewargs__, which iterates the two fields.
-    def __len__(self) -> int:
-        return len(self.h_values)
-
-
-def enumerate_fixed_points(space: SphereProductSpace) -> FixedPoints:
-    """All 2^n pole combinations, with analytic linearization rates +-mu/r.
+def enumerate_fixed_points(space: SphereProductSpace) -> list[float]:
+    """H at the 2^n pole combinations, in itertools.product((1, -1), repeat=n)
+    order; factor i's rates there are +-SphereFactor.rate.
 
     H is built by subset doubling: each factor splits every point into its
     north (+1) and south (-1) child, one add per point, so H is the
-    left-to-right sum sum_i s_i mu_i r_i from int 0, in the order of
-    itertools.product((1, -1), repeat=n).  More than MAX_FACTORS factors
-    are rejected.
+    left-to-right sum sum_i s_i mu_i r_i from int 0.  More than MAX_FACTORS
+    factors, or an H that is not a finite double, are refused first.
     """
     _check_factor_count(space.half_dim)
     # s * (mu * r) == (s * mu) * r exactly for s = +-1, so each factor adds
     # +-(mu * r) to its parent's H
+    pairs = [(f.weight * f.radius, -(f.weight * f.radius)) for f in space.factors]
+    top = 0  # H at s_i = sign mu_i; rounding is monotone, so it bounds every |H|
+    for north, _ in pairs:
+        top += abs(north)
+    if not math.isfinite(top):
+        raise ValueError("overflow: H = sum_i |mu_i r_i| at the fixed point s_i = sign mu_i "
+                         "is not a finite double")
     h_values = [0]
-    for f in space.factors:
-        steps = (f.weight * f.radius, -(f.weight * f.radius))
+    for steps in pairs:
         h_values = [h + step for h in h_values for step in steps]
-    return FixedPoints(tuple((f.rate, -f.rate) for f in space.factors), h_values)
+    return h_values
 
 
 def _check_factor_count(n: int) -> None:
@@ -359,7 +348,6 @@ class DHReport(NamedTuple):
     lhs: float | complex
     rhs: float | complex
     rel_err: float
-    fixed_points: FixedPoints
     decimal_digits: int | None
     quad_nodes: tuple[int, ...]
 
@@ -564,9 +552,9 @@ class PrefixCheck(NamedTuple):
 
 
 def dh_verify(space: SphereProductSpace, c) -> DHReport:
-    """Both sides of the localization identity, their mismatch, the fixed
-    points and each factor's quadrature node count (_size_term): the
-    PrefixCheck on all of the space's factors.
+    """Both sides of the localization identity, their mismatch and each
+    factor's quadrature node count (_size_term): the PrefixCheck on all of
+    the space's factors.
 
     The right side is the fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) /
     prod_j l_j, each factor's half-terms carrying its 2 pi / (c l_j).  For
@@ -578,5 +566,5 @@ def dh_verify(space: SphereProductSpace, c) -> DHReport:
     """
     check = PrefixCheck.empty(c, space.factors).extend(*range(space.half_dim))
     return DHReport(lhs=check.lhs, rhs=check.rhs, rel_err=check.rel_err,
-                    fixed_points=enumerate_fixed_points(space), decimal_digits=check.digits,
+                    decimal_digits=check.digits,
                     quad_nodes=tuple(nodes for _, _, nodes in check.table.size_terms))

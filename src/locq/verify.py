@@ -47,15 +47,15 @@ class Row(NamedTuple):
         return {
             "identity": self.identity,
             "checks": self.checks,
-            "worst": _finite_or_none(self.worst),
+            "worst": finite_or_none(self.worst),
             "tolerance": self.tolerance,
             "budget_used": (None if self.tolerance is None
-                            else _finite_or_none(self.worst / self.tolerance)),
+                            else finite_or_none(self.worst / self.tolerance)),
             "passed": self.passed,
         }
 
 
-def _finite_or_none(x: float) -> float | None:
+def finite_or_none(x: float) -> float | None:
     """x, or None where strict JSON has no number for it."""
     return x if math.isfinite(x) else None
 

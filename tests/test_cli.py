@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -281,15 +282,28 @@ class TestDhVerify:
         assert (code1, out1) == (code2, out2)
 
 
-def dict_listing(points) -> list[dict]:
+def dict_listing(space, h_values) -> list[dict]:
     """The fixed-point listing as dicts, for json.dumps: the encoder oracle.
 
-    Each point is expanded from the flat value: its signs and lambdas are
-    the matching itertools.product entries.
+    Point p has the p-th H, and its signs and lambdas are the p-th
+    itertools.product entries of the signs and of the factors' rate pairs.
     """
-    signs = itertools.product((1, -1), repeat=len(points.rates))
+    signs = itertools.product((1, -1), repeat=space.half_dim)
+    lambdas = itertools.product(*((f.rate, -f.rate) for f in space.factors))
     return [{"pole_signs": s, "H": h, "lambdas": lams}
-            for s, h, lams in zip(signs, points.h_values, itertools.product(*points.rates))]
+            for s, h, lams in zip(signs, h_values, lambdas)]
+
+
+def plain_h_values(space) -> list[float]:
+    """H at each pole combination, added up left to right from int 0 (sum()
+    of floats is compensated from Python 3.12 on)."""
+    out = []
+    for signs in itertools.product((1, -1), repeat=space.half_dim):
+        h = 0
+        for s, f in zip(signs, space.factors):
+            h = h + s * (f.weight * f.radius)
+        out.append(h)
+    return out
 
 
 def run_with_dict_listing(run_cli, argv):
@@ -339,10 +353,16 @@ class TestFixedPointListing:
             pairs = pairs[:11]
             pairs.insert(at, extreme)
         space = localization.SphereProductSpace.of(*pairs)
-        points = localization.enumerate_fixed_points(space)
-        listing = text_or_error(lambda: "".join(cli._fixed_point_listing(points).chunks))
-        oracle = text_or_error(lambda: json.dumps(dict_listing(points),
-                                                  sort_keys=True, allow_nan=False))
+        try:
+            h_values = localization.enumerate_fixed_points(space)
+        except ValueError as exc:
+            # refused by name exactly where the encoder refuses the plain sums
+            assert str(exc).startswith("overflow: H = ")
+            with pytest.raises(ValueError, match="Out of range float values"):
+                json.dumps(dict_listing(space, plain_h_values(space)), allow_nan=False)
+            return
+        listing = "".join(cli._fixed_point_listing(space, h_values).chunks)
+        oracle = json.dumps(dict_listing(space, h_values), sort_keys=True, allow_nan=False)
         assert_same_text(listing, oracle)
 
     @settings(max_examples=25, deadline=None,
@@ -398,11 +418,25 @@ class TestFixedPointListing:
                              "--c", "0.4"])
         assert code == 0
         listing = parse_strict(out)["fixed_points"]
-        points = localization.enumerate_fixed_points(localization.SphereProductSpace.of(*pairs))
+        space = localization.SphereProductSpace.of(*pairs)
         assert [p["pole_signs"] for p in listing] == [
             list(signs) for signs in itertools.product((1, -1), repeat=len(pairs))]
+        rates = itertools.product(*((mu / r, -mu / r) for r, mu in pairs))
         assert [(p["H"], p["lambdas"]) for p in listing] == [
-            (h, list(lams)) for h, lams in zip(points.h_values, itertools.product(*points.rates))]
+            (h, list(lams)) for h, lams in zip(plain_h_values(space), rates)]
+
+    def test_h_overflow_is_named_before_any_file(self, run_cli, capsys, tmp_path):
+        # lhs and rhs are finite; H(+, +) = 2e308 is not.  Before: exit 2 with
+        # the encoder's "Out of range float values are not JSON compliant"
+        target = tmp_path / "result.json"
+        code, out = run_cli(["dh-verify", "--factors", "1:1e308,1:1e308", "--c", "1e-306",
+                             "--out", str(target)])
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            "ValueError: overflow: H = sum_i |mu_i r_i| at the fixed point s_i = sign mu_i "
+            "is not a finite double")
+        assert capsys.readouterr().err == ""
+        assert not target.exists()
 
 
 class TestSpectralEval:
@@ -608,6 +642,18 @@ class TestQhyperCommand:
         assert code == 0
         assert payload["notes"] == ["term overflow; series non-convergent here"]
         assert payload["terminated"] == [False, False]
+
+    def test_psi_tail_past_a_double_is_null(self, run_cli):
+        # the exact value is answered; its lower tail size, 2.6e249 at window
+        # 400, is not a double at 600.  Before: exit 2 from the JSON encoder
+        argv = ["qhyper", "psi", "--num", "1/3", "--den", "1/5", "--q", "1/2", "--z", "1/7"]
+        code, out = run_cli([*argv, "--window", "400"])
+        assert code == 0 and parse_strict(out)["lower_tail"] == pytest.approx(2.6489e249, 1e-4)
+        code, out = run_cli([*argv, "--window", "600"])
+        payload = parse_strict(out)
+        assert code == 0
+        assert (payload["lower_tail"], payload["upper_tail"]) == (None, 0.0)
+        assert len(payload["value"]) == 217_386
 
     def test_psi_window_cap_is_exit_two(self, run_cli):
         code, out = run_cli([*self.PSI, "--num", "0.9", "--window", "4097"])
@@ -928,6 +974,28 @@ class TestContract:
         code, out = run_cli(["phi", "--tau", "0,0.1"])
         assert code == 2
         assert parse_strict(out)["error"].startswith("ToleranceUnreachableError")
+
+    @pytest.mark.parametrize("argv", [
+        ["qhyper", "pochhammer", "--a", "1e308", "--q", "1e308", "--n", "5"],
+        ["qhyper", "pochhammer", "--a", "1e200", "--q", "0.5", "--infinite"],
+        ["spectral-eval", "--a", "1", "--tau", "0,1", "--epsilon", "-100"],
+    ])
+    def test_non_finite_complex_result_is_exit_two(self, run_cli, capsys, tmp_path, argv):
+        # before: exit 0 with "value": ["nan", "nan"], which strict JSON takes
+        target = tmp_path / "result.json"
+        code, out = run_cli([*argv, "--out", str(target)])
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            "ValueError: the complex result (nan+nanj) is not finite")
+        assert capsys.readouterr().err == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(1.0, -math.inf),
+                                   complex(math.nan, 2.0), math.inf])
+    def test_cpx_names_a_non_finite_value(self, z):
+        with pytest.raises(ValueError, match=rf"^the complex result {re.escape(repr(complex(z)))} "
+                                             r"is not finite$"):
+            cli.cpx(z)
 
     def test_byte_identical_reruns(self, run_cli):
         argv = ["twisted-sym", "--chi", "3", "--order", "12"]

@@ -1,11 +1,9 @@
 """Fixed-point localization on sphere products: the identity is the oracle."""
 
 import cmath
-import copy
 import hashlib
 import itertools
 import math
-import pickle
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -18,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 from locq import localization, pfaffian, verify
 from locq.errors import DegenerateWeightError
 from locq.localization import (
-    FixedPoints,
     PrefixCheck,
     SphereFactor,
     SphereProductSpace,
@@ -59,31 +56,22 @@ def _numerical_rate(factor, pole_sign):
 
 class TestFixedPoints:
     def test_single_sphere(self):
-        pts = enumerate_fixed_points(SphereProductSpace.of((1.0, 1.0)))
-        assert len(pts) == 2
-        assert pts.rates == ((1.0, -1.0),)
-        assert pts.h_values == [1.0, -1.0]
-
-    def test_len_counts_points_through_copies(self):
-        # len is 2^n, not the field count, and survives pickling and copying
-        pts = enumerate_fixed_points(SphereProductSpace.of((1.0, 1.0), (2.0, 0.5), (1.0, 3.0)))
-        assert len(pts) == 8
-        for other in (pickle.loads(pickle.dumps(pts)), copy.copy(pts), copy.deepcopy(pts)):
-            assert type(other) is FixedPoints and other == pts and len(other) == 8
+        space = SphereProductSpace.of((1.0, 1.0))
+        assert enumerate_fixed_points(space) == [1.0, -1.0]
+        assert space.factors[0].rate == 1.0
 
     def test_two_spheres_h_values(self):
         pts = enumerate_fixed_points(SphereProductSpace.of((1.0, 1.0), (1.0, 1.0)))
-        assert sorted(pts.h_values) == [-2.0, 0.0, 0.0, 2.0]
+        assert sorted(pts) == [-2.0, 0.0, 0.0, 2.0]
 
     def test_rate_scaling(self):
-        pts = enumerate_fixed_points(SphereProductSpace.of((2.0, 3.0)))
-        assert pts.rates == ((1.5, -1.5),)
+        assert SphereFactor(2.0, 3.0).rate == 1.5
 
     def test_numerical_linearization_agrees(self):
         for space in [SphereProductSpace.of((2.0, 3.0), (0.5, -1.25)), *CACHE_SPACES]:
-            for f, pair in zip(space.factors, enumerate_fixed_points(space).rates):
+            for f in space.factors:
                 numeric = (_numerical_rate(f, 1), _numerical_rate(f, -1))
-                assert pair == pytest.approx(numeric, abs=1e-9)
+                assert (f.rate, -f.rate) == pytest.approx(numeric, abs=1e-9)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(DegenerateWeightError):
@@ -197,8 +185,8 @@ class TestIdentity:
         space = SphereProductSpace.of((1.0, 2.0), (2.0, 0.5))
         halved = SphereProductSpace.of((1.0, 1.0), (2.0, 0.25))
         c = 0.8
-        exps = sorted(c * h for h in enumerate_fixed_points(space).h_values)
-        exps_halved = sorted(2 * c * h for h in enumerate_fixed_points(halved).h_values)
+        exps = sorted(c * h for h in enumerate_fixed_points(space))
+        exps_halved = sorted(2 * c * h for h in enumerate_fixed_points(halved))
         assert exps == pytest.approx(exps_halved, rel=1e-14)
 
     def test_via_sqrt_det_path(self):
@@ -381,8 +369,16 @@ class TestCaching:
                 key(cold.lhs, cold.rhs, cold.rel_err, cold.decimal_digits)
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
-    def test_report_fixed_points_match_enumeration(self, space):
-        assert dh_verify(space, 0.3).fixed_points == enumerate_fixed_points(space)
+    def test_dh_verify_enumerates_no_points(self, monkeypatch, space):
+        # the check folds its own point terms; only the CLI's listing reads H
+        reports = [dh_verify(space, c) for c in (0.3, complex(0.3, 0.2))]
+
+        def forbidden(*args):
+            raise AssertionError("dh_verify enumerated the fixed points")
+
+        monkeypatch.setattr(localization, "enumerate_fixed_points", forbidden)
+        assert [dh_verify(space, c) for c in (0.3, complex(0.3, 0.2))] == reports
+        assert "fixed_points" not in localization.DHReport._fields
 
     def test_errors_are_not_cached(self):
         f = SphereFactor(1.0, 1.0)
@@ -561,13 +557,24 @@ class TestSubsetDoubling:
 
     @settings(max_examples=40, deadline=None)
     @given(space=st.one_of(_spaces, _extreme_spaces))
+    @example(space=SphereProductSpace.of((1.0, 1e308), (1.0, 1e308)))  # H(+, +) = 2e308
+    @example(space=SphereProductSpace.of((1.0, -1e308), (1.0, 1e308)))  # H(-, +) = 0
+    @example(space=SphereProductSpace.of((1.0, 1e308), (1.0, 7e307)))  # every H finite
+    @example(space=SphereProductSpace.of((1e300, 1e300), (1e300, 1e300)))  # inf - inf = nan
     def test_points_match_product_loop(self, space):
-        # repr, so that inf and nan (from the extreme spaces) compare too
-        points = enumerate_fixed_points(space)
-        got = list(zip(itertools.product((1, -1), repeat=space.half_dim), points.h_values,
-                       itertools.product(*points.rates)))
-        assert len(points) == 2**space.half_dim
-        assert repr(got) == repr(_reference_points(space))
+        # the plain per-point sums in itertools.product order, as floats, or
+        # a refusal by name exactly when one of them is not finite
+        want = [h for _, h, _ in _reference_points(space)]
+        if not all(map(math.isfinite, want)):
+            with pytest.raises(ValueError, match=r"^overflow: H = sum_i \|mu_i r_i\| at the "
+                                                 r"fixed point s_i = sign mu_i is not a finite "
+                                                 r"double$"):
+                enumerate_fixed_points(space)
+            return
+        got = enumerate_fixed_points(space)
+        assert type(got) is list and len(got) == 2**space.half_dim
+        assert all(type(h) is float for h in got)
+        assert repr(got) == repr(want)
 
     @settings(max_examples=60, deadline=None)
     @given(space=_spaces, c=_real_cs)

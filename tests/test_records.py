@@ -41,7 +41,6 @@ def _samples():
         pfaffian.canonicalize(pfaffian.SkewMatrix([[0.0, -2.0], [2.0, 0.0]])),
         space.factors[0],
         space,
-        localization.enumerate_fixed_points(space),
         localization.dh_verify(space, 0.5),
         localization.PrefixCheck.empty(0.5, space.factors),
         verify.Row("identity", 1, 0),
