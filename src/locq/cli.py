@@ -241,10 +241,9 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
         "fixed_points": _fixed_point_listing(space, h_values),
         "tolerance": tol,
         "diagnostics": {
-            "path": "complex" if report.decimal_digits is None else "decimal",
-            "decimal_digits": report.decimal_digits,
             "fixed_points": len(h_values),
             "quad_nodes": list(report.quad_nodes),
+            "rhs_bound": verify.finite_or_none(report.rhs_bound),
             "budget_used": verify.finite_or_none(budget),
         },
     }

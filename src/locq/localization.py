@@ -11,9 +11,12 @@ identity
     integral e^(c H) dLiouville  ==  (2 pi / c)^n  sum_poles e^(c H(p)) / prod_j l_j
 
 holds exactly, which makes it a machine-checkable oracle: the left side is
-evaluated by Gauss-Legendre quadrature, the right side by the fixed-point
-sum with the sqrt-det sign convention of locq.pfaffian.  A PrefixCheck
-folds over its factors, so the check on n + 1 extends its prefix's by one step.
+evaluated by Gauss-Legendre quadrature, the right side as the fixed-point
+sum with the sqrt-det sign convention of locq.pfaffian.  Each of its terms
+is a product of one share per factor and pole, so the sum is the product of
+the factors' pole pairs (2 pi / (c l_j)) (e^a_j - e^-a_j) = 4 pi r_j^2
+sinh(a_j) / a_j, a_j = c mu_j r_j (_pole_pair).  A PrefixCheck folds over
+its factors, so the check on n + 1 extends its prefix's by one step.
 
 NumPy is imported inside the quadrature, the only code that uses it.
 """
@@ -24,8 +27,8 @@ import cmath
 import math
 import sys
 from collections.abc import Sequence
-from decimal import Decimal, localcontext
-from functools import cached_property, lru_cache
+from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateWeightError
@@ -39,20 +42,20 @@ MAX_FACTORS = 16
 # Gauss-Legendre node counts (_size_term): powers of two, so _leggauss
 # caches every size a process can reach.
 QUAD_COUNTS = tuple(1 << k for k in range(3, MAX_QUAD_POINTS.bit_length()))
-# The real fixed-point sum runs at the precision its cancellation needs
-# (_size_check), counted in decimal digits; this caps that precision, and
-# so the cost of each operation, before any work.
-MAX_DECIMAL_DIGITS = 1000
-# Its integer mantissas carry this many bits beyond those digits, so that
-# the rounding bound of PrefixCheck._fold, n 2^(2n - 1) units of the last
-# bit, stays below 2^GUARD_BITS for every n up to MAX_FACTORS.
-GUARD_BITS = 2 * MAX_FACTORS + 4
-# The complex sum runs in doubles, so it may cancel at most this many of
-# their ~16 digits; a c at which it would cancel more is refused up front.
-MAX_COMPLEX_LOSS = 9
+# A quadrature's rounding floor is about (1 + |a|) |a| / kept units u of its
+# value (_size_term), large only near a zero of sinh a; a factor whose floor
+# exceeds 10^MAX_QUAD_LOSS u (rel_err up to about 2e-9) is refused.
+MAX_QUAD_LOSS = 7
 # A factor's e^(c mu r), the largest exponential any step forms as a
 # double, fits one while |Re c mu r| stays below this.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# The unit roundoff u, and the roundings in units of u of a pole pair and
+# of a multiply of their product, at real and complex c (_pole_pair).
+UNIT = sys.float_info.epsilon / 2
+PAIR_ROUNDINGS = {False: 11.0, True: 24.0}
+STEP_ROUNDINGS = {False: 1.0, True: 3.0}
+# Below this |a|, sinh(a) / a is 1 + a^2 / 6 to within |a|^4 / 120 < u / 100.
+SERIES_BELOW = 1e-4
 _NORMAL_MIN = sys.float_info.min
 
 
@@ -199,20 +202,32 @@ def _frexp(value):
     return math.frexp(value)
 
 
-def _size_term(factor: SphereFactor, c):
-    """The factor's step of the sizes: |mu r|, the digits the sum cancels
-    at this factor, -log10 of what its half-terms keep, x = c mu r, and
-    its Gauss-Legendre node count: the least n in QUAD_COUNTS with
-    _quad_excess(n, x, kept) <= 0, None if there is none or kept is 0.
-    A real sum keeps |2 sinh x| / e^|x| = 1 - e^(-2|x|) of its largest
-    term, a complex one |sinh x| / cosh(Re x) of the sum of its terms'
-    sizes, taken as |1 - e^(-2x)| / (1 + |e^(-2x)|) with Re x >= 0 and
-    e^(-2x) = (e^(-x))^2, so that nothing overflows.  A complex c whose
-    Im(c mu r) overflows a double, so that e^x has no phase, is refused.
+def _ldexp(m, e):
+    """m 2^e for a float or complex m; inf where that is not a double."""
+    try:
+        return (complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+                if isinstance(m, complex) else math.ldexp(m, e))
+    except OverflowError:
+        return math.inf
 
-    Where x = c mu r underflows to 0 at real c, whether or not mu r does,
-    |x| < 1e-15: kept = 2|x| to rounding, its digits are taken in logs,
-    and the least node count is exact to rounding."""
+
+def _size_term(factor: SphereFactor, c):
+    """The factor's sizes: |mu r|, its Gauss-Legendre node count and the
+    digits its quadrature loses to rounding.
+
+    At a = c mu r the quadrature's terms w_i e^(a x_i) are up to 2 e^|Re a|
+    in size, and its value 2 sinh(a) / a is about kept / |a| of that, kept ~
+    |2 sinh a| / e^|Re a|: 1 - e^(-2|a|) at real c, |sinh a| / cosh(Re a)
+    at complex c, taken as |1 - e^(-2a)| / (1 + |e^(-2a)|) with Re a >= 0,
+    so that nothing overflows, or from cmath.sinh below SERIES_BELOW, where
+    1 - e^(-2a) cancels.  The node count is the least n in QUAD_COUNTS with
+    _quad_excess(n, a, kept) <= 0 (8 where a is 0), None where there is
+    none or kept is 0.  The loss is log10 of the rounding floor in units u:
+    each term carries a few u and a phase error |a x_i| u, about (1 + |a|)
+    |a| / kept u of the value (rel_err was at most 1.6 times that over
+    10,000 a = i (pi k + d), k <= 60, |d| <= 1).  At real c, |a| < 710, it is
+    below 5.8.  A complex c whose Im(c mu r) overflows a double, so that e^a
+    has no phase, is refused."""
     scale = abs(factor.weight * factor.radius)
     if isinstance(c, complex):
         if not math.isfinite(c.imag * factor.weight * factor.radius):
@@ -220,19 +235,22 @@ def _size_term(factor: SphereFactor, c):
                 f"overflow: Im(c mu r) = {c.imag!r} * {factor.weight!r} * {factor.radius!r} "
                 f"is not a finite double"
             )
-        x = c * factor.weight * factor.radius
-        e = cmath.exp(x if x.real < 0 else -x) ** 2
-        kept = abs(1 - e) / (1 + abs(e))
-    elif not abs(c) * scale:
-        logs = map(math.log10, (2.0, abs(c), abs(factor.weight), factor.radius))
-        return scale, -sum(logs), QUAD_COUNTS[0]
+        a = c * factor.weight * factor.radius
     else:
-        x = abs(c) * scale
-        kept = -math.expm1(-2.0 * abs(c) * scale)  # 1 - e^(-2|x|), accurate at tiny x
+        a = abs(c) * scale
+    if not a:
+        return scale, QUAD_COUNTS[0], 0.0
+    if not isinstance(a, complex):
+        kept = -math.expm1(-2.0 * a)
+    elif abs(a) < SERIES_BELOW:
+        kept = abs(cmath.sinh(a)) / math.cosh(a.real)
+    else:
+        e = cmath.exp(a if a.real < 0 else -a) ** 2
+        kept = abs(1 - e) / (1 + abs(e))
     if not kept > 0:
-        return scale, math.inf, None
-    nodes = next((n for n in QUAD_COUNTS if _quad_excess(n, x, kept) <= 0), None)
-    return scale, -math.log10(kept), nodes
+        return scale, None, math.inf
+    nodes = next((n for n in QUAD_COUNTS if _quad_excess(n, a, kept) <= 0), None)
+    return scale, nodes, math.log10((1 + abs(a)) * abs(a) / kept)
 
 
 def _quad_excess(n: int, a, kept: float) -> float:
@@ -252,179 +270,119 @@ def _quad_excess(n: int, a, kept: float) -> float:
             - math.log(4 * n) + 2 * math.log(size) - math.log(kept))
 
 
-def _size_check(sizes, c):
-    """The digits of the check with these sizes: (max_i |mu_i r_i|, D), left
-    folds of _size_term from int 0 and 0.0.
-
-    Refuses, in this order, a c at which some factor's e^(c mu r) overflows
-    a double (no step forms e^(c H) as one: a quadrature forms e^(c mu r s)
-    with |s| <= 1, and the half-terms are Decimals, or per factor complex
-    floats), a real sum that needs more than MAX_DECIMAL_DIGITS and a
-    complex sum that cancels more than MAX_COMPLEX_LOSS digits.  A real
-    sum, prod_i 2 sinh(x_i) 2 pi / (c l_i) against a largest term prod_i
-    e^|x_i| 2 pi / |c l_i|, cancels D digits and runs at max(40, 20 +
-    ceil(D)) decimal digits: its half-terms are Decimals at 3 digits more,
-    and its terms are integer mantissas with the bits of those digits
-    (_half_terms); a complex one runs in doubles (digits None).
-    """
-    scale_max, loss = sizes
-    exponent = abs(c.real) * scale_max
+def _size_check(scale: float, c) -> None:
+    """Refuse a c at which some factor's e^(c mu r) overflows a double,
+    scale = max_i |mu_i r_i| (no step forms e^(c H) as one: a quadrature
+    forms e^(c mu r s) with |s| <= 1, a pole pair sinh(c mu r))."""
+    exponent = abs(c.real) * scale
     if not exponent <= LOG_FLOAT_MAX:
         raise ValueError(
             f"overflow: e^(c mu r) exceeds the largest double, since |Re c| * max |mu_i r_i| "
             f"= {exponent!r} > log(sys.float_info.max) = {LOG_FLOAT_MAX!r}"
         )
-    if isinstance(c, complex):
-        if not loss <= MAX_COMPLEX_LOSS:
-            raise ValueError(
-                f"the complex fixed-point sum at c = {c!r} cancels {loss:.1f} digits, more "
-                f"than the MAX_COMPLEX_LOSS = {MAX_COMPLEX_LOSS} a double can lose"
-            )
-        return None
-    if not loss <= MAX_DECIMAL_DIGITS - 20:
-        raise ValueError(
-            f"the fixed-point sum at c = {c!r} cancels {loss:.1f} digits, so it needs "
-            f"more than MAX_DECIMAL_DIGITS = {MAX_DECIMAL_DIGITS} decimal digits"
-        )
-    return max(40, 20 + math.ceil(loss))
 
 
-def _half_terms(factor: SphereFactor, c, digits: int | None):
-    """The factor's share of a point's term, (e^x, -e^(-x)) 2 pi / (c l) at
-    its north and south pole, with x = c mu r and l = mu / r, so that a
-    point's term carries its share of (2 pi / c)^n; as (pair, scale,
-    shift): the half-terms are pair / 2^scale, and a product that ends in
-    them drops `shift` bits before it is multiplied again
-    (PrefixCheck._fold).
+def _pole_pair(factor: SphereFactor, c):
+    """The pole pair 4 pi r^2 sinh(a) / a, a = c mu r, as (m, e) with value
+    m 2^e (_frexp, r^2 never formed), and its roundings in units of u.
 
-    Where digits is None (complex c) the pair is two complex floats, scale
-    and shift 0.  At real c the pair is computed in Decimal at digits + 3
-    digits from the double TWO_PI, with one exp (e^(-x) = 1 / e^x), and
-    returned as two integer mantissas on one binary scale, each within half
-    a unit of its Decimal: the larger has exactly ceil(digits log2 10) +
-    GUARD_BITS bits, and shift is its bit length.  `digits` counts decimal
-    digits.
+    a is c mu r as rationals rounded once, da its residual; sinh(a) / a is
+    1 + a^2 / 6 below SERIES_BELOW (complex division by a = 1e-300 +
+    1e-300j raises), else sinh(a) / a (1 + (coth a - 1/a) da), since
+    sinh(a + da) = sinh(a) cosh(da) + cosh(a) sinh(da).  A product of n
+    pairs is within E u / (1 - E u) of the exact one at the given doubles,
+    to first order (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 3): E = sum_j (PAIR_ROUNDINGS + (|a_j|^2 + 32 (kappa_j + 1))
+    u) + (n - 1) STEP_ROUNDINGS, kappa = |a coth a - 1| the condition number
+    of sinh(a) / a, large only near a zero of sinh (a = i pi k).  The
+    rounding of a would move the pair by kappa u; corrected, it leaves |da|^2
+    |1/2 - coth(a) / a + 1/a^2| <= (|a|^2 / 2 + kappa + 2) u^2 and the
+    correction's rounding.  PAIR_ROUNDINGS: real c, 4 pi and its 3 products
+    (4), sinh within 2 ulps (4), / a (1), the correction (2); complex c,
+    4 pi m_r m_r (3) times a complex (1), sinh from sinh, cosh, sin, cos
+    (7), / a (8), the correction (4), a part scaled below the normal
+    doubles (1).  STEP_ROUNDINGS: a complex multiply, sqrt(2) gamma_2 < 3.
     """
-    if digits is None:
-        cw = c * factor.weight
-        x, k = cw * factor.radius, TWO_PI * factor.radius / cw
-        return (cmath.exp(x) * k, -cmath.exp(-x) * k), 0, 0
-    with localcontext() as ctx:
-        ctx.prec = digits + 3
-        radius, cw = Decimal(factor.radius), Decimal(c) * Decimal(factor.weight)
-        x, k = cw * radius, Decimal(TWO_PI) * radius / cw
-        exp = x.exp()
-        halves = exp * k, -k / exp
-    bits = math.ceil(digits * math.log2(10)) + GUARD_BITS
-    ratios = [h.as_integer_ratio() for h in halves]
-    p, q = ratios[halves[1].copy_abs() > halves[0].copy_abs()]  # the larger
-    scale = bits - (abs(p).bit_length() - q.bit_length())
-    # 2^(bits - 1) < |p| / q * 2^scale < 2^(bits + 1): at most two steps down
-    while abs(_scaled(p, q, scale)).bit_length() > bits:
-        scale -= 1
-    pair = _scaled(*ratios[0], scale), _scaled(*ratios[1], scale)
-    return pair, scale, max(map(abs, pair)).bit_length()
-
-
-def _scaled(p: int, q: int, scale: int) -> int:
-    """p / q * 2^scale rounded to the nearest integer (halves up)."""
-    if scale >= 0:
-        p <<= scale
+    is_complex = isinstance(c, complex)
+    rate = Fraction(factor.weight) * Fraction(factor.radius)
+    exact = [Fraction(x) * rate for x in ((c.real, c.imag) if is_complex else (c,))]
+    a, da = [float(x) for x in exact], [float(x - Fraction(float(x))) for x in exact]
+    a, da = (complex(*a), complex(*da)) if is_complex else (a[0], da[0])
+    if abs(a) < SERIES_BELOW:
+        ratio, kappa = 1 + a * a / 6, abs(a) ** 2 / 2  # kappa <= |a|^2 / 3 (1 + |a|^2)
     else:
-        q <<= -scale
-    return (2 * p + q) // (2 * q)
-
-
-def _times(base, last, shift: int) -> list:
-    """[t * h for t in base for h in last], each product rounded to nearest
-    (halves up) by `shift` bits where shift > 0."""
-    if not shift:
-        return [t * h for t in base for h in last]
-    half = 1 << (shift - 1)
-    return [(t * h + half) >> shift for t in base for h in last]
+        sinh, tanh = (cmath.sinh, cmath.tanh) if is_complex else (math.sinh, math.tanh)
+        slope = a / tanh(a) - 1  # a (coth a - 1/a)
+        ratio, kappa = sinh(a) / a * (1 + slope * da / a), abs(slope)
+    m_r, e_r = math.frexp(factor.radius)
+    m, e = _frexp(2 * TWO_PI * m_r * m_r * ratio)
+    return (m, e + 2 * e_r), PAIR_ROUNDINGS[is_complex] + (abs(a) ** 2 + 32 * (kappa + 1)) * UNIT
 
 
 class DHReport(NamedTuple):
     lhs: float | complex
     rhs: float | complex
     rel_err: float
-    decimal_digits: int | None
+    rhs_bound: float
     quad_nodes: tuple[int, ...]
 
 
 class _FactorTable:
-    """One c's per-factor work for the PrefixChecks on a list of factors, by
-    factor index, each item computed once: the _size_terms up front, the
-    quadratures (factor_integral_quad) at their node counts when a check
-    first needs them, after its refusals, and every factor's half-terms at
-    each digits a check reaches, with each pair's sum h+ + h- in pole_sums.
-    It is the only memo of that work, and it lives as long as its checks."""
+    """One c's per-factor work for the PrefixChecks on a list of factors,
+    the only memo of it: the _size_terms up front, and each factor's
+    quadrature and pole pair once a check needs them, after its refusals."""
 
     def __init__(self, c, factors: Sequence[SphereFactor]):
         self.c, self.factors = c, tuple(factors)
         self.size_terms = [_size_term(f, c) for f in self.factors]
-        self.unsized = {i for i, (_, _, nodes) in enumerate(self.size_terms) if nodes is None}
-        self._halves: dict[int | None, list[tuple]] = {}
-        self.pole_sums: dict[int | None, list] = {}
+        self.refused = {i for i, (_, nodes, loss) in enumerate(self.size_terms)
+                        if nodes is None or loss > MAX_QUAD_LOSS}
+        self.steps: list = [None] * len(self.factors)
 
-    @cached_property
-    def quads(self) -> list:
-        return [factor_integral_quad(f, self.c, nodes) if nodes else None
-                for f, (_, _, nodes) in zip(self.factors, self.size_terms)]
+    def refusal(self, i: int) -> str:
+        """Why factor i is refused: it needs more than MAX_QUAD_POINTS nodes,
+        or its quadrature loses more than MAX_QUAD_LOSS digits (_size_term)."""
+        f, (_, nodes, loss) = self.factors[i], self.size_terms[i]
+        what = (f"the Gauss-Legendre quadrature of the factor (r, mu) = ({f.radius!r}, "
+                f"{f.weight!r}) at c = {self.c!r}")
+        if nodes is None:
+            return f"{what} needs more than MAX_QUAD_POINTS = {MAX_QUAD_POINTS} nodes"
+        return (f"{what} loses {loss:.1f} digits to rounding, more than "
+                f"MAX_QUAD_LOSS = {MAX_QUAD_LOSS}")
 
-    def half_terms(self, digits: int | None) -> list[tuple]:
-        if digits not in self._halves:
-            halves = [_half_terms(f, self.c, digits) for f in self.factors]
-            self._halves[digits] = halves
-            self.pole_sums[digits] = [north + south for (north, south), _, _ in halves]
-        return self._halves[digits]
+    def step(self, i: int):
+        """Factor i's quadrature and pole pair, as (m, e) each, and the
+        pair's roundings, flat: (quad_m, quad_e, pair_m, pair_e, roundings)."""
+        if self.steps[i] is None:
+            factor, (_, nodes, _) = self.factors[i], self.size_terms[i]
+            (pair_m, pair_e), roundings = _pole_pair(factor, self.c)
+            self.steps[i] = (*factor_integral_quad(factor, self.c, nodes), pair_m, pair_e,
+                             roundings)
+        return self.steps[i]
 
 
 class PrefixCheck(NamedTuple):
-    """The localization check at one c on a sequence of factors, named by
-    index into the list of PrefixCheck.empty, whose _FactorTable does each
-    factor's work once.  The fields are left folds over the factors: the
-    sizes (_size_check), the quadrature product lhs, and the point terms at
-    `digits` digits, sum(terms) / 2^scale, rounded by `shift` bits before
-    they are multiplied again; rhs is their sum.  The terms are kept as
-    `base`, the prefix's terms already rounded for the last factor, and
-    `last`, that factor's half-term pair: terms is [t * h for t in base for
-    h in last], built only when it is read or the check is extended.
-
-    extend(*indices) makes every refusal before any work (the factor cap,
-    _size_check's, then an unsized factor's), takes one step of each fold
-    per new factor and builds the terms once, at the final digits: from
-    this check's rounded terms where the digits did not rise, else from
-    (1,) over all the factors, since every mantissa depends on the digits.
-    children(indices) is [extend(i) for i in indices], bit for bit, with
-    this check's terms rounded, and at real c summed, once for all of them,
-    so siblings share one base.  A result that is not a normal double is
-    refused once it is known (_check_normal), so rel_err divides by a
-    normal |rhs|.  An empty check is no check; dh_verify extends it by all
-    of a space's factors.
-    """
+    """The check at one c on factors named by index into the list of
+    PrefixCheck.empty: left folds of max_i |mu_i r_i| and of the products of
+    the quadratures and of the pole pairs, as mantissa and exponent, and
+    their values lhs and rhs.  extend(*indices) makes every refusal (the
+    factor cap, _size_check's, a refused factor's) before any work, then
+    takes one multiply and exponent add per side and factor and one ldexp;
+    children(indices) is [extend(i) for i in indices].  A result that is
+    not a normal double is refused, so rel_err divides by a normal |rhs|."""
 
     table: _FactorTable
     indices: tuple[int, ...] = ()
-    sizes: tuple = (0, 0.0)
+    scale: float = 0.0
+    parts: tuple = (1.0, 0, 1.0, 0)  # lhs_m, lhs_e, rhs_m, rhs_e
     lhs: float | complex = 1.0
-    digits: int | None = None
-    base: Sequence = (1,)
-    last: Sequence = (1,)
-    scale: int = 0
-    shift: int = 0
     rhs: float | complex | None = None
 
     @classmethod
     def empty(cls, c, factors: Sequence[SphereFactor]) -> "PrefixCheck":
         _check_c(c)
-        return cls(_FactorTable(c, factors),
-                   lhs=1.0 + 0.0j if isinstance(c, complex) else 1.0)
-
-    @property
-    def terms(self) -> list:
-        """The point terms, in the order of enumerate_fixed_points."""
-        return _times(self.base, self.last, 0)
+        one = 1.0 + 0.0j if isinstance(c, complex) else 1.0
+        return cls(_FactorTable(c, factors), parts=(one, 0, one, 0), lhs=one)
 
     def extend(self, *indices: int) -> "PrefixCheck":
         return self._fold([indices])[0]
@@ -433,138 +391,52 @@ class PrefixCheck(NamedTuple):
         return self._fold(zip(indices))
 
     def _fold(self, additions) -> list["PrefixCheck"]:
-        """One check per tuple of new indices in `additions`, in order, each
-        this check extended by those factors: one step of each fold per new
-        factor, and one _size_check and pair of normal checks per check.
-
-        The quadratures are carried as frexp mantissas and exponents
-        (factor_integral_quad): lhs is the product of the mantissas times 2
-        to the sum of the exponents, taken by one ldexp, so no partial
-        product overflows or underflows where lhs does not; it is the
-        left-to-right product of the values bit for bit wherever each
-        partial product is a normal double, since scaling by a power of two
-        commutes with rounding there.
-
-        The point terms (2 pi / c)^n e^(c H(p)) / prod_j l_j are doubled by
-        each factor's half-term pair in the order of enumerate_fixed_points:
-        each term t splits into t times the factor's two half-terms.
-        Complex terms are never rounded and are added left to right from
-        int 0 in complex floats.
-
-        At real c a term is a product of integer mantissas.  A product of
-        two or more is rounded to nearest, by the bit length b of its last
-        factor's larger mantissa, only when it is multiplied again, so a
-        check's terms are exact products of its base and last.  So the sum
-        is taken in pole pairs: sum_t (t m+ + t m-) = (sum_t t) (m+ + m-)
-        exactly in Python ints, one product per check, with sum_t t over
-        the base summed once for all of a check's children, and the same
-        integer as the sum of the terms.  Its value over 2^b (b its bit
-        length) is rounded once to a double by int / int division and
-        scaled by 2^(b - scale), so rhs is sum(terms) / 2^scale rounded once
-        wherever that is a normal double.
-
-        Error bound, given the mantissas: each rounding is off by at most
-        half a unit, and |m| < 2^b keeps an earlier error from growing, so
-        each of the 2^n terms is off by fewer than n half-units at the
-        terms' scale (a unit is 2^b of the last factor), and their sum by
-        at most 2^n n; the last factor, summed in pole pairs, adds no
-        rounding.  A rounding drops at most one bit more than its mantissa
-        added, so the largest term keeps at least 2 bits - n bits (bits =
-        ceil(digits log2 10) + GUARD_BITS), and the bound is at most n 2^(2n
-        - 1 - GUARD_BITS) 10^-digits <= 10^-digits / 2 of the largest term:
-        at most 10^-20 / 2 of a sum that cancels D <= digits - 20 digits
-        (_size_check).  The half-terms' own errors, a few units in their
-        (digits + 3)-th digit, reach the sum through prod_j (h_j+ + h_j-)
-        and move it by about n 10^(D - digits - 2) of itself.
-        """
-        table = self.table
-        c, size_terms, unsized = table.c, table.size_terms, table.unsized
-        lhs_m, lhs_e = _frexp(self.lhs)
-        ready = None  # this check's terms rounded for one more factor, once for every child
-        out = []
+        """This check extended by each tuple of indices in `additions`."""
+        table, count, normal, inf = self.table, len(self.indices), _NORMAL_MIN, math.inf
+        c, size_terms, refused, steps = table.c, table.size_terms, table.refused, table.steps
+        make, out = PrefixCheck._make, []
         for indices in additions:
-            everything = self.indices + indices
-            _check_factor_count(len(everything))
-            scale_max, loss = self.sizes
+            _check_factor_count(count + len(indices))
+            scale = self.scale
             for i in indices:
-                step, step_loss, _ = size_terms[i]
-                scale_max, loss = max(scale_max, step), loss + step_loss
-            sizes = scale_max, loss
-            digits = _size_check(sizes, c)
-            if unsized and not unsized.isdisjoint(indices):
-                f = table.factors[next(i for i in indices if i in unsized)]
-                raise ValueError(
-                    f"the Gauss-Legendre quadrature of the factor (r, mu) = "
-                    f"({f.radius!r}, {f.weight!r}) at c = {c!r} needs more than "
-                    f"MAX_QUAD_POINTS = {MAX_QUAD_POINTS} nodes")
-            m, e, quads = lhs_m, lhs_e, table.quads
+                if size_terms[i][0] > scale:
+                    scale = size_terms[i][0]
+            _size_check(scale, c)
+            if refused and not refused.isdisjoint(indices):
+                raise ValueError(table.refusal(next(i for i in indices if i in refused)))
+            lhs_m, lhs_e, rhs_m, rhs_e = self.parts
             for i in indices:
-                quad_m, quad_e = quads[i]
-                m *= quad_m
-                e += quad_e
-            try:
-                lhs = (math.ldexp(m, e) if digits is not None
-                       else complex(math.ldexp(m.real, e), math.ldexp(m.imag, e)))
-            except OverflowError:  # too large for a double
-                lhs = math.inf
-            if not _NORMAL_MIN <= abs(lhs) < math.inf:
+                quad_m, quad_e, pair_m, pair_e, _ = steps[i] or table.step(i)
+                lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
+                rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
+            lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
+            if not normal <= abs(lhs) < inf:
                 _check_normal("the Liouville integral", c, lhs)
-            if digits == self.digits and indices:
-                if ready is None:
-                    ready = _times(self.base, self.last, self.shift)
-                    ready_sum = sum(ready) if digits is not None else None
-                    ready_steps = table.half_terms(digits), table.pole_sums[digits]
-                base, last, total, scale = ready, None, ready_sum, self.scale - self.shift
-                (halves, sums), new = ready_steps, indices
-            else:  # from the empty product
-                base, last, total, scale, pole_sum = (1,), (1,), 1, 0, 1
-                halves, sums, new = table.half_terms(digits), table.pole_sums[digits], everything
-            shift = 0
-            for i in new:
-                if last is not None:
-                    base, total = _times(base, last, shift), None
-                last, pair_scale, pair_shift = halves[i]
-                pole_sum = sums[i]
-                scale += pair_scale - shift
-                # a term of one mantissa is already at the mantissas' scale
-                shift = pair_shift if len(base) > 1 else 0
-            if digits is None:
-                rhs = 0
-                for t in base:
-                    for h in last:
-                        rhs += t * h
-            else:
-                total = (sum(base) if total is None else total) * pole_sum
-                bits = total.bit_length()
-                try:
-                    rhs = math.ldexp(total / (1 << bits), bits - scale)
-                except OverflowError:  # too large for a double
-                    rhs = math.inf
-            if not _NORMAL_MIN <= abs(rhs) < math.inf:
+            if not normal <= abs(rhs) < inf:
                 _check_normal("the fixed-point sum", c, rhs)
-            out.append(PrefixCheck(table, everything, sizes, lhs, digits, base, last, scale,
-                                   shift, rhs))
+            out.append(make((table, self.indices + indices, scale, (lhs_m, lhs_e, rhs_m, rhs_e),
+                             lhs, rhs)))
         return out
 
     @property
     def rel_err(self) -> float:
         return abs(self.lhs - self.rhs) / abs(self.rhs)
 
+    @property
+    def rhs_bound(self) -> float:
+        """rhs's relative error bound E u / (1 - E u) (_pole_pair), or inf."""
+        multiplies = (len(self.indices) - 1) * STEP_ROUNDINGS[isinstance(self.table.c, complex)]
+        error = (sum(self.table.step(i)[4] for i in self.indices) + multiplies) * UNIT
+        return error / (1 - error) if error < 1 else math.inf
+
 
 def dh_verify(space: SphereProductSpace, c) -> DHReport:
-    """Both sides of the localization identity, their mismatch and each
-    factor's quadrature node count (_size_term): the PrefixCheck on all of
-    the space's factors.
-
-    The right side is the fixed-point sum (2 pi / c)^n sum_p e^(c H(p)) /
-    prod_j l_j, each factor's half-terms carrying its 2 pi / (c l_j).  For
-    real c it cancels far beyond double precision at small c, so it runs on
-    integer mantissas with the bits of the decimal digits _size_check
-    sizes, and is rounded once; complex c takes complex floats.  Every
+    """Both sides of the localization identity, rel_err, rhs's error bound
+    and each factor's node count: the PrefixCheck on all of the factors.
+    The fixed-point sum is the product of the pole pairs at any c.  Every
     refusal comes before any work, except that of a result that is not a
-    normal double.
-    """
+    normal double."""
     check = PrefixCheck.empty(c, space.factors).extend(*range(space.half_dim))
     return DHReport(lhs=check.lhs, rhs=check.rhs, rel_err=check.rel_err,
-                    decimal_digits=check.digits,
-                    quad_nodes=tuple(nodes for _, _, nodes in check.table.size_terms))
+                    rhs_bound=check.rhs_bound,
+                    quad_nodes=tuple(nodes for _, nodes, _ in check.table.size_terms))

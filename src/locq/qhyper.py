@@ -18,9 +18,11 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateParametersError, PochhammerZeroDivisionError
-from .spectral import check_tolerance, factor_count
+from .spectral import check_tolerance, factor_count, refuse_product
 
 Scalar = Fraction | complex
+
+NOT_DECAYING = "tail terms fail to decay; series non-convergent here"
 
 # Largest bilateral window, Saalschutz window (n + 2) and |n| of a finite
 # Pochhammer symbol; each costs work linear in it and is checked first.
@@ -47,6 +49,7 @@ def pochhammer(a, q, n: int):
 
     For n < 0 the shift-identity extension is used; a vanishing factor
     there makes the symbol infinite and raises PochhammerZeroDivisionError.
+    A complex product that is not a finite double is refused by name.
     """
     if abs(n) > MAX_WINDOW:
         raise ValueError(f"|n| must be at most {MAX_WINDOW}, got {n}")
@@ -58,6 +61,9 @@ def pochhammer(a, q, n: int):
         for _ in range(n):
             out *= one - apow
             apow *= q
+        if isinstance(out, complex) and not cmath.isfinite(out):
+            refuse_product(f"(a;q)_{n} = prod_(k=0..{n - 1}) (1 - a q^k)",
+                           _pochhammer_factors(one, a, q, n), "k", 0)
         return out
     if q == 0:
         raise DegenerateParametersError(f"(a;q)_{n} with n < 0 divides by q = 0")
@@ -66,11 +72,27 @@ def pochhammer(a, q, n: int):
     for _ in range(-n):
         apow /= q
         denom *= one - apow
+    if isinstance(denom, complex) and not cmath.isfinite(denom):
+        refuse_product(f"1 / (a;q)_{n} = prod_(k=1..{-n}) (1 - a q^-k)",
+                       _pochhammer_factors(one, a, q, n), "k", 1)
     if denom == 0:
         raise PochhammerZeroDivisionError(
             f"(a;q)_{n} has a vanishing factor for a={a}, q={q}"
         )
     return one / denom
+
+
+def _pochhammer_factors(one, a, q, n: int):
+    """The factors 1 - a q^k of (a;q)_n, k = 0..n-1, for n >= 0, else those
+    1 - a q^-k, k = 1..-n, of its reciprocal, each power from the last, as
+    the products of pochhammer and pochhammer_infinite form them."""
+    apow = a
+    for _ in range(abs(n)):
+        if n < 0:
+            apow /= q
+        yield one - apow
+        if n > 0:
+            apow *= q
 
 
 def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
@@ -79,15 +101,19 @@ def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     The product stops after the m factors of spectral.factor_count with
     the tail bound sum_{k>=m} |a| |q|^k < tol / 2; it is multiplied in
     complex floats for every input, since the truncation is only
-    accurate to tol anyway.
+    accurate to tol anyway; one that is not a finite double is refused by
+    name.
     """
     check_tolerance(tol)
     a, q = complex(_coerce(a)), complex(_coerce(q))
     m = factor_count(abs(a), abs(q), 0, tol / 2)
-    out = 1 + 0j
+    out, apow = 1 + 0j, a
     for _ in range(m):
-        out *= 1 - a
-        a *= q
+        out *= 1 - apow
+        apow *= q
+    if not cmath.isfinite(out):
+        refuse_product(f"(a;q)_inf to its first {m} factors, prod_(k=0..{m - 1}) (1 - a q^k)",
+                       _pochhammer_factors(1 + 0j, a, q, m), "k", 0)
     return out
 
 
@@ -183,7 +209,9 @@ def bilateral_psi(
     in exact zeros (exact inputs); each doubling extends the tails summed
     so far.  A window above MAX_WINDOW is rejected before any work.  The
     summary reports the magnitude of the outermost included terms on each
-    tail; a NonConvergent note is attached when they fail to decay.
+    tail; a NonConvergent note is attached when they fail to decay: at an
+    explicit window, when a tail's outermost term is larger than the one
+    before it.
     """
     check_tolerance(tol)
     if window is not None:
@@ -191,7 +219,11 @@ def bilateral_psi(
             raise ValueError("window must always be a positive integer")
         if window > MAX_WINDOW:
             raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
-        return _psi_window(_tails(spec), window)
+        tails = _tails(spec)
+        summary = _psi_window(tails, window)
+        if not summary.notes and any(tail.growing() for tail in tails):
+            return summary._replace(notes=(NOT_DECAYING,))
+        return summary
 
     tails = _tails(spec)
     prev: Scalar | None = None
@@ -209,7 +241,7 @@ def bilateral_psi(
                 return summary._replace(converged=True)
         edge = max(summary.upper_tail, summary.lower_tail)
         if prev_edge is not None and edge >= prev_edge:
-            return summary._replace(notes=("tail terms fail to decay; series non-convergent here",))
+            return summary._replace(notes=(NOT_DECAYING,))
         prev, prev_edge = summary.value, edge
         w *= 2
         if w > MAX_WINDOW:
@@ -330,6 +362,10 @@ class _ExactTail(_Tail):
     def value(self) -> Fraction:
         return Fraction(self.total, self.den)
 
+    def growing(self) -> bool:
+        """Whether |t| of the outermost term exceeds that of the one before."""
+        return abs(self.num) * self.prev_den > abs(self.prev_num) * self.den
+
     def edge(self) -> tuple[float, bool]:
         """Largest |t| of the two outermost terms, and whether both are 0."""
         size = max(_quotient_magnitude(self.num, self.den),
@@ -383,6 +419,10 @@ class _NumericTail(_Tail):
     def value(self) -> complex:
         return sum(reversed(self.terms[1:]), 0j)
 
+    def growing(self) -> bool:
+        """Whether |t| of the outermost term exceeds that of the one before."""
+        return abs(self.terms[-1]) > abs(self.terms[-2])
+
     def edge(self) -> tuple[float, bool]:
         """Largest |t| of the two outermost terms, and whether both are 0."""
         last = self.terms[-2:]
@@ -425,7 +465,7 @@ def _psi_window(tails: tuple[_Tail, _Tail], window: int) -> PsiSummary:
     if overflowed:
         notes = ("term overflow; series non-convergent here",)
     elif upper_tail > scale or lower_tail > scale:
-        notes = ("tail terms fail to decay; series non-convergent here",)
+        notes = (NOT_DECAYING,)
     else:
         notes = ()
     return PsiSummary(

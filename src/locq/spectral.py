@@ -180,18 +180,41 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
         sum_{n>=ell+M} |q^(a n + epsilon)| < rel_tol / 2,
     a valid bound for the dropped log-factors since |log(1 -/+ w)| <= 2|w|
     for |w| <= 1/2 and the tail factors are eventually that small.  Raises
-    ToleranceUnreachable when M would exceed LOCQ_MAX_FACTORS.
+    ToleranceUnreachable when M would exceed LOCQ_MAX_FACTORS, and a
+    ValueError naming |q^epsilon| or the product where either is not a
+    finite double.
     """
     check_tolerance(rel_tol, "rel_tol")
     tau = p.tau
     # |q^x| for complex x under the q^x = e^(2 pi i tau x) convention
-    scale, ratio = abs(q_power(tau, p.epsilon)), abs(q_power(tau, p.a))
-    used = factor_count(scale, ratio, p.ell, rel_tol / 2)
+    try:
+        scale = abs(q_power(tau, p.epsilon))
+    except OverflowError:
+        raise ValueError(f"overflow: |q^epsilon| = |e^(2 pi i tau epsilon)| at tau = "
+                         f"{tau.value!r}, epsilon = {p.epsilon!r} is not a finite double") from None
+    used = factor_count(scale, abs(q_power(tau, p.a)), p.ell, rel_tol / 2)
     sign = -1.0 if p.sign == "minus" else 1.0
     value = 1 + 0j
     for n in range(p.ell, p.ell + used):
         value *= 1.0 + sign * q_power(tau, p.a * n + p.epsilon)
+    if not cmath.isfinite(value):
+        refuse_product(f"prod_(n>={p.ell}) (1 {'-' if sign < 0 else '+'} q^(a n + epsilon))",
+                       (1.0 + sign * q_power(tau, p.a * n + p.epsilon)
+                        for n in range(p.ell, p.ell + used)), "n", p.ell)
     return ProductValue(value=value, factors_used=used, s=s_of_params(p))
+
+
+def refuse_product(product: str, factors, index: str, start: int):
+    """Raise the ValueError for a product of complex `factors` whose value
+    is not a finite double, naming the product and the first factor, from
+    `index` = `start` on, at which the partial product is not."""
+    value = 1 + 0j
+    for k, factor in enumerate(factors, start):
+        value *= factor
+        if not cmath.isfinite(value):
+            raise ValueError(f"overflow: the product {product} is not a finite double "
+                             f"from its factor {index} = {k} on")
+    raise ValueError(f"overflow: the product {product} is not a finite double")
 
 
 class ShiftCheck(NamedTuple):

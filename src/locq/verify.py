@@ -123,10 +123,10 @@ def localization_checks():
     from a stack of (check, first new index) pairs, and extends each
     parent's check by one factor, named by its index in the list of 16, so
     that each c's per-factor work is done once.  Each parent check makes
-    all its children at once (PrefixCheck.children), so its terms are
-    rounded and summed once for all of them, and each child's rhs is one
-    integer product, that sum times its factor's pole-pair sum m+ + m-;
-    the 15,504 four-factor checks never build their terms.
+    all its children at once (PrefixCheck.children), and each child costs
+    one multiply and one exponent add on each side: its factor's
+    quadrature into lhs, and its factor's pole pair 4 pi r^2 sinh(a) / a
+    into rhs, the product that the fixed-point sum over 2^n points is.
     """
     factors = [localization.SphereFactor(r, mu) for r in DH_VALUES for mu in DH_VALUES]
     stack = [(localization.PrefixCheck.empty(c, factors), 0) for c in DH_CS]

@@ -17,6 +17,7 @@ import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import point_sums
 from locq import cli, genus, localization, pfaffian, spectral, verify
 from locq.spectral import SpectralParams, Tau
 
@@ -123,12 +124,13 @@ class TestDhVerify:
     def test_small_c_sums_keep_their_digits(self, run_cli, factors, c):
         # the alternating sum cancels ~-log10(2|c mu r|) digits per factor;
         # at 40 fixed digits these gave rel_err 8e-7 and rhs 0 (a 16-factor
-        # case is in test_localization.py, where no 2^16-point JSON is printed)
+        # case is in test_localization.py, where no 2^16-point JSON is printed).
+        # The product of the pole pairs cancels nothing.
         code, out = run_cli(["dh-verify", "--factors", factors, "--c", c])
         payload = parse_strict(out)
         assert code == 0
         assert payload["rel_err"] < 1e-8
-        assert payload["diagnostics"]["decimal_digits"] > 40
+        assert payload["diagnostics"]["rhs_bound"] < 1e-14
 
     @pytest.mark.parametrize("n,c", [(2, "1e-300"), (1, "1e-310")])
     def test_rhs_fits_where_its_prefactor_does_not(self, run_cli, n, c):
@@ -141,23 +143,33 @@ class TestDhVerify:
         assert code == 0
         assert abs(parse_strict(out)["rhs"] - closed) <= 2e-16 * closed
 
-    def test_tiny_complex_c_is_refused_for_its_loss(self, run_cli):
-        # before, for its prefactor (2 pi / c)^2, which is nan
-        code, out = run_cli(["dh-verify", "--factors", "1:1,1:1", "--c=1e-300,1e-300"])
-        assert code == 2
-        assert parse_strict(out)["error"] == (
-            "ValueError: the complex fixed-point sum at c = (1e-300+1e-300j) cancels 600.0 "
-            "digits, more than the MAX_COMPLEX_LOSS = 9 a double can lose")
+    @staticmethod
+    def _assert_the_point_sum(out, factors, c):
+        # rhs is the 2^n-term fixed-point sum, in mpmath, within its bound
+        payload = parse_strict(out)
+        rhs = payload["rhs"]
+        rhs = complex(*map(float, rhs)) if isinstance(rhs, list) else rhs
+        space = cli.parse_factors(factors)
+        assert point_sums.within(rhs, point_sums.point_sum(space, c),
+                                 payload["diagnostics"]["rhs_bound"])
+        return payload
 
-    def test_complex_cancellation_is_exit_two(self, run_cli):
+    def test_tiny_complex_c_is_answered(self, run_cli):
+        # the terms cancel 599.7 digits: a sum in doubles refused it, and
+        # before that it was nan, for its prefactor (2 pi / c)^2
+        code, out = run_cli(["dh-verify", "--factors", "1:1,1:1", "--c=1e-300,1e-300"])
+        assert code == 0
+        payload = self._assert_the_point_sum(out, "1:1,1:1", complex(1e-300, 1e-300))
+        assert payload["rel_err"] < 1e-14
+
+    def test_complex_cancellation_is_answered(self, run_cli):
         # these 12 factors at c = 0.01i cancel 22.7 digits of a double's ~16:
-        # before, rel_err 0.9998 and exit 1, a failure of the identity
+        # as a sum in doubles, rel_err 0.9998 and exit 1, then a refusal
         factors = ",".join(f"{1 + 0.1 * i}:{0.5 + 0.07 * i}" for i in range(12))
         code, out = run_cli(["dh-verify", "--factors", factors, "--c", "0,0.01"])
-        assert code == 2
-        assert parse_strict(out)["error"] == (
-            "ValueError: the complex fixed-point sum at c = 0.01j cancels 22.7 digits, "
-            "more than the MAX_COMPLEX_LOSS = 9 a double can lose")
+        assert code == 0
+        payload = self._assert_the_point_sum(out, factors, 0.01j)
+        assert payload["rel_err"] < 1e-12
 
     @pytest.mark.parametrize("factors,c,product", [
         ("1e10:1e100", "0,1e200", "1e+200 * 1e+100 * 10000000000.0"),
@@ -212,38 +224,57 @@ class TestDhVerify:
             "at c = 3000j needs more than MAX_QUAD_POINTS = 1024 nodes")
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("c,loss", [("0,3.141592653589", "13.2"), ("0,3.14159265", "9.6")])
+    def test_rounding_near_a_zero_of_sinh_is_named(self, run_cli, capsys, c, loss):
+        # the integral is far below the quadrature's terms there, so its
+        # rounding would report an identity that holds as failed
+        code, out = run_cli(["dh-verify", "--factors", "1:1", f"--c={c}"])
+        assert code == 2
+        assert parse_strict(out)["error"] == (
+            "ValueError: the Gauss-Legendre quadrature of the factor (r, mu) = (1.0, 1.0) "
+            f"at c = {c[2:]}j loses {loss} digits to rounding, more than MAX_QUAD_LOSS = 7")
+        assert capsys.readouterr().err == ""
+
+    def test_rounding_below_the_cap_is_checked(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c=0,3.14159"])
+        assert code == 0
+        assert parse_strict(out)["rel_err"] < 1e-9
+
     def test_quad_nodes_is_no_option(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "0.5", "--quad-nodes", "64"])
         assert code == 2
         assert parse_strict(out)["error"] == "unrecognized arguments: --quad-nodes 64"
 
-    def test_precision_cap_is_exit_two(self, run_cli):
-        # four factors at c = 1e-300 cancel ~1200 digits
+    def test_former_precision_cap_is_answered(self, run_cli):
+        # four factors at c = 1e-300 cancel ~1200 digits, past the 1,000 that
+        # a Decimal sum was capped at
         code, out = run_cli(["dh-verify", "--factors", "1:1,1:1,1:1,1:1", "--c", "1e-300"])
-        assert code == 2
-        error = parse_strict(out)["error"]
-        assert error.startswith("ValueError: the fixed-point sum at c = 1e-300 cancels")
-        assert "MAX_DECIMAL_DIGITS = 1000" in error
+        assert code == 0
+        payload = self._assert_the_point_sum(out, "1:1,1:1,1:1,1:1", 1e-300)
+        assert payload["rel_err"] < 1e-14
 
     def test_diagnostics_real_c(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1,2:3,0.5:0.5", "--c", "0.1",
                              "--tol", "1e-6"])
         payload = parse_strict(out)
         assert code == 0
+        space = localization.SphereProductSpace.of((1, 1), (2, 3), (0.5, 0.5))
         assert payload["diagnostics"] == {
-            "path": "decimal",
-            "decimal_digits": 40,
             "fixed_points": 8,
             "quad_nodes": [8, 8, 8],
+            "rhs_bound": localization.dh_verify(space, 0.1).rhs_bound,
             "budget_used": payload["rel_err"] / 1e-6,
         }
+        # 3 pairs of 11 roundings and 2 multiplies, in units of 2^-53
+        assert payload["diagnostics"]["rhs_bound"] == pytest.approx(35 * 2.0**-53, rel=1e-6)
 
     def test_diagnostics_complex_c(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1,2:3", "--c", "0.3,0.7"])
         diagnostics = parse_strict(out)["diagnostics"]
         assert code == 0
-        assert diagnostics["path"] == "complex"
-        assert diagnostics["decimal_digits"] is None
+        assert set(diagnostics) == {"fixed_points", "quad_nodes", "rhs_bound", "budget_used"}
+        # 2 pairs of 24 roundings and a complex multiply of 3
+        assert diagnostics["rhs_bound"] == pytest.approx(51 * 2.0**-53, rel=1e-6)
         assert diagnostics["fixed_points"] == 4
         assert diagnostics["quad_nodes"] == [8, 16]
         assert 0 <= diagnostics["budget_used"] < 1
@@ -655,6 +686,20 @@ class TestQhyperCommand:
         assert (payload["lower_tail"], payload["upper_tail"]) == (None, 0.0)
         assert len(payload["value"]) == 217_386
 
+    @pytest.mark.parametrize("window,lower", [("40", 1.1306e25), ("400", 2.6489e249)])
+    def test_psi_growing_window_tail_is_noted(self, run_cli, window, lower):
+        # |z| < |q| and the lower terms grow; before, notes [] at an explicit
+        # window, while the automatic window noted it
+        argv = ["qhyper", "psi", "--num", "1/3", "--den", "1/5", "--q", "1/2", "--z", "1/7"]
+        note = ["tail terms fail to decay; series non-convergent here"]
+        code, out = run_cli([*argv, "--window", window])
+        payload = parse_strict(out)
+        assert code == 0
+        assert payload["lower_tail"] == pytest.approx(lower, 1e-4)
+        assert (payload["notes"], payload["converged"]) == (note, False)
+        code, out = run_cli(argv)
+        assert code == 0 and parse_strict(out)["notes"] == note
+
     def test_psi_window_cap_is_exit_two(self, run_cli):
         code, out = run_cli([*self.PSI, "--num", "0.9", "--window", "4097"])
         assert code == 2
@@ -983,12 +1028,35 @@ class TestContract:
     def test_non_finite_complex_result_is_exit_two(self, run_cli, capsys, tmp_path, argv):
         # before: exit 0 with "value": ["nan", "nan"], which strict JSON takes
         target = tmp_path / "result.json"
+        # and then "the complex result (nan+nanj) is not finite", which named
+        # neither the field nor the product
         code, out = run_cli([*argv, "--out", str(target)])
         assert code == 2
-        assert parse_strict(out)["error"] == (
-            "ValueError: the complex result (nan+nanj) is not finite")
+        error = parse_strict(out)["error"]
+        assert error.startswith("ValueError: overflow: the product ")
+        assert re.search(r"is not a finite double from its factor [kn] = \d+ on$", error)
         assert capsys.readouterr().err == ""
         assert not target.exists()
+
+    @pytest.mark.parametrize("argv,error", [
+        (["spectral-eval", "--a", "1", "--tau", "0,1", "--epsilon", "-100"],
+         "the product prod_(n>=1) (1 - q^(a n + epsilon)) is not a finite double from its "
+         "factor n = 2 on"),
+        (["qhyper", "pochhammer", "--a", "1e308", "--q", "1e308", "--n", "5"],
+         "the product (a;q)_5 = prod_(k=0..4) (1 - a q^k) is not a finite double from its "
+         "factor k = 1 on"),
+        (["qhyper", "pochhammer", "--a", "1e308", "--q", "2", "--n", "40"],
+         "the product (a;q)_40 = prod_(k=0..39) (1 - a q^k) is not a finite double from its "
+         "factor k = 1 on"),
+        (["spectral-eval", "--a", "0.1", "--tau", "0,3", "--epsilon", "-745", "--ell", "1",
+          "--sign", "plus"],
+         "|q^epsilon| = |e^(2 pi i tau epsilon)| at tau = 3j, epsilon = (-745+0j) is not a "
+         "finite double"),
+    ])
+    def test_overflow_names_the_quantity(self, argv, error):
+        # before: "the complex result (nan+nanj) is not finite" for the first
+        # three, and a bare "OverflowError: math range error" for the last
+        assert run_fresh(argv) == f"ValueError: overflow: {error}"
 
     @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(1.0, -math.inf),
                                    complex(math.nan, 2.0), math.inf])

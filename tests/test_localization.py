@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -13,6 +14,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import point_sums
 from locq import localization, pfaffian, verify
 from locq.errors import DegenerateWeightError
 from locq.localization import (
@@ -22,7 +24,6 @@ from locq.localization import (
     dh_verify,
     enumerate_fixed_points,
     factor_integral_quad,
-    _half_terms,
 )
 from locq.oracles import block_diagonal, dh_lhs_closed, factor_integral_closed
 
@@ -238,57 +239,39 @@ def _reference_numerators(space, c, digits):
 
 def _reference_half_terms(f, c, digits):
     """(e^x / l, -e^(-x) / l), x = c mu r, l = mu / r, with two exps in
-    Decimal at the current context's precision; for digits None, (e^x,
-    -e^(-x)) 2 pi / (c l) in complex floats, which carry (2 pi / c)^n into
-    the complex sum, since it has no rounding step to keep it outside."""
-    if digits is None:
-        cw = c * f.weight
-        x, k = cw * f.radius, localization.TWO_PI * f.radius / cw
-        return cmath.exp(x) * k, -cmath.exp(-x) * k
-    weight, radius = Decimal(f.weight), Decimal(f.radius)
-    x, rate = Decimal(c) * weight * radius, weight / radius
-    return x.exp() / rate, -(-x).exp() / rate
-
-
-def _reference_terms(space, c, digits):
-    """Each point's term e^(c H) / prod_j l_j, one loop per pole combination:
-    the product, left to right, of the factors' half-terms (north, south),
-    each computed where it is used, in Decimal at `digits` digits or in
-    complex floats for None."""
-    out = []
-    with localcontext() as ctx:
-        ctx.prec = digits or ctx.prec
-        for poles in itertools.product((0, 1), repeat=space.half_dim):
-            term = 1
-            for pole, f in zip(poles, space.factors):
-                term *= _reference_half_terms(f, c, digits)[pole]
-            out.append(term)
-    return out
-
-
-def _reference_rhs(space, c, digits):
-    """The real fixed-point sum at `digits` digits, written out per pole
-    combination, times (2 pi / c)^n in Decimal and rounded once."""
-    terms = _reference_terms(space, c, digits)
+    Decimal at `digits` digits, for real c."""
     with localcontext() as ctx:
         ctx.prec = digits
-        total = Decimal(0)
-        for term in terms:
-            total += term
-        return float(total * _reference_prefactor(space, c))
+        weight, radius = Decimal(f.weight), Decimal(f.radius)
+        x, rate = Decimal(c) * weight * radius, weight / radius
+        return x.exp() / rate, -(-x).exp() / rate
 
 
 def _reference_prefactor(space, c):
-    """(2 pi / c)^n in Decimal at the current context's precision, from the
-    double 2 pi of the quadrature."""
-    return (Decimal(localization.TWO_PI) / Decimal(c)) ** space.half_dim
+    """(2 pi / c)^n in Decimal at the current context's precision."""
+    with mpmath.workdps(250):
+        pi = Decimal(mpmath.nstr(mpmath.pi, 240))
+    return (2 * pi / Decimal(c)) ** space.half_dim
+
+
+def _reference_pairs(space, c):
+    """The pole-pair product written out per factor, with no table: each
+    factor's _pole_pair, the mantissas multiplied left to right from 1 and
+    the result scaled once."""
+    m, e = (1.0 + 0.0j if isinstance(c, complex) else 1.0), 0
+    for f in space.factors:
+        (pair_m, pair_e), _ = localization._pole_pair(f, c)
+        m, e = m * pair_m, e + pair_e
+    if isinstance(m, complex):
+        return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+    return math.ldexp(m, e)
 
 
 def _sqrt_det_rhs(space, c):
     """Oracle: the real fixed-point sum with each point's denominator
     the sqrt_det of the canonical form of its block-diagonal linearization,
     which carries the point's sign, so it divides the unsigned numerators."""
-    digits = dh_verify(space, c).decimal_digits
+    digits = 40
     points = _reference_points(space)
     terms = _reference_numerators(space, c, digits)
     with localcontext() as ctx:
@@ -298,40 +281,6 @@ def _sqrt_det_rhs(space, c):
             form = pfaffian.canonicalize(block_diagonal(lams))
             total += term / Decimal(form.sqrt_det)
     return (2.0 * math.pi / c) ** space.half_dim * float(total)
-
-
-def _reference_complex_loss(space, c):
-    """Digits the complex sum cancels: -sum_i log10(|sinh x_i| / cosh(Re x_i))."""
-    xs = [c * f.weight * f.radius for f in space.factors]
-    return -sum(math.log10(abs(cmath.sinh(x)) / math.cosh(x.real)) for x in xs)
-
-
-def _reference_complex_rhs(space, c):
-    """The complex fixed-point sum written out per pole combination."""
-    total = 0.0 + 0.0j
-    for term in _reference_terms(space, c, None):
-        total += term
-    return total
-
-
-def _reference_integer_terms(check):
-    """A real check's terms written out per pole combination from its
-    factors' mantissas: the product, left to right, of one mantissa per
-    factor, where a product of two or more is divided by 2^b and rounded
-    to the nearest integer (halves up) before the next factor multiplies
-    it, b the bit length of its last factor's larger mantissa."""
-    halves = check.table.half_terms(check.digits)
-    out = []
-    for poles in itertools.product((0, 1), repeat=len(check.indices)):
-        term, drop = 1, 0
-        for k, (pole, i) in enumerate(zip(poles, check.indices)):
-            pair, _, bits = halves[i]
-            if drop:
-                term = (2 * term + 2**drop) // 2 ** (drop + 1)
-            term *= pair[pole]
-            drop = bits if k else 0
-        out.append(term)
-    return out
 
 
 CACHE_SPACES = [
@@ -349,15 +298,15 @@ class TestCaching:
     @pytest.mark.parametrize("c", [1e-3, -1e-3, 0.05, -0.05, 1.3, -1.3])
     def test_rhs_matches_uncached_reference_exactly(self, space, c):
         report = dh_verify(space, c)
-        assert report.rhs == _reference_rhs(space, c, report.decimal_digits)
+        assert report.rhs == _reference_pairs(space, c)
         assert dh_verify(space, c).rhs == report.rhs
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
     def test_cold_cleared_and_warm_results_identical(self, space):
         # dh_verify starts a fresh table each call; a second check on one
-        # table finds its quadratures and half-terms already there
-        def key(lhs, rhs, rel_err, digits):
-            return repr((lhs, rhs, rel_err, digits))
+        # table finds its quadratures and pole pairs already there
+        def key(lhs, rhs, rel_err, bound):
+            return repr((lhs, rhs, rel_err, bound))
 
         cold = dh_verify(space, 0.7)
         dh_verify(space, 0.3)  # another c's table in between
@@ -365,12 +314,12 @@ class TestCaching:
         empty = PrefixCheck.empty(0.7, space.factors)
         for check in (empty.extend(*range(space.half_dim)),
                       empty.extend(*range(space.half_dim))):
-            assert key(check.lhs, check.rhs, check.rel_err, check.digits) == \
-                key(cold.lhs, cold.rhs, cold.rel_err, cold.decimal_digits)
+            assert key(check.lhs, check.rhs, check.rel_err, check.rhs_bound) == \
+                key(cold.lhs, cold.rhs, cold.rel_err, cold.rhs_bound)
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
     def test_dh_verify_enumerates_no_points(self, monkeypatch, space):
-        # the check folds its own point terms; only the CLI's listing reads H
+        # the check folds its own pole pairs; only the CLI's listing reads H
         reports = [dh_verify(space, c) for c in (0.3, complex(0.3, 0.2))]
 
         def forbidden(*args):
@@ -447,7 +396,7 @@ class TestQuadratureSizing:
     def test_count_is_the_least_and_its_error_within_the_bound(self, a):
         # factor (1, 1) at c = a: the quadrature is 2 pi integral_{-1}^{1} e^(a s) ds
         integral, kept = _reference_integral(a)
-        n = localization._size_term(SphereFactor(1.0, 1.0), a)[2]
+        n = localization._size_term(SphereFactor(1.0, 1.0), a)[1]
         assert n in localization.QUAD_COUNTS
         assert localization._quad_excess(n, a, kept) <= 0
         assert n == 8 or localization._quad_excess(n // 2, a, kept) > 0
@@ -492,7 +441,7 @@ class TestQuadratureSizing:
     @pytest.mark.parametrize("c,nodes", [(0.1, 8), (100j, 128), (300j, 256), (700.0, 128),
                                          (1000j, 1024), (3000j, None), (1e308j, None)])
     def test_counts(self, c, nodes):
-        assert localization._size_term(SphereFactor(1.0, 1.0), c)[2] == nodes
+        assert localization._size_term(SphereFactor(1.0, 1.0), c)[1] == nodes
 
     def test_node_cap_before_any_work(self, monkeypatch):
         TestSumPrecision._forbid_work(monkeypatch)
@@ -503,8 +452,11 @@ class TestQuadratureSizing:
 
     @pytest.mark.parametrize("pairs,c,match", [
         (((1.0, 1.0),), complex(800.0, 3000.0), "^overflow: e"),
-        (((1.0, 1.0), (1e-20, 1e-20)), 3000j, "MAX_COMPLEX_LOSS"),
+        (((1.0, 1.0), (1e-20, 1e-20)), 3000j, "MAX_QUAD_POINTS"),
         (((1.0, 1.0),) * 17, 3000j, "at most 16 sphere factors"),
+        (((1.0, 1.0),) * 17, 3.141592653589j, "at most 16 sphere factors"),
+        (((1.0, 1.0),), complex(800.0, 3.1415926), "^overflow: e"),
+        (((1.0, 1.0),), 1e300j, "needs more than MAX_QUAD_POINTS = 1024 nodes$"),
     ])
     def test_node_cap_after_the_other_refusals(self, pairs, c, match):
         with pytest.raises(ValueError, match=match):
@@ -518,6 +470,38 @@ class TestQuadratureSizing:
         assert check.rel_err < 1e-12
         with pytest.raises(ValueError, match="MAX_QUAD_POINTS"):
             check.extend(1)
+
+    @pytest.mark.parametrize("c,loss", [(3.141592653589j, "13.2"), (3.1415926j, "8.4"),
+                                        (6.283185307j, "11.4")])
+    def test_rounding_near_a_zero_of_sinh_before_any_work(self, monkeypatch, c, loss):
+        TestSumPrecision._forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=(
+                r"^the Gauss-Legendre quadrature of the factor \(r, mu\) = \(1.0, 1.0\) at "
+                rf"c = {re.escape(repr(c))} loses {loss} digits to rounding, more than "
+                r"MAX_QUAD_LOSS = 7$")):
+            dh_verify(SphereProductSpace.of((1.0, 1.0)), c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 60), d=st.floats(1e-9, 1.0), sign=st.sampled_from((1, -1)))
+    def test_rounding_near_a_zero_of_sinh_within_its_floor(self, k, d, sign):
+        # a = i (pi k +- d): the loss is log10((1 + |a|) |a| / kept) against
+        # mpmath, a factor past MAX_QUAD_LOSS is refused, and one within it
+        # has rel_err within 2 u 10^loss, below dh-verify's default 1e-8
+        a = complex(0.0, math.pi * k + sign * d)
+        with mpmath.workdps(50):
+            x = mpmath.mpmathify(a)
+            kept = abs(mpmath.sinh(x)) / mpmath.cosh(x.real)
+            want = float(mpmath.log10((1 + abs(x)) * abs(x) / kept))
+        _, _, loss = localization._size_term(SphereFactor(1.0, 1.0), a)
+        assert loss == pytest.approx(want, abs=1e-6)
+        space = SphereProductSpace.of((1.0, 1.0))
+        if loss > localization.MAX_QUAD_LOSS:
+            with pytest.raises(ValueError, match="MAX_QUAD_LOSS = 7$"):
+                dh_verify(space, a)
+        else:
+            report = dh_verify(space, a)
+            assert report.rel_err <= 2 * localization.UNIT * 10**loss
+            assert report.rel_err < 1e-8
 
 
 def _reference_points(space):
@@ -547,13 +531,13 @@ _extreme_spaces = st.lists(
     min_size=1, max_size=8,
 ).map(lambda pairs: SphereProductSpace.of(*pairs))
 _real_cs = st.tuples(st.floats(1e-3, 3.0), st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
-# small enough that the digits rise part way along a check
+# small enough that the terms cancel tens of digits
 _small_real_cs = st.tuples(st.floats(1e-12, 1e-6), st.sampled_from((1, -1))).map(
     lambda t: t[0] * t[1])
 
 
 class TestSubsetDoubling:
-    """The doubled points and point terms against the per-point loops."""
+    """The doubled points, and rhs, against the per-point loops."""
 
     @settings(max_examples=40, deadline=None)
     @given(space=st.one_of(_spaces, _extreme_spaces))
@@ -580,7 +564,7 @@ class TestSubsetDoubling:
     @given(space=_spaces, c=_real_cs)
     def test_rhs_matches_per_point_loop(self, space, c):
         report = dh_verify(space, c)
-        assert report.rhs == _reference_rhs(space, c, report.decimal_digits)
+        assert point_sums.within(report.rhs, point_sums.point_sum(space, c), report.rhs_bound)
 
     @pytest.mark.parametrize("c", [0.7, -1e-9, complex(0.3, 0.4)])
     def test_each_check_sized_once(self, monkeypatch, c):
@@ -603,28 +587,21 @@ class TestSubsetDoubling:
     @settings(max_examples=30, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, st.builds(complex, _real_cs, _real_cs)))
     def test_verify_rhs_is_dh_rhs(self, space, c):
-        # the rhs of dh_verify, real or complex, is the per-point sum bit for
-        # bit, unless the complex sum would cancel more than a double can lose
-        if isinstance(c, complex) and \
-                _reference_complex_loss(space, c) > localization.MAX_COMPLEX_LOSS:
-            with pytest.raises(ValueError, match="MAX_COMPLEX_LOSS = 9"):
-                dh_verify(space, c)
-            return
+        # the rhs of dh_verify, real or complex, is the per-point sum within
+        # its bound, however many digits the sum's terms cancel
         report = dh_verify(space, c)
-        if isinstance(c, complex):
-            assert report.decimal_digits is None
-            assert repr(report.rhs) == repr(_reference_complex_rhs(space, c))
-        else:
-            assert repr(report.rhs) == repr(_reference_rhs(space, c, report.decimal_digits))
+        assert type(report.rhs) is type(c)
+        assert point_sums.within(report.rhs, point_sums.point_sum(space, c), report.rhs_bound)
 
     @settings(max_examples=60, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
                                       st.builds(complex, _real_cs, _real_cs)))
     def test_one_index_at_a_time_is_all_at_once(self, space, c):
-        # extend(i) then extend(j) is extend(i, j), bit for bit, terms included,
-        # where the digits rise part way (small real c) and at complex c
+        # extend(i) then extend(j) is extend(i, j), bit for bit, mantissas,
+        # exponents and the bound included, at small real c and complex c
         def key(check):
-            return repr((check.lhs, check.rhs, check.rel_err, check.digits, check.terms))
+            return repr((check.lhs, check.rhs, check.rel_err, check.rhs_bound, check.parts,
+                         check.scale))
 
         empty = PrefixCheck.empty(c, space.factors)
         stepwise = empty
@@ -645,13 +622,14 @@ class TestSubsetDoubling:
                                       st.builds(complex, _real_cs, _real_cs)),
            data=st.data())
     def test_children_are_one_extend_each(self, space, c, data):
-        # children(indices) is [extend(i) for i in indices], bit for bit, terms
-        # and refusals included, where the digits rise part way (small real c)
-        # and at complex c
+        # children(indices) is [extend(i) for i in indices], bit for bit,
+        # mantissas, exponents, bounds and refusals included, at small real c
+        # and complex c
         def outcome(make):
             try:
-                return [repr((check.indices, check.lhs, check.rhs, check.rel_err, check.digits,
-                              check.terms, check.scale, check.shift)) for check in make()]
+                return [repr((check.indices, check.lhs, check.rhs, check.rel_err,
+                              check.rhs_bound, check.parts, check.scale))
+                        for check in make()]
             except ValueError as exc:
                 return str(exc)
 
@@ -669,44 +647,80 @@ class TestSubsetDoubling:
 
 
 class TestComplexLoss:
-    """A complex sum runs in doubles; where its terms cancel more than
-    MAX_COMPLEX_LOSS of their digits it is refused, not reported as a
-    failure of the identity."""
+    """A complex sum whose terms cancel more digits than a double has is
+    the product of its pole pairs, which cancels nothing: it is answered
+    within its bound.  Until the sum was taken as that product, a loss of
+    more than 9 digits was refused."""
 
     SPACE = SphereProductSpace.of(*[(1 + 0.1 * i, 0.5 + 0.07 * i) for i in range(12)])
 
     @pytest.mark.parametrize("c,loss,err", [(0.3j, 5.2, 1e-12), (0.2j, 7.2, 1e-10),
                                             (0.15j, 8.6, 1e-8)])
     def test_sum_within_the_budget_meets_the_closed_form(self, c, loss, err):
-        assert _reference_complex_loss(self.SPACE, c) == pytest.approx(loss, abs=0.05)
+        assert point_sums.lost_digits(self.SPACE, c) == pytest.approx(loss, abs=0.05)
         closed = dh_lhs_closed(self.SPACE, c)
         assert abs(dh_verify(self.SPACE, c).rhs - closed) / abs(closed) < err
 
     @pytest.mark.parametrize("c,loss", [(0.1j, "10.7"), (0.01j, "22.7"),
                                         (complex(1e-3, 0.01), "22.7")])
-    def test_deeper_cancellation_refused_before_any_work(self, monkeypatch, c, loss):
-        # at 0.1j the error was 6.7e-8, at 0.01j rel_err 0.9998 and exit 1
-        TestSumPrecision._forbid_work(monkeypatch)
-        with pytest.raises(ValueError, match=rf"^the complex fixed-point sum at c = "
-                                             rf".* cancels {loss} digits, more than the "
-                                             rf"MAX_COMPLEX_LOSS = 9 a double can lose$"):
-            dh_verify(self.SPACE, c)
+    def test_deeper_cancellation_is_answered(self, c, loss):
+        # as a sum of 4,096 terms in doubles, 0.1j was off by 6.7e-8 and 0.01j
+        # gave rel_err 0.9998
+        assert f"{point_sums.lost_digits(self.SPACE, c):.1f}" == loss
+        report = dh_verify(self.SPACE, c)
+        assert report.rhs_bound < 1e-13
+        assert point_sums.within(report.rhs, point_sums.point_sum(self.SPACE, c),
+                                 report.rhs_bound)
+        assert report.rel_err < 1e-12
+
+
+# radii and weights k / 16 with k <= 64: every mu r and every H is exact
+_dyadic_spaces = st.lists(
+    st.tuples(st.integers(1, 64), st.integers(1, 64), st.sampled_from((1, -1))),
+    min_size=1, max_size=6,
+).map(lambda shapes: SphereProductSpace.of(*[(i / 16, s * j / 16) for i, j, s in shapes]))
+_any_magnitude = st.one_of(st.floats(1e-3, 3.0), st.floats(1e-300, 1e-3),
+                           st.sampled_from((5e-324, 1e-300, 1e-150)))
+_any_real_cs = st.tuples(_any_magnitude, st.sampled_from((1, -1))).map(lambda t: t[0] * t[1])
+
+
+class TestFixedPointSum:
+    """The product of the pole pairs against the fixed-point formula as a
+    sum: the 2^n terms (2 pi / c)^n e^(c H(p)) / prod_j l_j(p) in mpmath,
+    H(p) from enumerate_fixed_points, at the digits they cancel and 30 more."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=_dyadic_spaces, c=st.one_of(_any_real_cs, st.builds(complex, _any_real_cs,
+                                                                      _any_real_cs)))
+    @example(space=SphereProductSpace.of((1.0, 1.0), (1.0, 1.0)), c=complex(1e-300, 1e-300))
+    @example(space=SphereProductSpace.of((1.0, 1.0), (0.5, -3.0)), c=3.14159j)
+    @example(space=SphereProductSpace.of(*[(4.0, 4.0)] * 6), c=-3.0)
+    def test_rhs_is_the_sum_within_its_bound(self, space, c):
+        h_values = enumerate_fixed_points(space)
+        assert h_values == [h for _, h, _ in _reference_points(space)]
+        for h, signs in zip(h_values, itertools.product((1, -1), repeat=space.half_dim)):
+            assert Fraction(h) == sum(s * Fraction(f.weight) * Fraction(f.radius)
+                                      for s, f in zip(signs, space.factors))
+        report = dh_verify(space, c)
+        assert point_sums.within(report.rhs, point_sums.point_sum(space, c, h_values),
+                                 report.rhs_bound)
+
+    @pytest.mark.parametrize("r", [0.3, 0.7, 1.7])
+    def test_rounded_a_is_corrected_near_a_zero_of_sinh(self, r):
+        # mu r rounds to 3.14159, so a = 3.14159i, where sinh(a) = 2.7e-6 i and
+        # kappa = |a coth a - 1| = 1.2e6: uncorrected, the rounding of a moves
+        # the pair by 2e-11 to 7e-11
+        factor = SphereFactor(r, 3.14159 / r)
+        space = SphereProductSpace((factor,))
+        report = dh_verify(space, 1j)
+        want = point_sums.point_sum(space, 1j)
+        assert report.rhs_bound < 1e-14
+        assert point_sums.within(report.rhs, want, report.rhs_bound)
+        a = 1j * factor.weight * factor.radius
+        assert not point_sums.within(4 * math.pi * r * r * cmath.sinh(a) / a, want, 1e-11)
 
 
 class TestSumPrecision:
-    def test_verify_all_cases_stay_at_forty_digits(self):
-        digits = [check.digits for check in verify.localization_checks()]
-        assert len(digits) == 19376
-        assert set(digits) == {40}
-
-    def test_digits_follow_the_cancellation(self):
-        # 1 - e^(-2e-300) = 2e-300 loses 299.7 digits; 20 more are kept
-        assert dh_verify(SphereProductSpace.of((1.0, 1.0)), 1e-300).decimal_digits == 320
-        space = SphereProductSpace.of((1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (2.0, 2.0))
-        assert dh_verify(space, 1e-9).decimal_digits == 54
-        assert dh_verify(space, -1e-9).decimal_digits == 54
-        assert dh_verify(space, 1e-9 + 0.5j).decimal_digits is None
-
     @pytest.mark.parametrize(
         "pairs,c",
         [
@@ -719,53 +733,20 @@ class TestSumPrecision:
         space = SphereProductSpace.of(*pairs)
         assert dh_verify(space, c).rhs == pytest.approx(dh_lhs_closed(space, c), rel=1e-14)
 
-    def test_terms_built_once_at_the_final_digits(self, monkeypatch):
-        # the digits go 40, 40, 47 over the first one, two and three factors;
-        # the terms are built once, at 47 digits: one half-term pair per factor
-        digits = []
-        monkeypatch.setattr(localization, "_half_terms",
-                            lambda f, c, d: digits.append(d) or _half_terms(f, c, d))
-        report = dh_verify(SphereProductSpace.of(*[(1.0, 1.0)] * 3), 1e-9)
-        assert report.decimal_digits == 47
-        assert digits == [47] * 3
-
     def test_sixteen_factors_at_small_c(self):
-        # at 40 digits this sum came out 24 times too large
+        # at 40 digits the Decimal sum of these 65,536 terms came out 24 times
+        # too large
         space = SphereProductSpace.of(*[(1 + 0.1 * i, 0.5 + 0.07 * i) for i in range(16)])
         report = dh_verify(space, 0.001)
-        assert report.decimal_digits == 60
         assert report.rel_err < 1e-12
 
     SIXTEEN = SphereProductSpace.of(*[(1 + 0.1 * i, 0.5 + 0.07 * i) for i in range(16)])
 
-    @pytest.mark.parametrize("digits", [40, 47, 60, 156, 320])
-    def test_mantissas_fill_their_bits(self, digits):
-        # a product is rounded by the bit length of its last factor's larger
-        # mantissa: exactly ceil(digits log2 10) + GUARD_BITS bits.  A fixed
-        # shift by more bits than a mantissa has loses the difference at
-        # every factor (rel_err 2.4e-6 on test_sixteen_factors_at_small_c)
-        bits = math.ceil(digits * math.log2(10)) + localization.GUARD_BITS
-        factors = [*self.SIXTEEN.factors, SphereFactor(1e200, 1e-200), SphereFactor(0.5, -4.0)]
-        for f in factors:
-            for c in (1e-9, 1e-3, 0.7, -5.0):
-                pair, _, shift = _half_terms(f, c, digits)
-                assert shift == max(map(abs, pair)).bit_length() == bits
-
     @pytest.mark.parametrize("c", [1e-3, 1e-9, *verify.DH_CS])
     def test_sum_within_its_bound(self, c):
-        n = self.SIXTEEN.half_dim
-        check = PrefixCheck.empty(c, self.SIXTEEN.factors).extend(*range(n))
-        halves = check.table.half_terms(check.digits)
-        bits = math.ceil(check.digits * math.log2(10)) + localization.GUARD_BITS
-        # every rounding drops at most one bit more than its mantissa adds
-        assert max(map(abs, check.terms)).bit_length() >= 2 * bits - n
-        # given the mantissas, the points' exact sum is prod_j (m_j+ + m_j-),
-        # and the terms' sum is within 2^n n half-units of the last shift of it
-        exact = math.prod(sum(pair) for pair, _, _ in halves)
-        dropped = sum(scale for _, scale, _ in halves) - check.scale
-        assert abs(sum(check.terms) - Fraction(exact, 2**dropped)) <= 2**n * n * 2**check.shift / 2
-        # against a 200-digit Decimal sum over the points times (2 pi / c)^n,
-        # within 10^-20 of it, and rounded once from it
+        # against a 200-digit Decimal sum of the 65,536 points' terms times
+        # (2 pi / c)^n; at c = 1e-9 they cancel 140 digits
+        check = PrefixCheck.empty(c, self.SIXTEEN.factors).extend(*range(self.SIXTEEN.half_dim))
         with localcontext() as ctx:
             ctx.prec = 200
             terms = [Decimal(1)]
@@ -776,9 +757,8 @@ class TestSumPrecision:
             for term in terms:
                 total += term
             total *= _reference_prefactor(self.SIXTEEN, c)
-        value = sum(check.terms) / Fraction(2) ** check.scale
-        assert abs(value - Fraction(total)) <= Fraction(1, 10**20) * abs(Fraction(total))
-        assert check.rhs == float(total)
+            assert abs(Decimal(check.rhs) - total) <= Decimal(check.rhs_bound) * abs(total)
+        assert check.rhs_bound < 1e-13
 
     @staticmethod
     def _forbid_work(monkeypatch):
@@ -787,13 +767,17 @@ class TestSumPrecision:
 
         monkeypatch.setattr(localization, "factor_integral_quad", forbidden)
         monkeypatch.setattr(localization, "enumerate_fixed_points", forbidden)
-        monkeypatch.setattr(localization, "_half_terms", forbidden)
+        monkeypatch.setattr(localization, "_pole_pair", forbidden)
 
-    def test_precision_cap_before_any_work(self, monkeypatch):
+    def test_former_precision_cap_is_answered(self):
+        # the terms of four factors at c = 1e-300 cancel 1,200 digits: a
+        # Decimal sum capped at 1,000 digits refused them
         space = SphereProductSpace.of(*[(1.0, 1.0)] * 4)
-        self._forbid_work(monkeypatch)
-        with pytest.raises(ValueError, match="more than MAX_DECIMAL_DIGITS = 1000"):
-            dh_verify(space, 1e-300)
+        assert point_sums.lost_digits(space, 1e-300) == pytest.approx(1200, abs=1)
+        report = dh_verify(space, 1e-300)
+        assert point_sums.within(report.rhs, point_sums.point_sum(space, 1e-300),
+                                 report.rhs_bound)
+        assert report.rel_err < 1e-14
 
     def test_factor_cap_before_any_work(self, monkeypatch):
         space = SphereProductSpace.of(*[(1.0, 1.0)] * 17)
@@ -818,13 +802,16 @@ class TestSumPrecision:
         (((1.0, 1e-30),), 1e-300, 350),
     ])
     def test_underflowing_mu_r_is_sized_from_x(self, pairs, c, digits):
-        # before, |mu r| or c mu r rounded to 0: "cancels inf digits"
+        # before, |mu r| or c mu r rounded to 0: "cancels inf digits"; the
+        # terms cancel digits - 20 digits, which a Decimal sum once ran at
         with mpmath.workdps(50):
             closed = float(mpmath.fprod(
                 4 * mpmath.pi * r * mpmath.sinh(mpmath.mpf(c) * mu * r) / (mpmath.mpf(c) * mu)
                 for r, mu in pairs))
-        report = dh_verify(SphereProductSpace.of(*pairs), c)
-        assert report.decimal_digits == digits
+        space = SphereProductSpace.of(*pairs)
+        report = dh_verify(space, c)
+        assert math.ceil(point_sums.lost_digits(space, c)) == digits - 20
+        assert point_sums.within(report.rhs, point_sums.point_sum(space, c), report.rhs_bound)
         assert report.quad_nodes[0] == 8
         assert abs(report.rhs - closed) <= 1e-15 * closed
         assert report.rel_err < 1e-14
@@ -880,7 +867,7 @@ class TestSumPrecision:
         ],
     )
     def test_rhs_fits_where_its_prefactor_does_not(self, pairs, c):
-        # each half-term carries its 2 pi / (c l), so no separate power (2 pi
+        # each pole pair carries its 2 pi / (c l), so no separate power (2 pi
         # / c)^n is formed: before, the first five were refused for it
         with mpmath.workdps(50):
             closed = float(mpmath.fprod(
@@ -891,15 +878,18 @@ class TestSumPrecision:
         assert report.rel_err < 1e-14
 
     @pytest.mark.parametrize("pairs,c,loss", [
-        (((1.0, 1.0), (1.0, 1.0)), complex(1e-300, 1e-300), "600.0"),
+        (((1.0, 1.0), (1.0, 1.0)), complex(1e-300, 1e-300), "599.7"),
         (((1.0, 1e-300), (1.0, 1e-300)), 1e200j, "200.0"),
     ])
-    def test_tiny_complex_x_refused_for_its_loss(self, monkeypatch, pairs, c, loss):
-        # before, for the prefactor (2 pi / c)^n: nan and -3.9e-399
-        self._forbid_work(monkeypatch)
-        with pytest.raises(ValueError, match=rf"cancels {loss} digits, more than the "
-                                             rf"MAX_COMPLEX_LOSS = 9 a double can lose$"):
-            dh_verify(SphereProductSpace.of(*pairs), c)
+    def test_tiny_complex_x_is_answered(self, pairs, c, loss):
+        # a = c mu r is tiny, so sinh(a) / a is its series 1 + a^2 / 6, where
+        # complex division raises ZeroDivisionError at a = 1e-300 + 1e-300j;
+        # the terms cancel `loss` digits, which a sum in doubles refused
+        space = SphereProductSpace.of(*pairs)
+        assert f"{point_sums.lost_digits(space, c):.1f}" == loss
+        report = dh_verify(space, c)
+        assert point_sums.within(report.rhs, point_sums.point_sum(space, c), report.rhs_bound)
+        assert report.rel_err < 1e-14
 
     @pytest.mark.parametrize("pairs,c", [(((1e10, 1e100),), 1e200j),
                                          (((1.0, 1.0), (1e10, 1e10)), complex(0.5, 1e300))])
@@ -935,11 +925,7 @@ class TestSumPrecision:
         # the left-to-right product of 2 pi r r times each quadrature
         import numpy as np
 
-        try:
-            report = dh_verify(space, c)
-        except ValueError:  # a complex sum that cancels too much
-            assert isinstance(c, complex)
-            return
+        report = dh_verify(space, c)
         lhs = 1.0 + 0.0j if isinstance(c, complex) else 1.0
         for f, n in zip(space.factors, report.quad_nodes):
             x, w = np.polynomial.legendre.leggauss(n)
@@ -959,13 +945,22 @@ class TestSumPrecision:
         # and lhs 1.2566e-319 differed by 4.8e-5, and rel_err, over a floor
         # of 1e-300, read 4.9e-24
         def forbidden(*args):
-            raise AssertionError("a term was built before the check")
+            raise AssertionError("a point was built before the check")
 
-        monkeypatch.setattr(localization, "_half_terms", forbidden)
         monkeypatch.setattr(localization, "enumerate_fixed_points", forbidden)
         with pytest.raises(ValueError, match=r"^underflow: the Liouville integral at c = 1.0 "
                                              r"is below the normal doubles$"):
             dh_verify(SphereProductSpace.of((1e-160, 1e-160)), 1.0)
+
+    @pytest.mark.parametrize("exponent,error", [
+        (1100, "overflow: the fixed-point sum at c = 1.0 is not a finite double"),
+        (-1100, "underflow: the fixed-point sum at c = 1.0 is below the normal doubles"),
+    ])
+    def test_non_normal_rhs_is_named(self, monkeypatch, exponent, error):
+        # rhs is checked after a normal lhs: a pole pair of 2^(exponent - 1)
+        monkeypatch.setattr(localization, "_pole_pair", lambda f, c: ((0.5, exponent), 11.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            dh_verify(SphereProductSpace.of((1.0, 1.0)), 1.0)
 
     @pytest.mark.parametrize("pair,c", [((2.4e131, 4e-136), 1e6), ((1e-100, 1e100), 1e-200),
                                         ((1e-150, 1e150), 1e-300)])
@@ -983,7 +978,7 @@ class TestSumPrecision:
 
     def test_imaginary_c_is_not_an_overflow(self):
         report = dh_verify(SphereProductSpace.of((1.0, 1.0)), 1000j)
-        assert report.decimal_digits is None
+        assert report.rhs_bound < 1e-12
         assert report.quad_nodes == (1024,)
         assert report.rel_err < 1e-10
         # nor is its cancellation (-2x overflows to -inf j here, e^(-x) does
@@ -1019,30 +1014,32 @@ class TestPrefixWalk:
             "fixed-point sum = Liouville integral, rel err", 19376, worst, verify.DH_TOL),)
 
     def test_walk_is_pinned(self):
-        # the checks' indices, c, digits and rhs, in the walk's order; rhs is
-        # built from ints and Decimal only, so the digest holds on every
-        # platform
+        # the checks' indices and c, in the walk's order, and each rhs within
+        # its bound of the fixed-point sum over its 2^n points, the product of
+        # its factors' one-factor point sums (each over s = +-1)
+        factors = [SphereFactor(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
+        sums = {(i, c): point_sums.point_sum(SphereProductSpace((f,)), c)
+                for i, f in enumerate(factors) for c in verify.DH_CS}
         digest, count = hashlib.sha256(), 0
-        for check in verify.localization_checks():
-            digest.update(repr((check.indices, check.table.c, check.digits, check.rhs)).encode())
-            count += 1
+        with mpmath.workdps(point_sums.SPARE_DIGITS):
+            for check in verify.localization_checks():
+                c = check.table.c
+                digest.update(repr((check.indices, c)).encode())
+                want = mpmath.fprod(sums[i, c] for i in check.indices)
+                assert point_sums.within(check.rhs, want, check.rhs_bound)
+                count += 1
         assert count == 19376
         assert digest.hexdigest() == \
-            "b7f6893acce6bbae0706b94a915f55cce512653740e946dd2722f4402c1b0543"
+            "18e43ce007e2f9471504d587d0ba880fb11ee22643ea9347cfd35fe0537dce82"
 
     @settings(max_examples=60, deadline=None)
-    @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs), data=st.data())
-    def test_rhs_is_the_sum_of_the_terms_rounded_once(self, space, c, data):
-        # the last factor is summed in pole pairs, (sum of base) (m+ + m-):
-        # the same integer as the sum of the terms, rounded once to rhs,
-        # for children and extend alike, where the digits rise part way
-        # (small c) too; the children at the parent's digits share one base,
-        # the parent's terms rounded by its shift
-        def rounded_once(check):
-            total = sum(check.terms)
-            bits = total.bit_length()
-            return math.ldexp(total / (1 << bits), bits - check.scale)
-
+    @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
+                                      st.builds(complex, _real_cs, _real_cs)),
+           data=st.data())
+    def test_rhs_is_the_product_of_the_pole_pairs(self, space, c, data):
+        # each check's rhs is its pole pairs' product written out with no
+        # table (_reference_pairs), for children and extend alike, and its
+        # bound counts their roundings and the multiplies
         n = space.half_dim
         prefix = data.draw(st.integers(0, n - 1), label="prefix")
         indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
@@ -1053,47 +1050,18 @@ class TestPrefixWalk:
         children = parent.children(indices)
         extended = [parent.extend(i) for i in indices] + [parent.extend(*indices)]
         for check in children + extended:
-            assert check.terms == [t * h for t in check.base for h in check.last]
-            assert check.rhs == rounded_once(check)
-        same_digits = [child for child in children if child.digits == parent.digits]
-        if same_digits:
-            half = (1 << parent.shift) // 2
-            assert same_digits[0].base == [(t + half) >> parent.shift for t in parent.terms]
-            assert all(child.base is same_digits[0].base for child in same_digits)
-
-    def test_more_digits_rebuild_the_numerators(self):
-        # the sum cancels 8.7 digits per factor at c = 1e-9: 40, 40, 47 digits.
-        # Every mantissa depends on the digits, so the check at 47 digits
-        # builds its terms from its factors' 47-digit mantissas, not from its
-        # parent's 40-digit terms; every child extends those terms.
-        factor = SphereFactor(1.0, 1.0)
-        check = PrefixCheck.empty(1e-9, [factor])
-        digits = []
-        for n in range(1, 4):
-            check = check.extend(0)
-            space = SphereProductSpace((factor,) * n)
-            report = dh_verify(space, 1e-9)
-            assert repr((check.lhs, check.rhs, check.rel_err)) == \
-                repr((report.lhs, report.rhs, report.rel_err))
-            assert check.digits == report.decimal_digits
-            assert check.terms == _reference_integer_terms(check)
-            # each term is its point's Decimal term, times (2 pi / c)^n, to
-            # the check's digits
-            with localcontext() as ctx:
-                ctx.prec = check.digits + 20
-                want = [term * _reference_prefactor(space, 1e-9)
-                        for term in _reference_terms(space, 1e-9, ctx.prec)]
-            unit = max(map(abs, want)) / 10**check.digits
-            for got, term in zip(check.terms, want):
-                assert abs(got / Fraction(2) ** check.scale - Fraction(term)) <= Fraction(unit)
-            digits.append(check.digits)
-        assert digits == [40, 40, 47]
+            factors = tuple(space.factors[i] for i in check.indices)
+            assert check.rhs == _reference_pairs(SphereProductSpace(factors), c)
+            roundings = [localization._pole_pair(f, c)[1] for f in factors]
+            steps = (len(factors) - 1) * localization.STEP_ROUNDINGS[isinstance(c, complex)]
+            error = (sum(roundings) + steps) * localization.UNIT
+            assert check.rhs_bound == pytest.approx(error / (1 - error), rel=1e-12)
 
     def test_suite_does_each_factors_work_once_per_c(self, monkeypatch):
-        # 16 factors at 4 values of c: one quadrature and one half-term pair
-        # each, against one of each per check (19,376) when every check
-        # looked its factor up again
-        calls = {"factor_integral_quad": 0, "_half_terms": 0}
+        # 16 factors at 4 values of c: one quadrature and one pole pair each,
+        # against one of each per check (19,376) when every check looked its
+        # factor up again
+        calls = {"factor_integral_quad": 0, "_pole_pair": 0}
         for name in calls:
             original = getattr(localization, name)
 
@@ -1104,21 +1072,20 @@ class TestPrefixWalk:
             monkeypatch.setattr(localization, name, counted)
         assert verify.suite_localization().details["checks"] == 19376
         assert calls["factor_integral_quad"] <= 64
-        assert calls["_half_terms"] <= 64
+        assert calls["_pole_pair"] <= 64
 
     def test_seventeenth_factor_refused_before_any_term(self, monkeypatch):
         factor = SphereFactor(1.0, 1.0)
         check = PrefixCheck.empty(0.5, [factor])
         for _ in range(localization.MAX_FACTORS):
             check = check.extend(0)
-        assert len(check.terms) == 2**16
+        assert len(check.indices) == 16
 
         def forbidden(*args):
             raise AssertionError("work ran before the factor cap")
 
         TestSumPrecision._forbid_work(monkeypatch)
-        for name in ("_size_check", "localcontext"):  # the sizing and the terms
-            monkeypatch.setattr(localization, name, forbidden)
+        monkeypatch.setattr(localization, "_size_check", forbidden)
         with pytest.raises(ValueError, match=r"^at most 16 sphere factors .*, got 17$"):
             check.extend(0)
 
@@ -1128,10 +1095,10 @@ class TestPrefixWalk:
             PrefixCheck.empty(c, [SphereFactor(1.0, 1.0)])
 
     def test_empty_check_takes_complex_c(self):
-        # complex c walks as real c does, in complex floats (digits None)
+        # complex c walks as real c does, in complex floats
         factors = [SphereFactor(1.0, 1.0), SphereFactor(2.0, -0.5)]
         check = PrefixCheck.empty(0.5j, factors).extend(0).extend(1)
         report = dh_verify(SphereProductSpace(tuple(factors)), 0.5j)
-        assert check.digits is None
+        assert isinstance(check.rhs, complex)
         assert repr((check.lhs, check.rhs, check.rel_err)) == \
             repr((report.lhs, report.rhs, report.rel_err))
