@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -300,8 +301,8 @@ def orbifold_oracle_series(b: BettiData, order: int) -> list[dict[int, int]]:
 
     The coefficient of q^n sums, over the partitions of n with
     multiplicities (n_j), the product of the symmetric-power Poincare
-    polynomials of order n_j; the powers of order 0 .. order are enumerated
-    once, for every n.  Fully independent of the infinite product.
+    polynomials of order n_j, once per multiset of the n_j; the powers of
+    order 0 .. order are enumerated once.  Independent of the infinite product.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -309,9 +310,9 @@ def orbifold_oracle_series(b: BettiData, order: int) -> list[dict[int, int]]:
     coeffs = []
     for n in range(order + 1):
         out: dict[int, int] = {}
-        for mults in partition_multiplicities(n):
+        for pattern, count in _multiplicity_patterns(n):
             term: dict[int, int] = {0: 1}
-            for mult in mults.values():
+            for mult in pattern:
                 new: dict[int, int] = {}
                 for e1, c1 in term.items():
                     for e2, c2 in powers[mult].items():
@@ -320,9 +321,15 @@ def orbifold_oracle_series(b: BettiData, order: int) -> list[dict[int, int]]:
                 if not term:
                     break
             for e, c in term.items():
-                out[e] = out.get(e, 0) + c
+                out[e] = out.get(e, 0) + count * c
         coeffs.append({e: c for e, c in out.items() if c})
     return coeffs
+
+
+@lru_cache(maxsize=64)
+def _multiplicity_patterns(n: int) -> tuple:
+    """(sorted multiplicities, the number of partitions of n with them)."""
+    return tuple(Counter(tuple(sorted(m.values())) for m in partition_multiplicities(n)).items())
 
 
 def orbifold_oracle(b: BettiData, n: int) -> dict[int, int]:

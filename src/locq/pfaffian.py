@@ -1,10 +1,10 @@
 """Pfaffians and the square-root-determinant convention for skew matrices.
 
 Two independent evaluation paths are kept side by side: the combinatorial
-expansion along the first row (exact up to rounding, used for dim <= 8 and
-as the oracle) and, for larger matrices, Householder reflections of the
-even columns only, n/2 - 1 of them at dim n, each an orthogonal similarity
-of the trailing block.  canonicalize(A).sqrt_det
+expansion along the first row (used for dim <= 8 and as the oracle), each
+minor once, by a plan built once per dimension, and for larger matrices
+Householder reflections of the even columns only, n/2 - 1 of them at dim
+n, each an orthogonal similarity of the trailing block.  canonicalize(A).sqrt_det
 fixes the sign of det(A)^(1/2) through the canonical-form convention: an
 oriented orthonormal basis in which A consists of 2x2 blocks
 [[0, -l_j], [l_j, 0]], whence det(A)^(1/2) = prod_j l_j = (-1)^n Pf(A) for
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotSkewSymmetricError, OddDimensionError, SingularMatrixError
@@ -40,8 +41,8 @@ class SkewMatrix:
     overflows (A/2 would round subnormal entries); a deviation max|A + A^T|
     / 2 beyond SKEW_TOL = 1e-12 times the largest entry raises, at every
     scale, and a smaller nonzero one sets `adjusted`.
-    A NaN or infinite entry raises a ValueError naming the first one, in
-    row-major order, and a non-numeric one its type, before any arithmetic.
+    A NaN or infinite entry (max|A| is not finite) raises a ValueError
+    naming the first one, in row-major order, and a non-numeric one its type.
     Entries so large that a result overflows a double are refused where
     that result is computed: the Pfaffian, the determinant, a rate or
     sqrt_det raises a ValueError naming it, and NumPy warns of nothing.
@@ -62,7 +63,8 @@ class SkewMatrix:
             raise OddDimensionError(
                 f"dimension must be a positive even integer, got {a.shape[0]}"
             )
-        if not np.isfinite(a).all():
+        largest = float(abs(a).max())
+        if not math.isfinite(largest):
             row, col = (int(i) for i in np.argwhere(~np.isfinite(a))[0])
             raise ValueError(
                 f"matrix entries must be finite, got {float(a[row, col])!r} at "
@@ -70,15 +72,13 @@ class SkewMatrix:
             )
         with np.errstate(all="ignore"):
             deviation = float(abs(a + a.T).max()) / 2.0
-            skew = (a - a.T) / 2.0
-            largest = float(abs(a).max())
+            skew = (a - a.T) / 2.0  # its diagonal is x - x = +0.0: finite entries
             if largest > sys.float_info.max / 2:  # where A - A^T overflows, A/2 - A^T/2 is exact
                 skew = np.where(np.isfinite(skew), skew, a / 2.0 - a.T / 2.0)
         if deviation > SKEW_TOL * largest:
             raise NotSkewSymmetricError(
                 f"matrix deviates from skew symmetry by {deviation:.3e}"
             )
-        np.fill_diagonal(skew, 0.0)
         self.mat = skew
         self.mat.setflags(write=False)
         self.adjusted = deviation > 0.0
@@ -121,31 +121,37 @@ def pfaffian(a: SkewMatrix) -> float:
 def pfaffian_combinatorial(a: SkewMatrix) -> float:
     """Perfect-matching expansion along the first row (105 terms at dim 8).
 
-    It runs over the entries as Python floats and computes the Pfaffian of
-    each minor once per call, keyed by its index tuple.  The expansion order
-    is the plain recursion's, so the result is that recursion's to the bit.
+    It runs the dimension's _plan over the entries as Python floats, each
+    minor once, in the plain recursion's order of terms, skipping a zero
+    entry's term as it does: the result is that recursion's to the bit.
     """
-    return _pf_minor(a.mat.tolist(), tuple(range(a.dim)), {(): 1.0})
+    m, pf = a.mat.tolist(), [1.0]
+    for i, terms in _plan(a.dim):
+        row, total = m[i], 0.0
+        for j, child, sign in terms:
+            aij = row[j]
+            if aij != 0.0:
+                total += sign * aij * pf[child]
+        pf.append(total)
+    return pf[-1]
 
 
-def _pf_minor(m: list[list[float]], idx: tuple[int, ...], minors: dict) -> float:
-    """Pfaffian of the minor of m on the indices idx, expanded along its
-    first row; minors maps the index tuples already expanded to their
-    Pfaffians.  A module function, not a closure over itself, so the memo
-    is freed when the call returns rather than by the cycle collector."""
-    row = m[idx[0]]
-    rest = idx[1:]
-    total = 0.0
-    sign = 1.0
-    for pos, j in enumerate(rest):
-        aij = row[j]
-        if aij != 0.0:
-            sub = rest[:pos] + rest[pos + 1:]
-            if sub not in minors:
-                minors[sub] = _pf_minor(m, sub, minors)
-            total += sign * aij * minors[sub]
-        sign = -sign
-    return total
+@lru_cache(maxsize=8)
+def _plan(dim: int) -> tuple:
+    """The minors the expansion reaches, children first: the minor on (i, *rest) is (i, terms),
+    a term (j, slot of the minor on rest without j, (-1)^pos) for each j = rest[pos].  Slot 0
+    holds the empty minor's Pfaffian, 1, and slot s the plan's s-th: 33 minors at dim 8."""
+    slots, plan = {(): 0}, []
+
+    def visit(idx: tuple) -> int:
+        if idx not in slots:
+            plan.append((idx[0], tuple((idx[pos], visit(idx[1:pos] + idx[pos + 1:]),
+                                        (-1.0) ** (pos - 1)) for pos in range(1, len(idx)))))
+            slots[idx] = len(slots)
+        return slots[idx]
+
+    visit(tuple(range(dim)))
+    return tuple(plan)
 
 
 def pfaffian_tridiagonal(a: SkewMatrix) -> float:

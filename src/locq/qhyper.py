@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateParametersError, PochhammerZeroDivisionError
-from .spectral import check_tolerance, factor_count, refuse_product
+from .spectral import check_tolerance, factor_count, is_normal, refuse_product
 
 Scalar = Fraction | complex
 
@@ -31,17 +31,13 @@ MAX_WINDOW = 4096
 
 def _coerce(value) -> Scalar:
     """Exact inputs stay exact; anything float-like becomes complex."""
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
         return Fraction(value)
     if isinstance(value, (float, complex)):
         return complex(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
-
-
-def _one_like(x: Scalar):
-    return Fraction(1) if isinstance(x, Fraction) else complex(1.0)
 
 
 def pochhammer(a, q, n: int):
@@ -49,37 +45,32 @@ def pochhammer(a, q, n: int):
 
     For n < 0 the shift-identity extension is used; a vanishing factor
     there makes the symbol infinite and raises PochhammerZeroDivisionError.
-    A complex product that is not a finite double is refused by name.
+    A complex product not a finite, normal double (nor 0 by a factor 0) is refused by name.
     """
     if abs(n) > MAX_WINDOW:
         raise ValueError(f"|n| must be at most {MAX_WINDOW}, got {n}")
     a, q = _coerce(a), _coerce(q)
-    one = _one_like(a * q)
-    if n >= 0:
-        out = one
-        apow = a
-        for _ in range(n):
-            out *= one - apow
-            apow *= q
-        if isinstance(out, complex) and not cmath.isfinite(out):
-            refuse_product(f"(a;q)_{n} = prod_(k=0..{n - 1}) (1 - a q^k)",
-                           _pochhammer_factors(one, a, q, n), "k", 0)
-        return out
-    if q == 0:
+    if n < 0 and q == 0:
         raise DegenerateParametersError(f"(a;q)_{n} with n < 0 divides by q = 0")
-    denom = one
-    apow = a
-    for _ in range(-n):
-        apow /= q
-        denom *= one - apow
-    if isinstance(denom, complex) and not cmath.isfinite(denom):
-        refuse_product(f"1 / (a;q)_{n} = prod_(k=1..{-n}) (1 - a q^-k)",
-                       _pochhammer_factors(one, a, q, n), "k", 1)
-    if denom == 0:
-        raise PochhammerZeroDivisionError(
-            f"(a;q)_{n} has a vanishing factor for a={a}, q={q}"
-        )
-    return one / denom
+    if isinstance(a, Fraction) and isinstance(q, Fraction):
+        # (a;q)_n = 1 / (b;q)_-n with b = a q^n for n < 0.  As in _ExactTail, each
+        # factor 1 - b q^k = (bd qd^k - bn qn^k) / (bd qd^k) for b = bn/bd, q = qn/qd:
+        # the numerators and denominators are multiplied as integers, reduced once.
+        m, b = abs(n), a if n >= 0 else a * q**n
+        top, qnk, qdk = 1, 1, 1
+        for _ in range(m):
+            top *= b.denominator * qdk - b.numerator * qnk
+            qnk, qdk = qnk * q.numerator, qdk * q.denominator
+        out = Fraction(top, b.denominator**m * q.denominator ** (m * (m - 1) // 2))
+    else:
+        out = math.prod(_pochhammer_factors(1 + 0j, a, q, n), start=1 + 0j)
+        if not is_normal(out):
+            product = (f"(a;q)_{n} = prod_(k=0..{n - 1}) (1 - a q^k)" if n >= 0
+                       else f"1 / (a;q)_{n} = prod_(k=1..{-n}) (1 - a q^-k)")
+            refuse_product(product, _pochhammer_factors(1 + 0j, a, q, n), "k", 0 if n >= 0 else 1)
+    if n < 0 and out == 0:
+        raise PochhammerZeroDivisionError(f"(a;q)_{n} has a vanishing factor for a={a}, q={q}")
+    return out if n >= 0 else 1 / out
 
 
 def _pochhammer_factors(one, a, q, n: int):
@@ -101,17 +92,14 @@ def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     The product stops after the m factors of spectral.factor_count with
     the tail bound sum_{k>=m} |a| |q|^k < tol / 2; it is multiplied in
     complex floats for every input, since the truncation is only
-    accurate to tol anyway; one that is not a finite double is refused by
-    name.
+    accurate to tol anyway; one that is not a finite, normal double (nor 0
+    by a factor 0) is refused by name.
     """
     check_tolerance(tol)
     a, q = complex(_coerce(a)), complex(_coerce(q))
     m = factor_count(abs(a), abs(q), 0, tol / 2)
-    out, apow = 1 + 0j, a
-    for _ in range(m):
-        out *= 1 - apow
-        apow *= q
-    if not cmath.isfinite(out):
+    out = math.prod(_pochhammer_factors(1 + 0j, a, q, m), start=1 + 0j)
+    if not is_normal(out):
         refuse_product(f"(a;q)_inf to its first {m} factors, prod_(k=0..{m - 1}) (1 - a q^k)",
                        _pochhammer_factors(1 + 0j, a, q, m), "k", 0)
     return out
@@ -159,7 +147,7 @@ def _psi_term(spec: BilateralSeriesSpec, n: int):
     q at negative n) yields an exact zero term; a genuinely infinite term
     raises.
     """
-    one = _one_like(spec.q * spec.z)
+    one = Fraction(1) if isinstance(spec.q * spec.z, Fraction) else complex(1.0)
     if n >= 0:
         top_params, bot_params = spec.numerator_params, spec.denominator_params
         qpowers = [spec.q**k for k in range(n)]

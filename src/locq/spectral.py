@@ -182,7 +182,7 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     for |w| <= 1/2 and the tail factors are eventually that small.  Raises
     ToleranceUnreachable when M would exceed LOCQ_MAX_FACTORS, and a
     ValueError naming |q^epsilon| or the product where either is not a
-    finite double.
+    finite, normal double (nor the product 0 by a factor 0).
     """
     check_tolerance(rel_tol, "rel_tol")
     tau = p.tau
@@ -197,24 +197,34 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     value = 1 + 0j
     for n in range(p.ell, p.ell + used):
         value *= 1.0 + sign * q_power(tau, p.a * n + p.epsilon)
-    if not cmath.isfinite(value):
+    if not is_normal(value):
         refuse_product(f"prod_(n>={p.ell}) (1 {'-' if sign < 0 else '+'} q^(a n + epsilon))",
                        (1.0 + sign * q_power(tau, p.a * n + p.epsilon)
                         for n in range(p.ell, p.ell + used)), "n", p.ell)
     return ProductValue(value=value, factors_used=used, s=s_of_params(p))
 
 
+def is_normal(value: complex) -> bool:
+    """Finite, with a part >= the least normal double (abs() raises past the largest)."""
+    return cmath.isfinite(value) and max(abs(value.real), abs(value.imag)) >= sys.float_info.min
+
+
 def refuse_product(product: str, factors, index: str, start: int):
-    """Raise the ValueError for a product of complex `factors` whose value
-    is not a finite double, naming the product and the first factor, from
-    `index` = `start` on, at which the partial product is not."""
-    value = 1 + 0j
+    """Raise the ValueError for a product of complex `factors` that is not a
+    finite double, or is below the normal doubles with no factor 0 (else it
+    returns), naming the factor from which every partial product is so."""
+    value, zero, below = 1 + 0j, False, start
     for k, factor in enumerate(factors, start):
         value *= factor
+        zero = zero or factor == 0
         if not cmath.isfinite(value):
             raise ValueError(f"overflow: the product {product} is not a finite double "
                              f"from its factor {index} = {k} on")
-    raise ValueError(f"overflow: the product {product} is not a finite double")
+        if is_normal(value):
+            below = k + 1
+    if not zero:
+        raise ValueError(f"underflow: the product {product} is below the normal doubles "
+                         f"from its factor {index} = {below} on")
 
 
 class ShiftCheck(NamedTuple):

@@ -191,13 +191,15 @@ def suite_pfaffian() -> SuiteResult:
 # -- 3/4/5/6. generating functions -------------------------------------------
 
 
-def betti_family(max_total: int, max_degree: int):
+def betti_family(max_total: int, max_degree: int) -> list:
     """All Betti tuples with the given total rank and top degree, no
-    trailing zeros (trailing zeros change nothing), plus the empty space."""
+    trailing zeros (trailing zeros change nothing), plus the empty space;
+    those of length L as the gaps of c_1 < ... < c_L in range(max_total + L)."""
     family = [genfunc.BettiData.of()]
     for length in range(1, max_degree + 2):
-        for combo in itertools.product(range(max_total + 1), repeat=length):
-            if 0 < sum(combo) <= max_total and (length == 1 or combo[-1] > 0):
+        for cut in itertools.combinations(range(max_total + length), length):
+            combo = tuple(c - p - 1 for p, c in zip((-1, *cut), cut))
+            if sum(combo) > 0 and (length == 1 or combo[-1] > 0):
                 family.append(genfunc.BettiData(combo))
     return family
 
@@ -221,10 +223,10 @@ def suite_euler() -> SuiteResult:
     for part in range(1, nmax + 1):
         for n in range(part, nmax + 1):
             dp[n] += dp[n - part]
+    closed = {chi: polynomial_power([(1, -1)], -chi, nmax) for chi in range(-4, 5)}  # |chi| <= 4
     return SuiteResult("euler-specializations", (
         exact("Macdonald series at y = -1 = (1 - q)^(-chi), to q^20",
-              ((genfunc.macdonald_series(b, nmax).specialize_y(-1),
-                polynomial_power([(1, -1)], -b.chi, nmax))
+              ((genfunc.macdonald_series(b, nmax).specialize_y(-1), closed[b.chi])
                for b in betti_family(max_total=4, max_degree=5))),
         exact("equivariant series at chi = 1 = partition numbers p(n), n <= 20",
               zip(genfunc.equivariant_euler_series(1, nmax).coeffs, dp)),
@@ -234,12 +236,10 @@ def suite_euler() -> SuiteResult:
 def suite_orbifold() -> SuiteResult:
     """Orbifold product (q-index from 1, degree index from 0) vs the
     partition-sum oracle, coefficient by coefficient for n <= 8."""
-    family = betti_family(max_total=3, max_degree=3)
-    family.append(genfunc.BettiData.of(1, 2, 1))
     return SuiteResult("orbifold-oracle", (
         exact("orbifold product q^n = partition-sum enumeration, n <= 8",
               ((series.q_coefficient(n), want)
-               for b in family
+               for b in betti_family(max_total=3, max_degree=3) + [genfunc.BettiData.of(1, 2, 1)]
                for series in [genfunc.orbifold_series(b, 8)]
                for n, want in enumerate(genfunc.orbifold_oracle_series(b, 8)))),
     ))

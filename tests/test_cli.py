@@ -1052,11 +1052,49 @@ class TestContract:
           "--sign", "plus"],
          "|q^epsilon| = |e^(2 pi i tau epsilon)| at tau = 3j, epsilon = (-745+0j) is not a "
          "finite double"),
+        # the partial product at k = 0 is finite, its modulus past the largest double
+        (["qhyper", "pochhammer", "--a=-1.5e308,-1.5e308", "--q", "1e-300", "--n", "2"],
+         "the product (a;q)_2 = prod_(k=0..1) (1 - a q^k) is not a finite double from its "
+         "factor k = 1 on"),
     ])
     def test_overflow_names_the_quantity(self, argv, error):
         # before: "the complex result (nan+nanj) is not finite" for the first
         # three, and a bare "OverflowError: math range error" for the last
         assert run_fresh(argv) == f"ValueError: overflow: {error}"
+
+    @pytest.mark.parametrize("argv,error", [
+        (["spectral-eval", "--a", "0.1", "--tau", "1e-9,1e-3", "--epsilon", "-7.05", "--ell", "0"],
+         "the product prod_(n>=0) (1 - q^(a n + epsilon)) is below the normal doubles from its "
+         "factor n = 185 on"),
+        (["qhyper", "pochhammer", "--a", "0.999", "--q", "1", "--n", "200"],
+         "the product (a;q)_200 = prod_(k=0..199) (1 - a q^k) is below the normal doubles from "
+         "its factor k = 102 on"),
+        (["qhyper", "pochhammer", "--a", "0.999", "--q", "1", "--n", "-200"],
+         "the product 1 / (a;q)_-200 = prod_(k=1..200) (1 - a q^-k) is below the normal doubles "
+         "from its factor k = 103 on"),
+        (["qhyper", "pochhammer", "--a", "0.999", "--q", "0.999", "--infinite"],
+         "the product (a;q)_inf to its first 35214 factors, prod_(k=0..35213) (1 - a q^k) is "
+         "below the normal doubles from its factor k = 321 on"),
+    ])
+    def test_underflow_names_the_product(self, argv, error):
+        # before: exit 0 with "value": ["0.0", "0.0"], every digit lost,
+        # though none of the factors is 0
+        assert run_fresh(argv) == f"ValueError: underflow: {error}"
+
+    @pytest.mark.parametrize("argv", [
+        ["qhyper", "pochhammer", "--a", "1.0", "--q", "0.5", "--n", "3"],
+        # 0.1 * 70 - 7 = 8.9e-16 rounds q^(a n + epsilon) to 1: factor 70 is 0
+        ["spectral-eval", "--a", "0.1", "--tau", "1e-9,1e-3", "--epsilon", "-7", "--ell", "0"],
+    ])
+    def test_product_with_a_zero_factor_is_zero(self, run_cli, argv):
+        code, out = run_cli(argv)
+        assert (code, parse_strict(out)["value"]) == (0, ["0.0", "0.0"])
+
+    def test_finite_product_past_the_largest_modulus_is_answered(self, run_cli):
+        # both parts are finite doubles; abs() of the value would raise OverflowError
+        code, out = run_cli(["qhyper", "pochhammer", "--a=-1.5e308,-1.5e308", "--q", "0.5",
+                             "--n", "1"])
+        assert (code, parse_strict(out)["value"]) == (0, ["1.5e+308", "1.5e+308"])
 
     @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(1.0, -math.inf),
                                    complex(math.nan, 2.0), math.inf])

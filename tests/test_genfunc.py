@@ -332,6 +332,28 @@ class TestOrbifoldOracle:
         parts = sorted(tuple(sorted(m.items())) for m in partition_multiplicities(4))
         assert len(parts) == 5  # p(4) = 5
 
+    @pytest.mark.parametrize("betti", [(1,), (1, 0, 1), (1, 2, 1), (0, 3), (2, 1, 0, 2)])
+    def test_equals_the_partition_by_partition_sum(self, betti):
+        # one product per multiplicity pattern, against one per partition
+        b = BettiData.of(*betti)
+        for order in range(11):
+            powers = [sym_poincare_oracle(b, mult) for mult in range(order + 1)]
+            want = []
+            for n in range(order + 1):
+                out = {}
+                for mults in partition_multiplicities(n):
+                    term = {0: 1}
+                    for mult in mults.values():
+                        new = {}
+                        for e1, c1 in term.items():
+                            for e2, c2 in powers[mult].items():
+                                new[e1 + e2] = new.get(e1 + e2, 0) + c1 * c2
+                        term = new
+                    for e, c in term.items():
+                        out[e] = out.get(e, 0) + c
+                want.append({e: c for e, c in out.items() if c})
+            assert orbifold_oracle_series(b, order) == want
+
     def test_each_symmetric_power_enumerated_once(self, monkeypatch):
         # one enumeration per order 0-8 serves every coefficient to q^8, where
         # one oracle call per coefficient enumerated the low orders again

@@ -2,6 +2,7 @@
 
 import gc
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from locq.errors import (
 from locq.oracles import block_diagonal
 from locq.pfaffian import (
     SkewMatrix,
+    _plan,
     canonicalize,
     pfaffian,
     pfaffian_combinatorial,
@@ -91,6 +93,94 @@ class TestValidation:
         m = SkewMatrix(a)
         assert np.array_equal(m.mat, a)
         assert not m.adjusted
+
+
+def _six_pass_skew(entries):
+    """(mat, adjusted) as SkewMatrix made them with six whole-matrix passes:
+    a finiteness pass first, then max|A + A^T|, A - A^T, max|A| and an
+    explicit zero diagonal.  The reference for its parity test."""
+    a = np.asarray(entries, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"square matrix required, got shape {a.shape}")
+    if a.shape[0] % 2 != 0 or a.shape[0] == 0:
+        raise OddDimensionError(f"dimension must be a positive even integer, got {a.shape[0]}")
+    if not np.isfinite(a).all():
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        raise ValueError(f"matrix entries must be finite, got {float(a[row, col])!r} at "
+                         f"(row, col) = ({row}, {col})")
+    with np.errstate(all="ignore"):
+        deviation = float(abs(a + a.T).max()) / 2.0
+        skew = (a - a.T) / 2.0
+        largest = float(abs(a).max())
+        if largest > sys.float_info.max / 2:
+            skew = np.where(np.isfinite(skew), skew, a / 2.0 - a.T / 2.0)
+    if deviation > 1e-12 * largest:
+        raise NotSkewSymmetricError(f"matrix deviates from skew symmetry by {deviation:.3e}")
+    np.fill_diagonal(skew, 0.0)
+    return skew, deviation > 0.0
+
+
+def _skew_parity_corpus():
+    """Exact, near and non-skew matrices; NaN and +-inf at several places;
+    entries near max/2; subnormal and -0.0 entries."""
+    rng = np.random.default_rng(37)
+    huge = 1.7e308
+    corpus = []
+    for dim in (2, 4, 6, 8, 10, 12):
+        raw = rng.normal(size=(dim, dim))
+        exact = raw - raw.T
+        corpus += [exact, exact * 1e-300, exact * 1e300,
+                   exact + 1e-14 * rng.normal(size=(dim, dim)),  # near skew: adjusted
+                   exact + 1e-3 * rng.normal(size=(dim, dim)),  # not skew
+                   raw,
+                   exact + np.diag(rng.normal(size=dim) * 1e-13)]  # diagonal only
+        for value in (np.nan, np.inf, -np.inf):
+            for index in ((0, 0), (0, 1), (1, 0), (dim - 1, dim - 2), (dim - 1, dim - 1)):
+                bad = exact.copy()
+                bad[index] = value
+                corpus.append(bad)
+        both = exact.copy()
+        both[dim - 1, 0], both[0, dim - 1] = np.inf, np.nan
+        corpus.append(both)
+        big = exact / abs(exact).max() * huge
+        corpus += [big, big * 0.5000001, big + 1e292 * rng.normal(size=(dim, dim)),
+                   np.abs(big), big + np.diag(np.full(dim, huge))]
+        tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308], size=(dim, dim))
+        corpus += [tiny, tiny - tiny.T, np.full((dim, dim), -0.0),
+                   np.where(exact > 0, exact, -0.0)]
+        faint = exact.copy()
+        faint[0, 1], faint[1, 0] = 1e-310, 0.0  # a subnormal deviation: adjusted
+        corpus.append(faint)
+        mixed = exact.copy()
+        mixed[0, 1], mixed[1, 0] = huge, -huge
+        mixed[dim - 2, dim - 1], mixed[dim - 1, dim - 2] = 5e-324, -5e-324
+        corpus.append(mixed)
+    corpus += [[[0, 1], [-1, 0]], [[0.0, -0.0], [0.0, -0.0]], np.zeros((3, 3)),
+               np.zeros((0, 0)), np.zeros((2, 3)), [[float("nan")]]]
+    return corpus
+
+
+class TestSkewMatrixParity:
+    def test_same_bits_flag_and_refusal_as_six_passes(self):
+        def outcome(make, entries):
+            try:
+                mat, adjusted = make(entries)
+            except (ValueError, OddDimensionError, NotSkewSymmetricError) as exc:
+                return type(exc), str(exc)
+            return mat.dtype, mat.shape, mat.tobytes(), adjusted
+
+        def production(entries):
+            m = SkewMatrix(entries)
+            return m.mat, m.adjusted
+
+        corpus = _skew_parity_corpus()
+        kinds = set()
+        for entries in corpus:
+            got = outcome(production, entries)
+            assert got == outcome(_six_pass_skew, entries)
+            kinds.add(got[0] if isinstance(got[0], type) else got[3])
+        # every kind of outcome occurs
+        assert kinds == {True, False, ValueError, OddDimensionError, NotSkewSymmetricError}
 
 
 class TestPfaffian:
@@ -256,6 +346,15 @@ class TestCombinatorialMemo:
 
         assert pfaffian_combinatorial(Counted()) == pfaffian_combinatorial(a) == 125960.0
         assert len(reads) == 97
+
+    def test_plan_built_once_per_dimension_children_first(self):
+        plan = _plan(8)
+        assert _plan(8) is plan
+        assert len(plan) == 33 and sum(len(terms) for _, terms in plan) == 97
+        for slot, (i, terms) in enumerate(plan, 1):
+            assert all(child < slot for _, child, _ in terms)
+            assert [sign for _, _, sign in terms] == [(-1.0) ** pos for pos in range(len(terms))]
+            assert all(j > i for j, _, _ in terms)
 
     def test_memo_freed_without_the_cycle_collector(self):
         # a recursive closure is a reference cycle, which would keep each

@@ -76,6 +76,22 @@ class TestPochhammer:
         exact = pochhammer(a, q, n)
         assert abs(ratio - complex(exact)) < 1e-12
 
+    @pytest.mark.parametrize("n,first", [(200, "k = 102"), (-200, "k = 103")])
+    def test_underflowed_complex_product_is_refused(self, n, first):
+        with pytest.raises(ValueError, match=rf"^underflow: .* from its factor {first} on$"):
+            pochhammer(0.999, 1.0, n)
+
+    def test_underflowed_infinite_product_is_refused(self):
+        with pytest.raises(ValueError, match=r"^underflow: the product \(a;q\)_inf .* "
+                                             r"from its factor k = 321 on$"):
+            pochhammer_infinite(0.999, 0.999)
+
+    def test_zero_factor_is_not_an_underflow(self):
+        assert pochhammer(1.0, 0.5, 3) == 0
+        assert pochhammer(1e-200, 1e-200, 3) == 1  # factors 1 - 1e-200 and 1 round to 1
+        with pytest.raises(PochhammerZeroDivisionError):
+            pochhammer(0.5, 0.5, -3)
+
     def test_infinite_matches_spectral_product(self):
         q = math.exp(-2 * math.pi)
         via_poch = pochhammer_infinite(q, q, tol=1e-14)
@@ -84,6 +100,77 @@ class TestPochhammer:
             rel_tol=1e-14,
         )
         assert abs(complex(via_poch) - via_spectral.value) < 1e-12
+
+
+def _fraction_loop(a: Fraction, q: Fraction, n: int):
+    """(a;q)_n as exact symbols were computed before: one Fraction product,
+    reduced at every factor.  The reference for _exact_pochhammer."""
+    one = Fraction(1)
+    if n >= 0:
+        out = one
+        apow = a
+        for _ in range(n):
+            out *= one - apow
+            apow *= q
+        return out
+    if q == 0:
+        raise DegenerateParametersError(f"(a;q)_{n} with n < 0 divides by q = 0")
+    denom = one
+    apow = a
+    for _ in range(-n):
+        apow /= q
+        denom *= one - apow
+    if denom == 0:
+        raise PochhammerZeroDivisionError(f"(a;q)_{n} has a vanishing factor for a={a}, q={q}")
+    return one / denom
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # any class: the class and message are compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
+
+
+@st.composite
+def _pochhammer_args(draw):
+    """(a, q, n) with q of either sign or 0, and a often a power q^k that
+    makes a factor vanish, at n < 0 as well as n >= 0."""
+    q = draw(st.one_of(_rationals, st.just(Fraction(0))))
+    n = draw(st.integers(-40, 40))
+    a = draw(st.one_of(_rationals,
+                       st.integers(-41, 41).map(lambda k: q**k if q else Fraction(k))))
+    return a, q, n
+
+
+class TestExactPochhammer:
+    @settings(max_examples=400, deadline=None)
+    @given(args=_pochhammer_args())
+    def test_same_as_the_fraction_loop(self, args):
+        assert _outcome(pochhammer, *args) == _outcome(_fraction_loop, *args)
+
+    @pytest.mark.parametrize("a,q,n", [
+        (Fraction(1, 3), Fraction(1, 3), -1),  # 1 - a/q = 0
+        (Fraction(-8, 27), Fraction(-2, 3), -5),  # 1 - a q^-3 = 0
+        (Fraction(9, 4), Fraction(-2, 3), -2),  # 1 - a q^-2 = 0, negative q
+        (Fraction(1), Fraction(0), -1),
+        (Fraction(0), Fraction(0), -3),
+        (Fraction(5, 7), Fraction(-3, 11), -40),
+        (Fraction(-5, 7), Fraction(0), 6),
+        (Fraction(4), Fraction(1, 2), 5),  # 1 - a q^2 = 0 at n >= 0
+        (Fraction(0), Fraction(7, 5), -4),
+    ])
+    def test_vanishing_factors_and_zero_q(self, a, q, n):
+        got = _outcome(pochhammer, a, q, n)
+        assert got == _outcome(_fraction_loop, a, q, n)
+        if n < 0 and (q == 0 or a in [q**k for k in range(1, -n + 1)]):
+            assert issubclass(got[0], (DegenerateParametersError, PochhammerZeroDivisionError))
+        else:
+            assert got[0] is Fraction
 
 
 class TestBilateral:

@@ -15,8 +15,10 @@ from locq.spectral import (
     evaluate_product,
     factor_cap,
     factor_count,
+    is_normal,
     nome,
     q_power,
+    refuse_product,
     rho,
     s_of_params,
     sigma,
@@ -164,6 +166,23 @@ class TestEvaluateProduct:
         monkeypatch.setenv("LOCQ_MAX_FACTORS", value)
         with pytest.raises(ValueError, match="LOCQ_MAX_FACTORS must be a positive integer"):
             factor_cap()
+
+    def test_underflow_is_refused_unless_a_factor_is_zero(self):
+        tau = Tau(complex(1e-9, 1e-3))
+        with pytest.raises(ValueError, match=r"^underflow: the product prod_\(n>=0\) "
+                                             r"\(1 - q\^\(a n \+ epsilon\)\) is below the normal "
+                                             r"doubles from its factor n = 185 on$"):
+            evaluate_product(SpectralParams(0.1, -7.05 + 0j, 0, "minus", tau))
+        # at epsilon = -7 the factor n = 70 is exactly 0 in doubles
+        assert evaluate_product(SpectralParams(0.1, -7 + 0j, 0, "minus", tau)).value == 0
+
+    def test_refusal_scans_past_the_largest_modulus(self):
+        # the first partial product is finite with a modulus past the largest
+        # double, where abs() raises OverflowError
+        assert is_normal(complex(1.5e308, 1.5e308)) and not is_normal(complex(1e-308, -1e-308))
+        with pytest.raises(ValueError, match=r"^underflow: the product p is below the normal "
+                                             r"doubles from its factor k = 2 on$"):
+            refuse_product("p", [complex(1.5e308, 1.5e308), 1e-320, 1e-320], "k", 0)
 
     def test_factors_used_reported(self):
         result = evaluate_product(SpectralParams(1.0, 0.0, 1, "minus", Tau(1j)))

@@ -1,5 +1,6 @@
 """The row table of verify-all: one pass rule, and errors that cannot pass."""
 
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -78,3 +79,24 @@ def test_nan_localization_error_fails_verify_all(run_cli, monkeypatch):
     assert suite["details"] == {"checks": 19376, "rows": [{
         "identity": "fixed-point sum = Liouville integral, rel err", "checks": 19376,
         "worst": None, "tolerance": 1e-8, "budget_used": None, "passed": False}]}
+
+
+def test_betti_family_is_a_new_list_each_call():
+    # a caller may extend its family: a shared list would grow
+    first = verify.betti_family(max_total=3, max_degree=3)
+    rows = verify.suite_orbifold().rows
+    second = verify.betti_family(max_total=3, max_degree=3)
+    assert second == first and second is not first
+    assert len(second) == rows[0].checks // 9 - 1  # coefficients q^0..q^8 of each, and (1, 2, 1)
+    assert verify.suite_orbifold() == verify.suite_orbifold()
+    second.append(None)
+    assert verify.betti_family(max_total=3, max_degree=3) == first
+
+
+@pytest.mark.parametrize("max_total,max_degree", [(4, 5), (3, 3), (0, 2), (2, 0), (5, 6)])
+def test_betti_family_is_the_filtered_product(max_total, max_degree):
+    # every tuple of entries 0..max_total, kept when its sum is 1..max_total
+    want = [()] + [combo for length in range(1, max_degree + 2)
+                   for combo in itertools.product(range(max_total + 1), repeat=length)
+                   if 0 < sum(combo) <= max_total and (length == 1 or combo[-1] > 0)]
+    assert [b.betti for b in verify.betti_family(max_total, max_degree)] == want
