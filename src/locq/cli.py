@@ -192,14 +192,12 @@ def _cmd_pfaffian(args) -> tuple[dict, int]:
 
 
 def _joined_products(pairs: list[tuple[str, str]]) -> list[str]:
-    """The texts "x_1, ..., x_n" for x in itertools.product(*pairs), in order.
-
-    Built by subset doubling, first pair slowest: each child text is its
-    parent's plus ", " and the child's element.
-    """
-    texts = list(pairs[0])
-    for pair in pairs[1:]:
-        tails = [", " + e for e in pair]
+    """The texts "x_1, ..., x_n" for x in itertools.product(*pairs), in order
+    (one empty text for no pairs).  Built by subset doubling, first pair
+    slowest: each child text is its parent's, ", " and the child's element."""
+    texts = [""]
+    for i, pair in enumerate(pairs):
+        tails = [", " + e for e in pair] if i else pair
         texts = [t + e for t in texts for e in tails]
     return texts
 
@@ -209,17 +207,29 @@ def _fixed_point_listing(space: SphereProductSpace, h_values: list[float]) -> _E
 
     Point p's object is {"H": h_values[p], "lambdas": [...], "pole_signs":
     [...]}, its arrays the p-th itertools.product entries of the factors'
-    (rate, -rate) pairs and of the signs, so their texts are built by subset
-    doubling from the 2n reprs; H takes float.__repr__ once per point, as the
-    C encoder does.  Every value is finite: SphereFactor refuses a rate, and
-    enumerate_fixed_points an H, that is not.
+    (rate, -rate) pairs and of the signs.  A chunk joins the 2^9 points that
+    share all signs but the last 9, each array their head and one of 2^9
+    tails, all built by subset doubling.  enumerate_fixed_points gives point
+    2^n - 1 - p the H 0 - H(p), so only half of H takes float.__repr__.
+    SphereFactor refuses a rate, and enumerate_fixed_points an H, that is
+    not finite.
     """
-    lambdas = _joined_products([(repr(f.rate), repr(-f.rate)) for f in space.factors])
-    signs = _joined_products([("1", "-1")] * space.half_dim)
-    separators = itertools.chain(("[",), itertools.repeat(", "))
-    objects = map('{}{{"H": {}, "lambdas": [{}], "pole_signs": [{}]}}'.format,
-                  separators, map(float.__repr__, h_values), lambdas, signs)
-    return _Encoded(itertools.chain(objects, ("]",)))
+    split = max(space.half_dim - 9, 0)
+    rates = [(repr(f.rate), repr(-f.rate)) for f in space.factors]
+    signs = [("1", "-1")] * space.half_dim
+    rate_tails, sign_tails = _joined_products(rates[split:]), _joined_products(signs[split:])
+    sep = ", " if split else ""
+    heads = [(rate + sep, sign + sep) for rate, sign in
+             zip(_joined_products(rates[:split]), _joined_products(signs[:split]))]
+    half = list(map(float.__repr__, h_values[:len(h_values) // 2]))
+    h_texts = half + [t[1:] if t[0] == "-" else "0.0" if t == "0.0" else "-" + t
+                      for t in reversed(half)]
+    size = len(sign_tails)
+    chunks = itertools.chain.from_iterable(("[" if b == 0 else ", ", ", ".join([
+        f'{{"H": {h}, "lambdas": [{rate_head}{rate}], "pole_signs": [{sign_head}{sign}]}}'
+        for h, rate, sign in zip(h_texts[b * size:(b + 1) * size], rate_tails, sign_tails)]))
+        for b, (rate_head, sign_head) in enumerate(heads))
+    return _Encoded(itertools.chain(chunks, ("]",)))
 
 
 def _cmd_dh_verify(args) -> tuple[dict, int]:

@@ -4,14 +4,17 @@ Builds the Weierstrass-sigma-like building block
 
     Phi(x) = (1 - e^-x) prod_{n>=1} (1-q^n e^-x)(1-q^n e^x) / (1-q^n)^2
 
-as a truncated power series in x with numerically evaluated q-coefficients
-(and pointwise, as a plain complex product), the twisted characteristic
-function
+as a truncated power series in x: by Jacobi's triple product it is
+theta_1(x) / theta_1'(0), theta_u(x) = sum_j (-1)^j q^(j(j-1)/2) u^j e^(-jx),
+whose x^k coefficients are sums over a few pairs of indices (j, 1 - j).
+Pointwise, Phi is the plain complex q-product, the series' independent
+route.  The twisted characteristic function
 
     f(x) = e^(k x / N) Phi(x) Phi(-beta) / Phi(x - beta),
     beta = 2 pi i (k tau + l) / N,
 
-and the genus of complex projective spaces via residue extraction from
+takes Phi(x - beta) up to a constant from theta_u at u = e^beta, and the
+genus of complex projective spaces is residue extraction from
 (x/f(x))^(m+1).  Quasi-ellipticity of f is not assumed: translations over
 a trial window of the lattice 2 pi i (Z tau + Z) are scanned, and the index
 of the sublattice they generate is computed exactly by Euclid's algorithm.
@@ -21,7 +24,7 @@ the direction 2 pi i m tau, and compares each row once per residue k m' mod N.
 
 This module is numeric by necessity (generic tau admits no exact
 coefficients); every series carries a propagated bound for the truncation
-error of its q-products.
+of its theta series or q-products and for its floating-point rounding.
 """
 
 from __future__ import annotations
@@ -30,14 +33,17 @@ import cmath
 import math
 import operator
 import sys
+from bisect import bisect_left
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import BetaSingularityError, ScanInconclusiveError
+from .errors import (BetaSingularityError, NonConvergentError, ScanInconclusiveError,
+                     ToleranceUnreachableError)
 from .series import _check_order
 from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
 TWO_PI_I = 2j * math.pi
+EPS = sys.float_info.epsilon
 
 # The period scan evaluates f at 3 points per lattice row m, 3 (2B + 1) in
 # all for trial bound B, and compares each row with the base at N residues.
@@ -83,8 +89,8 @@ class XSeries(NamedTuple):
     """Power series in the formal variable x with complex coefficients.
 
     `coeff_error` bounds the absolute error of every coefficient: the
-    truncation of the underlying q-products plus the floating-point
-    rounding of series products.
+    truncation of the underlying theta series plus the floating-point
+    rounding of its sums and of series products.
     """
 
     order: int
@@ -129,7 +135,7 @@ class XSeries(NamedTuple):
             out += [sum(map(operator.mul, cut[k - last_b:k + 1], tail), 0j)
                     for k in range(last_b + 1, n)]
         # each coefficient sums at most n products: rounding <= n eps |a|_1 |b|_1
-        rounding = n * sys.float_info.epsilon * a_norm * b_norm
+        rounding = n * EPS * a_norm * b_norm
         err = self.coeff_error * b_norm + other.coeff_error * a_norm + rounding
         return XSeries.from_coeffs(out, err)
 
@@ -173,92 +179,99 @@ def _reciprocal(a):
     return out
 
 
-def _exp_series(rate: complex, order: int) -> XSeries:
-    """Series of e^(rate * x)."""
-    coeffs = [1.0 + 0j]
-    term = 1.0 + 0j
-    for k in range(1, order + 1):
-        term *= rate / k
-        coeffs.append(term)
-    return XSeries.from_coeffs(coeffs)
+def _theta_pairs(im_tau: float, growth: float, threshold: float, cap: int) -> tuple[int, float]:
+    """The least J >= 1 whose dropped pairs (j, 1 - j), j > J, sum to below
+    `threshold` on |x| = 1, with that sum's bound.  Pair j's terms are each
+    at most e^g(j) there, g(j) = growth j - pi Im(tau) j (j - 1), whose steps
+    d = g(j + 1) - g(j) fall with j: once d < 0 after J + 1, the tail is at
+    most 2 e^g(J + 1) / (1 - e^d), which falls with J.  All in logs; a count
+    past the cap is refused first, and J is found by bisection."""
+    a = math.pi * im_tau
+
+    def log_tail(count: int) -> float:
+        t = count + 1
+        step = growth - 2.0 * a * t
+        return (math.log(2.0) + growth * t - a * t * count - math.log(-math.expm1(step))
+                if step < 0 else math.inf)
+
+    log_threshold = math.log(threshold) if threshold > 0 else -math.inf
+    if cap < 1 or not log_tail(cap) < log_threshold:
+        raise ToleranceUnreachableError(
+            f"needed more than {cap} theta pairs for a tail below {threshold}")
+    count = 1 + bisect_left(range(1, cap), True, key=lambda c: log_tail(c) < log_threshold)
+    return count, math.exp(log_tail(count))
 
 
-def _product_factor_count(absq: float, q_tol: float, magnitude: float,
-                          cap: int | None = None) -> int:
-    """Number of q-product factors for a truncation tail below q_tol, at |q| = absq.
-
-    `magnitude` bounds |e^x| and |e^-x| over the evaluation arguments: the
-    dropped factor at index n differs from 1 by up to |q|^n * magnitude.
-    `cap` is factor_cap(), which factor_count reads when it is not given.
-    """
-    return factor_count(1.0, absq, 1, q_tol / 8.0 / max(magnitude, 1.0), cap)
-
-
-def _tail_error(tau: Tau, m: int, magnitude: float) -> float:
-    absq = abs(q_power(tau, 1))
-    return 8.0 * (magnitude * absq ** (m + 1)) / (1 - absq) ** 2
-
-
-def _phi_product(tau: Tau, u: complex, x_order: int, q_tol: float) -> XSeries:
-    """(1 - u e^-x) prod_{n=1..m} (1 - a e^-x)(1 - b e^x) / ((1-a)(1-b)) in x.
-
-    Here a = q^n u and b = q^n / u.  At u = 1 this is Phi(x); at u = e^beta
-    each factor is that of Phi(x - beta) up to a constant, so the result is
-    Phi(x - beta) times a constant.  Coefficient k >= 1 of a pair factor
-    is -(a (-1)^k + b) / (k! (1-a)(1-b)) and its constant term is exactly
-    1, so the constant term of the result is exactly 1 - u, truncated or
-    not.
-
-    Tail bound, for q_tol <= 1: let M = max(|u|, 1/|u|) and s = |q|.  The
-    factor count makes s^(m+1) / (1-s) < q_tol / (8M), so
-    D = M s^(m+1) / (1-s) < 1/8, and every dropped factor n > m has
-    |a|, |b| <= M s^n <= D.  In the l1 norm of coefficients, which bounds
-    each coefficient and is submultiplicative for truncated products, a
-    dropped pair factor P_n has
-        |P_n - 1| <= (|a| + |b|)(e - 1) / (1 - D)^2 <= 4.5 M s^n,
-    so |prod_{n>m} P_n - 1| <= exp(4.5 D) - 1 <= 8 D.  The full product
-    therefore differs from the truncated one T by at most |T| 8 D; the
-    bound below is that with one more factor 1/(1-s).  Without M it
-    under-covers: at u = e^beta, M reaches e^(2 pi Im tau (N-1)/N).
-    """
+def _theta_ratio(tau: Tau, beta: complex, x_order: int, q_tol: float, lead: int,
+                 rate: float = 0.0) -> XSeries:
+    """e^(rate x) theta_u(x) / [e^(rate x) theta_u][lead] as an x-series,
+    [g][k] the x^k coefficient of g.  By Jacobi's triple product, u = e^beta,
+        theta_u(x) = sum_j (-1)^j q^(j(j-1)/2) u^j e^(-jx)
+                   = (1 - u e^-x) prod_n (1 - q^n u e^-x)(1 - q^n e^x / u)(1 - q^n),
+    so lead 1 at u = 1 is e^(rate x) Phi(x), and lead 0 is P(x)/P(0).
+    Coefficient k sums w_j (rate - j)^k / k! over the terms of J pairs (j,
+    1 - j), a column of running products at a time: O(J n) work, O(J + n)
+    memory, J (n + 1) capped by LOCQ_MAX_FACTORS.  Each is off by at most E:
+    the dropped pairs by Cauchy's estimate on |x| = 1 (_theta_pairs), and the
+    rounding of each weight's exponent and exp, of the running product (at
+    most its peak |c|^p / p!, c = rate - j, p = min(n, floor|c|)), of the
+    term and of the sum.  With s the largest |coefficient| of the ratio, its
+    bound is (1 + s) E / (|top| - E) plus the division's rounding.  A
+    theta_u[0] below 1e-14 of its terms is a zero of the building block; a
+    bound that is not finite is refused."""
     _check_order(x_order)
     check_tolerance(q_tol, "q_tol")
-    magnitude = max(abs(u), 1.0 / abs(u))
-    m = _product_factor_count(abs(q_power(tau, 1)), q_tol, magnitude)
-    # (1 - u e^-x): coefficient k >= 1 is -u (-1)^k / k!
-    lead = [1.0 - u]
-    term = 1.0 + 0j
-    for k in range(1, x_order + 1):
-        term *= -1.0 / k
-        lead.append(-(u * term))
-    out = XSeries.from_coeffs(lead)
-    for n in range(1, m + 1):
-        w = q_power(tau, n)
-        a, b = w * u, w / u
-        if abs(1.0 - a) < 1e-14 or abs(1.0 - b) < 1e-14:
-            raise BetaSingularityError("a q-product factor of the building block vanishes")
-        denom = (1.0 - a) * (1.0 - b)
-        pair = [1.0 + 0j] + [0j] * x_order
-        fact = 1.0
-        for k in range(1, x_order + 1):
-            fact *= k
-            num = b - a if k % 2 else b + a
-            if num != 0:  # at u = 1 every odd k; 0j / denom could give -0.0
-                pair[k] = -num / fact / denom
-        out = out * XSeries.from_coeffs(pair)
-    return XSeries(out.order, out.coeffs,
-                   _tail_error(tau, m, magnitude) * out.norm1() + out.coeff_error)
+    absq = abs(q_power(tau, 1))
+    if not absq < 1:
+        raise NonConvergentError(f"the theta series needs |q| < 1, got {absq}")
+    order = max(x_order, lead)
+    # |e^((rate - j) x)| <= e^(|rate| + j) on |x| = 1, and |u^j| <= e^(j |Re beta|)
+    pairs, tail = _theta_pairs(tau.value.imag, 1.0 + abs(rate) + abs(beta.real), q_tol / 8.0,
+                               factor_cap() // (order + 1))
+    # q^m = e^(2 pi i tau m) for integer m: Re tau counts only mod 1, exactly
+    log_q = TWO_PI_I * complex(math.fmod(tau.value.real, 1.0), tau.value.imag)
+    weights, steps, rounding = [], [], 0.0
+    for j in range(1, pairs + 1):
+        m = j * (j - 1) // 2
+        for power, sign in ((j, (-1) ** j), (1 - j, -(-1) ** j)):
+            weights.append(sign * cmath.exp(log_q * m + power * beta))
+            steps.append(rate - power)
+            size = abs(rate - power)
+            peak = min(order, int(size))
+            log_peak = peak * math.log(size) - math.lgamma(peak + 1) if peak else 0.0
+            spread = abs(log_q) * m + abs(power * beta)  # the exponent's rounding, relative
+            rounding += (abs(weights[-1]) * (math.exp(log_peak) if log_peak < 709 else math.inf)
+                         * (8 + 4 * spread + 2 * order + 4 * pairs))
+    column, coeffs = [1.0] * len(steps), []
+    for k in range(order + 1):
+        column = [p * c / k for p, c in zip(column, steps)] if k else column
+        coeffs.append(sum(map(operator.mul, weights, column), 0j))
+    # and below the normal doubles each operation errs by up to 2^-1075
+    error = tail + EPS * rounding + 2 * pairs * (order + 3) * math.ulp(0.0)
+    top = coeffs[lead]
+    if lead == 0 and abs(top) < 1e-14 * sum(map(abs, weights)):
+        raise BetaSingularityError(f"the twist point is a zero of the building block: "
+                                   f"theta_u(0) = {top!r} to the rounding of its terms")
+    out = [0j] * lead + [1.0 + 0j] + [c / top for c in coeffs[lead + 1:x_order + 1]]
+    big = max(map(abs, out)) if sum(map(abs, out)) < math.inf else math.inf  # and not NaN
+    slack = abs(top) - error
+    bound = (1.0 + big) * error / slack + 4 * EPS * big if slack > 0 else math.inf
+    if not bound < math.inf:
+        raise ValueError(f"overflow: the x-series bound at tau = {tau.value!r} is not a finite "
+                         f"double: theta_u[{lead}] = {top!r}, by which it divides, is off by "
+                         f"up to {error!r}")
+    return XSeries.from_coeffs(out[:x_order + 1], bound)
 
 
 def phi_series(tau: Tau, x_order: int, q_tol: float = 1e-12) -> XSeries:
     """Phi as an x-series; Phi(0) = 0 and Phi'(0) = 1 hold exactly.
 
-    This is the normalized product at u = 1: the leading factor
-    (1 - e^-x) is written down analytically and each pair factor has
-    constant coefficient exactly 1, so the first two coefficients of the
-    result carry no rounding at all.
+    Phi is theta_1(x) / theta_1'(0) (_theta_ratio); theta_1'(0) =
+    prod (1 - q^n)^3 is Jacobi's identity.  The first two coefficients are
+    written down, not computed, so they carry no rounding at all; the
+    pointwise q-product `_PointEvaluator.phi` is the independent route.
     """
-    return _phi_product(tau, 1.0, x_order, q_tol)
+    return _theta_ratio(tau, 0j, x_order, q_tol, 1)
 
 
 class _PointEvaluator:
@@ -286,7 +299,9 @@ class _PointEvaluator:
 
     def phi(self, x: complex) -> complex:
         ex, emx = cmath.exp(x), cmath.exp(-x)
-        m = _product_factor_count(self._absq, self.q_tol, max(abs(ex), abs(emx)), self._cap)
+        # the dropped factor n differs from 1 by up to |q|^n max(|e^x|, |e^-x|)
+        m = factor_count(1.0, self._absq, 1, self.q_tol / 8.0 / max(abs(ex), abs(emx), 1.0),
+                         self._cap)
         rows = self._rows
         for n in range(len(rows) + 1, m + 1):
             qn = q_power(self.tau, n)
@@ -324,20 +339,14 @@ def f_point(level: LevelData, x: complex, q_tol: float = 1e-12) -> complex:
 def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
     """f as an x-series with f(0) = 0 and f'(0) = 1 exact.
 
-    The ratio Phi(-beta)/Phi(x-beta) is the inverse of P(x)/P(0), where P
-    is the normalized product at u = e^beta: P is Phi(x - beta) times a
-    constant and P(0) = 1 - u exactly, so the series inverted has constant
-    term exactly 1 and no rounding enters the normalization.
+    e^(kx/N) Phi(x) is one theta series, and the ratio Phi(-beta)/Phi(x-beta)
+    is the inverse of P(x)/P(0), where P is Phi(x - beta) up to a constant:
+    P(x)/P(0) = theta_u(x)/theta_u(0) at u = e^beta (_theta_ratio), whose
+    constant term is exactly 1, so no rounding enters the normalization.
     """
     _check_exponent("beta", level.beta)
-    shifted = _phi_product(level.tau, cmath.exp(level.beta), x_order, q_tol)
-    z0 = shifted.coeffs[0]  # = 1 - e^beta
-    if abs(z0) < 1e-14:
-        raise BetaSingularityError("the twist point is a zero of the building block")
-    normalized = [1.0 + 0j] + [c / z0 for c in shifted.coeffs[1:]]
-    ratio = XSeries.from_coeffs(normalized, shifted.coeff_error / abs(z0)).invert()
-    prefactor = _exp_series(level.k / level.level, x_order)
-    return prefactor * phi_series(level.tau, x_order, q_tol) * ratio
+    ratio = _theta_ratio(level.tau, level.beta, x_order, q_tol, 0).invert()
+    return _theta_ratio(level.tau, 0j, x_order, q_tol, 1, level.k / level.level) * ratio
 
 
 class GenusValue(NamedTuple):
@@ -357,7 +366,11 @@ def genus_cpm(level: LevelData, m: int, q_tol: float = 1e-12) -> GenusValue:
     f = f_series(level, m + 1, q_tol)
     unit = f.shift_down()  # f(x)/x, constant term exactly 1
     g = unit.invert().int_pow(m + 1)
-    return GenusValue(value=g.coeffs[m], error_bound=max(g.coeff_error, q_tol))
+    bound = max(g.coeff_error, q_tol)
+    if not bound < math.inf:
+        raise ValueError(f"overflow: the error bound of the genus of CP^{m} at tau = "
+                         f"{level.tau.value!r} is not a finite double")
+    return GenusValue(value=g.coeffs[m], error_bound=bound)
 
 
 class PeriodScanReport(NamedTuple):

@@ -116,8 +116,11 @@ def enumerate_fixed_points(space: SphereProductSpace) -> list[float]:
 
     H is built by subset doubling: each factor splits every point into its
     north (+1) and south (-1) child, one add per point, so H is the
-    left-to-right sum sum_i s_i mu_i r_i from int 0.  More than MAX_FACTORS
-    factors, or an H that is not a finite double, are refused first.
+    left-to-right sum sum_i s_i mu_i r_i from int 0.  Point 2^n - 1 - p flips
+    every sign of p, so its sum adds the negated terms, and rounding, which
+    is odd, gives exactly 0 - H(p) (0.0 where H(p) is): only the first half
+    is summed.  More than MAX_FACTORS factors, or an H that is not a finite
+    double, are refused first.
     """
     _check_factor_count(space.half_dim)
     # s * (mu * r) == (s * mu) * r exactly for s = +-1, so each factor adds
@@ -129,10 +132,10 @@ def enumerate_fixed_points(space: SphereProductSpace) -> list[float]:
     if not math.isfinite(top):
         raise ValueError("overflow: H = sum_i |mu_i r_i| at the fixed point s_i = sign mu_i "
                          "is not a finite double")
-    h_values = [0]
-    for steps in pairs:
-        h_values = [h + step for h in h_values for step in steps]
-    return h_values
+    half = [0 + pairs[0][0]]
+    for steps in pairs[1:]:
+        half = [h + step for h in half for step in steps]
+    return half + [0 - h for h in reversed(half)]
 
 
 def _check_factor_count(n: int) -> None:
@@ -159,11 +162,12 @@ def _check_c(c, allow_zero: bool = False) -> None:
 
 
 def _check_normal(what: str, c, value) -> None:
-    """Refuse a result that is not a finite double, or is below the normal
-    doubles, where it has lost digits, naming `what`."""
-    if not cmath.isfinite(value):
+    """Refuse a result whose modulus is not a finite double, or is below the
+    normal doubles, where it has lost digits, naming `what`."""
+    size = math.hypot(value.real, value.imag)  # abs() of a complex may raise
+    if not size < math.inf:
         raise ValueError(f"overflow: {what} at c = {c!r} is not a finite double")
-    if abs(value) < _NORMAL_MIN:
+    if size < _NORMAL_MIN:
         raise ValueError(f"underflow: {what} at c = {c!r} is below the normal doubles")
 
 
@@ -410,9 +414,13 @@ class PrefixCheck(NamedTuple):
                 lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
                 rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
             lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
-            if not normal <= abs(lhs) < inf:
+            try:
+                if not normal <= abs(lhs) < inf:
+                    _check_normal("the Liouville integral", c, lhs)
+                if not normal <= abs(rhs) < inf:
+                    _check_normal("the fixed-point sum", c, rhs)
+            except OverflowError:  # abs() of a complex past the largest double
                 _check_normal("the Liouville integral", c, lhs)
-            if not normal <= abs(rhs) < inf:
                 _check_normal("the fixed-point sum", c, rhs)
             out.append(make((table, self.indices + indices, scale, (lhs_m, lhs_e, rhs_m, rhs_e),
                              lhs, rhs)))

@@ -356,10 +356,18 @@ def suite_spectral() -> SuiteResult:
 def suite_genus() -> SuiteResult:
     tau = Tau(0.3 + 1.1j)
 
+    series = {tv: genus.phi_series(Tau(tv), 12).coeffs for tv in (1j, 2j, 0.5 + 1j)}
+
     def normalization_errors():
-        for tv in (1j, 2j, 0.5 + 1j):
-            coeffs = genus.phi_series(Tau(tv), 4).coeffs
+        for coeffs in series.values():
             yield abs(coeffs[0]) + abs(coeffs[1] - 1.0)
+
+    def pointwise_errors():
+        # the theta series against the q-product of the pointwise route
+        for tv, coeffs in series.items():
+            points = genus._PointEvaluator(Tau(tv), 1e-12)
+            for x in (0.1, 0.05 + 0.03j, -0.08j):
+                yield abs(sum(c * x**k for k, c in enumerate(coeffs)) - points.phi(x))
 
     def quasi_errors():
         for level, k, l in ((2, 1, 0), (2, 1, 1), (3, 1, 2), (3, 2, 1)):
@@ -372,6 +380,7 @@ def suite_genus() -> SuiteResult:
     return SuiteResult("genus-level-n", (
         within("Phi(0) = 0 and Phi'(0) = 1, |Phi(0)| + |Phi'(0) - 1|",
                normalization_errors(), 1e-10),
+        within("Phi x-series = pointwise q-product Phi, abs err", pointwise_errors(), 1e-12),
         within("f(x + 2 pi i) = e^(2 pi i k/N) f(x), abs err", quasi_errors(), 1e-8),
         exact("period-scan sublattice index = N, N in {2, 3}, every twist (k, l) != 0",
               ((report and report.index, level)

@@ -60,6 +60,7 @@ TABLE = {
     ],
     "genus-level-n": [
         ("Phi(0) = 0 and Phi'(0) = 1, |Phi(0)| + |Phi'(0) - 1|", 3, 1e-10),
+        ("Phi x-series = pointwise q-product Phi, abs err", 9, 1e-12),
         ("f(x + 2 pi i) = e^(2 pi i k/N) f(x), abs err", 8, 1e-8),
         ("period-scan sublattice index = N, N in {2, 3}, every twist (k, l) != 0", 11, None),
         ("genus of a point = 1", 1, None),
@@ -159,8 +160,8 @@ def test_criterion_8_spectral():
 def test_criterion_9_genus():
     """Normalization to 1e-10, quasi-periodicity to 1e-8, an index-N
     sublattice for N in {2, 3} and all legal twists, point genus exactly 1."""
-    normalization, quasi, scan, point = _rows(verify.suite_genus())
-    assert normalization.worst < 1e-10 and quasi.worst < 1e-8
+    normalization, pointwise, quasi, scan, point = _rows(verify.suite_genus())
+    assert normalization.worst < 1e-10 and pointwise.worst < 1e-12 and quasi.worst < 1e-8
     # the 11 twists (k, l) != (0, 0) of N = 2 and 3, each of index N
     assert (scan.checks, scan.worst) == (11, 0)
     assert point.worst == 0

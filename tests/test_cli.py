@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -395,6 +396,26 @@ class TestFixedPointListing:
         listing = "".join(cli._fixed_point_listing(space, h_values).chunks)
         oracle = json.dumps(dict_listing(space, h_values), sort_keys=True, allow_nan=False)
         assert_same_text(listing, oracle)
+
+    @pytest.mark.parametrize("kind", ["cancelling", "subnormal", "huge"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_listing_of_n_factors_matches_dict_encoder(self, n, kind):
+        # an even number of factors of mu r = +-0.5 cancel to H = 0.0, whose
+        # complements are 0.0 too, not -0.0; a subnormal mu r (1e-320) and a
+        # huge one (1e300) give H reprs in exponent form; from 10 factors on
+        # the listing takes more than one block
+        pairs = [(1.0, 0.5), (2.0, 0.25), (0.5, -1.0), (4.0, -0.125)] * 3
+        pairs = pairs[:n]
+        if kind != "cancelling":
+            pairs[n // 2] = (1e-160, 1e-160) if kind == "subnormal" else (1e150, 1e150)
+        space = localization.SphereProductSpace.of(*pairs)
+        h_values = localization.enumerate_fixed_points(space)
+        if kind == "cancelling" and n % 2 == 0:
+            assert 0.0 in h_values
+        chunks = list(cli._fixed_point_listing(space, h_values).chunks)
+        oracle = json.dumps(dict_listing(space, h_values), sort_keys=True, allow_nan=False)
+        assert_same_text("".join(chunks), oracle)
+        assert max(chunk.count('"H"') for chunk in chunks) == min(2 ** n, 512)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -836,13 +857,45 @@ class TestGenusCommands:
         def forbidden(*args):
             raise AssertionError("a product ran before the check")
 
-        monkeypatch.setattr(genus, "_phi_product", forbidden)
+        monkeypatch.setattr(genus, "_theta_ratio", forbidden)
         monkeypatch.setattr(genus._PointEvaluator, "phi", forbidden)
         code, out = run_cli(argv)
         name = what.split(" ")[0]
         assert code == 2
         assert parse_strict(out)["error"] == (
             f"ValueError: overflow: e^(+-{name}) is not a normal double at {what}")
+
+    @pytest.mark.parametrize("argv,error", [
+        # at Im tau = 1e-4 and 1e-3 the coefficient each series divides by,
+        # theta'(0) = prod (1 - q^n)^3 or theta_u(0), is far below the
+        # rounding of its terms: no digit of it survives
+        (["phi", "--tau", "0.1,1e-4", "--x-order", "8"], "theta_u[1]"),
+        (["genus-cpm", "--tau", "0.3,1e-3", "--N", "17", "--k", "3", "--l", "16",
+          "--m", "100"], "theta_u[0]"),
+    ])
+    def test_unresolved_theta_series_is_named(self, run_cli, argv, error):
+        # before: 0.6 s and 3.4 s, then the encoder's "Out of range float
+        # values are not JSON compliant", for a bound that was not finite
+        start = time.process_time()
+        code, out = run_cli(argv)
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        message = parse_strict(out)["error"]
+        assert message.startswith("ValueError: overflow: the x-series bound at tau = ")
+        assert f"is not a finite double: {error} = " in message
+
+    @pytest.mark.parametrize("order,pairs", [("10000", 99), ("8", 111111)])
+    def test_theta_pairs_past_the_cap_refused_at_once(self, run_cli, monkeypatch, order, pairs):
+        # at Im tau = 1e-6 the tail needs about 318,000 pairs (j, 1 - j), and
+        # LOCQ_MAX_FACTORS = 10^6 caps the pairs times (x-order + 1), the
+        # products the sums take, before any weight is computed
+        monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
+        start = time.process_time()
+        code, out = run_cli(["phi", "--tau", "0,1e-6", "--x-order", order])
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert parse_strict(out)["error"] == ("ToleranceUnreachableError: needed more than "
+                                              f"{pairs} theta pairs for a tail below 1.25e-13")
 
     def test_period_scan_at_the_trial_bound_cap(self, run_cli, monkeypatch):
         # 129^2 = 16,641 translations from at most 7 + 6 (2B + 1) = 781

@@ -11,22 +11,30 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import int_series as ring
+from phi_product import phi_mpmath, phi_product
 from locq import genus, spectral
 from locq.errors import NonConvergentError, ScanInconclusiveError, ToleranceUnreachableError
 from locq.genus import (
     LevelData,
     XSeries,
-    _exp_series,
-    _phi_product,
     f_point,
     f_series,
     genus_cpm,
     lattice_periodicity_scan,
     phi_series,
 )
-from locq.spectral import Tau, factor_count, nome
+from locq.spectral import Tau, factor_count
 
 GENERIC_TAU = Tau(0.3 + 1.1j)
+
+
+def exp_series(rate: complex, order: int) -> XSeries:
+    """The series of e^(rate x), its coefficients the running products rate^k / k!."""
+    coeffs, term = [1.0 + 0j], 1.0 + 0j
+    for k in range(1, order + 1):
+        term *= rate / k
+        coeffs.append(term)
+    return XSeries.from_coeffs(coeffs)
 
 
 def horner(coeffs, x):
@@ -69,7 +77,7 @@ class TestPhi:
         # Phi = (1 - e^-x) P with P even exactly when Phi(-x) = -e^x Phi(x)
         for tau in (1j, 0.5 + 1j):
             phi = phi_series(Tau(tau), 9)
-            product = _exp_series(1.0, 9) * phi
+            product = exp_series(1.0, 9) * phi
             tol = phi.coeff_error + product.coeff_error
             for k in range(10):
                 assert abs((-1) ** k * phi.coeffs[k] + product.coeffs[k]) <= tol, k
@@ -302,7 +310,7 @@ class TestExponentRefusal:
         def forbidden(*args):
             raise AssertionError("a product ran before the check")
 
-        monkeypatch.setattr(genus, "_phi_product", forbidden)
+        monkeypatch.setattr(genus, "_theta_ratio", forbidden)
         monkeypatch.setattr(genus._PointEvaluator, "phi", forbidden)
 
     # e^beta = 0 (before, ZeroDivisionError) and subnormal (before, 10^6
@@ -382,7 +390,7 @@ def test_non_primitive_twist_still_inconclusive_at_tiny_tolerance():
 
 @pytest.mark.parametrize("build", [
     lambda: phi_series(GENERIC_TAU, -1),
-    lambda: _phi_product(GENERIC_TAU, cmath.exp(0.3j), -1, 1e-12),
+    lambda: genus._theta_ratio(GENERIC_TAU, 0.3j, -1, 1e-12, 0),
     lambda: f_series(LevelData(2, 1, 0, GENERIC_TAU), -1),
 ])
 def test_negative_order_rejected(build):
@@ -391,12 +399,25 @@ def test_negative_order_rejected(build):
 
 
 def test_factor_cap_is_honored(monkeypatch):
+    # LOCQ_MAX_FACTORS caps the theta series' pairs (j, 1 - j) times the
+    # x-order plus one, the products its sums take, as it caps the factors
+    # of a q-product
     tau = Tau(0.1j)
-    needed = factor_count(1.0, abs(nome(tau)), 1, 1e-12 / 8)
-    monkeypatch.setenv("LOCQ_MAX_FACTORS", str(needed))
+    counts = []
+    pairs = genus._theta_pairs
+    monkeypatch.setattr(genus, "_theta_pairs",
+                        lambda *args: counts.append(pairs(*args)[0]) or pairs(*args))
+    phi_series(tau, 4)
+    [needed] = counts
+    # the dropped pairs' majorant on |x| = 1, summed term by term: below
+    # q_tol / 8 after `needed` pairs, not after one fewer
+    def dropped(count):
+        return sum(2 * math.exp(-math.pi * 0.1 * j * (j - 1) + j) for j in range(count + 1, 400))
+    assert dropped(needed) < 1e-12 / 8 <= dropped(needed - 1)
+    monkeypatch.setenv("LOCQ_MAX_FACTORS", str(5 * needed))
     assert phi_series(tau, 4).order == 4
-    monkeypatch.setenv("LOCQ_MAX_FACTORS", str(needed - 1))
-    with pytest.raises(ToleranceUnreachableError):
+    monkeypatch.setenv("LOCQ_MAX_FACTORS", str(5 * needed - 1))
+    with pytest.raises(ToleranceUnreachableError, match=f"more than {needed - 1} theta pairs"):
         phi_series(tau, 4)
     monkeypatch.setenv("LOCQ_MAX_FACTORS", "5")
     with pytest.raises(ToleranceUnreachableError):
@@ -478,17 +499,21 @@ def _reference_mul(self, other):
 
 
 def test_phi_past_its_zero_tail_is_the_plain_product(monkeypatch):
-    # past about x^170, where 1 / k! underflows, each factor's coefficients
-    # are exact zeros; a product that skips them is the plain loop bit for bit
+    # past about x^280, where (-j)^k / k! underflows for every pair, Phi's
+    # coefficients are exact zeros; a product that skips them is the plain
+    # loop bit for bit
     tau = Tau(0.1 + 0.3j)
-    got = repr(phi_series(tau, 400))
+    phi = phi_series(tau, 400)
+    assert not any(phi.coeffs[300:])
+    got = repr(exp_series(0.5, 400) * phi)
     monkeypatch.setattr(XSeries, "__mul__", _reference_mul)
-    assert got == repr(phi_series(tau, 400))
+    assert got == repr(exp_series(0.5, 400) * phi)
 
 
 def test_phi_at_a_long_order_is_fast():
-    # on a 2-core x86-64 machine, adding every product took 10.4 s at x-order
-    # 4000, and skipping the zero tails takes about 0.3 s
+    # on a 2-core x86-64 machine, the q-product took 10.4 s at x-order 4000
+    # adding every product, and 0.3 s skipping the zero tails; the theta
+    # series takes about 0.02 s
     start = time.process_time()
     phi = phi_series(Tau(0.1 + 0.3j), 4000)
     assert time.process_time() - start < 5.0
@@ -583,7 +608,7 @@ def test_genus_matches_contour_integral(n, tau):
 @pytest.mark.parametrize("tau", [0.1 + 0.3j, 0.2 + 0.5j, 0.4 + 1.0j])
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_error_bound_covers_truncation(n, tau):
-    # the normalized product at u = e^beta and f, each against the same
+    # the normalized shifted theta series and f, each against the same
     # series at q_tol = 1e-16; the bounds of both sides cover the gap
     order = 8
     for k in range(n):
@@ -591,11 +616,56 @@ def test_error_bound_covers_truncation(n, tau):
             if (k, l) == (0, 0):
                 continue
             level = LevelData(n, k, l, Tau(tau))
-            u = cmath.exp(level.beta)
-            product_ref = _phi_product(level.tau, u, order, 1e-16)
+            shifted_ref = genus._theta_ratio(level.tau, level.beta, order, 1e-16, 0)
             f_ref = f_series(level, order, 1e-16)
             for q_tol in (1e-6, 1e-8, 1e-10):
-                for got, ref in ((_phi_product(level.tau, u, order, q_tol), product_ref),
+                for got, ref in ((genus._theta_ratio(level.tau, level.beta, order, q_tol, 0),
+                                  shifted_ref),
                                  (f_series(level, order, q_tol), f_ref)):
                     gap = max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs))
                     assert gap <= got.coeff_error + ref.coeff_error, (k, l, q_tol)
+
+
+# -- the theta series against the q-product, factor by factor ----------------------
+
+
+def product_routes(level: LevelData, order: int, q_tol: float):
+    """Phi, e^(kx/N) Phi and the normalized shifted product P(x)/P(0) from
+    the q-product (tests/phi_product.py), each with its bound."""
+    phi = phi_product(level.tau, 1.0, order, q_tol)
+    shifted = phi_product(level.tau, cmath.exp(level.beta), order, q_tol)
+    z0 = shifted.coeffs[0]
+    normalized = XSeries.from_coeffs([c / z0 for c in shifted.coeffs],
+                                     shifted.coeff_error / abs(z0))
+    return phi, exp_series(level.k / level.level, order) * phi, normalized
+
+
+@settings(max_examples=150, deadline=None)
+@example(0.0, 1.0, (2, 1, 0), 0, 1e-12)
+@example(0.5, 0.15, (5, 4, 3), 40, 1e-12)
+@example(-0.3, 2.5, (3, 0, 2), 40, 1e-6)
+@given(st.floats(-0.5, 0.5), st.floats(0.15, 3.0), st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
+).filter(lambda nkl: nkl[1] or nkl[2]), st.integers(0, 40), st.sampled_from([1e-6, 1e-12]))
+def test_theta_series_is_the_q_product(re_tau, im_tau, nkl, order, q_tol):
+    # Jacobi's triple product: e^(rate x) theta_u / its coefficient `lead`
+    # and the q-product normalized the same way are one series, each within
+    # its own bound
+    level = LevelData(*nkl, Tau(complex(re_tau, im_tau)))
+    theta = (phi_series(level.tau, order, q_tol),
+             genus._theta_ratio(level.tau, 0j, order, q_tol, 1, level.k / level.level),
+             genus._theta_ratio(level.tau, level.beta, order, q_tol, 0))
+    for got, ref in zip(theta, product_routes(level, order, q_tol)):
+        gap = max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs))
+        assert gap <= got.coeff_error + ref.coeff_error
+
+
+@pytest.mark.parametrize("tau", [0.05j, 0.3 + 0.05j, -0.45 + 0.12j, 0.2 + 0.6j, 1.3j])
+def test_phi_within_its_bound_of_a_50_digit_product(tau):
+    # down to Im tau = 0.05, where theta'(0) = prod (1 - q^n)^3 is about
+    # 1e-5 of its terms and the series loses that many digits to cancellation
+    order = 10
+    phi = phi_series(Tau(tau), order)
+    want = phi_mpmath(tau, order)
+    error = max(abs(complex(w) - c) for w, c in zip(want, phi.coeffs))
+    assert error <= phi.coeff_error

@@ -545,6 +545,7 @@ class TestSubsetDoubling:
     @example(space=SphereProductSpace.of((1.0, -1e308), (1.0, 1e308)))  # H(-, +) = 0
     @example(space=SphereProductSpace.of((1.0, 1e308), (1.0, 7e307)))  # every H finite
     @example(space=SphereProductSpace.of((1e300, 1e300), (1e300, 1e300)))  # inf - inf = nan
+    @example(space=SphereProductSpace.of((1e-200, -1e-200), (1.0, 0.5)))  # mu r = -0.0
     def test_points_match_product_loop(self, space):
         # the plain per-point sums in itertools.product order, as floats, or
         # a refusal by name exactly when one of them is not finite
@@ -939,6 +940,19 @@ class TestSumPrecision:
         with pytest.raises(ValueError, match=r"^overflow: the Liouville integral at c = 0.001 "
                                              r"is not a finite double$"):
             dh_verify(SphereProductSpace.of((1e200, 1e-200), (1e200, 1e-200)), 1e-3)
+
+    @pytest.mark.parametrize("radius", [3.5e153, 3.6e153, 3.7e153])
+    def test_complex_result_past_the_largest_modulus_is_named(self, radius):
+        # the Liouville integral is about 1.06e308 + 1.50e308 j at 3.5e153: each
+        # part is a double, its modulus is not, and abs() of it raises (before,
+        # a bare "OverflowError: absolute value too large" below 3.7e153)
+        with mpmath.workdps(30):
+            r, mu, c = mpmath.mpf(radius), mpmath.mpf(1e-153), mpmath.mpc(0.5, 0.5)
+            closed = 4 * mpmath.pi * r * mpmath.sinh(c * mu * r) / (c * mu)
+        assert abs(closed) > sys.float_info.max
+        with pytest.raises(ValueError, match=r"^overflow: the Liouville integral at "
+                                             r"c = \(0.5\+0.5j\) is not a finite double$"):
+            dh_verify(SphereProductSpace.of((radius, 1e-153)), 0.5 + 0.5j)
 
     def test_subnormal_result_named_before_any_term(self, monkeypatch):
         # a Liouville volume 4 pi r^2 of 1.26e-319: before, rhs 1.25666e-319
