@@ -370,6 +370,11 @@ def _cmd_verify_all(args) -> tuple[dict, int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1/2, -0.2,0.4 and -1e-3 are values, not options: no option starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -15,8 +15,8 @@ evaluated by Gauss-Legendre quadrature, the right side as the fixed-point
 sum with the sqrt-det sign convention of locq.pfaffian.  Each of its terms
 is a product of one share per factor and pole, so the sum is the product of
 the factors' pole pairs (2 pi / (c l_j)) (e^a_j - e^-a_j) = 4 pi r_j^2
-sinh(a_j) / a_j, a_j = c mu_j r_j (_pole_pair).  A PrefixCheck folds over
-its factors, so the check on n + 1 extends its prefix's by one step.
+sinh(a_j) / a_j, a_j = c mu_j r_j (_pole_pair).  A FactorTable does each
+factor's work at one c once; its check on a multiset of them is a left fold.
 
 NumPy is imported inside the quadrature, the only code that uses it.
 """
@@ -331,120 +331,70 @@ class DHReport(NamedTuple):
     quad_nodes: tuple[int, ...]
 
 
-class _FactorTable:
-    """One c's per-factor work for the PrefixChecks on a list of factors,
-    the only memo of it: the _size_terms up front, and each factor's
-    quadrature and pole pair once a check needs them, after its refusals."""
+class FactorTable:
+    """One c's per-factor work on a list of factors, for the checks on
+    multisets of them, named by index.  Building it makes every refusal but
+    a result's, in this order: c (_check_c), each factor's Im(c mu r)
+    (_size_term), the factor cap, the overflow of a factor's e^(c mu r)
+    (_size_check), then the first factor that needs more than
+    MAX_QUAD_POINTS nodes or whose quadrature loses more than MAX_QUAD_LOSS
+    digits.  Only then is each factor's work done, once: its quadrature and
+    pole pair as (quad_m, quad_e, pair_m, pair_e) and the pair's roundings."""
+
+    __slots__ = ("c", "quad_nodes", "steps")
 
     def __init__(self, c, factors: Sequence[SphereFactor]):
-        self.c, self.factors = c, tuple(factors)
-        self.size_terms = [_size_term(f, c) for f in self.factors]
-        self.refused = {i for i, (_, nodes, loss) in enumerate(self.size_terms)
-                        if nodes is None or loss > MAX_QUAD_LOSS}
-        self.steps: list = [None] * len(self.factors)
-
-    def refusal(self, i: int) -> str:
-        """Why factor i is refused: it needs more than MAX_QUAD_POINTS nodes,
-        or its quadrature loses more than MAX_QUAD_LOSS digits (_size_term)."""
-        f, (_, nodes, loss) = self.factors[i], self.size_terms[i]
-        what = (f"the Gauss-Legendre quadrature of the factor (r, mu) = ({f.radius!r}, "
-                f"{f.weight!r}) at c = {self.c!r}")
-        if nodes is None:
-            return f"{what} needs more than MAX_QUAD_POINTS = {MAX_QUAD_POINTS} nodes"
-        return (f"{what} loses {loss:.1f} digits to rounding, more than "
-                f"MAX_QUAD_LOSS = {MAX_QUAD_LOSS}")
-
-    def step(self, i: int):
-        """Factor i's quadrature and pole pair, as (m, e) each, and the
-        pair's roundings, flat: (quad_m, quad_e, pair_m, pair_e, roundings)."""
-        if self.steps[i] is None:
-            factor, (_, nodes, _) = self.factors[i], self.size_terms[i]
-            (pair_m, pair_e), roundings = _pole_pair(factor, self.c)
-            self.steps[i] = (*factor_integral_quad(factor, self.c, nodes), pair_m, pair_e,
-                             roundings)
-        return self.steps[i]
-
-
-class PrefixCheck(NamedTuple):
-    """The check at one c on factors named by index into the list of
-    PrefixCheck.empty: left folds of max_i |mu_i r_i| and of the products of
-    the quadratures and of the pole pairs, as mantissa and exponent, and
-    their values lhs and rhs.  extend(*indices) makes every refusal (the
-    factor cap, _size_check's, a refused factor's) before any work, then
-    takes one multiply and exponent add per side and factor and one ldexp;
-    children(indices) is [extend(i) for i in indices].  A result that is
-    not a normal double is refused, so rel_err divides by a normal |rhs|."""
-
-    table: _FactorTable
-    indices: tuple[int, ...] = ()
-    scale: float = 0.0
-    parts: tuple = (1.0, 0, 1.0, 0)  # lhs_m, lhs_e, rhs_m, rhs_e
-    lhs: float | complex = 1.0
-    rhs: float | complex | None = None
-
-    @classmethod
-    def empty(cls, c, factors: Sequence[SphereFactor]) -> "PrefixCheck":
         _check_c(c)
-        one = 1.0 + 0.0j if isinstance(c, complex) else 1.0
-        return cls(_FactorTable(c, factors), parts=(one, 0, one, 0), lhs=one)
+        size_terms = [_size_term(f, c) for f in factors]
+        _check_factor_count(len(size_terms))
+        _size_check(max(scale for scale, _, _ in size_terms), c)
+        for f, (_, nodes, loss) in zip(factors, size_terms):
+            if nodes is None or loss > MAX_QUAD_LOSS:
+                why = (f"needs more than MAX_QUAD_POINTS = {MAX_QUAD_POINTS} nodes"
+                       if nodes is None else f"loses {loss:.1f} digits to rounding, more "
+                       f"than MAX_QUAD_LOSS = {MAX_QUAD_LOSS}")
+                raise ValueError(f"the Gauss-Legendre quadrature of the factor (r, mu) = "
+                                 f"({f.radius!r}, {f.weight!r}) at c = {c!r} {why}")
+        self.c = c
+        self.quad_nodes = tuple(nodes for _, nodes, _ in size_terms)
+        self.steps = [(*factor_integral_quad(f, c, nodes), *pair, roundings)
+                      for f, nodes in zip(factors, self.quad_nodes)
+                      for pair, roundings in [_pole_pair(f, c)]]
 
-    def extend(self, *indices: int) -> "PrefixCheck":
-        return self._fold([indices])[0]
+    def check(self, indices: Sequence[int]):
+        """(lhs, rhs, rel_err) on the factors at `indices`, repeats allowed:
+        left folds of their mantissas and exponents, in index order, and one
+        _ldexp per side.  More than MAX_FACTORS indices are refused first, and
+        a result that is not a normal double once known, so |rhs| is normal."""
+        _check_factor_count(len(indices))
+        c, steps = self.c, self.steps
+        lhs_m = rhs_m = 1.0 + 0.0j if isinstance(c, complex) else 1.0
+        lhs_e = rhs_e = 0
+        for i in indices:
+            quad_m, quad_e, pair_m, pair_e, _ = steps[i]
+            lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
+            rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
+        lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
+        try:
+            normal = _NORMAL_MIN <= abs(lhs) < math.inf and _NORMAL_MIN <= abs(rhs) < math.inf
+        except OverflowError:  # abs() of a complex past the largest double
+            normal = False
+        if not normal:
+            _check_normal("the Liouville integral", c, lhs)
+            _check_normal("the fixed-point sum", c, rhs)
+        return lhs, rhs, abs(lhs - rhs) / abs(rhs)
 
-    def children(self, indices) -> list["PrefixCheck"]:
-        return self._fold(zip(indices))
-
-    def _fold(self, additions) -> list["PrefixCheck"]:
-        """This check extended by each tuple of indices in `additions`."""
-        table, count, normal, inf = self.table, len(self.indices), _NORMAL_MIN, math.inf
-        c, size_terms, refused, steps = table.c, table.size_terms, table.refused, table.steps
-        make, out = PrefixCheck._make, []
-        for indices in additions:
-            _check_factor_count(count + len(indices))
-            scale = self.scale
-            for i in indices:
-                if size_terms[i][0] > scale:
-                    scale = size_terms[i][0]
-            _size_check(scale, c)
-            if refused and not refused.isdisjoint(indices):
-                raise ValueError(table.refusal(next(i for i in indices if i in refused)))
-            lhs_m, lhs_e, rhs_m, rhs_e = self.parts
-            for i in indices:
-                quad_m, quad_e, pair_m, pair_e, _ = steps[i] or table.step(i)
-                lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
-                rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
-            lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
-            try:
-                if not normal <= abs(lhs) < inf:
-                    _check_normal("the Liouville integral", c, lhs)
-                if not normal <= abs(rhs) < inf:
-                    _check_normal("the fixed-point sum", c, rhs)
-            except OverflowError:  # abs() of a complex past the largest double
-                _check_normal("the Liouville integral", c, lhs)
-                _check_normal("the fixed-point sum", c, rhs)
-            out.append(make((table, self.indices + indices, scale, (lhs_m, lhs_e, rhs_m, rhs_e),
-                             lhs, rhs)))
-        return out
-
-    @property
-    def rel_err(self) -> float:
-        return abs(self.lhs - self.rhs) / abs(self.rhs)
-
-    @property
-    def rhs_bound(self) -> float:
-        """rhs's relative error bound E u / (1 - E u) (_pole_pair), or inf."""
-        multiplies = (len(self.indices) - 1) * STEP_ROUNDINGS[isinstance(self.table.c, complex)]
-        error = (sum(self.table.step(i)[4] for i in self.indices) + multiplies) * UNIT
+    def rhs_bound(self, indices: Sequence[int]) -> float:
+        """check(indices)'s rhs bound E u / (1 - E u) (_pole_pair), or inf."""
+        multiplies = (len(indices) - 1) * STEP_ROUNDINGS[isinstance(self.c, complex)]
+        error = (sum(self.steps[i][4] for i in indices) + multiplies) * UNIT
         return error / (1 - error) if error < 1 else math.inf
 
 
 def dh_verify(space: SphereProductSpace, c) -> DHReport:
     """Both sides of the localization identity, rel_err, rhs's error bound
-    and each factor's node count: the PrefixCheck on all of the factors.
-    The fixed-point sum is the product of the pole pairs at any c.  Every
-    refusal comes before any work, except that of a result that is not a
-    normal double."""
-    check = PrefixCheck.empty(c, space.factors).extend(*range(space.half_dim))
-    return DHReport(lhs=check.lhs, rhs=check.rhs, rel_err=check.rel_err,
-                    rhs_bound=check.rhs_bound,
-                    quad_nodes=tuple(nodes for _, nodes, _ in check.table.size_terms))
+    and each factor's node count, from the FactorTable on the space's
+    factors; every refusal comes before any work, except a result's."""
+    table = FactorTable(c, space.factors)
+    indices = range(space.half_dim)
+    return DHReport(*table.check(indices), table.rhs_bound(indices), table.quad_nodes)

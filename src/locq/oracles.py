@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
+from .errors import DegenerateParametersError, PochhammerZeroDivisionError
 from .localization import SphereFactor, SphereProductSpace
 from .pfaffian import SkewMatrix
+from .qhyper import BilateralSeriesSpec
 
 
 def _closed_parts(factor: SphereFactor, c):
@@ -67,3 +70,52 @@ def block_diagonal(lambdas) -> SkewMatrix:
         m[2 * j, 2 * j + 1] = -lam
         m[2 * j + 1, 2 * j] = lam
     return SkewMatrix(m)
+
+
+def psi_term(spec: BilateralSeriesSpec, n: int):
+    """Term of the bilateral series at index n, evaluated zero-safely.
+
+    The Pochhammer ratio is accumulated factor index by factor index (all
+    parameters at q^k jointly), which keeps intermediate magnitudes near
+    the size of the final ratio: separate numerator/denominator products
+    overflow floats for negative n even when the ratio is tame.  A
+    denominator-parameter factor that vanishes (e.g. a parameter equal to
+    q at negative n) yields an exact zero term; a genuinely infinite term
+    raises.
+    """
+    one = Fraction(1) if isinstance(spec.q * spec.z, Fraction) else complex(1.0)
+    if n >= 0:
+        top_params, bot_params = spec.numerator_params, spec.denominator_params
+        qpowers = [spec.q**k for k in range(n)]
+    else:
+        # for n < 0 every Pochhammer flips to a reciprocal, so the roles swap
+        top_params, bot_params = spec.denominator_params, spec.numerator_params
+        qpowers = [spec.q ** (-k) for k in range(1, -n + 1)]
+    top_zero = any(one - p * qk == 0 for qk in qpowers for p in top_params)
+    bot_zero = any(one - p * qk == 0 for qk in qpowers for p in bot_params)
+    if top_zero and bot_zero:
+        raise DegenerateParametersError(
+            f"term at n={n} is 0/0: numerator and denominator Pochhammers both vanish"
+        )
+    if bot_zero:
+        raise PochhammerZeroDivisionError(
+            f"term at n={n} is infinite: a denominator Pochhammer vanishes"
+        )
+    if top_zero:
+        return one * 0
+    ratio = one
+    for qk in qpowers:
+        top = one
+        for p in top_params:
+            top *= one - p * qk
+        bot = one
+        for p in bot_params:
+            bot *= one - p * qk
+        ratio *= top / bot
+    if spec.z == 0:
+        # only the n=0 term survives at z=0
+        return ratio if n == 0 else one * 0
+    s_minus_r = len(spec.denominator_params) - len(spec.numerator_params)
+    sign = -1 if s_minus_r * n % 2 else 1
+    qpow_exp = s_minus_r * (n * (n - 1) // 2)
+    return ratio * sign * spec.q**qpow_exp * spec.z**n

@@ -7,7 +7,7 @@ shift identity
     (a;q)_{m+n} = (a;q)_m * (a q^m; q)_n,
 namely (a;q)_{-m} = 1 / prod_{k=1..m} (1 - a q^{-k}).  Bilateral series are
 summed tail by tail from the term-ratio recurrence (see _Tail); the direct
-product _psi_term is kept as the independent oracle the tests compare to.
+product locq.oracles.psi_term is the independent oracle the tests compare to.
 """
 
 from __future__ import annotations
@@ -136,55 +136,6 @@ class PsiSummary(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _psi_term(spec: BilateralSeriesSpec, n: int):
-    """Term of the bilateral series at index n, evaluated zero-safely.
-
-    The Pochhammer ratio is accumulated factor index by factor index (all
-    parameters at q^k jointly), which keeps intermediate magnitudes near
-    the size of the final ratio: separate numerator/denominator products
-    overflow floats for negative n even when the ratio is tame.  A
-    denominator-parameter factor that vanishes (e.g. a parameter equal to
-    q at negative n) yields an exact zero term; a genuinely infinite term
-    raises.
-    """
-    one = Fraction(1) if isinstance(spec.q * spec.z, Fraction) else complex(1.0)
-    if n >= 0:
-        top_params, bot_params = spec.numerator_params, spec.denominator_params
-        qpowers = [spec.q**k for k in range(n)]
-    else:
-        # for n < 0 every Pochhammer flips to a reciprocal, so the roles swap
-        top_params, bot_params = spec.denominator_params, spec.numerator_params
-        qpowers = [spec.q ** (-k) for k in range(1, -n + 1)]
-    top_zero = any(one - p * qk == 0 for qk in qpowers for p in top_params)
-    bot_zero = any(one - p * qk == 0 for qk in qpowers for p in bot_params)
-    if top_zero and bot_zero:
-        raise DegenerateParametersError(
-            f"term at n={n} is 0/0: numerator and denominator Pochhammers both vanish"
-        )
-    if bot_zero:
-        raise PochhammerZeroDivisionError(
-            f"term at n={n} is infinite: a denominator Pochhammer vanishes"
-        )
-    if top_zero:
-        return one * 0
-    ratio = one
-    for qk in qpowers:
-        top = one
-        for p in top_params:
-            top *= one - p * qk
-        bot = one
-        for p in bot_params:
-            bot *= one - p * qk
-        ratio *= top / bot
-    if spec.z == 0:
-        # only the n=0 term survives at z=0
-        return ratio if n == 0 else one * 0
-    s_minus_r = len(spec.denominator_params) - len(spec.numerator_params)
-    sign = -1 if s_minus_r * n % 2 else 1
-    qpow_exp = s_minus_r * (n * (n - 1) // 2)
-    return ratio * sign * spec.q**qpow_exp * spec.z**n
-
-
 def bilateral_psi(
     spec: BilateralSeriesSpec,
     window: int | None = None,
@@ -288,7 +239,7 @@ class _Tail:
         return self.first_bot > self.pos
 
     def error(self, n: int) -> Exception | None:
-        """The error _psi_term raises for the term at n (|n| <= pos), if any."""
+        """The error oracles.psi_term raises for the term at n (|n| <= pos), if any."""
         if self.first_bot > abs(n):
             return None
         if self.first_top <= abs(n):

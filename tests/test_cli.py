@@ -1316,3 +1316,23 @@ class TestScalarParsing:
             ["qhyper", "pochhammer", "--a", "2", "--q", "1/3", "--n", "2"]
         )
         assert parse(out)["value"] == "-1/3"
+
+    @pytest.mark.parametrize("argv", [
+        ["qhyper", "pochhammer", "--a", "-1/2", "--q", "1/3", "--n", "2"],
+        ["genus-cpm", "--tau", "-0.2,0.4", "--N", "2", "--k", "1", "--l", "0", "--m", "2"],
+        ["dh-verify", "--factors", "1:1", "--c", "-0.5,1"],
+        ["spectral-eval", "--a", "1", "--tau", "0,1", "--epsilon", "-1e-3"],
+    ])
+    def test_negative_value_as_its_own_argument(self, run_cli, argv):
+        # argparse took each of these values for an option and exited 2
+        # with "expected one argument"; it is the --opt=value request
+        i = next(i for i, arg in enumerate(argv) if re.match(r"^-[^-]", arg))
+        joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert (code, out) == run_cli(joined)
+
+    def test_dash_word_is_still_an_option(self, run_cli):
+        code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "-x"])
+        assert code == 2
+        assert parse(out)["error"] == "argument --c: expected one argument"

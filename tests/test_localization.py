@@ -18,7 +18,7 @@ import point_sums
 from locq import localization, pfaffian, verify
 from locq.errors import DegenerateWeightError
 from locq.localization import (
-    PrefixCheck,
+    FactorTable,
     SphereFactor,
     SphereProductSpace,
     dh_verify,
@@ -304,17 +304,16 @@ class TestCaching:
     @pytest.mark.parametrize("space", CACHE_SPACES)
     def test_cold_cleared_and_warm_results_identical(self, space):
         # dh_verify starts a fresh table each call; a second check on one
-        # table finds its quadratures and pole pairs already there
+        # table reads the quadratures and pole pairs the first one read
         def key(lhs, rhs, rel_err, bound):
             return repr((lhs, rhs, rel_err, bound))
 
         cold = dh_verify(space, 0.7)
         dh_verify(space, 0.3)  # another c's table in between
         assert dh_verify(space, 0.7) == cold
-        empty = PrefixCheck.empty(0.7, space.factors)
-        for check in (empty.extend(*range(space.half_dim)),
-                      empty.extend(*range(space.half_dim))):
-            assert key(check.lhs, check.rhs, check.rel_err, check.rhs_bound) == \
+        table, indices = FactorTable(0.7, space.factors), range(space.half_dim)
+        for _ in range(2):
+            assert key(*table.check(indices), table.rhs_bound(indices)) == \
                 key(cold.lhs, cold.rhs, cold.rel_err, cold.rhs_bound)
 
     @pytest.mark.parametrize("space", CACHE_SPACES)
@@ -359,7 +358,7 @@ class TestCaching:
             with pytest.raises(ValueError, match="finite"):
                 dh_verify(space, c)
             with pytest.raises(ValueError, match="finite"):
-                PrefixCheck.empty(c, space.factors)
+                FactorTable(c, space.factors)
             with pytest.raises(ValueError, match="finite"):
                 factor_integral_quad(space.factors[0], c)
 
@@ -462,14 +461,37 @@ class TestQuadratureSizing:
         with pytest.raises(ValueError, match=match):
             dh_verify(SphereProductSpace.of(*pairs), c)
 
-    def test_refused_factor_leaves_the_others_checked(self):
-        # the table holds a factor past the cap, and checks without it work
+    def test_refused_factor_refuses_the_table(self, monkeypatch):
+        # a factor past the node cap refuses its table before any work,
+        # though a table without it answers
         factors = [SphereFactor(1.0, 1.0), SphereFactor(1.0, 5000.0)]
-        empty = PrefixCheck.empty(0.5j, factors)
-        check = empty.extend(0)
-        assert check.rel_err < 1e-12
+        assert FactorTable(0.5j, factors[:1]).check((0,))[2] < 1e-12
+        TestSumPrecision._forbid_work(monkeypatch)
         with pytest.raises(ValueError, match="MAX_QUAD_POINTS"):
-            check.extend(1)
+            FactorTable(0.5j, factors)
+
+    def test_table_refusals_in_order_before_any_work(self, monkeypatch):
+        # the factor cap, then the overflow of a factor's e^(c mu r), then
+        # the first factor past the node cap or the rounding loss; each
+        # shows once the factors behind the ones before it are gone
+        c = complex(1e-300, 1.0)
+        good, nodes, loss, overflow = (SphereFactor(1.0, 1.0), SphereFactor(1.0, 5000.0),
+                                       SphereFactor(1.0, 3.141592653589),
+                                       SphereFactor(1e151, 1e152))
+        what = r"^the Gauss-Legendre quadrature of the factor \(r, mu\) = "
+        TestSumPrecision._forbid_work(monkeypatch)
+        for factors, match in [
+            ([good, nodes, loss, overflow] + [good] * 13, r"^at most 16 sphere factors .*, got 17$"),
+            ([good, nodes, loss, overflow], r"^overflow: e\^\(c mu r\) exceeds the largest double"),
+            ([good, nodes, loss], what + r"\(1.0, 5000.0\) .* needs more than MAX_QUAD_POINTS"),
+            ([good, loss, nodes], what + r"\(1.0, 3.141592653589\) .* loses 13.2 digits"),
+        ]:
+            for make in (lambda: FactorTable(c, factors),
+                         lambda: dh_verify(SphereProductSpace(tuple(factors)), c)):
+                with pytest.raises(ValueError, match=match):
+                    make()
+        monkeypatch.undo()
+        assert dh_verify(SphereProductSpace.of((1.0, 1.0)), c).rel_err < 1e-12
 
     @pytest.mark.parametrize("c,loss", [(3.141592653589j, "13.2"), (3.1415926j, "8.4"),
                                         (6.283185307j, "11.4")])
@@ -594,57 +616,27 @@ class TestSubsetDoubling:
         assert type(report.rhs) is type(c)
         assert point_sums.within(report.rhs, point_sums.point_sum(space, c), report.rhs_bound)
 
-    @settings(max_examples=60, deadline=None)
-    @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
-                                      st.builds(complex, _real_cs, _real_cs)))
-    def test_one_index_at_a_time_is_all_at_once(self, space, c):
-        # extend(i) then extend(j) is extend(i, j), bit for bit, mantissas,
-        # exponents and the bound included, at small real c and complex c
-        def key(check):
-            return repr((check.lhs, check.rhs, check.rel_err, check.rhs_bound, check.parts,
-                         check.scale))
-
-        empty = PrefixCheck.empty(c, space.factors)
-        stepwise = empty
-        try:
-            whole = empty.extend(*range(space.half_dim))
-        except ValueError:  # the whole check is refused, so its last step is
-            with pytest.raises(ValueError):
-                for i in range(space.half_dim):
-                    stepwise = stepwise.extend(i)
-            return
-        for i in range(space.half_dim):
-            stepwise = stepwise.extend(i)
-        assert key(stepwise) == key(whole)
-
-
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
                                       st.builds(complex, _real_cs, _real_cs)),
            data=st.data())
-    def test_children_are_one_extend_each(self, space, c, data):
-        # children(indices) is [extend(i) for i in indices], bit for bit,
-        # mantissas, exponents, bounds and refusals included, at small real c
+    def test_table_check_is_dh_verify_on_its_factors(self, space, c, data):
+        # a table's check on a multiset of its factors, repeats allowed, is
+        # dh_verify on the space of those factors in that order, bit for bit,
+        # bound included, or both refuse with one message, at small real c
         # and complex c
         def outcome(make):
             try:
-                return [repr((check.indices, check.lhs, check.rhs, check.rel_err,
-                              check.rhs_bound, check.parts, check.scale))
-                        for check in make()]
+                return repr(make())
             except ValueError as exc:
                 return str(exc)
 
-        n = space.half_dim
-        prefix = data.draw(st.integers(0, n - 1), label="prefix")
-        indices = data.draw(st.lists(st.integers(0, n - 1), max_size=6), label="indices")
-        parent = PrefixCheck.empty(c, space.factors)
-        if prefix:
-            try:
-                parent = parent.extend(*range(prefix))
-            except ValueError:
-                return
-        assert outcome(lambda: parent.children(indices)) == \
-            outcome(lambda: [parent.extend(i) for i in indices])
+        indices = data.draw(st.lists(st.integers(0, space.half_dim - 1), min_size=1,
+                                     max_size=6), label="indices")
+        table = FactorTable(c, space.factors)
+        sub = SphereProductSpace(tuple(space.factors[i] for i in indices))
+        assert outcome(lambda: (*table.check(indices), table.rhs_bound(indices))) == \
+            outcome(lambda: tuple(dh_verify(sub, c))[:4])
 
 
 class TestComplexLoss:
@@ -747,7 +739,9 @@ class TestSumPrecision:
     def test_sum_within_its_bound(self, c):
         # against a 200-digit Decimal sum of the 65,536 points' terms times
         # (2 pi / c)^n; at c = 1e-9 they cancel 140 digits
-        check = PrefixCheck.empty(c, self.SIXTEEN.factors).extend(*range(self.SIXTEEN.half_dim))
+        table, indices = FactorTable(c, self.SIXTEEN.factors), range(self.SIXTEEN.half_dim)
+        _, rhs, _ = table.check(indices)
+        bound = table.rhs_bound(indices)
         with localcontext() as ctx:
             ctx.prec = 200
             terms = [Decimal(1)]
@@ -758,8 +752,8 @@ class TestSumPrecision:
             for term in terms:
                 total += term
             total *= _reference_prefactor(self.SIXTEEN, c)
-            assert abs(Decimal(check.rhs) - total) <= Decimal(check.rhs_bound) * abs(total)
-        assert check.rhs_bound < 1e-13
+            assert abs(Decimal(rhs) - total) <= Decimal(bound) * abs(total)
+        assert bound < 1e-13
 
     @staticmethod
     def _forbid_work(monkeypatch):
@@ -1003,7 +997,10 @@ class TestSumPrecision:
 
 
 class TestPrefixWalk:
-    """verify.localization_checks extends each space's checks from its prefix's."""
+    """verify.localization_checks: every multiset of up to four of the 16
+    factors at each c, from one FactorTable per c."""
+
+    FACTORS = [SphereFactor(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
 
     def test_every_suite_check_is_dh_verify(self):
         pairs = [(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
@@ -1017,10 +1014,10 @@ class TestPrefixWalk:
                     plain[space.factors, c] = repr((report.lhs, report.rhs, report.rel_err))
                     worst = max(worst, report.rel_err)
         walked = {}
-        for check in verify.localization_checks():
-            key = tuple(check.table.factors[i] for i in check.indices), check.table.c
+        for c, indices, lhs, rhs, rel_err in verify.localization_checks():
+            key = tuple(self.FACTORS[i] for i in indices), c
             assert key not in walked
-            walked[key] = repr((check.lhs, check.rhs, check.rel_err))
+            walked[key] = repr((lhs, rhs, rel_err))
         assert len(plain) == 19376
         assert walked.keys() == plain.keys()
         assert [k for k in plain if walked[k] != plain[k]] == []
@@ -1031,20 +1028,19 @@ class TestPrefixWalk:
         # the checks' indices and c, in the walk's order, and each rhs within
         # its bound of the fixed-point sum over its 2^n points, the product of
         # its factors' one-factor point sums (each over s = +-1)
-        factors = [SphereFactor(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
         sums = {(i, c): point_sums.point_sum(SphereProductSpace((f,)), c)
-                for i, f in enumerate(factors) for c in verify.DH_CS}
+                for i, f in enumerate(self.FACTORS) for c in verify.DH_CS}
+        tables = {c: FactorTable(c, self.FACTORS) for c in verify.DH_CS}
         digest, count = hashlib.sha256(), 0
         with mpmath.workdps(point_sums.SPARE_DIGITS):
-            for check in verify.localization_checks():
-                c = check.table.c
-                digest.update(repr((check.indices, c)).encode())
-                want = mpmath.fprod(sums[i, c] for i in check.indices)
-                assert point_sums.within(check.rhs, want, check.rhs_bound)
+            for c, indices, _, rhs, _ in verify.localization_checks():
+                digest.update(repr((indices, c)).encode())
+                want = mpmath.fprod(sums[i, c] for i in indices)
+                assert point_sums.within(rhs, want, tables[c].rhs_bound(indices))
                 count += 1
         assert count == 19376
         assert digest.hexdigest() == \
-            "18e43ce007e2f9471504d587d0ba880fb11ee22643ea9347cfd35fe0537dce82"
+            "cc49d30dd5f90bf544a0931f94f5faeba7091ef4ec103a9a3b7e5c9fc17132d1"
 
     @settings(max_examples=60, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, _small_real_cs,
@@ -1052,24 +1048,21 @@ class TestPrefixWalk:
            data=st.data())
     def test_rhs_is_the_product_of_the_pole_pairs(self, space, c, data):
         # each check's rhs is its pole pairs' product written out with no
-        # table (_reference_pairs), for children and extend alike, and its
-        # bound counts their roundings and the multiplies
+        # table (_reference_pairs), for a prefix and each further index and
+        # for all of them, and its bound counts their roundings and the
+        # multiplies
         n = space.half_dim
-        prefix = data.draw(st.integers(0, n - 1), label="prefix")
+        prefix = list(range(data.draw(st.integers(0, n - 1), label="prefix")))
         indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
                             label="indices")
-        parent = PrefixCheck.empty(c, space.factors)
-        if prefix:
-            parent = parent.extend(*range(prefix))
-        children = parent.children(indices)
-        extended = [parent.extend(i) for i in indices] + [parent.extend(*indices)]
-        for check in children + extended:
-            factors = tuple(space.factors[i] for i in check.indices)
-            assert check.rhs == _reference_pairs(SphereProductSpace(factors), c)
+        table = FactorTable(c, space.factors)
+        for check in [prefix + [i] for i in indices] + [prefix + indices]:
+            factors = tuple(space.factors[i] for i in check)
+            assert table.check(check)[1] == _reference_pairs(SphereProductSpace(factors), c)
             roundings = [localization._pole_pair(f, c)[1] for f in factors]
             steps = (len(factors) - 1) * localization.STEP_ROUNDINGS[isinstance(c, complex)]
             error = (sum(roundings) + steps) * localization.UNIT
-            assert check.rhs_bound == pytest.approx(error / (1 - error), rel=1e-12)
+            assert table.rhs_bound(check) == pytest.approx(error / (1 - error), rel=1e-12)
 
     def test_suite_does_each_factors_work_once_per_c(self, monkeypatch):
         # 16 factors at 4 values of c: one quadrature and one pole pair each,
@@ -1085,15 +1078,13 @@ class TestPrefixWalk:
 
             monkeypatch.setattr(localization, name, counted)
         assert verify.suite_localization().details["checks"] == 19376
-        assert calls["factor_integral_quad"] <= 64
-        assert calls["_pole_pair"] <= 64
+        assert calls["factor_integral_quad"] == 64
+        assert calls["_pole_pair"] == 64
 
     def test_seventeenth_factor_refused_before_any_term(self, monkeypatch):
-        factor = SphereFactor(1.0, 1.0)
-        check = PrefixCheck.empty(0.5, [factor])
-        for _ in range(localization.MAX_FACTORS):
-            check = check.extend(0)
-        assert len(check.indices) == 16
+        table = FactorTable(0.5, [SphereFactor(1.0, 1.0)])
+        lhs, rhs, rel_err = table.check((0,) * localization.MAX_FACTORS)
+        assert rel_err < 1e-12
 
         def forbidden(*args):
             raise AssertionError("work ran before the factor cap")
@@ -1101,18 +1092,24 @@ class TestPrefixWalk:
         TestSumPrecision._forbid_work(monkeypatch)
         monkeypatch.setattr(localization, "_size_check", forbidden)
         with pytest.raises(ValueError, match=r"^at most 16 sphere factors .*, got 17$"):
-            check.extend(0)
+            table.check((0,) * 17)
+        with pytest.raises(ValueError, match=r"^at most 16 sphere factors .*, got 17$"):
+            dh_verify(SphereProductSpace.of(*[(1.0, 1.0)] * 17), 0.5)
 
     @pytest.mark.parametrize("c", [0, math.nan])
     def test_empty_check_takes_real_nonzero_c(self, c):
         with pytest.raises(ValueError, match="c must be"):
-            PrefixCheck.empty(c, [SphereFactor(1.0, 1.0)])
+            FactorTable(c, [SphereFactor(1.0, 1.0)])
+        with pytest.raises(ValueError, match="c must be"):
+            dh_verify(SphereProductSpace.of((1.0, 1.0)), c)
 
     def test_empty_check_takes_complex_c(self):
-        # complex c walks as real c does, in complex floats
+        # complex c is checked as real c is, in complex floats; the check on
+        # no factors is 1 on both sides
         factors = [SphereFactor(1.0, 1.0), SphereFactor(2.0, -0.5)]
-        check = PrefixCheck.empty(0.5j, factors).extend(0).extend(1)
+        table = FactorTable(0.5j, factors)
+        assert repr(table.check(())) == repr((1 + 0j, 1 + 0j, 0.0))
+        lhs, rhs, rel_err = table.check((0, 1))
         report = dh_verify(SphereProductSpace(tuple(factors)), 0.5j)
-        assert isinstance(check.rhs, complex)
-        assert repr((check.lhs, check.rhs, check.rel_err)) == \
-            repr((report.lhs, report.rhs, report.rel_err))
+        assert isinstance(rhs, complex)
+        assert repr((lhs, rhs, rel_err)) == repr((report.lhs, report.rhs, report.rel_err))

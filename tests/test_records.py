@@ -42,7 +42,6 @@ def _samples():
         space.factors[0],
         space,
         localization.dh_verify(space, 0.5),
-        localization.PrefixCheck.empty(0.5, space.factors),
         verify.Row("identity", 1, 0),
         verify.SuiteResult("suite", (verify.Row("identity", 1, 0),)),
     ]
