@@ -172,13 +172,11 @@ def _check_matrix(entries) -> None:
 
 
 def _cmd_pfaffian(args) -> tuple[dict, int]:
-    if args.matrix_file:
+    if args.matrix_file is not None:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
-    elif args.matrix:
-        entries = json.loads(args.matrix)
     else:
-        raise UsageError("provide --matrix or --matrix-file")
+        entries = json.loads(args.matrix)
     _check_matrix(entries)
     a = pfaffian.SkewMatrix(entries)
     form = pfaffian.canonicalize(a)
@@ -395,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectral_eval)
 
     p = sub.add_parser("pfaffian", help="Pfaffian and canonical data of a skew matrix")
-    p.add_argument("--matrix", help="JSON array of rows")
-    p.add_argument("--matrix-file", help="path to a JSON matrix")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--matrix", help="JSON array of rows")
+    g.add_argument("--matrix-file", help="path to a JSON matrix")
     p.set_defaults(handler=_cmd_pfaffian)
 
     p = sub.add_parser("dh-verify", help="check the fixed-point localization identity")

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .errors import (BetaSingularityError, NonConvergentError, ScanInconclusiveError,
                      ToleranceUnreachableError)
-from .series import _check_order
+from .series import MAX_ORDER, _check_order
 from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
 TWO_PI_I = 2j * math.pi
@@ -363,6 +363,8 @@ def genus_cpm(level: LevelData, m: int, q_tol: float = 1e-12) -> GenusValue:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if m > MAX_ORDER - 1:  # the x-series of f goes to order m + 1
+        raise ValueError(f"m must be at most {MAX_ORDER - 1}, got {m}")
     f = f_series(level, m + 1, q_tol)
     unit = f.shift_down()  # f(x)/x, constant term exactly 1
     g = unit.invert().int_pow(m + 1)
@@ -425,6 +427,9 @@ def lattice_periodicity_scan(
     check_tolerance(tol)
     n = level.level
     expected = n // math.gcd(level.k, level.l, n)
+    if n > MAX_TRIAL_BOUND:  # the trial bound is at least N
+        raise ValueError(f"the level N must be at most MAX_TRIAL_BOUND = {MAX_TRIAL_BOUND}, "
+                         f"got {n}")
     bound = trial_bound if trial_bound is not None else n
     if bound < n:
         raise ValueError("trial_bound must be at least the level")

@@ -45,7 +45,8 @@ def pochhammer(a, q, n: int):
 
     For n < 0 the shift-identity extension is used; a vanishing factor
     there makes the symbol infinite and raises PochhammerZeroDivisionError.
-    A complex product not a finite, normal double (nor 0 by a factor 0) is refused by name.
+    A complex product not a finite, normal double (nor 0 by a factor 1 - a q^k
+    that is exactly 0 at the inputs, see _is_one) is refused by name.
     """
     if abs(n) > MAX_WINDOW:
         raise ValueError(f"|n| must be at most {MAX_WINDOW}, got {n}")
@@ -67,7 +68,8 @@ def pochhammer(a, q, n: int):
         if not is_normal(out):
             product = (f"(a;q)_{n} = prod_(k=0..{n - 1}) (1 - a q^k)" if n >= 0
                        else f"1 / (a;q)_{n} = prod_(k=1..{-n}) (1 - a q^-k)")
-            refuse_product(product, _pochhammer_factors(1 + 0j, a, q, n), "k", 0 if n >= 0 else 1)
+            refuse_product(product, _pochhammer_factors(1 + 0j, a, q, n), "k", 0 if n >= 0 else 1,
+                           lambda k: _is_one(a, q, k if n >= 0 else -k))
     if n < 0 and out == 0:
         raise PochhammerZeroDivisionError(f"(a;q)_{n} has a vanishing factor for a={a}, q={q}")
     return out if n >= 0 else 1 / out
@@ -86,6 +88,21 @@ def _pochhammer_factors(one, a, q, n: int):
             apow *= q
 
 
+def _is_one(a: Scalar, q: Scalar, k: int) -> bool:
+    """Whether a q^k = 1 exactly at the inputs a and q (q != 0 for k < 0), in
+    Gaussian rationals: the factor 1 - a q^k is exactly 0, not only in doubles."""
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    power, base = (Fraction(1), Fraction(0)), (Fraction(q.real), Fraction(q.imag))
+    for bit in bin(abs(k))[2:]:
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, base)
+    exact_a = (Fraction(a.real), Fraction(a.imag))
+    return times(exact_a, power) == (1, 0) if k >= 0 else exact_a == power
+
+
 def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     """(a;q)_infinity as a truncated product with tail bound below tol.
 
@@ -93,7 +110,7 @@ def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     the tail bound sum_{k>=m} |a| |q|^k < tol / 2; it is multiplied in
     complex floats for every input, since the truncation is only
     accurate to tol anyway; one that is not a finite, normal double (nor 0
-    by a factor 0) is refused by name.
+    by a factor that is exactly 0, see pochhammer) is refused by name.
     """
     check_tolerance(tol)
     a, q = complex(_coerce(a)), complex(_coerce(q))
@@ -101,7 +118,7 @@ def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     out = math.prod(_pochhammer_factors(1 + 0j, a, q, m), start=1 + 0j)
     if not is_normal(out):
         refuse_product(f"(a;q)_inf to its first {m} factors, prod_(k=0..{m - 1}) (1 - a q^k)",
-                       _pochhammer_factors(1 + 0j, a, q, m), "k", 0)
+                       _pochhammer_factors(1 + 0j, a, q, m), "k", 0, lambda k: _is_one(a, q, k))
     return out
 
 

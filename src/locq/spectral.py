@@ -13,6 +13,7 @@ import cmath
 import math
 import os
 import sys
+from fractions import Fraction
 from typing import Literal, NamedTuple
 
 from .errors import NonConvergentError, ToleranceUnreachableError
@@ -182,7 +183,8 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     for |w| <= 1/2 and the tail factors are eventually that small.  Raises
     ToleranceUnreachable when M would exceed LOCQ_MAX_FACTORS, and a
     ValueError naming |q^epsilon| or the product where either is not a
-    finite, normal double (nor the product 0 by a factor 0).
+    finite, normal double (nor the product 0 by a factor that is exactly 0:
+    one of the minus sign with a n + epsilon = 0 at the input doubles).
     """
     check_tolerance(rel_tol, "rel_tol")
     tau = p.tau
@@ -198,9 +200,12 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     for n in range(p.ell, p.ell + used):
         value *= 1.0 + sign * q_power(tau, p.a * n + p.epsilon)
     if not is_normal(value):
+        epsilon = complex(p.epsilon)
         refuse_product(f"prod_(n>={p.ell}) (1 {'-' if sign < 0 else '+'} q^(a n + epsilon))",
                        (1.0 + sign * q_power(tau, p.a * n + p.epsilon)
-                        for n in range(p.ell, p.ell + used)), "n", p.ell)
+                        for n in range(p.ell, p.ell + used)), "n", p.ell,
+                       lambda n: sign < 0 and epsilon.imag == 0
+                       and Fraction(p.a) * n + Fraction(epsilon.real) == 0)
     return ProductValue(value=value, factors_used=used, s=s_of_params(p))
 
 
@@ -209,14 +214,16 @@ def is_normal(value: complex) -> bool:
     return cmath.isfinite(value) and max(abs(value.real), abs(value.imag)) >= sys.float_info.min
 
 
-def refuse_product(product: str, factors, index: str, start: int):
+def refuse_product(product: str, factors, index: str, start: int, exact_zero):
     """Raise the ValueError for a product of complex `factors` that is not a
-    finite double, or is below the normal doubles with no factor 0 (else it
-    returns), naming the factor from which every partial product is so."""
+    finite double, or is below the normal doubles with no factor exactly 0
+    (else it returns), naming the factor from which every partial product
+    is so.  A factor k that is 0 in doubles is exactly 0 iff exact_zero(k):
+    one that only rounds to 0 leaves the product with no digit."""
     value, zero, below = 1 + 0j, False, start
     for k, factor in enumerate(factors, start):
         value *= factor
-        zero = zero or factor == 0
+        zero = zero or (factor == 0 and exact_zero(k))
         if not cmath.isfinite(value):
             raise ValueError(f"overflow: the product {product} is not a finite double "
                              f"from its factor {index} = {k} on")

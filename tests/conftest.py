@@ -8,12 +8,14 @@ from locq import cli
 
 @pytest.fixture
 def run_cli():
-    """Invoke the CLI in-process, returning (exit_code, stdout_text)."""
+    """Invoke the CLI in-process, returning (exit_code, stdout_text); the
+    call must write nothing to stderr."""
 
     def run(argv):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        return code, buf.getvalue()
+        assert err.getvalue() == "", argv
+        return code, out.getvalue()
 
     return run

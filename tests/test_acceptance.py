@@ -171,10 +171,13 @@ def test_criterion_10_verify_all_cli(capsys):
     """The verify-all subcommand runs every suite and exits 0."""
     code = cli.main(["verify-all"])
     captured = capsys.readouterr()
-    assert code == 0
+    assert code == 0 and captured.err == ""
     assert captured.out.count("\n") == 1 and captured.out.endswith("\n")
     payload = json.loads(captured.out)
     assert payload["all_passed"] is True
+    assert {suite["name"]: [(row["identity"], row["checks"], row["tolerance"])
+                            for row in suite["details"]["rows"]]
+            for suite in payload["suites"]} == TABLE
     for suite in payload["suites"]:
         details = suite["details"]
         assert set(details) == {"checks", "rows"}

@@ -171,6 +171,7 @@ class TestDhVerify:
         assert code == 0
         payload = self._assert_the_point_sum(out, factors, 0.01j)
         assert payload["rel_err"] < 1e-12
+        assert 0 < payload["diagnostics"]["rhs_bound"] < 1e-13
 
     @pytest.mark.parametrize("factors,c,product", [
         ("1e10:1e100", "0,1e200", "1e+200 * 1e+100 * 10000000000.0"),
@@ -217,16 +218,15 @@ class TestDhVerify:
         assert payload["rel_err"] < 1e-10
         assert payload["diagnostics"]["quad_nodes"] == [nodes]
 
-    def test_node_cap_is_named(self, run_cli, capsys):
+    def test_node_cap_is_named(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1", "--c=0,3000"])
         assert code == 2
         assert parse_strict(out)["error"] == (
             "ValueError: the Gauss-Legendre quadrature of the factor (r, mu) = (1.0, 1.0) "
             "at c = 3000j needs more than MAX_QUAD_POINTS = 1024 nodes")
-        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("c,loss", [("0,3.141592653589", "13.2"), ("0,3.14159265", "9.6")])
-    def test_rounding_near_a_zero_of_sinh_is_named(self, run_cli, capsys, c, loss):
+    def test_rounding_near_a_zero_of_sinh_is_named(self, run_cli, c, loss):
         # the integral is far below the quadrature's terms there, so its
         # rounding would report an identity that holds as failed
         code, out = run_cli(["dh-verify", "--factors", "1:1", f"--c={c}"])
@@ -234,7 +234,6 @@ class TestDhVerify:
         assert parse_strict(out)["error"] == (
             "ValueError: the Gauss-Legendre quadrature of the factor (r, mu) = (1.0, 1.0) "
             f"at c = {c[2:]}j loses {loss} digits to rounding, more than MAX_QUAD_LOSS = 7")
-        assert capsys.readouterr().err == ""
 
     def test_rounding_below_the_cap_is_checked(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1", "--c=0,3.14159"])
@@ -477,7 +476,7 @@ class TestFixedPointListing:
         assert [(p["H"], p["lambdas"]) for p in listing] == [
             (h, list(lams)) for h, lams in zip(plain_h_values(space), rates)]
 
-    def test_h_overflow_is_named_before_any_file(self, run_cli, capsys, tmp_path):
+    def test_h_overflow_is_named_before_any_file(self, run_cli, tmp_path):
         # lhs and rhs are finite; H(+, +) = 2e308 is not.  Before: exit 2 with
         # the encoder's "Out of range float values are not JSON compliant"
         target = tmp_path / "result.json"
@@ -487,7 +486,6 @@ class TestFixedPointListing:
         assert parse_strict(out)["error"] == (
             "ValueError: overflow: H = sum_i |mu_i r_i| at the fixed point s_i = sign mu_i "
             "is not a finite double")
-        assert capsys.readouterr().err == ""
         assert not target.exists()
 
 
@@ -969,7 +967,6 @@ class TestContract:
             ["euler-series", "--chi", "1", "--order", "10001"],
             ["twisted-sym", "--chi", "1", "--order", "10001"],
             ["phi", "--tau", "0,1", "--x-order", "10001"],
-            ["genus-cpm", "--tau", "0,2", "--N", "2", "--k", "1", "--l", "0", "--m", "10000"],
         ],
     )
     def test_order_above_cap_is_exit_two(self, run_cli, argv):
@@ -997,9 +994,12 @@ class TestContract:
             (["period-scan", "--tau", "0.3,1.1", "--N", "3", "--k", "1", "--l", "2",
               "--trial-bound", "65"], "trial_bound must be at most 64, got 65"),
             (["period-scan", "--tau", "0.3,1.1", "--N", "65", "--k", "1", "--l", "0"],
-             "trial_bound must be at most 64, got 65"),
+             "the level N must be at most MAX_TRIAL_BOUND = 64, got 65"),
             (["euler-series", "--chi", "1000001"], "|chi| must be at most 1000, got 1000001"),
             (["twisted-sym", "--chi=-1001"], "|chi| must be at most 1000, got -1001"),
+            # the x-series of f goes to order m + 1
+            (["genus-cpm", "--tau", "0,2", "--N", "2", "--k", "1", "--l", "0", "--m", "10000"],
+             "m must be at most 9999, got 10000"),
         ],
     )
     def test_input_above_cap_is_exit_two(self, run_cli, argv, error):
@@ -1078,7 +1078,7 @@ class TestContract:
         ["qhyper", "pochhammer", "--a", "1e200", "--q", "0.5", "--infinite"],
         ["spectral-eval", "--a", "1", "--tau", "0,1", "--epsilon", "-100"],
     ])
-    def test_non_finite_complex_result_is_exit_two(self, run_cli, capsys, tmp_path, argv):
+    def test_non_finite_complex_result_is_exit_two(self, run_cli, tmp_path, argv):
         # before: exit 0 with "value": ["nan", "nan"], which strict JSON takes
         target = tmp_path / "result.json"
         # and then "the complex result (nan+nanj) is not finite", which named
@@ -1088,7 +1088,6 @@ class TestContract:
         error = parse_strict(out)["error"]
         assert error.startswith("ValueError: overflow: the product ")
         assert re.search(r"is not a finite double from its factor [kn] = \d+ on$", error)
-        assert capsys.readouterr().err == ""
         assert not target.exists()
 
     @pytest.mark.parametrize("argv,error", [
@@ -1128,6 +1127,15 @@ class TestContract:
         (["qhyper", "pochhammer", "--a", "0.999", "--q", "0.999", "--infinite"],
          "the product (a;q)_inf to its first 35214 factors, prod_(k=0..35213) (1 - a q^k) is "
          "below the normal doubles from its factor k = 321 on"),
+        # 0.1 * 70 - 7 = 8.9e-16 rounds q^(a n + epsilon) to 1, though a n +
+        # epsilon is not 0 at the doubles a and epsilon: factor 70 is not 0
+        (["spectral-eval", "--a", "0.1", "--tau", "1e-9,1e-3", "--epsilon", "-7", "--ell", "0"],
+         "the product prod_(n>=0) (1 - q^(a n + epsilon)) is below the normal doubles from its "
+         "factor n = 70 on"),
+        # the product is 3.7e-17 at these doubles, a normal double
+        (["qhyper", "pochhammer", "--a", "0.3333333333333333", "--q", "3", "--n", "2"],
+         "the product (a;q)_2 = prod_(k=0..1) (1 - a q^k) is below the normal doubles from its "
+         "factor k = 1 on"),
     ])
     def test_underflow_names_the_product(self, argv, error):
         # before: exit 0 with "value": ["0.0", "0.0"], every digit lost,
@@ -1136,8 +1144,8 @@ class TestContract:
 
     @pytest.mark.parametrize("argv", [
         ["qhyper", "pochhammer", "--a", "1.0", "--q", "0.5", "--n", "3"],
-        # 0.1 * 70 - 7 = 8.9e-16 rounds q^(a n + epsilon) to 1: factor 70 is 0
-        ["spectral-eval", "--a", "0.1", "--tau", "1e-9,1e-3", "--epsilon", "-7", "--ell", "0"],
+        # a n + epsilon = 0 at n = 2: q^0 = 1, so factor 2 is exactly 0
+        ["spectral-eval", "--a", "1", "--tau", "0,1", "--epsilon", "-2", "--ell", "0"],
     ])
     def test_product_with_a_zero_factor_is_zero(self, run_cli, argv):
         code, out = run_cli(argv)
@@ -1227,6 +1235,48 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
     assert cli.build_parser.cache_info().misses == 1
 
 
+REQUESTS = Path(__file__).with_name("requests.jsonl")
+
+# an entry's "fields" are [path, operator, operand] triples, tested on the
+# value at the dotted path ("diagnostics.rhs_bound", "coeffs.0")
+PREDICATES = {
+    "eq": lambda got, want: got == want,
+    "lt": lambda got, bound: got < bound,
+    "approx": lambda got, want: abs(got - want[0]) <= want[1],
+    "len": lambda got, n: len(got) == n,
+    "keys": lambda got, keys: sorted(got) == sorted(keys),
+}
+# at most one of these expects the error text: whole, its start, or a part
+ERRORS = {"error": str.__eq__, "error_prefix": str.startswith, "error_has": str.__contains__}
+
+
+def field(doc, path: str):
+    for part in path.split("."):
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    return doc
+
+
+def test_request_corpus(run_cli, monkeypatch):
+    """Every request of requests.jsonl, in this process: its exit code, one
+    canonical line of strict JSON, nothing on stderr (run_cli), and the
+    entry's error expectation and field predicates."""
+    monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
+    lines = REQUESTS.read_text(encoding="utf-8").splitlines()
+    for where, line in enumerate(lines, 1):
+        entry = json.loads(line)
+        expects = [key for key in ERRORS if key in entry]
+        assert set(entry) <= {"argv", "exit", "fields", "why", *ERRORS}, where
+        assert len(expects) <= 1, where
+        code, out = run_cli(entry["argv"])
+        assert code == entry["exit"], where
+        assert_canonical(out)
+        doc = parse_strict(out)
+        for key in expects:
+            assert ERRORS[key](doc["error"], entry[key]), (where, doc["error"])
+        for path, name, operand in entry.get("fields", []):
+            assert PREDICATES[name](field(doc, path), operand), (where, path, field(doc, path))
+
+
 def readme_examples() -> list[list[str]]:
     """argv of every `locq ...` line of the README, verify-all excepted."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1299,6 +1349,14 @@ def test_closed_stdout_exits_2_with_empty_stderr():
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), stderr) == (2, b"")
+
+
+def test_verify_all_bytes_match_across_fresh_processes():
+    # no per-process table or memo shows in the output
+    runs = [subprocess.run([sys.executable, "-m", "locq", "verify-all"], env=fresh_env(),
+                           capture_output=True, check=False, timeout=120) for _ in range(2)]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+    assert runs[0].stdout == runs[1].stdout
 
 
 class TestScalarParsing:

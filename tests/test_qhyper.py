@@ -88,9 +88,19 @@ class TestPochhammer:
 
     def test_zero_factor_is_not_an_underflow(self):
         assert pochhammer(1.0, 0.5, 3) == 0
+        assert pochhammer(1j, 1j, 4) == 0  # 1 - i i^3 = 0 in Gaussian rationals
         assert pochhammer(1e-200, 1e-200, 3) == 1  # factors 1 - 1e-200 and 1 round to 1
         with pytest.raises(PochhammerZeroDivisionError):
             pochhammer(0.5, 0.5, -3)
+
+    @pytest.mark.parametrize("a,q,n,k", [
+        (0.3333333333333333, 3.0, 2, 1),  # a q = 1 - 2^-54, rounded to 1
+        (20.141442121301772, 4.487921804276649, -2, 2),  # a q^-2 rounds to 1
+    ])
+    def test_factor_rounded_to_zero_is_an_underflow(self, a, q, n, k):
+        # before: 0.0, exit 0, though the product is 3.7e-17 at n = 2
+        with pytest.raises(ValueError, match=rf"^underflow: .* from its factor k = {k} on$"):
+            pochhammer(a, q, n)
 
     def test_infinite_matches_spectral_product(self):
         q = math.exp(-2 * math.pi)

@@ -173,8 +173,12 @@ class TestEvaluateProduct:
                                              r"\(1 - q\^\(a n \+ epsilon\)\) is below the normal "
                                              r"doubles from its factor n = 185 on$"):
             evaluate_product(SpectralParams(0.1, -7.05 + 0j, 0, "minus", tau))
-        # at epsilon = -7 the factor n = 70 is exactly 0 in doubles
-        assert evaluate_product(SpectralParams(0.1, -7 + 0j, 0, "minus", tau)).value == 0
+        # at epsilon = -7 the factor n = 70 is 0 in doubles, but 0.1 n - 7 =
+        # 3.9e-16 at the double 0.1: it lost every digit, as the product did
+        with pytest.raises(ValueError, match=r"^underflow: .* from its factor n = 70 on$"):
+            evaluate_product(SpectralParams(0.1, -7 + 0j, 0, "minus", tau))
+        # a n + epsilon = 0 exactly at n = 2: the product is 0, an answer
+        assert evaluate_product(SpectralParams(1.0, -2 + 0j, 0, "minus", Tau(1j))).value == 0
 
     def test_refusal_scans_past_the_largest_modulus(self):
         # the first partial product is finite with a modulus past the largest
@@ -182,7 +186,7 @@ class TestEvaluateProduct:
         assert is_normal(complex(1.5e308, 1.5e308)) and not is_normal(complex(1e-308, -1e-308))
         with pytest.raises(ValueError, match=r"^underflow: the product p is below the normal "
                                              r"doubles from its factor k = 2 on$"):
-            refuse_product("p", [complex(1.5e308, 1.5e308), 1e-320, 1e-320], "k", 0)
+            refuse_product("p", [complex(1.5e308, 1.5e308), 1e-320, 1e-320], "k", 0, None)
 
     def test_factors_used_reported(self):
         result = evaluate_product(SpectralParams(1.0, 0.0, 1, "minus", Tau(1j)))
