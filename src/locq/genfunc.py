@@ -28,16 +28,10 @@ from typing import NamedTuple
 
 from . import kernel
 from .errors import LocqError
-from .series import (
-    BivariateSeries,
-    FormalSeries,
-    _check_order,
-    binomial_product,
-    polynomial_power,
-)
+from .series import BivariateSeries, FormalSeries, _check_order, polynomial_power
 
-# Each Betti number sets the pass count of a binomial factor in
-# series.binomial_product, so the cost grows linearly with it.
+# Each Betti number sets the pass count of a factor in _betti_product, so
+# the cost grows linearly with it.
 MAX_BETTI = 1000
 # |chi| is the exponent of every factor of the Euler-characteristic series,
 # so their coefficients grow with it.
@@ -73,24 +67,6 @@ class BettiData(_BettiFields):
         return sum((-1) ** j * b for j, b in enumerate(self.betti))
 
 
-class GradedSymBasis(NamedTuple):
-    """Generator degrees of a graded vector space, split by parity.
-
-    Even-degree generators repeat freely in a symmetric power; odd-degree
-    generators appear at most once (Koszul sign rule).
-    """
-
-    even_degrees: tuple[int, ...]
-    odd_degrees: tuple[int, ...]
-
-    @classmethod
-    def from_betti(cls, b: BettiData) -> "GradedSymBasis":
-        even, odd = [], []
-        for j, count in enumerate(b.betti):
-            (even if j % 2 == 0 else odd).extend([j] * count)
-        return cls(tuple(even), tuple(odd))
-
-
 def sym_poincare_oracle(b: BettiData, n: int) -> dict[int, int]:
     """Poincare polynomial of the n-th graded symmetric power, by enumeration.
 
@@ -100,15 +76,16 @@ def sym_poincare_oracle(b: BettiData, n: int) -> dict[int, int]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    basis = GradedSymBasis.from_betti(b)
+    # even-degree generators repeat freely, odd-degree ones appear at most
+    # once (Koszul sign rule)
+    even = [j for j, count in enumerate(b.betti) if j % 2 == 0 for _ in range(count)]
+    odd = [j for j, count in enumerate(b.betti) if j % 2 for _ in range(count)]
     out: dict[int, int] = {}
-    for n_odd in range(min(n, len(basis.odd_degrees)) + 1):
+    for n_odd in range(min(n, len(odd)) + 1):
         n_even = n - n_odd
-        for odd_choice in itertools.combinations(basis.odd_degrees, n_odd):
+        for odd_choice in itertools.combinations(odd, n_odd):
             odd_deg = sum(odd_choice)
-            for even_choice in itertools.combinations_with_replacement(
-                basis.even_degrees, n_even
-            ):
+            for even_choice in itertools.combinations_with_replacement(even, n_even):
                 deg = odd_deg + sum(even_choice)
                 out[deg] = out.get(deg, 0) + 1
     return out
@@ -117,13 +94,39 @@ def sym_poincare_oracle(b: BettiData, n: int) -> dict[int, int]:
 def _betti_product(b: BettiData, q_exponents, q_order: int,
                    y_bound: int | None) -> BivariateSeries:
     """Product of (1 + q^n y^j)^(b_j) over odd degrees j and (1 - q^n y^j)^(-b_j)
-    over even j, for every n in q_exponents, expanded exactly to q_order."""
+    over even j, for every n in q_exponents, expanded exactly to q_order.
+
+    The q^i coefficient is a y-exponent -> count map.  Each factor is b_j
+    passes of c[i] += y^j c[i-n]: i runs downwards to multiply by
+    (1 + q^n y^j), so that c[i-n] is still the old coefficient, and upwards
+    to divide by (1 - q^n y^j), so that it is already the quotient's.  Every
+    count is positive and a pass only raises y-degrees, so a term past
+    y_bound feeds only terms past it: it is dropped where it is made, and
+    the series is marked y_truncated.
+    """
     if y_bound is not None and y_bound < 0:
         raise ValueError("y_bound must be nonnegative")
-    factors = ((1, n, j, count) if j % 2 else (-1, n, j, -count)
-               for n in q_exponents for j, count in enumerate(b.betti) if count)
-    out = binomial_product(factors, q_order)
-    return out if y_bound is None else out.filter_y(y_bound)
+    _check_order(q_order)
+    # no term of q-degree <= q_order has a y-degree past q_order times the top degree
+    limit = q_order * (len(b.betti) - 1) if y_bound is None else y_bound
+    coeffs: list[dict] = [{} for _ in range(q_order + 1)]
+    coeffs[0][0] = 1
+    dropped = False
+    for n in q_exponents:
+        for j, count in enumerate(b.betti):
+            rows = range(q_order, n - 1, -1) if j % 2 else range(n, q_order + 1)
+            cut = limit - j
+            for _ in range(count):
+                for i in rows:
+                    src = coeffs[i - n]
+                    if src:
+                        dst = coeffs[i]
+                        for k, v in src.items():
+                            if k <= cut:
+                                dst[k + j] = dst.get(k + j, 0) + v
+                            else:
+                                dropped = True
+    return BivariateSeries(q_order, tuple(coeffs), dropped)
 
 
 def macdonald_series(b: BettiData, q_order: int, y_bound: int | None = None) -> BivariateSeries:

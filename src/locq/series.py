@@ -8,10 +8,10 @@ by a recurrence, not by ring arithmetic: a power of one sparse polynomial,
 prod (1 -/+ q^(a n + eps)) by `expand_product`, through the Euler transform
 (see locq.kernel).
 BivariateSeries is a value type: a series in q whose coefficients are
-integer Laurent polynomials in a second variable y, built by
-`binomial_product` and then only read, specialized or filtered.  All
-values are immutable and all operations are pure, so instances can be
-shared freely between threads.
+polynomials in a second variable y with positive integer coefficients,
+built by the Betti products of locq.genfunc and then only read or
+specialized.  All values are immutable and all operations are pure, so
+instances can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -105,24 +105,16 @@ class IntegerProductSpec(NamedTuple):
             )
 
 
-# ---------------------------------------------------------------------------
-# Bivariate series: coefficients are Laurent polynomials in y over Z,
-# stored as sparse exponent -> integer maps.
-# ---------------------------------------------------------------------------
-
-
 class BivariateSeries(NamedTuple):
-    """Power series in q whose coefficients are integer Laurent polynomials in y."""
+    """Power series in q whose coefficients are polynomials in y, each stored
+    as a sparse y-exponent -> integer map with no zero entries.
+
+    y_truncated marks a series whose terms past a y-degree bound were dropped.
+    """
 
     order: int
     coeffs: tuple[dict, ...]
     y_truncated: bool = False
-
-    @staticmethod
-    def from_coeffs(order: int, coeffs: list[dict], y_truncated: bool = False) -> "BivariateSeries":
-        """The series with these coefficients, each dropping its zero terms."""
-        cleaned = [{e: c for e, c in d.items() if c} for d in coeffs]
-        return BivariateSeries(order, tuple(cleaned), y_truncated)
 
     def q_coefficient(self, k: int) -> dict:
         if not 0 <= k <= self.order:
@@ -130,26 +122,9 @@ class BivariateSeries(NamedTuple):
         return dict(self.coeffs[k])
 
     def specialize_y(self, y: int) -> FormalSeries:
-        """Substitute an integer for y, coefficient by coefficient.
-
-        Every y-exponent must be >= 0, so that each coefficient is the
-        integer sum c y^e.
-        """
-        low = min((e for d in self.coeffs for e in d), default=0)
-        if low < 0:
-            raise ValueError(f"specialize_y needs y-exponents >= 0, lowest is {low}")
+        """Substitute an integer for y, coefficient by coefficient."""
         return FormalSeries(self.order, tuple(sum(c * y**e for e, c in d.items())
                                               for d in self.coeffs))
-
-    def filter_y(self, y_bound: int) -> "BivariateSeries":
-        """Drop y-exponents with |e| > y_bound, marking the result truncated."""
-        dropped = False
-        out = []
-        for d in self.coeffs:
-            kept = {e: c for e, c in d.items() if abs(e) <= y_bound}
-            dropped = dropped or (len(kept) != len(d))
-            out.append(kept)
-        return BivariateSeries.from_coeffs(self.order, out, self.y_truncated or dropped)
 
     def to_json_dict(self) -> dict:
         data = {
@@ -160,37 +135,3 @@ class BivariateSeries(NamedTuple):
         if self.y_truncated:
             data["y_truncated"] = True
         return data
-
-
-def binomial_product(factors, order: int) -> BivariateSeries:
-    """Expand prod (1 + s q^e y^d)^m exactly to q^order.
-
-    `factors` yields integer tuples (s, e, d, m) with e >= 1.  The q^i
-    coefficient is a y-exponent -> integer map, updated in place with |m|
-    passes per factor:
-    multiplying by (1 + s q^e y^d) runs i downwards, c[i] += s y^d c[i-e];
-    dividing by it (m < 0) runs i upwards, c[i] -= s y^d c[i-e], so that
-    c[i-e] is already a coefficient of the quotient.
-    """
-    _check_order(order)
-    coeffs: list[dict] = [{} for _ in range(order + 1)]
-    coeffs[0][0] = 1
-    for s, e, d, m in factors:
-        if e < 1:
-            raise ValueError("q-exponent of a binomial factor must be positive")
-        if not s or e > order:
-            continue
-        step = s if m > 0 else -s
-        rows = range(order, e - 1, -1) if m > 0 else range(e, order + 1)
-        for _ in range(abs(m)):
-            for i in rows:
-                src = coeffs[i - e]
-                if src:
-                    dst = coeffs[i]
-                    for k, v in src.items():
-                        c = dst.get(k + d, 0) + step * v
-                        if c:
-                            dst[k + d] = c
-                        else:
-                            del dst[k + d]
-    return BivariateSeries(order, tuple(coeffs))

@@ -10,6 +10,7 @@ branch recomputed from the value of q, so q^x is an entire function of x.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import sys
@@ -195,18 +196,45 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
         raise ValueError(f"overflow: |q^epsilon| = |e^(2 pi i tau epsilon)| at tau = "
                          f"{tau.value!r}, epsilon = {p.epsilon!r} is not a finite double") from None
     used = factor_count(scale, abs(q_power(tau, p.a)), p.ell, rel_tol / 2)
-    sign = -1.0 if p.sign == "minus" else 1.0
-    value = 1 + 0j
-    for n in range(p.ell, p.ell + used):
-        value *= 1.0 + sign * q_power(tau, p.a * n + p.epsilon)
+    value = math.prod(_product_factors(p, used), start=1 + 0j)
     if not is_normal(value):
         epsilon = complex(p.epsilon)
-        refuse_product(f"prod_(n>={p.ell}) (1 {'-' if sign < 0 else '+'} q^(a n + epsilon))",
-                       (1.0 + sign * q_power(tau, p.a * n + p.epsilon)
-                        for n in range(p.ell, p.ell + used)), "n", p.ell,
-                       lambda n: sign < 0 and epsilon.imag == 0
+        refuse_product(f"prod_(n>={p.ell}) (1 {'-' if p.sign == 'minus' else '+'} "
+                       f"q^(a n + epsilon))", _product_factors(p, used), "n", p.ell,
+                       lambda n: p.sign == "minus" and epsilon.imag == 0
                        and Fraction(p.a) * n + Fraction(epsilon.real) == 0)
     return ProductValue(value=value, factors_used=used, s=s_of_params(p))
+
+
+def _product_factors(p: SpectralParams, used: int):
+    """The factors 1 -/+ q^(a n + epsilon), n = ell .. ell + used - 1.
+
+    With z = 2 pi i tau (a n + epsilon), the minus sign's 1 - e^z cancels
+    as z -> 0, so where |z| < 1/4 the factor is -2 e^(z/2) sinh(z/2).  Those
+    n form one window, |a n + epsilon| < r = 1 / (8 pi |tau|), found before
+    the walk; every other factor is 1 -/+ q_power(tau, a n + epsilon).
+    """
+    tau, a, eps = p.tau, p.a, complex(p.epsilon)
+    sign = -1.0 if p.sign == "minus" else 1.0
+    stop = p.ell + used
+    first = last = stop
+    r = 0.25 / (TWO_PI * abs(tau.value))
+    if sign < 0 and abs(eps.imag) < r:
+        # the n in [ell, stop) with |a n + Re(epsilon)| < half
+        half = math.sqrt((r - abs(eps.imag)) * (r + abs(eps.imag)))
+        first = math.floor(min(max((-eps.real - half) / a, p.ell - 1), stop - 1)) + 1
+        last = math.ceil(max(min((half - eps.real) / a, stop), first))
+
+    def plain(ns):
+        return (1.0 + sign * q_power(tau, a * n + p.epsilon) for n in ns)
+
+    def small(ns):
+        for n in ns:
+            h = 1j * math.pi * tau.value * (a * n + p.epsilon)
+            yield -2.0 * cmath.exp(h) * cmath.sinh(h)
+
+    return itertools.chain(plain(range(p.ell, first)), small(range(first, last)),
+                           plain(range(last, stop)))
 
 
 def is_normal(value: complex) -> bool:

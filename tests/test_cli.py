@@ -800,6 +800,11 @@ class TestSeriesCommands:
          "1cd8a4d2297767bb70e54a46226650f1adf52b7ef5f1235ec1adbc1c05d01a04"),
         ("orbifold --betti 1,2,1 --order 20 --y-bound 40",
          "60096214b08e7685e03cbc614dde1dd43d6669d001606d1dc37f0761f1f68057"),
+        # two y-bounds that drop terms
+        ("orbifold --betti 1,2,1 --order 20 --y-bound 12",
+         "1ee62a04ae79c3a7a39a30bba3fdf18a42faf75ac649197682bcb7ed3868d919"),
+        ("macdonald --betti 1,4,6,4,1 --order 30 --y-bound 7",
+         "9025e7a5d932abc2781a3daefa8807e597010aca432c75f3c83e6956ea91e21e"),
     ]
 
     @pytest.mark.parametrize("command, digest", PINNED)

@@ -10,7 +10,6 @@ from locq import genfunc, kernel
 from locq.genfunc import (
     MAX_CHI,
     BettiData,
-    GradedSymBasis,
     equivariant_euler_series,
     macdonald_series,
     orbifold_oracle,
@@ -42,11 +41,6 @@ class TestBetti:
         assert POINT.chi == 1
         assert SPHERE.chi == 2
         assert TORUS.chi == 0
-
-    def test_basis_split(self):
-        basis = GradedSymBasis.from_betti(TORUS)
-        assert basis.even_degrees == (0, 2)
-        assert basis.odd_degrees == (1, 1)
 
     def test_from_string(self):
         assert BettiData.from_string("1,0,1") == SPHERE
@@ -400,3 +394,17 @@ def test_macdonald_matches_ring_product(b, order, y):
 def test_orbifold_matches_ring_product(b, order, y):
     expect = ring_product(b, range(1, order + 1), order, y)
     assert list(orbifold_series(b, order).specialize_y(y).coeffs) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(BETTI, st.integers(0, 10), st.integers(0, 30),
+       st.sampled_from([macdonald_series, orbifold_series]))
+def test_y_bound_drops_only_the_terms_past_it(b, order, y_bound, build):
+    # terms past the bound are dropped where they are made, so the bounded
+    # series is the unbounded one restricted to y-degrees <= y_bound
+    full = build(b, order)
+    bounded = build(b, order, y_bound)
+    assert not full.y_truncated
+    assert bounded.coeffs == tuple({e: c for e, c in d.items() if e <= y_bound}
+                                   for d in full.coeffs)
+    assert bounded.y_truncated == any(e > y_bound for d in full.coeffs for e in d)

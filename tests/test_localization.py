@@ -609,7 +609,7 @@ class TestSubsetDoubling:
 
     @settings(max_examples=30, deadline=None)
     @given(space=_spaces, c=st.one_of(_real_cs, st.builds(complex, _real_cs, _real_cs)))
-    def test_verify_rhs_is_dh_rhs(self, space, c):
+    def test_verify_rhs_is_the_point_sum(self, space, c):
         # the rhs of dh_verify, real or complex, is the per-point sum within
         # its bound, however many digits the sum's terms cancel
         report = dh_verify(space, c)
@@ -996,7 +996,7 @@ class TestSumPrecision:
         assert not str(info.value).startswith("overflow")
 
 
-class TestPrefixWalk:
+class TestFactorTableChecks:
     """verify.localization_checks: every multiset of up to four of the 16
     factors at each c, from one FactorTable per c."""
 

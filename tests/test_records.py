@@ -29,7 +29,6 @@ def _samples():
         spectral.evaluate_product(params),
         spectral.branch_shift_check(params),
         betti,
-        genfunc.GradedSymBasis.from_betti(betti),
         level,
         genus.XSeries.one(2),
         genus.genus_cpm(level, 1),

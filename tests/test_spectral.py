@@ -1,7 +1,9 @@
 """Spectral products: parameter map, numeric products, cross-module checks."""
 
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -299,6 +301,17 @@ def test_factor_count_needs_finite_scale(scale, ratio, offset, threshold):
             factor_count(scale, ratio, offset, threshold)
 
 
+def product_50(p: SpectralParams, factors: int):
+    """The first `factors` factors of the product, multiplied in 50 digits
+    from the input doubles; 1 - e^w is -expm1(w), which keeps its digits
+    at any small w."""
+    with mpmath.workdps(50):
+        z = 2j * mpmath.pi * mpmath.mpc(p.tau.value)
+        a, eps = mpmath.mpf(p.a), mpmath.mpc(p.epsilon)
+        return mpmath.fprod(-mpmath.expm1(w) if p.sign == "minus" else 1 + mpmath.exp(w)
+                            for w in (z * (a * n + eps) for n in range(p.ell, p.ell + factors)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(0.1, 3.0),
@@ -308,8 +321,36 @@ def test_factor_count_needs_finite_scale(scale, ratio, offset, threshold):
     st.floats(0.3, 3.0),
     st.floats(1e-14, 1e-3),
 )
+# |1 - q^epsilon| is about 2 pi |tau epsilon|: the product is 5.6e-308, a
+# normal double, in the first example (1 - q^epsilon formed by subtraction
+# cancels there and leaves it below the normal doubles) and 1.4e-310, an
+# underflow, in the second
+@example(0.25, 3.5648139593898657e-308, 0, "minus", 0.5, 1e-3)
+@example(1.0, 2.225073858507e-311 + 0j, 0, "minus", 1.0, 0.000987605933414559)
 def test_evaluate_product_uses_factor_count(a, eps, ell, sign, im_tau, rel_tol):
     tau = Tau(complex(0.2, im_tau))
-    used = evaluate_product(SpectralParams(a, eps, ell, sign, tau), rel_tol).factors_used
+    params = SpectralParams(a, eps, ell, sign, tau)
     scale, ratio = abs(q_power(tau, eps)), abs(q_power(tau, a))
-    assert used == factor_count(scale, ratio, ell, rel_tol / 2)
+    used = factor_count(scale, ratio, ell, rel_tol / 2)
+    try:
+        result = evaluate_product(params, rel_tol)
+    except ValueError as exc:
+        if not str(exc).startswith("underflow: "):
+            raise
+        assert abs(product_50(params, used)) < sys.float_info.min
+        return
+    assert result.factors_used == used
+
+
+@pytest.mark.parametrize("a,eps,ell", [
+    (0.25, 1e-17, 0),  # (9.4e-18, -1.3e-17); by subtraction (-3.0e-18, -5.0e-18)
+    (0.25, 3e-16, 0),
+    (0.25, -0.249999999999999, 1),  # a n + epsilon = 1e-15 at n = 1
+    (0.25, 0.05, 0),  # |z| = 0.17, inside the window
+])
+def test_factor_near_one_keeps_its_digits(a, eps, ell):
+    # 1 - q^x by subtraction loses every digit as x -> 0
+    params = SpectralParams(a, complex(eps), ell, "minus", Tau(0.2 + 0.5j))
+    result = evaluate_product(params)
+    want = complex(product_50(params, result.factors_used + 100))
+    assert abs(result.value - want) < 1e-11 * abs(want)
