@@ -13,9 +13,10 @@ route.  The twisted characteristic function
     f(x) = e^(k x / N) Phi(x) Phi(-beta) / Phi(x - beta),
     beta = 2 pi i (k tau + l) / N,
 
-takes Phi(x - beta) up to a constant from theta_u at u = e^beta, and the
-genus of complex projective spaces is residue extraction from
-(x/f(x))^(m+1).  Quasi-ellipticity of f is not assumed: translations over
+takes Phi(x - beta) up to a constant from theta_u at u = e^beta.  The
+genus of complex projective spaces is the x^m coefficient of Q(x)^(m+1),
+where Q = x/f is Hirzebruch's characteristic series, built with one
+series inversion.  Quasi-ellipticity of f is not assumed: translations over
 a trial window of the lattice 2 pi i (Z tau + Z) are scanned, and the index
 of the sublattice they generate is computed exactly by Euclid's algorithm.
 Phi depends on x only through e^x, so f(x + 2 pi i m') is f(x) times the
@@ -67,7 +68,12 @@ class _LevelFields(NamedTuple):
 
 
 class LevelData(_LevelFields):
-    """Level N >= 2 with twist indices 0 <= k, l < N, (k, l) != (0, 0)."""
+    """Level N >= 2 with twist indices 0 <= k, l < N, (k, l) != (0, 0).
+
+    f is invariant under tau -> tau + N (q^n depends on tau mod 1, and beta
+    moves by 2 pi i k, a period of Phi's e^x), so Re tau is kept mod N by
+    fmod: exact, the sign of a zero kept, no tau with |Re tau| < N moved.
+    """
 
     __slots__ = ()
 
@@ -78,7 +84,8 @@ class LevelData(_LevelFields):
             raise ValueError("indices must satisfy 0 <= k, l < N")
         if k == 0 and l == 0:
             raise ValueError("(k, l) = (0, 0) makes the twist point vanish")
-        return super().__new__(cls, level, k, l, tau)
+        reduced = Tau(complex(math.fmod(tau.value.real, level), tau.value.imag))
+        return super().__new__(cls, level, k, l, reduced)
 
     @property
     def beta(self) -> complex:
@@ -103,10 +110,6 @@ class XSeries(NamedTuple):
         coeffs = tuple(complex(c) for c in coeffs)
         return XSeries(len(coeffs) - 1, coeffs, error)
 
-    @classmethod
-    def one(cls, order: int) -> "XSeries":
-        return cls.from_coeffs([1.0] + [0.0] * order)
-
     def norm1(self) -> float:
         return sum(abs(c) for c in self.coeffs)
 
@@ -116,24 +119,8 @@ class XSeries(NamedTuple):
         a, b = self.coeffs, other.coeffs
         n = len(a)
         a_norm, b_norm = self.norm1(), other.norm1()
-        # coefficient k adds a_i b_(k-i) for i = 0..k, left to right from 0j.
-        # Where every coefficient is finite (so both norms are), a product
-        # past either factor's last nonzero coefficient is a zero, which
-        # leaves such a sum as it is, signed zeros included, so none is
-        # added: a is cut after its last, and past k = last_b the products
-        # start at b's last nonzero coefficient.
-        last_a = last_b = n - 1
-        if math.isfinite(a_norm) and math.isfinite(b_norm):  # else inf * 0 is nan
-            while last_a >= 0 and not a[last_a]:
-                last_a -= 1
-            while last_b >= 0 and not b[last_b]:
-                last_b -= 1
-        cut = a[:last_a + 1]
-        out = [sum(map(operator.mul, cut[:k + 1], b[k::-1]), 0j) for k in range(last_b + 1)]
-        if last_b < n - 1:
-            tail = b[last_b::-1]
-            out += [sum(map(operator.mul, cut[k - last_b:k + 1], tail), 0j)
-                    for k in range(last_b + 1, n)]
+        # coefficient k adds a_i b_(k-i) for i = 0..k, left to right from 0j
+        out = [sum(map(operator.mul, a[:k + 1], b[k::-1]), 0j) for k in range(n)]
         # each coefficient sums at most n products: rounding <= n eps |a|_1 |b|_1
         rounding = n * EPS * a_norm * b_norm
         err = self.coeff_error * b_norm + other.coeff_error * a_norm + rounding
@@ -148,15 +135,15 @@ class XSeries(NamedTuple):
         return XSeries.from_coeffs(out, err)
 
     def int_pow(self, exponent: int) -> "XSeries":
-        """Nonnegative integer power by square-and-multiply."""
-        if exponent < 0:
-            raise ValueError(f"the exponent must be nonnegative, got {exponent}")
-        base, result = self, XSeries.one(self.order)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
+        """Positive integer power by square-and-multiply, from the base itself:
+        the bits of the exponent after its leading one, left to right."""
+        if exponent < 1:
+            raise ValueError(f"the exponent must be positive, got {exponent}")
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def shift_down(self) -> "XSeries":
@@ -336,17 +323,19 @@ def f_point(level: LevelData, x: complex, q_tol: float = 1e-12) -> complex:
     return value
 
 
-def f_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
-    """f as an x-series with f(0) = 0 and f'(0) = 1 exact.
+def characteristic_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
+    """Hirzebruch's characteristic series Q(x) = x / f(x), with Q(0) = 1 exact.
 
-    e^(kx/N) Phi(x) is one theta series, and the ratio Phi(-beta)/Phi(x-beta)
-    is the inverse of P(x)/P(0), where P is Phi(x - beta) up to a constant:
-    P(x)/P(0) = theta_u(x)/theta_u(0) at u = e^beta (_theta_ratio), whose
-    constant term is exactly 1, so no rounding enters the normalization.
+    f(x) = e^(kx/N) Phi(x) / (P(x)/P(0)), where P is Phi(x - beta) up to a
+    constant: P(x)/P(0) = theta_u(x)/theta_u(0) at u = e^beta, and
+    e^(kx/N) Phi(x) / x is the lead-1 theta series divided by x
+    (_theta_ratio).  Both have constant term exactly 1, so Q is the first
+    times the inverse of the second: one inversion, no rounding in Q(0).
     """
     _check_exponent("beta", level.beta)
-    ratio = _theta_ratio(level.tau, level.beta, x_order, q_tol, 0).invert()
-    return _theta_ratio(level.tau, 0j, x_order, q_tol, 1, level.k / level.level) * ratio
+    shifted = _theta_ratio(level.tau, level.beta, x_order, q_tol, 0)
+    lead = _theta_ratio(level.tau, 0j, x_order + 1, q_tol, 1, level.k / level.level)
+    return shifted * lead.shift_down().invert()
 
 
 class GenusValue(NamedTuple):
@@ -358,16 +347,14 @@ def genus_cpm(level: LevelData, m: int, q_tol: float = 1e-12) -> GenusValue:
     """Genus of the m-dimensional complex projective space.
 
     All m+1 Chern roots equal the hyperplane class x, so the pairing with
-    the fundamental class extracts the coefficient of x^m from
-    (x / f(x))^(m+1); x/f is a unit series because f(0)=0, f'(0)=1.
+    the fundamental class extracts the coefficient of x^m from Q(x)^(m+1),
+    Q = x/f the characteristic series.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m > MAX_ORDER - 1:  # the x-series of f goes to order m + 1
+    if m > MAX_ORDER - 1:  # the theta series of e^(kx/N) Phi goes to order m + 1
         raise ValueError(f"m must be at most {MAX_ORDER - 1}, got {m}")
-    f = f_series(level, m + 1, q_tol)
-    unit = f.shift_down()  # f(x)/x, constant term exactly 1
-    g = unit.invert().int_pow(m + 1)
+    g = characteristic_series(level, m, q_tol).int_pow(m + 1)
     bound = max(g.coeff_error, q_tol)
     if not bound < math.inf:
         raise ValueError(f"overflow: the error bound of the genus of CP^{m} at tau = "

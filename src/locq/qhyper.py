@@ -29,13 +29,16 @@ NOT_DECAYING = "tail terms fail to decay; series non-convergent here"
 MAX_WINDOW = 4096
 
 
-def _coerce(value) -> Scalar:
-    """Exact inputs stay exact; anything float-like becomes complex."""
+def _coerce(value, name: str) -> Scalar:
+    """Exact inputs stay exact; anything float-like becomes complex, and
+    one that is not finite is refused, naming the parameter `name`."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)
     if isinstance(value, (float, complex)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
         return complex(value)
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
 
@@ -50,7 +53,7 @@ def pochhammer(a, q, n: int):
     """
     if abs(n) > MAX_WINDOW:
         raise ValueError(f"|n| must be at most {MAX_WINDOW}, got {n}")
-    a, q = _coerce(a), _coerce(q)
+    a, q = _coerce(a, "a"), _coerce(q, "q")
     if n < 0 and q == 0:
         raise DegenerateParametersError(f"(a;q)_{n} with n < 0 divides by q = 0")
     if isinstance(a, Fraction) and isinstance(q, Fraction):
@@ -113,7 +116,7 @@ def pochhammer_infinite(a, q, tol: float = 1e-12) -> complex:
     by a factor that is exactly 0, see pochhammer) is refused by name.
     """
     check_tolerance(tol)
-    a, q = complex(_coerce(a)), complex(_coerce(q))
+    a, q = complex(_coerce(a, "a")), complex(_coerce(q, "q"))
     m = factor_count(abs(a), abs(q), 0, tol / 2)
     out = math.prod(_pochhammer_factors(1 + 0j, a, q, m), start=1 + 0j)
     if not is_normal(out):
@@ -133,10 +136,11 @@ class BilateralSeriesSpec(NamedTuple):
     @classmethod
     def make(cls, numerator_params: Sequence, denominator_params: Sequence, q, z):
         return cls(
-            tuple(_coerce(p) for p in numerator_params),
-            tuple(_coerce(p) for p in denominator_params),
-            _coerce(q),
-            _coerce(z),
+            tuple(_coerce(p, f"numerator_params[{i}]") for i, p in enumerate(numerator_params)),
+            tuple(_coerce(p, f"denominator_params[{i}]")
+                  for i, p in enumerate(denominator_params)),
+            _coerce(q, "q"),
+            _coerce(z, "z"),
         )
 
 

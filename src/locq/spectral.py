@@ -58,6 +58,8 @@ class Tau(_TauFields):
     __slots__ = ()
 
     def __new__(cls, value: complex):
+        if not cmath.isfinite(value):
+            raise ValueError(f"tau must have finite real and imaginary parts, got {value!r}")
         if not value.imag > 0:
             raise ValueError(f"tau must have positive imaginary part, got {value}")
         return super().__new__(cls, value)
@@ -96,8 +98,10 @@ class SpectralParams(_SpectralFields):
     __slots__ = ()
 
     def __new__(cls, a: float, epsilon: complex, ell: int, sign: Branch, tau: Tau):
-        if not a > 0:
-            raise ValueError("a must be a positive real number")
+        if not 0 < a < math.inf:
+            raise ValueError(f"a must be a positive finite real number, got {a!r}")
+        if not cmath.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon!r}")
         if ell < 0:
             raise ValueError("ell must be a nonnegative integer")
         if sign not in ("minus", "plus"):

@@ -1051,12 +1051,13 @@ class TestContract:
         ],
     )
     def test_non_finite_product_scale_is_exit_two(self, run_cli, monkeypatch, argv, value):
-        # named before the factor loop: one allowed factor would not be enough
+        # the parameter is named before the factor loop: one allowed factor
+        # would not be enough
         monkeypatch.setenv("LOCQ_MAX_FACTORS", "1")
         code, out = run_cli(argv)
         assert code == 2
-        assert parse_strict(out)["error"] == (
-            f"ValueError: a geometric tail needs a finite scale, got {value}")
+        name = argv[argv.index(value) - 1].lstrip("-")
+        assert parse_strict(out)["error"] == f"ValueError: {name} must be finite, got ({value}+0j)"
 
     @pytest.mark.parametrize(
         "argv",

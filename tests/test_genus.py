@@ -17,8 +17,8 @@ from locq.errors import NonConvergentError, ScanInconclusiveError, ToleranceUnre
 from locq.genus import (
     LevelData,
     XSeries,
+    characteristic_series,
     f_point,
-    f_series,
     genus_cpm,
     lattice_periodicity_scan,
     phi_series,
@@ -58,6 +58,22 @@ class TestLevelData:
         lvl = LevelData(2, 1, 0, Tau(1j))
         assert lvl.beta == pytest.approx(2j * math.pi * 1j / 2)
 
+    def test_real_part_of_tau_is_kept_mod_the_level(self):
+        # exact, the sign of a zero kept, and no tau with |Re tau| < N moved
+        for re in (-0.0, 0.0, 0.3, -2.9, 2.5):
+            got = LevelData(3, 1, 2, Tau(complex(re, 1.1))).tau.value
+            assert repr(got) == repr(complex(re, 1.1))
+        assert LevelData(3, 1, 2, Tau(complex(1e8 + 0.5, 1.1))).tau.value == complex(1.5, 1.1)
+        assert LevelData(2, 1, 0, Tau(complex(-3.25, 1.1))).tau.value == complex(-1.25, 1.1)
+
+    def test_f_is_invariant_under_tau_plus_level(self):
+        # q depends on tau mod 1 and beta moves by 2 pi i k, a period of e^x
+        for n, k, l in ((3, 1, 2), (2, 1, 0), (4, 3, 1)):
+            shifted = LevelData(n, k, l, Tau(GENERIC_TAU.value + n - 0.6))
+            level = LevelData(n, k, l, Tau(GENERIC_TAU.value - 0.6))
+            for x in (0.31 + 0.17j, -0.23 + 0.41j):
+                assert f_point(shifted, x) == pytest.approx(f_point(level, x), rel=1e-13)
+
 
 class TestPhi:
     @pytest.mark.parametrize("tau", [1j, 2j, 0.5 + 1j])
@@ -91,11 +107,12 @@ class TestPhi:
 
 
 class TestF:
-    def test_first_two_coefficients_exact(self):
+    """f pointwise, and Hirzebruch's characteristic series Q = x/f of the
+    level-N genus."""
+
+    def test_constant_term_is_exactly_one(self):
         for (n, k, l) in ((2, 1, 0), (3, 2, 1), (2, 0, 1)):
-            f = f_series(LevelData(n, k, l, GENERIC_TAU), 4)
-            assert f.coeffs[0] == 0
-            assert f.coeffs[1] == 1
+            assert characteristic_series(LevelData(n, k, l, GENERIC_TAU), 4).coeffs[0] == 1
 
     def test_series_matches_pointwise(self):
         # k = N - 1 gives the largest |e^beta| spread, l != 0 and Re tau != 0
@@ -103,9 +120,9 @@ class TestF:
         for n, k, l, tau in ((2, 1, 0, 2j), (3, 2, 1, 0.3 + 1.1j), (5, 4, 2, 0.2 + 1.3j),
                              (4, 3, 3, -0.4 + 1.2j), (3, 0, 2, 0.45 + 0.8j)):
             lvl = LevelData(n, k, l, Tau(tau))
-            f = f_series(lvl, 12)
+            q = characteristic_series(lvl, 12)
             for x in (0.11, 0.07 - 0.04j):
-                assert abs(horner(f.coeffs, x) - f_point(lvl, x)) < 1e-10, (n, k, l, tau, x)
+                assert abs(horner(q.coeffs, x) - x / f_point(lvl, x)) < 1e-10, (n, k, l, tau, x)
 
     def test_quasi_periodicity(self):
         for (n, k, l) in ((2, 1, 0), (3, 1, 2)):
@@ -116,12 +133,13 @@ class TestF:
                 f_point(lvl, x + 2j * math.pi) - multiplier * f_point(lvl, x)
             ) < 1e-8
 
-    def test_q_to_zero_limit_is_hyperbolic_sine(self):
-        # level 2, (k,l) = (1,0): f degenerates to 2 sinh(x/2)
-        f = f_series(LevelData(2, 1, 0, Tau(40j)), 7)
-        expect = [0, 1, 0, Fraction(1, 24), 0, Fraction(1, 1920), 0, Fraction(1, 322560)]
+    def test_q_to_zero_limit_is_the_a_hat_series(self):
+        # level 2, (k,l) = (1,0): f degenerates to 2 sinh(x/2), and Q to
+        # (x/2) / sinh(x/2)
+        q = characteristic_series(LevelData(2, 1, 0, Tau(40j)), 7)
+        expect = [1, 0, Fraction(-1, 24), 0, Fraction(7, 5760), 0, Fraction(-31, 967680), 0]
         for k, e in enumerate(expect):
-            assert f.coeffs[k] == pytest.approx(complex(float(e)), abs=1e-12)
+            assert q.coeffs[k] == pytest.approx(complex(float(e)), abs=1e-12)
 
 
 class TestPeriodScan:
@@ -290,12 +308,13 @@ class TestGenus:
         assert abs(coarse.value - fine.value) <= coarse.error_bound
 
     def test_independent_series_division_oracle(self):
-        # rebuild (x/f)^(m+1) coefficient independently with XSeries algebra
+        # (x/f)^(m+1) by two inversions: f/x = (e^(kx/N) Phi / x) (P/P(0))^-1,
+        # then its inverse, cubed by plain products
         lvl = LevelData(2, 1, 1, Tau(0.1 + 1.2j))
         m = 2
-        f = f_series(lvl, m + 1)
-        unit = XSeries(m, f.coeffs[1:], f.coeff_error)
-        direct = unit.invert()
+        lead = genus._theta_ratio(lvl.tau, 0j, m + 1, 1e-12, 1, lvl.k / lvl.level)
+        shifted = genus._theta_ratio(lvl.tau, lvl.beta, m, 1e-12, 0)
+        direct = (lead.shift_down() * shifted.invert()).invert()
         cubed = direct * direct * direct
         assert genus_cpm(lvl, m).value == pytest.approx(cubed.coeffs[m], rel=1e-12)
 
@@ -391,7 +410,7 @@ def test_non_primitive_twist_still_inconclusive_at_tiny_tolerance():
 @pytest.mark.parametrize("build", [
     lambda: phi_series(GENERIC_TAU, -1),
     lambda: genus._theta_ratio(GENERIC_TAU, 0.3j, -1, 1e-12, 0),
-    lambda: f_series(LevelData(2, 1, 0, GENERIC_TAU), -1),
+    lambda: characteristic_series(LevelData(2, 1, 0, GENERIC_TAU), -1),
 ])
 def test_negative_order_rejected(build):
     with pytest.raises(ValueError, match="order must be nonnegative"):
@@ -424,28 +443,33 @@ def test_factor_cap_is_honored(monkeypatch):
         f_point(LevelData(2, 1, 0, tau), 0.2)
 
 
+def identity(order: int) -> XSeries:
+    return XSeries.from_coeffs([1.0] + [0.0] * order)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-0.5, 0.5),
     st.floats(0.3, 3.0),
     st.integers(0, 7),
-    st.integers(0, 4),
-    st.integers(0, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
 )
 def test_xseries_power_laws(re_tau, im_tau, order, a, b):
     # x/f-style unit series: Phi(x)/x has constant term exactly 1
     x = phi_series(Tau(complex(re_tau, im_tau)), order + 1).shift_down()
-    one = XSeries.one(order)
+    one = identity(order)
     inverse = x.invert()
     for lhs, rhs in ((x.int_pow(a) * x.int_pow(b), x.int_pow(a + b)), (inverse * x, one),
-                     (inverse.int_pow(a) * x.int_pow(a), one)):
+                     (inverse.int_pow(a) * x.int_pow(a), one), (x.int_pow(1), x)):
         tol = lhs.coeff_error + rhs.coeff_error
         assert max(abs(u - v) for u, v in zip(lhs.coeffs, rhs.coeffs)) <= tol
 
 
-def test_negative_power_is_refused():
-    with pytest.raises(ValueError, match="exponent must be nonnegative, got -1"):
-        XSeries.one(3).int_pow(-1)
+def test_power_below_one_is_refused():
+    for exponent in (0, -1):
+        with pytest.raises(ValueError, match=f"exponent must be positive, got {exponent}$"):
+            identity(3).int_pow(exponent)
 
 
 def plain_product(a, b):
@@ -476,11 +500,11 @@ def test_product_is_the_plain_double_loop(data):
 
 def test_product_of_mismatched_orders_is_refused():
     with pytest.raises(ValueError, match="x-series orders differ: 3 and 2"):
-        XSeries.one(3) * XSeries.one(2)
+        identity(3) * identity(2)
 
 
 def test_product_with_an_infinite_coefficient_adds_every_product():
-    # inf * 0 is nan, so no product past a zero tail may be skipped
+    # inf * 0 is nan: every product is added, as in the plain loop
     a = XSeries.from_coeffs([1.0, complex(math.inf, 0.0), 0.0, 0.0])
     b = XSeries.from_coeffs([2.0, 0.0, 0.0, 0.0])
     for x, y in ((a, b), (b, a)):
@@ -489,31 +513,9 @@ def test_product_with_an_infinite_coefficient_adds_every_product():
         assert cmath.isnan(got[2])
 
 
-def _reference_mul(self, other):
-    """XSeries.__mul__ with every one of its products added: the plain
-    double loop, and the same error bound."""
-    a_norm, b_norm = self.norm1(), other.norm1()
-    rounding = len(self.coeffs) * sys.float_info.epsilon * a_norm * b_norm
-    err = self.coeff_error * b_norm + other.coeff_error * a_norm + rounding
-    return XSeries.from_coeffs(plain_product(self.coeffs, other.coeffs), err)
-
-
-def test_phi_past_its_zero_tail_is_the_plain_product(monkeypatch):
-    # past about x^280, where (-j)^k / k! underflows for every pair, Phi's
-    # coefficients are exact zeros; a product that skips them is the plain
-    # loop bit for bit
-    tau = Tau(0.1 + 0.3j)
-    phi = phi_series(tau, 400)
-    assert not any(phi.coeffs[300:])
-    got = repr(exp_series(0.5, 400) * phi)
-    monkeypatch.setattr(XSeries, "__mul__", _reference_mul)
-    assert got == repr(exp_series(0.5, 400) * phi)
-
-
 def test_phi_at_a_long_order_is_fast():
     # on a 2-core x86-64 machine, the q-product took 10.4 s at x-order 4000
-    # adding every product, and 0.3 s skipping the zero tails; the theta
-    # series takes about 0.02 s
+    # adding every product; the theta series takes about 0.02 s
     start = time.process_time()
     phi = phi_series(Tau(0.1 + 0.3j), 4000)
     assert time.process_time() - start < 5.0
@@ -608,7 +610,7 @@ def test_genus_matches_contour_integral(n, tau):
 @pytest.mark.parametrize("tau", [0.1 + 0.3j, 0.2 + 0.5j, 0.4 + 1.0j])
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_error_bound_covers_truncation(n, tau):
-    # the normalized shifted theta series and f, each against the same
+    # the normalized shifted theta series and Q, each against the same
     # series at q_tol = 1e-16; the bounds of both sides cover the gap
     order = 8
     for k in range(n):
@@ -617,11 +619,11 @@ def test_error_bound_covers_truncation(n, tau):
                 continue
             level = LevelData(n, k, l, Tau(tau))
             shifted_ref = genus._theta_ratio(level.tau, level.beta, order, 1e-16, 0)
-            f_ref = f_series(level, order, 1e-16)
+            q_ref = characteristic_series(level, order, 1e-16)
             for q_tol in (1e-6, 1e-8, 1e-10):
                 for got, ref in ((genus._theta_ratio(level.tau, level.beta, order, q_tol, 0),
                                   shifted_ref),
-                                 (f_series(level, order, q_tol), f_ref)):
+                                 (characteristic_series(level, order, q_tol), q_ref)):
                     gap = max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs))
                     assert gap <= got.coeff_error + ref.coeff_error, (k, l, q_tol)
 
@@ -658,6 +660,24 @@ def test_theta_series_is_the_q_product(re_tau, im_tau, nkl, order, q_tol):
     for got, ref in zip(theta, product_routes(level, order, q_tol)):
         gap = max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs))
         assert gap <= got.coeff_error + ref.coeff_error
+
+
+@settings(max_examples=100, deadline=None)
+@example(0.0, 1.0, (2, 1, 0), 0, 1e-12)
+@example(-0.3, 2.5, (3, 0, 2), 20, 1e-6)
+@given(st.floats(-0.5, 0.5), st.floats(0.3, 3.0), st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
+).filter(lambda nkl: nkl[1] or nkl[2]), st.integers(0, 20), st.sampled_from([1e-6, 1e-12]))
+def test_characteristic_series_is_the_q_product_quotient(re_tau, im_tau, nkl, order, q_tol):
+    # Q = (P/P(0)) (e^(kx/N) Phi / x)^-1 with both factors from the q-product
+    # and combined here; the two Q agree within the sum of their bounds
+    level = LevelData(*nkl, Tau(complex(re_tau, im_tau)))
+    _, lead, normalized = product_routes(level, order + 1, q_tol)
+    shifted = XSeries(order, normalized.coeffs[:order + 1], normalized.coeff_error)
+    want = shifted * lead.shift_down().invert()
+    got = characteristic_series(level, order, q_tol)
+    gap = max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs))
+    assert gap <= got.coeff_error + want.coeff_error
 
 
 @pytest.mark.parametrize("tau", [0.05j, 0.3 + 0.05j, -0.45 + 0.12j, 0.2 + 0.6j, 1.3j])

@@ -30,7 +30,7 @@ def _samples():
         spectral.branch_shift_check(params),
         betti,
         level,
-        genus.XSeries.one(2),
+        genus.XSeries.from_coeffs([1.0, 0.0, 0.0]),
         genus.genus_cpm(level, 1),
         genus.lattice_periodicity_scan(level),
         spec,
