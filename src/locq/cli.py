@@ -6,7 +6,9 @@ when the reader of stdout closes it early.  Every other exit path prints a
 single JSON document on one line, strict and with sorted keys
 (`python -m json.tool` pretty-prints it); the parsed options are echoed
 under "config" so a run can be reproduced from its own output.  Identical
-configs produce byte-identical output.
+configs produce byte-identical output.  -h or --help answers with the
+usage text as that document, {"help": ...}, and exit 0.  Options take only
+their full spelling, and each qhyper form only the options it reads.
 """
 
 from __future__ import annotations
@@ -258,53 +260,51 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
     return payload, 0 if report.rel_err < tol else 1
 
 
-# The options each qhyper form reads that have no default.
-_QHYPER_NEEDS = {"pochhammer": ("a", "q"), "psi": ("q", "z"), "saalschutz": ("a", "b", "c", "q")}
+def _cmd_pochhammer(args) -> tuple[dict, int]:
+    if args.tol is not None and not args.infinite:
+        raise UsageError("argument --tol: not allowed without argument --infinite")
+    a, q = parse_scalar(args.a), parse_scalar(args.q)
+    if args.infinite:
+        tol = 1e-12 if args.tol is None else float(args.tol)
+        value = qhyper.pochhammer_infinite(a, q, tol=tol)
+    else:
+        value = qhyper.pochhammer(a, q, 0 if args.n is None else int(args.n))
+    return {"value": scalar_json(value)}, 0
 
 
-def _cmd_qhyper(args) -> tuple[dict, int]:
-    missing = [f"--{name}" for name in _QHYPER_NEEDS[args.form] if getattr(args, name) is None]
-    if missing:
-        raise UsageError(f"qhyper {args.form} needs {', '.join(missing)}")
-    if args.form == "pochhammer":
-        a = parse_scalar(args.a)
-        q = parse_scalar(args.q)
-        if args.infinite:
-            value = qhyper.pochhammer_infinite(a, q, tol=float(args.tol))
-        else:
-            value = qhyper.pochhammer(a, q, int(args.n))
-        return {"value": scalar_json(value)}, 0
-    if args.form == "psi":
-        spec = qhyper.BilateralSeriesSpec.make(
-            [parse_scalar(p) for p in args.num.split(";") if p.strip()],
-            [parse_scalar(p) for p in args.den.split(";") if p.strip()],
-            parse_scalar(args.q),
-            parse_scalar(args.z),
-        )
-        window = int(args.window) if args.window else None
-        summary = qhyper.bilateral_psi(spec, window=window, tol=float(args.tol))
-        return {
-            "value": scalar_json(summary.value),
-            "window": summary.window,
-            "upper_tail": verify.finite_or_none(summary.upper_tail),
-            "lower_tail": verify.finite_or_none(summary.lower_tail),
-            "terminated": [summary.lower_terminated, summary.upper_terminated],
-            "converged": summary.converged,
-            "notes": summary.notes,
-        }, 0
-    if args.form == "saalschutz":
-        result = qhyper.saalschutz_check(
-            parse_fraction(args.a),
-            parse_fraction(args.b),
-            parse_fraction(args.c),
-            int(args.n),
-            parse_fraction(args.q),
-        )
-        return {
-            "lhs": frac(result.lhs),
-            "rhs": frac(result.rhs),
-            "equal": result.equal,
-        }, 0 if result.equal else 1
+def _cmd_psi(args) -> tuple[dict, int]:
+    spec = qhyper.BilateralSeriesSpec.make(
+        [parse_scalar(p) for p in args.num.split(";") if p.strip()],
+        [parse_scalar(p) for p in args.den.split(";") if p.strip()],
+        parse_scalar(args.q),
+        parse_scalar(args.z),
+    )
+    window = int(args.window) if args.window else None
+    summary = qhyper.bilateral_psi(spec, window=window, tol=float(args.tol))
+    return {
+        "value": scalar_json(summary.value),
+        "window": summary.window,
+        "upper_tail": verify.finite_or_none(summary.upper_tail),
+        "lower_tail": verify.finite_or_none(summary.lower_tail),
+        "terminated": [summary.lower_terminated, summary.upper_terminated],
+        "converged": summary.converged,
+        "notes": summary.notes,
+    }, 0
+
+
+def _cmd_saalschutz(args) -> tuple[dict, int]:
+    result = qhyper.saalschutz_check(
+        parse_fraction(args.a),
+        parse_fraction(args.b),
+        parse_fraction(args.c),
+        int(args.n),
+        parse_fraction(args.q),
+    )
+    return {
+        "lhs": frac(result.lhs),
+        "rhs": frac(result.rhs),
+        "equal": result.equal,
+    }, 0 if result.equal else 1
 
 
 def _cmd_betti_series(args) -> tuple[dict, int]:
@@ -367,14 +367,27 @@ def _cmd_verify_all(args) -> tuple[dict, int]:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Help(Exception):
+    """-h or --help was given: the help text of the parser that read it."""
+
+
 class _Parser(argparse.ArgumentParser):
+    """Options take only their full spelling, and errors and help are
+    raised for _respond to answer as JSON, where argparse would print
+    text and exit.  Help is wrapped at 80 columns whatever the terminal."""
+
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False,
+                         formatter_class=functools.partial(argparse.HelpFormatter, width=80),
+                         **kwargs)
         # -1/2, -0.2,0.4 and -1e-3 are values, not options: no option starts with a digit
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 @functools.cache
@@ -404,20 +417,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", default="1e-8")
     p.set_defaults(handler=_cmd_dh_verify)
 
-    p = sub.add_parser("qhyper", help="q-Pochhammer and bilateral series")
-    p.add_argument("form", choices=["pochhammer", "psi", "saalschutz"])
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--c")
-    p.add_argument("--q")
-    p.add_argument("--z")
-    p.add_argument("--n", default="0")
-    p.add_argument("--num", default="")
-    p.add_argument("--den", default="")
-    p.add_argument("--window", default="")
-    p.add_argument("--infinite", action="store_true")
-    p.add_argument("--tol", default="1e-12")
-    p.set_defaults(handler=_cmd_qhyper)
+    qhyper_parser = sub.add_parser("qhyper", help="q-Pochhammer symbol, bilateral sum and "
+                                   "q-Saalschutz check, one form each")
+    forms = qhyper_parser.add_subparsers(dest="form", required=True)
+    f = forms.add_parser("pochhammer", help="(a;q)_n, or (a;q)_infinity with --infinite")
+    f.add_argument("--a", required=True)
+    f.add_argument("--q", required=True)
+    # --n and --tol default to None: argparse sees an excluded option only when
+    # its value is not the default object, and an argv "0" is the interned "0"
+    g = f.add_mutually_exclusive_group()
+    g.add_argument("--n", help="default 0")
+    g.add_argument("--infinite", action="store_true")
+    f.add_argument("--tol", help="default 1e-12; only with --infinite")
+    f.set_defaults(handler=_cmd_pochhammer)
+    f = forms.add_parser("psi", help="bilateral basic hypergeometric sum")
+    f.add_argument("--num", default="", help="numerator parameters 'a1;a2;...'")
+    f.add_argument("--den", default="", help="denominator parameters 'b1;b2;...'")
+    f.add_argument("--q", required=True)
+    f.add_argument("--z", required=True)
+    f.add_argument("--window", default="")
+    f.add_argument("--tol", default="1e-12")
+    f.set_defaults(handler=_cmd_psi)
+    f = forms.add_parser("saalschutz", help="check the terminating q-Saalschutz identity")
+    for name in ("a", "b", "c"):
+        f.add_argument(f"--{name}", required=True)
+    f.add_argument("--n", default="0")
+    f.add_argument("--q", required=True)
+    f.set_defaults(handler=_cmd_saalschutz)
 
     for name, text in (("macdonald", "symmetric-product Poincare series"),
                        ("orbifold", "orbifold Poincare series")):
@@ -462,8 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run every verification suite")
     p.set_defaults(handler=_cmd_verify_all)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--out", default="", help="write the JSON document to a file")
+    # argparse hands everything after a qhyper form to the form's parser
+    for sp in [*sub.choices.values(), *forms.choices.values()]:
+        if sp is not qhyper_parser:
+            sp.add_argument("--out", default="", help="write the JSON document to a file")
 
     return parser
 
@@ -527,6 +555,9 @@ def _respond(argv) -> int:
     except UsageError as exc:
         _emit({"error": str(exc), "exit": 2}, "")
         return 2
+    except _Help as exc:
+        _emit({"help": str(exc)}, "")
+        return 0
     try:
         payload, status = args.handler(args)
         payload["config"] = _config_echo(args)

@@ -131,7 +131,11 @@ class XSeries(NamedTuple):
             raise ZeroDivisionError("cannot invert an x-series with zero constant term")
         out = _reciprocal(self.coeffs)
         inv_norm = sum(abs(c) for c in out)
-        err = self.coeff_error * inv_norm * inv_norm
+        # r_n sums n products and divides by a_0, so a * r = 1 + d with
+        # |d_n| <= (n + 2) eps |a|_1 |r|_1 as in __mul__, the 2 for the
+        # division; r is then off by r * d, and by r^2 times a's own error
+        rounding = (len(out) + 2) * EPS * self.norm1() * inv_norm
+        err = (self.coeff_error * inv_norm + rounding) * inv_norm
         return XSeries.from_coeffs(out, err)
 
     def int_pow(self, exponent: int) -> "XSeries":

@@ -1,4 +1,4 @@
-"""Closed forms and constructors that only the tests use as oracles.
+"""Closed forms that only the tests use as oracles.
 
 The CLI does not import this module, so a CLI process never compiles it.
 """
@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .errors import DegenerateParametersError, PochhammerZeroDivisionError
 from .localization import SphereFactor, SphereProductSpace
-from .pfaffian import SkewMatrix
 from .qhyper import BilateralSeriesSpec
 
 
@@ -57,19 +56,6 @@ def dh_lhs_closed(space: SphereProductSpace, c):
         out *= mantissa
         exponent += e
     return _times_two_to(out, exponent)
-
-
-def block_diagonal(lambdas) -> SkewMatrix:
-    """Assemble the skew matrix with 2x2 blocks [[0, -l], [l, 0]]."""
-    import numpy as np
-
-    lams = list(lambdas)
-    d = 2 * len(lams)
-    m = np.zeros((d, d))
-    for j, lam in enumerate(lams):
-        m[2 * j, 2 * j + 1] = -lam
-        m[2 * j + 1, 2 * j] = lam
-    return SkewMatrix(m)
 
 
 def psi_term(spec: BilateralSeriesSpec, n: int):

@@ -745,7 +745,44 @@ class TestQhyperCommand:
     ])
     def test_missing_option_is_named(self, argv, missing):
         # before: an AttributeError traceback on None, exit 1
-        assert run_fresh(["qhyper", *argv]) == f"qhyper {argv[0]} needs {missing}"
+        assert run_fresh(["qhyper", *argv]) == f"the following arguments are required: {missing}"
+
+    # the options of the old shared qhyper parser, and what each form reads of them
+    OPTIONS = ("--a", "--b", "--c", "--q", "--z", "--n", "--num", "--den", "--window",
+               "--infinite", "--tol")
+    READS = {
+        "pochhammer": (["--a", "1/2", "--q", "1/3"], {"--a", "--q", "--n", "--infinite", "--tol"}),
+        "psi": (["--q", "1/3", "--z", "1/3"], {"--num", "--den", "--q", "--z", "--window", "--tol"}),
+        "saalschutz": (["--a", "2", "--b", "3", "--c", "5", "--q", "1/2"],
+                       {"--a", "--b", "--c", "--n", "--q"}),
+    }
+
+    @pytest.mark.parametrize("form", sorted(READS))
+    def test_each_form_takes_only_the_options_it_reads(self, run_cli, form):
+        # before: every form took all 11 options, and ignored those it does not read
+        required, reads = self.READS[form]
+        taken = set()
+        for option in self.OPTIONS:
+            code, out = run_cli(["qhyper", form, *required, option,
+                                 *([] if option == "--infinite" else ["1"])])
+            error = parse_strict(out).get("error", "")
+            if not error.startswith("unrecognized arguments: "):
+                taken.add(option)
+            else:
+                assert (code, error) == (2, f"unrecognized arguments: {option}"
+                                         + ("" if option == "--infinite" else " 1"))
+        assert taken == reads
+
+    @pytest.mark.parametrize("argv,error", [
+        (["--n", "2", "--infinite"], "argument --infinite: not allowed with argument --n"),
+        (["--n", "0", "--infinite"], "argument --infinite: not allowed with argument --n"),
+        (["--tol", "1e-9"], "argument --tol: not allowed without argument --infinite"),
+        (["--n", "3", "--tol", "1e-9"], "argument --tol: not allowed without argument --infinite"),
+    ])
+    def test_pochhammer_mode_conflict_is_refused(self, run_cli, argv, error):
+        # before: --n was dropped with --infinite, and --tol without it
+        code, out = run_cli(["qhyper", "pochhammer", "--a", "1/2", "--q", "1/3", *argv])
+        assert (code, parse_strict(out)["error"]) == (2, error)
 
     def test_pochhammer_zero_base_is_exit_two(self, run_cli):
         code, out = run_cli(["qhyper", "pochhammer", "--a", "1", "--q", "0", "--n", "-2"])
@@ -936,6 +973,34 @@ class TestContract:
         code, out = run_cli(["euler-series", "--chi", "1", "--bogus", "2"])
         assert code == 2
         assert "error" in parse(out)
+
+    def test_option_prefix_is_not_the_option(self, run_cli):
+        # before: argparse took any unambiguous prefix, so both requests exited 0
+        code, out = run_cli(["spectral-eval", "--a", "1", "--tau", "0,1", "--si", "plus"])
+        assert (code, parse_strict(out)["error"]) == (2, "unrecognized arguments: --si plus")
+        code, out = run_cli(["qhyper", "pochhammer", "--a", "1/2", "--q", "1/3", "--inf"])
+        assert (code, parse_strict(out)["error"]) == (2, "unrecognized arguments: --inf")
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["--help"], "usage: locq [-h]"),
+        (["qhyper", "-h"], "usage: locq qhyper [-h] {pochhammer,psi,saalschutz} ...\n"),
+        (["qhyper", "psi", "--help"], "usage: locq qhyper psi [-h] [--num NUM]"),
+        (["euler-series", "--chi", "1", "--help"], "usage: locq euler-series [-h] --chi CHI"),
+    ])
+    def test_help_is_one_json_document(self, run_cli, argv, usage):
+        # before: argparse's plain text, and SystemExit(0) out of cli.main
+        code, out = run_cli(argv)
+        assert code == 0
+        assert_canonical(out)
+        assert parse_strict(out)["help"].startswith(usage)
+
+    def test_help_bytes_do_not_depend_on_the_terminal(self, run_cli):
+        argv = ["qhyper", "pochhammer", "--help"]
+        proc = subprocess.run([sys.executable, "-m", "locq", *argv],
+                              env=dict(fresh_env(), COLUMNS="40"), capture_output=True,
+                              check=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == run_cli(argv)[1].encode("utf-8")
 
     def test_every_error_path_is_json(self, run_cli):
         for argv in (

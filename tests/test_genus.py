@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -464,6 +465,24 @@ def test_xseries_power_laws(re_tau, im_tau, order, a, b):
                      (inverse.int_pow(a) * x.int_pow(a), one), (x.int_pow(1), x)):
         tol = lhs.coeff_error + rhs.coeff_error
         assert max(abs(u - v) for u, v in zip(lhs.coeffs, rhs.coeffs)) <= tol
+
+
+coefficient = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=31),
+       st.booleans())
+def test_inverse_bound_covers_its_own_rounding(pairs, real):
+    # an exact input: the bound is the reciprocal recurrence's rounding alone.
+    # Before it read 0.0, though most inverses differ from the exact one
+    coeffs = [complex(re, 0.0 if real else im) for re, im in pairs]
+    if abs(coeffs[0]) < 1e-3:
+        coeffs[0] = 1.0
+    got = XSeries.from_coeffs(coeffs).invert()
+    with mpmath.workprec(2000):
+        exact = genus._reciprocal([mpmath.mpc(c) for c in coeffs])
+        assert max(abs(mpmath.mpc(c) - e) for c, e in zip(got.coeffs, exact)) <= got.coeff_error
 
 
 def test_power_below_one_is_refused():

@@ -25,7 +25,8 @@ from locq.localization import (
     enumerate_fixed_points,
     factor_integral_quad,
 )
-from locq.oracles import block_diagonal, dh_lhs_closed, factor_integral_closed
+from locq.oracles import dh_lhs_closed, factor_integral_closed
+from test_pfaffian import block_diagonal
 
 
 # Step of the central difference in _numerical_rate.

@@ -13,7 +13,6 @@ from locq.errors import (
     OddDimensionError,
     SingularMatrixError,
 )
-from locq.oracles import block_diagonal
 from locq.pfaffian import (
     SkewMatrix,
     _plan,
@@ -22,6 +21,16 @@ from locq.pfaffian import (
     pfaffian_combinatorial,
     pfaffian_tridiagonal,
 )
+
+
+def block_diagonal(lambdas) -> SkewMatrix:
+    """The skew matrix with 2x2 blocks [[0, -l], [l, 0]]."""
+    lams = list(lambdas)
+    m = np.zeros((2 * len(lams), 2 * len(lams)))
+    for j, lam in enumerate(lams):
+        m[2 * j, 2 * j + 1] = -lam
+        m[2 * j + 1, 2 * j] = lam
+    return SkewMatrix(m)
 
 
 def random_skew(rng, dim):
