@@ -18,6 +18,7 @@ import cmath
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -28,10 +29,13 @@ from .errors import LocqError, ScanInconclusiveError, UsageError
 from .genfunc import BettiData
 from .genus import LevelData
 from .localization import SphereProductSpace
+from .series import BivariateSeries, FormalSeries
 from .spectral import SpectralParams, Tau
 
 
 # -- value formatting ----------------------------------------------------------
+# This module alone reads and writes the CLI's text: the library's records
+# hold what a computation found, and the encoders below write them.
 
 
 def cpx(z: complex) -> list[str]:
@@ -46,8 +50,14 @@ def cpx(z: complex) -> list[str]:
     return [repr(z.real), repr(z.imag)]
 
 
-def frac(value: Fraction) -> str:
+def frac(value: Fraction | int) -> str:
+    """An exact rational as "p/q"; an int's denominator is 1."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def finite_or_none(x: float) -> float | None:
+    """x, or None where strict JSON has no number for it."""
+    return x if math.isfinite(x) else None
 
 
 def parse_complex(text: str) -> complex:
@@ -96,6 +106,11 @@ def parse_factors(text: str) -> SphereProductSpace:
     return SphereProductSpace.of(*pairs)
 
 
+def parse_betti(text: str) -> BettiData:
+    """Betti numbers written 'b0,b1,b2,...'; an empty text is the empty space."""
+    return BettiData(tuple(int(p) for p in text.split(",")) if text.strip() else ())
+
+
 def scalar_json(value):
     if isinstance(value, Fraction):
         return frac(value)
@@ -111,13 +126,31 @@ class _Encoded:
         self.chunks = chunks
 
 
+def formal_series_json(series: FormalSeries) -> dict:
+    return {"var": "q", "order": series.order, "coeffs": list(map(frac, series.coeffs))}
+
+
+def bivariate_series_json(series: BivariateSeries) -> dict:
+    coeffs = [{str(e): c for e, c in sorted(d.items())} for d in series.coeffs]
+    data = {"var": "q", "order": series.order, "coeffs": coeffs}
+    return {**data, "y_truncated": True} if series.y_truncated else data
+
+
 def xseries_json(series: genus.XSeries) -> dict:
-    return {
-        "var": "x",
-        "order": series.order,
-        "coeffs": [cpx(c) for c in series.coeffs],
-        "coeff_error": series.coeff_error,
-    }
+    return {"var": "x", "order": series.order, "coeffs": [cpx(c) for c in series.coeffs],
+            "coeff_error": series.coeff_error}
+
+
+def row_json(row: verify.Row) -> dict:
+    budget = None if row.tolerance is None else finite_or_none(row.worst / row.tolerance)
+    return {"identity": row.identity, "checks": row.checks, "worst": finite_or_none(row.worst),
+            "tolerance": row.tolerance, "budget_used": budget, "passed": row.passed}
+
+
+def suite_json(suite: verify.SuiteResult) -> dict:
+    details = {"checks": sum(row.checks for row in suite.rows),
+               "rows": list(map(row_json, suite.rows))}
+    return {"name": suite.name, "passed": suite.passed, "details": details}
 
 
 # -- handlers -------------------------------------------------------------------
@@ -133,8 +166,8 @@ def _cmd_spectral_eval(args) -> tuple[dict, int]:
     )
     result = spectral.evaluate_product(params, rel_tol=float(args.tol))
     return {
-        "s": cpx(result.s.s),
-        "branch": result.s.branch,
+        "s": cpx(spectral.s_of_params(params)),
+        "branch": params.sign,
         "value": cpx(result.value),
         "factors_used": result.factors_used,
     }, 0
@@ -183,12 +216,21 @@ def _cmd_pfaffian(args) -> tuple[dict, int]:
     a = pfaffian.SkewMatrix(entries)
     form = pfaffian.canonicalize(a)
     return {
-        "pfaffian": pfaffian.pfaffian(a),
-        "det": a.det(),
-        "sqrt_det": form.sqrt_det,
-        "lambdas": list(form.lambdas),
+        "pfaffian": _normal("Pfaffian", pfaffian.pfaffian(a)),
+        "det": _normal("determinant", a.det()),
+        "sqrt_det": _normal("sqrt_det", form.sqrt_det),
+        "lambdas": [_normal("rotation rate", rate) for rate in form.lambdas],
         "antisymmetrized": a.adjusted,
     }, 0
+
+
+def _normal(what: str, value: float) -> float:
+    """value, or a ValueError naming `what` where it is below the normal doubles:
+    canonicalize refuses a singular matrix, so such a value has underflowed."""
+    if not abs(value) >= sys.float_info.min:
+        raise ValueError(f"{what} is below the normal doubles, got {value!r}: "
+                         "the matrix entries are too small")
+    return value
 
 
 def _joined_products(pairs: list[tuple[str, str]]) -> list[str]:
@@ -253,8 +295,8 @@ def _cmd_dh_verify(args) -> tuple[dict, int]:
         "diagnostics": {
             "fixed_points": len(h_values),
             "quad_nodes": list(report.quad_nodes),
-            "rhs_bound": verify.finite_or_none(report.rhs_bound),
-            "budget_used": verify.finite_or_none(budget),
+            "rhs_bound": finite_or_none(report.rhs_bound),
+            "budget_used": finite_or_none(budget),
         },
     }
     return payload, 0 if report.rel_err < tol else 1
@@ -284,8 +326,8 @@ def _cmd_psi(args) -> tuple[dict, int]:
     return {
         "value": scalar_json(summary.value),
         "window": summary.window,
-        "upper_tail": verify.finite_or_none(summary.upper_tail),
-        "lower_tail": verify.finite_or_none(summary.lower_tail),
+        "upper_tail": finite_or_none(summary.upper_tail),
+        "lower_tail": finite_or_none(summary.lower_tail),
         "terminated": [summary.lower_terminated, summary.upper_terminated],
         "converged": summary.converged,
         "notes": summary.notes,
@@ -310,10 +352,9 @@ def _cmd_saalschutz(args) -> tuple[dict, int]:
 def _cmd_betti_series(args) -> tuple[dict, int]:
     build = (genfunc.macdonald_series if args.subcommand == "macdonald"
              else genfunc.orbifold_series)
-    b = BettiData.from_string(args.betti)
+    b = parse_betti(args.betti)
     y_bound = int(args.y_bound) if args.y_bound else None
-    series = build(b, int(args.order), y_bound)
-    payload = series.to_json_dict()
+    payload = bivariate_series_json(build(b, int(args.order), y_bound))
     payload["chi"] = b.chi
     if y_bound is not None:
         payload["y_bound"] = y_bound
@@ -323,7 +364,7 @@ def _cmd_betti_series(args) -> tuple[dict, int]:
 def _cmd_chi_series(args) -> tuple[dict, int]:
     build = (genfunc.twisted_sym_series if args.subcommand == "twisted-sym"
              else genfunc.equivariant_euler_series)
-    return build(int(args.chi), int(args.order)).to_json_dict(), 0
+    return formal_series_json(build(int(args.chi), int(args.order))), 0
 
 
 def _cmd_phi(args) -> tuple[dict, int]:
@@ -350,7 +391,7 @@ def _cmd_period_scan(args) -> tuple[dict, int]:
     return {
         "periods": [list(p) for p in report.periods],
         "index": report.index,
-        "level": report.level,
+        "level": lvl.level,
         "max_deviation": report.max_deviation,
     }, 0
 
@@ -358,7 +399,7 @@ def _cmd_period_scan(args) -> tuple[dict, int]:
 def _cmd_verify_all(args) -> tuple[dict, int]:
     results = verify.run_all()
     payload = {
-        "suites": [r.to_json_dict() for r in results],
+        "suites": list(map(suite_json, results)),
         "all_passed": all(r.passed for r in results),
     }
     return payload, 0 if payload["all_passed"] else 1
@@ -391,38 +432,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use: parse_args never changes it."""
+def build_parser(required: bool = True) -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: parse_args never changes it.
+    With required=False it requires no subcommand, form or option."""
     parser = _Parser(prog="locq", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=required)
 
     p = sub.add_parser("spectral-eval", help="evaluate one spectral infinite product")
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=required)
     p.add_argument("--epsilon", default="0")
     p.add_argument("--ell", default="1")
     p.add_argument("--sign", choices=["minus", "plus"], default="minus")
-    p.add_argument("--tau", required=True, help="complex as 're,im'")
+    p.add_argument("--tau", required=required, help="complex as 're,im'")
     p.add_argument("--tol", default="1e-12")
     p.set_defaults(handler=_cmd_spectral_eval)
 
     p = sub.add_parser("pfaffian", help="Pfaffian and canonical data of a skew matrix")
-    g = p.add_mutually_exclusive_group(required=True)
+    g = p.add_mutually_exclusive_group(required=required)
     g.add_argument("--matrix", help="JSON array of rows")
     g.add_argument("--matrix-file", help="path to a JSON matrix")
     p.set_defaults(handler=_cmd_pfaffian)
 
     p = sub.add_parser("dh-verify", help="check the fixed-point localization identity")
-    p.add_argument("--factors", required=True, help="'r1:mu1,r2:mu2,...'")
-    p.add_argument("--c", required=True)
+    p.add_argument("--factors", required=required, help="'r1:mu1,r2:mu2,...'")
+    p.add_argument("--c", required=required)
     p.add_argument("--tol", default="1e-8")
     p.set_defaults(handler=_cmd_dh_verify)
 
     qhyper_parser = sub.add_parser("qhyper", help="q-Pochhammer symbol, bilateral sum and "
                                    "q-Saalschutz check, one form each")
-    forms = qhyper_parser.add_subparsers(dest="form", required=True)
+    forms = qhyper_parser.add_subparsers(dest="form", required=required)
     f = forms.add_parser("pochhammer", help="(a;q)_n, or (a;q)_infinity with --infinite")
-    f.add_argument("--a", required=True)
-    f.add_argument("--q", required=True)
+    f.add_argument("--a", required=required)
+    f.add_argument("--q", required=required)
     # --n and --tol default to None: argparse sees an excluded option only when
     # its value is not the default object, and an argv "0" is the interned "0"
     g = f.add_mutually_exclusive_group()
@@ -433,22 +475,22 @@ def build_parser() -> argparse.ArgumentParser:
     f = forms.add_parser("psi", help="bilateral basic hypergeometric sum")
     f.add_argument("--num", default="", help="numerator parameters 'a1;a2;...'")
     f.add_argument("--den", default="", help="denominator parameters 'b1;b2;...'")
-    f.add_argument("--q", required=True)
-    f.add_argument("--z", required=True)
+    f.add_argument("--q", required=required)
+    f.add_argument("--z", required=required)
     f.add_argument("--window", default="")
     f.add_argument("--tol", default="1e-12")
     f.set_defaults(handler=_cmd_psi)
     f = forms.add_parser("saalschutz", help="check the terminating q-Saalschutz identity")
     for name in ("a", "b", "c"):
-        f.add_argument(f"--{name}", required=True)
+        f.add_argument(f"--{name}", required=required)
     f.add_argument("--n", default="0")
-    f.add_argument("--q", required=True)
+    f.add_argument("--q", required=required)
     f.set_defaults(handler=_cmd_saalschutz)
 
     for name, text in (("macdonald", "symmetric-product Poincare series"),
                        ("orbifold", "orbifold Poincare series")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--betti", required=True, help="'b0,b1,b2,...'")
+        p.add_argument("--betti", required=required, help="'b0,b1,b2,...'")
         p.add_argument("--order", default="8")
         p.add_argument("--y-bound", default="")
         p.set_defaults(handler=_cmd_betti_series)
@@ -456,30 +498,30 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (("twisted-sym", "twisted symmetric-product Euler series"),
                        ("euler-series", "equivariant Euler-characteristic series")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--chi", required=True)
+        p.add_argument("--chi", required=required)
         p.add_argument("--order", default="20")
         p.set_defaults(handler=_cmd_chi_series)
 
     p = sub.add_parser("phi", help="building-block series in x")
-    p.add_argument("--tau", required=True)
+    p.add_argument("--tau", required=required)
     p.add_argument("--x-order", default="8")
     p.add_argument("--q-tol", default="1e-12")
     p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("genus-cpm", help="level-N genus of complex projective space")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--N", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--m", required=True)
+    p.add_argument("--tau", required=required)
+    p.add_argument("--N", required=required)
+    p.add_argument("--k", required=required)
+    p.add_argument("--l", required=required)
+    p.add_argument("--m", required=required)
     p.add_argument("--q-tol", default="1e-12")
     p.set_defaults(handler=_cmd_genus_cpm)
 
     p = sub.add_parser("period-scan", help="scan lattice translations for periods")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--N", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--l", required=True)
+    p.add_argument("--tau", required=required)
+    p.add_argument("--N", required=required)
+    p.add_argument("--k", required=required)
+    p.add_argument("--l", required=required)
     p.add_argument("--trial-bound", default="")
     p.add_argument("--tol", default="1e-8")
     p.add_argument("--q-tol", default="1e-12")
@@ -548,10 +590,23 @@ def main(argv=None) -> int:
     return status
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), naming an unrecognized argument before
+    a missing one: where argparse names a missing option, the parser that
+    requires none names the unrecognized arguments, if there are any."""
+    try:
+        return build_parser().parse_args(argv)
+    except UsageError as exc:
+        # argparse's two messages for a missing option
+        if str(exc).startswith(("the following arguments are required", "one of the arguments")):
+            build_parser(required=False).parse_args(argv)
+        raise
+
+
 def _respond(argv) -> int:
     """Parse argv, run its handler and emit its document; the exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except UsageError as exc:
         _emit({"error": str(exc), "exit": 2}, "")
         return 2
@@ -567,7 +622,7 @@ def _respond(argv) -> int:
     except UsageError as exc:
         _emit({"error": str(exc), "config": _config_echo(args), "exit": 2}, "")
         return 2
-    except (LocqError, ValueError, ArithmeticError, json.JSONDecodeError, OSError) as exc:
+    except (LocqError, ValueError, ArithmeticError, OSError) as exc:
         _emit(
             {
                 "error": f"{type(exc).__name__}: {exc}",

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import kernel
 from .errors import LocqError
-from .series import BivariateSeries, FormalSeries, _check_order, polynomial_power
+from .series import BivariateSeries, FormalSeries, _check_order
 
 # Each Betti number sets the pass count of a factor in _betti_product, so
 # the cost grows linearly with it.
@@ -57,10 +57,6 @@ class BettiData(_BettiFields):
     @classmethod
     def of(cls, *betti: int) -> "BettiData":
         return cls(tuple(betti))
-
-    @classmethod
-    def from_string(cls, text: str) -> "BettiData":
-        return cls(tuple(int(p) for p in text.split(",")) if text.strip() else ())
 
     @property
     def chi(self) -> int:
@@ -167,7 +163,8 @@ def equivariant_euler_series(chi: int, q_order: int) -> FormalSeries:
     """
     _check_chi(chi)
     _check_order(q_order)
-    return polynomial_power(pentagonal_terms(q_order), -chi, q_order)
+    terms = pentagonal_terms(q_order)
+    return FormalSeries(q_order, tuple(kernel.sparse_power(terms, -chi, q_order)))
 
 
 def theta4_terms(order: int) -> list[tuple[int, int]]:

@@ -150,10 +150,6 @@ class XSeries(NamedTuple):
                 result = result * self
         return result
 
-    def shift_down(self) -> "XSeries":
-        """Divide by x: drops the constant coefficient (which must vanish)."""
-        return XSeries(self.order - 1, self.coeffs[1:], self.coeff_error)
-
 
 def _reciprocal(a):
     """Coefficients of 1 / sum_k a[k] x**k to the length of `a`.
@@ -339,7 +335,8 @@ def characteristic_series(level: LevelData, x_order: int, q_tol: float = 1e-12) 
     _check_exponent("beta", level.beta)
     shifted = _theta_ratio(level.tau, level.beta, x_order, q_tol, 0)
     lead = _theta_ratio(level.tau, 0j, x_order + 1, q_tol, 1, level.k / level.level)
-    return shifted * lead.shift_down().invert()
+    # lead / x: its constant coefficient, which vanishes, drops
+    return shifted * XSeries(x_order, lead.coeffs[1:], lead.coeff_error).invert()
 
 
 class GenusValue(NamedTuple):
@@ -369,7 +366,6 @@ def genus_cpm(level: LevelData, m: int, q_tol: float = 1e-12) -> GenusValue:
 class PeriodScanReport(NamedTuple):
     periods: tuple[tuple[int, int], ...]
     index: int | None
-    level: int
     max_deviation: float
 
 
@@ -452,9 +448,7 @@ def lattice_periodicity_scan(
                 periods.append((m, mp))
                 worst_kept = max(worst_kept, dev)
     index = _lattice_index(periods)
-    report = PeriodScanReport(
-        periods=tuple(periods), index=index, level=n, max_deviation=worst_kept
-    )
+    report = PeriodScanReport(periods=tuple(periods), index=index, max_deviation=worst_kept)
     if index != expected:
         raise ScanInconclusiveError(
             f"expected an index-{expected} sublattice, found index {index}; "

@@ -1,12 +1,12 @@
 """Exact truncated power series with integer coefficients.
 
 FormalSeries is a univariate series in q known modulo q**(order+1): an
-order and a tuple of integer coefficients, emitted as JSON.  Every exact
-series this package produces has integer coefficients, and each is built
-by a recurrence, not by ring arithmetic: a power of one sparse polynomial,
-(1 + sum_k g_k q^k)^alpha, by `polynomial_power`, and the spectral products
-prod (1 -/+ q^(a n + eps)) by `expand_product`, through the Euler transform
-(see locq.kernel).
+order and a tuple of integer coefficients.  Every exact series this
+package produces has integer coefficients, and each is built by a
+recurrence, not by ring arithmetic: a power of one sparse polynomial,
+(1 + sum_k g_k q^k)^alpha, by kernel.sparse_power, and the spectral
+products prod (1 -/+ q^(a n + eps)) by `expand_product`, through the Euler
+transform (see locq.kernel).
 BivariateSeries is a value type: a series in q whose coefficients are
 polynomials in a second variable y with positive integer coefficients,
 built by the Betti products of locq.genfunc and then only read or
@@ -39,24 +39,6 @@ class FormalSeries(NamedTuple):
 
     order: int
     coeffs: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        """The JSON schema's rational "p/q" strings, whose q is always 1 here."""
-        return {
-            "var": "q",
-            "order": self.order,
-            "coeffs": [f"{c}/1" for c in self.coeffs],
-        }
-
-
-def polynomial_power(terms, alpha: int, order: int) -> FormalSeries:
-    """(1 + sum_k g_k q**k)**alpha exactly to `order`, for any integer alpha.
-
-    `terms` lists the (k, g_k) pairs, k >= 1; kernel.sparse_power has the
-    recurrence, whose cost is two multiply-adds per term and coefficient.
-    """
-    _check_order(order)
-    return FormalSeries(order, tuple(kernel.sparse_power(terms, alpha, order)))
 
 
 def expand_product(spec: "IntegerProductSpec", order: int) -> FormalSeries:
@@ -125,13 +107,3 @@ class BivariateSeries(NamedTuple):
         """Substitute an integer for y, coefficient by coefficient."""
         return FormalSeries(self.order, tuple(sum(c * y**e for e, c in d.items())
                                               for d in self.coeffs))
-
-    def to_json_dict(self) -> dict:
-        data = {
-            "var": "q",
-            "order": self.order,
-            "coeffs": [{str(e): c for e, c in sorted(d.items())} for d in self.coeffs],
-        }
-        if self.y_truncated:
-            data["y_truncated"] = True
-        return data

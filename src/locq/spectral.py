@@ -2,7 +2,7 @@
 
 A product prod_{n>=ell} (1 -/+ q^(a n + epsilon)) with q = e^(2 pi i tau)
 is represented by its parameter tuple; the spectral argument s is derived
-from the parameters via the affine map s_of_params and stored alongside.
+from the parameters via the affine map s_of_params.
 Complex powers use q^x := e^(2 pi i tau x) exactly, never a principal
 branch recomputed from the value of q, so q^x is an entire function of x.
 """
@@ -114,28 +114,20 @@ class SpectralParams(_SpectralFields):
         return SpectralParams(self.a, self.epsilon, self.ell, sign, self.tau)
 
 
-class SValue(NamedTuple):
-    """Spectral argument with the branch that produced it."""
-
-    s: complex
-    branch: Branch
-
-
-def s_of_params(p: SpectralParams) -> SValue:
+def s_of_params(p: SpectralParams) -> complex:
     """Affine parameter map s = (a*ell + eps)(1 - i rho(tau)) + 1 - a [+ i sigma(tau)].
 
     The plus branch adds i*sigma(tau) on top of the minus-branch value.
     """
     base = (p.a * p.ell + p.epsilon) * (1 - 1j * rho(p.tau)) + 1 - p.a
     if p.sign == "plus":
-        return SValue(base + 1j * sigma(p.tau), "plus")
-    return SValue(base, "minus")
+        return base + 1j * sigma(p.tau)
+    return base
 
 
 class ProductValue(NamedTuple):
     value: complex
     factors_used: int
-    s: SValue
 
 
 def factor_count(scale: float, ratio: float, offset: int, threshold: float,
@@ -207,7 +199,7 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
                        f"q^(a n + epsilon))", _product_factors(p, used), "n", p.ell,
                        lambda n: p.sign == "minus" and epsilon.imag == 0
                        and Fraction(p.a) * n + Fraction(epsilon.real) == 0)
-    return ProductValue(value=value, factors_used=used, s=s_of_params(p))
+    return ProductValue(value=value, factors_used=used)
 
 
 def _product_factors(p: SpectralParams, used: int):
@@ -278,8 +270,8 @@ def branch_shift_check(p: SpectralParams) -> ShiftCheck:
     s(plus) is s(minus) + i*sigma rounded, and the difference is rounded
     again; each rounding is at most eps * max(|s(plus)|, |s(minus)|).
     """
-    s_minus = s_of_params(p.with_sign("minus")).s
-    s_plus = s_of_params(p.with_sign("plus")).s
+    s_minus = s_of_params(p.with_sign("minus"))
+    s_plus = s_of_params(p.with_sign("plus"))
     expected = 1j * sigma(p.tau)
     diff = s_plus - s_minus
     bound = 2 * sys.float_info.epsilon * max(abs(s_plus), abs(s_minus))

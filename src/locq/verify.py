@@ -16,9 +16,9 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import genfunc, genus, localization, pfaffian, qhyper, spectral
+from . import genfunc, genus, kernel, localization, pfaffian, qhyper, spectral
 from .errors import LocqError
-from .series import IntegerProductSpec, expand_product, polynomial_power
+from .series import IntegerProductSpec, expand_product
 from .spectral import SpectralParams, Tau
 
 
@@ -42,22 +42,6 @@ class Row(NamedTuple):
         if self.tolerance is None:
             return self.worst == 0
         return self.worst < self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "checks": self.checks,
-            "worst": finite_or_none(self.worst),
-            "tolerance": self.tolerance,
-            "budget_used": (None if self.tolerance is None
-                            else finite_or_none(self.worst / self.tolerance)),
-            "passed": self.passed,
-        }
-
-
-def finite_or_none(x: float) -> float | None:
-    """x, or None where strict JSON has no number for it."""
-    return x if math.isfinite(x) else None
 
 
 def _or_none(fn, *args, **kwargs):
@@ -95,14 +79,6 @@ class SuiteResult(NamedTuple):
     @property
     def passed(self) -> bool:
         return bool(self.rows) and all(row.passed for row in self.rows)
-
-    @property
-    def details(self) -> dict:
-        return {"checks": sum(row.checks for row in self.rows),
-                "rows": [row.to_json_dict() for row in self.rows]}
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 # -- 1. localization ---------------------------------------------------------
@@ -211,10 +187,11 @@ def suite_euler() -> SuiteResult:
     for part in range(1, nmax + 1):
         for n in range(part, nmax + 1):
             dp[n] += dp[n - part]
-    closed = {chi: polynomial_power([(1, -1)], -chi, nmax) for chi in range(-4, 5)}  # |chi| <= 4
+    closed = {chi: tuple(kernel.sparse_power([(1, -1)], -chi, nmax))
+              for chi in range(-4, 5)}  # |chi| <= 4
     return SuiteResult("euler-specializations", (
         exact("Macdonald series at y = -1 = (1 - q)^(-chi), to q^20",
-              ((genfunc.macdonald_series(b, nmax).specialize_y(-1), closed[b.chi])
+              ((genfunc.macdonald_series(b, nmax).specialize_y(-1).coeffs, closed[b.chi])
                for b in betti_family(max_total=4, max_degree=5))),
         exact("equivariant series at chi = 1 = partition numbers p(n), n <= 20",
               zip(genfunc.equivariant_euler_series(1, nmax).coeffs, dp)),

@@ -71,7 +71,7 @@ TABLE = {
 def _rows(result) -> list:
     """The suite's rows, after checking them against TABLE and that all pass."""
     status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.name}: {result.details}")
+    print(f"{status} {result.name}: {cli.suite_json(result)['details']}")
     assert [(r.identity, r.checks, r.tolerance) for r in result.rows] == TABLE[result.name]
     assert result.passed and all(r.passed for r in result.rows)
     return list(result.rows)

@@ -823,7 +823,8 @@ class TestSeriesCommands:
         assert parse(out)["coeffs"][2] == {"0": 2, "2": 2, "4": 1}
 
     # sha256 of stdout: locks the "v/1" coefficient strings, the key order and
-    # every coefficient of the exact series commands
+    # every coefficient of the exact series commands, and the documents the
+    # CLI writes partly from the request
     PINNED = [
         ("euler-series --chi 3 --order 2000",
          "5088cbc18b1c7f9298a8e9dc882c039aa95267ab596158a62327701943edef55"),
@@ -842,6 +843,15 @@ class TestSeriesCommands:
          "1ee62a04ae79c3a7a39a30bba3fdf18a42faf75ac649197682bcb7ed3868d919"),
         ("macdonald --betti 1,4,6,4,1 --order 30 --y-bound 7",
          "9025e7a5d932abc2781a3daefa8807e597010aca432c75f3c83e6956ea91e21e"),
+        # s and branch are written from the request's parameters, level from its N
+        ("spectral-eval --a 1.5 --epsilon 0.25,0.5 --ell 2 --tau 0.3,1.1 --sign plus",
+         "24da779999aad3c2148f1f7317cddb9ce905c16d50d8eaf0543b1f2a851ae543"),
+        ("spectral-eval --a 1.5 --epsilon 0.25,0.5 --ell 2 --tau 0.3,1.1 --sign minus",
+         "c6733062264fe519e12aeec82ccdd7265c2f1f7daede620142bdda675d77c19f"),
+        ("period-scan --tau 0.3,1.1 --N 3 --k 1 --l 2",
+         "762bcced961dd4d857c2ca71d3afc39569d11201b1f0becb5319e25c7b4176a4"),
+        ("verify-all",
+         "2b0880a92cb02d615ada65383fe0689f70254db0e70ba895702883317b1b9c32"),
     ]
 
     @pytest.mark.parametrize("command, digest", PINNED)

@@ -315,7 +315,7 @@ class TestGenus:
         m = 2
         lead = genus._theta_ratio(lvl.tau, 0j, m + 1, 1e-12, 1, lvl.k / lvl.level)
         shifted = genus._theta_ratio(lvl.tau, lvl.beta, m, 1e-12, 0)
-        direct = (lead.shift_down() * shifted.invert()).invert()
+        direct = (over_x(lead) * shifted.invert()).invert()
         cubed = direct * direct * direct
         assert genus_cpm(lvl, m).value == pytest.approx(cubed.coeffs[m], rel=1e-12)
 
@@ -389,7 +389,6 @@ def test_composite_level_with_common_divisor_has_reduced_index():
     # (k, l) = (2, 2) the true index is 2, and the scan accepts it
     report = lattice_periodicity_scan(LevelData(4, 2, 2, GENERIC_TAU), trial_bound=4)
     assert report.index == 2
-    assert report.level == 4
 
 
 @pytest.mark.parametrize("n,k,l", [(4, 2, 0), (6, 3, 0)])
@@ -448,6 +447,11 @@ def identity(order: int) -> XSeries:
     return XSeries.from_coeffs([1.0] + [0.0] * order)
 
 
+def over_x(series: XSeries) -> XSeries:
+    """series / x, for a series whose constant coefficient vanishes."""
+    return XSeries(series.order - 1, series.coeffs[1:], series.coeff_error)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-0.5, 0.5),
@@ -458,7 +462,7 @@ def identity(order: int) -> XSeries:
 )
 def test_xseries_power_laws(re_tau, im_tau, order, a, b):
     # x/f-style unit series: Phi(x)/x has constant term exactly 1
-    x = phi_series(Tau(complex(re_tau, im_tau)), order + 1).shift_down()
+    x = over_x(phi_series(Tau(complex(re_tau, im_tau)), order + 1))
     one = identity(order)
     inverse = x.invert()
     for lhs, rhs in ((x.int_pow(a) * x.int_pow(b), x.int_pow(a + b)), (inverse * x, one),
@@ -693,7 +697,7 @@ def test_characteristic_series_is_the_q_product_quotient(re_tau, im_tau, nkl, or
     level = LevelData(*nkl, Tau(complex(re_tau, im_tau)))
     _, lead, normalized = product_routes(level, order + 1, q_tol)
     shifted = XSeries(order, normalized.coeffs[:order + 1], normalized.coeff_error)
-    want = shifted * lead.shift_down().invert()
+    want = shifted * over_x(lead).invert()
     got = characteristic_series(level, order, q_tol)
     gap = max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs))
     assert gap <= got.coeff_error + want.coeff_error

@@ -1078,7 +1078,7 @@ class TestFactorTableChecks:
                 return _original(*args)
 
             monkeypatch.setattr(localization, name, counted)
-        assert verify.suite_localization().details["checks"] == 19376
+        assert verify.suite_localization().rows[0].checks == 19376
         assert calls["factor_integral_quad"] == 64
         assert calls["_pole_pair"] == 64
 

@@ -25,7 +25,6 @@ def _samples():
         genfunc.macdonald_series(betti, 1),
         tau,
         params,
-        spectral.s_of_params(params),
         spectral.evaluate_product(params),
         spectral.branch_shift_check(params),
         betti,

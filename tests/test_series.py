@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import int_series as ring
+from locq.cli import bivariate_series_json, formal_series_json
 from locq.errors import DegenerateFactorError
 from locq.genfunc import BettiData, _betti_product
 from locq.series import BivariateSeries, FormalSeries, IntegerProductSpec, expand_product
@@ -134,15 +135,15 @@ def test_expand_product_matches_ring_product(a, eps, ell, sign, order):
 
 class TestJson:
     def test_schema(self):
-        data = FormalSeries(2, (1, -12, 0)).to_json_dict()
+        data = formal_series_json(FormalSeries(2, (1, -12, 0)))
         assert data == {"var": "q", "order": 2, "coeffs": ["1/1", "-12/1", "0/1"]}
 
     def test_bivariate_schema(self):
         b = BivariateSeries(2, ({0: 1}, {2: 3}, {}))
-        data = b.to_json_dict()
+        data = bivariate_series_json(b)
         assert data["coeffs"][1] == {"2": 3}
         assert "y_truncated" not in data
-        assert BivariateSeries(2, b.coeffs, True).to_json_dict()["y_truncated"] is True
+        assert bivariate_series_json(BivariateSeries(2, b.coeffs, True))["y_truncated"] is True
 
 
 class TestBivariate:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from locq import verify
+from locq.cli import row_json
 from locq.verify import Row, exact, within
 
 
@@ -29,7 +30,7 @@ def parse_strict(text: str) -> dict:
 ])
 def test_one_pass_rule(row, passed):
     assert row.passed is passed
-    assert row.to_json_dict()["passed"] is passed
+    assert row_json(row)["passed"] is passed
 
 
 def test_builders():
@@ -48,12 +49,12 @@ def test_nan_error_is_the_worst(errors):
 
 
 def test_row_json_is_strict():
-    assert Row("w", 4, math.nan, 1e-8).to_json_dict() == {
+    assert row_json(Row("w", 4, math.nan, 1e-8)) == {
         "identity": "w", "checks": 4, "worst": None, "tolerance": 1e-8,
         "budget_used": None, "passed": False}
     # a finite worst whose budget overflows
-    assert Row("w", 1, 1e300, 1e-10).to_json_dict()["budget_used"] is None
-    assert Row("e", 5, 2).to_json_dict() == {
+    assert row_json(Row("w", 1, 1e300, 1e-10))["budget_used"] is None
+    assert row_json(Row("e", 5, 2)) == {
         "identity": "e", "checks": 5, "worst": 2, "tolerance": None,
         "budget_used": None, "passed": False}
 
