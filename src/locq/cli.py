@@ -330,6 +330,7 @@ def _cmd_psi(args) -> tuple[dict, int]:
         "lower_tail": finite_or_none(summary.lower_tail),
         "terminated": [summary.lower_terminated, summary.upper_terminated],
         "converged": summary.converged,
+        "tail_bound": finite_or_none(summary.tail_bound),
         "notes": summary.notes,
     }, 0
 

@@ -95,7 +95,8 @@ def sparse_power(terms, alpha, order):
         f_0 = 1,   n f_n = sum_k ((alpha+1) k - n) g_k f_{n-k},
     one term per nonzero g_k with k <= n.  It runs as
         f_n = ((alpha+1) sum_k k g_k f_{n-k}) // n - sum_k g_k f_{n-k},
-    whose division by n is exact because every f_n is an integer.
+    whose division by n is exact because every f_n is an integer.  At
+    alpha = -1 the first sum is multiplied by 0 and is not formed.
     """
     terms = sorted((k, g) for k, g in terms if g and k <= order)
     ks = [k for k, _ in terms]
@@ -109,5 +110,7 @@ def sparse_power(terms, alpha, order):
         while m < len(ks) and ks[m] <= n:
             m += 1
         prev = [f[n - k] for k in ks[:m]]
-        f[n] = scale * sum(map(operator.mul, kgs, prev)) // n - sum(map(operator.mul, gs, prev))
+        f[n] = -sum(map(operator.mul, gs, prev))
+        if scale:
+            f[n] += scale * sum(map(operator.mul, kgs, prev)) // n
     return f

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -23,6 +24,13 @@ from .spectral import check_tolerance, factor_count, is_normal, refuse_product
 Scalar = Fraction | complex
 
 NOT_DECAYING = "tail terms fail to decay; series non-convergent here"
+OVERFLOWED = "term overflow; series non-convergent here"
+
+# The automatic window of bilateral_psi starts here.
+FIRST_WINDOW = 8
+# Moduli below this are raised to it in the ratio bound (_Tail.rho): an upper
+# bound on any value that underflows.
+_TINY = 2.0**-1000
 
 # Largest bilateral window, Saalschutz window (n + 2) and |n| of a finite
 # Pochhammer symbol; each costs work linear in it and is checked first.
@@ -145,7 +153,13 @@ class BilateralSeriesSpec(NamedTuple):
 
 
 class PsiSummary(NamedTuple):
-    """Value of a bilateral sum plus convergence diagnostics."""
+    """Value of a bilateral sum plus convergence diagnostics.
+
+    tail_bound bounds the modulus of the sum of the terms outside
+    [-window, window], from each tail's outermost term and ratio bound
+    (_Tail.bound); it is inf where the parameters give none.  It bounds the
+    omitted terms, not the rounding of the sum over the window.
+    """
 
     value: Scalar
     window: int
@@ -154,6 +168,7 @@ class PsiSummary(NamedTuple):
     upper_terminated: bool
     lower_terminated: bool
     converged: bool
+    tail_bound: float
     notes: tuple[str, ...] = ()
 
 
@@ -164,14 +179,22 @@ def bilateral_psi(
 ) -> PsiSummary:
     """Sum the bilateral series over n in [-window, window].
 
-    With window=None the window doubles automatically until two successive
-    partial sums agree to `tol` (numeric inputs) or both tails terminate
-    in exact zeros (exact inputs); each doubling extends the tails summed
-    so far.  A window above MAX_WINDOW is rejected before any work.  The
-    summary reports the magnitude of the outermost included terms on each
-    tail; a NonConvergent note is attached when they fail to decay: at an
-    explicit window, when a tail's outermost term is larger than the one
-    before it.
+    With window=None both tails grow together, one position at a time from
+    FIRST_WINDOW, and the window is the first w at which every tail that
+    has not terminated (reached an exact 0 term) has a ratio bound
+    rho(w) < 1, |t_{j+1} / t_j| <= rho(w) for every j >= w (_Tail.rho), and
+    omits at most |t_w| rho(w) / (1 - rho(w)) <= (tol / 2) max(|S_w|, 1),
+    with the partial sum S_w read as a float.  The summary is then
+    converged, and its tail_bound, the two tails' bounds added, bounds the
+    omitted terms; it does not cover the rounding of the sum.  The search
+    ends unconverged, with a note, at a window with an overflowing term, at
+    the first window at which a tail that has not terminated has a ratio
+    limit of 1 or more and no top factor 1 - p u^k left that can vanish to
+    end it (_Tail.diverges), and at MAX_WINDOW.  A window above MAX_WINDOW
+    is rejected before any work.  The summary reports the magnitude of the
+    outermost included terms on each tail; at an explicit window, a
+    NonConvergent note is attached when a tail's outermost term is larger
+    than the sum or than the term before it.
     """
     check_tolerance(tol)
     if window is not None:
@@ -179,33 +202,42 @@ def bilateral_psi(
             raise ValueError("window must always be a positive integer")
         if window > MAX_WINDOW:
             raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
-        tails = _tails(spec)
-        summary = _psi_window(tails, window)
-        if not summary.notes and any(tail.growing() for tail in tails):
-            return summary._replace(notes=(NOT_DECAYING,))
-        return summary
+        return _psi_window(_tails(spec), window)
 
-    tails = _tails(spec)
-    prev: Scalar | None = None
-    prev_edge: float | None = None
-    w = 8
-    while True:
-        summary = _psi_window(tails, w)
-        if summary.notes:
-            return summary
-        if summary.upper_terminated and summary.lower_terminated:
-            return summary._replace(converged=True)
-        if prev is not None:
-            scale = max(_magnitude(summary.value), 1.0)
-            if _magnitude(summary.value - prev) <= tol * scale:
-                return summary._replace(converged=True)
-        edge = max(summary.upper_tail, summary.lower_tail)
-        if prev_edge is not None and edge >= prev_edge:
-            return summary._replace(notes=(NOT_DECAYING,))
-        prev, prev_edge = summary.value, edge
-        w *= 2
-        if w > MAX_WINDOW:
-            return summary._replace(notes=("window cap reached before convergence",))
+    lower, upper = tails = _tails(spec)
+    estimate = 1.0
+    for w in range(1, MAX_WINDOW + 1):
+        lower.extend(w)
+        upper.extend(w)
+        estimate += lower.outer() + upper.outer()
+        if w < FIRST_WINDOW:
+            continue
+        if min(lower.first_bot, upper.first_bot) <= w:
+            _raise_first_error(tails, w)
+        if min(lower.first_overflow, upper.first_overflow) <= w:
+            return _summary(tails, w, notes=(OVERFLOWED,))
+        if lower.diverges() or upper.diverges():
+            return _summary(tails, w, notes=(NOT_DECAYING,))
+        scale = tol / 2 * max(_magnitude(estimate), 1.0)
+        if not math.isfinite(scale):
+            scale = 0.0  # an estimate past a double: only ended tails pass
+        if all(tail.bound(scale) <= scale for tail in tails):
+            return _summary(tails, w, converged=True)
+    return _summary(tails, MAX_WINDOW, notes=("window cap reached before convergence",))
+
+
+def _horizon(params, u: float, start: int) -> int:
+    """The last position j <= MAX_WINDOW whose ratio t_j / t_{j-1} has a factor
+    1 - p u^k, k = j - 1 + start, that can vanish: |p| |u|^k = 1 for one of the
+    moduli `params` and the modulus u != 1; 0 if none."""
+    last = 0
+    if 0 < u < math.inf and u != 1:
+        for p in params:
+            k = -math.log(p) / math.log(u) if 0 < p < math.inf else math.nan
+            if (math.isfinite(k) and start <= round(k) < MAX_WINDOW + start
+                    and abs(k - round(k)) < 1e-9):
+                last = max(last, round(k) + 1 - start)
+    return last
 
 
 def _magnitude(value) -> float:
@@ -240,16 +272,95 @@ class _Tail:
     infinite.  first_top / first_bot is the first position whose ratio has
     such a factor and first_overflow the first non-finite numeric term (inf
     while there is none).  Windows passed to extend() never decrease.
+
+    rho(w) bounds the ratio in closed form from the moduli of the inputs
+    (Gasper-Rahman, Basic Hypergeometric Series, 2nd ed., 5.1).  With
+    b = |u| <= 1 the modulus of the ratio is |arg| b^(gk) prod_top |1 - p u^k|
+    / prod_bot, with g = s' - r'.  With |u| > 1, b = 1/|u| and v = 1/u, each
+    factor with p != 0 is |u|^k |v^k - p|, and g = (nonzero bottom p) -
+    (nonzero top p) - (s' - r'); a factor with p = 0 is 1.  Either way a
+    factor lies between c0 - c1 b^k and c0 + c1 b^k, (c0, c1) = (1, |p|) or
+    (|p|, 1), and for k >= m = w + start, b^k <= b^m and, when g >= 0,
+    b^(gk) <= b^(gm).
     """
 
-    def __init__(self):
+    def __init__(self, top, bot, u: float, arg: float, shift: int, start: int):
+        """top, bot: the moduli of the nonzero top and bottom parameters; u, arg:
+        |u| and |arg|; shift: s' - r'.  Moduli are floats, inf past a double."""
         self.pos = 0
         self.first_top = self.first_bot = self.first_overflow = math.inf
+        self.start = start
+        inverted = u > 1
+        self.b = 1 / u if inverted else u
+        self.g = len(bot) - len(top) - shift if inverted else shift
+        self.top_c = [(p, 1.0) if inverted else (1.0, p) for p in top]
+        self.bot_c = [(p, 1.0) if inverted else (1.0, p) for p in bot]
+        self.a = arg
+        # lim rho(w), without its slack: that of |t_{j+1} / t_j| when |u| != 1,
+        # nan or inf where a modulus is past a double.  No rho(w) is below it.
+        if self.b < 1 and self.g:
+            self.limit = 0.0 if self.g > 0 else math.inf
+        else:
+            x = 0.0 if self.b < 1 else 1.0
+            low = math.prod(c0 - c1 * x for c0, c1 in self.bot_c)
+            high = arg * math.prod(c0 + c1 * x for c0, c1 in self.top_c)
+            self.limit = high / low if low > 0 else math.inf
+        self.least = self.limit / (1 - self.limit) if self.limit < 1 else math.inf
+        # The last positions at which a top factor can vanish, ending the tail,
+        # and a bottom one, making a term after the end 0/0
+        self.top_horizon = _horizon(top, u, start)
+        self.bot_horizon = _horizon(bot, u, start)
 
     def extend(self, window: int) -> None:
         while self.pos < window:
             self.pos += 1
             self._step()
+
+    def rho(self, w: int) -> float:
+        """A bound on |t_{j+1} / t_j| for every position j >= w; inf where the
+        parameters give none below 1.
+
+        Each modulus is within 3 units of 2^-53 of its value, so b^m is within
+        3m + 1 and each factor bound within 3m + 7.  The lower factor bounds and
+        the result carry a slack of (m + 4)(g + n + 1) 2^-49 for the n factors,
+        the sum of logarithms (len(logs) + 2) 2^-52 times their moduli, and a
+        value below 2^-1000 is raised to it, so no rounding or underflow can
+        make the bound smaller than the ratio.
+        """
+        m = w + self.start
+        if self.g < 0 and self.b < 1:
+            return math.inf
+        b = max(self.b, _TINY)
+        x = b**m
+        slack = (m + 4) * (self.g + len(self.top_c) + len(self.bot_c) + 1) * 2.0**-49
+        logs = [math.log(max(self.a, _TINY)), self.g * m * math.log(b)]
+        logs += [math.log(max(c0 + c1 * x, _TINY)) for c0, c1 in self.top_c]
+        for c0, c1 in self.bot_c:
+            low = c0 - c1 * x - slack * (c0 + c1 * x) - _TINY
+            if not low > 0:
+                return math.inf
+            logs.append(-math.log(low))
+        exponent = sum(logs) + (len(logs) + 2) * 2.0**-52 * sum(map(abs, logs))
+        return max(math.exp(exponent) * (1 + slack), _TINY) if exponent < 0 else math.inf
+
+    def diverges(self) -> bool:
+        """Whether the tail has not ended, has a ratio limit of 1 or more, and is
+        past every position at which a top factor can vanish to end it."""
+        return not (self.ended() or self.limit < 1 or self.pos < self.top_horizon)
+
+    def bound(self, scale: float = math.inf) -> float:
+        """A bound on |sum of the terms past position pos|: 0 once the tail has
+        ended and no bottom factor can vanish later, |t_pos| rho / (1 - rho)
+        with rho = rho(pos) < 1, else inf.  It is inf as well, without rho
+        being formed, when |t_pos| times the least rho / (1 - rho) of any
+        position already exceeds `scale`."""
+        if self.ended():
+            return 0.0 if self.pos >= self.bot_horizon else math.inf
+        size = max(_magnitude(self.outer()), _TINY)
+        if not size * self.least <= scale:
+            return math.inf
+        rho = self.rho(self.pos)
+        return size * rho / (1 - rho) if rho < 1 else math.inf
 
     def _record(self, top: list, bot: list) -> bool:
         """Note vanishing factors at this position; False once a bottom one has vanished."""
@@ -285,10 +396,13 @@ class _ExactTail(_Tail):
     """
 
     def __init__(self, top, bot, u: Fraction, arg: Fraction, start: int):
-        super().__init__()
         self.top = [(p.numerator, p.denominator) for p in top]
         self.bot = [(p.numerator, p.denominator) for p in bot]
         shift = len(bot) - len(top)
+        super().__init__([_quotient_magnitude(n, d) for n, d in self.top if n],
+                         [_quotient_magnitude(n, d) for n, d in self.bot if n],
+                         _quotient_magnitude(u.numerator, u.denominator),
+                         _quotient_magnitude(arg.numerator, arg.denominator), shift, start)
         self.un, self.ud = u.numerator, u.denominator
         self.grow = self.un ** abs(shift)  # u^((s'-r')k) leaves un^(|s'-r'|k)
         self.grow_above = shift >= 0
@@ -319,8 +433,21 @@ class _ExactTail(_Tail):
         self.den *= rd
         self.total = self.total * rd + self.num
 
-    def value(self) -> Fraction:
-        return Fraction(self.total, self.den)
+    def outer(self) -> float:
+        """The outermost term as a float, inf past a double."""
+        try:
+            return self.num / self.den
+        except OverflowError:
+            return math.inf
+
+    def ended(self) -> bool:
+        """Whether the outermost term, and so every later one, is an exact 0."""
+        return self.num == 0
+
+    def joined(self, other: _ExactTail) -> Fraction:
+        """1 plus the sums of this tail and `other`, as one reduced Fraction."""
+        den = self.den * other.den
+        return Fraction(self.total * other.den + other.total * self.den + den, den)
 
     def growing(self) -> bool:
         """Whether |t| of the outermost term exceeds that of the one before."""
@@ -345,10 +472,11 @@ class _NumericTail(_Tail):
     """
 
     def __init__(self, top, bot, u: complex, arg: complex, start: int):
-        super().__init__()
         shift = len(bot) - len(top)
         self.top = [p for p in top if p]
         self.bot = [p for p in bot if p]
+        super().__init__([_magnitude(p) for p in self.top], [_magnitude(p) for p in self.bot],
+                         _magnitude(u), _magnitude(arg), shift, start)
         self.inverted = abs(u) > 1
         if self.inverted:
             self.base, self.grow = 1 / u, u ** (shift - len(self.bot) + len(self.top))
@@ -376,8 +504,20 @@ class _NumericTail(_Tail):
         self.term = term
         self.terms.append(term if cmath.isfinite(term) else 0j)
 
-    def value(self) -> complex:
-        return sum(reversed(self.terms[1:]), 0j)
+    def outer(self) -> complex:
+        """The outermost term, as the recurrence formed it (inf once it overflowed)."""
+        return self.term
+
+    def ended(self) -> bool:
+        """Whether a top factor or the argument has vanished, so that every term
+        from the outermost one on is an exact 0."""
+        return self.first_top <= self.pos or not self.c
+
+    def joined(self, other: _NumericTail) -> complex:
+        """1 plus the sums of this tail and `other`, both at one position, in one
+        sum from the outermost terms inwards."""
+        pairs = map(operator.add, reversed(self.terms[1:]), reversed(other.terms[1:]))
+        return sum(pairs, 0j) + 1
 
     def growing(self) -> bool:
         """Whether |t| of the outermost term exceeds that of the one before."""
@@ -404,40 +544,51 @@ def _tails(spec: BilateralSeriesSpec) -> tuple[_Tail, _Tail]:
     return tail(den, num, 1 / q, 1 / z if z else z, 1), tail(num, den, q, z, 0)
 
 
-def _psi_window(tails: tuple[_Tail, _Tail], window: int) -> PsiSummary:
-    """Summary over [-window, window], extending both tails to the window.
-
-    The error raised is the one a term-by-term sum in the order n = -window,
-    ..., window meets first: the lower tail's at n = -window if any of its
-    terms is infinite or 0/0, else that of the first such upper term.
-    """
+def _raise_first_error(tails: tuple[_Tail, _Tail], window: int) -> None:
+    """Raise the error a term-by-term sum in the order n = -window, ..., window
+    meets first: the lower tail's at n = -window if any of its terms is
+    infinite or 0/0, else that of the first such upper term."""
     lower, upper = tails
-    lower.extend(window)
-    upper.extend(window)
     error = lower.error(-window) or upper.error(min(upper.first_bot, window))
     if error:
         raise error
-    total = lower.value() + upper.value() + 1
+
+
+def _summary(tails: tuple[_Tail, _Tail], window: int, notes: tuple[str, ...] = (),
+             converged: bool = False) -> PsiSummary:
+    """Summary over [-window, window] of tails extended to the window."""
+    lower, upper = tails
     upper_tail, upper_zero = upper.edge()
     lower_tail, lower_zero = lower.edge()
     overflowed = min(lower.first_overflow, upper.first_overflow) <= window
-    scale = max(_magnitude(total), 1.0)
-    if overflowed:
-        notes = ("term overflow; series non-convergent here",)
-    elif upper_tail > scale or lower_tail > scale:
-        notes = (NOT_DECAYING,)
-    else:
-        notes = ()
     return PsiSummary(
-        value=total,
+        value=lower.joined(upper),
         window=window,
         upper_tail=upper_tail,
         lower_tail=lower_tail,
         upper_terminated=upper_zero and not overflowed,
         lower_terminated=lower_zero and not overflowed,
-        converged=False,
+        converged=converged,
+        tail_bound=lower.bound() + upper.bound(),
         notes=notes,
     )
+
+
+def _psi_window(tails: tuple[_Tail, _Tail], window: int) -> PsiSummary:
+    """Summary over [-window, window], extending both tails to the window,
+    with a note when a term overflows, or an outermost term is larger than
+    the sum or than the term before it."""
+    for tail in tails:
+        tail.extend(window)
+    _raise_first_error(tails, window)
+    summary = _summary(tails, window)
+    scale = max(_magnitude(summary.value), 1.0)
+    if min(tail.first_overflow for tail in tails) <= window:
+        return summary._replace(notes=(OVERFLOWED,))
+    if (summary.upper_tail > scale or summary.lower_tail > scale
+            or any(tail.growing() for tail in tails)):
+        return summary._replace(notes=(NOT_DECAYING,))
+    return summary
 
 
 class SaalschutzResult(NamedTuple):

@@ -1319,11 +1319,12 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
 REQUESTS = Path(__file__).with_name("requests.jsonl")
 
 # an entry's "fields" are [path, operator, operand] triples, tested on the
-# value at the dotted path ("diagnostics.rhs_bound", "coeffs.0")
+# value at the dotted path ("diagnostics.rhs_bound", "coeffs.0"); "approx"
+# reads a decimal string ("value.0" of a complex) as a float
 PREDICATES = {
     "eq": lambda got, want: got == want,
     "lt": lambda got, bound: got < bound,
-    "approx": lambda got, want: abs(got - want[0]) <= want[1],
+    "approx": lambda got, want: abs(float(got) - want[0]) <= want[1],
     "len": lambda got, n: len(got) == n,
     "keys": lambda got, keys: sorted(got) == sorted(keys),
 }

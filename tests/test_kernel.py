@@ -119,8 +119,10 @@ def test_sparse_power_matches_ring_power(terms, alpha, order):
 
 
 def test_sparse_power_small_cases():
-    # (1 - q)^-2 = sum (n+1) q^n; (1 + q^2)^3 = 1 + 3q^2 + 3q^4 + q^6
+    # (1 - q)^-2 = sum (n+1) q^n; (1 + q^2)^3 = 1 + 3q^2 + 3q^4 + q^6;
+    # at alpha = -1, (1 + q + q^2)^-1 = (1 - q) / (1 - q^3)
     assert kernel.sparse_power([(1, -1)], -2, 5) == [1, 2, 3, 4, 5, 6]
+    assert kernel.sparse_power([(1, 1), (2, 1)], -1, 7) == [1, -1, 0, 1, -1, 0, 1, -1]
     assert kernel.sparse_power([(2, 1)], 3, 8) == [1, 0, 3, 0, 3, 0, 1, 0, 0]
     assert kernel.sparse_power([(1, 5)], 7, 0) == [1]
     assert kernel.sparse_power([], -3, 4) == [1, 0, 0, 0, 0]

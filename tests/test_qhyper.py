@@ -1,11 +1,13 @@
 """q-Pochhammer symbols, bilateral sums, and the terminating summation."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from locq import oracles, qhyper, spectral
 from locq.errors import (
@@ -317,6 +319,24 @@ class TestConvergenceDiagnostics:
         assert summary.upper_terminated and summary.lower_terminated
         assert summary.value == bilateral_psi(spec, window=16).value
 
+    def test_terminating_tail_with_growing_ratio_is_converged(self):
+        # 3^12 = q^-12 ends the upper tail at n = 13, though its term ratio
+        # tends to |z| = 5; the denominator parameter q ends the lower tail
+        q = Fraction(1, 3)
+        spec = BilateralSeriesSpec.make([q**-12], [q], q, Fraction(5))
+        summary = bilateral_psi(spec)
+        assert summary.converged and summary.window == 13
+        assert summary.tail_bound == 0
+        assert summary.value == bilateral_psi(spec, window=20).value
+
+    def test_ended_tail_still_meets_a_later_vanishing_denominator(self):
+        # q^3 ends the lower tail at n = -3 and q^10 makes its term at n = -10
+        # 0/0: however small z, the automatic window does not stop before it
+        q = Fraction(1, 2)
+        spec = BilateralSeriesSpec.make([q**10], [q**3], q, Fraction(1, 10**6))
+        with pytest.raises(DegenerateParametersError, match="n=-10 is 0/0"):
+            bilateral_psi(spec)
+
     def test_window_cap_reached_before_convergence(self):
         # |z| = 0.999: the upper tail decays too slowly for MAX_WINDOW terms
         spec = BilateralSeriesSpec.make([0.1], [0.5], 0.5, 0.999)
@@ -391,3 +411,114 @@ def test_window_sum_matches_direct_products(spec, window):
         assert summary.upper_terminated == (edges[2] == edges[3] == 0)
         assert summary.lower_tail == max(abs(float(t)) for t in edges[:2])
         assert summary.upper_tail == max(abs(float(t)) for t in edges[2:])
+
+
+def _ratio(spec, side: int, j: int):
+    """t_{j+1} / t_j (side 1) or t_{-j-1} / t_{-j} (side 0) from the terms'
+    definition, (a;q)_n / (b;q)_n (-1)^((s-r)n) q^((s-r)n(n-1)/2) z^n: exact
+    for Fraction inputs, else in mpmath at 30 digits; None where it is
+    infinite."""
+    num, den, q, z = spec
+    if not isinstance(q, Fraction):
+        num, den = [mpmath.mpc(p) for p in num], [mpmath.mpc(p) for p in den]
+        q, z = mpmath.mpc(q), mpmath.mpc(z)
+    shift = len(den) - len(num)
+    if side:
+        top, bot, k, power, arg = num, den, j, j * shift, z
+    else:
+        top, bot, k, power, arg = den, num, -j - 1, (j + 1) * shift, 1 / z
+    below = math.prod((1 - p * q**k for p in bot), start=1)
+    if below == 0:
+        return None
+    return math.prod((1 - p * q**k for p in top), start=1) / below * (-1) ** shift * q**power * arg
+
+
+@st.composite
+def ratio_specs(draw):
+    """Specs with up to three parameters a side, zeros among them, z != 0 and
+    |q| < 1 or > 1: exact, with parameters q^k whose factors vanish, or
+    complex floats."""
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5),
+                                  Fraction(3, 2), Fraction(-5, 2)]))
+        param = st.one_of(st.just(Fraction(0)), st.integers(-4, 4).map(lambda k: q**k), SMALL)
+        z = SMALL.filter(bool)
+    else:
+        modulus = st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 3.0))
+        phase = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(-math.pi, math.pi))
+        q = draw(st.builds(cmath.rect, modulus, phase))
+        part = st.floats(-2, 2)
+        param = st.one_of(st.just(0j), st.builds(complex, part, part))
+        z = st.builds(complex, part, part).filter(bool)
+    return BilateralSeriesSpec.make(draw(st.lists(param, max_size=3)),
+                                    draw(st.lists(param, max_size=3)), q, draw(z))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(ratio_specs(), st.integers(0, 60))
+def test_ratio_bound_holds_past_its_position(spec, start):
+    # rho(K) bounds |t_{j+1} / t_j| at every position j >= K, and is inf
+    # where a ratio past K is infinite
+    with mpmath.workdps(30):
+        for side, tail in enumerate(qhyper._tails(spec)):
+            rho = tail.rho(start)
+            for j in range(start, start + 41):
+                ratio = _ratio(spec, side, j)
+                if ratio is None:
+                    assert rho == math.inf, (spec, side, j)
+                elif rho < math.inf:
+                    assert abs(ratio) <= (Fraction(rho) if isinstance(ratio, Fraction)
+                                          else mpmath.mpf(rho)), (spec, side, j)
+
+
+@st.composite
+def closed_form_sums(draw):
+    """Ramanujan's 1psi1 sum inside |b/a| < |z| < 1 or Jacobi's triple
+    product (0psi1 with b = 0), real or complex, q of either sign, |q| < 1."""
+    def scalar(low, high):
+        size, sign = draw(st.floats(low, high)), draw(st.sampled_from([1, -1, None]))
+        if sign:
+            return complex(sign * size)
+        return cmath.rect(size, draw(st.floats(-math.pi, math.pi)))
+
+    q = scalar(0.05, 0.9)
+    if draw(st.booleans()):
+        a, z = scalar(0.1, 3.0), scalar(0.02, 0.95)
+        b = a * z * scalar(0.02, 0.95)
+        # away from a = q^j (j >= 1) and b = q^-j (j >= 0), where a term is infinite
+        assume(all(abs(1 - a / q**j) > 0.01 and abs(1 - b * q**(j - 1)) > 0.01
+                   for j in range(1, 80)))
+        return BilateralSeriesSpec.make([a], [b], q, z)
+    return BilateralSeriesSpec.make([], [0.0], q, scalar(0.05, 20.0))
+
+
+def _closed_form(spec):
+    """The sum by Ramanujan's 1psi1 formula or Jacobi's triple product, with
+    mpmath's q-Pochhammer symbol at 30 digits."""
+    with mpmath.workdps(30):
+        q, z = mpmath.mpc(spec.q), mpmath.mpc(spec.z)
+
+        def qp(*xs):
+            return math.prod((mpmath.qp(x, q) for x in xs), start=1)
+
+        if not spec.numerator_params:
+            return complex(qp(q, z, q / z))
+        a, b = mpmath.mpc(spec.numerator_params[0]), mpmath.mpc(spec.denominator_params[0])
+        return complex(qp(q, b / a, a * z, q / (a * z)) / qp(b, q / a, z, b / (a * z)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(closed_form_sums())
+def test_automatic_window_meets_the_closed_form(spec):
+    summary = bilateral_psi(spec)
+    assert summary.converged and summary.notes == ()
+    # Each term of the recurrence carries about (r + s + 4) j roundings and
+    # the sum w more: 8 units of 2^-52 per window position, times sum |t_n|
+    # over the window, allow for the rounding that tail_bound does not cover
+    # (a scan of 1,600 sets inside the regions needed at most 2.8).
+    tails = qhyper._tails(spec)
+    for tail in tails:
+        tail.extend(summary.window)
+    mass = 1 + sum(abs(t) for tail in tails for t in tail.terms[1:])
+    allowance = 8 * 2.0**-52 * summary.window * mass
+    assert abs(summary.value - _closed_form(spec)) <= summary.tail_bound + allowance
