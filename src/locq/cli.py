@@ -435,7 +435,9 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser(required: bool = True) -> argparse.ArgumentParser:
     """The parser of this process, built on first use: parse_args never changes it.
-    With required=False it requires no subcommand, form or option."""
+    With required=False it requires no subcommand, form or option.  Its
+    `leaves` map each subcommand, or ("qhyper", form), to the parser of its
+    options."""
     parser = _Parser(prog="locq", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=required)
 
@@ -531,10 +533,11 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run every verification suite")
     p.set_defaults(handler=_cmd_verify_all)
 
+    parser.leaves = {(name,): sp for name, sp in sub.choices.items() if sp is not qhyper_parser}
+    parser.leaves.update({("qhyper", name): f for name, f in forms.choices.items()})
     # argparse hands everything after a qhyper form to the form's parser
-    for sp in [*sub.choices.values(), *forms.choices.values()]:
-        if sp is not qhyper_parser:
-            sp.add_argument("--out", default="", help="write the JSON document to a file")
+    for leaf in parser.leaves.values():
+        leaf.add_argument("--out", default="", help="write the JSON document to a file")
 
     return parser
 
@@ -595,13 +598,28 @@ def _parse_args(argv) -> argparse.Namespace:
     """build_parser().parse_args(argv), naming an unrecognized argument before
     a missing one: where argparse names a missing option, the parser that
     requires none names the unrecognized arguments, if there are any."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return build_parser().parse_args(argv)
+        return _parse(build_parser(), argv)
     except UsageError as exc:
         # argparse's two messages for a missing option
         if str(exc).startswith(("the following arguments are required", "one of the arguments")):
-            build_parser(required=False).parse_args(argv)
+            _parse(build_parser(required=False), argv)
         raise
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """parser.parse_args(argv), with the rest of an argv whose first one or two
+    words name a leaf parser handed straight to that leaf, `subcommand` (and
+    `form`) set first.  argparse's subparser actions set the same and hand
+    the leaf the same words, so the namespace and every error are those of
+    the full parse; only its passes over argv are saved."""
+    for depth in (1, 2):
+        leaf = parser.leaves.get(tuple(argv[:depth]))
+        if leaf is not None:
+            preset = dict(zip(("subcommand", "form"), argv[:depth]))
+            return leaf.parse_args(argv[depth:], argparse.Namespace(**preset))
+    return parser.parse_args(argv)
 
 
 def _respond(argv) -> int:

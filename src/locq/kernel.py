@@ -93,24 +93,38 @@ def sparse_power(terms, alpha, order):
     any integer.  J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
     section 4.7) follows from g f' = alpha g' f:
         f_0 = 1,   n f_n = sum_k ((alpha+1) k - n) g_k f_{n-k},
-    one term per nonzero g_k with k <= n.  It runs as
-        f_n = ((alpha+1) sum_k k g_k f_{n-k}) // n - sum_k g_k f_{n-k},
-    whose division by n is exact because every f_n is an integer.  At
-    alpha = -1 the first sum is multiplied by 0 and is not formed.
+    one term per nonzero g_k with k <= n.  With S = sum_k g_k f_{n-k} and
+    H = sum_k g_k h_{n-k}, h_j = j f_j, the sum of k g_k f_{n-k} is n S - H,
+    so the recurrence runs as
+        f_n = alpha S - ((alpha+1) H) // n,
+    whose division by n is exact because (alpha+1) H = n (alpha S - f_n).
+    The terms sharing one value g are read by one itemgetter, extended as
+    each becomes active, and summed in C: one multiplication by g per
+    value and step, none per term.  At alpha = -1, f_n = -S and no H is
+    formed.
     """
-    terms = sorted((k, g) for k, g in terms if g and k <= order)
-    ks = [k for k, _ in terms]
-    gs = [g for _, g in terms]
-    kgs = [k * g for k, g in terms]
+    pending = sorted(((k, g) for k, g in terms if g and k <= order), reverse=True)
     scale = alpha + 1
-    f = [0] * (order + 1)
-    f[0] = 1
-    m = 0
+    # f[j + 1] = f_j and h[j + 1] = j f_j, so that at step n slot -k holds
+    # f_{n-k}; every getter also reads slot 0, a 0, and so returns a tuple
+    f, h = [0, 1], [0, 0]
+    slots = {}
+    getters = {}
     for n in range(1, order + 1):
-        while m < len(ks) and ks[m] <= n:
-            m += 1
-        prev = [f[n - k] for k in ks[:m]]
-        f[n] = -sum(map(operator.mul, gs, prev))
+        while pending and pending[-1][0] <= n:
+            k, g = pending.pop()
+            slots.setdefault(g, [0]).append(-k)
+            getters[g] = operator.itemgetter(*slots[g])
         if scale:
-            f[n] += scale * sum(map(operator.mul, kgs, prev)) // n
-    return f
+            s = t = 0
+            for g, get in getters.items():
+                s += g * sum(get(f))
+                t += g * sum(get(h))
+            fn = alpha * s - scale * t // n
+            h.append(n * fn)
+        else:
+            fn = 0
+            for g, get in getters.items():
+                fn -= g * sum(get(f))
+        f.append(fn)
+    return f[1:]

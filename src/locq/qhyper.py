@@ -13,6 +13,7 @@ product locq.oracles.psi_term is the independent oracle the tests compare to.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -28,7 +29,7 @@ OVERFLOWED = "term overflow; series non-convergent here"
 
 # The automatic window of bilateral_psi starts here.
 FIRST_WINDOW = 8
-# Moduli below this are raised to it in the ratio bound (_Tail.rho): an upper
+# Moduli below this are raised to it in the ratio bound (_RatioBound.rho): an upper
 # bound on any value that underflows.
 _TINY = 2.0**-1000
 
@@ -155,6 +156,8 @@ class BilateralSeriesSpec(NamedTuple):
 class PsiSummary(NamedTuple):
     """Value of a bilateral sum plus convergence diagnostics.
 
+    A tail has terminated when its outermost term, and so every later one,
+    is an exact 0 (_Tail.ended) and no term of either tail overflowed.
     tail_bound bounds the modulus of the sum of the terms outside
     [-window, window], from each tail's outermost term and ratio bound
     (_Tail.bound); it is inf where the parameters give none.  It bounds the
@@ -182,9 +185,9 @@ def bilateral_psi(
     With window=None both tails grow together, one position at a time from
     FIRST_WINDOW, and the window is the first w at which every tail that
     has not terminated (reached an exact 0 term) has a ratio bound
-    rho(w) < 1, |t_{j+1} / t_j| <= rho(w) for every j >= w (_Tail.rho), and
-    omits at most |t_w| rho(w) / (1 - rho(w)) <= (tol / 2) max(|S_w|, 1),
-    with the partial sum S_w read as a float.  The summary is then
+    rho(w) < 1, |t_{j+1} / t_j| <= rho(w) for every j >= w
+    (_RatioBound.rho), and omits at most |t_w| rho(w) / (1 - rho(w)) <=
+    (tol / 2) max(|S_w|, 1), with the partial sum S_w read as a float.  The summary is then
     converged, and its tail_bound, the two tails' bounds added, bounds the
     omitted terms; it does not cover the rounding of the sum.  The search
     ends unconverged, with a note, at a window with an overflowing term, at
@@ -256,39 +259,23 @@ def _quotient_magnitude(num: int, den: int) -> float:
         return float("inf")
 
 
-class _Tail:
-    """One tail of the bilateral series, grown by the term-ratio recurrence.
+class _RatioBound:
+    """A bound rho(w) on one tail's term ratio past position w, in closed form
+    from the moduli of the inputs (Gasper-Rahman, Basic Hypergeometric
+    Series, 2nd ed., 5.1).
 
-    Position j holds t_j on the upper tail and t_{-j} on the lower tail;
-    position 0 is t_0 = 1, which neither tail sums.  With k = j - 1 + start,
-    r' = len(top) and s' = len(bot) the ratio t_j / t_{j-1} is
-
-        prod_top (1 - p u^k) / prod_bot (1 - p u^k) * (-1)^(s'-r') u^((s'-r')k) arg.
-
-    The upper tail takes (top, bot, u, arg, start) = (numerator, denominator,
-    q, z, 0); the lower one (denominator, numerator, 1/q, 1/z, 1), because
-    (a;q)_{-m} / (a;q)_{-m+1} = 1 / (1 - a q^-m).  A vanishing top factor
-    makes every later term an exact 0, a vanishing bottom factor makes them
-    infinite.  first_top / first_bot is the first position whose ratio has
-    such a factor and first_overflow the first non-finite numeric term (inf
-    while there is none).  Windows passed to extend() never decrease.
-
-    rho(w) bounds the ratio in closed form from the moduli of the inputs
-    (Gasper-Rahman, Basic Hypergeometric Series, 2nd ed., 5.1).  With
-    b = |u| <= 1 the modulus of the ratio is |arg| b^(gk) prod_top |1 - p u^k|
-    / prod_bot, with g = s' - r'.  With |u| > 1, b = 1/|u| and v = 1/u, each
-    factor with p != 0 is |u|^k |v^k - p|, and g = (nonzero bottom p) -
-    (nonzero top p) - (s' - r'); a factor with p = 0 is 1.  Either way a
-    factor lies between c0 - c1 b^k and c0 + c1 b^k, (c0, c1) = (1, |p|) or
-    (|p|, 1), and for k >= m = w + start, b^k <= b^m and, when g >= 0,
-    b^(gk) <= b^(gm).
+    With b = |u| <= 1 the modulus of the ratio is |arg| b^(gk) prod_top
+    |1 - p u^k| / prod_bot, with g = s' - r'.  With |u| > 1, b = 1/|u| and
+    v = 1/u, each factor with p != 0 is |u|^k |v^k - p|, and g = (nonzero
+    bottom p) - (nonzero top p) - (s' - r'); a factor with p = 0 is 1.
+    Either way a factor lies between c0 - c1 b^k and c0 + c1 b^k, (c0, c1) =
+    (1, |p|) or (|p|, 1), and for k >= m = w + start, b^k <= b^m and, when
+    g >= 0, b^(gk) <= b^(gm).
     """
 
     def __init__(self, top, bot, u: float, arg: float, shift: int, start: int):
         """top, bot: the moduli of the nonzero top and bottom parameters; u, arg:
         |u| and |arg|; shift: s' - r'.  Moduli are floats, inf past a double."""
-        self.pos = 0
-        self.first_top = self.first_bot = self.first_overflow = math.inf
         self.start = start
         inverted = u > 1
         self.b = 1 / u if inverted else u
@@ -310,11 +297,6 @@ class _Tail:
         # and a bottom one, making a term after the end 0/0
         self.top_horizon = _horizon(top, u, start)
         self.bot_horizon = _horizon(bot, u, start)
-
-    def extend(self, window: int) -> None:
-        while self.pos < window:
-            self.pos += 1
-            self._step()
 
     def rho(self, w: int) -> float:
         """A bound on |t_{j+1} / t_j| for every position j >= w; inf where the
@@ -343,10 +325,46 @@ class _Tail:
         exponent = sum(logs) + (len(logs) + 2) * 2.0**-52 * sum(map(abs, logs))
         return max(math.exp(exponent) * (1 + slack), _TINY) if exponent < 0 else math.inf
 
+
+class _Tail:
+    """One tail of the bilateral series, grown by the term-ratio recurrence.
+
+    Position j holds t_j on the upper tail and t_{-j} on the lower tail;
+    position 0 is t_0 = 1, which neither tail sums.  With k = j - 1 + start,
+    r' = len(top) and s' = len(bot) the ratio t_j / t_{j-1} is
+
+        prod_top (1 - p u^k) / prod_bot (1 - p u^k) * (-1)^(s'-r') u^((s'-r')k) arg.
+
+    The upper tail takes (top, bot, u, arg, start) = (numerator, denominator,
+    q, z, 0); the lower one (denominator, numerator, 1/q, 1/z, 1), because
+    (a;q)_{-m} / (a;q)_{-m+1} = 1 / (1 - a q^-m).  A vanishing top factor
+    makes every later term an exact 0, a vanishing bottom factor makes them
+    infinite.  first_top / first_bot is the first position whose ratio has
+    such a factor and first_overflow the first non-finite numeric term (inf
+    while there is none).  Windows passed to extend() never decrease.
+    """
+
+    def __init__(self, start: int):
+        self.pos = 0
+        self.first_top = self.first_bot = self.first_overflow = math.inf
+        self.start = start
+
+    @functools.cached_property
+    def ratio(self) -> _RatioBound:
+        """The tail's ratio bound, built from _moduli() on first read, so that
+        a sum that reads no tail bound never builds one."""
+        return _RatioBound(*self._moduli(), self.start)
+
+    def extend(self, window: int) -> None:
+        while self.pos < window:
+            self.pos += 1
+            self._step()
+
     def diverges(self) -> bool:
         """Whether the tail has not ended, has a ratio limit of 1 or more, and is
         past every position at which a top factor can vanish to end it."""
-        return not (self.ended() or self.limit < 1 or self.pos < self.top_horizon)
+        ratio = self.ratio
+        return not (self.ended() or ratio.limit < 1 or self.pos < ratio.top_horizon)
 
     def bound(self, scale: float = math.inf) -> float:
         """A bound on |sum of the terms past position pos|: 0 once the tail has
@@ -354,12 +372,13 @@ class _Tail:
         with rho = rho(pos) < 1, else inf.  It is inf as well, without rho
         being formed, when |t_pos| times the least rho / (1 - rho) of any
         position already exceeds `scale`."""
+        ratio = self.ratio
         if self.ended():
-            return 0.0 if self.pos >= self.bot_horizon else math.inf
+            return 0.0 if self.pos >= ratio.bot_horizon else math.inf
         size = max(_magnitude(self.outer()), _TINY)
-        if not size * self.least <= scale:
+        if not size * ratio.least <= scale:
             return math.inf
-        rho = self.rho(self.pos)
+        rho = ratio.rho(self.pos)
         return size * rho / (1 - rho) if rho < 1 else math.inf
 
     def _record(self, top: list, bot: list) -> bool:
@@ -396,13 +415,11 @@ class _ExactTail(_Tail):
     """
 
     def __init__(self, top, bot, u: Fraction, arg: Fraction, start: int):
+        super().__init__(start)
         self.top = [(p.numerator, p.denominator) for p in top]
         self.bot = [(p.numerator, p.denominator) for p in bot]
+        self.arg = arg
         shift = len(bot) - len(top)
-        super().__init__([_quotient_magnitude(n, d) for n, d in self.top if n],
-                         [_quotient_magnitude(n, d) for n, d in self.bot if n],
-                         _quotient_magnitude(u.numerator, u.denominator),
-                         _quotient_magnitude(arg.numerator, arg.denominator), shift, start)
         self.un, self.ud = u.numerator, u.denominator
         self.grow = self.un ** abs(shift)  # u^((s'-r')k) leaves un^(|s'-r'|k)
         self.grow_above = shift >= 0
@@ -412,6 +429,14 @@ class _ExactTail(_Tail):
         self.cd = arg.denominator * math.prod(d for _, d in self.top)
         self.num, self.den, self.total = 1, 1, 0
         self.prev_num, self.prev_den = 1, 1
+
+    def _moduli(self):
+        """The arguments of _RatioBound but `start`, as floats."""
+        return ([_quotient_magnitude(n, d) for n, d in self.top if n],
+                [_quotient_magnitude(n, d) for n, d in self.bot if n],
+                _quotient_magnitude(self.un, self.ud),
+                _quotient_magnitude(self.arg.numerator, self.arg.denominator),
+                len(self.bot) - len(self.top))
 
     def _step(self) -> None:
         unk, udk, growk = self.unk, self.udk, self.growk
@@ -453,11 +478,10 @@ class _ExactTail(_Tail):
         """Whether |t| of the outermost term exceeds that of the one before."""
         return abs(self.num) * self.prev_den > abs(self.prev_num) * self.den
 
-    def edge(self) -> tuple[float, bool]:
-        """Largest |t| of the two outermost terms, and whether both are 0."""
-        size = max(_quotient_magnitude(self.num, self.den),
+    def edge(self) -> float:
+        """Largest |t| of the two outermost terms."""
+        return max(_quotient_magnitude(self.num, self.den),
                    _quotient_magnitude(self.prev_num, self.prev_den))
-        return size, self.num == 0 and self.prev_num == 0
 
 
 class _NumericTail(_Tail):
@@ -472,11 +496,11 @@ class _NumericTail(_Tail):
     """
 
     def __init__(self, top, bot, u: complex, arg: complex, start: int):
-        shift = len(bot) - len(top)
+        super().__init__(start)
+        self.shift = shift = len(bot) - len(top)
         self.top = [p for p in top if p]
         self.bot = [p for p in bot if p]
-        super().__init__([_magnitude(p) for p in self.top], [_magnitude(p) for p in self.bot],
-                         _magnitude(u), _magnitude(arg), shift, start)
+        self.u, self.arg = u, arg
         self.inverted = abs(u) > 1
         if self.inverted:
             self.base, self.grow = 1 / u, u ** (shift - len(self.bot) + len(self.top))
@@ -486,6 +510,11 @@ class _NumericTail(_Tail):
         self.c = (-1 if shift % 2 else 1) * arg
         self.term = 1 + 0j
         self.terms = [self.term]
+
+    def _moduli(self):
+        """The arguments of _RatioBound but `start`, as floats."""
+        return ([_magnitude(p) for p in self.top], [_magnitude(p) for p in self.bot],
+                _magnitude(self.u), _magnitude(self.arg), self.shift)
 
     def _step(self) -> None:
         pw, growk = self.pw, self.growk
@@ -523,10 +552,9 @@ class _NumericTail(_Tail):
         """Whether |t| of the outermost term exceeds that of the one before."""
         return abs(self.terms[-1]) > abs(self.terms[-2])
 
-    def edge(self) -> tuple[float, bool]:
-        """Largest |t| of the two outermost terms, and whether both are 0."""
-        last = self.terms[-2:]
-        return max(abs(t) for t in last), all(t == 0 for t in last)
+    def edge(self) -> float:
+        """Largest |t| of the two outermost terms."""
+        return max(abs(t) for t in self.terms[-2:])
 
 
 def _tails(spec: BilateralSeriesSpec) -> tuple[_Tail, _Tail]:
@@ -558,16 +586,14 @@ def _summary(tails: tuple[_Tail, _Tail], window: int, notes: tuple[str, ...] = (
              converged: bool = False) -> PsiSummary:
     """Summary over [-window, window] of tails extended to the window."""
     lower, upper = tails
-    upper_tail, upper_zero = upper.edge()
-    lower_tail, lower_zero = lower.edge()
     overflowed = min(lower.first_overflow, upper.first_overflow) <= window
     return PsiSummary(
         value=lower.joined(upper),
         window=window,
-        upper_tail=upper_tail,
-        lower_tail=lower_tail,
-        upper_terminated=upper_zero and not overflowed,
-        lower_terminated=lower_zero and not overflowed,
+        upper_tail=upper.edge(),
+        lower_tail=lower.edge(),
+        upper_terminated=upper.ended() and not overflowed,
+        lower_terminated=lower.ended() and not overflowed,
         converged=converged,
         tail_bound=lower.bound() + upper.bound(),
         notes=notes,
@@ -619,7 +645,11 @@ def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
     spec = BilateralSeriesSpec.make(
         [a, b, q**-n], [c, a * b * q ** (1 - n) / c, q], q, q
     )
-    lhs = _psi_window(_tails(spec), n + 2).value
+    lower, upper = tails = _tails(spec)
+    lower.extend(n + 2)
+    upper.extend(n + 2)
+    _raise_first_error(tails, n + 2)
+    lhs = lower.joined(upper)
     denom = pochhammer(c, q, n) * pochhammer(c / (a * b), q, n)
     if denom == 0:
         raise DegenerateParametersError("closed-form denominator vanishes")

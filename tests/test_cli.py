@@ -830,8 +830,12 @@ class TestSeriesCommands:
          "5088cbc18b1c7f9298a8e9dc882c039aa95267ab596158a62327701943edef55"),
         ("euler-series --chi -24 --order 12",
          "ce663304de1e854ba9ae8d5b700980e0ebfe9b9172588be98587404cbdec9efa"),
+        ("euler-series --chi 3 --order 1154",
+         "e1776da3a394ae9c838ccd687b4760c6b3867d20d03acc6a67c1707a63bb01c5"),
         ("twisted-sym --chi -3 --order 800",
          "ed68afe1f0b9b98b6ac719251525db35b6dc9844d903af08047f09c2024d2672"),
+        ("twisted-sym --chi 3 --order 729",
+         "7130657f18dc1f54e8ba64ab7542378faacf0f5c16add648b6258ceaa739ecbf"),
         ("twisted-sym --chi 0 --order 0",
          "409c7a70234365f667cf9d6a3218349b7361b5d3a67ae00106eef02a74c6145b"),
         ("macdonald --betti 1,2,1 --order 30",

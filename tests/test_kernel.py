@@ -118,6 +118,31 @@ def test_sparse_power_matches_ring_power(terms, alpha, order):
     assert kernel.sparse_power(terms.items(), alpha, order) == ring.power(base, alpha)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_power_terms_sharing_values(data):
+    # many exponents over few coefficient values: the terms of one value are
+    # read together, and a value's group grows as its terms become active
+    values = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    terms = data.draw(st.dictionaries(st.integers(1, 120), st.sampled_from(values),
+                                      max_size=30))
+    alpha = data.draw(st.integers(-12, 12))
+    order = data.draw(st.integers(0, 120))
+    base = [1] + [0] * order
+    for k, g in terms.items():
+        if k <= order:
+            base[k] = g
+    assert kernel.sparse_power(terms.items(), alpha, order) == ring.power(base, alpha)
+
+
+@pytest.mark.parametrize("chi", range(-4, 5))
+def test_sparse_power_of_eulers_function_is_its_euler_transform(chi):
+    # prod (1 - q^n)^chi from its pentagonal terms and from its exponents
+    order = 600
+    assert (kernel.sparse_power(pentagonal_terms(order), -chi, order)
+            == kernel.euler_transform([0] + [chi] * order, order))
+
+
 def test_sparse_power_small_cases():
     # (1 - q)^-2 = sum (n+1) q^n; (1 + q^2)^3 = 1 + 3q^2 + 3q^4 + q^6;
     # at alpha = -1, (1 + q + q^2)^-1 = (1 - q) / (1 - q^3)

@@ -328,6 +328,16 @@ class TestConvergenceDiagnostics:
         assert summary.converged and summary.window == 13
         assert summary.tail_bound == 0
         assert summary.value == bilateral_psi(spec, window=20).value
+        assert summary.upper_terminated and summary.lower_terminated
+
+    def test_tail_ending_at_an_explicit_window_has_terminated(self):
+        # t_13 is the upper tail's first 0 term (3^12 = q^-12), t_12 is not
+        q = Fraction(1, 3)
+        spec = BilateralSeriesSpec.make([q**-12], [q], q, Fraction(5))
+        at_end, before = bilateral_psi(spec, window=13), bilateral_psi(spec, window=12)
+        assert at_end.upper_tail > 0 and at_end.tail_bound == 0
+        assert at_end.upper_terminated and at_end.lower_terminated
+        assert not before.upper_terminated and before.lower_terminated
 
     def test_ended_tail_still_meets_a_later_vanishing_denominator(self):
         # q^3 ends the lower tail at n = -3 and q^10 makes its term at n = -10
@@ -406,9 +416,11 @@ def test_window_sum_matches_direct_products(spec, window):
     else:
         summary = bilateral_psi(spec, window=window)
         assert summary.value == sum(sorted((t for t, _ in terms), key=abs))
+        # a tail has terminated where its outermost term is 0, every later
+        # term being 0 as well
         edges = [terms[0][0], terms[1][0], terms[-1][0], terms[-2][0]]
-        assert summary.lower_terminated == (edges[0] == edges[1] == 0)
-        assert summary.upper_terminated == (edges[2] == edges[3] == 0)
+        assert summary.lower_terminated == (edges[0] == 0)
+        assert summary.upper_terminated == (edges[2] == 0)
         assert summary.lower_tail == max(abs(float(t)) for t in edges[:2])
         assert summary.upper_tail == max(abs(float(t)) for t in edges[2:])
 
@@ -461,7 +473,7 @@ def test_ratio_bound_holds_past_its_position(spec, start):
     # where a ratio past K is infinite
     with mpmath.workdps(30):
         for side, tail in enumerate(qhyper._tails(spec)):
-            rho = tail.rho(start)
+            rho = tail.ratio.rho(start)
             for j in range(start, start + 41):
                 ratio = _ratio(spec, side, j)
                 if ratio is None:
