@@ -106,6 +106,33 @@ def parse_factors(text: str) -> SphereProductSpace:
     return SphereProductSpace.of(*pairs)
 
 
+def _reads_as(convert, blank: bool = False):
+    """A parser type= check that `convert` (int or float) reads an option's
+    text, so that argparse names the option where it does not ("argument
+    --order: invalid int value: '2.5'").  The check returns the text itself,
+    which the handler converts and the config echoes; with blank=True an
+    empty text, the default of an option that is unset, passes too."""
+    def check(text: str) -> str:
+        if text or not blank:
+            try:
+                convert(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid {convert.__name__} value: {text!r}") from None
+        return text
+    return check
+
+
+_INT, _FLOAT, _BLANK_OR_INT = _reads_as(int), _reads_as(float), _reads_as(int, blank=True)
+
+
+def _betti_text(text: str) -> str:
+    """The type= check of --betti: each entry of a nonblank text an int."""
+    for entry in text.split(",") if text.strip() else ():
+        _INT(entry)
+    return text
+
+
 def parse_betti(text: str) -> BettiData:
     """Betti numbers written 'b0,b1,b2,...'; an empty text is the empty space."""
     return BettiData(tuple(int(p) for p in text.split(",")) if text.strip() else ())
@@ -442,12 +469,12 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=required)
 
     p = sub.add_parser("spectral-eval", help="evaluate one spectral infinite product")
-    p.add_argument("--a", required=required)
+    p.add_argument("--a", required=required, type=_FLOAT)
     p.add_argument("--epsilon", default="0")
-    p.add_argument("--ell", default="1")
+    p.add_argument("--ell", default="1", type=_INT)
     p.add_argument("--sign", choices=["minus", "plus"], default="minus")
     p.add_argument("--tau", required=required, help="complex as 're,im'")
-    p.add_argument("--tol", default="1e-12")
+    p.add_argument("--tol", default="1e-12", type=_FLOAT)
     p.set_defaults(handler=_cmd_spectral_eval)
 
     p = sub.add_parser("pfaffian", help="Pfaffian and canonical data of a skew matrix")
@@ -459,7 +486,7 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("dh-verify", help="check the fixed-point localization identity")
     p.add_argument("--factors", required=required, help="'r1:mu1,r2:mu2,...'")
     p.add_argument("--c", required=required)
-    p.add_argument("--tol", default="1e-8")
+    p.add_argument("--tol", default="1e-8", type=_FLOAT)
     p.set_defaults(handler=_cmd_dh_verify)
 
     qhyper_parser = sub.add_parser("qhyper", help="q-Pochhammer symbol, bilateral sum and "
@@ -471,63 +498,63 @@ def build_parser(required: bool = True) -> argparse.ArgumentParser:
     # --n and --tol default to None: argparse sees an excluded option only when
     # its value is not the default object, and an argv "0" is the interned "0"
     g = f.add_mutually_exclusive_group()
-    g.add_argument("--n", help="default 0")
+    g.add_argument("--n", help="default 0", type=_INT)
     g.add_argument("--infinite", action="store_true")
-    f.add_argument("--tol", help="default 1e-12; only with --infinite")
+    f.add_argument("--tol", help="default 1e-12; only with --infinite", type=_FLOAT)
     f.set_defaults(handler=_cmd_pochhammer)
     f = forms.add_parser("psi", help="bilateral basic hypergeometric sum")
     f.add_argument("--num", default="", help="numerator parameters 'a1;a2;...'")
     f.add_argument("--den", default="", help="denominator parameters 'b1;b2;...'")
     f.add_argument("--q", required=required)
     f.add_argument("--z", required=required)
-    f.add_argument("--window", default="")
-    f.add_argument("--tol", default="1e-12")
+    f.add_argument("--window", default="", type=_BLANK_OR_INT)
+    f.add_argument("--tol", default="1e-12", type=_FLOAT)
     f.set_defaults(handler=_cmd_psi)
     f = forms.add_parser("saalschutz", help="check the terminating q-Saalschutz identity")
     for name in ("a", "b", "c"):
         f.add_argument(f"--{name}", required=required)
-    f.add_argument("--n", default="0")
+    f.add_argument("--n", default="0", type=_INT)
     f.add_argument("--q", required=required)
     f.set_defaults(handler=_cmd_saalschutz)
 
     for name, text in (("macdonald", "symmetric-product Poincare series"),
                        ("orbifold", "orbifold Poincare series")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--betti", required=required, help="'b0,b1,b2,...'")
-        p.add_argument("--order", default="8")
-        p.add_argument("--y-bound", default="")
+        p.add_argument("--betti", required=required, help="'b0,b1,b2,...'", type=_betti_text)
+        p.add_argument("--order", default="8", type=_INT)
+        p.add_argument("--y-bound", default="", type=_BLANK_OR_INT)
         p.set_defaults(handler=_cmd_betti_series)
 
     for name, text in (("twisted-sym", "twisted symmetric-product Euler series"),
                        ("euler-series", "equivariant Euler-characteristic series")):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--chi", required=required)
-        p.add_argument("--order", default="20")
+        p.add_argument("--chi", required=required, type=_INT)
+        p.add_argument("--order", default="20", type=_INT)
         p.set_defaults(handler=_cmd_chi_series)
 
     p = sub.add_parser("phi", help="building-block series in x")
     p.add_argument("--tau", required=required)
-    p.add_argument("--x-order", default="8")
-    p.add_argument("--q-tol", default="1e-12")
+    p.add_argument("--x-order", default="8", type=_INT)
+    p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
     p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("genus-cpm", help="level-N genus of complex projective space")
     p.add_argument("--tau", required=required)
-    p.add_argument("--N", required=required)
-    p.add_argument("--k", required=required)
-    p.add_argument("--l", required=required)
-    p.add_argument("--m", required=required)
-    p.add_argument("--q-tol", default="1e-12")
+    p.add_argument("--N", required=required, type=_INT)
+    p.add_argument("--k", required=required, type=_INT)
+    p.add_argument("--l", required=required, type=_INT)
+    p.add_argument("--m", required=required, type=_INT)
+    p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
     p.set_defaults(handler=_cmd_genus_cpm)
 
     p = sub.add_parser("period-scan", help="scan lattice translations for periods")
     p.add_argument("--tau", required=required)
-    p.add_argument("--N", required=required)
-    p.add_argument("--k", required=required)
-    p.add_argument("--l", required=required)
-    p.add_argument("--trial-bound", default="")
-    p.add_argument("--tol", default="1e-8")
-    p.add_argument("--q-tol", default="1e-12")
+    p.add_argument("--N", required=required, type=_INT)
+    p.add_argument("--k", required=required, type=_INT)
+    p.add_argument("--l", required=required, type=_INT)
+    p.add_argument("--trial-bound", default="", type=_BLANK_OR_INT)
+    p.add_argument("--tol", default="1e-8", type=_FLOAT)
+    p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
     p.set_defaults(handler=_cmd_period_scan)
 
     p = sub.add_parser("verify-all", help="run every verification suite")

@@ -8,6 +8,9 @@ shift identity
 namely (a;q)_{-m} = 1 / prod_{k=1..m} (1 - a q^{-k}).  Bilateral series are
 summed tail by tail from the term-ratio recurrence (see _Tail); the direct
 product locq.oracles.psi_term is the independent oracle the tests compare to.
+Whether a bilateral sum has converged is decided by one rule, at a window
+searched for or given: a proven bound on each tail's omitted terms
+(_RatioBound, _Tail.bound) against the tolerance.
 """
 
 from __future__ import annotations
@@ -161,7 +164,9 @@ class PsiSummary(NamedTuple):
     tail_bound bounds the modulus of the sum of the terms outside
     [-window, window], from each tail's outermost term and ratio bound
     (_Tail.bound); it is inf where the parameters give none.  It bounds the
-    omitted terms, not the rounding of the sum over the window.
+    omitted terms, not the rounding of the sum over the window.  converged
+    holds where each tail's bound is at most (tol / 2) max(|sum|, 1), by
+    one rule whether the window was searched for or given (bilateral_psi).
     """
 
     value: Scalar
@@ -187,33 +192,37 @@ def bilateral_psi(
     has not terminated (reached an exact 0 term) has a ratio bound
     rho(w) < 1, |t_{j+1} / t_j| <= rho(w) for every j >= w
     (_RatioBound.rho), and omits at most |t_w| rho(w) / (1 - rho(w)) <=
-    (tol / 2) max(|S_w|, 1), with the partial sum S_w read as a float.  The summary is then
-    converged, and its tail_bound, the two tails' bounds added, bounds the
-    omitted terms; it does not cover the rounding of the sum.  The search
-    ends unconverged, with a note, at a window with an overflowing term, at
-    the first window at which a tail that has not terminated has a ratio
-    limit of 1 or more and no top factor 1 - p u^k left that can vanish to
-    end it (_Tail.diverges), and at MAX_WINDOW.  A window above MAX_WINDOW
-    is rejected before any work.  The summary reports the magnitude of the
-    outermost included terms on each tail; at an explicit window, a
-    NonConvergent note is attached when a tail's outermost term is larger
-    than the sum or than the term before it.
+    (tol / 2) max(|S_w|, 1), with the partial sum S_w read as a float.  The
+    summary is then converged, and its tail_bound, the two tails' bounds
+    added, bounds the omitted terms; it does not cover the rounding of the
+    sum.  The search ends unconverged, with a note, at a window with an
+    overflowing term, at the first window at which a tail that has not
+    terminated has a ratio limit of 1 or more and no top factor 1 - p u^k
+    left that can vanish to end it (_Tail.diverges), and at MAX_WINDOW.
+
+    An explicit window W is the same search with its first and last window
+    both W: the same tests at W decide `converged` and the notes, and a sum
+    that passes none of them is unconverged with no note.  So
+    bilateral_psi(spec, window=s.window) == s for a summary s of the
+    automatic search that stopped below MAX_WINDOW.  A window above
+    MAX_WINDOW is rejected before any work.  The summary reports the
+    magnitude of the outermost included terms on each tail.
     """
     check_tolerance(tol)
     if window is not None:
         if window < 1:
-            raise ValueError("window must always be a positive integer")
+            raise ValueError(f"window must be a positive integer, got {window}")
         if window > MAX_WINDOW:
             raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
-        return _psi_window(_tails(spec), window)
+    first, last = (window, window) if window else (FIRST_WINDOW, MAX_WINDOW)
 
     lower, upper = tails = _tails(spec)
     estimate = 1.0
-    for w in range(1, MAX_WINDOW + 1):
+    for w in range(1, last + 1):
         lower.extend(w)
         upper.extend(w)
         estimate += lower.outer() + upper.outer()
-        if w < FIRST_WINDOW:
+        if w < first:
             continue
         if min(lower.first_bot, upper.first_bot) <= w:
             _raise_first_error(tails, w)
@@ -226,6 +235,8 @@ def bilateral_psi(
             scale = 0.0  # an estimate past a double: only ended tails pass
         if all(tail.bound(scale) <= scale for tail in tails):
             return _summary(tails, w, converged=True)
+    if window:
+        return _summary(tails, window)
     return _summary(tails, MAX_WINDOW, notes=("window cap reached before convergence",))
 
 
@@ -474,10 +485,6 @@ class _ExactTail(_Tail):
         den = self.den * other.den
         return Fraction(self.total * other.den + other.total * self.den + den, den)
 
-    def growing(self) -> bool:
-        """Whether |t| of the outermost term exceeds that of the one before."""
-        return abs(self.num) * self.prev_den > abs(self.prev_num) * self.den
-
     def edge(self) -> float:
         """Largest |t| of the two outermost terms."""
         return max(_quotient_magnitude(self.num, self.den),
@@ -548,10 +555,6 @@ class _NumericTail(_Tail):
         pairs = map(operator.add, reversed(self.terms[1:]), reversed(other.terms[1:]))
         return sum(pairs, 0j) + 1
 
-    def growing(self) -> bool:
-        """Whether |t| of the outermost term exceeds that of the one before."""
-        return abs(self.terms[-1]) > abs(self.terms[-2])
-
     def edge(self) -> float:
         """Largest |t| of the two outermost terms."""
         return max(abs(t) for t in self.terms[-2:])
@@ -598,23 +601,6 @@ def _summary(tails: tuple[_Tail, _Tail], window: int, notes: tuple[str, ...] = (
         tail_bound=lower.bound() + upper.bound(),
         notes=notes,
     )
-
-
-def _psi_window(tails: tuple[_Tail, _Tail], window: int) -> PsiSummary:
-    """Summary over [-window, window], extending both tails to the window,
-    with a note when a term overflows, or an outermost term is larger than
-    the sum or than the term before it."""
-    for tail in tails:
-        tail.extend(window)
-    _raise_first_error(tails, window)
-    summary = _summary(tails, window)
-    scale = max(_magnitude(summary.value), 1.0)
-    if min(tail.first_overflow for tail in tails) <= window:
-        return summary._replace(notes=(OVERFLOWED,))
-    if (summary.upper_tail > scale or summary.lower_tail > scale
-            or any(tail.growing() for tail in tails)):
-        return summary._replace(notes=(NOT_DECAYING,))
-    return summary
 
 
 class SaalschutzResult(NamedTuple):

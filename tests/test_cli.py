@@ -678,7 +678,7 @@ class TestQhyperCommand:
         code, out = run_cli([*self.PSI, "--num", "0.9", "--window", "600"])
         wide = parse_strict(out)
         assert code == 0
-        assert wide["notes"] == []
+        assert wide["notes"] == [] and wide["converged"] is True
         assert wide["lower_tail"] > 0
         code, out = run_cli([*self.PSI, "--num", "0.9"])
         auto = parse_strict(out)
@@ -723,6 +723,13 @@ class TestQhyperCommand:
         code, out = run_cli([*self.PSI, "--num", "0.9", "--window", "4097"])
         assert code == 2
         assert parse_strict(out)["error"] == "ValueError: window must be at most 4096, got 4097"
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_psi_window_below_one_is_exit_two(self, run_cli, window):
+        code, out = run_cli([*self.PSI, "--num", "0.9", "--window", window])
+        assert code == 2
+        assert (parse_strict(out)["error"]
+                == f"ValueError: window must be a positive integer, got {window}")
 
     def test_exact_infinite_pochhammer_is_numeric(self, run_cli):
         # a truncated infinite product is only good to --tol, so exact
@@ -1120,6 +1127,53 @@ class TestContract:
         code, out = run_cli([*argv, f"{flag}={value}"])
         assert code == 2
         assert "must be positive and finite, got" in parse_strict(out)["error"]
+
+    # every option that a handler reads with int() or float(), under the words
+    # that name its parser: argparse checks a value as it reads it, before it
+    # looks for a missing option
+    NUMBER_OPTIONS = {
+        ("spectral-eval",): {"--a": "float", "--ell": "int", "--tol": "float"},
+        ("dh-verify",): {"--tol": "float"},
+        ("qhyper", "pochhammer"): {"--n": "int", "--tol": "float"},
+        ("qhyper", "psi"): {"--window": "int", "--tol": "float"},
+        ("qhyper", "saalschutz"): {"--n": "int"},
+        ("macdonald",): {"--order": "int", "--y-bound": "int"},
+        ("orbifold",): {"--order": "int", "--y-bound": "int"},
+        ("twisted-sym",): {"--chi": "int", "--order": "int"},
+        ("euler-series",): {"--chi": "int", "--order": "int"},
+        ("phi",): {"--x-order": "int", "--q-tol": "float"},
+        ("genus-cpm",): {"--N": "int", "--k": "int", "--l": "int", "--m": "int",
+                         "--q-tol": "float"},
+        ("period-scan",): {"--N": "int", "--k": "int", "--l": "int", "--trial-bound": "int",
+                           "--tol": "float", "--q-tol": "float"},
+    }
+
+    @pytest.mark.parametrize("words,option,kind", [
+        pytest.param(words, option, kind, id=f"{words[-1]} {option}")
+        for words, options in NUMBER_OPTIONS.items() for option, kind in options.items()])
+    def test_malformed_number_names_its_option(self, run_cli, words, option, kind):
+        # before: the handler's int() or float() error, which names no option
+        text = {"int": "2.5", "float": "abc"}[kind]
+        code, out = run_cli([*words, option, text])
+        assert code == 2
+        assert parse_strict(out) == {"error": f"argument {option}: invalid {kind} value: "
+                                              f"{text!r}", "exit": 2}
+
+    @pytest.mark.parametrize("subcommand", ["macdonald", "orbifold"])
+    @pytest.mark.parametrize("betti,entry", [("1,x", "x"), ("1,,1", ""), ("0.5", "0.5")])
+    def test_malformed_betti_number_is_named(self, run_cli, subcommand, betti, entry):
+        code, out = run_cli([subcommand, "--betti", betti])
+        assert code == 2
+        assert parse_strict(out)["error"] == f"argument --betti: invalid int value: {entry!r}"
+
+    @pytest.mark.parametrize("argv,option", [
+        (["qhyper", "psi", "--q", "0.2", "--z", "0.5"], "--window"),
+        (["macdonald", "--betti", "1,2,1"], "--y-bound"),
+        (["period-scan", "--tau", "0.3,1.1", "--N", "3", "--k", "1", "--l", "2"],
+         "--trial-bound"),
+    ])
+    def test_empty_number_is_the_unset_default(self, run_cli, argv, option):
+        assert run_cli([*argv, option, ""]) == run_cli(argv)
 
     @pytest.mark.parametrize(
         "argv,value",

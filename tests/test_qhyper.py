@@ -534,3 +534,17 @@ def test_automatic_window_meets_the_closed_form(spec):
     mass = 1 + sum(abs(t) for tail in tails for t in tail.terms[1:])
     allowance = 8 * 2.0**-52 * summary.window * mass
     assert abs(summary.value - _closed_form(spec)) <= summary.tail_bound + allowance
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(closed_form_sums(), exact_specs()))
+def test_explicit_window_gets_the_automatic_verdict(spec):
+    # one rule decides convergence: at the window the automatic search
+    # stopped on, an explicit window gives the same summary in every field
+    try:
+        auto = bilateral_psi(spec)
+    except (DegenerateParametersError, PochhammerZeroDivisionError):
+        return
+    if auto.window == qhyper.MAX_WINDOW:
+        return
+    assert bilateral_psi(spec, window=auto.window) == auto
