@@ -14,7 +14,6 @@ their full spelling, and each qhyper form only the options it reads.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import json
@@ -25,11 +24,11 @@ import sys
 from fractions import Fraction
 
 from . import genfunc, genus, localization, pfaffian, qhyper, spectral, verify
-from .errors import LocqError, ScanInconclusiveError, UsageError
+from .errors import LocqError, ScanInconclusiveError, UsageError, require_double
 from .genfunc import BettiData
 from .genus import LevelData
 from .localization import SphereProductSpace
-from .series import BivariateSeries, FormalSeries
+from .series import MAX_DIGITS, BivariateSeries, FormalSeries
 from .spectral import SpectralParams, Tau
 
 
@@ -41,18 +40,21 @@ from .spectral import SpectralParams, Tau
 def cpx(z: complex) -> list[str]:
     """Complex as a two-element array of decimal strings (repr round-trips).
 
-    A value that is not finite raises a ValueError naming it: "nan" and "inf"
+    A value that is not finite is refused (require_double): "nan" and "inf"
     would pass the strict encoder as strings.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"the complex result {z!r} is not finite")
+    z = require_double("the complex result", complex(z))
     return [repr(z.real), repr(z.imag)]
 
 
 def frac(value: Fraction | int) -> str:
-    """An exact rational as "p/q"; an int's denominator is 1."""
-    return f"{value.numerator}/{value.denominator}"
+    """An exact rational as "p/q"; an int's denominator is 1.  One with
+    more than MAX_DIGITS digits in either is refused by name."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # int to str past sys.get_int_max_str_digits()
+        raise ValueError(f"an exact result has more than MAX_DIGITS = {MAX_DIGITS} digits "
+                         f"in its numerator or denominator") from None
 
 
 def finite_or_none(x: float) -> float | None:
@@ -243,21 +245,13 @@ def _cmd_pfaffian(args) -> tuple[dict, int]:
     a = pfaffian.SkewMatrix(entries)
     form = pfaffian.canonicalize(a)
     return {
-        "pfaffian": _normal("Pfaffian", pfaffian.pfaffian(a)),
-        "det": _normal("determinant", a.det()),
-        "sqrt_det": _normal("sqrt_det", form.sqrt_det),
-        "lambdas": [_normal("rotation rate", rate) for rate in form.lambdas],
+        # canonicalize refused a singular matrix: a value below the normal doubles underflowed
+        "pfaffian": require_double("Pfaffian", pfaffian.pfaffian(a), normal=True),
+        "det": require_double("determinant", a.det(), normal=True),
+        "sqrt_det": require_double("sqrt_det", form.sqrt_det, normal=True),
+        "lambdas": [require_double("rotation rate", rate, normal=True) for rate in form.lambdas],
         "antisymmetrized": a.adjusted,
     }, 0
-
-
-def _normal(what: str, value: float) -> float:
-    """value, or a ValueError naming `what` where it is below the normal doubles:
-    canonicalize refuses a singular matrix, so such a value has underflowed."""
-    if not abs(value) >= sys.float_info.min:
-        raise ValueError(f"{what} is below the normal doubles, got {value!r}: "
-                         "the matrix entries are too small")
-    return value
 
 
 def _joined_products(pairs: list[tuple[str, str]]) -> list[str]:
@@ -606,7 +600,7 @@ def _emit(payload: dict, out: str) -> None:
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(500_000)  # exact outputs can be huge rationals
+        sys.set_int_max_str_digits(MAX_DIGITS)  # exact outputs can be huge rationals
     try:
         status = _respond(argv)
         sys.stdout.flush()

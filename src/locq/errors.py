@@ -1,4 +1,24 @@
-"""Exception hierarchy shared by all locq modules."""
+"""Exception hierarchy shared by all locq modules, and the one rule by which
+a computed number is refused: require_double."""
+
+import cmath
+import math
+import sys
+
+
+def is_normal(value: float | complex) -> bool:
+    """Finite, with its larger part at least the least normal double."""
+    return cmath.isfinite(value) and max(abs(value.real), abs(value.imag)) >= sys.float_info.min
+
+
+def require_double(what: str, value, normal: bool = False):
+    """value, or a ValueError naming `what` where a part of it is not a finite
+    double or, with normal, where it is not normal (is_normal): it lost digits."""
+    if not (cmath.isfinite(value) if isinstance(value, complex) else math.isfinite(value)):
+        raise ValueError(f"overflow: {what} is not a finite double, got {value!r}")
+    if normal and not is_normal(value):
+        raise ValueError(f"underflow: {what} is below the normal doubles, got {value!r}")
+    return value
 
 
 class LocqError(Exception):

@@ -39,7 +39,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import (BetaSingularityError, NonConvergentError, ScanInconclusiveError,
-                     ToleranceUnreachableError)
+                     ToleranceUnreachableError, require_double)
 from .series import MAX_ORDER, _check_order
 from .spectral import Tau, check_tolerance, factor_cap, factor_count, q_power
 
@@ -243,10 +243,8 @@ def _theta_ratio(tau: Tau, beta: complex, x_order: int, q_tol: float, lead: int,
     big = max(map(abs, out)) if sum(map(abs, out)) < math.inf else math.inf  # and not NaN
     slack = abs(top) - error
     bound = (1.0 + big) * error / slack + 4 * EPS * big if slack > 0 else math.inf
-    if not bound < math.inf:
-        raise ValueError(f"overflow: the x-series bound at tau = {tau.value!r} is not a finite "
-                         f"double: theta_u[{lead}] = {top!r}, by which it divides, is off by "
-                         f"up to {error!r}")
+    require_double(f"the x-series bound at tau = {tau.value!r} (theta_u[{lead}] = {top!r}, by "
+                   f"which it divides, is off by up to {error!r})", bound)
     return XSeries.from_coeffs(out[:x_order + 1], bound)
 
 
@@ -317,10 +315,7 @@ def f_point(level: LevelData, x: complex, q_tol: float = 1e-12) -> complex:
     _check_exponent("x", x)
     _check_exponent("(x - beta)", x - level.beta)
     points = _PointEvaluator(level.tau, q_tol)
-    value = points.f(level, x, points.phi(-level.beta))
-    if not cmath.isfinite(value):
-        raise ValueError(f"overflow: f is not finite at x = {x!r}, got {value!r}")
-    return value
+    return require_double(f"f at x = {x!r}", points.f(level, x, points.phi(-level.beta)))
 
 
 def characteristic_series(level: LevelData, x_order: int, q_tol: float = 1e-12) -> XSeries:
@@ -356,10 +351,8 @@ def genus_cpm(level: LevelData, m: int, q_tol: float = 1e-12) -> GenusValue:
     if m > MAX_ORDER - 1:  # the theta series of e^(kx/N) Phi goes to order m + 1
         raise ValueError(f"m must be at most {MAX_ORDER - 1}, got {m}")
     g = characteristic_series(level, m, q_tol).int_pow(m + 1)
-    bound = max(g.coeff_error, q_tol)
-    if not bound < math.inf:
-        raise ValueError(f"overflow: the error bound of the genus of CP^{m} at tau = "
-                         f"{level.tau.value!r} is not a finite double")
+    bound = require_double(f"the error bound of the genus of CP^{m} at tau = {level.tau.value!r}",
+                           max(g.coeff_error, q_tol))
     return GenusValue(value=g.coeffs[m], error_bound=bound)
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DegenerateWeightError
+from .errors import DegenerateWeightError, require_double
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,7 +56,6 @@ PAIR_ROUNDINGS = {False: 11.0, True: 24.0}
 STEP_ROUNDINGS = {False: 1.0, True: 3.0}
 # Below this |a|, sinh(a) / a is 1 + a^2 / 6 to within |a|^4 / 120 < u / 100.
 SERIES_BELOW = 1e-4
-_NORMAL_MIN = sys.float_info.min
 
 
 class _SphereFields(NamedTuple):
@@ -76,9 +75,7 @@ class SphereFactor(_SphereFields):
             raise ValueError(f"radius must be positive, got {radius}")
         if weight == 0:
             raise DegenerateWeightError("zero weight makes the fixed circles non-isolated")
-        if not math.isfinite(weight / radius):
-            raise ValueError(f"overflow: the rate mu / r = {weight!r} / {radius!r} "
-                             f"is not a finite double")
+        require_double(f"the rate mu / r = {weight!r} / {radius!r}", weight / radius)
         return super().__new__(cls, radius, weight)
 
     @property
@@ -129,9 +126,7 @@ def enumerate_fixed_points(space: SphereProductSpace) -> list[float]:
     top = 0  # H at s_i = sign mu_i; rounding is monotone, so it bounds every |H|
     for north, _ in pairs:
         top += abs(north)
-    if not math.isfinite(top):
-        raise ValueError("overflow: H = sum_i |mu_i r_i| at the fixed point s_i = sign mu_i "
-                         "is not a finite double")
+    require_double("H = sum_i |mu_i r_i| at the fixed point s_i = sign mu_i", top)
     half = [0 + pairs[0][0]]
     for steps in pairs[1:]:
         half = [h + step for h in half for step in steps]
@@ -159,16 +154,6 @@ def _check_c(c, allow_zero: bool = False) -> None:
         raise ValueError(f"c must be finite, got {c}")
     if c == 0 and not allow_zero:
         raise ValueError("c must be nonzero")
-
-
-def _check_normal(what: str, c, value) -> None:
-    """Refuse a result whose modulus is not a finite double, or is below the
-    normal doubles, where it has lost digits, naming `what`."""
-    size = math.hypot(value.real, value.imag)  # abs() of a complex may raise
-    if not size < math.inf:
-        raise ValueError(f"overflow: {what} at c = {c!r} is not a finite double")
-    if size < _NORMAL_MIN:
-        raise ValueError(f"underflow: {what} at c = {c!r} is below the normal doubles")
 
 
 def factor_integral_quad(factor: SphereFactor, c, quad_points: int = 64):
@@ -234,11 +219,8 @@ def _size_term(factor: SphereFactor, c):
     has no phase, is refused."""
     scale = abs(factor.weight * factor.radius)
     if isinstance(c, complex):
-        if not math.isfinite(c.imag * factor.weight * factor.radius):
-            raise ValueError(
-                f"overflow: Im(c mu r) = {c.imag!r} * {factor.weight!r} * {factor.radius!r} "
-                f"is not a finite double"
-            )
+        require_double(f"Im(c mu r) = {c.imag!r} * {factor.weight!r} * {factor.radius!r}",
+                       c.imag * factor.weight * factor.radius)
         a = c * factor.weight * factor.radius
     else:
         a = abs(c) * scale
@@ -365,7 +347,8 @@ class FactorTable:
         """(lhs, rhs, rel_err) on the factors at `indices`, repeats allowed:
         left folds of their mantissas and exponents, in index order, and one
         _ldexp per side.  More than MAX_FACTORS indices are refused first, and
-        a result that is not a normal double once known, so |rhs| is normal."""
+        a side whose modulus is not a normal double once known, since rel_err
+        divides by |rhs|."""
         _check_factor_count(len(indices))
         c, steps = self.c, self.steps
         lhs_m = rhs_m = 1.0 + 0.0j if isinstance(c, complex) else 1.0
@@ -375,13 +358,15 @@ class FactorTable:
             lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
             rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
         lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
+        tiny = sys.float_info.min  # require_double's test of each modulus, inline
         try:
-            normal = _NORMAL_MIN <= abs(lhs) < math.inf and _NORMAL_MIN <= abs(rhs) < math.inf
+            normal = tiny <= abs(lhs) < math.inf and tiny <= abs(rhs) < math.inf
         except OverflowError:  # abs() of a complex past the largest double
             normal = False
         if not normal:
-            _check_normal("the Liouville integral", c, lhs)
-            _check_normal("the fixed-point sum", c, rhs)
+            for what, side in (("Liouville integral", lhs), ("fixed-point sum", rhs)):
+                require_double(f"the {what}'s modulus at c = {c!r}",
+                               math.hypot(side.real, side.imag), normal=True)
         return lhs, rhs, abs(lhs - rhs) / abs(rhs)
 
     def rhs_bound(self, indices: Sequence[int]) -> float:

@@ -22,7 +22,7 @@ import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NotSkewSymmetricError, OddDimensionError, SingularMatrixError
+from .errors import NotSkewSymmetricError, OddDimensionError, SingularMatrixError, require_double
 
 if TYPE_CHECKING:
     import numpy as np
@@ -96,15 +96,7 @@ class SkewMatrix:
         import numpy as np
 
         with np.errstate(all="ignore"):
-            return _finite("determinant", float(np.linalg.det(self.mat)))
-
-
-def _finite(what: str, value: float) -> float:
-    """value, or a ValueError naming `what` where it is NaN or infinite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{what} is not a finite double, got {value!r}: "
-                         "the matrix entries are too large")
-    return value
+            return require_double("determinant", float(np.linalg.det(self.mat)))
 
 
 def pfaffian(a: SkewMatrix) -> float:
@@ -114,8 +106,8 @@ def pfaffian(a: SkewMatrix) -> float:
     orthogonal tridiagonal reduction beyond.
     """
     if a.dim <= 8:
-        return _finite("Pfaffian", pfaffian_combinatorial(a))
-    return _finite("Pfaffian", pfaffian_tridiagonal(a))
+        return require_double("Pfaffian", pfaffian_combinatorial(a))
+    return require_double("Pfaffian", pfaffian_tridiagonal(a))
 
 
 def pfaffian_combinatorial(a: SkewMatrix) -> float:
@@ -201,7 +193,7 @@ class CanonicalForm(NamedTuple):
     @property
     def sqrt_det(self) -> float:
         """det(A)^(1/2) = prod_j l_j, multiplied left to right."""
-        return _finite("sqrt_det", math.prod(self.lambdas))
+        return require_double("sqrt_det", math.prod(self.lambdas))
 
 
 def canonicalize(a: SkewMatrix) -> CanonicalForm:
@@ -221,7 +213,7 @@ def canonicalize(a: SkewMatrix) -> CanonicalForm:
     n = a.half_dim
     with np.errstate(all="ignore"):
         w, v = np.linalg.eigh(1j * a.mat)  # w ascending: -l_1 .. -l_n, l_n .. l_1
-    lambdas = [_finite("rotation rate", rate) for rate in w[n:][::-1].tolist()]
+    lambdas = [require_double("rotation rate", rate) for rate in w[n:][::-1].tolist()]
     if lambdas[-1] <= SINGULAR_TOL * lambdas[0]:
         raise SingularMatrixError("matrix is singular or nearly singular")
     z = v[:, n:][:, ::-1]

@@ -22,13 +22,14 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateParametersError, PochhammerZeroDivisionError
-from .spectral import check_tolerance, factor_count, is_normal, refuse_product
+from .errors import (DegenerateParametersError, PochhammerZeroDivisionError, is_normal,
+                     require_double)
+from .series import MAX_DIGITS
+from .spectral import check_tolerance, factor_count, refuse_product
 
 Scalar = Fraction | complex
 
 NOT_DECAYING = "tail terms fail to decay; series non-convergent here"
-OVERFLOWED = "term overflow; series non-convergent here"
 
 # The automatic window of bilateral_psi starts here.
 FIRST_WINDOW = 8
@@ -61,7 +62,9 @@ def pochhammer(a, q, n: int):
     For n < 0 the shift-identity extension is used; a vanishing factor
     there makes the symbol infinite and raises PochhammerZeroDivisionError.
     A complex product not a finite, normal double (nor 0 by a factor 1 - a q^k
-    that is exactly 0 at the inputs, see _is_one) is refused by name.
+    that is exactly 0 at the inputs, see _is_one) is refused by name, as are
+    exact inputs whose unreduced product may have more than MAX_DIGITS
+    digits, before any work.
     """
     if abs(n) > MAX_WINDOW:
         raise ValueError(f"|n| must be at most {MAX_WINDOW}, got {n}")
@@ -73,6 +76,12 @@ def pochhammer(a, q, n: int):
         # factor 1 - b q^k = (bd qd^k - bn qn^k) / (bd qd^k) for b = bn/bd, q = qn/qd:
         # the numerators and denominators are multiplied as integers, reduced once.
         m, b = abs(n), a if n >= 0 else a * q**n
+        # each factor is below 2 max(|bn|, bd) max(|qn|, qd)^k, as is bd qd^k
+        digits = (m * math.log10(2 * max(abs(b.numerator), b.denominator))
+                  + m * (m - 1) // 2 * math.log10(max(abs(q.numerator), q.denominator)))
+        if digits > MAX_DIGITS:
+            raise ValueError(f"exact (a;q)_{n} may have {digits:.0f} digits, more than "
+                             f"MAX_DIGITS = {MAX_DIGITS}")
         top, qnk, qdk = 1, 1, 1
         for _ in range(m):
             top *= b.denominator * qdk - b.numerator * qnk
@@ -160,7 +169,7 @@ class PsiSummary(NamedTuple):
     """Value of a bilateral sum plus convergence diagnostics.
 
     A tail has terminated when its outermost term, and so every later one,
-    is an exact 0 (_Tail.ended) and no term of either tail overflowed.
+    is an exact 0 (_Tail.ended).
     tail_bound bounds the modulus of the sum of the terms outside
     [-window, window], from each tail's outermost term and ratio bound
     (_Tail.bound); it is inf where the parameters give none.  It bounds the
@@ -195,10 +204,12 @@ def bilateral_psi(
     (tol / 2) max(|S_w|, 1), with the partial sum S_w read as a float.  The
     summary is then converged, and its tail_bound, the two tails' bounds
     added, bounds the omitted terms; it does not cover the rounding of the
-    sum.  The search ends unconverged, with a note, at a window with an
-    overflowing term, at the first window at which a tail that has not
-    terminated has a ratio limit of 1 or more and no top factor 1 - p u^k
-    left that can vanish to end it (_Tail.diverges), and at MAX_WINDOW.
+    sum.  The search ends unconverged, with a note, at the first window at
+    which a tail that has not terminated has a ratio limit of 1 or more and
+    no top factor 1 - p u^k left that can vanish to end it
+    (_Tail.diverges), and at MAX_WINDOW.  A window with a term that is not a
+    finite double is refused, naming its tail and the n at which that tail's
+    terms overflow first.
 
     An explicit window W is the same search with its first and last window
     both W: the same tests at W decide `converged` and the notes, and a sum
@@ -226,8 +237,10 @@ def bilateral_psi(
             continue
         if min(lower.first_bot, upper.first_bot) <= w:
             _raise_first_error(tails, w)
-        if min(lower.first_overflow, upper.first_overflow) <= w:
-            return _summary(tails, w, notes=(OVERFLOWED,))
+        for name, sign, tail in (("lower", -1, lower), ("upper", 1, upper)):
+            if tail.first_overflow <= w:
+                require_double(f"the {name} tail's term at n = {sign * tail.first_overflow}",
+                               tail.outer())
         if lower.diverges() or upper.diverges():
             return _summary(tails, w, notes=(NOT_DECAYING,))
         scale = tol / 2 * max(_magnitude(estimate), 1.0)
@@ -499,7 +512,8 @@ class _NumericTail(_Tail):
     u^((s'-r')k), except for parameters p = 0, whose factor is 1 and which
     are left out.  On the lower tail with |q| < 1 this is the q^m - p form,
     so the overflowing q^-m is never formed.  Multiplication overflows
-    silently, so a non-finite term is recorded, counts as 0 and stays so.
+    silently, so the first non-finite term's position is recorded, for
+    bilateral_psi to refuse, and the term stays so.
     """
 
     def __init__(self, top, bot, u: complex, arg: complex, start: int):
@@ -538,7 +552,7 @@ class _NumericTail(_Tail):
             if not cmath.isfinite(term):
                 self.first_overflow = self.pos
         self.term = term
-        self.terms.append(term if cmath.isfinite(term) else 0j)
+        self.terms.append(term)
 
     def outer(self) -> complex:
         """The outermost term, as the recurrence formed it (inf once it overflowed)."""
@@ -589,14 +603,13 @@ def _summary(tails: tuple[_Tail, _Tail], window: int, notes: tuple[str, ...] = (
              converged: bool = False) -> PsiSummary:
     """Summary over [-window, window] of tails extended to the window."""
     lower, upper = tails
-    overflowed = min(lower.first_overflow, upper.first_overflow) <= window
     return PsiSummary(
         value=lower.joined(upper),
         window=window,
         upper_tail=upper.edge(),
         lower_tail=lower.edge(),
-        upper_terminated=upper.ended() and not overflowed,
-        lower_terminated=lower.ended() and not overflowed,
+        upper_terminated=upper.ended(),
+        lower_terminated=lower.ended(),
         converged=converged,
         tail_bound=lower.bound() + upper.bound(),
         notes=notes,

@@ -24,6 +24,9 @@ from .errors import DegenerateFactorError
 Sign = Literal["minus", "plus"]
 
 MAX_ORDER = 10_000
+# Decimal digits an exact result may have in its numerator or denominator:
+# the CLI sets Python's int-to-str limit to it, and cli.frac names it.
+MAX_DIGITS = 500_000
 
 
 def _check_order(order: int) -> None:

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Literal, NamedTuple
 
-from .errors import NonConvergentError, ToleranceUnreachableError
+from .errors import NonConvergentError, ToleranceUnreachableError, is_normal, require_double
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,8 +189,8 @@ def evaluate_product(p: SpectralParams, rel_tol: float = 1e-12) -> ProductValue:
     try:
         scale = abs(q_power(tau, p.epsilon))
     except OverflowError:
-        raise ValueError(f"overflow: |q^epsilon| = |e^(2 pi i tau epsilon)| at tau = "
-                         f"{tau.value!r}, epsilon = {p.epsilon!r} is not a finite double") from None
+        require_double(f"|q^epsilon| = |e^(2 pi i tau epsilon)| at tau = {tau.value!r}, "
+                       f"epsilon = {p.epsilon!r}", math.inf)
     used = factor_count(scale, abs(q_power(tau, p.a)), p.ell, rel_tol / 2)
     value = math.prod(_product_factors(p, used), start=1 + 0j)
     if not is_normal(value):
@@ -233,29 +233,23 @@ def _product_factors(p: SpectralParams, used: int):
                            plain(range(last, stop)))
 
 
-def is_normal(value: complex) -> bool:
-    """Finite, with a part >= the least normal double (abs() raises past the largest)."""
-    return cmath.isfinite(value) and max(abs(value.real), abs(value.imag)) >= sys.float_info.min
-
-
 def refuse_product(product: str, factors, index: str, start: int, exact_zero):
-    """Raise the ValueError for a product of complex `factors` that is not a
-    finite double, or is below the normal doubles with no factor exactly 0
-    (else it returns), naming the factor from which every partial product
-    is so.  A factor k that is 0 in doubles is exactly 0 iff exact_zero(k):
-    one that only rounds to 0 leaves the product with no digit."""
+    """Raise require_double's ValueError for a product of complex `factors`
+    that is not a finite double, or is below the normal doubles with no
+    factor exactly 0 (else it returns), naming the factor from which every
+    partial product is so.  A factor k that is 0 in doubles is exactly 0 iff
+    exact_zero(k): one that only rounds to 0 leaves the product with no digit."""
     value, zero, below = 1 + 0j, False, start
     for k, factor in enumerate(factors, start):
         value *= factor
         zero = zero or (factor == 0 and exact_zero(k))
-        if not cmath.isfinite(value):
-            raise ValueError(f"overflow: the product {product} is not a finite double "
-                             f"from its factor {index} = {k} on")
         if is_normal(value):
             below = k + 1
+        elif not cmath.isfinite(value):
+            require_double(f"the product {product} from its factor {index} = {k} on", value)
     if not zero:
-        raise ValueError(f"underflow: the product {product} is below the normal doubles "
-                         f"from its factor {index} = {below} on")
+        require_double(f"the product {product} from its factor {index} = {below} on", value,
+                       normal=True)
 
 
 class ShiftCheck(NamedTuple):

@@ -183,7 +183,7 @@ class TestDhVerify:
         code, out = run_cli(["dh-verify", "--factors", factors, f"--c={c}"])
         assert code == 2
         assert parse_strict(out)["error"] == (
-            f"ValueError: overflow: Im(c mu r) = {product} is not a finite double")
+            f"ValueError: overflow: Im(c mu r) = {product} is not a finite double, got inf")
 
     def test_non_finite_result_is_named(self, run_cli):
         # the Liouville volume (4 pi r^2)^2 = 1.6e802: before, "Out of range
@@ -191,8 +191,8 @@ class TestDhVerify:
         code, out = run_cli(["dh-verify", "--factors", "1e200:1e-200,1e200:1e-200",
                              "--c", "1e-3"])
         assert code == 2
-        assert parse_strict(out)["error"] == (
-            "ValueError: overflow: the Liouville integral at c = 0.001 is not a finite double")
+        assert parse_strict(out)["error"] == ("ValueError: overflow: the Liouville integral's "
+                                              "modulus at c = 0.001 is not a finite double, got inf")
 
     def test_liouville_integral_past_r_squared(self, run_cli):
         # r^2 = 1e400 overflows a double, but the Liouville integral is
@@ -460,7 +460,8 @@ class TestFixedPointListing:
         # before: "Out of range float values are not JSON compliant"
         weight = factors.rsplit(":", 1)[1].replace("1e10", "10000000000.0")
         assert parse_strict(out)["error"] == (
-            f"ValueError: overflow: the rate mu / r = {weight} / 1e-320 is not a finite double")
+            f"ValueError: overflow: the rate mu / r = {weight} / 1e-320 is not a finite double, "
+            f"got {'-' if weight.startswith('-') else ''}inf")
         assert not target.exists()
 
     def test_points_in_enumeration_order(self, run_cli):
@@ -485,7 +486,7 @@ class TestFixedPointListing:
         assert code == 2
         assert parse_strict(out)["error"] == (
             "ValueError: overflow: H = sum_i |mu_i r_i| at the fixed point s_i = sign mu_i "
-            "is not a finite double")
+            "is not a finite double, got inf")
         assert not target.exists()
 
 
@@ -598,16 +599,14 @@ class TestPfaffianCommand:
 
         raw = np.random.default_rng(1).normal(size=(dim, dim))
         text = json.dumps(((raw - raw.T) * scale).tolist())
-        assert run_fresh(["pfaffian", "--matrix", text]) == (
-            f"ValueError: {named}: the matrix entries are too large")
+        assert run_fresh(["pfaffian", "--matrix", text]) == f"ValueError: overflow: {named}"
 
     def test_huge_finite_entries_are_named_with_empty_stderr(self):
         # before: (A - A^T) / 2 overflowed, and canonicalize failed with
         # "LinAlgError: Eigenvalues did not converge"
         text = "[[0, 1.7e308, 1e308, 0], [-1.7e308, 0, 0, 0], [-1e308, 0, 0, 1], [0, 0, -1, 0]]"
         assert run_fresh(["pfaffian", "--matrix", text]) == (
-            "ValueError: rotation rate is not a finite double, got inf: "
-            "the matrix entries are too large")
+            "ValueError: overflow: rotation rate is not a finite double, got inf")
 
     @pytest.mark.parametrize("text,named", [
         ('[["0", "2"], ["-2", "0"]]', "got JSON string ('str') at (row, col) = (0, 0)"),
@@ -685,13 +684,14 @@ class TestQhyperCommand:
         assert code == 0 and auto["converged"] is True
         assert abs(float(wide["value"][0]) - float(auto["value"][0])) < 1e-12
 
-    def test_psi_term_overflow_is_noted(self, run_cli):
-        # two numerator parameters: the upper terms grow like q^(-n^2/2)
+    def test_psi_term_overflow_is_refused(self, run_cli):
+        # two numerator parameters: the upper terms grow like q^(-n^2/2).
+        # Before: exit 0 with the note "term overflow; series non-convergent
+        # here" and a sum that left the overflowed terms out
         code, out = run_cli([*self.PSI, "--num", "0.9;0.5", "--window", "600"])
-        payload = parse_strict(out)
-        assert code == 0
-        assert payload["notes"] == ["term overflow; series non-convergent here"]
-        assert payload["terminated"] == [False, False]
+        assert code == 2
+        assert parse_strict(out)["error"] == ("ValueError: overflow: the upper tail's term at "
+                                              "n = 31 is not a finite double, got (-inf+0j)")
 
     def test_psi_tail_past_a_double_is_null(self, run_cli):
         # the exact value is answered; its lower tail size, 2.6e249 at window
@@ -943,7 +943,8 @@ class TestGenusCommands:
         assert code == 2
         message = parse_strict(out)["error"]
         assert message.startswith("ValueError: overflow: the x-series bound at tau = ")
-        assert f"is not a finite double: {error} = " in message
+        assert f" ({error} = " in message
+        assert message.endswith(") is not a finite double, got inf")
 
     @pytest.mark.parametrize("order,pairs", [("10000", 99), ("8", 111111)])
     def test_theta_pairs_past_the_cap_refused_at_once(self, run_cli, monkeypatch, order, pairs):
@@ -1226,27 +1227,27 @@ class TestContract:
         assert code == 2
         error = parse_strict(out)["error"]
         assert error.startswith("ValueError: overflow: the product ")
-        assert re.search(r"is not a finite double from its factor [kn] = \d+ on$", error)
+        assert re.search(r" from its factor [kn] = \d+ on is not a finite double, got ", error)
         assert not target.exists()
 
     @pytest.mark.parametrize("argv,error", [
         (["spectral-eval", "--a", "1", "--tau", "0,1", "--epsilon", "-100"],
-         "the product prod_(n>=1) (1 - q^(a n + epsilon)) is not a finite double from its "
-         "factor n = 2 on"),
+         "the product prod_(n>=1) (1 - q^(a n + epsilon)) from its factor n = 2 on is not a "
+         "finite double, got (inf-0j)"),
         (["qhyper", "pochhammer", "--a", "1e308", "--q", "1e308", "--n", "5"],
-         "the product (a;q)_5 = prod_(k=0..4) (1 - a q^k) is not a finite double from its "
-         "factor k = 1 on"),
+         "the product (a;q)_5 = prod_(k=0..4) (1 - a q^k) from its factor k = 1 on is not a "
+         "finite double, got (inf+nanj)"),
         (["qhyper", "pochhammer", "--a", "1e308", "--q", "2", "--n", "40"],
-         "the product (a;q)_40 = prod_(k=0..39) (1 - a q^k) is not a finite double from its "
-         "factor k = 1 on"),
+         "the product (a;q)_40 = prod_(k=0..39) (1 - a q^k) from its factor k = 1 on is not a "
+         "finite double, got (inf+nanj)"),
         (["spectral-eval", "--a", "0.1", "--tau", "0,3", "--epsilon", "-745", "--ell", "1",
           "--sign", "plus"],
          "|q^epsilon| = |e^(2 pi i tau epsilon)| at tau = 3j, epsilon = (-745+0j) is not a "
-         "finite double"),
+         "finite double, got inf"),
         # the partial product at k = 0 is finite, its modulus past the largest double
         (["qhyper", "pochhammer", "--a=-1.5e308,-1.5e308", "--q", "1e-300", "--n", "2"],
-         "the product (a;q)_2 = prod_(k=0..1) (1 - a q^k) is not a finite double from its "
-         "factor k = 1 on"),
+         "the product (a;q)_2 = prod_(k=0..1) (1 - a q^k) from its factor k = 1 on is not a "
+         "finite double, got (nan+infj)"),
     ])
     def test_overflow_names_the_quantity(self, argv, error):
         # before: "the complex result (nan+nanj) is not finite" for the first
@@ -1255,26 +1256,26 @@ class TestContract:
 
     @pytest.mark.parametrize("argv,error", [
         (["spectral-eval", "--a", "0.1", "--tau", "1e-9,1e-3", "--epsilon", "-7.05", "--ell", "0"],
-         "the product prod_(n>=0) (1 - q^(a n + epsilon)) is below the normal doubles from its "
-         "factor n = 185 on"),
+         "the product prod_(n>=0) (1 - q^(a n + epsilon)) from its factor n = 185 on is below "
+         "the normal doubles, got 0j"),
         (["qhyper", "pochhammer", "--a", "0.999", "--q", "1", "--n", "200"],
-         "the product (a;q)_200 = prod_(k=0..199) (1 - a q^k) is below the normal doubles from "
-         "its factor k = 102 on"),
+         "the product (a;q)_200 = prod_(k=0..199) (1 - a q^k) from its factor k = 102 on is "
+         "below the normal doubles, got 0j"),
         (["qhyper", "pochhammer", "--a", "0.999", "--q", "1", "--n", "-200"],
-         "the product 1 / (a;q)_-200 = prod_(k=1..200) (1 - a q^-k) is below the normal doubles "
-         "from its factor k = 103 on"),
+         "the product 1 / (a;q)_-200 = prod_(k=1..200) (1 - a q^-k) from its factor k = 103 on "
+         "is below the normal doubles, got 0j"),
         (["qhyper", "pochhammer", "--a", "0.999", "--q", "0.999", "--infinite"],
-         "the product (a;q)_inf to its first 35214 factors, prod_(k=0..35213) (1 - a q^k) is "
-         "below the normal doubles from its factor k = 321 on"),
+         "the product (a;q)_inf to its first 35214 factors, prod_(k=0..35213) (1 - a q^k) from "
+         "its factor k = 321 on is below the normal doubles, got 0j"),
         # 0.1 * 70 - 7 = 8.9e-16 rounds q^(a n + epsilon) to 1, though a n +
         # epsilon is not 0 at the doubles a and epsilon: factor 70 is not 0
         (["spectral-eval", "--a", "0.1", "--tau", "1e-9,1e-3", "--epsilon", "-7", "--ell", "0"],
-         "the product prod_(n>=0) (1 - q^(a n + epsilon)) is below the normal doubles from its "
-         "factor n = 70 on"),
+         "the product prod_(n>=0) (1 - q^(a n + epsilon)) from its factor n = 70 on is below "
+         "the normal doubles, got -0j"),
         # the product is 3.7e-17 at these doubles, a normal double
         (["qhyper", "pochhammer", "--a", "0.3333333333333333", "--q", "3", "--n", "2"],
-         "the product (a;q)_2 = prod_(k=0..1) (1 - a q^k) is below the normal doubles from its "
-         "factor k = 1 on"),
+         "the product (a;q)_2 = prod_(k=0..1) (1 - a q^k) from its factor k = 1 on is below the "
+         "normal doubles, got 0j"),
     ])
     def test_underflow_names_the_product(self, argv, error):
         # before: exit 0 with "value": ["0.0", "0.0"], every digit lost,
@@ -1299,8 +1300,8 @@ class TestContract:
     @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(1.0, -math.inf),
                                    complex(math.nan, 2.0), math.inf])
     def test_cpx_names_a_non_finite_value(self, z):
-        with pytest.raises(ValueError, match=rf"^the complex result {re.escape(repr(complex(z)))} "
-                                             r"is not finite$"):
+        with pytest.raises(ValueError, match=r"^overflow: the complex result is not a finite "
+                                             rf"double, got {re.escape(repr(complex(z)))}$"):
             cli.cpx(z)
 
     def test_byte_identical_reruns(self, run_cli):
@@ -1415,6 +1416,26 @@ def test_request_corpus(run_cli, monkeypatch):
             assert ERRORS[key](doc["error"], entry[key]), (where, doc["error"])
         for path, name, operand in entry.get("fields", []):
             assert PREDICATES[name](field(doc, path), operand), (where, path, field(doc, path))
+
+
+# Python's own texts for errors that locq refuses by name
+PYTHON_MESSAGES = ("Exceeds the limit", "Out of range float values are not JSON compliant",
+                   "invalid literal for int()", "could not convert string to float",
+                   "math domain error", "division by zero")
+
+
+def test_no_refusal_is_pythons_own_message(run_cli, monkeypatch):
+    """Every exit-2 request of requests.jsonl names its cause: its error text
+    holds none of PYTHON_MESSAGES and is no bare OverflowError or
+    ZeroDivisionError."""
+    monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
+    entries = map(json.loads, REQUESTS.read_text(encoding="utf-8").splitlines())
+    refusals = [(where, entry) for where, entry in enumerate(entries, 1) if entry["exit"] == 2]
+    assert refusals
+    for where, entry in refusals:
+        error = parse_strict(run_cli(entry["argv"])[1])["error"]
+        assert not any(text in error for text in PYTHON_MESSAGES), (where, error)
+        assert not error.startswith(("OverflowError:", "ZeroDivisionError:")), (where, error)
 
 
 def readme_examples() -> list[list[str]]:

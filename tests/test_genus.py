@@ -366,7 +366,7 @@ class TestExponentRefusal:
 
     def test_point_with_no_finite_value_is_named(self):
         # before, (nan+nanj) with no error
-        with pytest.raises(ValueError, match=r"^overflow: f is not finite at x = 700, "
+        with pytest.raises(ValueError, match=r"^overflow: f at x = 700 is not a finite double, "
                                              r"got \(nan\+nanj\)$"):
             f_point(LevelData(2, 1, 0, Tau(1j)), 700)
 
