@@ -453,113 +453,115 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
-@functools.cache
-def build_parser(required: bool = True) -> argparse.ArgumentParser:
-    """The parser of this process, built on first use: parse_args never changes it.
-    With required=False it requires no subcommand, form or option.  Its
-    `leaves` map each subcommand, or ("qhyper", form), to the parser of its
-    options."""
-    parser = _Parser(prog="locq", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=required)
+# Each leaf parser's path, a subcommand or ("qhyper", form): its help in the tree, its handler
+_LEAVES = {
+    ("spectral-eval",): ("evaluate one spectral infinite product", _cmd_spectral_eval),
+    ("pfaffian",): ("Pfaffian and canonical data of a skew matrix", _cmd_pfaffian),
+    ("dh-verify",): ("check the fixed-point localization identity", _cmd_dh_verify),
+    ("qhyper", "pochhammer"): ("(a;q)_n, or (a;q)_infinity with --infinite", _cmd_pochhammer),
+    ("qhyper", "psi"): ("bilateral basic hypergeometric sum", _cmd_psi),
+    ("qhyper", "saalschutz"): ("check the terminating q-Saalschutz identity", _cmd_saalschutz),
+    ("macdonald",): ("symmetric-product Poincare series", _cmd_betti_series),
+    ("orbifold",): ("orbifold Poincare series", _cmd_betti_series),
+    ("twisted-sym",): ("twisted symmetric-product Euler series", _cmd_chi_series),
+    ("euler-series",): ("equivariant Euler-characteristic series", _cmd_chi_series),
+    ("phi",): ("building-block series in x", _cmd_phi),
+    ("genus-cpm",): ("level-N genus of complex projective space", _cmd_genus_cpm),
+    ("period-scan",): ("scan lattice translations for periods", _cmd_period_scan),
+    ("verify-all",): ("run every verification suite", _cmd_verify_all),
+}
 
-    p = sub.add_parser("spectral-eval", help="evaluate one spectral infinite product")
-    p.add_argument("--a", required=required, type=_FLOAT)
-    p.add_argument("--epsilon", default="0")
-    p.add_argument("--ell", default="1", type=_INT)
-    p.add_argument("--sign", choices=["minus", "plus"], default="minus")
-    p.add_argument("--tau", required=required, help="complex as 're,im'")
-    p.add_argument("--tol", default="1e-12", type=_FLOAT)
-    p.set_defaults(handler=_cmd_spectral_eval)
 
-    p = sub.add_parser("pfaffian", help="Pfaffian and canonical data of a skew matrix")
-    g = p.add_mutually_exclusive_group(required=required)
-    g.add_argument("--matrix", help="JSON array of rows")
-    g.add_argument("--matrix-file", help="path to a JSON matrix")
-    p.set_defaults(handler=_cmd_pfaffian)
-
-    p = sub.add_parser("dh-verify", help="check the fixed-point localization identity")
-    p.add_argument("--factors", required=required, help="'r1:mu1,r2:mu2,...'")
-    p.add_argument("--c", required=required)
-    p.add_argument("--tol", default="1e-8", type=_FLOAT)
-    p.set_defaults(handler=_cmd_dh_verify)
-
-    qhyper_parser = sub.add_parser("qhyper", help="q-Pochhammer symbol, bilateral sum and "
-                                   "q-Saalschutz check, one form each")
-    forms = qhyper_parser.add_subparsers(dest="form", required=required)
-    f = forms.add_parser("pochhammer", help="(a;q)_n, or (a;q)_infinity with --infinite")
-    f.add_argument("--a", required=required)
-    f.add_argument("--q", required=required)
-    # --n and --tol default to None: argparse sees an excluded option only when
-    # its value is not the default object, and an argv "0" is the interned "0"
-    g = f.add_mutually_exclusive_group()
-    g.add_argument("--n", help="default 0", type=_INT)
-    g.add_argument("--infinite", action="store_true")
-    f.add_argument("--tol", help="default 1e-12; only with --infinite", type=_FLOAT)
-    f.set_defaults(handler=_cmd_pochhammer)
-    f = forms.add_parser("psi", help="bilateral basic hypergeometric sum")
-    f.add_argument("--num", default="", help="numerator parameters 'a1;a2;...'")
-    f.add_argument("--den", default="", help="denominator parameters 'b1;b2;...'")
-    f.add_argument("--q", required=required)
-    f.add_argument("--z", required=required)
-    f.add_argument("--window", default="", type=_BLANK_OR_INT)
-    f.add_argument("--tol", default="1e-12", type=_FLOAT)
-    f.set_defaults(handler=_cmd_psi)
-    f = forms.add_parser("saalschutz", help="check the terminating q-Saalschutz identity")
-    for name in ("a", "b", "c"):
-        f.add_argument(f"--{name}", required=required)
-    f.add_argument("--n", default="0", type=_INT)
-    f.add_argument("--q", required=required)
-    f.set_defaults(handler=_cmd_saalschutz)
-
-    for name, text in (("macdonald", "symmetric-product Poincare series"),
-                       ("orbifold", "orbifold Poincare series")):
-        p = sub.add_parser(name, help=text)
+def _declare(p: argparse.ArgumentParser, path: tuple, required: bool) -> argparse.ArgumentParser:
+    """p with the options of the leaf at `path`, --out and its handler; with
+    required=False none of them is required."""
+    name = path[-1]
+    if name == "spectral-eval":
+        p.add_argument("--a", required=required, type=_FLOAT)
+        p.add_argument("--epsilon", default="0")
+        p.add_argument("--ell", default="1", type=_INT)
+        p.add_argument("--sign", choices=["minus", "plus"], default="minus")
+        p.add_argument("--tau", required=required, help="complex as 're,im'")
+        p.add_argument("--tol", default="1e-12", type=_FLOAT)
+    elif name == "pfaffian":
+        g = p.add_mutually_exclusive_group(required=required)
+        g.add_argument("--matrix", help="JSON array of rows")
+        g.add_argument("--matrix-file", help="path to a JSON matrix")
+    elif name == "dh-verify":
+        p.add_argument("--factors", required=required, help="'r1:mu1,r2:mu2,...'")
+        p.add_argument("--c", required=required)
+        p.add_argument("--tol", default="1e-8", type=_FLOAT)
+    elif name == "pochhammer":
+        p.add_argument("--a", required=required)
+        p.add_argument("--q", required=required)
+        # --n and --tol default to None: argparse sees an excluded option only when
+        # its value is not the default object, and an argv "0" is the interned "0"
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--n", help="default 0", type=_INT)
+        g.add_argument("--infinite", action="store_true")
+        p.add_argument("--tol", help="default 1e-12; only with --infinite", type=_FLOAT)
+    elif name == "psi":
+        p.add_argument("--num", default="", help="numerator parameters 'a1;a2;...'")
+        p.add_argument("--den", default="", help="denominator parameters 'b1;b2;...'")
+        p.add_argument("--q", required=required)
+        p.add_argument("--z", required=required)
+        p.add_argument("--window", default="", type=_BLANK_OR_INT)
+        p.add_argument("--tol", default="1e-12", type=_FLOAT)
+    elif name == "saalschutz":
+        for option in ("--a", "--b", "--c"):
+            p.add_argument(option, required=required)
+        p.add_argument("--n", default="0", type=_INT)
+        p.add_argument("--q", required=required)
+    elif name in ("macdonald", "orbifold"):
         p.add_argument("--betti", required=required, help="'b0,b1,b2,...'", type=_betti_text)
         p.add_argument("--order", default="8", type=_INT)
         p.add_argument("--y-bound", default="", type=_BLANK_OR_INT)
-        p.set_defaults(handler=_cmd_betti_series)
-
-    for name, text in (("twisted-sym", "twisted symmetric-product Euler series"),
-                       ("euler-series", "equivariant Euler-characteristic series")):
-        p = sub.add_parser(name, help=text)
+    elif name in ("twisted-sym", "euler-series"):
         p.add_argument("--chi", required=required, type=_INT)
         p.add_argument("--order", default="20", type=_INT)
-        p.set_defaults(handler=_cmd_chi_series)
+    elif name == "phi":
+        p.add_argument("--tau", required=required)
+        p.add_argument("--x-order", default="8", type=_INT)
+        p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
+    elif name == "genus-cpm":
+        p.add_argument("--tau", required=required)
+        for option in ("--N", "--k", "--l", "--m"):
+            p.add_argument(option, required=required, type=_INT)
+        p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
+    elif name == "period-scan":
+        p.add_argument("--tau", required=required)
+        for option in ("--N", "--k", "--l"):
+            p.add_argument(option, required=required, type=_INT)
+        p.add_argument("--trial-bound", default="", type=_BLANK_OR_INT)
+        p.add_argument("--tol", default="1e-8", type=_FLOAT)
+        p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
+    p.add_argument("--out", default="", help="write the JSON document to a file")
+    p.set_defaults(handler=_LEAVES[path][1])
+    return p
 
-    p = sub.add_parser("phi", help="building-block series in x")
-    p.add_argument("--tau", required=required)
-    p.add_argument("--x-order", default="8", type=_INT)
-    p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
-    p.set_defaults(handler=_cmd_phi)
 
-    p = sub.add_parser("genus-cpm", help="level-N genus of complex projective space")
-    p.add_argument("--tau", required=required)
-    p.add_argument("--N", required=required, type=_INT)
-    p.add_argument("--k", required=required, type=_INT)
-    p.add_argument("--l", required=required, type=_INT)
-    p.add_argument("--m", required=required, type=_INT)
-    p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
-    p.set_defaults(handler=_cmd_genus_cpm)
+@functools.cache
+def _leaf(path: tuple, required: bool) -> argparse.ArgumentParser:
+    """The parser of one leaf on its own, built on first use: its help and
+    errors are those of the same leaf in build_parser's tree."""
+    return _declare(_Parser(prog=" ".join(("locq", *path))), path, required)
 
-    p = sub.add_parser("period-scan", help="scan lattice translations for periods")
-    p.add_argument("--tau", required=required)
-    p.add_argument("--N", required=required, type=_INT)
-    p.add_argument("--k", required=required, type=_INT)
-    p.add_argument("--l", required=required, type=_INT)
-    p.add_argument("--trial-bound", default="", type=_BLANK_OR_INT)
-    p.add_argument("--tol", default="1e-8", type=_FLOAT)
-    p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
-    p.set_defaults(handler=_cmd_period_scan)
 
-    p = sub.add_parser("verify-all", help="run every verification suite")
-    p.set_defaults(handler=_cmd_verify_all)
-
-    parser.leaves = {(name,): sp for name, sp in sub.choices.items() if sp is not qhyper_parser}
-    parser.leaves.update({("qhyper", name): f for name, f in forms.choices.items()})
-    # argparse hands everything after a qhyper form to the form's parser
-    for leaf in parser.leaves.values():
-        leaf.add_argument("--out", default="", help="write the JSON document to a file")
-
+@functools.cache
+def build_parser(required: bool = True) -> argparse.ArgumentParser:
+    """The full parser, built on first use by an argv that names no leaf (root or
+    qhyper help, an unknown or missing subcommand); parse_args never changes
+    it.  With required=False it requires no subcommand, form or option."""
+    parser = _Parser(prog="locq", description=__doc__)
+    sub = parser.add_subparsers(dest="subcommand", required=required)
+    forms = None
+    for path, (text, _) in _LEAVES.items():
+        if len(path) == 2 and forms is None:
+            forms = sub.add_parser("qhyper", help="q-Pochhammer symbol, bilateral sum and "
+                                   "q-Saalschutz check, one form each"
+                                   ).add_subparsers(dest="form", required=required)
+        _declare((forms if len(path) == 2 else sub).add_parser(path[-1], help=text),
+                 path, required)
     return parser
 
 
@@ -616,31 +618,29 @@ def main(argv=None) -> int:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), naming an unrecognized argument before
-    a missing one: where argparse names a missing option, the parser that
-    requires none names the unrecognized arguments, if there are any."""
+    """argv parsed by the leaf its first one or two words name (_parse), an
+    unrecognized argument named before a missing one: where argparse names a
+    missing option, the parser that requires none names any unrecognized."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    path = tuple(argv[:1])
+    if path not in _LEAVES:
+        path = tuple(argv[:2]) if tuple(argv[:2]) in _LEAVES else None
     try:
-        return _parse(build_parser(), argv)
+        return _parse(path, argv, True)
     except UsageError as exc:
         # argparse's two messages for a missing option
         if str(exc).startswith(("the following arguments are required", "one of the arguments")):
-            _parse(build_parser(required=False), argv)
+            _parse(path, argv, False)
         raise
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
-    """parser.parse_args(argv), with the rest of an argv whose first one or two
-    words name a leaf parser handed straight to that leaf, `subcommand` (and
-    `form`) set first.  argparse's subparser actions set the same and hand
-    the leaf the same words, so the namespace and every error are those of
-    the full parse; only its passes over argv are saved."""
-    for depth in (1, 2):
-        leaf = parser.leaves.get(tuple(argv[:depth]))
-        if leaf is not None:
-            preset = dict(zip(("subcommand", "form"), argv[:depth]))
-            return leaf.parse_args(argv[depth:], argparse.Namespace(**preset))
-    return parser.parse_args(argv)
+def _parse(path: tuple | None, argv: list, required: bool) -> argparse.Namespace:
+    """argv after `path` parsed by its leaf, `subcommand` (and `form`) set first
+    as build_parser's tree would; all of argv by the tree where path is None."""
+    if path is None:
+        return build_parser(required).parse_args(argv)
+    preset = argparse.Namespace(**dict(zip(("subcommand", "form"), path)))
+    return _leaf(path, required).parse_args(argv[len(path):], preset)
 
 
 def _respond(argv) -> int:

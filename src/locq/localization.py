@@ -35,10 +35,13 @@ from .errors import DegenerateWeightError, require_double
 
 TWO_PI = 2.0 * math.pi
 
-# NumPy's leggauss(n) builds an n x n companion matrix, and a product of n
-# spheres has 2^n fixed points; both are bounded before anything is built.
+# A Gauss-Legendre rule of n nodes takes O(n^2) work (_leggauss), and a product
+# of n spheres has 2^n fixed points; both are bounded before anything is built.
 MAX_QUAD_POINTS = 1024
 MAX_FACTORS = 16
+# Newton's method from Tricomi's guesses takes 3-4 steps, the last moving no
+# node by more than eps, at every n up to MAX_QUAD_POINTS; this caps it.
+NEWTON_STEPS = 8
 # Gauss-Legendre node counts (_size_term): powers of two, so _leggauss
 # caches every size a process can reach.
 QUAD_COUNTS = tuple(1 << k for k in range(3, MAX_QUAD_POINTS.bit_length()))
@@ -142,10 +145,38 @@ def _check_factor_count(n: int) -> None:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]: nodes ascending, weights.
+
+    Newton's method on the three-term recurrence finds the nonnegative roots
+    of P_n together from Tricomi's guesses (1 - 1/(8n^2) + 1/(8n^3)) cos(pi
+    (4k - 1) / (4n + 2)); weights are 2 / ((1 - x^2) P_n'(x)^2); both are
+    mirrored, so the rule is exactly symmetric.  numpy.polynomial is never
+    imported; tests/test_localization.py::test_leggauss_nodes_and_weights
+    bounds the rule against NumPy's leggauss and mpmath.
+    """
     import numpy as np
 
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    k = np.arange(1, n // 2 + 1)
+    x = (1 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    x = np.append(x, [0.0] * (n % 2))  # P_n(0) = 0 exactly at odd n
+    for _ in range(NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= sys.float_info.epsilon:
+            break
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    m = n // 2
+    return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
+
+
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x), |x| < 1, by j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2)."""
+    p0, p1 = 1.0, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 def _check_c(c, allow_zero: bool = False) -> None:

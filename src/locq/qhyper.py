@@ -72,21 +72,22 @@ def pochhammer(a, q, n: int):
     if n < 0 and q == 0:
         raise DegenerateParametersError(f"(a;q)_{n} with n < 0 divides by q = 0")
     if isinstance(a, Fraction) and isinstance(q, Fraction):
-        # (a;q)_n = 1 / (b;q)_-n with b = a q^n for n < 0.  As in _ExactTail, each
-        # factor 1 - b q^k = (bd qd^k - bn qn^k) / (bd qd^k) for b = bn/bd, q = qn/qd:
-        # the numerators and denominators are multiplied as integers, reduced once.
-        m, b = abs(n), a if n >= 0 else a * q**n
-        # each factor is below 2 max(|bn|, bd) max(|qn|, qd)^k, as is bd qd^k
+        # (a;q)_n = 1 / (b;p)_-n with b = a/q, p = 1/q for n < 0: the factors 1 - b p^k
+        # are 1 - a q^-(k+1).  As in _ExactTail, each factor 1 - b p^k = (bd pd^k -
+        # bn pn^k) / (bd pd^k) for b = bn/bd, p = pn/pd: the numerators and
+        # denominators are multiplied as integers, reduced once.
+        m, (b, p) = abs(n), (a, q) if n >= 0 else (a / q, 1 / q)
+        # each factor is below 2 max(|bn|, bd) max(|pn|, pd)^k, as is bd pd^k
         digits = (m * math.log10(2 * max(abs(b.numerator), b.denominator))
-                  + m * (m - 1) // 2 * math.log10(max(abs(q.numerator), q.denominator)))
+                  + m * (m - 1) // 2 * math.log10(max(abs(p.numerator), p.denominator)))
         if digits > MAX_DIGITS:
             raise ValueError(f"exact (a;q)_{n} may have {digits:.0f} digits, more than "
                              f"MAX_DIGITS = {MAX_DIGITS}")
-        top, qnk, qdk = 1, 1, 1
+        top, pnk, pdk = 1, 1, 1
         for _ in range(m):
-            top *= b.denominator * qdk - b.numerator * qnk
-            qnk, qdk = qnk * q.numerator, qdk * q.denominator
-        out = Fraction(top, b.denominator**m * q.denominator ** (m * (m - 1) // 2))
+            top *= b.denominator * pdk - b.numerator * pnk
+            pnk, pdk = pnk * p.numerator, pdk * p.denominator
+        out = Fraction(top, b.denominator**m * p.denominator ** (m * (m - 1) // 2))
     else:
         out = math.prod(_pochhammer_factors(1 + 0j, a, q, n), start=1 + 0j)
         if not is_normal(out):

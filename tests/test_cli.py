@@ -1,5 +1,6 @@
 """CLI contract: JSON on every exit path, exit codes, determinism."""
 
+import argparse
 import cmath
 import hashlib
 import itertools
@@ -862,7 +863,7 @@ class TestSeriesCommands:
         ("period-scan --tau 0.3,1.1 --N 3 --k 1 --l 2",
          "762bcced961dd4d857c2ca71d3afc39569d11201b1f0becb5319e25c7b4176a4"),
         ("verify-all",
-         "2b0880a92cb02d615ada65383fe0689f70254db0e70ba895702883317b1b9c32"),
+         "6e77a5acd65e57dd9923deee84ea3ec37d1be1a1e9059788781275ec8e9e9fd2"),
     ]
 
     @pytest.mark.parametrize("command, digest", PINNED)
@@ -1348,9 +1349,11 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
     """One process: a usage error, a success, a handler error, then --out.
 
     Each document equals, byte for byte, that of a fresh `python -m locq`
-    with the same argv, and the parser is built once for all four calls.
+    with the same argv, in each of two rounds of the four calls, and the
+    second round builds no parser: each one the first round built is reused.
     """
     cli.build_parser.cache_clear()
+    cli._leaf.cache_clear()
     monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
     env = fresh_env()
     cases = [
@@ -1359,20 +1362,83 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
         (["dh-verify", "--factors", "1:1", "--c", "0"], 2),
         (["euler-series", "--chi", "2", "--order", "3", "--out", "OUT"], 0),
     ]
+    fresh = []
     for argv, status in cases:
-        in_process = [str(tmp_path / "in.json") if a == "OUT" else a for a in argv]
-        fresh = [str(tmp_path / "fresh.json") if a == "OUT" else a for a in argv]
-        code, out = run_cli(in_process)
-        proc = subprocess.run([sys.executable, "-m", "locq", *fresh], env=env,
-                              capture_output=True, check=False)
-        assert (code, proc.returncode) == (status, status), argv
-        assert out.encode("utf-8") == proc.stdout, argv
-        if "OUT" in argv:
-            assert out == ""
-            assert (tmp_path / "in.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
-        else:
-            assert_canonical(out)
-    assert cli.build_parser.cache_info().misses == 1
+        proc = subprocess.run([sys.executable, "-m", "locq",
+                               *[str(tmp_path / "fresh.json") if a == "OUT" else a for a in argv]],
+                              env=env, capture_output=True, check=False)
+        assert proc.returncode == status, argv
+        fresh.append(proc.stdout)
+    builds = []
+    for _ in range(2):
+        for (argv, status), stdout in zip(cases, fresh):
+            code, out = run_cli([str(tmp_path / "in.json") if a == "OUT" else a for a in argv])
+            assert code == status, argv
+            assert out.encode("utf-8") == stdout, argv
+            if "OUT" in argv:
+                assert out == ""
+                assert (tmp_path / "in.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+            else:
+                assert_canonical(out)
+        builds.append((cli.build_parser.cache_info().misses, cli._leaf.cache_info().misses))
+    assert builds[1] == builds[0]
+
+
+# Each leaf's path: a valid argv after it, and an option of it whose value is
+# checked by type or choice (None where it has none)
+LEAF_REQUESTS = {
+    ("spectral-eval",): (["--a", "1.5", "--tau", "0.3,1.1"], "--sign"),
+    ("pfaffian",): (["--matrix", "[[0, 1], [-1, 0]]"], None),
+    ("dh-verify",): (["--factors", "1:1", "--c", "0.3"], "--tol"),
+    ("qhyper", "pochhammer"): (["--a", "1/2", "--q", "1/3", "--n", "2"], "--n"),
+    ("qhyper", "psi"): (["--num", "0.5", "--q", "0.2", "--z", "0.5"], "--window"),
+    ("qhyper", "saalschutz"): (["--a", "1/2", "--b", "1/3", "--c", "1/5", "--q", "1/7"], "--n"),
+    ("macdonald",): (["--betti", "1,2,1"], "--betti"),
+    ("orbifold",): (["--betti", "1,2,1", "--y-bound", "4"], "--y-bound"),
+    ("twisted-sym",): (["--chi", "3"], "--chi"),
+    ("euler-series",): (["--chi", "3", "--order", "5"], "--order"),
+    ("phi",): (["--tau", "0,1"], "--x-order"),
+    ("genus-cpm",): (["--tau", "0,1", "--N", "3", "--k", "1", "--l", "2", "--m", "2"], "--m"),
+    ("period-scan",): (["--tau", "0,1", "--N", "3", "--k", "1", "--l", "2"], "--q-tol"),
+    ("verify-all",): ([], None),
+}
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """What a parse of argv gives: its namespace's items in order, or the
+    text of its usage error or help."""
+    try:
+        return "namespace", list(vars(parse(argv)).items())
+    except cli.UsageError as exc:
+        return "error", str(exc)
+    except cli._Help as exc:
+        return "help", str(exc)
+
+
+def test_leaf_requests_name_every_leaf():
+    assert set(LEAF_REQUESTS) == set(cli._LEAVES)
+
+
+@pytest.mark.parametrize("required", [True, False])
+@pytest.mark.parametrize("path", list(LEAF_REQUESTS), ids=" ".join)
+def test_leaf_parser_answers_as_the_full_tree(path, required):
+    """The standalone leaf, with `subcommand` (and `form`) preset, gives the
+    help, the usage errors and the namespace of the full parser on the same
+    words: help, a valid request, an unknown option, no option, a bad value."""
+    valid, typed = LEAF_REQUESTS[path]
+    preset = dict(zip(("subcommand", "form"), path))
+    leaf = cli._leaf(path, required)
+    argvs = [["--help"], valid, [*valid, "--bogus", "1"], []]
+    if typed is not None:
+        argvs.append([*valid, typed, "1.5x"])
+    outcomes = set()
+    for argv in argvs:
+        alone = _parse_outcome(lambda a: leaf.parse_args(a, argparse.Namespace(**preset)), argv)
+        in_tree = _parse_outcome(cli.build_parser(required).parse_args, [*path, *argv])
+        assert alone == in_tree, argv
+        outcomes.add(alone[0])
+    assert leaf.format_help() == _parse_outcome(leaf.parse_args, ["--help"])[1]
+    assert outcomes >= {"help", "namespace", "error"}
 
 
 REQUESTS = Path(__file__).with_name("requests.jsonl")
@@ -1482,6 +1548,33 @@ class TestWithoutNumpy:
                 '("numpy", "dataclasses", "locq.oracles")))')
         assert subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                               check=False).returncode == 0
+
+    def test_quadrature_loads_no_numpy_polynomial(self):
+        # Gauss-Legendre nodes come from NumPy core (localization._leggauss)
+        code = """if True:
+            import contextlib, io, sys
+            from locq import cli
+            for argv in (["dh-verify", "--factors", "1:1,2:0.5", "--c", "0.3"], ["verify-all"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+            assert "numpy" in sys.modules
+            sys.exit("numpy.polynomial" in sys.modules)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, check=False, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_a_leaf_request_builds_no_full_parser(self):
+        code = """if True:
+            import contextlib, io, sys
+            from locq import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["qhyper", "psi", "--q", "1/2", "--z", "1/3"]) == 0
+            sys.exit(cli.build_parser.cache_info().currsize)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                              capture_output=True, check=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
     def test_requests_print_the_same_bytes_without_numpy(self, run_cli):
         requests = [argv for argv in readme_examples()

@@ -102,6 +102,28 @@ def _quad_value(factor, c, quad_points=64):
     return math.ldexp(m, e)
 
 
+@pytest.mark.parametrize("n", sorted({2, 3, 5, 9, *localization.QUAD_COUNTS}))
+def test_leggauss_nodes_and_weights(n):
+    # the rule from Newton's method on the recurrence, against NumPy's
+    # eigenvalue rule and, from 16 nodes on, the integral of e^(3x) in mpmath
+    import numpy as np
+
+    x, w = localization._leggauss(n)
+    reference = np.polynomial.legendre.leggauss(n)[0]
+    assert len(x) == len(w) == n
+    assert all(np.diff(x) > 0)
+    assert max(abs(x - reference) / np.spacing(abs(reference))) <= 4
+    assert list(x) == list(-x[::-1])
+    assert all(w > 0) and list(w) == list(w[::-1])
+    assert abs(math.fsum(w) - 2) <= 8 * localization.UNIT
+    if n >= 16:
+        with mpmath.workdps(40):
+            exact = 2 * mpmath.sinh(3) / 3
+            rule = mpmath.fsum(mpmath.mpf(wi) * mpmath.exp(3 * mpmath.mpf(xi))
+                               for xi, wi in zip(x, w))
+            assert abs(rule - exact) <= 16 * localization.UNIT * exact
+
+
 class TestLhs:
     def test_closed_form_single_sphere(self):
         value = factor_integral_closed(SphereFactor(1.0, 1.0), 1.0)
@@ -925,7 +947,7 @@ class TestSumPrecision:
         report = dh_verify(space, c)
         lhs = 1.0 + 0.0j if isinstance(c, complex) else 1.0
         for f, n in zip(space.factors, report.quad_nodes):
-            x, w = np.polynomial.legendre.leggauss(n)
+            x, w = localization._leggauss(n)
             vals = np.exp(np.asarray(c * f.weight * (f.radius * x)))
             total = complex(np.dot(w, vals)) if isinstance(c, complex) else float(np.dot(w, vals))
             lhs *= localization.TWO_PI * f.radius * f.radius * total

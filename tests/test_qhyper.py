@@ -168,6 +168,19 @@ class TestExactPochhammer:
     def test_same_as_the_fraction_loop(self, args):
         assert _outcome(pochhammer, *args) == _outcome(_fraction_loop, *args)
 
+    @settings(max_examples=200, deadline=None)
+    @given(q=_rationals.filter(bool), n=st.integers(-40, -1), data=st.data())
+    def test_negative_n_is_one_over_the_product(self, q, n, data):
+        # (a;q)_n = 1 / prod_(k=1..-n) (1 - a q^-k), here formed in Fractions;
+        # a = q^k makes a factor vanish
+        a = data.draw(st.one_of(_rationals, st.integers(1, 41).map(lambda k: q**k)))
+        product = math.prod((1 - a / q**k for k in range(1, -n + 1)), start=Fraction(1))
+        if product == 0:
+            with pytest.raises(PochhammerZeroDivisionError, match="has a vanishing factor"):
+                pochhammer(a, q, n)
+        else:
+            assert pochhammer(a, q, n) == 1 / product
+
     @pytest.mark.parametrize("a,q,n", [
         (Fraction(1, 3), Fraction(1, 3), -1),  # 1 - a/q = 0
         (Fraction(-8, 27), Fraction(-2, 3), -5),  # 1 - a q^-3 = 0
