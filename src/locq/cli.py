@@ -3,25 +3,24 @@
 Exit-code contract: 0 on success, 1 when a checked identity fails to hold
 (mathematical failure), 2 on invalid input, and 2 with nothing more written
 when the reader of stdout closes it early.  Every other exit path prints a
-single JSON document on one line, strict and with sorted keys
-(`python -m json.tool` pretty-prints it); the parsed options are echoed
-under "config" so a run can be reproduced from its own output.  Identical
-configs produce byte-identical output.  -h or --help answers with the
-usage text as that document, {"help": ...}, and exit 0.  Options take only
-their full spelling, and each qhyper form only the options it reads.
+single JSON document on one line, strict and with sorted keys; the options
+read are echoed under "config", and identical configs give identical bytes.
+-h or --help answers {"help": usage text} and exit 0.  Options are written
+`--name value` or `--name=value`, in full, and each subcommand or qhyper
+form takes only its own.  A malformed value is named first, then every
+unrecognized word, then every missing option.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import genfunc, genus, localization, pfaffian, qhyper, spectral, verify
 from .errors import LocqError, ScanInconclusiveError, UsageError, require_double
@@ -77,11 +76,8 @@ def parse_complex(text: str) -> complex:
 def parse_scalar(text: str):
     """Integers and 'p/q' strings stay exact; decimals go numeric."""
     text = text.strip()
-    if "/" in text or re.fullmatch(r"[+-]?\d+", text):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"cannot parse exact rational from {text!r}: {exc}") from exc
+    if "/" in text or (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+        return parse_fraction(text)
     return parse_complex(text)
 
 
@@ -106,33 +102,6 @@ def parse_factors(text: str) -> SphereProductSpace:
     if not pairs:
         raise UsageError("at least one sphere factor is required")
     return SphereProductSpace.of(*pairs)
-
-
-def _reads_as(convert, blank: bool = False):
-    """A parser type= check that `convert` (int or float) reads an option's
-    text, so that argparse names the option where it does not ("argument
-    --order: invalid int value: '2.5'").  The check returns the text itself,
-    which the handler converts and the config echoes; with blank=True an
-    empty text, the default of an option that is unset, passes too."""
-    def check(text: str) -> str:
-        if text or not blank:
-            try:
-                convert(text)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"invalid {convert.__name__} value: {text!r}") from None
-        return text
-    return check
-
-
-_INT, _FLOAT, _BLANK_OR_INT = _reads_as(int), _reads_as(float), _reads_as(int, blank=True)
-
-
-def _betti_text(text: str) -> str:
-    """The type= check of --betti: each entry of a nonblank text an int."""
-    for entry in text.split(",") if text.strip() else ():
-        _INT(entry)
-    return text
 
 
 def parse_betti(text: str) -> BettiData:
@@ -427,145 +396,199 @@ def _cmd_verify_all(args) -> tuple[dict, int]:
     return payload, 0 if payload["all_passed"] else 1
 
 
-# -- parser ----------------------------------------------------------------------
+# -- grammar ---------------------------------------------------------------------
+# Each path a request can name, () and a subcommand or ("qhyper", form): its
+# help, its handler (None where the next word names a path below it) and its
+# options, {option: (reader, default, help, group)}.  A reader is str, int or
+# float (the text must convert; it stays text for the handler and the config
+# echo), [int] (ints joined by commas, a blank text none), a tuple of choices
+# or bool (a flag).  A default is a text, None (not echoed), False (a flag) or
+# REQUIRED; a value equal to it is taken unchecked (`--window ""` is unset).
+# Options of a group exclude each other; if REQUIRED, one of them is required.
+
+REQUIRED = object()
+_POSITIONALS = ("subcommand", "form")  # the attributes of the words that name a path
+_BETTI = {"--betti": ([int], REQUIRED, "'b0,b1,b2,...'", None),
+          "--order": (int, "8", "", None),
+          "--y-bound": (int, "", "", None)}
+_CHI = {"--chi": (int, REQUIRED, "", None),
+        "--order": (int, "20", "", None)}
+
+_TABLE = {
+    (): (__doc__, None, {}),
+    ("spectral-eval",): ("evaluate one spectral infinite product", _cmd_spectral_eval, {
+        "--a": (float, REQUIRED, "", None),
+        "--epsilon": (str, "0", "", None),
+        "--ell": (int, "1", "", None),
+        "--sign": (("minus", "plus"), "minus", "", None),
+        "--tau": (str, REQUIRED, "complex as 're,im'", None),
+        "--tol": (float, "1e-12", "", None)}),
+    ("pfaffian",): ("Pfaffian and canonical data of a skew matrix", _cmd_pfaffian, {
+        "--matrix": (str, REQUIRED, "JSON array of rows", "matrix"),
+        "--matrix-file": (str, REQUIRED, "path to a JSON matrix", "matrix")}),
+    ("dh-verify",): ("check the fixed-point localization identity", _cmd_dh_verify, {
+        "--factors": (str, REQUIRED, "'r1:mu1,r2:mu2,...'", None),
+        "--c": (str, REQUIRED, "", None),
+        "--tol": (float, "1e-8", "", None)}),
+    ("qhyper",): ("q-Pochhammer symbol, bilateral sum and q-Saalschutz check", None, {}),
+    ("qhyper", "pochhammer"): ("(a;q)_n, or (a;q)_infinity with --infinite", _cmd_pochhammer, {
+        **dict.fromkeys(("--a", "--q"), (str, REQUIRED, "", None)),
+        "--n": (int, None, "default 0", "n"),
+        "--infinite": (bool, False, "", "n"),
+        "--tol": (float, None, "default 1e-12; only with --infinite", None)}),
+    ("qhyper", "psi"): ("bilateral basic hypergeometric sum", _cmd_psi, {
+        "--num": (str, "", "numerator parameters 'a1;a2;...'", None),
+        "--den": (str, "", "denominator parameters 'b1;b2;...'", None),
+        **dict.fromkeys(("--q", "--z"), (str, REQUIRED, "", None)),
+        "--window": (int, "", "", None),
+        "--tol": (float, "1e-12", "", None)}),
+    ("qhyper", "saalschutz"): ("check the terminating q-Saalschutz identity", _cmd_saalschutz, {
+        **dict.fromkeys(("--a", "--b", "--c"), (str, REQUIRED, "", None)),
+        "--n": (int, "0", "", None),
+        "--q": (str, REQUIRED, "", None)}),
+    ("macdonald",): ("symmetric-product Poincare series", _cmd_betti_series, _BETTI),
+    ("orbifold",): ("orbifold Poincare series", _cmd_betti_series, _BETTI),
+    ("twisted-sym",): ("twisted symmetric-product Euler series", _cmd_chi_series, _CHI),
+    ("euler-series",): ("equivariant Euler-characteristic series", _cmd_chi_series, _CHI),
+    ("phi",): ("building-block series in x", _cmd_phi, {
+        "--tau": (str, REQUIRED, "", None),
+        "--x-order": (int, "8", "", None),
+        "--q-tol": (float, "1e-12", "", None)}),
+    ("genus-cpm",): ("level-N genus of complex projective space", _cmd_genus_cpm, {
+        "--tau": (str, REQUIRED, "", None),
+        **dict.fromkeys(("--N", "--k", "--l", "--m"), (int, REQUIRED, "", None)),
+        "--q-tol": (float, "1e-12", "", None)}),
+    ("period-scan",): ("scan lattice translations for periods", _cmd_period_scan, {
+        "--tau": (str, REQUIRED, "", None),
+        **dict.fromkeys(("--N", "--k", "--l"), (int, REQUIRED, "", None)),
+        "--trial-bound": (int, "", "", None),
+        "--tol": (float, "1e-8", "", None),
+        "--q-tol": (float, "1e-12", "", None)}),
+    ("verify-all",): ("run every verification suite", _cmd_verify_all, {}),
+}
+_OUT = {"--out": (str, "", "write the JSON document to a file", None)}  # read by every leaf
+_TABLE = {path: (text, handler, {**options, **_OUT} if handler else options)
+          for path, (text, handler, options) in _TABLE.items()}
+_HELP = (bool, False, "show this help message and exit", None)  # -h and --help, on every path
 
 
 class _Help(Exception):
-    """-h or --help was given: the help text of the parser that read it."""
+    """-h or --help was given: the help text of the path that read it."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """Options take only their full spelling, and errors and help are
-    raised for _respond to answer as JSON, where argparse would print
-    text and exit.  Help is wrapped at 80 columns whatever the terminal."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False,
-                         formatter_class=functools.partial(argparse.HelpFormatter, width=80),
-                         **kwargs)
-        # -1/2, -0.2,0.4 and -1e-3 are values, not options: no option starts with a digit
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        raise _Help(self.format_help())
+def _children(path: tuple) -> tuple:
+    """The words that name a path below `path`, in table order."""
+    return tuple(p[-1] for p in _TABLE if len(p) == len(path) + 1 and p[:-1] == path)
 
 
-# Each leaf parser's path, a subcommand or ("qhyper", form): its help in the tree, its handler
-_LEAVES = {
-    ("spectral-eval",): ("evaluate one spectral infinite product", _cmd_spectral_eval),
-    ("pfaffian",): ("Pfaffian and canonical data of a skew matrix", _cmd_pfaffian),
-    ("dh-verify",): ("check the fixed-point localization identity", _cmd_dh_verify),
-    ("qhyper", "pochhammer"): ("(a;q)_n, or (a;q)_infinity with --infinite", _cmd_pochhammer),
-    ("qhyper", "psi"): ("bilateral basic hypergeometric sum", _cmd_psi),
-    ("qhyper", "saalschutz"): ("check the terminating q-Saalschutz identity", _cmd_saalschutz),
-    ("macdonald",): ("symmetric-product Poincare series", _cmd_betti_series),
-    ("orbifold",): ("orbifold Poincare series", _cmd_betti_series),
-    ("twisted-sym",): ("twisted symmetric-product Euler series", _cmd_chi_series),
-    ("euler-series",): ("equivariant Euler-characteristic series", _cmd_chi_series),
-    ("phi",): ("building-block series in x", _cmd_phi),
-    ("genus-cpm",): ("level-N genus of complex projective space", _cmd_genus_cpm),
-    ("period-scan",): ("scan lattice translations for periods", _cmd_period_scan),
-    ("verify-all",): ("run every verification suite", _cmd_verify_all),
-}
+def _is_option(word: str) -> bool:
+    """A word that starts with "-", but not "-" or "-." and a digit (-1/2, -.5, -1e-3)."""
+    return word[:1] == "-" and not word.removeprefix("-").removeprefix(".")[:1].isdecimal()
 
 
-def _declare(p: argparse.ArgumentParser, path: tuple, required: bool) -> argparse.ArgumentParser:
-    """p with the options of the leaf at `path`, --out and its handler; with
-    required=False none of them is required."""
-    name = path[-1]
-    if name == "spectral-eval":
-        p.add_argument("--a", required=required, type=_FLOAT)
-        p.add_argument("--epsilon", default="0")
-        p.add_argument("--ell", default="1", type=_INT)
-        p.add_argument("--sign", choices=["minus", "plus"], default="minus")
-        p.add_argument("--tau", required=required, help="complex as 're,im'")
-        p.add_argument("--tol", default="1e-12", type=_FLOAT)
-    elif name == "pfaffian":
-        g = p.add_mutually_exclusive_group(required=required)
-        g.add_argument("--matrix", help="JSON array of rows")
-        g.add_argument("--matrix-file", help="path to a JSON matrix")
-    elif name == "dh-verify":
-        p.add_argument("--factors", required=required, help="'r1:mu1,r2:mu2,...'")
-        p.add_argument("--c", required=required)
-        p.add_argument("--tol", default="1e-8", type=_FLOAT)
-    elif name == "pochhammer":
-        p.add_argument("--a", required=required)
-        p.add_argument("--q", required=required)
-        # --n and --tol default to None: argparse sees an excluded option only when
-        # its value is not the default object, and an argv "0" is the interned "0"
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--n", help="default 0", type=_INT)
-        g.add_argument("--infinite", action="store_true")
-        p.add_argument("--tol", help="default 1e-12; only with --infinite", type=_FLOAT)
-    elif name == "psi":
-        p.add_argument("--num", default="", help="numerator parameters 'a1;a2;...'")
-        p.add_argument("--den", default="", help="denominator parameters 'b1;b2;...'")
-        p.add_argument("--q", required=required)
-        p.add_argument("--z", required=required)
-        p.add_argument("--window", default="", type=_BLANK_OR_INT)
-        p.add_argument("--tol", default="1e-12", type=_FLOAT)
-    elif name == "saalschutz":
-        for option in ("--a", "--b", "--c"):
-            p.add_argument(option, required=required)
-        p.add_argument("--n", default="0", type=_INT)
-        p.add_argument("--q", required=required)
-    elif name in ("macdonald", "orbifold"):
-        p.add_argument("--betti", required=required, help="'b0,b1,b2,...'", type=_betti_text)
-        p.add_argument("--order", default="8", type=_INT)
-        p.add_argument("--y-bound", default="", type=_BLANK_OR_INT)
-    elif name in ("twisted-sym", "euler-series"):
-        p.add_argument("--chi", required=required, type=_INT)
-        p.add_argument("--order", default="20", type=_INT)
-    elif name == "phi":
-        p.add_argument("--tau", required=required)
-        p.add_argument("--x-order", default="8", type=_INT)
-        p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
-    elif name == "genus-cpm":
-        p.add_argument("--tau", required=required)
-        for option in ("--N", "--k", "--l", "--m"):
-            p.add_argument(option, required=required, type=_INT)
-        p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
-    elif name == "period-scan":
-        p.add_argument("--tau", required=required)
-        for option in ("--N", "--k", "--l"):
-            p.add_argument(option, required=required, type=_INT)
-        p.add_argument("--trial-bound", default="", type=_BLANK_OR_INT)
-        p.add_argument("--tol", default="1e-8", type=_FLOAT)
-        p.add_argument("--q-tol", default="1e-12", type=_FLOAT)
-    p.add_argument("--out", default="", help="write the JSON document to a file")
-    p.set_defaults(handler=_LEAVES[path][1])
-    return p
+def _check(name: str, reader, text: str) -> None:
+    """Refuse, naming `name`, a text that `reader` does not read."""
+    if isinstance(reader, tuple) and text not in reader:
+        raise UsageError(f"argument {name}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, reader))})")
+    convert, entries = reader, [text]
+    if isinstance(reader, list):
+        convert, entries = reader[0], text.split(",") if text.strip() else []
+    for entry in entries if convert in (int, float) else ():
+        try:
+            convert(entry)
+        except ValueError:
+            raise UsageError(
+                f"argument {name}: invalid {convert.__name__} value: {entry!r}") from None
 
 
-@functools.cache
-def _leaf(path: tuple, required: bool) -> argparse.ArgumentParser:
-    """The parser of one leaf on its own, built on first use: its help and
-    errors are those of the same leaf in build_parser's tree."""
-    return _declare(_Parser(prog=" ".join(("locq", *path))), path, required)
+def _parse(argv: list) -> SimpleNamespace:
+    """argv read by the table in one pass: `subcommand` (and `form`), each
+    option of the path it names ("--y-bound" as y_bound), and its `handler`.
+
+    Raised as met, in word order: a value its reader refuses, a value
+    missing, -h/--help (as _Help) and an option its group excludes.  Then
+    every unrecognized word, the missing options and an empty required group.
+    """
+    path, options, given, extras = (), {}, {}, []
+    words = iter(argv)
+    for word in words:
+        if not _is_option(word) and _TABLE[path][1] is None:  # the word names a path below
+            _check(_POSITIONALS[len(path)], _children(path), word)
+            path += (word,)
+            options = _TABLE[path][2]
+            continue
+        name, joined, value = word.partition("=")
+        spec = _HELP if name in ("-h", "--help") else options.get(name)
+        if spec is None:  # no option, or a word no option reads
+            extras.append(word)
+            continue
+        reader, default, _, group = spec
+        if reader is bool and joined:
+            raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+        if reader is bool:
+            value = True
+        elif not joined:
+            value = next(words, None)
+            if value is None or _is_option(value):
+                raise UsageError(f"argument {name}: expected one argument")
+        if value != default:
+            _check(name, reader, value)
+        if spec is _HELP:
+            raise _Help(_help(path))
+        clash = [o for o in given if o != name and group is not None and options[o][3] == group]
+        if clash:
+            raise UsageError(f"argument {name}: not allowed with argument {clash[0]}")
+        given[name] = value
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    required = [o for o, spec in options.items() if spec[1] is REQUIRED]
+    missing = [o for o in required if options[o][3] is None and o not in given]
+    if missing or _TABLE[path][1] is None:  # where no leaf is named, its subcommand or form
+        raise UsageError("the following arguments are required: "
+                         + (", ".join(missing) or _POSITIONALS[len(path)]))
+    grouped = [o for o in required if options[o][3] is not None]  # one group at most
+    if grouped and not given.keys() & set(grouped):
+        raise UsageError(f"one of the arguments {' '.join(grouped)} is required")
+    values = {o[2:].replace("-", "_"): given.get(o, None if spec[1] is REQUIRED else spec[1])
+              for o, spec in options.items()}
+    return SimpleNamespace(**dict(zip(_POSITIONALS, path)), **values, handler=_TABLE[path][1])
 
 
-@functools.cache
-def build_parser(required: bool = True) -> argparse.ArgumentParser:
-    """The full parser, built on first use by an argv that names no leaf (root or
-    qhyper help, an unknown or missing subcommand); parse_args never changes
-    it.  With required=False it requires no subcommand, form or option."""
-    parser = _Parser(prog="locq", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=required)
-    forms = None
-    for path, (text, _) in _LEAVES.items():
-        if len(path) == 2 and forms is None:
-            forms = sub.add_parser("qhyper", help="q-Pochhammer symbol, bilateral sum and "
-                                   "q-Saalschutz check, one form each"
-                                   ).add_subparsers(dest="form", required=required)
-        _declare((forms if len(path) == 2 else sub).add_parser(path[-1], help=text),
-                 path, required)
-    return parser
+def _help(path: tuple) -> str:
+    """`path`'s usage (wrapped at 80 columns), help, and paths below it or options."""
+    text, handler = _TABLE[path][:2]
+    prog = " ".join(("locq", *path))
+    usage, rows, last = ["[-h]"], [], None  # a row is a heading or a (left, right) pair
+    if handler is None:
+        usage += ["{" + ",".join(_children(path)) + "}", "..."]
+        rows += [f"{_POSITIONALS[len(path)]}s:",
+                 *((child, _TABLE[(*path, child)][0]) for child in _children(path)), ""]
+    rows += ["options:", ("-h, --help", _HELP[2])]
+    for option, (reader, default, note, group) in _TABLE[path][2].items():
+        metavar = "{%s}" % ",".join(reader) if isinstance(reader, tuple) else option[2:].upper()
+        word = option if reader is bool else f"{option} {metavar}"
+        if group is not None and group == last:  # [--n N | --infinite]
+            usage[-1] = f"{usage[-1][:-1]} | {word}{usage[-1][-1]}"
+        else:
+            brackets = "[]" if default is not REQUIRED else "()" if group else ""
+            usage.append(f"{brackets[:1]}{word}{brackets[1:]}")
+        shown = f"default {default}" if isinstance(default, str) and default else ""
+        rows.append((word, note or shown))
+        last = group
+    lines = [f"usage: {prog}"]
+    for word in usage:  # a word that would pass column 80 starts a line, under the first
+        if len(lines[-1]) > len(prog) + 7 and len(lines[-1]) + 1 + len(word) > 80:
+            lines.append(" " * (len(prog) + 7))
+        lines[-1] += " " + word
+    width = max(len(row[0]) for row in rows if isinstance(row, tuple)) + 2
+    lines += ["", text.strip(), ""]
+    lines += [row if isinstance(row, str) else f"  {row[0]:<{width}} {row[1]}".rstrip()
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
+def _config_echo(args: SimpleNamespace) -> dict:
     options = {
         k: v
         for k, v in vars(args).items()
@@ -617,36 +640,10 @@ def main(argv=None) -> int:
     return status
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """argv parsed by the leaf its first one or two words name (_parse), an
-    unrecognized argument named before a missing one: where argparse names a
-    missing option, the parser that requires none names any unrecognized."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    path = tuple(argv[:1])
-    if path not in _LEAVES:
-        path = tuple(argv[:2]) if tuple(argv[:2]) in _LEAVES else None
-    try:
-        return _parse(path, argv, True)
-    except UsageError as exc:
-        # argparse's two messages for a missing option
-        if str(exc).startswith(("the following arguments are required", "one of the arguments")):
-            _parse(path, argv, False)
-        raise
-
-
-def _parse(path: tuple | None, argv: list, required: bool) -> argparse.Namespace:
-    """argv after `path` parsed by its leaf, `subcommand` (and `form`) set first
-    as build_parser's tree would; all of argv by the tree where path is None."""
-    if path is None:
-        return build_parser(required).parse_args(argv)
-    preset = argparse.Namespace(**dict(zip(("subcommand", "form"), path)))
-    return _leaf(path, required).parse_args(argv[len(path):], preset)
-
-
 def _respond(argv) -> int:
     """Parse argv, run its handler and emit its document; the exit code."""
     try:
-        args = _parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except UsageError as exc:
         _emit({"error": str(exc), "exit": 2}, "")
         return 2

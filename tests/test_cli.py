@@ -1,6 +1,5 @@
 """CLI contract: JSON on every exit path, exit codes, determinism."""
 
-import argparse
 import cmath
 import hashlib
 import itertools
@@ -1349,11 +1348,8 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
     """One process: a usage error, a success, a handler error, then --out.
 
     Each document equals, byte for byte, that of a fresh `python -m locq`
-    with the same argv, in each of two rounds of the four calls, and the
-    second round builds no parser: each one the first round built is reused.
+    with the same argv, in each of two rounds of the four calls.
     """
-    cli.build_parser.cache_clear()
-    cli._leaf.cache_clear()
     monkeypatch.delenv("LOCQ_MAX_FACTORS", raising=False)
     env = fresh_env()
     cases = [
@@ -1369,7 +1365,6 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
                               env=env, capture_output=True, check=False)
         assert proc.returncode == status, argv
         fresh.append(proc.stdout)
-    builds = []
     for _ in range(2):
         for (argv, status), stdout in zip(cases, fresh):
             code, out = run_cli([str(tmp_path / "in.json") if a == "OUT" else a for a in argv])
@@ -1380,65 +1375,155 @@ def test_repeated_calls_match_fresh_processes(run_cli, tmp_path, monkeypatch):
                 assert (tmp_path / "in.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
             else:
                 assert_canonical(out)
-        builds.append((cli.build_parser.cache_info().misses, cli._leaf.cache_info().misses))
-    assert builds[1] == builds[0]
 
 
-# Each leaf's path: a valid argv after it, and an option of it whose value is
-# checked by type or choice (None where it has none)
+# Each leaf of the table: a valid argv after its path, the options that argv
+# echoed under "config" when argparse read it, and what the path alone is
+# refused for (None where it is a valid request)
 LEAF_REQUESTS = {
-    ("spectral-eval",): (["--a", "1.5", "--tau", "0.3,1.1"], "--sign"),
-    ("pfaffian",): (["--matrix", "[[0, 1], [-1, 0]]"], None),
-    ("dh-verify",): (["--factors", "1:1", "--c", "0.3"], "--tol"),
-    ("qhyper", "pochhammer"): (["--a", "1/2", "--q", "1/3", "--n", "2"], "--n"),
-    ("qhyper", "psi"): (["--num", "0.5", "--q", "0.2", "--z", "0.5"], "--window"),
-    ("qhyper", "saalschutz"): (["--a", "1/2", "--b", "1/3", "--c", "1/5", "--q", "1/7"], "--n"),
-    ("macdonald",): (["--betti", "1,2,1"], "--betti"),
-    ("orbifold",): (["--betti", "1,2,1", "--y-bound", "4"], "--y-bound"),
-    ("twisted-sym",): (["--chi", "3"], "--chi"),
-    ("euler-series",): (["--chi", "3", "--order", "5"], "--order"),
-    ("phi",): (["--tau", "0,1"], "--x-order"),
-    ("genus-cpm",): (["--tau", "0,1", "--N", "3", "--k", "1", "--l", "2", "--m", "2"], "--m"),
-    ("period-scan",): (["--tau", "0,1", "--N", "3", "--k", "1", "--l", "2"], "--q-tol"),
-    ("verify-all",): ([], None),
+    ("spectral-eval",): (
+        ["--a", "1.5", "--tau", "0.3,1.1"],
+        {"a": "1.5", "epsilon": "0", "ell": "1", "sign": "minus", "tau": "0.3,1.1", "tol": "1e-12"},
+        "the following arguments are required: --a, --tau"),
+    ("pfaffian",): (
+        ["--matrix", "[[0, 1], [-1, 0]]"], {"matrix": "[[0, 1], [-1, 0]]"},
+        "one of the arguments --matrix --matrix-file is required"),
+    ("dh-verify",): (
+        ["--factors", "1:1", "--c", "0.3"], {"factors": "1:1", "c": "0.3", "tol": "1e-8"},
+        "the following arguments are required: --factors, --c"),
+    ("qhyper", "pochhammer"): (
+        ["--a", "1/2", "--q", "1/3", "--n", "2"],
+        {"form": "pochhammer", "a": "1/2", "q": "1/3", "n": "2", "infinite": False},
+        "the following arguments are required: --a, --q"),
+    ("qhyper", "psi"): (
+        ["--num", "0.5", "--q", "0.2", "--z", "0.5"],
+        {"form": "psi", "num": "0.5", "den": "", "q": "0.2", "z": "0.5", "window": "",
+         "tol": "1e-12"},
+        "the following arguments are required: --q, --z"),
+    ("qhyper", "saalschutz"): (
+        ["--a", "1/2", "--b", "1/3", "--c", "1/5", "--q", "1/7"],
+        {"form": "saalschutz", "a": "1/2", "b": "1/3", "c": "1/5", "n": "0", "q": "1/7"},
+        "the following arguments are required: --a, --b, --c, --q"),
+    ("macdonald",): (
+        ["--betti", "1,2,1"], {"betti": "1,2,1", "order": "8", "y_bound": ""},
+        "the following arguments are required: --betti"),
+    ("orbifold",): (
+        ["--betti", "1,2,1", "--y-bound", "4"], {"betti": "1,2,1", "order": "8", "y_bound": "4"},
+        "the following arguments are required: --betti"),
+    ("twisted-sym",): (
+        ["--chi", "3"], {"chi": "3", "order": "20"},
+        "the following arguments are required: --chi"),
+    ("euler-series",): (
+        ["--chi", "3", "--order", "5"], {"chi": "3", "order": "5"},
+        "the following arguments are required: --chi"),
+    ("phi",): (
+        ["--tau", "0,1"], {"tau": "0,1", "x_order": "8", "q_tol": "1e-12"},
+        "the following arguments are required: --tau"),
+    ("genus-cpm",): (
+        ["--tau", "0,1", "--N", "3", "--k", "1", "--l", "2", "--m", "2"],
+        {"tau": "0,1", "N": "3", "k": "1", "l": "2", "m": "2", "q_tol": "1e-12"},
+        "the following arguments are required: --tau, --N, --k, --l, --m"),
+    ("period-scan",): (
+        ["--tau", "0,1", "--N", "3", "--k", "1", "--l", "2"],
+        {"tau": "0,1", "N": "3", "k": "1", "l": "2", "trial_bound": "", "tol": "1e-8",
+         "q_tol": "1e-12"},
+        "the following arguments are required: --tau, --N, --k, --l"),
+    ("verify-all",): ([], {}, None),
 }
 
 
-def _parse_outcome(parse, argv) -> tuple:
-    """What a parse of argv gives: its namespace's items in order, or the
-    text of its usage error or help."""
+def _refusal(argv) -> str | None:
+    """The usage error that argv is refused with, None where it parses."""
     try:
-        return "namespace", list(vars(parse(argv)).items())
+        cli._parse(argv)
     except cli.UsageError as exc:
-        return "error", str(exc)
-    except cli._Help as exc:
-        return "help", str(exc)
+        return str(exc)
+    return None
 
 
-def test_leaf_requests_name_every_leaf():
-    assert set(LEAF_REQUESTS) == set(cli._LEAVES)
+@pytest.mark.parametrize("path", [path for path, entry in cli._TABLE.items() if entry[1]],
+                         ids=" ".join)
+def test_leaf_answers_from_the_table(run_cli, path):
+    """Each leaf: its help, a valid request's config echo, an unknown option,
+    the missing options, and a malformed value of each option whose reader
+    checks its text (the int and float ones those that a handler converts)."""
+    valid, echoed, missing = LEAF_REQUESTS[path]
+    code, out = run_cli([*path, "--help"])
+    assert code == 0
+    assert_canonical(out)
+    assert parse_strict(out)["help"].startswith(f"usage: locq {' '.join(path)} [-h]")
+    assert cli._config_echo(cli._parse([*path, *valid])) == {"subcommand": path[0],
+                                                             "options": echoed}
+    assert _refusal([*path, *valid, "--bogus", "1"]) == "unrecognized arguments: --bogus 1"
+    assert _refusal(list(path)) == missing
+    options = cli._TABLE[path][2]
+    assert {option: reader.__name__ for option, (reader, *_) in options.items()
+            if reader in (int, float)} == TestContract.NUMBER_OPTIONS.get(path, {})
+    for option, (reader, *_) in options.items():
+        if reader in (int, float):
+            text = {int: "2.5", float: "abc"}[reader]
+            want = f"argument {option}: invalid {reader.__name__} value: {text!r}"
+        elif isinstance(reader, list):
+            text, want = "1,x", f"argument {option}: invalid int value: 'x'"
+        elif isinstance(reader, tuple):
+            text, choices = "nosuch", ", ".join(map(repr, reader))
+            want = f"argument {option}: invalid choice: 'nosuch' (choose from {choices})"
+        else:
+            continue
+        assert _refusal([*path, *valid, option, text]) == want, option
 
 
-@pytest.mark.parametrize("required", [True, False])
-@pytest.mark.parametrize("path", list(LEAF_REQUESTS), ids=" ".join)
-def test_leaf_parser_answers_as_the_full_tree(path, required):
-    """The standalone leaf, with `subcommand` (and `form`) preset, gives the
-    help, the usage errors and the namespace of the full parser on the same
-    words: help, a valid request, an unknown option, no option, a bad value."""
-    valid, typed = LEAF_REQUESTS[path]
-    preset = dict(zip(("subcommand", "form"), path))
-    leaf = cli._leaf(path, required)
-    argvs = [["--help"], valid, [*valid, "--bogus", "1"], []]
-    if typed is not None:
-        argvs.append([*valid, typed, "1.5x"])
-    outcomes = set()
-    for argv in argvs:
-        alone = _parse_outcome(lambda a: leaf.parse_args(a, argparse.Namespace(**preset)), argv)
-        in_tree = _parse_outcome(cli.build_parser(required).parse_args, [*path, *argv])
-        assert alone == in_tree, argv
-        outcomes.add(alone[0])
-    assert leaf.format_help() == _parse_outcome(leaf.parse_args, ["--help"])[1]
-    assert outcomes >= {"help", "namespace", "error"}
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["euler-series", "--bogus", "--order", "2.5"],
+                 "argument --order: invalid int value: '2.5'", id="bad value before stray word"),
+    pytest.param(["euler-series", "--order", "x", "--help"],
+                 "argument --order: invalid int value: 'x'", id="bad value before help"),
+    pytest.param(["euler-series", "--help", "--order", "x"], None, id="help before bad value"),
+    pytest.param(["qhyper", "pochhammer", "--bogus", "--n", "1", "--infinite"],
+                 "argument --infinite: not allowed with argument --n", id="clash before stray"),
+    pytest.param(["qhyper", "pochhammer", "--infinite", "--infinite", "--a", "1", "--q", "1"],
+                 None, id="a flag twice is no clash"),
+    pytest.param(["euler-series", "--chi", "--order", "3"], "argument --chi: expected one argument",
+                 id="option as value"),
+    pytest.param(["genus-cpm", "--tau", "0,1", "--m", "1", "extra", "--bogus=2"],
+                 "unrecognized arguments: extra --bogus=2", id="stray words before missing"),
+    pytest.param(["--bogus", "euler-series", "--chi", "1"], "unrecognized arguments: --bogus",
+                 id="stray word before the subcommand"),
+])
+def test_errors_come_in_argparse_order(argv, error):
+    """The first value error, clash or help in word order; then every
+    unrecognized word; then the missing options (None: help, or parsed)."""
+    try:
+        cli._parse(argv)
+    except cli.UsageError as exc:
+        assert str(exc) == error
+    except cli._Help:
+        assert error is None and "--help" in argv
+    else:
+        assert error is None
+
+
+def test_a_repeated_option_takes_its_last_value():
+    args = cli._parse(["euler-series", "--order", "3", "--chi=1", "--order=5", "--chi", "-2"])
+    assert cli._config_echo(args) == {"subcommand": "euler-series",
+                                      "options": {"chi": "-2", "order": "5"}}
+
+
+def test_no_request_imports_argparse():
+    """A leaf request, root and qhyper help and an unknown subcommand, each in
+    a fresh process, leave argparse (and its gettext) unimported."""
+    code = """if True:
+        import contextlib, io, json, sys
+        from locq import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(json.loads(sys.argv[1]))
+        sys.exit(any(m in sys.modules for m in ("argparse", "gettext")))
+    """
+    for argv in (["qhyper", "psi", "--q", "1/2", "--z", "1/3"], ["--help"], ["qhyper", "--help"],
+                 ["nope"]):
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=fresh_env(),
+                              capture_output=True, check=False)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
 
 
 REQUESTS = Path(__file__).with_name("requests.jsonl")
@@ -1564,18 +1649,6 @@ class TestWithoutNumpy:
                               capture_output=True, check=False, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, b"")
 
-    def test_a_leaf_request_builds_no_full_parser(self):
-        code = """if True:
-            import contextlib, io, sys
-            from locq import cli
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["qhyper", "psi", "--q", "1/2", "--z", "1/3"]) == 0
-            sys.exit(cli.build_parser.cache_info().currsize)
-        """
-        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
-                              capture_output=True, check=False)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-
     def test_requests_print_the_same_bytes_without_numpy(self, run_cli):
         requests = [argv for argv in readme_examples()
                     if argv[0] not in ("pfaffian", "dh-verify")]
@@ -1643,6 +1716,22 @@ class TestScalarParsing:
         code, out = run_cli(argv)
         assert code == 0
         assert (code, out) == run_cli(joined)
+
+    @pytest.mark.parametrize("text", ["5", "+5", "-5", "", "+", "+-5", "\u0663", "5.0"])
+    def test_integer_words_are_the_regex_words(self, text):
+        # parse_scalar reads as exact the words of [+-]?\d+ (\d: any Unicode
+        # decimal digit, such as the Arabic-Indic three) and those with a "/"
+        def outcome(parse):
+            try:
+                return parse(text)
+            except cli.UsageError as exc:
+                return str(exc)
+
+        def by_regex(text):
+            exact = "/" in text or re.fullmatch(r"[+-]?\d+", text.strip())
+            return (cli.parse_fraction if exact else cli.parse_complex)(text.strip())
+
+        assert outcome(cli.parse_scalar) == outcome(by_regex)
 
     def test_dash_word_is_still_an_option(self, run_cli):
         code, out = run_cli(["dh-verify", "--factors", "1:1", "--c", "-x"])
