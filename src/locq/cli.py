@@ -573,8 +573,7 @@ def _help(path: tuple) -> str:
         else:
             brackets = "[]" if default is not REQUIRED else "()" if group else ""
             usage.append(f"{brackets[:1]}{word}{brackets[1:]}")
-        shown = f"default {default}" if isinstance(default, str) and default else ""
-        rows.append((word, note or shown))
+        rows.append((word, note))
         last = group
     lines = [f"usage: {prog}"]
     for word in usage:  # a word that would pass column 80 starts a line, under the first
