@@ -482,7 +482,7 @@ def _children(path: tuple) -> tuple:
 
 
 def _is_option(word: str) -> bool:
-    """A word that starts with "-", but not "-" or "-." and a digit (-1/2, -.5, -1e-3)."""
+    """An option word: it starts with "-", but not "-" or "-." and a digit (-1/2, -.5)."""
     return word[:1] == "-" and not word.removeprefix("-").removeprefix(".")[:1].isdecimal()
 
 
@@ -547,7 +547,7 @@ def _parse(argv: list) -> SimpleNamespace:
     if missing or _TABLE[path][1] is None:  # where no leaf is named, its subcommand or form
         raise UsageError("the following arguments are required: "
                          + (", ".join(missing) or _POSITIONALS[len(path)]))
-    grouped = [o for o in required if options[o][3] is not None]  # one group at most
+    grouped = [o for o in required if options[o][3] is not None]  # a path has one at most
     if grouped and not given.keys() & set(grouped):
         raise UsageError(f"one of the arguments {' '.join(grouped)} is required")
     values = {o[2:].replace("-", "_"): given.get(o, None if spec[1] is REQUIRED else spec[1])
@@ -566,7 +566,7 @@ def _help(path: tuple) -> str:
                  *((child, _TABLE[(*path, child)][0]) for child in _children(path)), ""]
     rows += ["options:", ("-h, --help", _HELP[2])]
     for option, (reader, default, note, group) in _TABLE[path][2].items():
-        metavar = "{%s}" % ",".join(reader) if isinstance(reader, tuple) else option[2:].upper()
+        metavar = "{" + ",".join(reader) + "}" if isinstance(reader, tuple) else option[2:].upper()
         word = option if reader is bool else f"{option} {metavar}"
         if group is not None and group == last:  # [--n N | --infinite]
             usage[-1] = f"{usage[-1][:-1]} | {word}{usage[-1][-1]}"
