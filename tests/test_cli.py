@@ -1441,20 +1441,26 @@ def _refusal(argv) -> str | None:
     return None
 
 
+@pytest.mark.parametrize("required", [True, False])
 @pytest.mark.parametrize("path", [path for path, entry in cli._TABLE.items() if entry[1]],
                          ids=" ".join)
-def test_leaf_answers_from_the_table(run_cli, path):
-    """Each leaf: its help, a valid request's config echo, an unknown option,
-    the missing options, and a malformed value of each option whose reader
-    checks its text (the int and float ones those that a handler converts)."""
+def test_leaf_parser_answers_as_the_full_tree(run_cli, path, required):
+    """Each leaf, read from the table's root like every request: its help, an
+    unknown option, the missing options, and a malformed value of each option
+    whose reader checks its text (the int and float ones those that a handler
+    converts).  With required=True the words follow a valid request, whose
+    config echo is checked; with required=False they follow the path alone,
+    and each answer still comes before the missing options."""
     valid, echoed, missing = LEAF_REQUESTS[path]
-    code, out = run_cli([*path, "--help"])
+    given = valid if required else []
+    code, out = run_cli([*path, *given, "--help"])
     assert code == 0
     assert_canonical(out)
     assert parse_strict(out)["help"].startswith(f"usage: locq {' '.join(path)} [-h]")
-    assert cli._config_echo(cli._parse([*path, *valid])) == {"subcommand": path[0],
-                                                             "options": echoed}
-    assert _refusal([*path, *valid, "--bogus", "1"]) == "unrecognized arguments: --bogus 1"
+    if required:
+        assert cli._config_echo(cli._parse([*path, *valid])) == {"subcommand": path[0],
+                                                                 "options": echoed}
+    assert _refusal([*path, *given, "--bogus", "1"]) == "unrecognized arguments: --bogus 1"
     assert _refusal(list(path)) == missing
     options = cli._TABLE[path][2]
     assert {option: reader.__name__ for option, (reader, *_) in options.items()
@@ -1470,7 +1476,7 @@ def test_leaf_answers_from_the_table(run_cli, path):
             want = f"argument {option}: invalid choice: 'nosuch' (choose from {choices})"
         else:
             continue
-        assert _refusal([*path, *valid, option, text]) == want, option
+        assert _refusal([*path, *given, option, text]) == want, option
 
 
 @pytest.mark.parametrize("argv,error", [
