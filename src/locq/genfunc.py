@@ -4,7 +4,7 @@ Everything here consumes only Betti numbers.  Each product formula is
 paired with an independent basis-enumeration oracle so the identities can
 be checked coefficient by coefficient:
 
-  * macdonald_series      <->  sym_poincare_oracle (graded symmetric powers)
+  * macdonald_series      <->  sym_poincare_oracle_series (graded symmetric powers)
   * orbifold_series       <->  orbifold_oracle_series (partition sums of the above)
   * equivariant series    <->  partition counting
   * twisted_sym_series    <->  twisted_sym_oracle (tuples of strict and of
@@ -63,28 +63,58 @@ class BettiData(_BettiFields):
         return sum((-1) ** j * b for j, b in enumerate(self.betti))
 
 
-def sym_poincare_oracle(b: BettiData, n: int) -> dict[int, int]:
-    """Poincare polynomial of the n-th graded symmetric power, by enumeration.
+def sym_poincare_oracle_series(b: BettiData, order: int) -> list[dict[int, int]]:
+    """Poincare polynomials of the graded symmetric powers 0 .. order, by enumeration.
 
-    Lists every basis element directly: a multiset of even generators
-    together with a subset of odd generators, of total size n.  Never
-    touches the product formula.
+    A basis element of the n-th power is a multiset of even generators
+    together with a subset of odd generators, of total size n.  Each
+    multiset of even generators is listed once, those of size m grown from
+    those of size m - 1 by a generator no earlier than their last, and each
+    subset of odd generators once; the n-th power counts their pairs by
+    degree.  Never touches the product formula.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     # even-degree generators repeat freely, odd-degree ones appear at most
     # once (Koszul sign rule)
     even = [j for j, count in enumerate(b.betti) if j % 2 == 0 for _ in range(count)]
     odd = [j for j, count in enumerate(b.betti) if j % 2 for _ in range(count)]
-    out: dict[int, int] = {}
-    for n_odd in range(min(n, len(odd)) + 1):
-        n_even = n - n_odd
-        for odd_choice in itertools.combinations(odd, n_odd):
-            odd_deg = sum(odd_choice)
-            for even_choice in itertools.combinations_with_replacement(even, n_even):
-                deg = odd_deg + sum(even_choice)
-                out[deg] = out.get(deg, 0) + 1
-    return out
+    # even_counts[m] and odd_counts[k]: degree -> number of multisets of size
+    # m, of subsets of size k
+    even_counts = [{0: 1}]
+    level = [(0, 0)]  # each multiset of the last size: (degree, index of its last generator)
+    for _ in range(order):
+        level = [(deg + even[k], k) for deg, last in level for k in range(last, len(even))]
+        counts: dict[int, int] = {}
+        for deg, _last in level:
+            counts[deg] = counts.get(deg, 0) + 1
+        even_counts.append(counts)
+    odd_counts = []
+    for size in range(min(order, len(odd)) + 1):
+        counts = {}
+        for choice in itertools.combinations(odd, size):
+            deg = sum(choice)
+            counts[deg] = counts.get(deg, 0) + 1
+        odd_counts.append(counts)
+    powers = []
+    for n in range(order + 1):
+        out: dict[int, int] = {}
+        for n_odd in range(min(n, len(odd)) + 1):
+            evens = even_counts[n - n_odd]
+            for odd_deg, odd_count in odd_counts[n_odd].items():
+                for even_deg, even_count in evens.items():
+                    deg = odd_deg + even_deg
+                    out[deg] = out.get(deg, 0) + odd_count * even_count
+        powers.append(out)
+    return powers
+
+
+def sym_poincare_oracle(b: BettiData, n: int) -> dict[int, int]:
+    """Poincare polynomial of the n-th graded symmetric power, by enumeration:
+    the n-th entry of sym_poincare_oracle_series."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return sym_poincare_oracle_series(b, n)[n]
 
 
 def _betti_product(b: BettiData, q_exponents, q_order: int,
@@ -306,7 +336,7 @@ def orbifold_oracle_series(b: BettiData, order: int) -> list[dict[int, int]]:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    powers = [sym_poincare_oracle(b, mult) for mult in range(order + 1)]
+    powers = sym_poincare_oracle_series(b, order)
     coeffs = []
     for n in range(order + 1):
         out: dict[int, int] = {}

@@ -354,7 +354,7 @@ class FactorTable:
     digits.  Only then is each factor's work done, once: its quadrature and
     pole pair as (quad_m, quad_e, pair_m, pair_e) and the pair's roundings."""
 
-    __slots__ = ("c", "quad_nodes", "steps")
+    __slots__ = ("c", "is_complex", "quad_nodes", "steps")
 
     def __init__(self, c, factors: Sequence[SphereFactor]):
         _check_c(c)
@@ -369,6 +369,7 @@ class FactorTable:
                 raise ValueError(f"the Gauss-Legendre quadrature of the factor (r, mu) = "
                                  f"({f.radius!r}, {f.weight!r}) at c = {c!r} {why}")
         self.c = c
+        self.is_complex = isinstance(c, complex)
         self.quad_nodes = tuple(nodes for _, nodes, _ in size_terms)
         self.steps = [(*factor_integral_quad(f, c, nodes), *pair, roundings)
                       for f, nodes in zip(factors, self.quad_nodes)
@@ -377,32 +378,40 @@ class FactorTable:
     def check(self, indices: Sequence[int]):
         """(lhs, rhs, rel_err) on the factors at `indices`, repeats allowed:
         left folds of their mantissas and exponents, in index order, and one
-        _ldexp per side.  More than MAX_FACTORS indices are refused first, and
+        _ldexp per side (at real c, math.ldexp, with _ldexp's inf where a side
+        overflows).  More than MAX_FACTORS indices are refused first, and
         a side whose modulus is not a normal double once known, since rel_err
         divides by |rhs|."""
         _check_factor_count(len(indices))
-        c, steps = self.c, self.steps
-        lhs_m = rhs_m = 1.0 + 0.0j if isinstance(c, complex) else 1.0
+        steps, is_complex = self.steps, self.is_complex
+        lhs_m = rhs_m = 1.0 + 0.0j if is_complex else 1.0
         lhs_e = rhs_e = 0
         for i in indices:
             quad_m, quad_e, pair_m, pair_e, _ = steps[i]
             lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
             rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
-        lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
         tiny = sys.float_info.min  # require_double's test of each modulus, inline
-        try:
+        if is_complex:
+            lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
+            try:
+                normal = tiny <= abs(lhs) < math.inf and tiny <= abs(rhs) < math.inf
+            except OverflowError:  # abs() of a complex past the largest double
+                normal = False
+        else:
+            try:
+                lhs, rhs = math.ldexp(lhs_m, lhs_e), math.ldexp(rhs_m, rhs_e)
+            except OverflowError:
+                lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
             normal = tiny <= abs(lhs) < math.inf and tiny <= abs(rhs) < math.inf
-        except OverflowError:  # abs() of a complex past the largest double
-            normal = False
         if not normal:
             for what, side in (("Liouville integral", lhs), ("fixed-point sum", rhs)):
-                require_double(f"the {what}'s modulus at c = {c!r}",
+                require_double(f"the {what}'s modulus at c = {self.c!r}",
                                math.hypot(side.real, side.imag), normal=True)
         return lhs, rhs, abs(lhs - rhs) / abs(rhs)
 
     def rhs_bound(self, indices: Sequence[int]) -> float:
         """check(indices)'s rhs bound E u / (1 - E u) (_pole_pair), or inf."""
-        multiplies = (len(indices) - 1) * STEP_ROUNDINGS[isinstance(self.c, complex)]
+        multiplies = (len(indices) - 1) * STEP_ROUNDINGS[self.is_complex]
         error = (sum(self.steps[i][4] for i in indices) + multiplies) * UNIT
         return error / (1 - error) if error < 1 else math.inf
 

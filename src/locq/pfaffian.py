@@ -17,6 +17,7 @@ module (and the CLI) does not load it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from functools import lru_cache
@@ -70,10 +71,11 @@ class SkewMatrix:
                 f"matrix entries must be finite, got {float(a[row, col])!r} at "
                 f"(row, col) = ({row}, {col})"
             )
-        with np.errstate(all="ignore"):
+        huge = largest > sys.float_info.max / 2  # only then can A + A^T or A - A^T overflow
+        with np.errstate(all="ignore") if huge else contextlib.nullcontext():
             deviation = float(abs(a + a.T).max()) / 2.0
             skew = (a - a.T) / 2.0  # its diagonal is x - x = +0.0: finite entries
-            if largest > sys.float_info.max / 2:  # where A - A^T overflows, A/2 - A^T/2 is exact
+            if huge:  # where A - A^T overflows, A/2 - A^T/2 is exact
                 skew = np.where(np.isfinite(skew), skew, a / 2.0 - a.T / 2.0)
         if deviation > SKEW_TOL * largest:
             raise NotSkewSymmetricError(

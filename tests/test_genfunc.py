@@ -1,5 +1,6 @@
 """Generating functions vs enumeration oracles, all equalities exact."""
 
+import itertools
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from locq.genfunc import (
     orbifold_series,
     partition_multiplicities,
     sym_poincare_oracle,
+    sym_poincare_oracle_series,
     theta4_terms,
     twisted_sym_oracle,
     twisted_sym_series,
@@ -48,7 +50,40 @@ class TestBetti:
         assert parse_betti(" ") == BettiData.of()
 
 
+def listed_sym_power(b: BettiData, n: int) -> dict[int, int]:
+    """The n-th graded symmetric power's Poincare polynomial, one basis element
+    at a time: every subset of odd generators with every multiset of even
+    generators that makes the size n up."""
+    even = [j for j, count in enumerate(b.betti) if j % 2 == 0 for _ in range(count)]
+    odd = [j for j, count in enumerate(b.betti) if j % 2 for _ in range(count)]
+    out: dict[int, int] = {}
+    for n_odd in range(min(n, len(odd)) + 1):
+        n_even = n - n_odd
+        for odd_choice in itertools.combinations(odd, n_odd):
+            odd_deg = sum(odd_choice)
+            for even_choice in itertools.combinations_with_replacement(even, n_even):
+                deg = odd_deg + sum(even_choice)
+                out[deg] = out.get(deg, 0) + 1
+    return out
+
+
 class TestSymOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=6).map(lambda b: BettiData(tuple(b))),
+           st.integers(0, 8))
+    def test_series_is_the_listing_order_by_order(self, b, order):
+        assert sym_poincare_oracle_series(b, order) == [listed_sym_power(b, n)
+                                                       for n in range(order + 1)]
+
+    def test_nth_power_is_the_series_entry(self):
+        for n in range(6):
+            assert sym_poincare_oracle(TORUS, n) == sym_poincare_oracle_series(TORUS, 5)[n]
+
+    def test_negative_order_is_refused(self):
+        for call in (sym_poincare_oracle, sym_poincare_oracle_series):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                call(SPHERE, -1)
+
     def test_empty_power(self):
         assert sym_poincare_oracle(SPHERE, 0) == {0: 1}
 
@@ -351,17 +386,17 @@ class TestOrbifoldOracle:
             assert orbifold_oracle_series(b, order) == want
 
     def test_each_symmetric_power_enumerated_once(self, monkeypatch):
-        # one enumeration per order 0-8 serves every coefficient to q^8, where
-        # one oracle call per coefficient enumerated the low orders again
+        # one listing of the powers 0-8 serves every coefficient to q^8, where
+        # one oracle call per power listed the lower powers again
         calls = []
 
-        def counted(b, n):
-            calls.append(n)
-            return sym_poincare_oracle(b, n)
+        def counted(b, order):
+            calls.append((b, order))
+            return sym_poincare_oracle_series(b, order)
 
-        monkeypatch.setattr(genfunc, "sym_poincare_oracle", counted)
+        monkeypatch.setattr(genfunc, "sym_poincare_oracle_series", counted)
         got = orbifold_oracle_series(TORUS, 8)
-        assert calls == list(range(9))
+        assert calls == [(TORUS, 8)]
         series = orbifold_series(TORUS, 8)
         assert got == [series.q_coefficient(n) for n in range(9)]
 

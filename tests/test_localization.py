@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import point_sums
 from locq import localization, pfaffian, verify
-from locq.errors import DegenerateWeightError
+from locq.errors import DegenerateWeightError, require_double
 from locq.localization import (
     FactorTable,
     SphereFactor,
@@ -1021,6 +1021,70 @@ class TestSumPrecision:
         with pytest.raises(ValueError, match="MAX_QUAD_POINTS") as info:
             dh_verify(SphereProductSpace.of((1.0, 1.0)), 1e308j)
         assert not str(info.value).startswith("overflow")
+
+
+def _ldexp_fold(table, indices):
+    """FactorTable.check at real c written with _ldexp on both sides, as
+    before real c had its own math.ldexp path: (lhs, rhs, rel_err), or a
+    ValueError naming the first side that is not a normal double."""
+    lhs_m = rhs_m = 1.0
+    lhs_e = rhs_e = 0
+    for i in indices:
+        quad_m, quad_e, pair_m, pair_e, _ = table.steps[i]
+        lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
+        rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
+    lhs, rhs = localization._ldexp(lhs_m, lhs_e), localization._ldexp(rhs_m, rhs_e)
+    for what, side in (("Liouville integral", lhs), ("fixed-point sum", rhs)):
+        require_double(f"the {what}'s modulus at c = {table.c!r}", abs(side), normal=True)
+    return lhs, rhs, abs(lhs - rhs) / abs(rhs)
+
+
+class TestRealCFold:
+    """At real c, FactorTable.check's math.ldexp equals the _ldexp fold bit
+    for bit (repr round-trips every double), refusals included: ordinary
+    sides, sides about the least normal double, below it, and about the
+    largest double.  A single factor's side is about 4 pi r^2 where c mu r
+    is small."""
+
+    LEAST = math.sqrt(sys.float_info.min / (4 * math.pi))  # r of a side at the least normal
+    LARGEST = math.sqrt(sys.float_info.max / (4 * math.pi))  # r of a side at the largest
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return "value", repr(call())
+        except ValueError as exc:
+            return "refused", str(exc)
+
+    @pytest.mark.parametrize("c", [0.5, -1.3, 1.0, 1e-200])
+    @pytest.mark.parametrize("factors,indices", [
+        ([(1.0, 1.0), (2.0, -0.5), (0.5, 3.0)], (0, 1, 2)),
+        ([(1.0, 1.0), (2.0, -0.5)], (1, 1, 0, 1)),
+        ([(1e-100, 1e-100), (1e100, 1e-100)], (0, 1)),  # factors of about 1e-199 and 1e201
+        ([(1e-100, 1e-100), (1e100, 1e-100)], (0, 0, 1)),  # about 2e-197
+        ([(1e-160, 1.0)], (0,)),  # about 1e-319, subnormal
+        ([(1e-100, 1.0)], (0, 0, 0, 0)),  # about 1e-796, rounds to 0
+        ([(1e154, 1e-154)], (0,)),  # about 1.5e309 at c = 1
+        ([(1e100, 1e-100)], (0, 0, 0, 0)),  # about 1e803
+    ])
+    def test_fold_is_the_ldexp_fold(self, factors, indices, c):
+        table = FactorTable(c, [SphereFactor(r, mu) for r, mu in factors])
+        assert self.outcome(lambda: table.check(indices)) == \
+            self.outcome(lambda: _ldexp_fold(table, indices))
+
+    @pytest.mark.parametrize("edge,weight,seen", [
+        (LEAST, 1e-100, {"value", "underflow"}),
+        (LARGEST, 1e-160, {"value", "overflow"}),
+    ])
+    def test_fold_is_the_ldexp_fold_at_the_edges(self, edge, weight, seen):
+        # radii a few ulps of 2^-40 about each edge; both outcomes occur
+        got = set()
+        for k in range(-6, 7):
+            table = FactorTable(1.0, [SphereFactor(edge * (1 + k * 2.0 ** -40), weight)])
+            want = self.outcome(lambda: _ldexp_fold(table, (0,)))
+            assert self.outcome(lambda: table.check((0,))) == want, k
+            got.add(want[0] if want[0] == "value" else want[1].split(":")[0])
+        assert got == seen
 
 
 class TestFactorTableChecks:

@@ -1,8 +1,10 @@
 """Pfaffian identities, canonical forms, and the sign convention."""
 
 import gc
+import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +192,48 @@ class TestSkewMatrixParity:
             kinds.add(got[0] if isinstance(got[0], type) else got[3])
         # every kind of outcome occurs
         assert kinds == {True, False, ValueError, OddDimensionError, NotSkewSymmetricError}
+
+
+class TestSkewMatrixOverflowEdge:
+    """Only a largest entry past max/2 lets A + A^T or A - A^T overflow.  At
+    max/2 and at the next double above it, SkewMatrix keeps the six-pass
+    bits, flag and refusal, and NumPy warns of nothing."""
+
+    @staticmethod
+    def corpus(edge):
+        below = np.nextafter(edge, 0.0)
+        return [
+            [[0.0, edge], [-edge, 0.0]],  # A - A^T is 2 edge: max, or past it
+            [[0.0, edge], [-below, 0.0]],  # deviation of an ulp: adjusted
+            [[0.0, edge], [edge, 0.0]],  # A + A^T is 2 edge: not skew
+            [[edge, 0.0], [0.0, 0.0]],  # on the diagonal: not skew
+            [[0.0, edge, 1.0, 0.0], [-edge, 0.0, 0.0, 5e-324],
+             [-1.0, 0.0, 0.0, -edge], [0.0, -5e-324, edge, 0.0]],
+            [[0.0, -0.0], [edge, 0.0]],
+        ]
+
+    @pytest.mark.parametrize("edge", [sys.float_info.max / 2,
+                                      np.nextafter(sys.float_info.max / 2, math.inf)])
+    def test_same_bits_flag_and_refusal_as_six_passes(self, edge):
+        def outcome(make, entries):
+            try:
+                mat, adjusted = make(entries)
+            except NotSkewSymmetricError as exc:
+                return type(exc), str(exc)
+            return mat.tobytes(), adjusted
+
+        def production(entries):
+            m = SkewMatrix(entries)
+            return m.mat, m.adjusted
+
+        kinds = set()
+        for entries in self.corpus(float(edge)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = outcome(production, entries)
+            assert got == outcome(_six_pass_skew, entries), entries
+            kinds.add(got[0] if isinstance(got[0], type) else got[1])
+        assert kinds == {True, False, NotSkewSymmetricError}
 
 
 class TestPfaffian:

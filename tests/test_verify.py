@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from locq import verify
+from locq import genfunc, verify
 from locq.cli import row_json
 from locq.verify import Row, exact, within
 
@@ -79,6 +79,26 @@ def test_nan_localization_error_fails_verify_all(run_cli, monkeypatch):
     assert suite["details"] == {"checks": 19376, "rows": [{
         "identity": "fixed-point sum = Liouville integral, rel err", "checks": 19376,
         "worst": None, "tolerance": 1e-8, "budget_used": None, "passed": False}]}
+
+
+def test_oracle_suites_list_each_betti_tuple_once(monkeypatch):
+    # one listing of the symmetric powers 0-8 per Betti tuple, where an
+    # oracle call per coefficient listed the lower powers again
+    listed = genfunc.sym_poincare_oracle_series
+    calls = []
+
+    def counted(b, order):
+        calls.append((b, order))
+        return listed(b, order)
+
+    monkeypatch.setattr(genfunc, "sym_poincare_oracle_series", counted)
+    for suite, family in ((verify.suite_macdonald, verify.betti_family(4, 5)),
+                          (verify.suite_orbifold,
+                           verify.betti_family(3, 3) + [genfunc.BettiData.of(1, 2, 1)])):
+        calls.clear()
+        (row,) = suite().rows
+        assert row.passed and row.checks == 9 * len(family)
+        assert calls == [(b, 8) for b in family]
 
 
 def test_betti_family_is_a_new_list_each_call():
