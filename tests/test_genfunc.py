@@ -75,10 +75,6 @@ class TestSymOracle:
         assert sym_poincare_oracle_series(b, order) == [listed_sym_power(b, n)
                                                        for n in range(order + 1)]
 
-    def test_nth_power_is_the_series_entry(self):
-        for n in range(6):
-            assert sym_poincare_oracle(TORUS, n) == sym_poincare_oracle_series(TORUS, 5)[n]
-
     def test_negative_order_is_refused(self):
         for call in (sym_poincare_oracle, sym_poincare_oracle_series):
             with pytest.raises(ValueError, match="must be nonnegative"):
