@@ -37,8 +37,8 @@ FIRST_WINDOW = 8
 # bound on any value that underflows.
 _TINY = 2.0**-1000
 
-# Largest bilateral window, Saalschutz window (n + 2) and |n| of a finite
-# Pochhammer symbol; each costs work linear in it and is checked first.
+# Largest bilateral window, Saalschutz n (at most MAX_WINDOW - 2) and |n| of a
+# finite Pochhammer symbol; each costs work linear in it and is checked first.
 MAX_WINDOW = 4096
 
 
@@ -626,12 +626,15 @@ class SaalschutzResult(NamedTuple):
 def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
     """Exact check of the terminating q-Saalschutz summation.
 
-    Left side: the bilateral sum with numerator parameters (a, b, q^-n)
-    and denominator parameters (c, a*b*q^(1-n)/c, q) at argument z=q.  The
-    trailing denominator parameter q makes every negative-index term an
-    exact zero and the q^-n numerator parameter terminates the upper tail,
-    so the bilateral machinery reduces to the classical finite sum
-        sum_{k=0..n} [(a,b,q^-n;q)_k / ((q,c,abq^{1-n}/c;q)_k)] q^k.
+    Left side: the finite sum
+        sum_{k=0..n} [(a,b,q^-n;q)_k / ((q,c,abq^{1-n}/c;q)_k)] q^k,
+    the upper tail of the bilateral sum with numerator parameters (a, b,
+    q^-n) and denominator parameters (c, a*b*q^(1-n)/c, q) at argument z=q,
+    summed to position n.  The trailing denominator parameter q makes every
+    negative-index term 0 by definition (1/(q;q)_k = 0 for k < 0), so the
+    lower tail is not summed, and the q^-n numerator parameter makes every
+    term past n 0.  A term with k <= n whose denominator vanishes is
+    refused; a 0/0 past n, or below 0, is not a term of the sum.
     Right side: (c/a;q)_n (c/b;q)_n / ((c;q)_n (c/ab;q)_n).
     Both sides are exact rationals; the verdict is exact equality.
     """
@@ -642,14 +645,12 @@ def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
     a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
     if a == 0 or b == 0 or c == 0 or q == 0:
         raise DegenerateParametersError("parameters must be nonzero")
-    spec = BilateralSeriesSpec.make(
-        [a, b, q**-n], [c, a * b * q ** (1 - n) / c, q], q, q
-    )
-    lower, upper = tails = _tails(spec)
-    lower.extend(n + 2)
-    upper.extend(n + 2)
-    _raise_first_error(tails, n + 2)
-    lhs = lower.joined(upper)
+    upper = _ExactTail([a, b, q**-n], [c, a * b * q ** (1 - n) / c, q], q, q, 0)
+    upper.extend(n)
+    error = upper.error(min(upper.first_bot, n))
+    if error:
+        raise error
+    lhs = Fraction(upper.total + upper.den, upper.den)
     denom = pochhammer(c, q, n) * pochhammer(c / (a * b), q, n)
     if denom == 0:
         raise DegenerateParametersError("closed-form denominator vanishes")

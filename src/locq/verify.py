@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -90,18 +90,68 @@ DH_TOL = 1e-8
 DH_MAX_FACTORS = 4
 
 
-def localization_checks():
-    """Every check of suite_localization, as (c, indices, lhs, rhs, rel_err):
-    each multiset of one to DH_MAX_FACTORS of the 16 factors with radius and
-    weight in DH_VALUES, as itertools.combinations_with_replacement gives it,
-    at every c in DH_CS, from one localization.FactorTable per c, which does
-    each factor's work once.  Each check is dh_verify's on its space."""
+def _localization_folds():
+    """The checks of suite_localization one c and one multiset size n at a
+    time, as (c, n, lhs, rhs, rel_err) with NumPy arrays over the size-n
+    multisets of the 16 factors with radius and weight in DH_VALUES, in
+    itertools.combinations_with_replacement order, from one
+    localization.FactorTable per c, which does each factor's work once.
+
+    Each size-n multiset is its size-(n - 1) prefix and one last index no
+    smaller than the prefix's, so its mantissas and exponents are the
+    prefix's times one entry of FactorTable.steps, then one np.ldexp per
+    side and rel_err = |lhs - rhs| / |rhs|: the IEEE operations of
+    FactorTable.check, in its order, at real c.  The first multiset with a
+    side that is not a normal double goes to FactorTable.check, which
+    refuses it.  A complex c is refused by name: NumPy's complex multiply
+    rounds differently from Python's."""
+    import numpy as np
+
     factors = [localization.SphereFactor(r, mu) for r in DH_VALUES for mu in DH_VALUES]
+    count, tiny = len(factors), sys.float_info.min
     for c in DH_CS:
+        if isinstance(c, complex):
+            raise ValueError(f"the localization suite's array fold takes real c only, "
+                             f"got c = {c!r}")
         table = localization.FactorTable(c, factors)
+        columns = list(zip(*table.steps))
+        quad_m, pair_m = np.array(columns[0]), np.array(columns[2])
+        quad_e, pair_e = np.array(columns[1], dtype=np.intc), np.array(columns[3], dtype=np.intc)
+        last = np.arange(count)
+        lhs_m, lhs_e, rhs_m, rhs_e = quad_m, quad_e, pair_m, pair_e
         for n in range(1, DH_MAX_FACTORS + 1):
-            for indices in itertools.combinations_with_replacement(range(len(factors)), n):
-                yield (c, indices, *table.check(indices))
+            if n > 1:
+                # prefix p is followed by the last indices last[p]..count - 1
+                runs = count - last
+                starts = np.repeat(np.cumsum(runs) - runs, runs)
+                last = np.repeat(last, runs) + np.arange(len(starts)) - starts
+                lhs_m = np.repeat(lhs_m, runs) * quad_m[last]
+                lhs_e = np.repeat(lhs_e, runs) + quad_e[last]
+                rhs_m = np.repeat(rhs_m, runs) * pair_m[last]
+                rhs_e = np.repeat(rhs_e, runs) + pair_e[last]
+            with np.errstate(all="ignore"):
+                lhs, rhs = np.ldexp(lhs_m, lhs_e), np.ldexp(rhs_m, rhs_e)
+                rel_err = np.abs(lhs - rhs) / np.abs(rhs)
+            normal = ((tiny <= np.abs(lhs)) & (np.abs(lhs) < math.inf)
+                      & (tiny <= np.abs(rhs)) & (np.abs(rhs) < math.inf))
+            if not normal.all():
+                first = int(np.argmin(normal))
+                indices = next(itertools.islice(
+                    itertools.combinations_with_replacement(range(count), n), first, None))
+                table.check(indices)
+                raise AssertionError(f"FactorTable.check accepts {indices} at c = {c!r}, "
+                                     f"which the array fold refuses")
+            yield c, n, lhs, rhs, rel_err
+
+
+def localization_checks():
+    """Every check of suite_localization, as (c, indices, lhs, rhs, rel_err)
+    in its order (_localization_folds).  Each check is dh_verify's on its
+    space."""
+    for c, n, *sides in _localization_folds():
+        multisets = itertools.combinations_with_replacement(range(len(DH_VALUES) ** 2), n)
+        for indices, *check in zip(multisets, *(side.tolist() for side in sides)):
+            yield (c, indices, *check)
 
 
 def suite_localization() -> SuiteResult:
@@ -109,7 +159,8 @@ def suite_localization() -> SuiteResult:
     with radii and weights drawn from DH_VALUES, up to four factors."""
     return SuiteResult("dh-localization", (
         within("fixed-point sum = Liouville integral, rel err",
-               map(operator.itemgetter(-1), localization_checks()), DH_TOL),
+               itertools.chain.from_iterable(
+                   rel_err.tolist() for *_, rel_err in _localization_folds()), DH_TOL),
     ))
 
 

@@ -1204,3 +1204,79 @@ class TestFactorTableChecks:
         report = dh_verify(SphereProductSpace(tuple(factors)), 0.5j)
         assert isinstance(rhs, complex)
         assert repr((lhs, rhs, rel_err)) == repr((report.lhs, report.rhs, report.rel_err))
+
+
+class TestArrayFold:
+    """verify._localization_folds, the suite's walk on NumPy arrays: on other
+    inputs than the suite's, each check is FactorTable.check's bit for bit,
+    and a refusal is check's on the first multiset that has one, raised
+    without a NumPy warning (a RuntimeWarning would be an error here too)."""
+
+    @staticmethod
+    def walk_by_check():
+        """(c, indices, lhs, rhs, rel_err) from FactorTable.check in the
+        walk's order, then the first refusal, as ("refused", indices, exc)."""
+        factors = [SphereFactor(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
+        for c in verify.DH_CS:
+            table = FactorTable(c, factors)
+            for n in range(1, verify.DH_MAX_FACTORS + 1):
+                for indices in itertools.combinations_with_replacement(range(len(factors)), n):
+                    try:
+                        yield (c, indices, *table.check(indices))
+                    except ValueError as exc:
+                        yield "refused", indices, exc
+                        return
+
+    @staticmethod
+    def walk_by_folds():
+        """localization_checks' tuples, then ("refused", exc) if it refuses:
+        no check of the refused multiset's size comes before it."""
+        try:
+            yield from verify.localization_checks()
+        except ValueError as exc:
+            yield "refused", exc
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values,cs", [
+        ((0.3, 1.7, 2.9), (-1.3, 0.07, 7.0)),
+        ((1e-3, 0.4, 11.0), (1e-200, -0.6)),
+        ((0.5, 1.0, 2.0, 3.0), (-5.0, 15.0)),
+    ])
+    def test_folds_are_checks(self, monkeypatch, values, cs):
+        monkeypatch.setattr(verify, "DH_VALUES", values)
+        monkeypatch.setattr(verify, "DH_CS", cs)
+        want = [repr(check) for check in self.walk_by_check()]
+        got = [repr(check) for check in verify.localization_checks()]
+        assert len(got) == len(cs) * sum(
+            math.comb(len(values) ** 2 + n - 1, n) for n in range(1, verify.DH_MAX_FACTORS + 1))
+        assert got == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values,cs,first,text", [
+        # (0.5, 3) and (3, 3): e^(105) e^(630) past the largest double
+        ((0.5, 1.0, 2.0, 3.0), (70.0,), (3, 15),
+         "overflow: the Liouville integral's modulus at c = 70.0 is not a finite double"),
+        # (1e-80, 1e-80) twice: (4 pi 1e-160)^2, about 1.6e-318
+        ((1e-80, 1.0), (1.0,), (0, 0), "underflow: the Liouville integral's modulus"),
+    ])
+    def test_first_refusal_is_checks(self, monkeypatch, values, cs, first, text):
+        monkeypatch.setattr(verify, "DH_VALUES", values)
+        monkeypatch.setattr(verify, "DH_CS", cs)
+        *want, (_, indices, refusal) = self.walk_by_check()
+        *got, (_, exc) = self.walk_by_folds()
+        assert indices == first and str(refusal).startswith(text)
+        sizes = [len(check[1]) for check in got]
+        assert sizes == sorted(sizes) and len(first) not in sizes
+        assert [repr(check) for check in got] == [repr(check) for check in want[:len(got)]]
+        assert (type(exc), str(exc)) == (type(refusal), str(refusal))
+        with pytest.raises(type(refusal)) as info:
+            verify.suite_localization()
+        assert str(info.value) == str(refusal)
+
+    @pytest.mark.parametrize("cs", [(0.5j,), (1.0, 1 + 0.5j)])
+    def test_complex_c_is_refused(self, monkeypatch, cs):
+        # NumPy's complex multiply is not Python's in the last bit
+        monkeypatch.setattr(verify, "DH_CS", cs)
+        with pytest.raises(ValueError, match=re.escape(
+                f"takes real c only, got c = {cs[-1]!r}")):
+            verify.suite_localization()

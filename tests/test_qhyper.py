@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from locq import oracles, qhyper, spectral
 from locq.errors import (
     DegenerateParametersError,
+    LocqError,
     PochhammerZeroDivisionError,
     ToleranceUnreachableError,
 )
@@ -284,21 +285,78 @@ class TestSaalschutz:
         assert result.equal
         assert result.lhs == Fraction(6785056692895, 1537794347584)
 
+    @staticmethod
+    def draw(rng):
+        """(a, b, c, n, q) as the verify-all suite draws them."""
+        n = rng.randint(0, 6)
+        a, b, c = (Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
+                   for _ in range(3))
+        return a, b, c, n, Fraction(rng.randint(1, 8), rng.randint(9, 12))
+
     def test_randomized_exact(self):
+        # every refusal is a draw whose direct sum or closed form divides by 0
         rng = random.Random(4242)
         passed = 0
         while passed < 50:
-            n = rng.randint(0, 6)
-            a = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
-            b = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
-            c = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
-            q = Fraction(rng.randint(1, 8), rng.randint(9, 12))
+            a, b, c, n, q = self.draw(rng)
             try:
                 result = saalschutz_check(a, b, c, n, q)
-            except Exception:
+            except LocqError:
+                assert None in (_direct_saalschutz(a, b, c, n, q),
+                                _closed_saalschutz(a, b, c, n, q)), (a, b, c, n, q)
                 continue
             assert result.equal, (a, b, c, n, q)
             passed += 1
+
+    def test_powers_of_q_and_c_one(self):
+        # a or b = q^m, or c = 1: the bilateral terms below k = 0 may be 0/0,
+        # and the upper ones past n, yet the sum over k = 0..n is well defined;
+        # before, 2.9% of the draws above were refused that way
+        rng = random.Random(5151)
+        answered = 0
+        for _ in range(400):
+            a, b, c, n, q = self.draw(rng)
+            pick = rng.randrange(3)
+            if pick == 2:
+                c = Fraction(1)
+            else:
+                power = q ** rng.randint(1, 8)
+                a, b = (power, b) if pick == 0 else (a, power)
+            want = _direct_saalschutz(a, b, c, n, q)
+            closed = _closed_saalschutz(a, b, c, n, q)
+            try:
+                result = saalschutz_check(a, b, c, n, q)
+            except LocqError:
+                assert None in (want, closed), (a, b, c, n, q)
+                continue
+            assert result == (want, closed, True), (a, b, c, n, q)
+            answered += 1
+        assert answered > 200
+
+
+def _poch(x: Fraction, q: Fraction, k: int) -> Fraction:
+    out = Fraction(1)
+    for j in range(k):
+        out *= 1 - x * q**j
+    return out
+
+
+def _direct_saalschutz(a, b, c, n, q):
+    """sum_{k=0..n} (a,b,q^-n;q)_k / (q,c,abq^(1-n)/c;q)_k q^k term by term,
+    or None where a term's denominator vanishes."""
+    total = Fraction(0)
+    for k in range(n + 1):
+        den = _poch(q, q, k) * _poch(c, q, k) * _poch(a * b * q ** (1 - n) / c, q, k)
+        if den == 0:
+            return None
+        total += _poch(a, q, k) * _poch(b, q, k) * _poch(q**-n, q, k) / den * q**k
+    return total
+
+
+def _closed_saalschutz(a, b, c, n, q):
+    """(c/a;q)_n (c/b;q)_n / ((c;q)_n (c/ab;q)_n), or None where its denominator vanishes."""
+    den = _poch(c, q, n) * _poch(c / (a * b), q, n)
+    return None if den == 0 else _poch(c / a, q, n) * _poch(c / b, q, n) / den
 
 
 class TestConvergenceDiagnostics:

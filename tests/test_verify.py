@@ -61,14 +61,20 @@ def test_row_json_is_strict():
 
 def test_nan_localization_error_fails_verify_all(run_cli, monkeypatch):
     # one NaN rel_err among the 19,376 checks: before, max(worst, nan) kept
-    # the old worst and the suite passed with unchanged details
-    walk = verify.localization_checks
+    # the old worst and the suite passed with unchanged details; the suite
+    # reads the rel_err arrays of _localization_folds, one size at a time
+    walk = verify._localization_folds
 
     def with_nan():
-        for i, check in enumerate(walk()):
-            yield (*check[:4], math.nan) if i == 1000 else check
+        seen = 0
+        for c, n, lhs, rhs, rel_err in walk():
+            if seen <= 1000 < seen + len(rel_err):
+                rel_err = rel_err.copy()
+                rel_err[1000 - seen] = math.nan
+            seen += len(rel_err)
+            yield c, n, lhs, rhs, rel_err
 
-    monkeypatch.setattr(verify, "localization_checks", with_nan)
+    monkeypatch.setattr(verify, "_localization_folds", with_nan)
     monkeypatch.setattr(verify, "ALL_SUITES", (verify.suite_localization,))
     code, out = run_cli(["verify-all"])
     assert code == 1
