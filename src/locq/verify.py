@@ -121,10 +121,10 @@ def _localization_folds():
         lhs_m, lhs_e, rhs_m, rhs_e = quad_m, quad_e, pair_m, pair_e
         for n in range(1, DH_MAX_FACTORS + 1):
             if n > 1:
-                # prefix p is followed by the last indices last[p]..count - 1
+                # prefix p is followed by the last indices last[p]..count - 1; with
+                # ends = cumsum(runs), position j of its run has j - (ends[p] - count)
                 runs = count - last
-                starts = np.repeat(np.cumsum(runs) - runs, runs)
-                last = np.repeat(last, runs) + np.arange(len(starts)) - starts
+                last = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - count, runs)
                 lhs_m = np.repeat(lhs_m, runs) * quad_m[last]
                 lhs_e = np.repeat(lhs_e, runs) + quad_e[last]
                 rhs_m = np.repeat(rhs_m, runs) * pair_m[last]
