@@ -234,7 +234,7 @@ def twisted_sym_series(chi: int, q_order: int) -> FormalSeries:
         raise LocqError("twisted series produced non-integer coefficients")
     g = [0] * (q_order + 1)
     g[::2] = [x + y + v // 2 for x, y, v in zip(u, theta, diffs)]
-    e = kernel.sparse_power(pentagonal_terms(q_order), -chi, q_order)
+    e = equivariant_euler_series(chi, q_order).coeffs
     return FormalSeries(q_order, tuple(kernel.mul_trunc(e, g)))
 
 

@@ -16,14 +16,17 @@ sum with the sqrt-det sign convention of locq.pfaffian.  Each of its terms
 is a product of one share per factor and pole, so the sum is the product of
 the factors' pole pairs (2 pi / (c l_j)) (e^a_j - e^-a_j) = 4 pi r_j^2
 sinh(a_j) / a_j, a_j = c mu_j r_j (_pole_pair).  A FactorTable does each
-factor's work at one c once; its check on a multiset of them is a left fold.
+factor's work at one c once; its check on a multiset of them is a left fold,
+and its folds run that fold on every multiset up to a size on arrays.
 
-NumPy is imported inside the quadrature, the only code that uses it.
+NumPy is imported inside the quadrature and FactorTable.folds, the only code
+that uses it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from collections.abc import Sequence
@@ -378,36 +381,71 @@ class FactorTable:
     def check(self, indices: Sequence[int]):
         """(lhs, rhs, rel_err) on the factors at `indices`, repeats allowed:
         left folds of their mantissas and exponents, in index order, and one
-        _ldexp per side (at real c, math.ldexp, with _ldexp's inf where a side
-        overflows).  More than MAX_FACTORS indices are refused first, and
-        a side whose modulus is not a normal double once known, since rel_err
-        divides by |rhs|."""
+        _ldexp per side, with its inf where a side overflows.  More than
+        MAX_FACTORS indices are refused first, and a side whose modulus is
+        not a normal double once known, since rel_err divides by |rhs|."""
         _check_factor_count(len(indices))
-        steps, is_complex = self.steps, self.is_complex
-        lhs_m = rhs_m = 1.0 + 0.0j if is_complex else 1.0
+        steps = self.steps
+        lhs_m = rhs_m = 1.0 + 0.0j if self.is_complex else 1.0
         lhs_e = rhs_e = 0
         for i in indices:
             quad_m, quad_e, pair_m, pair_e, _ = steps[i]
             lhs_m, lhs_e = lhs_m * quad_m, lhs_e + quad_e
             rhs_m, rhs_e = rhs_m * pair_m, rhs_e + pair_e
-        tiny = sys.float_info.min  # require_double's test of each modulus, inline
-        if is_complex:
-            lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
-            try:
-                normal = tiny <= abs(lhs) < math.inf and tiny <= abs(rhs) < math.inf
-            except OverflowError:  # abs() of a complex past the largest double
-                normal = False
-        else:
-            try:
-                lhs, rhs = math.ldexp(lhs_m, lhs_e), math.ldexp(rhs_m, rhs_e)
-            except OverflowError:
-                lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
-            normal = tiny <= abs(lhs) < math.inf and tiny <= abs(rhs) < math.inf
-        if not normal:
-            for what, side in (("Liouville integral", lhs), ("fixed-point sum", rhs)):
-                require_double(f"the {what}'s modulus at c = {self.c!r}",
-                               math.hypot(side.real, side.imag), normal=True)
+        lhs, rhs = _ldexp(lhs_m, lhs_e), _ldexp(rhs_m, rhs_e)
+        for what, side in (("Liouville integral", lhs), ("fixed-point sum", rhs)):
+            require_double(f"the {what}'s modulus at c = {self.c!r}",
+                           math.hypot(side.real, side.imag), normal=True)
         return lhs, rhs, abs(lhs - rhs) / abs(rhs)
+
+    def folds(self, max_size: int):
+        """check on every multiset of 1, 2, ..., max_size of the factors, one
+        size at a time, as NumPy arrays (lhs, rhs, rel_err) over that size's
+        multisets in itertools.combinations_with_replacement order.
+
+        Each size-n multiset is its size-(n - 1) prefix and one last index no
+        smaller than the prefix's, so its mantissas and exponents are the
+        prefix's times one step, then one np.ldexp per side and rel_err =
+        |lhs - rhs| / |rhs|: check's IEEE operations, in its order, bit for
+        bit.  A max_size above MAX_FACTORS is refused first, then a complex c
+        by name, since NumPy's complex multiply rounds differently from
+        Python's; the first multiset with a side that is not a normal double
+        goes to check, which refuses it."""
+        _check_factor_count(max_size)
+        if self.is_complex:
+            raise ValueError(f"the localization suite's array fold takes real c only, "
+                             f"got c = {self.c!r}")
+        import numpy as np
+
+        count, tiny = len(self.steps), sys.float_info.min
+        columns = list(zip(*self.steps))
+        quad_m, pair_m = np.array(columns[0]), np.array(columns[2])
+        quad_e, pair_e = np.array(columns[1], dtype=np.intc), np.array(columns[3], dtype=np.intc)
+        last = np.arange(count)
+        lhs_m, lhs_e, rhs_m, rhs_e = quad_m, quad_e, pair_m, pair_e
+        for n in range(1, max_size + 1):
+            if n > 1:
+                # prefix p is followed by the last indices last[p]..count - 1; with
+                # ends = cumsum(runs), position j of its run has j - (ends[p] - count)
+                runs = count - last
+                last = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - count, runs)
+                lhs_m = np.repeat(lhs_m, runs) * quad_m[last]
+                lhs_e = np.repeat(lhs_e, runs) + quad_e[last]
+                rhs_m = np.repeat(rhs_m, runs) * pair_m[last]
+                rhs_e = np.repeat(rhs_e, runs) + pair_e[last]
+            with np.errstate(all="ignore"):
+                lhs, rhs = np.ldexp(lhs_m, lhs_e), np.ldexp(rhs_m, rhs_e)
+                rel_err = np.abs(lhs - rhs) / np.abs(rhs)
+            normal = ((tiny <= np.abs(lhs)) & (np.abs(lhs) < math.inf)
+                      & (tiny <= np.abs(rhs)) & (np.abs(rhs) < math.inf))
+            if not normal.all():
+                first = int(np.argmin(normal))
+                indices = next(itertools.islice(
+                    itertools.combinations_with_replacement(range(count), n), first, None))
+                self.check(indices)
+                raise AssertionError(f"check accepts {indices} at c = {self.c!r}, "
+                                     f"which the array fold refuses")
+            yield lhs, rhs, rel_err
 
     def rhs_bound(self, indices: Sequence[int]) -> float:
         """check(indices)'s rhs bound E u / (1 - E u) (_pole_pair), or inf."""

@@ -37,8 +37,8 @@ FIRST_WINDOW = 8
 # bound on any value that underflows.
 _TINY = 2.0**-1000
 
-# Largest bilateral window, Saalschutz n (at most MAX_WINDOW - 2) and |n| of a
-# finite Pochhammer symbol; each costs work linear in it and is checked first.
+# Largest bilateral window, Saalschutz n and |n| of a finite Pochhammer
+# symbol; each costs work linear in it and is checked first.
 MAX_WINDOW = 4096
 
 
@@ -72,17 +72,10 @@ def pochhammer(a, q, n: int):
     if n < 0 and q == 0:
         raise DegenerateParametersError(f"(a;q)_{n} with n < 0 divides by q = 0")
     if isinstance(a, Fraction) and isinstance(q, Fraction):
-        # (a;q)_n = 1 / (b;p)_-n with b = a/q, p = 1/q for n < 0: the factors 1 - b p^k
-        # are 1 - a q^-(k+1).  As in _ExactTail, each factor 1 - b p^k = (bd pd^k -
-        # bn pn^k) / (bd pd^k) for b = bn/bd, p = pn/pd: the numerators and
-        # denominators are multiplied as integers, reduced once.
-        m, (b, p) = abs(n), (a, q) if n >= 0 else (a / q, 1 / q)
-        # each factor is below 2 max(|bn|, bd) max(|pn|, pd)^k, as is bd pd^k
-        digits = (m * math.log10(2 * max(abs(b.numerator), b.denominator))
-                  + m * (m - 1) // 2 * math.log10(max(abs(p.numerator), p.denominator)))
-        if digits > MAX_DIGITS:
-            raise ValueError(f"exact (a;q)_{n} may have {digits:.0f} digits, more than "
-                             f"MAX_DIGITS = {MAX_DIGITS}")
+        # As in _ExactTail, each factor 1 - b p^k = (bd pd^k - bn pn^k) / (bd pd^k)
+        # for b = bn/bd, p = pn/pd: the numerators and denominators are
+        # multiplied as integers, reduced once.
+        m, (b, p) = abs(n), _exact_base(a, q, n)
         top, pnk, pdk = 1, 1, 1
         for _ in range(m):
             top *= b.denominator * pdk - b.numerator * pnk
@@ -98,6 +91,21 @@ def pochhammer(a, q, n: int):
     if n < 0 and out == 0:
         raise PochhammerZeroDivisionError(f"(a;q)_{n} has a vanishing factor for a={a}, q={q}")
     return out if n >= 0 else 1 / out
+
+
+def _exact_base(a: Fraction, q: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """(b, p) with (a;q)_n = (b;p)_n for n >= 0 and 1 / (b;p)_-n for n < 0,
+    where b = a/q, p = 1/q: the factors 1 - b p^k are 1 - a q^-(k+1).  An
+    (a;q)_n whose unreduced product may have more than MAX_DIGITS digits is
+    refused, from the sizes of b and p alone."""
+    m, (b, p) = abs(n), (a, q) if n >= 0 else (a / q, 1 / q)
+    # each factor is below 2 max(|bn|, bd) max(|pn|, pd)^k, as is bd pd^k
+    digits = (m * math.log10(2 * max(abs(b.numerator), b.denominator))
+              + m * (m - 1) // 2 * math.log10(max(abs(p.numerator), p.denominator)))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"exact (a;q)_{n} may have {digits:.0f} digits, more than "
+                         f"MAX_DIGITS = {MAX_DIGITS}")
+    return b, p
 
 
 def _pochhammer_factors(one, a, q, n: int):
@@ -635,16 +643,19 @@ def saalschutz_check(a, b, c, n: int, q) -> SaalschutzResult:
     lower tail is not summed, and the q^-n numerator parameter makes every
     term past n 0.  A term with k <= n whose denominator vanishes is
     refused; a 0/0 past n, or below 0, is not a term of the sum.
-    Right side: (c/a;q)_n (c/b;q)_n / ((c;q)_n (c/ab;q)_n).
+    Right side: (c/a;q)_n (c/b;q)_n / ((c;q)_n (c/ab;q)_n), whose
+    MAX_DIGITS refusals (_exact_base) are made before the sum.
     Both sides are exact rationals; the verdict is exact equality.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if n > MAX_WINDOW - 2:
-        raise ValueError(f"n must be at most {MAX_WINDOW - 2}, got {n}")
+    if n > MAX_WINDOW:
+        raise ValueError(f"n must be at most {MAX_WINDOW}, got {n}")
     a, b, c, q = Fraction(a), Fraction(b), Fraction(c), Fraction(q)
     if a == 0 or b == 0 or c == 0 or q == 0:
         raise DegenerateParametersError("parameters must be nonzero")
+    for base in (c, c / (a * b), c / a, c / b):
+        _exact_base(base, q, n)
     upper = _ExactTail([a, b, q**-n], [c, a * b * q ** (1 - n) / c, q], q, q, 0)
     upper.extend(n)
     error = upper.error(min(upper.first_bot, n))

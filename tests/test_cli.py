@@ -1077,8 +1077,8 @@ class TestContract:
              "needs more than MAX_QUAD_POINTS = 1024 nodes"),
             (["dh-verify", "--factors", ",".join(["1:1"] * 17), "--c", "0.5"],
              "at most 16 sphere factors (2^16 fixed points), got 17"),
-            (["qhyper", "saalschutz", "--a", "2", "--b", "3", "--c", "5", "--n", "4095",
-              "--q", "1/2"], "n must be at most 4094, got 4095"),
+            (["qhyper", "saalschutz", "--a", "2", "--b", "3", "--c", "5", "--n", "4097",
+              "--q", "1/2"], "n must be at most 4096, got 4097"),
             (["qhyper", "pochhammer", "--a", "1/2", "--q", "1/3", "--n", "4097"],
              "|n| must be at most 4096, got 4097"),
             (["qhyper", "pochhammer", "--a", "1/2", "--q", "1/3", "--n", "-4097"],

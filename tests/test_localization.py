@@ -1024,9 +1024,9 @@ class TestSumPrecision:
 
 
 def _ldexp_fold(table, indices):
-    """FactorTable.check at real c written with _ldexp on both sides, as
-    before real c had its own math.ldexp path: (lhs, rhs, rel_err), or a
-    ValueError naming the first side that is not a normal double."""
+    """FactorTable.check at real c written out from its steps, with _ldexp
+    on both sides: (lhs, rhs, rel_err), or a ValueError naming the first
+    side that is not a normal double."""
     lhs_m = rhs_m = 1.0
     lhs_e = rhs_e = 0
     for i in indices:
@@ -1040,8 +1040,8 @@ def _ldexp_fold(table, indices):
 
 
 class TestRealCFold:
-    """At real c, FactorTable.check's math.ldexp equals the _ldexp fold bit
-    for bit (repr round-trips every double), refusals included: ordinary
+    """At real c, FactorTable.check equals the _ldexp fold bit for bit
+    (repr round-trips every double), refusals included: ordinary
     sides, sides about the least normal double, below it, and about the
     largest double.  A single factor's side is about 4 pi r^2 where c mu r
     is small."""
@@ -1087,9 +1087,21 @@ class TestRealCFold:
         assert got == seen
 
 
+def fold_checks(factors, cs):
+    """(c, indices, lhs, rhs, rel_err) of each check of FactorTable.folds on
+    the factors at each c in turn, to the suite's size, a c's table built when
+    the walk reaches it: each size's arrays zipped with its multisets, in
+    itertools.combinations_with_replacement order."""
+    for c in cs:
+        for n, sides in enumerate(FactorTable(c, factors).folds(verify.DH_MAX_FACTORS), 1):
+            multisets = itertools.combinations_with_replacement(range(len(factors)), n)
+            for indices, *check in zip(multisets, *(side.tolist() for side in sides)):
+                yield (c, indices, *check)
+
+
 class TestFactorTableChecks:
-    """verify.localization_checks: every multiset of up to four of the 16
-    factors at each c, from one FactorTable per c."""
+    """The suite's checks (fold_checks): every multiset of up to four of the
+    16 factors at each c, from one FactorTable per c."""
 
     FACTORS = [SphereFactor(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
 
@@ -1105,7 +1117,7 @@ class TestFactorTableChecks:
                     plain[space.factors, c] = repr((report.lhs, report.rhs, report.rel_err))
                     worst = max(worst, report.rel_err)
         walked = {}
-        for c, indices, lhs, rhs, rel_err in verify.localization_checks():
+        for c, indices, lhs, rhs, rel_err in fold_checks(self.FACTORS, verify.DH_CS):
             key = tuple(self.FACTORS[i] for i in indices), c
             assert key not in walked
             walked[key] = repr((lhs, rhs, rel_err))
@@ -1124,7 +1136,7 @@ class TestFactorTableChecks:
         tables = {c: FactorTable(c, self.FACTORS) for c in verify.DH_CS}
         digest, count = hashlib.sha256(), 0
         with mpmath.workdps(point_sums.SPARE_DIGITS):
-            for c, indices, _, rhs, _ in verify.localization_checks():
+            for c, indices, _, rhs, _ in fold_checks(self.FACTORS, verify.DH_CS):
                 digest.update(repr((indices, c)).encode())
                 want = mpmath.fprod(sums[i, c] for i in indices)
                 assert point_sums.within(rhs, want, tables[c].rhs_bound(indices))
@@ -1207,17 +1219,16 @@ class TestFactorTableChecks:
 
 
 class TestArrayFold:
-    """verify._localization_folds, the suite's walk on NumPy arrays: on other
-    inputs than the suite's, each check is FactorTable.check's bit for bit,
-    and a refusal is check's on the first multiset that has one, raised
-    without a NumPy warning (a RuntimeWarning would be an error here too)."""
+    """FactorTable.folds, the fold on NumPy arrays: on other inputs than the
+    suite's, each check is FactorTable.check's bit for bit, and a refusal is
+    check's on the first multiset that has one, raised without a NumPy
+    warning (a RuntimeWarning would be an error here too)."""
 
     @staticmethod
-    def walk_by_check():
+    def walk_by_check(factors, cs):
         """(c, indices, lhs, rhs, rel_err) from FactorTable.check in the
         walk's order, then the first refusal, as ("refused", indices, exc)."""
-        factors = [SphereFactor(r, mu) for r in verify.DH_VALUES for mu in verify.DH_VALUES]
-        for c in verify.DH_CS:
+        for c in cs:
             table = FactorTable(c, factors)
             for n in range(1, verify.DH_MAX_FACTORS + 1):
                 for indices in itertools.combinations_with_replacement(range(len(factors)), n):
@@ -1228,13 +1239,17 @@ class TestArrayFold:
                         return
 
     @staticmethod
-    def walk_by_folds():
-        """localization_checks' tuples, then ("refused", exc) if it refuses:
-        no check of the refused multiset's size comes before it."""
+    def walk_by_folds(factors, cs):
+        """fold_checks' tuples, then ("refused", exc) if it refuses: no check
+        of the refused multiset's size comes before it."""
         try:
-            yield from verify.localization_checks()
+            yield from fold_checks(factors, cs)
         except ValueError as exc:
             yield "refused", exc
+
+    @staticmethod
+    def factors(values):
+        return [SphereFactor(r, mu) for r in values for mu in values]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("values,cs", [
@@ -1242,11 +1257,10 @@ class TestArrayFold:
         ((1e-3, 0.4, 11.0), (1e-200, -0.6)),
         ((0.5, 1.0, 2.0, 3.0), (-5.0, 15.0)),
     ])
-    def test_folds_are_checks(self, monkeypatch, values, cs):
-        monkeypatch.setattr(verify, "DH_VALUES", values)
-        monkeypatch.setattr(verify, "DH_CS", cs)
-        want = [repr(check) for check in self.walk_by_check()]
-        got = [repr(check) for check in verify.localization_checks()]
+    def test_folds_are_checks(self, values, cs):
+        factors = self.factors(values)
+        want = [repr(check) for check in self.walk_by_check(factors, cs)]
+        got = [repr(check) for check in fold_checks(factors, cs)]
         assert len(got) == len(cs) * sum(
             math.comb(len(values) ** 2 + n - 1, n) for n in range(1, verify.DH_MAX_FACTORS + 1))
         assert got == want
@@ -1259,24 +1273,35 @@ class TestArrayFold:
         # (1e-80, 1e-80) twice: (4 pi 1e-160)^2, about 1.6e-318
         ((1e-80, 1.0), (1.0,), (0, 0), "underflow: the Liouville integral's modulus"),
     ])
-    def test_first_refusal_is_checks(self, monkeypatch, values, cs, first, text):
-        monkeypatch.setattr(verify, "DH_VALUES", values)
-        monkeypatch.setattr(verify, "DH_CS", cs)
-        *want, (_, indices, refusal) = self.walk_by_check()
-        *got, (_, exc) = self.walk_by_folds()
+    def test_first_refusal_is_checks(self, values, cs, first, text):
+        factors = self.factors(values)
+        *want, (_, indices, refusal) = self.walk_by_check(factors, cs)
+        *got, (_, exc) = self.walk_by_folds(factors, cs)
         assert indices == first and str(refusal).startswith(text)
         sizes = [len(check[1]) for check in got]
         assert sizes == sorted(sizes) and len(first) not in sizes
         assert [repr(check) for check in got] == [repr(check) for check in want[:len(got)]]
         assert (type(exc), str(exc)) == (type(refusal), str(refusal))
-        with pytest.raises(type(refusal)) as info:
+
+    def test_suite_refusal_is_checks(self, monkeypatch):
+        # the suite raises the fold's refusal: check's on (0.5, 3) and (3, 3)
+        monkeypatch.setattr(verify, "DH_CS", (1.0, 70.0))
+        table = FactorTable(70.0, self.factors(verify.DH_VALUES))
+        with pytest.raises(ValueError) as want:
+            table.check((3, 15))
+        with pytest.raises(ValueError) as got:
             verify.suite_localization()
-        assert str(info.value) == str(refusal)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("cs", [(0.5j,), (1.0, 1 + 0.5j)])
-    def test_complex_c_is_refused(self, monkeypatch, cs):
+    def test_complex_c_is_refused(self, cs):
         # NumPy's complex multiply is not Python's in the last bit
-        monkeypatch.setattr(verify, "DH_CS", cs)
         with pytest.raises(ValueError, match=re.escape(
                 f"takes real c only, got c = {cs[-1]!r}")):
-            verify.suite_localization()
+            list(fold_checks(self.factors(verify.DH_VALUES), cs))
+
+    def test_max_size_above_the_cap_is_refused_before_any_work(self):
+        table = FactorTable(0.5, [SphereFactor(1.0, 1.0)])
+        table.steps = None  # any work on the steps would raise a TypeError
+        with pytest.raises(ValueError, match=r"^at most 16 sphere factors .*, got 17$"):
+            next(table.folds(localization.MAX_FACTORS + 1))

@@ -285,6 +285,18 @@ class TestSaalschutz:
         assert result.equal
         assert result.lhs == Fraction(6785056692895, 1537794347584)
 
+    def test_closed_form_digits_refused_before_the_sum(self, monkeypatch):
+        # (c;q)_1600 at q = 3/10 may have 1,280,445 digits; before, the sum
+        # to k = 1600 ran for minutes before the closed form refused it
+        def forbidden(*args):
+            raise AssertionError("the sum was extended before the digit refusal")
+
+        monkeypatch.setattr(qhyper._ExactTail, "extend", forbidden)
+        with pytest.raises(ValueError, match=r"^exact \(a;q\)_1600 may have 1280445 "
+                                             r"digits, more than MAX_DIGITS = 500000$"):
+            saalschutz_check(Fraction(2, 3), Fraction(2, 5), Fraction(-2, 3), 1600,
+                             Fraction(3, 10))
+
     @staticmethod
     def draw(rng):
         """(a, b, c, n, q) as the verify-all suite draws them."""

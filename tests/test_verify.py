@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from locq import genfunc, verify
+from locq import genfunc, localization, verify
 from locq.cli import row_json
 from locq.verify import Row, exact, within
 
@@ -62,19 +62,20 @@ def test_row_json_is_strict():
 def test_nan_localization_error_fails_verify_all(run_cli, monkeypatch):
     # one NaN rel_err among the 19,376 checks: before, max(worst, nan) kept
     # the old worst and the suite passed with unchanged details; the suite
-    # reads the rel_err arrays of _localization_folds, one size at a time
-    walk = verify._localization_folds
+    # reads the rel_err arrays of FactorTable.folds, one size at a time
+    folds = localization.FactorTable.folds
+    seen = 0
 
-    def with_nan():
-        seen = 0
-        for c, n, lhs, rhs, rel_err in walk():
+    def with_nan(table, max_size):
+        nonlocal seen
+        for lhs, rhs, rel_err in folds(table, max_size):
             if seen <= 1000 < seen + len(rel_err):
                 rel_err = rel_err.copy()
                 rel_err[1000 - seen] = math.nan
             seen += len(rel_err)
-            yield c, n, lhs, rhs, rel_err
+            yield lhs, rhs, rel_err
 
-    monkeypatch.setattr(verify, "_localization_folds", with_nan)
+    monkeypatch.setattr(localization.FactorTable, "folds", with_nan)
     monkeypatch.setattr(verify, "ALL_SUITES", (verify.suite_localization,))
     code, out = run_cli(["verify-all"])
     assert code == 1
